@@ -187,12 +187,6 @@ def spectrum(m: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def _batched_eigvals(stack: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvals(stack)
-    order = np.argsort(vals.real, axis=-1)
-    return np.take_along_axis(vals, order, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Certification
 

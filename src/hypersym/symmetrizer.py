@@ -257,6 +257,13 @@ def quadrature_R(
     where the tail bound falls below ``tol`` and integrated by composite
     Gauss-Legendre with panel refinement until the relative change is below
     ``tol``.  Accepts a single matrix or a stack.
+
+    Panels are uniform (width w) and share the Gauss offsets
+    ``c_j = (w/2)(1 + x_j)``, so the semigroup property gives
+    ``e^{(p w + c_j) S} = P^p E_j`` with ``P = e^{w S}``, ``E_j = e^{c_j S}``
+    and the composite sum is exactly ``sum_j w_j E_j* G E_j`` with
+    ``G = sum_p (P^p)* P^p``.  G costs one exponential per node and serves
+    every refinement level.  The oracle never calls the Lyapunov solve.
     """
     m_stack = np.asarray(m_mat, dtype=complex)
     single = m_stack.ndim == 2
@@ -277,22 +284,36 @@ def quadrature_R(
     if math.exp(-2.0 * r_max) > tol:
         raise BudgetError("quadrature truncation bound unreachable within budget")
 
-    def integral(group: np.ndarray, omega: float, nodes_per_panel: int) -> np.ndarray:
-        n_panels = max(4, int(math.ceil(r_max * max(omega, 1.0) / 4.0)))
-        gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
-        edges = np.linspace(0.0, r_max, n_panels + 1)
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        rs = (mids[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        ws = (half[:, None] * gl_w[None, :]).ravel()
-        exps = expm_batched(rs[:, None, None, None] * scaled[group][None])
-        prods = exps.conj().swapaxes(-1, -2) @ exps
-        acc = np.einsum("r,rnij->nij", ws, prods)
-        return acc * (rhs[group] / margins[group])[:, None, None]
-
     # Nodes are grouped by their phase rate so slow nodes are not forced
     # onto the panel density of the fastest one.
     omegas = np.linalg.norm(flat, axis=(1, 2)) / margins
+
+    def group_integral(group: np.ndarray) -> np.ndarray:
+        sub = scaled[group]
+        omega = float(omegas[group].max())
+        n_panels = max(4, int(math.ceil(r_max * max(omega, 1.0) / 4.0)))
+        half = r_max / n_panels / 2.0
+        step = expm_batched(2.0 * half * sub)
+        power = np.broadcast_to(np.eye(size, dtype=complex), sub.shape)
+        gram = np.zeros_like(sub)
+        for _ in range(n_panels):
+            gram += power.conj().swapaxes(-1, -2) @ power
+            power = power @ step
+        scale = (rhs[group] / margins[group])[:, None, None]
+        prev, nodes = None, 8
+        for _ in range(max_refine + 1):
+            gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+            offs = expm_batched((half * (1.0 + gl_x))[:, None, None, None] * sub[None])
+            prods = offs.conj().swapaxes(-1, -2) @ gram[None] @ offs
+            cur = np.einsum("j,jnik->nik", half * gl_w, prods) * scale
+            if prev is not None and np.max(
+                np.linalg.norm(cur - prev, axis=(1, 2))
+                / np.maximum(np.linalg.norm(cur, axis=(1, 2)), 1e-300)
+            ) < tol:
+                return cur
+            prev, nodes = cur, int(nodes * 1.5) + 1
+        raise BudgetError("quadrature failed to converge within refinement budget")
+
     order = np.argsort(omegas)
     result = np.empty_like(flat)
     start = 0
@@ -302,24 +323,7 @@ def quadrature_R(
         while stop < len(order) and omegas[order[stop]] <= 2.0 * base + 1.0:
             stop += 1
         group = order[start:stop]
-        omega = float(omegas[group].max())
-        nodes = 8
-        prev = integral(group, omega, nodes)
-        for _ in range(max_refine):
-            nodes = int(nodes * 1.5) + 1
-            cur = integral(group, omega, nodes)
-            delta = np.max(
-                np.linalg.norm(cur - prev, axis=(1, 2))
-                / np.maximum(np.linalg.norm(cur, axis=(1, 2)), 1e-300)
-            )
-            prev = cur
-            if delta < tol:
-                break
-        else:
-            raise BudgetError(
-                "quadrature failed to converge within refinement budget"
-            )
-        result[group] = prev
+        result[group] = group_integral(group)
         start = stop
 
     out = result.reshape(*m_stack.shape[:-2], size, size)

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from hypersym.coeffs import constant_system
-from hypersym.errors import SamplingError, SpectralCheckError, StabilityMarginError
-from hypersym.matkernel import eval_symbol
+from hypersym.errors import (
+    BudgetError,
+    SamplingError,
+    SpectralCheckError,
+    StabilityMarginError,
+)
+from hypersym.matkernel import eval_symbol, expm_batched
 from hypersym.presets import get_preset
 from hypersym.planner import plan
 from hypersym.symmetrizer import (
@@ -110,6 +115,81 @@ def test_solve_refuses_marginal_matrix():
         solve_R_lyapunov(np.array([[1e-12, 1.0], [0.0, -1.0]]), 1.0)
     with pytest.raises(StabilityMarginError):
         quadrature_R(np.array([[0.0]]), 1.0)
+
+
+def _jordan(k):
+    # M = [[-1, i k], [0, -1]]: unit margin, phase rate ~ k, transient ~ k
+    m = np.array([[-1.0, 1j * k], [0.0, -1.0]])
+    closed = np.array([[0.5, 1j * k / 4], [-1j * k / 4, 0.5 + k**2 / 4]])
+    return m, closed
+
+
+def test_quadrature_expm_count_independent_of_panels(monkeypatch):
+    import hypersym.symmetrizer as sym
+
+    sizes = []
+
+    def counting(a):
+        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return expm_batched(a)
+
+    monkeypatch.setattr(sym, "expm_batched", counting)
+    tol = 1e-8
+    r_max = max(6.0, 0.85 * np.log(1.0 / tol))
+    counts = {}
+    for k in (10.0, 200.0):
+        sizes.clear()
+        m, _ = _jordan(k)
+        quadrature_R(m, 1.0, tol=tol)
+        omega = np.linalg.norm(m)  # unit margin
+        n_panels = max(4, int(np.ceil(r_max * omega / 4.0)))
+        # one panel-step exponential, then one per Gauss node of each
+        # refinement level used (8, 13, 20, ...)
+        levels = [8]
+        while len(levels) < len(sizes) - 1:
+            levels.append(int(levels[-1] * 1.5) + 1)
+        assert sizes == [1] + levels
+        counts[n_panels] = sum(sizes)
+    small, big = sorted(counts)
+    assert big >= 4 * small
+    assert counts[big] <= counts[small]
+    assert counts[big] < big
+
+
+def test_quadrature_nonnormal_jordan_closed_form():
+    # lam / (a mu) = 1e2 and 1e3: transient growth of e^{sM} by ~k
+    for k in (1e2, 1e3):
+        m, closed = _jordan(k)
+        a_mu = 3.0
+        r = quadrature_R(a_mu * m, a_mu, tol=1e-9)
+        assert np.linalg.norm(r - closed, 2) <= 1e-9 * np.linalg.norm(closed, 2)
+
+
+def test_quadrature_stack_spanning_phase_groups():
+    # phase rates ~k / margin for k = 1, 10, 100, 1000 cannot all share a
+    # group (a group spans omega <= 2 base + 1)
+    rng = np.random.default_rng(3)
+    stack, rhs = [], []
+    for k in (1.0, 10.0, 100.0, 1000.0):
+        for _ in range(3):
+            x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            margin = rng.uniform(0.5, 4.0)
+            m = np.triu(x, 1) + np.diag(1j * k * rng.uniform(1.0, 2.0, 3) - margin)
+            stack.append(m)
+            rhs.append(rng.uniform(0.5, 2.0))
+    stack = np.array(stack).reshape(4, 3, 3, 3)
+    rhs = np.array(rhs).reshape(4, 3)
+    quad = quadrature_R(stack, rhs)
+    assert quad.shape == stack.shape
+    for idx in np.ndindex(4, 3):
+        ref = solve_R_lyapunov(stack[idx], rhs[idx])
+        rel = np.linalg.norm(quad[idx] - ref, 2) / np.linalg.norm(ref, 2)
+        assert rel <= 1e-6
+
+
+def test_quadrature_refinement_budget():
+    with pytest.raises(BudgetError):
+        quadrature_R(_jordan(10.0)[0], 1.0, max_refine=0)
 
 
 def test_monotone_damping_closed_forms():
