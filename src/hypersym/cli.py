@@ -73,10 +73,7 @@ def main(argv=None) -> int:
     except errors.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (errors.NumericAbortError, errors.WeightOverflowError,
-            errors.MatrixExpOverflowError, errors.StabilityMarginError,
-            errors.BudgetError, errors.NotRealRootedError,
-            errors.SamplingError, errors.AliasingError) as exc:
+    except errors.HypersymError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 3
     printable = {k: v for k, v in summary.items() if k != "config"}

@@ -107,10 +107,6 @@ class MatrixField:
             )
         return out
 
-    def ddx(self, t: float, x: float, order: int) -> np.ndarray:
-        """Exact plain derivative d^order/dx^order = (i D_x)^order."""
-        return (1j**order) * self.dx(t, x, order)
-
     def harmonic_matrices(self, t: float) -> dict[int, np.ndarray]:
         """Collapse the t-dependence: {k: sum of C*g(t) over terms at k}."""
         out: dict[int, np.ndarray] = {}

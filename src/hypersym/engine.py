@@ -17,12 +17,7 @@ import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import AliasingError, BudgetError, WeightOverflowError
-from hypersym.weights import (
-    Multiplier,
-    bracket,
-    bracket_pow,
-    gevrey_multiplier,
-)
+from hypersym.weights import bracket, bracket_pow, gevrey_weight
 
 DENSE_BUDGET = 512
 
@@ -108,12 +103,6 @@ class SpectralState:
         np.ascontiguousarray(self.coeffs).tofile(path)
 
 
-def apply_multiplier(mult: Multiplier, state: SpectralState) -> SpectralState:
-    """Diagonal action ``u_hat(xi) -> m(xi) u_hat(xi)`` on every component."""
-    vals = mult.values(state.xi)
-    return SpectralState(state.coeffs * vals[None, :])
-
-
 def weighted_norm(state: SpectralState, sigma: float, ell: float) -> float:
     """l2 norm of ``<xi>_ell^sigma u_hat`` over the lattice, all components."""
     w = bracket_pow(state.xi, ell, sigma)
@@ -163,22 +152,6 @@ class TrigMatrixSymbol:
         x = 2.0 * math.pi * np.arange(n_q) / n_q
         xi = lattice(n_x)
         return SampledSymbol(values=self.eval(x, xi), x_band=self.x_band)
-
-    def hermitian_part(self) -> "TrigMatrixSymbol":
-        """Pointwise hermitian part (p + p*)/2, term by term."""
-        new_terms = []
-        for k, c, f in self.terms:
-            new_terms.append((k, c / 2.0, f))
-            conj_f = None if f is None else _conj_profile(f)
-            new_terms.append((-k, c.conj().T / 2.0, conj_f))
-        return TrigMatrixSymbol(m=self.m, terms=tuple(new_terms))
-
-
-def _conj_profile(f):
-    def g(xi, _f=f):
-        return np.conj(_f(xi))
-
-    return g
 
 
 def symbol_from_coeffs(
@@ -294,10 +267,6 @@ def state_to_vector(state: SpectralState) -> np.ndarray:
     return state.coeffs.reshape(-1)
 
 
-def vector_to_state(vec: np.ndarray, m: int, n_x: int) -> SpectralState:
-    return SpectralState(vec.reshape(m, n_x))
-
-
 def hermitian_form(p: SampledSymbol, state: SpectralState) -> float:
     """Energy pairing ``Re <Op(p) v, v>`` (the hermitian-part quadratic form).
 
@@ -387,7 +356,7 @@ def conjugation_remainder_probe(
     tau_used, shrunk = float(tau), False
     while True:
         try:
-            w_vals = gevrey_multiplier(tau_used, rho, ell).values(xi)
+            w_vals = gevrey_weight(xi, tau_used, rho, ell)
             break
         except WeightOverflowError:
             tau_used /= 2.0

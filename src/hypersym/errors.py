@@ -21,10 +21,6 @@ class StabilityMarginError(HypersymError):
     """Matrix is not safely Hurwitz (stability margin below threshold)."""
 
 
-class SpectralCheckError(HypersymError):
-    """Spectrum of the damped generator violates the certified margin."""
-
-
 class NotRealRootedError(HypersymError):
     """Polynomial claimed real-rooted has roots off the real axis."""
 

@@ -28,50 +28,34 @@ def eval_symbol(coeffs: SystemCoefficients, t: float, x: float, xi: float) -> np
     return coeffs.eval_a(t, x) * xi
 
 
-def taylor_matrix_spatial(
+def taylor_symbol(
     coeffs: SystemCoefficients,
     t: float,
     x: float,
-    y: float,
-    s: complex,
+    xi,
+    z,
     order: int,
-    xi: float = 1.0,
 ) -> np.ndarray:
-    """Spatial Taylor polynomial H(t, x, y, s) at fixed frequency.
+    """Taylor polynomial ``sum_{j<=order} (z^j / j!) D_x^j A(t, x) xi``.
 
-    ``H = sum_{j<=order} (s^j / j!) y^j d_x^j A(t, x, xi)``; with coefficients
-    stored as trig polynomials the x-derivatives are exact.  At s = 0 this is
-    exactly the symbol.  Purely imaginary s probes the complexified argument
-    x + i s y.
+    ``D_x = -i d/dx``; with trig-polynomial coefficients every derivative is
+    exact and each ``D_x^j A(t, x)`` is evaluated once per call.  ``z`` and
+    ``xi`` are arrays (or scalars) that broadcast together; the result has
+    their broadcast shape followed by (m, m).  At z = 0 this is exactly the
+    symbol A(t, x) xi.  Two conventions cover every caller:
+
+    - frequency direction, ``z = eps xi``: the generator polynomial H_N;
+    - spatial direction at the complexified argument ``x + s y``,
+      ``z = i s y`` (purely imaginary ``s = i s'`` gives real ``z = -s' y``).
     """
-    out = np.zeros((coeffs.m, coeffs.m), dtype=complex)
+    z = np.asarray(z)
+    xi = np.asarray(xi, dtype=float)
+    out = np.zeros(np.broadcast_shapes(z.shape, xi.shape) + (coeffs.m, coeffs.m), dtype=complex)
     fac = 1.0
     for j in range(order + 1):
         if j > 0:
             fac *= j
-        out += (s**j / fac) * (y**j) * coeffs.a_field.ddx(t, x, j) * xi
-    return out
-
-
-def taylor_matrix_frequency(
-    coeffs: SystemCoefficients,
-    t: float,
-    x: float,
-    xi: float,
-    eps: float,
-    order: int,
-) -> np.ndarray:
-    """Frequency-scaled Taylor polynomial.
-
-    ``sum_{j<=order} (eps^j / j!) D_x^j A(t, x, xi) xi^j`` with
-    ``D_x = -i d/dx``.  At eps = 0 this equals the symbol exactly.
-    """
-    out = np.zeros((coeffs.m, coeffs.m), dtype=complex)
-    fac = 1.0
-    for j in range(order + 1):
-        if j > 0:
-            fac *= j
-        out += (eps**j / fac) * coeffs.a_field.dx(t, x, j) * (xi ** (j + 1))
+        out += ((z**j / fac) * xi)[..., None, None] * coeffs.a_field.dx(t, x, j)
     return out
 
 
@@ -265,18 +249,24 @@ def spectral_bound_certify(
     s_values = np.sort(np.asarray(s_values, dtype=float))[::-1]
     if np.any(s_values <= 0):
         raise ValueError("s_values must be positive")
+    t_values = np.atleast_1d(t_values)
+    x_values = np.atleast_1d(x_values)
+    y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
+    # z = i (i s) y for the imaginary step i s; shape (nt, nx, ns, ny, m, m)
+    hs = np.array([
+        [taylor_symbol(coeffs, float(t), float(x), xi, -s_values[:, None] * y_values,
+                       coeffs.m) for x in x_values]
+        for t in t_values
+    ])
     table = []
     worst = (0.0, (0.0, 0.0, 0.0, 0.0))
     count = 0
-    for s in s_values:
+    for i_s, s in enumerate(s_values):
         im_max = 0.0
-        for t in np.atleast_1d(t_values):
-            for x in np.atleast_1d(x_values):
-                for y in np.atleast_1d(y_values):
-                    h = taylor_matrix_spatial(
-                        coeffs, float(t), float(x), float(y), 1j * s, coeffs.m, xi=xi
-                    )
-                    im = float(np.max(np.abs(spectrum(h).imag)))
+        for i_t, t in enumerate(t_values):
+            for i_x, x in enumerate(x_values):
+                for i_y, y in enumerate(y_values):
+                    im = float(np.max(np.abs(spectrum(hs[i_t, i_x, i_s, i_y]).imag)))
                     count += 1
                     if im > im_max:
                         im_max = im
@@ -334,12 +324,14 @@ def _growth_curves(
     """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf."""
     g = np.empty(len(eps_values))
     low = np.empty(len(eps_values))
-    nodes = [
-        (float(t), float(x), float(xi))
+    xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
+    # H_N(eps) at every node, shape (n_eps, n_nodes, m, m), nodes in (t, x, xi) order
+    hs_all = np.concatenate([
+        taylor_symbol(coeffs, float(t), float(x), xi_values,
+                      eps_values[:, None] * xi_values, n_taylor)
         for t in np.atleast_1d(t_values)
         for x in np.atleast_1d(x_values)
-        for xi in np.atleast_1d(xi_values)
-    ]
+    ], axis=1)
     for i, eps in enumerate(eps_values):
         if s_grid is None:
             # Target the hump at s*eps = O(1); beyond u ~ 30 the decay term
@@ -347,13 +339,11 @@ def _growth_curves(
             s_values = np.concatenate(([0.0], np.geomspace(1e-2, 30.0, 36) / eps))
         else:
             s_values = np.asarray(s_grid, dtype=float)
-        hs = np.array(
-            [taylor_matrix_frequency(coeffs, t, x, xi, eps, n_taylor) for (t, x, xi) in nodes]
-        )
+        hs = hs_all[i]
         stack = 1j * s_values[:, None, None, None] * hs[None, :, :, :]
         exps = expm_batched(stack.reshape(-1, coeffs.m, coeffs.m))
         norms = np.linalg.svd(exps, compute_uv=False)[:, 0].reshape(
-            len(s_values), len(nodes)
+            len(s_values), len(hs)
         )
         damp = np.exp(-c_hat * s_values * eps)[:, None]
         g[i] = float(np.max(damp * norms))

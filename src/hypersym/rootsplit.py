@@ -221,12 +221,13 @@ def q_lower_bound_probe(
     than asserted, since the bound's constant depends on unquantified
     neighborhood sizes.
     """
-    from hypersym.matkernel import taylor_matrix_spatial
+    from hypersym.matkernel import taylor_symbol
 
     s_values = np.asarray(s_values, dtype=float)
     q = np.empty_like(s_values)
-    for i, s in enumerate(s_values):
-        h = taylor_matrix_spatial(coeffs, t, x, y, 1j * s, coeffs.m, xi=xi)
+    # z = i (i s) y: the spatial Taylor symbol at the imaginary step i s
+    hs = taylor_symbol(coeffs, t, x, xi, -s_values * y, coeffs.m)
+    for i, (s, h) in enumerate(zip(s_values, hs)):
         zeta = lam + 1j * m_scale * s
         q[i] = abs(np.linalg.det(zeta * np.eye(coeffs.m) - h))
     positive = q > 0

@@ -16,11 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
 from hypersym import engine, matkernel, planner, rootsplit, solver, symmetrizer
 from hypersym.coeffs import SystemCoefficients, coeffs_from_json
 from hypersym.errors import ConfigError
@@ -83,8 +78,23 @@ COMMAND_SCHEMAS = {
 }
 
 
+_JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool,
+               "object": dict, "array": list}
+
+
+def _is_type(value, kind: str) -> bool:
+    # bool subclasses int in Python, but a JSON boolean is not a number
+    if isinstance(value, bool):
+        return kind == "boolean"
+    return isinstance(value, _JSON_TYPES[kind])
+
+
 def validate_config(config: dict) -> dict:
-    """Schema-validate a config; unknown fields and commands are rejected."""
+    """Schema-validate a config; unknown fields and commands are rejected.
+
+    The schemas are flat: each property has a JSON type, arrays an item type.
+    A boolean is neither an integer nor a number.
+    """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     command = config.get("command")
@@ -96,17 +106,31 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION!r}"
         )
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(config, COMMAND_SCHEMAS[command])
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config rejected: {exc.message}") from exc
+    schema = COMMAND_SCHEMAS[command]
+    for key in schema["required"]:
+        if key not in config:
+            raise ConfigError(f"config rejected: {key!r} is a required property")
+    for key, value in config.items():
+        prop = schema["properties"].get(key)
+        if prop is None:
+            raise ConfigError(f"config rejected: unknown field {key!r}")
+        values = [value]
+        if prop["type"] == "array" and _is_type(value, "array"):
+            prop, values = prop["items"], value
+        for v in values:
+            if not _is_type(v, prop["type"]):
+                raise ConfigError(
+                    f"config rejected: {key}: {v!r} is not of type {prop['type']!r}"
+                )
     return config
 
 
 def _resolve_coeffs(config: dict) -> tuple[SystemCoefficients, int | None, str]:
     if "preset" in config:
-        p = get_preset(config["preset"])
+        try:
+            p = get_preset(config["preset"])
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
         return p.coeffs, p.theta, p.name
     if "coeffs" in config:
         return coeffs_from_json(config["coeffs"]), None, "inline"
@@ -159,13 +183,14 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
     # imaginary spread of H_N relative to the damping scale, over a probe set
     probe = ParameterSet(rho=0.5, a=2.0, ell=4.0, tau=min(0.5, eps0), T=2.0,
                          c1=0.1, theta=theta, a0=0.0, eps0=eps0, c_spec=c)
+    xis = np.array([4.0, 16.0, 64.0])
+    mu = bracket(xis, 4.0) ** 0.5
     worst = 0.0
     for t in ts:
         for x in xs:
-            for xi in (4.0, 16.0, 64.0):
-                h = symmetrizer.hn_matrix(coeffs, probe, float(t), float(x), xi)
-                mu = bracket(xi, 4.0) ** 0.5
-                worst = max(worst, float(np.max(np.abs(np.linalg.eigvals(h).imag))) / (c * mu))
+            h = symmetrizer.hn_over_lattice(coeffs, probe, float(t), float(x), xis)
+            spread = np.max(np.abs(np.linalg.eigvals(h).imag), axis=-1) / (c * mu)
+            worst = max(worst, float(np.max(spread)))
     a0 = worst * 1.05
     return Calibration(c=c, a0=a0, eps0=eps0, theta=theta, max_ratio=cert.max_ratio)
 
@@ -405,10 +430,11 @@ def _cmd_conjtest(config: dict) -> dict:
 
 
 def _cmd_plan(config: dict) -> dict:
-    theta = config["theta"]
-    mode = config.get("mode", "lipschitz")
-    kappa = Fraction(config["kappa"]) if "kappa" in config else None
-    result = planner.plan(theta, mode, kappa)
+    try:
+        kappa = Fraction(config["kappa"]) if "kappa" in config else None
+        result = planner.plan(config["theta"], config.get("mode", "lipschitz"), kappa)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(str(exc)) from None
     doc = result.to_json()
     doc["passed"] = True
     return doc

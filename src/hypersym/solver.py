@@ -16,20 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients, eval_time_term
-from hypersym.engine import SpectralState, apply_multiplier, lattice, weighted_norm
+from hypersym.engine import SpectralState, lattice, weighted_norm
 from hypersym.errors import ConfigError, InconclusiveError, NumericAbortError
 from hypersym.symmetrizer import (
     ParameterSet,
     _lyap_solve_batch,
-    hn_over_lattice,
+    damped_generator,
     mollify_path,
 )
-from hypersym.weights import (
-    bracket,
-    bracket_pow,
-    gevrey_multiplier,
-    smooth_cutoff,
-)
+from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +158,6 @@ class TruncatedGenerator:
         return out
 
 
-def rhs_regularized(
-    coeffs: SystemCoefficients,
-    h: float,
-    eps_par: float,
-    t: float,
-    state: SpectralState,
-) -> SpectralState:
-    """One evaluation of the regularized generator on a state."""
-    gen = TruncatedGenerator(coeffs, state.n_x, h, eps_par)
-    return SpectralState(gen.apply(t, np.asarray(state.coeffs)))
-
-
 def step_rk4(rhs, state: SpectralState, t: float, dt: float,
              lam_max: float | None = None) -> SpectralState:
     """Classical four-stage explicit step for ``du/dt = rhs(t, u)``.
@@ -192,34 +175,6 @@ def step_rk4(rhs, state: SpectralState, t: float, dt: float,
     k3 = rhs(t + dt / 2.0, u + dt / 2.0 * k2)
     k4 = rhs(t + dt, u + dt * k3)
     return SpectralState(u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-# ---------------------------------------------------------------------------
-# Symmetrizer multipliers for the energy
-
-
-def _num(x) -> float:
-    return float(x)
-
-
-def r_multiplier_lattice(
-    coeffs: SystemCoefficients,
-    params: ParameterSet,
-    t: float,
-    xi: np.ndarray,
-    chi2: np.ndarray,
-    tau_run: float,
-) -> np.ndarray:
-    """R(t, xi) for x-independent coefficients, shape (n_xi, m, m).
-
-    Built from the cutoff generator ``M^h = i chi^2 H_N - a <xi>^rho`` with
-    the running window ``tau = T - a t`` substituted into H_N.
-    """
-    p = replace(params, tau=tau_run)
-    mu = bracket_pow(xi, _num(params.ell), _num(params.rho))
-    h = hn_over_lattice(coeffs, p, t, 0.0, xi)
-    m_stack = 1j * chi2[:, None, None] * h - (_num(params.a) * mu)[:, None, None] * np.eye(coeffs.m)
-    return _lyap_solve_batch(m_stack, _num(params.a) * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +256,7 @@ _SIGMA_KEYS = ("-nu", "(rho-1)/2", "rho/2", "nu", "3nu")
 
 def _sigma_values(params: ParameterSet) -> tuple:
     nu = params.nu
-    rho = _num(params.rho)
+    rho = float(params.rho)
     return (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
 
 
@@ -336,10 +291,10 @@ def solve_cauchy(
         )
         if violations:
             raise ConfigError("invalid parameters: " + "; ".join(violations))
-        if h > 1.0 / _num(params.ell) + 1e-12:
+        if h > 1.0 / float(params.ell) + 1e-12:
             raise ConfigError(
                 f"cutoff scale h = {h} above the uniformity range 1/ell = "
-                f"{1.0 / _num(params.ell)}"
+                f"{1.0 / float(params.ell)}"
             )
     n_x = problem.g.n_x
     gen = TruncatedGenerator(coeffs, n_x, h, eps_par)
@@ -351,14 +306,21 @@ def solve_cauchy(
     if dt * lam > 2.5:
         raise ConfigError("requested dt violates the stability budget")
 
-    big_t = _num(params.T)
-    a = _num(params.a)
-    rho = _num(params.rho)
-    ell = _num(params.ell)
+    big_t = float(params.T)
+    a = float(params.a)
+    rho = float(params.rho)
+    ell = float(params.ell)
     xi = lattice(n_x)
     chi2 = gen.chi**2
     # up-front overflow probe for the largest weight in the run
-    gevrey_multiplier(big_t, rho, ell).values(xi)
+    gevrey_weight(xi, big_t, rho, ell)
+
+    def r_multiplier(t: float) -> np.ndarray:
+        # R(t, xi) of the cutoff generator for x-independent coefficients,
+        # with the running window tau = T - a t substituted into H_N
+        m_stack, rhs = damped_generator(coeffs, replace(params, tau=big_t - a * t),
+                                        t, 0.0, xi, chi2)
+        return _lyap_solve_batch(m_stack, rhs)
 
     x_independent = coeffs.x_band == 0
     use_molly = mollified if mollified is not None else (
@@ -372,7 +334,7 @@ def solve_cauchy(
     if track_energy and x_independent:
         if use_molly:
             er_mode = "mollified"
-            delta = _num(params.delta)
+            delta = float(params.delta)
             br = bracket(xi, ell)
             width_max = float(np.max(br**-delta))
             width_min = float(np.min(br**-delta))
@@ -380,13 +342,7 @@ def solve_cauchy(
             t_lo = -width_max * 1.05
             t_hi = problem.horizon + width_max * 1.05
             path_ts = np.arange(t_lo, t_hi + dt_path, dt_path)
-            r_path = np.stack(
-                [
-                    r_multiplier_lattice(coeffs, params, float(tp), xi, chi2,
-                                         tau_run=big_t - a * float(tp))
-                    for tp in path_ts
-                ]
-            )
+            r_path = np.stack([r_multiplier(float(tp)) for tp in path_ts])
             molly = mollify_path(path_ts, r_path, br, delta, np.asarray(sample_times))
             molly_values = molly.values  # (n_samples, n_xi, m, m)
         else:
@@ -407,19 +363,18 @@ def solve_cauchy(
     states: list[SpectralState] = []
 
     def sample(idx: int, t: float, u: SpectralState):
-        weight = gevrey_multiplier(big_t - a * t, rho, ell)
-        v = apply_multiplier(weight, u)
+        weight = gevrey_weight(xi, big_t - a * t, rho, ell)
+        v = SpectralState(u.coeffs * weight[None, :])
         times_list.append(t)
         states.append(u)
         for s in sigmas:
             norms[s].append(weighted_norm(v, s, ell))
         if problem.forcing is not None:
-            ft = apply_multiplier(weight, problem.forcing(t))
+            ft = SpectralState(problem.forcing(t).coeffs * weight[None, :])
             for s in f_norms:
                 f_norms[s].append(weighted_norm(ft, s, ell))
         if er_mode == "multiplier":
-            r_here = r_multiplier_lattice(coeffs, params, t, xi, chi2,
-                                          tau_run=big_t - a * t)
+            r_here = r_multiplier(t)
         elif er_mode == "mollified":
             r_here = molly_values[idx]
         else:
@@ -505,7 +460,7 @@ def energy_residual(result: SolveResult, params: ParameterSet | None = None) -> 
     trace = result.trace
     sig = _sigma_values(params)
     nu = params.nu
-    rho = _num(params.rho)
+    rho = float(params.rho)
     lhs1 = trace.norms[sig[0]]  # -nu
     lhs2 = trace.norms[sig[1]]  # (rho-1)/2
     rhs0 = trace.norms[sig[3]][0]  # nu at t=0
@@ -609,7 +564,7 @@ def parabolic_study(
     plain norms (uniform-in-eps energy boundedness).
     """
     if h is None:
-        h = 1.0 / _num(params.ell)
+        h = 1.0 / float(params.ell)
     diffs = []
     sups = []
     for eps in eps_list:

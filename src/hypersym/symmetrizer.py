@@ -16,18 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
-from hypersym.errors import (
-    BudgetError,
-    SamplingError,
-    SpectralCheckError,
-    StabilityMarginError,
-)
-from hypersym.matkernel import expm_batched, taylor_matrix_frequency
+from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
+from hypersym.matkernel import expm_batched, taylor_symbol
 from hypersym.weights import bracket, bracket_pow, poly_bump
-
-
-def _num(x) -> float:
-    return float(x)
 
 
 @dataclass
@@ -57,7 +48,7 @@ class ParameterSet:
 
     @property
     def nu(self) -> float:
-        return self.theta * (1.0 - _num(self.rho))
+        return self.theta * (1.0 - float(self.rho))
 
     def n_taylor(self, m: int) -> int:
         return max(2 * self.theta, m)
@@ -110,11 +101,11 @@ def rescale_for_a(params: ParameterSet, a: float) -> ParameterSet:
     Grows ell to the smallest power of two keeping ``a <= ell^(1-rho)`` and
     shrinks tau back inside the Taylor-scale window.
     """
-    rho = _num(params.rho)
-    ell = max(_num(params.ell), 2.0 ** math.ceil(math.log2(a) / (1.0 - rho)))
-    eps0 = _num(params.eps0)
-    tau = min(_num(params.tau), 0.999 * eps0 * ell ** (1.0 - rho))
-    c1 = min(_num(params.c1), tau * max(_num(params.c_spec or 0.5), 1e-9))
+    rho = float(params.rho)
+    ell = max(float(params.ell), 2.0 ** math.ceil(math.log2(a) / (1.0 - rho)))
+    eps0 = float(params.eps0)
+    tau = min(float(params.tau), 0.999 * eps0 * ell ** (1.0 - rho))
+    c1 = min(float(params.c1), tau * max(float(params.c_spec or 0.5), 1e-9))
     return replace(params, a=a, ell=ell, tau=tau, c1=c1)
 
 
@@ -122,79 +113,47 @@ def rescale_for_a(params: ParameterSet, a: float) -> ParameterSet:
 # Generator M
 
 
-def hn_matrix(
-    coeffs: SystemCoefficients,
-    params: ParameterSet,
-    t: float,
-    x: float,
-    xi: float,
-) -> np.ndarray:
-    """Frequency-Taylor generator H_N at one node.
-
-    ``H_N = sum_{j<=N} (1/j!) D_x^j A(t,x,xi) (tau * grad <xi>^rho)^j``,
-    realized through the eps-scaled Taylor polynomial with
-    ``eps = tau * rho * <xi>_ell^(rho-2)``.
-    """
-    rho, ell, tau = _num(params.rho), _num(params.ell), _num(params.tau)
-    eps = tau * rho * bracket(xi, ell) ** (rho - 2.0)
-    return taylor_matrix_frequency(coeffs, t, x, xi, eps, params.n_taylor(coeffs.m))
-
-
 def hn_over_lattice(
     coeffs: SystemCoefficients,
     params: ParameterSet,
     t: float,
     x: float,
-    xi_values: np.ndarray,
+    xi_values,
 ) -> np.ndarray:
-    """Vectorized H_N over a frequency array; shape (nxi, m, m)."""
-    rho, ell, tau = _num(params.rho), _num(params.ell), _num(params.tau)
+    """Frequency-Taylor generator H_N over a frequency array; shape xi.shape + (m, m).
+
+    ``H_N = sum_{j<=N} (1/j!) D_x^j A(t,x,xi) (tau * grad <xi>^rho)^j``,
+    realized by :func:`taylor_symbol` with ``z = eps xi`` and
+    ``eps = tau * rho * <xi>_ell^(rho-2)``.
+    """
+    rho, ell, tau = float(params.rho), float(params.ell), float(params.tau)
     xi_values = np.asarray(xi_values, dtype=float)
     eps = tau * rho * bracket(xi_values, ell) ** (rho - 2.0)
-    n = params.n_taylor(coeffs.m)
-    out = np.zeros((len(xi_values), coeffs.m, coeffs.m), dtype=complex)
-    fac = 1.0
-    for j in range(n + 1):
-        if j > 0:
-            fac *= j
-        dj = coeffs.a_field.dx(t, x, j)
-        out += ((eps**j / fac) * xi_values ** (j + 1))[:, None, None] * dj[None]
-    return out
+    return taylor_symbol(coeffs, t, x, xi_values, eps * xi_values, params.n_taylor(coeffs.m))
 
 
-def build_M(
+def damped_generator(
     coeffs: SystemCoefficients,
     params: ParameterSet,
     t: float,
     x: float,
-    xi: float,
-    hn_scale: float = 1.0,
-    check_spectrum: bool = True,
-) -> np.ndarray:
-    """Damped generator ``M = i * hn_scale * H_N - a <xi>_ell^rho I``.
+    xi_values,
+    chi2=1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped generator ``M = i chi^2 H_N - a <xi>_ell^rho I`` and its right-hand side.
 
-    ``hn_scale`` carries the squared spectral cutoff chi^2(h xi) of the
-    regularized evolution; 1.0 means no truncation.  When requested, the
-    spectrum is checked against the certified margin
-    ``Re z <= c_spec (a0 - a) <xi>^rho``; failure means the parameters
-    violate the calibrated damping floor.
+    Returns ``(M, a <xi>_ell^rho)``, the pair the Lyapunov identity
+    ``M* R + R M = -a <xi>_ell^rho I`` takes, vectorized over ``xi_values``.
+    H_N is :func:`hn_over_lattice`, the Taylor sum at ``z = eps xi``.
+    ``chi2`` carries the squared spectral cutoff chi^2(h xi) of the
+    regularized evolution and broadcasts against ``xi_values``; 1.0 means no
+    truncation.
     """
-    mu = bracket_pow(xi, _num(params.ell), _num(params.rho))
-    h = hn_matrix(coeffs, params, t, x, xi)
-    m_mat = 1j * hn_scale * h - _num(params.a) * mu * np.eye(coeffs.m)
-    if check_spectrum:
-        re_max = float(np.max(np.linalg.eigvals(m_mat).real))
-        slack = 1e-9 * (_num(params.a) * mu + np.linalg.norm(h, 2))
-        if params.c_spec is not None:
-            ceiling = _num(params.c_spec) * (_num(params.a0) - _num(params.a)) * mu
-        else:
-            ceiling = 0.0
-        if re_max > ceiling + slack:
-            raise SpectralCheckError(
-                f"spectrum of M reaches Re = {re_max:.6g} above the certified "
-                f"ceiling {ceiling:.6g}; damping floor a0 is violated"
-            )
-    return m_mat
+    xi_values = np.asarray(xi_values, dtype=float)
+    rhs = float(params.a) * bracket_pow(xi_values, float(params.ell), float(params.rho))
+    h = hn_over_lattice(coeffs, params, t, x, xi_values)
+    m_stack = 1j * np.asarray(chi2)[..., None, None] * h - rhs[..., None, None] * np.eye(coeffs.m)
+    return m_stack, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +307,8 @@ class SymmetrizerField:
     params: ParameterSet
 
     def rhs_scales(self) -> np.ndarray:
-        mu = bracket_pow(self.xi_nodes, _num(self.params.ell), _num(self.params.rho))
-        return _num(self.params.a) * mu
+        mu = bracket_pow(self.xi_nodes, float(self.params.ell), float(self.params.rho))
+        return float(self.params.a) * mu
 
     def check_invariants(self) -> dict:
         """Hermitian/positive/Lyapunov-residual checks over every node."""
@@ -413,14 +372,11 @@ def build_field(
     x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
     xi_nodes = np.atleast_1d(np.asarray(xi_nodes, dtype=float))
     m = coeffs.m
-    a = _num(params.a)
-    mu = bracket_pow(xi_nodes, _num(params.ell), _num(params.rho))
     m_stack = np.empty((len(t_nodes), len(x_nodes), len(xi_nodes), m, m), dtype=complex)
     for it, t in enumerate(t_nodes):
         for ix, x in enumerate(x_nodes):
-            hs = hn_over_lattice(coeffs, params, float(t), float(x), xi_nodes)
-            m_stack[it, ix] = 1j * hs - (a * mu)[:, None, None] * np.eye(m)
-    rhs = np.broadcast_to((a * mu)[None, None, :], m_stack.shape[:-2])
+            m_stack[it, ix], rhs = damped_generator(coeffs, params, float(t), float(x), xi_nodes)
+    rhs = np.broadcast_to(rhs, m_stack.shape[:-2])
     if method == "lyapunov":
         r = _lyap_solve_batch(m_stack, rhs)
     elif method == "quadrature":
@@ -472,8 +428,8 @@ def lower_bound_check(field: SymmetrizerField) -> LowerBoundReport:
     nu = params.nu
     mineig = np.linalg.eigvalsh(field.R).min(axis=-1)  # (nt, nx, nxi)
     per_xi = mineig.min(axis=(0, 1))
-    br = bracket(field.xi_nodes, _num(params.ell))
-    win = _fit_window(field.xi_nodes, _num(params.ell))
+    br = bracket(field.xi_nodes, float(params.ell))
+    win = _fit_window(field.xi_nodes, float(params.ell))
     if np.count_nonzero(win) >= 2 and (br[win].max() / br[win].min()) > 1.001:
         slope, _ = np.polyfit(np.log(br[win]), np.log(per_xi[win]), 1)
     else:
@@ -519,48 +475,54 @@ class SymbolEstimateReport:
         return all(r.passed or r.inconclusive for r in self.rows)
 
 
-def _r_at(coeffs, params, t, x, xi, hn_scale=1.0):
-    m_mat = build_M(coeffs, params, t, x, xi, hn_scale=hn_scale, check_spectrum=False)
-    mu = bracket_pow(xi, _num(params.ell), _num(params.rho))
-    return _lyap_solve_batch(m_mat[None], np.array([_num(params.a) * mu]))[0]
+# Offsets of the central differences of order 0, 1 and 2.
+_STENCILS = ((0,), (-1, 1), (-1, 0, 1))
 
 
-def _fd_derivative(coeffs, params, t, x, xi, alpha, beta, dt_flag):
-    """Central finite differences of R in xi (alpha), x (beta) and t."""
-    ell, rho = _num(params.ell), _num(params.rho)
-    hxi = 1e-3 * bracket(xi, ell)
-    band = max(coeffs.x_band, 1)
-    hx = 2.0 * math.pi / (8.0 * band * max(beta, 1) + 64.0)
+def _central(f: np.ndarray, order: int, h) -> np.ndarray:
+    """Central difference of ``f`` along axis 0, sampled at ``_STENCILS[order]``."""
+    if order == 0:
+        return f[0]
+    if order == 1:
+        return (f[1] - f[0]) / (2 * h)
+    return (f[2] - 2 * f[1] + f[0]) / h**2
+
+
+def _stencil_derivatives(coeffs, groups, t0, alpha, beta, dt_flag) -> list[np.ndarray]:
+    """Central finite differences of R in xi (alpha), x (beta) and t at (x, xi) nodes.
+
+    ``groups`` lists ``(params, x_values, xi_values)``; the stencil nodes of
+    every group go through one batched Lyapunov solve.  Steps are
+    ``hxi = 1e-3 <xi>_ell``, ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and
+    ``ht = 1e-3``.  Returns one (n_x, n_xi, m, m) array per group.
+    """
+    m = coeffs.m
+    hx = 2.0 * math.pi / (8.0 * max(coeffs.x_band, 1) * max(beta, 1) + 64.0)
     ht = 1e-3
-
-    def r_of(dxi_steps, dx_steps, dt_steps):
-        return _r_at(
-            coeffs,
-            params,
-            t + dt_steps * ht,
-            x + dx_steps * hx,
-            xi + dxi_steps * hxi,
-        )
-
-    def stencil(fun, order, h):
-        if order == 0:
-            return fun(0)
-        if order == 1:
-            return (fun(1) - fun(-1)) / (2 * h)
-        return (fun(1) - 2 * fun(0) + fun(-1)) / h**2
-
-    def in_t(dt_steps):
-        def in_x(dx_steps):
-            def in_xi(dxi_steps):
-                return r_of(dxi_steps, dx_steps, dt_steps)
-
-            return stencil(in_xi, alpha, hxi)
-
-        return stencil(in_x, beta, hx)
-
-    if dt_flag:
-        return (in_t(1) - in_t(-1)) / (2 * ht)
-    return in_t(0)
+    t_offsets = _STENCILS[int(dt_flag)]
+    m_parts, rhs_parts, hxis = [], [], []
+    for params, x_values, xi_values in groups:
+        hxi = 1e-3 * bracket(xi_values, float(params.ell))
+        xis = xi_values[None, :] + np.array(_STENCILS[alpha])[:, None] * hxi[None, :]
+        for ot in t_offsets:
+            for x in x_values:
+                for ox in _STENCILS[beta]:
+                    m_stack, rhs = damped_generator(coeffs, params, t0 + ot * ht,
+                                                    x + ox * hx, xis)
+                    m_parts.append(m_stack.reshape(-1, m, m))
+                    rhs_parts.append(rhs.reshape(-1))
+        hxis.append(hxi)
+    r_all = _lyap_solve_batch(np.concatenate(m_parts), np.concatenate(rhs_parts))
+    out, start = [], 0
+    for (_, x_values, xi_values), hxi in zip(groups, hxis):
+        shape = (len(t_offsets), len(x_values), len(_STENCILS[beta]),
+                 len(_STENCILS[alpha]), len(xi_values))
+        r = r_all[start:start + math.prod(shape)].reshape(shape + (m, m))
+        start += math.prod(shape)
+        d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
+        d = _central(np.moveaxis(d, 2, 0), beta, hx)
+        out.append(_central(d, int(dt_flag), ht))
+    return out
 
 
 def symbol_estimate_probe(
@@ -585,9 +547,10 @@ def symbol_estimate_probe(
     noise floor pass trivially.
     """
     xi_values = np.asarray(xi_values, dtype=float)
+    x_probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
     nu = params.nu
-    rho = _num(params.rho)
-    ell = _num(params.ell)
+    rho = float(params.rho)
+    ell = float(params.ell)
     rows: list[SymbolEstimateRow] = []
     combos = [(al, be, False) for al in range(max_order + 1) for be in range(max_order + 1)
               if 0 < al + be <= max_order or (al, be) == (0, 0)]
@@ -598,13 +561,9 @@ def symbol_estimate_probe(
         target = 2 * nu + (1 - rho + nu) * beta - (rho - nu) * alpha
         if dt_flag:
             target += 1 - rho + nu
-        vals = np.empty(len(xi_values))
-        for i, xi in enumerate(xi_values):
-            best = 0.0
-            for xp in np.atleast_1d(x_probes):
-                d = _fd_derivative(coeffs, params, t0, float(xp), float(xi), alpha, beta, dt_flag)
-                best = max(best, float(np.linalg.norm(d, 2)))
-            vals[i] = best
+        (d,) = _stencil_derivatives(coeffs, [(params, x_probes, xi_values)], t0,
+                               alpha, beta, dt_flag)
+        vals = np.max(np.linalg.norm(d, 2, axis=(-2, -1)), axis=0)
         floor = 1e-12
         if np.max(vals) <= floor:
             rows.append(
@@ -628,13 +587,11 @@ def symbol_estimate_probe(
             # reported (with the class target for reference) and only
             # monotone non-increase in a is asserted.
             a_target = -float(alpha + beta + (1 if dt_flag else 0))
-            xi_ref = float(xi_values[len(xi_values) // 2])
-            norms = []
-            for a in a_values:
-                pa = rescale_for_a(params, float(a))
-                d = _fd_derivative(coeffs, pa, t0, float(np.atleast_1d(x_probes)[0]),
-                                   xi_ref, alpha, beta, dt_flag)
-                norms.append(float(np.linalg.norm(d, 2)))
+            xi_ref = xi_values[[len(xi_values) // 2]]
+            groups = [(rescale_for_a(params, float(a)), x_probes[:1], xi_ref)
+                      for a in a_values]
+            norms = [float(np.linalg.norm(d[0, 0], 2))
+                     for d in _stencil_derivatives(coeffs, groups, t0, alpha, beta, dt_flag)]
             if max(norms) > floor:
                 a_fitted = float(
                     np.polyfit(np.log(np.asarray(a_values, float)),
@@ -735,25 +692,22 @@ def holder_difference_probe(
     exceed ``3 nu + 1 - rho`` + tol.
     """
     kappa = float(params.kappa if params.kappa is not None else coeffs.kappa or 1.0)
-    nu, rho = params.nu, _num(params.rho)
+    nu, rho = params.nu, float(params.rho)
     xi_values = np.asarray(xi_values, dtype=float)
+    ts = sorted({float(t) for pair in t_pairs for t in pair})
+    gens = [damped_generator(coeffs, params, t, x0, xi_values) for t in ts]
+    r = dict(zip(ts, _lyap_solve_batch(np.array([g[0] for g in gens]),
+                                       np.array([g[1] for g in gens]))))
     ratios = np.zeros(len(xi_values))
-    for i, xi in enumerate(xi_values):
-        worst = 0.0
-        for t1, t2 in t_pairs:
-            r1 = _r_at(coeffs, params, float(t1), x0, float(xi))
-            r2 = _r_at(coeffs, params, float(t2), x0, float(xi))
-            worst = max(
-                worst,
-                float(np.linalg.norm(r1 - r2, 2)) / abs(t1 - t2) ** kappa,
-            )
-        ratios[i] = worst
+    for t1, t2 in t_pairs:
+        diff = np.linalg.norm(r[float(t1)] - r[float(t2)], 2, axis=(-2, -1))
+        ratios = np.maximum(ratios, diff / abs(t1 - t2) ** kappa)
     target = 3 * nu + 1 - rho
-    br = bracket(xi_values, _num(params.ell))
+    br = bracket(xi_values, float(params.ell))
     if np.max(ratios) <= 1e-12:
         return HolderDifferenceFit(None, target, float(np.max(ratios)), True,
                                    xi_values, ratios)
-    good = (ratios > 1e-12) & _fit_window(xi_values, _num(params.ell))
+    good = (ratios > 1e-12) & _fit_window(xi_values, float(params.ell))
     if np.count_nonzero(good) < 3:
         good = ratios > 1e-12
     slope = float(np.polyfit(np.log(br[good]), np.log(ratios[good]), 1)[0])

@@ -1,4 +1,4 @@
-"""Frequency brackets, Gevrey weights, cutoffs and Fourier multiplier specs.
+"""Frequency brackets, Gevrey weights and cutoffs.
 
 The parameterized bracket ``<xi>_l = sqrt(l^2 + xi^2)`` is the basic building
 block of every weight in the toolkit.  Exponential weights are guarded by a
@@ -8,8 +8,6 @@ silently clip.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +27,6 @@ def bracket(xi, ell: float = 1.0):
 def bracket_pow(xi, ell: float, sigma: float):
     """``<xi>_ell^sigma``."""
     return bracket(xi, ell) ** sigma
-
-
-def grad_bracket_pow(xi, ell: float, rho: float):
-    """Closed-form d/dxi of ``<xi>_ell^rho``: ``rho * xi * <xi>_ell^(rho-2)``."""
-    xi = np.asarray(xi, dtype=float)
-    return rho * xi * bracket(xi, ell) ** (rho - 2.0)
 
 
 def _smooth_step(u):
@@ -59,74 +51,16 @@ def poly_bump(u):
     return w * (315.0 / 256.0)
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Closed-form scalar Fourier multiplier m(xi).
+def gevrey_weight(xi, tau: float, rho: float, ell: float) -> np.ndarray:
+    """Gevrey weight ``exp(tau <xi>_ell^rho)`` on a frequency lattice.
 
-    kinds:
-      - ``one``: identity
-      - ``bracket``: <xi>_ell^sigma           (params: ell, sigma)
-      - ``gevrey``: exp(tau * <xi>_ell^rho)   (params: tau, rho, ell)
-      - ``cutoff``: chi(h*xi)                 (params: h)
-      - ``square``: |xi|^2
-      - ``product``: pointwise product of factors
+    Refuses weights whose exponent leaves the overflow budget.
     """
-
-    kind: str
-    ell: float = 1.0
-    sigma: float = 0.0
-    tau: float = 0.0
-    rho: float = 1.0
-    h: float = 0.0
-    factors: tuple = field(default=())
-
-    def values(self, xi) -> np.ndarray:
-        """Evaluate on a frequency lattice, enforcing the overflow budget."""
-        xi = np.asarray(xi, dtype=float)
-        if self.kind == "one":
-            return np.ones_like(xi)
-        if self.kind == "bracket":
-            return bracket_pow(xi, self.ell, self.sigma)
-        if self.kind == "gevrey":
-            exponent = self.tau * bracket_pow(xi, self.ell, self.rho)
-            worst = float(np.max(np.abs(exponent))) if exponent.size else 0.0
-            if worst > EXP_BUDGET:
-                raise WeightOverflowError(
-                    f"gevrey weight overflow: tau={self.tau}, rho={self.rho}, "
-                    f"ell={self.ell}, max |tau<xi>^rho| = {worst:.3g} > {EXP_BUDGET}"
-                )
-            return np.exp(exponent)
-        if self.kind == "cutoff":
-            return smooth_cutoff(self.h * xi)
-        if self.kind == "square":
-            return xi**2
-        if self.kind == "product":
-            out = np.ones_like(xi)
-            for f in self.factors:
-                out = out * f.values(xi)
-            return out
-        raise ValueError(f"unknown multiplier kind {self.kind!r}")
-
-
-def identity_multiplier() -> Multiplier:
-    return Multiplier(kind="one")
-
-
-def bracket_multiplier(sigma: float, ell: float = 1.0) -> Multiplier:
-    return Multiplier(kind="bracket", sigma=sigma, ell=ell)
-
-
-def gevrey_multiplier(tau: float, rho: float, ell: float = 1.0) -> Multiplier:
-    return Multiplier(kind="gevrey", tau=tau, rho=rho, ell=ell)
-
-
-def cutoff_multiplier(h: float) -> Multiplier:
-    return Multiplier(kind="cutoff", h=h)
-
-
-def square_multiplier() -> Multiplier:
-    return Multiplier(kind="square")
-
-
-def product_multiplier(*factors: Multiplier) -> Multiplier:
-    return Multiplier(kind="product", factors=tuple(factors))
+    exponent = tau * bracket_pow(xi, ell, rho)
+    worst = float(np.max(np.abs(exponent))) if exponent.size else 0.0
+    if worst > EXP_BUDGET:
+        raise WeightOverflowError(
+            f"gevrey weight overflow: tau={tau}, rho={rho}, "
+            f"ell={ell}, max |tau<xi>^rho| = {worst:.3g} > {EXP_BUDGET}"
+        )
+    return np.exp(exponent)

@@ -37,6 +37,29 @@ def test_unknown_field_rejected():
                          "bogus_field": 1})
 
 
+@pytest.mark.parametrize("cfg", [
+    {"command": "solve", "seed": 0, "n_lattice": "256"},
+    {"command": "plan", "theta": True},
+    {"command": "study-h", "seed": 0, "h_list": ["a"]},
+])
+def test_wrong_type_rejected(cfg):
+    with pytest.raises(ConfigError):
+        validate_config(dict(cfg, schema_version="1"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--preset", "nope"],
+    ["plan", "--theta", "1", "--mode", "bogus"],
+    ["plan", "--theta", "1", "--kappa", "abc"],
+    ["plan", "--theta", "-1"],
+])
+def test_bad_input_exits_2_without_traceback(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_schema_version_required():
     with pytest.raises(ConfigError):
         validate_config({"command": "plan", "theta": 0, "schema_version": "0"})

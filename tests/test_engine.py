@@ -1,4 +1,4 @@
-"""Spectral states, multipliers, quantization, dense oracle, conjugation."""
+"""Spectral states, weights, quantization, dense oracle, conjugation."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypersym.engine import (
     SampledSymbol,
     SpectralState,
     TrigMatrixSymbol,
-    apply_multiplier,
     conjugated_symbol_bk,
     conjugation_remainder_probe,
     dense_operator_matrix,
@@ -20,12 +19,7 @@ from hypersym.engine import (
 )
 from hypersym.coeffs import constant_system
 from hypersym.errors import AliasingError, BudgetError, WeightOverflowError
-from hypersym.weights import (
-    bracket,
-    bracket_multiplier,
-    gevrey_multiplier,
-    identity_multiplier,
-)
+from hypersym.weights import bracket, bracket_pow, gevrey_weight
 
 
 def _random_state(m=2, n=64, seed=0):
@@ -64,33 +58,21 @@ def test_power_of_two_required():
 
 
 # ---------------------------------------------------------------------------
-# Multipliers
-
-
-def test_identity_multiplier():
-    st = _random_state()
-    out = apply_multiplier(identity_multiplier(), st)
-    np.testing.assert_array_equal(out.coeffs, st.coeffs)
-
-
-def test_zero_power_bracket_is_identity():
-    st = _random_state()
-    out = apply_multiplier(bracket_multiplier(0.0, 7.0), st)
-    np.testing.assert_allclose(out.coeffs, st.coeffs, atol=1e-15)
+# Gevrey weights
 
 
 def test_gevrey_inverse_pair():
     st = _random_state()
-    w = gevrey_multiplier(0.8, 0.75, 2.0)
-    winv = gevrey_multiplier(-0.8, 0.75, 2.0)
-    out = apply_multiplier(winv, apply_multiplier(w, st))
-    assert np.max(np.abs(out.coeffs - st.coeffs)) <= 1e-10
+    w = gevrey_weight(st.xi, 0.8, 0.75, 2.0)
+    winv = gevrey_weight(st.xi, -0.8, 0.75, 2.0)
+    out = st.coeffs * w[None, :] * winv[None, :]
+    assert np.max(np.abs(out - st.coeffs)) <= 1e-10
 
 
 def test_gevrey_overflow_refused():
     st = _random_state(n=256)
     with pytest.raises(WeightOverflowError) as err:
-        apply_multiplier(gevrey_multiplier(50.0, 0.9, 1.0), st)
+        gevrey_weight(st.xi, 50.0, 0.9, 1.0)
     assert "tau" in str(err.value)
 
 
@@ -151,8 +133,8 @@ def test_quantize_x_independent_matches_multiplier():
         m=2, terms=((0, np.eye(2), lambda xi: bracket(xi, 2.0).astype(complex)),)
     )
     q = quantize_kn(sym.sample(st.n_x), st)
-    mult = apply_multiplier(bracket_multiplier(1.0, 2.0), st)
-    assert np.max(np.abs(q.coeffs - mult.coeffs)) <= 1e-12 * np.max(np.abs(mult.coeffs))
+    mult = st.coeffs * bracket_pow(st.xi, 2.0, 1.0)
+    assert np.max(np.abs(q.coeffs - mult)) <= 1e-12 * np.max(np.abs(mult))
 
 
 def test_quantize_differential_symbol_product_rule():

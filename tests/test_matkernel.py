@@ -19,9 +19,9 @@ from hypersym.matkernel import (
     matrix_exp,
     spectral_bound_certify,
     spectrum,
-    taylor_matrix_frequency,
-    taylor_matrix_spatial,
+    taylor_symbol,
 )
+from hypersym.presets import get_preset, preset_names
 
 
 def _x2_like_system() -> SystemCoefficients:
@@ -69,7 +69,8 @@ def test_eval_symbol_x_dependence():
 
 def test_taylor_spatial_constant_coeffs():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    h = taylor_matrix_spatial(cs, 0.0, 0.0, 0.7, 0.3j, order=2, xi=2.0)
+    s, y = 0.3j, 0.7
+    h = taylor_symbol(cs, 0.0, 0.0, 2.0, 1j * s * y, order=2)
     np.testing.assert_allclose(h, eval_symbol(cs, 0, 0, 2.0), atol=1e-15)
 
 
@@ -77,19 +78,19 @@ def test_taylor_spatial_hand_expansion():
     # x^2-type entry at x=0, y=1, s = i s0, order 2: entry -> -s0^2
     cs = _x2_like_system()
     s0 = 0.37
-    h = taylor_matrix_spatial(cs, 0.0, 0.0, 1.0, 1j * s0, order=2, xi=1.0)
+    h = taylor_symbol(cs, 0.0, 0.0, 1.0, 1j * (1j * s0) * 1.0, order=2)
     np.testing.assert_allclose(h, [[0, 1], [-(s0**2), 0]], atol=1e-14)
 
 
 def test_taylor_spatial_zeroth_term():
     cs = _x2_like_system()
-    h = taylor_matrix_spatial(cs, 0.0, 0.4, 0.9, 0.0, order=2, xi=1.3)
+    h = taylor_symbol(cs, 0.0, 0.4, 1.3, 0.0, order=2)
     np.testing.assert_allclose(h, eval_symbol(cs, 0.0, 0.4, 1.3), atol=1e-15)
 
 
 def test_taylor_frequency_eps_zero_bitlevel():
     cs = _x2_like_system()
-    h = taylor_matrix_frequency(cs, 0.0, 0.8, 1.7, 0.0, order=4)
+    h = taylor_symbol(cs, 0.0, 0.8, 1.7, 0.0 * 1.7, order=4)
     assert np.array_equal(h, eval_symbol(cs, 0.0, 0.8, 1.7))
 
 
@@ -97,14 +98,49 @@ def test_taylor_frequency_hand_expansion():
     # D_x^2 (x^2-like) = -2 at x=0: term eps^2/2 * (-2) = -eps^2
     cs = _x2_like_system()
     eps = 0.21
-    h = taylor_matrix_frequency(cs, 0.0, 0.0, 1.0, eps, order=2)
+    h = taylor_symbol(cs, 0.0, 0.0, 1.0, eps * 1.0, order=2)
     np.testing.assert_allclose(h, [[0, 1], [-(eps**2), 0]], atol=1e-14)
 
 
 def test_taylor_frequency_constant_coeffs():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    h = taylor_matrix_frequency(cs, 0.0, 0.0, 2.0, 0.5, order=3)
+    h = taylor_symbol(cs, 0.0, 0.0, 2.0, 0.5 * 2.0, order=3)
     np.testing.assert_allclose(h, eval_symbol(cs, 0, 0, 2.0), atol=1e-15)
+
+
+def _taylor_reference(coeffs, t, x, term, order):
+    """Per-node Taylor sum ``sum_j term(j, D_x^j A(t, x)) / j!``."""
+    out = np.zeros((coeffs.m, coeffs.m), dtype=complex)
+    fac = 1.0
+    for j in range(order + 1):
+        if j > 0:
+            fac *= j
+        out += term(j, coeffs.a_field.dx(t, x, j)) / fac
+    return out
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_taylor_symbol_matches_pointwise_loop(name):
+    cs = get_preset(name).coeffs
+    t, x = 0.3, 1.1
+    xis = np.array([1.0, -2.5, 16.0])
+    eps = np.array([1e-3, 0.05, 0.4])
+    s, ys, xi_s = 0.07j, np.array([1.0, -0.5]), 1.5
+    for order in range(cs.m + 3):
+        # frequency form eps^j D_x^j A xi^(j+1), as z = eps xi over (eps, xi)
+        freq = taylor_symbol(cs, t, x, xis, eps[:, None] * xis, order)
+        for i, e in enumerate(eps):
+            for k, xi in enumerate(xis):
+                ref = _taylor_reference(cs, t, x, lambda j, d: e**j * d * xi ** (j + 1), order)
+                assert np.linalg.norm(freq[i, k] - ref) <= 1e-14 * np.linalg.norm(ref)
+        # spatial form s^j y^j d_x^j A xi with d_x = i D_x, as z = i s y over y
+        spat = taylor_symbol(cs, t, x, xi_s, 1j * s * ys, order)
+        for k, y in enumerate(ys):
+            ref = _taylor_reference(cs, t, x, lambda j, d: s**j * y**j * 1j**j * d * xi_s, order)
+            assert np.linalg.norm(spat[k] - ref) <= 1e-14 * np.linalg.norm(ref)
+        at_zero = taylor_symbol(cs, t, x, xis, np.zeros(len(xis)), order)
+        for k, xi in enumerate(xis):
+            assert np.array_equal(at_zero[k], eval_symbol(cs, t, x, xi))
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,27 @@
 """Symmetrizer construction, oracles, and estimate probes."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hypersym.coeffs import constant_system
-from hypersym.errors import (
-    BudgetError,
-    SamplingError,
-    SpectralCheckError,
-    StabilityMarginError,
-)
+from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
 from hypersym.matkernel import eval_symbol, expm_batched
 from hypersym.presets import get_preset
 from hypersym.planner import plan
 from hypersym.symmetrizer import (
     ParameterSet,
-    build_M,
+    _lyap_solve_batch,
+    _stencil_derivatives,
     build_field,
+    damped_generator,
     holder_difference_probe,
     lower_bound_check,
     mollify_path,
     quadrature_R,
+    hn_over_lattice,
     rescale_for_a,
     solve_R_lyapunov,
     symbol_estimate_probe,
@@ -34,23 +35,24 @@ def _params(theta=0, rho=0.5, a=2.0, ell=4.0, tau=0.5, big_t=2.0):
 
 
 # ---------------------------------------------------------------------------
-# build_M
+# M assembly
 
 
 def test_build_m_scalar():
     cs = constant_system(np.array([[0.0]]))
     p = _params()
     xi = 3.0
-    m = build_M(cs, p, 0.0, 0.0, xi)
+    m, rhs = damped_generator(cs, p, 0.0, 0.0, xi)
     mu = bracket_pow(xi, 4.0, 0.5)
     np.testing.assert_allclose(m, [[-2.0 * mu]], atol=1e-14)
+    assert rhs == 2.0 * mu
 
 
 def test_build_m_jordan_assembly():
     cs = constant_system(np.array([[0.0, 1.0], [0.0, 0.0]]))
     p = _params()
     xi = 2.0
-    m = build_M(cs, p, 0.0, 0.0, xi)
+    m, _ = damped_generator(cs, p, 0.0, 0.0, xi)
     mu = bracket_pow(xi, 4.0, 0.5)
     np.testing.assert_allclose(m, [[-2 * mu, 2j], [0, -2 * mu]], atol=1e-13)
 
@@ -58,22 +60,10 @@ def test_build_m_jordan_assembly():
 def test_build_m_constant_in_x_equals_symbol():
     cs = constant_system(np.array([[0.1, 1.0], [1.0, -0.1]]))
     p = _params()
-    m = build_M(cs, p, 0.0, 0.0, 5.0)
+    m, _ = damped_generator(cs, p, 0.0, 0.0, 5.0)
     mu = bracket_pow(5.0, 4.0, 0.5)
     expected = 1j * eval_symbol(cs, 0, 0, 5.0) - 2.0 * mu * np.eye(2)
     np.testing.assert_allclose(m, expected, atol=1e-13)
-
-
-def test_build_m_spectral_check_fires():
-    # certified ceiling c(a0 - a)mu = -20 mu demands more damping than the
-    # actual Re = -2 mu provides: the floor is violated and the build refuses
-    with pytest.raises(SpectralCheckError):
-        build_M(
-            constant_system(np.array([[0.0]])),
-            ParameterSet(rho=0.5, a=2.0, ell=4.0, tau=0.5, T=2.0, c1=0.1,
-                         theta=0, a0=0.0, eps0=0.5, c_spec=10.0),
-            0.0, 0.0, 3.0,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +379,15 @@ def test_holder_probe_linear_path():
     assert fit.passed and np.isfinite(fit.max_ratio)
 
 
+def _r_multiplier(coeffs, params, t, xis, tau):
+    # R(t, xi) of x-independent coefficients with the window tau in H_N
+    m_stack, rhs = damped_generator(coeffs, replace(params, tau=tau), t, 0.0, xis)
+    return _lyap_solve_batch(m_stack, rhs)
+
+
 def test_mollified_dt_exponent_within_target():
     # d_t of the mollified symmetrizer gains at most delta - kappa*delta
     from fractions import Fraction
-
-    from hypersym.solver import r_multiplier_lattice
 
     pre = get_preset("holder_k")
     pr = plan(0, "holder", Fraction(1, 2))
@@ -406,12 +400,8 @@ def test_mollified_dt_exponent_within_target():
     dt_path = float(np.min(widths)) / 5.0
     margin = float(np.max(widths)) * 1.1
     ts = np.arange(-margin, 0.3 + margin + dt_path, dt_path)
-    chi2 = np.ones_like(xis)
-    path = np.stack([
-        r_multiplier_lattice(pre.coeffs, params, float(t), xis, chi2,
-                             tau_run=float(params.tau))
-        for t in ts
-    ])
+    path = np.stack([_r_multiplier(pre.coeffs, params, float(t), xis, float(params.tau))
+                     for t in ts])
     h = 5e-4
     mol = mollify_path(ts, path, br, delta, [0.15 - h, 0.15 + h])
     dt_r = (mol.values[1] - mol.values[0]) / (2 * h)
@@ -426,7 +416,6 @@ def test_mollified_dt_exponent_within_target():
 def test_mollified_minus_plain_lipschitz_scaling():
     # kappa = 1 path: || R~ - R || decays at least like the class target
     from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
-    from hypersym.solver import r_multiplier_lattice
 
     terms = [CoeffTerm(0, "t", np.array([[0.0, 1.2], [0.8, 0.0]], dtype=complex)),
              CoeffTerm(0, "1", np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex))]
@@ -442,13 +431,9 @@ def test_mollified_minus_plain_lipschitz_scaling():
     dt_path = float(np.min(widths)) / 5.0
     margin = float(np.max(widths)) * 1.1
     ts = np.arange(-margin, 0.4 + margin + dt_path, dt_path)
-    chi2 = np.ones_like(xis)
-    path = np.stack([
-        r_multiplier_lattice(cs, params, float(t), xis, chi2, tau_run=0.5)
-        for t in ts
-    ])
+    path = np.stack([_r_multiplier(cs, params, float(t), xis, 0.5) for t in ts])
     mol = mollify_path(ts, path, br, delta, [0.2])
-    plain = r_multiplier_lattice(cs, params, 0.2, xis, chi2, tau_run=0.5)
+    plain = _r_multiplier(cs, params, 0.2, xis, 0.5)
     vals = np.linalg.norm(mol.values[0] - plain, axis=(-2, -1))
     target = 3 * nu + 1 - rho - kappa * delta
     good = vals > 1e-13
@@ -472,12 +457,65 @@ def test_field_serialization(tmp_path):
 
 
 def test_lattice_generator_matches_pointwise():
-    from hypersym.symmetrizer import hn_matrix, hn_over_lattice
-
     pre = get_preset("xdep")
     p = _params()
     xis = np.array([2.0, 16.0, 128.0])
     stack = hn_over_lattice(pre.coeffs, p, 0.3, 1.1, xis)
+    n = p.n_taylor(pre.coeffs.m)
     for i, xi in enumerate(xis):
-        single = hn_matrix(pre.coeffs, p, 0.3, 1.1, float(xi))
+        # per-node sum (eps^j / j!) D_x^j A xi^(j+1), eps = tau rho <xi>^(rho-2)
+        eps = 0.5 * 0.5 * bracket(xi, 4.0) ** (0.5 - 2.0)
+        single = sum(eps**j / math.factorial(j) * pre.coeffs.a_field.dx(0.3, 1.1, j)
+                     * xi ** (j + 1) for j in range(n + 1))
         np.testing.assert_allclose(stack[i], single, atol=1e-13)
+
+
+def _fd_reference(coeffs, params, t0, x, xi, alpha, beta, dt_flag):
+    """Nested central differences with one single-node solve per stencil point."""
+    hxi = 1e-3 * bracket(xi, float(params.ell))
+    hx = 2.0 * math.pi / (8.0 * max(coeffs.x_band, 1) * max(beta, 1) + 64.0)
+    ht = 1e-3
+
+    def r_at(i, j, k):
+        m, rhs = damped_generator(coeffs, params, t0 + k * ht, x + j * hx, xi + i * hxi)
+        return _lyap_solve_batch(m[None], np.array([rhs]))[0]
+
+    def diff(f, order, h):
+        if order == 0:
+            return f(0)
+        if order == 1:
+            return (f(1) - f(-1)) / (2 * h)
+        return (f(1) - 2 * f(0) + f(-1)) / h**2
+
+    return diff(lambda k: diff(lambda j: diff(lambda i: r_at(i, j, k), alpha, hxi),
+                               beta, hx), int(dt_flag), ht)
+
+
+@pytest.mark.parametrize("name", ["xdep", "holder_k"])
+def test_batched_probes_match_pointwise_solves(name):
+    from fractions import Fraction
+
+    pre = get_preset(name)
+    pr = plan(0, "holder", Fraction(1, 2)) if name == "holder_k" else plan(0, "lipschitz")
+    xis = np.geomspace(16.0, 1024.0, 4)
+    x_probes = np.array([0.0, 0.9, 2.1])
+    # the probe rows, and a rescaled-a group as check_a_power batches them
+    groups = [(pr.params, x_probes, xis),
+              (rescale_for_a(pr.params, 4.0), x_probes[:1], xis[[2]])]
+    for alpha, beta, dt_flag in [(0, 0, False), (1, 0, False), (2, 0, False), (0, 1, False),
+                                 (0, 2, False), (1, 1, False), (0, 0, True)]:
+        derivs = _stencil_derivatives(pre.coeffs, groups, 0.1, alpha, beta, dt_flag)
+        for (params, xps, xs), d in zip(groups, derivs):
+            for i, xp in enumerate(xps):
+                for k, xi in enumerate(xs):
+                    ref = _fd_reference(pre.coeffs, params, 0.1, xp, xi, alpha, beta, dt_flag)
+                    assert np.linalg.norm(d[i, k] - ref) <= 1e-12 * np.linalg.norm(ref) + 1e-300
+    pairs = [(0.1, 0.1 + 4.0**-k) for k in range(1, 4)]
+    kappa = 0.5 if name == "holder_k" else 1.0
+    fit = holder_difference_probe(pre.coeffs, pr.params, pairs, xis)
+    for k, xi in enumerate(xis):
+        ref = max(np.linalg.norm(_fd_reference(pre.coeffs, pr.params, t1, 0.0, xi, 0, 0, False)
+                                 - _fd_reference(pre.coeffs, pr.params, t2, 0.0, xi, 0, 0, False),
+                                 2) / abs(t1 - t2) ** kappa
+                  for t1, t2 in pairs)
+        assert abs(fit.ratios[k] - ref) <= 1e-12 * ref
