@@ -85,16 +85,6 @@ class MatrixField:
     def x_band(self) -> int:
         return max((abs(t.x_freq) for t in self.terms), default=0)
 
-    def eval(self, t: float, x: float) -> np.ndarray:
-        out = np.zeros((self.m, self.m), dtype=complex)
-        for term in self.terms:
-            out += (
-                term.matrix
-                * float(eval_time_term(term.t_term, t))
-                * np.exp(1j * term.x_freq * x)
-            )
-        return out
-
     def dx(self, t: float, x: float, order: int) -> np.ndarray:
         """Exact D_x^order with D_x = -i d/dx; D_x^j exp(ikx) = k^j exp(ikx)."""
         out = np.zeros((self.m, self.m), dtype=complex)
@@ -152,10 +142,10 @@ class SystemCoefficients:
         return max(self.a_field.x_band, self.b_field.x_band)
 
     def eval_a(self, t: float, x: float) -> np.ndarray:
-        return self.a_field.eval(t, x)
+        return self.a_field.dx(t, x, 0)
 
     def eval_b(self, t: float, x: float) -> np.ndarray:
-        return self.b_field.eval(t, x)
+        return self.b_field.dx(t, x, 0)
 
     def holder_ratio(self, t_lo: float, t_hi: float, n: int = 200) -> float:
         """sup of ||A(t)-A(t')|| / |t-t'|^kappa over sampled pairs."""

@@ -154,16 +154,13 @@ class TrigMatrixSymbol:
         return SampledSymbol(values=self.eval(x, xi), x_band=self.x_band)
 
 
-def symbol_from_coeffs(
-    coeffs: SystemCoefficients, t: float, include_b: bool = True
-) -> TrigMatrixSymbol:
+def symbol_from_coeffs(coeffs: SystemCoefficients, t: float) -> TrigMatrixSymbol:
     """Generator symbol ``i A(t, x, xi) + B(t, x)`` at frozen time."""
     terms = []
     for k, c in sorted(coeffs.a_field.harmonic_matrices(t).items()):
         terms.append((k, 1j * c, lambda xi: np.asarray(xi, dtype=complex)))
-    if include_b:
-        for k, c in sorted(coeffs.b_field.harmonic_matrices(t).items()):
-            terms.append((k, c, None))
+    for k, c in sorted(coeffs.b_field.harmonic_matrices(t).items()):
+        terms.append((k, c, None))
     return TrigMatrixSymbol(m=coeffs.m, terms=tuple(terms))
 
 

@@ -2,8 +2,9 @@
 
 Taylor-polynomial symbols in the spatial and frequency directions, a batched
 Pade matrix exponential, deterministic small-matrix eigenvalues,
-real-spectrum certification, the spatial spectral-bound certificate, and the
-block-size barometer (theta) estimator.
+real-spectrum certification, the spatial spectral-bound certificate, the
+characteristic-polynomial lower-bound probe, and the block-size barometer
+(theta) estimator.
 
 All operations are pure functions of their inputs; grid sweeps are
 vectorized with deterministic reduction order.
@@ -11,21 +12,25 @@ vectorized with deterministic reduction order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import MatrixExpOverflowError
-from hypersym.rootsplit import char_poly, polished_roots
+from hypersym.rootsplit import _sort_rows, char_poly, polished_roots
 
 # ---------------------------------------------------------------------------
 # Symbols
 
 
-def eval_symbol(coeffs: SystemCoefficients, t: float, x: float, xi: float) -> np.ndarray:
-    """Principal symbol A(t, x, xi) = A1(t, x) * xi (one space dimension)."""
-    return coeffs.eval_a(t, x) * xi
+def eval_symbol(coeffs: SystemCoefficients, t: float, x: float, xi) -> np.ndarray:
+    """Principal symbol A(t, x, xi) = A1(t, x) * xi (one space dimension).
+
+    ``xi`` may be an array; the result has its shape followed by (m, m).
+    """
+    return coeffs.eval_a(t, x) * np.asarray(xi, dtype=float)[..., None, None]
 
 
 def taylor_symbol(
@@ -151,24 +156,29 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
 # Eigenvalues
 
 
-def spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues with deterministic ordering (real part, then imaginary).
+def spectrum(m) -> np.ndarray:
+    """Eigenvalues of a stack ``(..., n, n) -> (..., n)``, each row ordered by
+    real part, then imaginary part.
 
-    For size <= 4 the roots come from the characteristic polynomial via the
-    companion matrix with one guarded Newton polish step, for
+    For size <= 4 the roots come from the characteristic polynomials via
+    companion matrices with one guarded Newton polish step, for
     reproducibility over generic QR ordering; larger sizes fall back to the
     dense solver with the same ordering.
     """
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
+    n = m.shape[-1]
     if n > 8:
         raise ValueError("spectrum supports matrices of size <= 8")
     if n <= 4:
-        coeffs = char_poly(m)
-        return polished_roots(np.asarray(coeffs, dtype=complex))
-    vals = np.linalg.eigvals(m)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+        return polished_roots(char_poly(m))
+    return _sort_rows(np.linalg.eigvals(m))
+
+
+def _max_imag(stack: np.ndarray) -> np.ndarray:
+    """Largest |Im eigenvalue| of each matrix in a non-empty stack."""
+    if stack.size == 0:
+        raise ValueError("certification grid is empty")
+    return np.max(np.abs(spectrum(stack).imag), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +204,24 @@ def certify_real_spectrum(
     """Check Spectrum A(t, x, xi) in R over a grid.
 
     Passes iff ``max |Im eigenvalue| <= tol * (1 + ||A||)`` over the grid;
-    the report carries the worst sample.
+    the report carries the worst sample (the first in (t, x, xi) order).
     """
-    worst = (-1.0, (0.0, 0.0, 0.0))
-    norm_max = 0.0
-    count = 0
-    for t in np.atleast_1d(t_values):
-        for x in np.atleast_1d(x_values):
-            for xi in np.atleast_1d(xi_values):
-                a = eval_symbol(coeffs, float(t), float(x), float(xi))
-                norm_max = max(norm_max, float(np.linalg.norm(a, 2)))
-                im = float(np.max(np.abs(spectrum(a).imag)))
-                count += 1
-                if im > worst[0]:
-                    worst = (im, (float(t), float(x), float(xi)))
+    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
+    xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
+    # shape (nt, nx, nxi, m, m)
+    a = np.array([[eval_symbol(coeffs, t, x, xi_values) for x in x_values]
+                  for t in t_values])
+    im = _max_imag(a)
+    norm_max = float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
+    i_t, i_x, i_xi = np.unravel_index(np.argmax(im), im.shape)
     tol_eff = tol * (1.0 + norm_max)
     return RealSpectrumReport(
-        passed=bool(worst[0] <= tol_eff),
-        max_imag=worst[0],
+        passed=bool(im[i_t, i_x, i_xi] <= tol_eff),
+        max_imag=float(im[i_t, i_x, i_xi]),
         tol_effective=tol_eff,
-        worst_sample=worst[1],
-        n_samples=count,
+        worst_sample=(float(t_values[i_t]), float(x_values[i_x]), float(xi_values[i_xi])),
+        n_samples=im.size,
     )
 
 
@@ -249,31 +256,26 @@ def spectral_bound_certify(
     s_values = np.sort(np.asarray(s_values, dtype=float))[::-1]
     if np.any(s_values <= 0):
         raise ValueError("s_values must be positive")
-    t_values = np.atleast_1d(t_values)
-    x_values = np.atleast_1d(x_values)
+    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
     # z = i (i s) y for the imaginary step i s; shape (nt, nx, ns, ny, m, m)
     hs = np.array([
-        [taylor_symbol(coeffs, float(t), float(x), xi, -s_values[:, None] * y_values,
-                       coeffs.m) for x in x_values]
+        [taylor_symbol(coeffs, t, x, xi, -s_values[:, None] * y_values, coeffs.m)
+         for x in x_values]
         for t in t_values
     ])
-    table = []
-    worst = (0.0, (0.0, 0.0, 0.0, 0.0))
-    count = 0
-    for i_s, s in enumerate(s_values):
-        im_max = 0.0
-        for i_t, t in enumerate(t_values):
-            for i_x, x in enumerate(x_values):
-                for i_y, y in enumerate(y_values):
-                    im = float(np.max(np.abs(spectrum(hs[i_t, i_x, i_s, i_y]).imag)))
-                    count += 1
-                    if im > im_max:
-                        im_max = im
-                    if im / s > worst[0]:
-                        worst = (im / s, (float(s), float(t), float(x), float(y)))
-        table.append((float(s), im_max))
-    ratios = np.array([im / s for s, im in table])
+    im = _max_imag(hs).transpose(2, 0, 1, 3)  # (ns, nt, nx, ny)
+    im_max = np.max(im, axis=(1, 2, 3))
+    table = [(float(s), float(v)) for s, v in zip(s_values, im_max)]
+    ratios = im_max / s_values
+    per_node = im / s_values[:, None, None, None]
+    worst = np.unravel_index(np.argmax(per_node), per_node.shape)
+    worst_sample = (0.0, 0.0, 0.0, 0.0)
+    if per_node[worst] > 0:
+        i_s, i_t, i_x, i_y = worst
+        worst_sample = (float(s_values[i_s]), float(t_values[i_t]),
+                        float(x_values[i_x]), float(y_values[i_y]))
     max_ratio = float(np.max(ratios))
     # Ratios below solver noise count as zero so exactly-real families pass.
     floor = 1e-9 * (1.0 + coeffs.a_field.sup_norm_bound() * abs(xi))
@@ -287,8 +289,64 @@ def spectral_bound_certify(
         table=table,
         passed=passed,
         growth_factor=growth_factor,
-        worst_sample=worst[1],
-        n_samples=count,
+        worst_sample=worst_sample,
+        n_samples=im.size,
+    )
+
+
+@dataclass
+class QLowerBoundFit:
+    """Fit of ``|Q(lambda + i*M*s, ..., i s)|`` against ``s``."""
+
+    c_hat: float
+    r_hat: float
+    r_declared: int
+    m_scale: float
+    s_values: np.ndarray
+    q_values: np.ndarray
+    spread: float
+    passed: bool
+
+
+def q_lower_bound_probe(
+    coeffs: SystemCoefficients,
+    t: float,
+    x: float,
+    lam: float,
+    r: int,
+    y: float,
+    s_values,
+    xi: float = 1.0,
+    m_scale: float = 1.0,
+) -> QLowerBoundFit:
+    """Probe the lower bound ``|Q| >= c |s|^r`` near a multiplicity-r eigenvalue.
+
+    ``Q(zeta, t, x, y, s) = det(zeta I - H(t, x, y, s))`` with H the spatial
+    Taylor symbol of order m.  ``m_scale`` shifts the probe point to
+    ``lam + i * m_scale * s`` (large values avoid the degenerate diagonal
+    where Q vanishes identically).  Fitted constants are reported rather
+    than asserted, since the bound's constant depends on unquantified
+    neighborhood sizes.
+    """
+    s_values = np.asarray(s_values, dtype=float)
+    # z = i (i s) y: the spatial Taylor symbol at the imaginary step i s
+    hs = taylor_symbol(coeffs, t, x, xi, -s_values * y, coeffs.m)
+    zeta = lam + 1j * m_scale * s_values
+    q = np.abs(np.linalg.det(zeta[:, None, None] * np.eye(coeffs.m) - hs))
+    positive = q > 0
+    if np.count_nonzero(positive) < 2:
+        return QLowerBoundFit(
+            c_hat=0.0, r_hat=math.inf, r_declared=r, m_scale=m_scale,
+            s_values=s_values, q_values=q, spread=math.inf, passed=False,
+        )
+    slope, intercept = np.polyfit(np.log(s_values[positive]), np.log(q[positive]), 1)
+    ratios = q[positive] / s_values[positive] ** r
+    c_hat = float(np.min(ratios))
+    spread = float(np.max(ratios) / np.min(ratios)) if c_hat > 0 else math.inf
+    passed = bool(slope <= r + 0.2 and c_hat > 0.0)
+    return QLowerBoundFit(
+        c_hat=c_hat, r_hat=float(slope), r_declared=r, m_scale=m_scale,
+        s_values=s_values, q_values=q, spread=spread, passed=passed,
     )
 
 

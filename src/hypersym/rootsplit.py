@@ -1,17 +1,17 @@
-"""Hyperbolic-polynomial machinery: root splitting and lower-bound probes.
+"""Hyperbolic-polynomial machinery: root splitting and characteristic polynomials.
 
 The splitter applies ``(1 + s d/dzeta)`` repeatedly to a monic real-rooted
 polynomial.  Each application is exact coefficient arithmetic (derivative
 plus scaled add), which amplifies no rounding; only the final root extraction
 is numerical (companion matrix plus one Newton polish step, deterministic
-ordering).
+ordering).  Every routine takes a stack: leading axes index independent
+polynomials or matrices, and a single one is a stack with no leading axes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,11 +47,7 @@ class RealRootedPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        # Horner in ascending order.
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
+        return _horner(self.coeffs, z)
 
     def to_json(self) -> list[float]:
         return [float(c) for c in self.coeffs]
@@ -63,10 +59,12 @@ class RealRootedPoly:
 
 @dataclass
 class SplitResult:
-    s: float
-    coeffs: np.ndarray  # ascending, monic
-    roots: np.ndarray  # strictly increasing for s != 0
-    min_gap: float
+    """Split polynomials; all fields but ``s`` carry the broadcast leading axes."""
+
+    s: np.ndarray  # as given
+    coeffs: np.ndarray  # (..., m+1) ascending, monic
+    roots: np.ndarray  # (..., m) strictly increasing for s != 0
+    min_gap: np.ndarray  # (...)
 
 
 def expand_roots(roots) -> np.ndarray:
@@ -77,61 +75,72 @@ def expand_roots(roots) -> np.ndarray:
     return c
 
 
-def _poly_derivative(c: np.ndarray) -> np.ndarray:
-    return c[1:] * np.arange(1, len(c))
+def _horner(c, z):
+    """Ascending coefficients ``c[..., j]`` evaluated at ``z`` (broadcasting), complex."""
+    acc = np.zeros((), dtype=complex)
+    for j in range(c.shape[-1] - 1, -1, -1):
+        acc = acc * z + c[..., j]
+    return acc
 
 
-def polished_roots(c: np.ndarray) -> np.ndarray:
-    """Companion-matrix roots of an ascending-coefficient polynomial.
+def _sort_rows(z: np.ndarray) -> np.ndarray:
+    """Order each row by real part, then imaginary part."""
+    return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
 
-    One guarded Newton step (skipped near multiple roots where the step
-    would be large), then deterministic ordering by real part, then
-    imaginary part.
+
+def polished_roots(c) -> np.ndarray:
+    """Roots of ascending-coefficient polynomials, ``(..., d+1) -> (..., d)``.
+
+    The eigenvalues of one companion-matrix stack (the matrices ``np.roots``
+    builds), then one guarded Newton step (skipped near multiple roots where
+    the step would be large), then deterministic ordering of each row by
+    real part, then imaginary part.
     """
-    raw = np.roots(c[::-1].astype(complex))
-    dc = _poly_derivative(c)
-
-    def val(z, cs):
-        acc = np.zeros_like(z)
-        for a in cs[::-1]:
-            acc = acc * z + a
-        return acc
-
-    p = val(raw, c.astype(complex))
-    dp = val(raw, dc.astype(complex))
+    c = np.asarray(c, dtype=complex)
+    d = c.shape[-1] - 1
+    companion = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    companion[..., 0, :] = -c[..., -2::-1] / c[..., -1:]
+    companion[..., np.arange(1, d), np.arange(d - 1)] = 1.0
+    raw = np.linalg.eigvals(companion)
+    p = _horner(c[..., None, :], raw)
+    dp = _horner(c[..., None, 1:] * np.arange(1, d + 1), raw)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(np.abs(dp) > 0, p / np.where(dp == 0, 1, dp), 0.0)
     safe = (np.abs(dp) > 0) & (np.abs(step) <= 0.1 * (1.0 + np.abs(raw)))
-    polished = np.where(safe, raw - step, raw)
-    order = np.lexsort((polished.imag, polished.real))
-    return polished[order]
+    return _sort_rows(np.where(safe, raw - step, raw))
 
 
-def nuij_split(poly: RealRootedPoly, s: float, iterations: int | None = None) -> SplitResult:
+def nuij_split(poly, s, iterations: int | None = None) -> SplitResult:
     """Apply ``(1 + s d/dzeta)`` ``iterations`` times (default: the degree).
 
+    ``poly`` is a :class:`RealRootedPoly` or ascending monic coefficient
+    rows ``(..., m+1)``; ``s`` broadcasts against the rows' leading axes.
     The split polynomial of a real-rooted input is again real-rooted with
     consecutive-root gaps at least ``nuij_constant(m) * |s|``.  A complex
     root beyond tolerance means the input was not real-rooted and is
     reported as such, since the operator preserves real-rootedness.
     """
-    m = poly.degree
+    rows = np.asarray(poly.coeffs if isinstance(poly, RealRootedPoly) else poly,
+                      dtype=float)
+    s = np.asarray(s, dtype=float)
+    m = rows.shape[-1] - 1
     if iterations is None:
         iterations = m
-    c = poly.coeffs.astype(float).copy()
+    lead = np.broadcast_shapes(rows.shape[:-1], s.shape)
+    c = np.broadcast_to(rows, lead + (m + 1,)).copy()
+    s_col = s[..., None]
     for _ in range(iterations):
-        dc = _poly_derivative(c)
-        c[:-1] += s * dc
+        c[..., :-1] += s_col * (c[..., 1:] * np.arange(1, m + 1))
     roots = polished_roots(c)
-    scale = max(1.0, float(np.max(np.abs(roots))) if roots.size else 1.0)
-    if roots.size and np.max(np.abs(roots.imag)) > 1e-8 * scale:
+    imag = np.max(np.abs(roots.imag), axis=-1, initial=0.0)
+    scale = np.max(np.abs(roots), axis=-1, initial=1.0)
+    if np.any(imag > 1e-8 * scale):
         raise NotRealRootedError(
             f"split polynomial has complex roots (max |Im| = "
-            f"{np.max(np.abs(roots.imag)):.3g}); input was not real-rooted"
+            f"{np.max(imag):.3g}); input was not real-rooted"
         )
-    real_roots = np.sort(roots.real)
-    gaps = np.diff(real_roots)
-    min_gap = float(np.min(gaps)) if gaps.size else math.inf
+    real_roots = np.sort(roots.real, axis=-1)
+    min_gap = np.min(np.diff(real_roots, axis=-1), axis=-1, initial=math.inf)
     return SplitResult(s=s, coeffs=c, roots=real_roots, min_gap=min_gap)
 
 
@@ -153,98 +162,23 @@ def nuij_constant(m: int) -> float:
     return c
 
 
-def char_poly(h: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial of a small matrix, ascending coefficients.
+def char_poly(h) -> np.ndarray:
+    """Monic characteristic polynomials, ascending: ``(..., m, m) -> (..., m+1)``.
 
-    Faddeev-LeVerrier recursion.  With a Fraction/integer object array the
-    arithmetic is exact; complex input returns complex coefficients.
+    Faddeev-LeVerrier recursion over the whole stack, in complex arithmetic.
     """
-    h = np.asarray(h)
-    m = h.shape[0]
-    exact = h.dtype == object or np.issubdtype(h.dtype, np.integer)
-    if exact:
-        a = np.array(
-            [[Fraction(h[i, j]) for j in range(m)] for i in range(m)], dtype=object
-        )
-        ident = np.array(
-            [[Fraction(int(i == j)) for j in range(m)] for i in range(m)], dtype=object
-        )
-        one = Fraction(1)
-    else:
-        a = h.astype(complex)
-        ident = np.eye(m, dtype=complex)
-        one = 1.0 + 0.0j
-    coeffs = [one * 0] * m + [one]
-    mk = ident.copy()
+    a = np.asarray(h, dtype=complex)
+    m = a.shape[-1]
+    ident = np.eye(m, dtype=complex)
+    coeffs = np.zeros(a.shape[:-2] + (m + 1,), dtype=complex)
+    coeffs[..., m] = 1.0
+    mk = ident
     for k in range(1, m + 1):
         am = a @ mk
-        trace = sum(am[i, i] for i in range(m))
-        ck = -trace / k
-        coeffs[m - k] = ck
-        mk = am + ck * ident
-    if exact:
-        return np.array(coeffs, dtype=object)
-    return np.asarray(coeffs, dtype=complex)
-
-
-@dataclass
-class QLowerBoundFit:
-    """Fit of ``|Q(lambda + i*M*s, ..., i s)|`` against ``s``."""
-
-    c_hat: float
-    r_hat: float
-    r_declared: int
-    m_scale: float
-    s_values: np.ndarray
-    q_values: np.ndarray
-    spread: float
-    passed: bool
-
-
-def q_lower_bound_probe(
-    coeffs,
-    t: float,
-    x: float,
-    lam: float,
-    r: int,
-    y: float,
-    s_values,
-    xi: float = 1.0,
-    m_scale: float = 1.0,
-) -> QLowerBoundFit:
-    """Probe the lower bound ``|Q| >= c |s|^r`` near a multiplicity-r eigenvalue.
-
-    ``Q(zeta, t, x, y, s) = det(zeta I - H(t, x, y, s))`` with H the spatial
-    Taylor symbol of order m.  ``m_scale`` shifts the probe point to
-    ``lam + i * m_scale * s`` (large values avoid the degenerate diagonal
-    where Q vanishes identically).  Fitted constants are reported rather
-    than asserted, since the bound's constant depends on unquantified
-    neighborhood sizes.
-    """
-    from hypersym.matkernel import taylor_symbol
-
-    s_values = np.asarray(s_values, dtype=float)
-    q = np.empty_like(s_values)
-    # z = i (i s) y: the spatial Taylor symbol at the imaginary step i s
-    hs = taylor_symbol(coeffs, t, x, xi, -s_values * y, coeffs.m)
-    for i, (s, h) in enumerate(zip(s_values, hs)):
-        zeta = lam + 1j * m_scale * s
-        q[i] = abs(np.linalg.det(zeta * np.eye(coeffs.m) - h))
-    positive = q > 0
-    if np.count_nonzero(positive) < 2:
-        return QLowerBoundFit(
-            c_hat=0.0, r_hat=math.inf, r_declared=r, m_scale=m_scale,
-            s_values=s_values, q_values=q, spread=math.inf, passed=False,
-        )
-    slope, intercept = np.polyfit(np.log(s_values[positive]), np.log(q[positive]), 1)
-    ratios = q[positive] / s_values[positive] ** r
-    c_hat = float(np.min(ratios))
-    spread = float(np.max(ratios) / np.min(ratios)) if c_hat > 0 else math.inf
-    passed = bool(slope <= r + 0.2 and c_hat > 0.0)
-    return QLowerBoundFit(
-        c_hat=c_hat, r_hat=float(slope), r_declared=r, m_scale=m_scale,
-        s_values=s_values, q_values=q, spread=spread, passed=passed,
-    )
+        ck = -np.trace(am, axis1=-2, axis2=-1) / k
+        coeffs[..., m - k] = ck
+        mk = am + ck[..., None, None] * ident
+    return coeffs
 
 
 def random_real_rooted(m: int, spread: float, seed: int) -> RealRootedPoly:

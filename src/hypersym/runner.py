@@ -274,15 +274,18 @@ def _solve_setup(config: dict):
 
 def _cmd_certify(config: dict) -> dict:
     coeffs, theta, name = _resolve_coeffs(config)
-    ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
-    xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 6), endpoint=False)
-    xis = config.get("xi_values", [1.0, -1.0, 2.0])
-    rep = matkernel.certify_real_spectrum(coeffs, ts, xs, xis,
-                                          tol=config.get("tol", 1e-9))
-    sb = matkernel.spectral_bound_certify(
-        coeffs, ts, xs, config.get("y_values", [1.0, 0.5, -1.0]),
-        config.get("s_values", list(np.geomspace(1e-4, 1e-1, 7))),
-    )
+    try:
+        ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
+        xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 6), endpoint=False)
+        rep = matkernel.certify_real_spectrum(coeffs, ts, xs,
+                                              config.get("xi_values", [1.0, -1.0, 2.0]),
+                                              tol=config.get("tol", 1e-9))
+        sb = matkernel.spectral_bound_certify(
+            coeffs, ts, xs, config.get("y_values", [1.0, 0.5, -1.0]),
+            config.get("s_values", list(np.geomspace(1e-4, 1e-1, 7))),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return {
         "preset": name,
         "real_spectrum": {
@@ -304,11 +307,14 @@ def _cmd_certify(config: dict) -> dict:
 
 def _cmd_theta(config: dict) -> dict:
     coeffs, theta_decl, name = _resolve_coeffs(config)
-    eps = np.geomspace(config.get("eps_lo", 1e-3), config.get("eps_hi", 1e-1),
-                       config.get("n_eps", 9))
-    ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
-    xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 5), endpoint=False)
-    te = matkernel.estimate_theta(coeffs, eps, t_values=ts, x_values=xs)
+    try:
+        eps = np.geomspace(config.get("eps_lo", 1e-3), config.get("eps_hi", 1e-1),
+                           config.get("n_eps", 9))
+        ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
+        xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 5), endpoint=False)
+        te = matkernel.estimate_theta(coeffs, eps, t_values=ts, x_values=xs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     matches = theta_decl is None or te.theta_hat == theta_decl
     return {
         "preset": name,
@@ -330,23 +336,23 @@ def _cmd_nuij(config: dict) -> dict:
     n_polys = config.get("n_polys", 200)
     spread = config.get("spread", 3.0)
     s_values = config.get("s_values", list(np.geomspace(1e-3, 1.0, 7)))
+    if not s_values or 0 in s_values:
+        raise ConfigError("s_values must be a nonempty list of nonzero numbers")
+    s_arr = np.asarray(s_values, dtype=float)
     seed = config["seed"]
     table = []
     worst_margin = math.inf
     for m in range(1, m_max + 1):
         c_m = rootsplit.nuij_constant(m)
-        worst = math.inf
-        for i in range(n_polys):
-            poly = rootsplit.random_real_rooted(m, spread, seed + 1000 * m + i)
-            for s in s_values:
-                if m == 1:
-                    continue  # single root: no gap to measure
-                res = rootsplit.nuij_split(poly, float(s))
-                worst = min(worst, res.min_gap / (c_m * s))
-        margin = worst if m > 1 else math.inf
-        worst_margin = min(worst_margin, margin)
-        table.append({"m": m, "c_m": c_m,
-                      "min_gap_over_cs": None if m == 1 else worst})
+        worst = None  # single root: no gap to measure
+        if m > 1:
+            rows = np.array([rootsplit.random_real_rooted(m, spread, seed + 1000 * m + i).coeffs
+                             for i in range(n_polys)]).reshape(-1, 1, m + 1)
+            # the separation bound is gap >= c(m) |s|, for either sign of s
+            res = rootsplit.nuij_split(rows, s_arr)
+            worst = float(np.min(res.min_gap / (c_m * np.abs(s_arr)), initial=math.inf))
+            worst_margin = min(worst_margin, worst)
+        table.append({"m": m, "c_m": c_m, "min_gap_over_cs": worst})
     passed = worst_margin >= 1.0 - 1e-9
     return {"table": table, "worst_margin": worst_margin, "passed": bool(passed),
             "n_polys": n_polys, "s_values": list(map(float, s_values))}

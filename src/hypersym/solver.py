@@ -18,6 +18,7 @@ import numpy as np
 from hypersym.coeffs import SystemCoefficients, eval_time_term
 from hypersym.engine import SpectralState, lattice, weighted_norm
 from hypersym.errors import ConfigError, InconclusiveError, NumericAbortError
+from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
     ParameterSet,
     _lyap_solve_batch,
@@ -267,9 +268,7 @@ def solve_cauchy(
     eps_par: float = 0.0,
     dt: float | None = None,
     stride: int = 8,
-    validate: bool = True,
     track_energy: bool = True,
-    mollified: bool | None = None,
 ) -> SolveResult:
     """Evolve the truncated (optionally parabolically regularized) problem.
 
@@ -280,22 +279,19 @@ def solve_cauchy(
     the last healthy time on NaN/overflow.
     """
     coeffs = problem.coeffs
-    if validate:
-        from hypersym.planner import validate_params
-
-        violations = validate_params(
-            params,
-            c=params.c_spec if params.c_spec is not None else 0.5,
-            a0=params.a0,
-            eps0=params.eps0,
+    violations = validate_params(
+        params,
+        c=params.c_spec if params.c_spec is not None else 0.5,
+        a0=params.a0,
+        eps0=params.eps0,
+    )
+    if violations:
+        raise ConfigError("invalid parameters: " + "; ".join(violations))
+    if h > 1.0 / float(params.ell) + 1e-12:
+        raise ConfigError(
+            f"cutoff scale h = {h} above the uniformity range 1/ell = "
+            f"{1.0 / float(params.ell)}"
         )
-        if violations:
-            raise ConfigError("invalid parameters: " + "; ".join(violations))
-        if h > 1.0 / float(params.ell) + 1e-12:
-            raise ConfigError(
-                f"cutoff scale h = {h} above the uniformity range 1/ell = "
-                f"{1.0 / float(params.ell)}"
-            )
     n_x = problem.g.n_x
     gen = TruncatedGenerator(coeffs, n_x, h, eps_par)
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
@@ -323,9 +319,7 @@ def solve_cauchy(
         return _lyap_solve_batch(m_stack, rhs)
 
     x_independent = coeffs.x_band == 0
-    use_molly = mollified if mollified is not None else (
-        coeffs.t_regularity == "holder" and params.delta is not None
-    )
+    use_molly = coeffs.t_regularity == "holder" and params.delta is not None
     er_mode = "skipped"
     molly_values = None
     sample_times = [k * stride * dt for k in range(n_steps // stride + 1)]

@@ -189,7 +189,8 @@ def solve_R_lyapunov(m_mat: np.ndarray, rhs_scale: float) -> np.ndarray:
 
     Refuses matrices whose stability margin is below ``1e-8 ||M||`` (the
     solve would be ill-conditioned near the imaginary axis); the residual of
-    the returned solution is verified to 1e-10 relative.
+    the returned solution is verified to 1e-10 relative, and a larger one is
+    refused the same way.
     """
     m_mat = np.asarray(m_mat, dtype=complex)
     margin = -float(np.max(np.linalg.eigvals(m_mat).real))
@@ -200,7 +201,7 @@ def solve_R_lyapunov(m_mat: np.ndarray, rhs_scale: float) -> np.ndarray:
     r = _lyap_solve_batch(m_mat[None], np.array([rhs_scale]))[0]
     resid = np.linalg.norm(m_mat.conj().T @ r + r @ m_mat + rhs_scale * np.eye(r.shape[0]), 2)
     if resid > 1e-10 * abs(rhs_scale):
-        raise ArithmeticError(f"Lyapunov residual {resid:.3g} too large")
+        raise StabilityMarginError(f"Lyapunov residual {resid:.3g} too large")
     return r
 
 
@@ -303,7 +304,6 @@ class SymmetrizerField:
     xi_nodes: np.ndarray
     R: np.ndarray  # (nt, nx, nxi, m, m)
     M: np.ndarray  # matching generators
-    method: str
     params: ParameterSet
 
     def rhs_scales(self) -> np.ndarray:
@@ -364,10 +364,8 @@ def build_field(
     t_nodes,
     x_nodes,
     xi_nodes,
-    method: str = "lyapunov",
-    quad_tol: float = 1e-8,
 ) -> SymmetrizerField:
-    """Build R over the tensor grid by Lyapunov solve or by quadrature."""
+    """Build R over the tensor grid by one batched Lyapunov solve."""
     t_nodes = np.atleast_1d(np.asarray(t_nodes, dtype=float))
     x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
     xi_nodes = np.atleast_1d(np.asarray(xi_nodes, dtype=float))
@@ -376,20 +374,12 @@ def build_field(
     for it, t in enumerate(t_nodes):
         for ix, x in enumerate(x_nodes):
             m_stack[it, ix], rhs = damped_generator(coeffs, params, float(t), float(x), xi_nodes)
-    rhs = np.broadcast_to(rhs, m_stack.shape[:-2])
-    if method == "lyapunov":
-        r = _lyap_solve_batch(m_stack, rhs)
-    elif method == "quadrature":
-        r = quadrature_R(m_stack, rhs, tol=quad_tol)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return SymmetrizerField(
         t_nodes=t_nodes,
         x_nodes=x_nodes,
         xi_nodes=xi_nodes,
-        R=r,
+        R=_lyap_solve_batch(m_stack, np.broadcast_to(rhs, m_stack.shape[:-2])),
         M=m_stack,
-        method=method,
         params=params,
     )
 
@@ -616,8 +606,6 @@ class MollifiedSymmetrizer:
     eval_ts: np.ndarray
     values: np.ndarray  # (ne,) + node_shape + (m, m)
     delta: float
-    kernel: str
-    source_ts: np.ndarray
 
 
 def mollify_path(
@@ -626,8 +614,6 @@ def mollify_path(
     bracket_vals: np.ndarray,
     delta: float,
     eval_ts,
-    kernel=poly_bump,
-    kernel_name: str = "poly_bump",
 ) -> MollifiedSymmetrizer:
     """Discrete time-mollification ``<xi>^delta int R(s) chi((t-s)<xi>^delta) ds``.
 
@@ -655,17 +641,11 @@ def mollify_path(
     arg_shape = (len(ts),) + node_shape
     for ie, t in enumerate(eval_ts):
         u = (t - ts).reshape((len(ts),) + (1,) * len(node_shape)) / widths[None]
-        w = kernel(np.broadcast_to(u, arg_shape))
+        w = poly_bump(np.broadcast_to(u, arg_shape))
         norm = np.sum(w, axis=0)
         w = w / np.where(norm == 0, 1.0, norm)
         out[ie] = np.einsum("t...,t...ij->...ij", w, r_path)
-    return MollifiedSymmetrizer(
-        eval_ts=eval_ts,
-        values=out,
-        delta=float(delta),
-        kernel=kernel_name,
-        source_ts=ts,
-    )
+    return MollifiedSymmetrizer(eval_ts=eval_ts, values=out, delta=float(delta))
 
 
 @dataclass

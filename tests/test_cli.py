@@ -52,12 +52,31 @@ def test_wrong_type_rejected(cfg):
     ["plan", "--theta", "1", "--mode", "bogus"],
     ["plan", "--theta", "1", "--kappa", "abc"],
     ["plan", "--theta", "-1"],
+    ["certify", "--preset", "diag_sym", {"s_values": [1e-3, -1e-3]}],
+    ["certify", "--preset", "diag_sym", {"s_values": [0.0, 1e-2]}],
+    ["certify", "--preset", "diag_sym", {"xi_values": []}],
+    ["certify", "--preset", "diag_sym", {"n_t": 0}],
+    ["theta", "--preset", "diag_sym", {"eps_lo": 1e-2, "eps_hi": 1e-1}],
+    ["nuij", "--seed", "0", {"s_values": [0.0]}],
+    ["nuij", "--seed", "0", {"s_values": []}],
 ])
-def test_bad_input_exits_2_without_traceback(argv, capsys):
+def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
+    if isinstance(argv[-1], dict):  # a config part goes through a file
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + ["--config", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s_values", [[-0.1], [-1e-2, 1e-2]])
+def test_nuij_negative_s_passes(s_values):
+    status, doc = run({"command": "nuij", "schema_version": "1", "seed": 2,
+                       "m_max": 4, "n_polys": 20, "s_values": s_values})
+    assert status == 0 and doc["passed"]
+    assert doc["worst_margin"] >= 1.0
 
 
 def test_schema_version_required():

@@ -38,7 +38,7 @@ def test_trig_evaluation_and_derivatives():
     terms = [CoeffTerm(0, "1", np.array([[0, 1], [2, 0]], dtype=complex))]
     terms += cosine_terms(1, np.array([[0, 0], [-2, 0]], dtype=complex))
     fld = MatrixField(2, terms)
-    a = fld.eval(0.0, 0.0)
+    a = fld.dx(0.0, 0.0, 0)
     assert a[1, 0] == pytest.approx(0.0, abs=1e-15)
     # plain derivatives d^j/dx^j = (i D_x)^j
     assert 1j * fld.dx(0.0, 0.0, 1)[1, 0] == pytest.approx(0.0, abs=1e-15)
@@ -46,14 +46,14 @@ def test_trig_evaluation_and_derivatives():
     # D_x version: D_x^2 = -d^2/dx^2
     assert fld.dx(0.0, 0.0, 2)[1, 0].real == pytest.approx(-2.0)
     x = 0.7
-    assert fld.eval(0.0, x)[1, 0].real == pytest.approx(2 - 2 * math.cos(x))
+    assert fld.dx(0.0, x, 0)[1, 0].real == pytest.approx(2 - 2 * math.cos(x))
 
 
 def test_sine_terms_real():
     fld = MatrixField(1, sine_terms(2, np.array([[1.0]])))
     for x in (0.0, 0.3, 1.9):
-        assert fld.eval(0.0, x)[0, 0] == pytest.approx(math.sin(2 * x))
-        assert abs(fld.eval(0.0, x)[0, 0].imag) < 1e-15
+        assert fld.dx(0.0, x, 0)[0, 0] == pytest.approx(math.sin(2 * x))
+        assert abs(fld.dx(0.0, x, 0)[0, 0].imag) < 1e-15
 
 
 def test_json_round_trip():

@@ -251,6 +251,50 @@ def test_spectrum_char_poly_residual():
             assert abs(val) <= 1e-8 * scale
 
 
+def _spectrum_one(a: np.ndarray) -> np.ndarray:
+    """Per-matrix reference: Faddeev-LeVerrier, np.roots, guarded Newton, sort."""
+    n = a.shape[0]
+    if n > 4:
+        vals = np.linalg.eigvals(a)
+        return vals[np.lexsort((vals.imag, vals.real))]
+    c = np.zeros(n + 1, dtype=complex)
+    c[n] = 1.0
+    mk = np.eye(n, dtype=complex)
+    for k in range(1, n + 1):
+        am = a @ mk
+        c[n - k] = -np.trace(am) / k
+        mk = am + c[n - k] * np.eye(n)
+    raw = np.roots(c[::-1])
+    p = np.polyval(c[::-1], raw)
+    dp = np.polyval((c[1:] * np.arange(1, n + 1))[::-1], raw)
+    step = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.0)
+    safe = (dp != 0) & (np.abs(step) <= 0.1 * (1.0 + np.abs(raw)))
+    vals = np.where(safe, raw - step, raw)
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_batched_spectrum_matches_per_node_roots(name):
+    # the certify command's two grids: A(t, x) xi and H(t, x, y, is)
+    cs = get_preset(name).coeffs
+    ts = np.linspace(0.0, 1.0, 4)
+    xs = np.linspace(0.0, 2 * np.pi, 6, endpoint=False)
+    ss = np.geomspace(1e-4, 1e-1, 7)
+    ys = np.array([1.0, 0.5, -1.0])
+    stacks = [
+        np.array([[[eval_symbol(cs, t, x, xi) for xi in (1.0, -1.0, 2.0)] for x in xs]
+                  for t in ts]),
+        np.array([[taylor_symbol(cs, t, x, 1.0, -ss[:, None] * ys, cs.m) for x in xs]
+                  for t in ts]),
+    ]
+    for stack in stacks:
+        got = spectrum(stack)
+        assert got.shape == stack.shape[:-1]
+        for idx in np.ndindex(stack.shape[:-2]):
+            ref = _spectrum_one(stack[idx])
+            assert np.all(np.abs(got[idx] - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+
+
 # ---------------------------------------------------------------------------
 # Certification
 

@@ -1,7 +1,6 @@
 """Root splitter, separation constants, characteristic polynomials."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +13,13 @@ from hypersym.coeffs import (
     cosine_terms,
 )
 from hypersym.errors import NotRealRootedError
+from hypersym.matkernel import q_lower_bound_probe
 from hypersym.rootsplit import (
     RealRootedPoly,
     char_poly,
     expand_roots,
     nuij_constant,
     nuij_split,
-    q_lower_bound_probe,
     random_real_rooted,
 )
 
@@ -121,13 +120,6 @@ def test_char_poly_examples():
                                atol=1e-15)
 
 
-def test_char_poly_exact_for_integers():
-    h = np.array([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]],
-                 dtype=object)
-    coeffs = char_poly(h)
-    assert list(coeffs) == [Fraction(-2), Fraction(-5), Fraction(1)]
-
-
 def test_q_probe_scalar_zero():
     cs = constant_system(np.array([[0.0]]))
     fit = q_lower_bound_probe(cs, 0.0, 0.0, 0.0, 1, 1.0,
@@ -205,3 +197,25 @@ def test_q_probe_on_strictly_hyperbolic_preset():
                                   np.geomspace(1e-3, 1e-2, 7))
         assert fit.passed
         assert fit.r_hat == pytest.approx(1.0, abs=0.2)
+
+
+def test_nuij_split_stack_matches_per_row_calls():
+    s_values = np.array([-1.0, -0.05, 1e-3, 0.2, 1.0])
+    for m in range(1, 7):
+        polys = [random_real_rooted(m, 3.0, seed=700 + 13 * m + i) for i in range(6)]
+        rows = np.array([p.coeffs for p in polys])
+        res = nuij_split(rows[:, None, :], s_values)
+        assert res.roots.shape == (6, 5, m) and res.min_gap.shape == (6, 5)
+        for i, poly in enumerate(polys):
+            for j, s in enumerate(s_values):
+                one = nuij_split(poly, float(s))
+                np.testing.assert_array_equal(res.coeffs[i, j], one.coeffs)
+                np.testing.assert_array_equal(res.roots[i, j], one.roots)
+                assert res.min_gap[i, j] == one.min_gap
+
+
+def test_poly_call_is_horner():
+    poly = RealRootedPoly(coeffs=np.array([2.0, -3.0, 1.0]))
+    z = np.array([0.0, 1.0, 2.0, 1j])
+    np.testing.assert_allclose(poly(z), z**2 - 3 * z + 2, atol=1e-15)
+    assert poly(3.0) == pytest.approx(2.0)

@@ -107,6 +107,16 @@ def test_solve_refuses_marginal_matrix():
         quadrature_R(np.array([[0.0]]), 1.0)
 
 
+def test_solve_refuses_large_residual(monkeypatch):
+    import hypersym.symmetrizer as sym
+
+    good = sym._lyap_solve_batch
+    monkeypatch.setattr(sym, "_lyap_solve_batch",
+                        lambda m_stack, rhs: 1.01 * good(m_stack, rhs))
+    with pytest.raises(StabilityMarginError, match="residual"):
+        solve_R_lyapunov(np.array([[-1.0, 0.5], [0.0, -2.0]]), 1.0)
+
+
 def _jordan(k):
     # M = [[-1, i k], [0, -1]]: unit margin, phase rate ~ k, transient ~ k
     m = np.array([[-1.0, 1j * k], [0.0, -1.0]])
@@ -228,12 +238,10 @@ def test_quadrature_field_matches_lyapunov_field():
     pre = get_preset("xdep")
     pr = plan(0, "lipschitz")
     xis = np.geomspace(4.0, 256.0, 4)
-    f1 = build_field(pre.coeffs, pr.params, [0.2], [0.0, 2.0], xis,
-                     method="lyapunov")
-    f2 = build_field(pre.coeffs, pr.params, [0.2], [0.0, 2.0], xis,
-                     method="quadrature")
+    f1 = build_field(pre.coeffs, pr.params, [0.2], [0.0, 2.0], xis)
+    quad = quadrature_R(f1.M, np.broadcast_to(f1.rhs_scales(), f1.M.shape[:-2]), tol=1e-8)
     rel = np.max(
-        np.linalg.norm(f1.R - f2.R, axis=(-2, -1))
+        np.linalg.norm(f1.R - quad, axis=(-2, -1))
         / np.linalg.norm(f1.R, axis=(-2, -1))
     )
     assert rel <= 1e-6
