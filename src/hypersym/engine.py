@@ -1,11 +1,11 @@
 """1-D periodic Fourier pseudodifferential engine.
 
 States live on a truncated integer frequency lattice with transforms
-normalized so Parseval holds with unit constant; operators are quantized by
-the Kohn-Nirenberg rule ``Op(p)u(x) = sum_xi e^{i x xi} p(x, xi) u_hat(xi)``
-on an oversampled physical grid (alias-free, then projected back onto the
-lattice).  A dense Fourier-basis operator matrix serves as the oracle for
-conjugation experiments.
+normalized so Parseval holds with unit constant.  Operators are quantized by
+the Kohn-Nirenberg rule ``Op(p)u(x) = sum_xi e^{i x xi} p(x, xi) u_hat(xi)``;
+for a trig-polynomial symbol this is exact on the lattice, one frequency
+shift per x-harmonic (:func:`shift_map`).  A dense Fourier-basis operator
+matrix serves as the oracle for conjugation experiments.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.coeffs import SystemCoefficients
-from hypersym.errors import AliasingError, BudgetError, WeightOverflowError
+from hypersym.errors import BudgetError, WeightOverflowError
 from hypersym.weights import bracket, bracket_pow, gevrey_weight
 
 DENSE_BUDGET = 512
@@ -89,19 +88,6 @@ class SpectralState:
     def scaled(self, alpha: complex) -> "SpectralState":
         return SpectralState(alpha * self.coeffs)
 
-    def to_csv(self, path) -> None:
-        lines = ["xi,component,re,im"]
-        xi = self.xi
-        for k in np.argsort(xi):
-            for c in range(self.m):
-                z = self.coeffs[c, k]
-                lines.append(f"{int(xi[k])},{c},{z.real!r},{z.imag!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def to_binary(self, path) -> None:
-        np.ascontiguousarray(self.coeffs).tofile(path)
-
 
 def weighted_norm(state: SpectralState, sigma: float, ell: float) -> float:
     """l2 norm of ``<xi>_ell^sigma u_hat`` over the lattice, all components."""
@@ -110,11 +96,20 @@ def weighted_norm(state: SpectralState, sigma: float, ell: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Symbols
+# Symbols and their exact quantization
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n - 1).bit_length())
+def shift_map(k: int, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice action of the x-harmonic ``e^{ikx}``: mode ``src`` moves to ``tgt``.
+
+    Positions are in FFT order; frequency xi goes to xi + k, and modes that
+    leave the lattice ``-N_x/2 .. N_x/2 - 1`` are dropped (the spectral
+    truncation of the engine).
+    """
+    xi = lattice(n_x).astype(int)
+    half = n_x // 2
+    src = np.flatnonzero((xi + k >= -half) & (xi + k <= half - 1))
+    return src, (xi[src] + k) % n_x
 
 
 @dataclass(frozen=True)
@@ -129,149 +124,25 @@ class TrigMatrixSymbol:
     m: int
     terms: tuple
 
-    @property
-    def x_band(self) -> int:
-        return max((abs(k) for k, _, _ in self.terms), default=0)
 
-    def eval(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Sample on the tensor grid; shape (len(x), len(xi), m, m)."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros((len(x), len(xi), self.m, self.m), dtype=complex)
-        for k, c, f in self.terms:
-            prof = np.ones(len(xi), dtype=complex) if f is None else np.asarray(
-                f(xi), dtype=complex
-            )
-            phase = np.exp(1j * k * x)
-            out += phase[:, None, None, None] * prof[None, :, None, None] * c[None, None]
-        return out
-
-    def sample(self, n_x: int, n_q: int | None = None) -> "SampledSymbol":
-        if n_q is None:
-            n_q = _next_pow2(2 * (self.x_band + n_x))
-        x = 2.0 * math.pi * np.arange(n_q) / n_q
-        xi = lattice(n_x)
-        return SampledSymbol(values=self.eval(x, xi), x_band=self.x_band)
-
-
-def symbol_from_coeffs(coeffs: SystemCoefficients, t: float) -> TrigMatrixSymbol:
-    """Generator symbol ``i A(t, x, xi) + B(t, x)`` at frozen time."""
-    terms = []
-    for k, c in sorted(coeffs.a_field.harmonic_matrices(t).items()):
-        terms.append((k, 1j * c, lambda xi: np.asarray(xi, dtype=complex)))
-    for k, c in sorted(coeffs.b_field.harmonic_matrices(t).items()):
-        terms.append((k, c, None))
-    return TrigMatrixSymbol(m=coeffs.m, terms=tuple(terms))
-
-
-@dataclass(frozen=True)
-class SampledSymbol:
-    """Matrix symbol sampled on (x_fine, xi_lattice).
-
-    ``values[q, k]`` is the m-by-m matrix at physical point x_q and lattice
-    frequency xi_k (FFT order).  The x-resolution must carry the Nyquist
-    margin ``n_q >= 2 (x_band + N_x)`` so quantization is alias-free.
-    """
-
-    values: np.ndarray  # (n_q, n_x, m, m)
-    x_band: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 4 or v.shape[2] != v.shape[3]:
-            raise ValueError("values must be (n_q, n_x, m, m)")
-        if v.shape[0] < 2 * (self.x_band + v.shape[1]):
-            raise AliasingError(
-                f"x-resolution {v.shape[0]} below Nyquist margin "
-                f">= {2 * (self.x_band + v.shape[1])}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_q(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_x(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[2]
-
-    def to_csv(self, path) -> None:
-        m = self.m
-        header = ["x_index", "xi"] + [
-            f"{p}_p{i}{j}" for i in range(m) for j in range(m) for p in ("re", "im")
-        ]
-        xi = lattice(self.n_x)
-        lines = [",".join(header)]
-        for q in range(self.n_q):
-            for k in range(self.n_x):
-                row = [str(q), str(int(xi[k]))]
-                for i in range(m):
-                    for j in range(m):
-                        z = self.values[q, k, i, j]
-                        row += [repr(z.real), repr(z.imag)]
-                lines.append(",".join(row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def quantize_kn(p: SampledSymbol, state: SpectralState) -> SpectralState:
-    """Kohn-Nirenberg action, evaluated alias-free and projected to the lattice.
-
-    For x-independent symbols this reduces to the multiplier action exactly;
-    output content beyond the lattice is the spectral truncation of the
-    engine and is discarded.
-    """
-    if p.n_x != state.n_x or p.m != state.m:
-        raise ValueError("symbol grid does not match state")
-    n_q = p.n_q
-    x = 2.0 * math.pi * np.arange(n_q) / n_q
-    phases = np.exp(1j * np.outer(x, state.xi))  # (n_q, n_x)
-    g = np.einsum("qkrc,ck->qkr", p.values, state.coeffs)
-    v_fine = np.einsum("qk,qkr->qr", phases, g)
-    hat_fine = np.fft.fft(v_fine, axis=0) / n_q  # (n_q, m)
-    idx = (state.xi.astype(int)) % n_q
-    return SpectralState(hat_fine[idx, :].T)
-
-
-def dense_operator_matrix(p: SampledSymbol) -> np.ndarray:
-    """Fourier-basis matrix of Op(p); flattening is component-major.
+def dense_operator_matrix(p: TrigMatrixSymbol, n_x: int) -> np.ndarray:
+    """Fourier-basis matrix of Op(p) on the lattice; flattening is component-major.
 
     Row/column index ``r * N_x + k`` pairs component r with the k-th lattice
-    frequency in FFT order; the (out, in) entry is the x-Fourier coefficient
-    of p at frequency ``xi_out - xi_in`` evaluated at xi_in.
+    frequency in FFT order.  Each term ``C f(xi) e^{ikx}`` adds
+    ``C f(xi_in)`` at (out, in) = (xi_in + k, xi_in), so the matrix is
+    exactly banded in ``xi_out - xi_in``.
     """
-    n_x, m = p.n_x, p.m
+    m = p.m
     if n_x > DENSE_BUDGET:
         raise BudgetError(f"dense operator limited to N_x <= {DENSE_BUDGET}")
-    n_q = p.n_q
-    p_hat = np.fft.fft(p.values, axis=0) / n_q  # (n_q, n_x, m, m) over x-freqs
-    xi = lattice(n_x).astype(int)
-    diff = xi[:, None] - xi[None, :]  # (out, in)
-    block = p_hat[diff % n_q, np.arange(n_x)[None, :], :, :]  # (out, in, m, m)
-    # A trig symbol is exactly banded in x-frequency: entries beyond the band
-    # are pure FFT roundoff and must not survive (exponential weights applied
-    # downstream would amplify them).
-    block = np.where((np.abs(diff) <= p.x_band)[:, :, None, None], block, 0.0)
-    dense = np.transpose(block, (2, 0, 3, 1)).reshape(m * n_x, m * n_x)
-    return dense
-
-
-def state_to_vector(state: SpectralState) -> np.ndarray:
-    return state.coeffs.reshape(-1)
-
-
-def hermitian_form(p: SampledSymbol, state: SpectralState) -> float:
-    """Energy pairing ``Re <Op(p) v, v>`` (the hermitian-part quadratic form).
-
-    For x-independent hermitian symbols this equals
-    ``sum_xi u_hat(xi)* p(xi) u_hat(xi)`` exactly.
-    """
-    w = quantize_kn(p, state)
-    return float(np.real(np.sum(w.coeffs * np.conj(state.coeffs))))
+    xi = lattice(n_x)
+    block = np.zeros((n_x, n_x, m, m), dtype=complex)  # (out, in, m, m)
+    for k, c, f in p.terms:
+        src, tgt = shift_map(k, n_x)
+        prof = np.ones(n_x) if f is None else np.asarray(f(xi), dtype=complex)
+        block[tgt, src] += prof[src, None, None] * c
+    return np.transpose(block, (2, 0, 3, 1)).reshape(m * n_x, m * n_x)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +231,7 @@ def conjugation_remainder_probe(
             shrunk = True
             if tau_used < 1e-8:
                 raise
-    sampled = a.sample(n_x)
-    exact = dense_operator_matrix(sampled)
+    exact = dense_operator_matrix(a, n_x)
     w_diag = np.tile(w_vals, a.m)
     exact = exact * w_diag[:, None] / w_diag[None, :]
 
@@ -376,7 +246,7 @@ def conjugation_remainder_probe(
     rows = []
     for k in sorted(k_list):
         bk = conjugated_symbol_bk(a, tau_used, rho, ell, k)
-        approx = dense_operator_matrix(bk.sample(n_x))
+        approx = dense_operator_matrix(bk, n_x)
         delta = exact - approx
         centers = np.array([c for c, _ in bands])
         norms = np.array(

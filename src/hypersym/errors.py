@@ -25,10 +25,6 @@ class NotRealRootedError(HypersymError):
     """Polynomial claimed real-rooted has roots off the real axis."""
 
 
-class AliasingError(HypersymError):
-    """Sampled symbol grid too coarse for alias-free quantization."""
-
-
 class BudgetError(HypersymError):
     """Memory or iteration budget exceeded."""
 

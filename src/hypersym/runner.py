@@ -125,6 +125,20 @@ def validate_config(config: dict) -> dict:
     return config
 
 
+def _lattice_size(config: dict) -> int:
+    n_x = config.get("n_lattice", 256)
+    if n_x < 2 or n_x & (n_x - 1):
+        raise ConfigError(f"n_lattice must be a power of two >= 2, got {n_x}")
+    return n_x
+
+
+def _positive_list(config: dict, key: str, default: list) -> list:
+    values = config.get(key, default)
+    if not values or min(values) <= 0:
+        raise ConfigError(f"{key} must be a nonempty list of positive numbers")
+    return values
+
+
 def _resolve_coeffs(config: dict) -> tuple[SystemCoefficients, int | None, str]:
     if "preset" in config:
         try:
@@ -242,6 +256,7 @@ def run_params(
 
 
 def _solve_setup(config: dict):
+    n_x = _lattice_size(config)
     coeffs, theta_decl, name = _resolve_coeffs(config)
     mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
     kappa = Fraction(coeffs.kappa).limit_denominator(100) if coeffs.kappa else None
@@ -253,7 +268,6 @@ def _solve_setup(config: dict):
     s = config.get("s", 0.5 * (1.0 + s0))
     if not s < s0:
         raise ConfigError(f"data index s = {s} must be below s0 = {s0}")
-    n_x = config.get("n_lattice", 256)
     big_t = float(params.T)
     c0_min = 1.2 * big_t * float(bracket(n_x / 2, float(params.ell))) ** float(params.rho) \
         / float(bracket(n_x / 2, 1.0)) ** (1.0 / s)
@@ -359,11 +373,13 @@ def _cmd_nuij(config: dict) -> dict:
 
 
 def _cmd_symmetrize(config: dict) -> dict:
+    n_xi = config.get("n_xi", 9)
+    if n_xi < 1:
+        raise ConfigError(f"n_xi must be positive, got {n_xi}")
     coeffs, theta_decl, name = _resolve_coeffs(config)
     cal = calibrate(coeffs, theta_decl)
     params = run_params(coeffs, cal.theta, cal=cal)
-    xis = np.geomspace(config.get("xi_lo", 2.0**4), config.get("xi_hi", 2.0**12),
-                       config.get("n_xi", 9))
+    xis = np.geomspace(config.get("xi_lo", 2.0**4), config.get("xi_hi", 2.0**12), n_xi)
     ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
     xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 5), endpoint=False)
     field = symmetrizer.build_field(coeffs, params, ts, xs, xis)
@@ -405,7 +421,9 @@ def _cmd_conjtest(config: dict) -> dict:
     rho = config.get("rho", 0.75)
     ell = config.get("ell", 1.0)
     tau = config.get("tau", 1.5)
-    n_x = config.get("n_lattice", 256)
+    n_x = _lattice_size(config)
+    if not ell > 0:
+        raise ConfigError(f"ell must be positive, got {ell}")
     k_list = config.get("k_list", [0, 1, 2])
     m_eye = np.eye(1)
     if config.get("order_one", True):
@@ -447,17 +465,20 @@ def _cmd_plan(config: dict) -> dict:
 
 
 def _cmd_solve(config: dict, out_dir: str | None) -> dict:
+    stride = config.get("stride", 8)
+    if stride < 1:
+        raise ConfigError(f"stride must be positive, got {stride}")
     coeffs, name, params, problem, cal = _solve_setup(config)
     res = solver.solve_cauchy(
         problem, params,
         h=config.get("h", 1.0 / float(params.ell)),
         eps_par=config.get("eps_par", 0.0),
         dt=config.get("dt"),
-        stride=config.get("stride", 8),
+        stride=stride,
     )
     tr = res.trace
     eta = res.dt**2 + 1e-8
-    stride_eta = eta * config.get("stride", 8)
+    stride_eta = eta * stride
     increments = tr.increments[1:]
     if tr.er_mode == "skipped" or not len(increments):
         # x-dependent coefficients: the monotone-energy gate only applies
@@ -502,7 +523,7 @@ def _cmd_solve(config: dict, out_dir: str | None) -> dict:
 
 
 def _cmd_study_h(config: dict) -> dict:
-    h_list = config.get("h_list", [1 / 64, 1 / 128, 1 / 256])
+    h_list = _positive_list(config, "h_list", [1 / 64, 1 / 128, 1 / 256])
     config = dict(config)
     config.setdefault("ell", 1.0 / max(h_list))
     coeffs, name, params, problem, cal = _solve_setup(config)
@@ -521,8 +542,8 @@ def _cmd_study_h(config: dict) -> dict:
 
 
 def _cmd_study_parabolic(config: dict) -> dict:
+    eps_list = _positive_list(config, "eps_list", [1e-2, 1e-3, 1e-4])
     coeffs, name, params, problem, cal = _solve_setup(config)
-    eps_list = config.get("eps_list", [1e-2, 1e-3, 1e-4])
     st = solver.parabolic_study(problem, params, eps_list, dt=config.get("dt"),
                                 h=config.get("h"))
     return {

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients, eval_time_term
-from hypersym.engine import SpectralState, lattice, weighted_norm
+from hypersym.engine import SpectralState, lattice, shift_map, weighted_norm
 from hypersym.errors import ConfigError, InconclusiveError, NumericAbortError
 from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
@@ -92,8 +92,9 @@ class TruncatedGenerator:
     """Applies ``chi(hD) (i A(t,x,D) + B(t,x)) chi(hD) - eps_par |D|^2``.
 
     Trig-polynomial coefficients act in coefficient space by exact frequency
-    shifts, which coincides with alias-free Kohn-Nirenberg quantization
-    projected to the lattice.
+    shifts (:func:`engine.shift_map`), which is their Kohn-Nirenberg
+    quantization on the lattice.  At each time the terms collapse per
+    x-harmonic k into one product ``[A_k(t) | B_k(t)] @ [i xi v ; v]``.
     """
 
     def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float):
@@ -105,54 +106,36 @@ class TruncatedGenerator:
         self.xi = xi
         self.chi = smooth_cutoff(self.h * xi) if self.h > 0 else np.ones(n_x)
         self.heat = eps_par * xi**2
-        # per-harmonic shift index maps
-        self._shifts = {}
-        ks = set()
-        for term in coeffs.a_field.terms + coeffs.b_field.terms:
-            ks.add(term.x_freq)
-        half = n_x // 2
-        for k in ks:
-            src = np.where((xi + k >= -half) & (xi + k <= half - 1))[0]
-            tgt = ((xi[src].astype(int) + k) % n_x).astype(int)
-            self._shifts[k] = (src, tgt)
-        self._a_terms = [(t.x_freq, t.matrix, t.t_term) for t in coeffs.a_field.terms]
-        self._b_terms = [(t.x_freq, t.matrix, t.t_term) for t in coeffs.b_field.terms]
+        ks = {term.x_freq for term in coeffs.a_field.terms + coeffs.b_field.terms}
+        self._shifts = {k: shift_map(k, n_x) for k in sorted(ks)}
 
     def lam_bound(self, t_hi: float) -> float:
         """Stability scale: sup over modes of ||iA(xi)|| + eps |xi|^2."""
         ts = np.linspace(0.0, max(t_hi, 1e-9), 33)
-        a_sup = 0.0
-        b_sup = 0.0
-        for t in ts:
-            a_sup = max(
-                a_sup,
-                sum(
-                    np.linalg.norm(mat, 2) * abs(float(eval_time_term(tt, t)))
-                    for _, mat, tt in self._a_terms
-                ),
-            )
-            b_sup = max(
-                b_sup,
-                sum(
-                    np.linalg.norm(mat, 2) * abs(float(eval_time_term(tt, t)))
-                    for _, mat, tt in self._b_terms
-                ),
-            )
+
+        def sup(fld):
+            # per-term triangle bound, so that it holds at every x
+            return max(sum(np.linalg.norm(term.matrix, 2)
+                           * abs(float(eval_time_term(term.t_term, t)))
+                           for term in fld.terms) for t in ts)
+
         xi_max = self.n_x / 2.0
-        return a_sup * xi_max + b_sup + self.eps_par * xi_max**2
+        return (sup(self.coeffs.a_field) * xi_max + sup(self.coeffs.b_field)
+                + self.eps_par * xi_max**2)
 
     def apply(self, t: float, coeffs_hat: np.ndarray) -> np.ndarray:
         v = coeffs_hat * self.chi[None, :]
+        ops = self.coeffs.a_field.harmonic_matrices(t)
+        vv = 1j * self.xi[None, :] * v
+        b_k = self.coeffs.b_field.harmonic_matrices(t)
+        if b_k:  # stack [A_k | B_k] against [i xi v ; v]
+            zero = np.zeros((self.coeffs.m, self.coeffs.m))
+            ops = {k: np.concatenate([ops.get(k, zero), b_k.get(k, zero)], axis=1)
+                   for k in self._shifts}
+            vv = np.concatenate([vv, v])
         out = np.zeros_like(coeffs_hat)
-        dv = 1j * self.xi[None, :] * v
-        for k, mat, tt in self._a_terms:
-            src, tgt = self._shifts[k]
-            g = float(eval_time_term(tt, t))
-            out[:, tgt] += g * (mat @ dv[:, src])
-        for k, mat, tt in self._b_terms:
-            src, tgt = self._shifts[k]
-            g = float(eval_time_term(tt, t))
-            out[:, tgt] += g * (mat @ v[:, src])
+        for k, (src, tgt) in self._shifts.items():
+            out[:, tgt] += ops[k] @ vv[:, src]
         out *= self.chi[None, :]
         if self.eps_par:
             out -= self.heat[None, :] * coeffs_hat
@@ -230,14 +213,10 @@ def gevrey_radius_fit(state: SpectralState, s: float,
     """
     xi = state.xi
     amp = np.linalg.norm(state.coeffs, axis=0)
-    pos = np.argsort(np.abs(xi), kind="stable")
     # fold +-xi to |xi| taking the max amplitude
-    folded = {}
-    for idx in pos:
-        key = abs(int(xi[idx]))
-        folded[key] = max(folded.get(key, 0.0), float(amp[idx]))
-    ks = np.array(sorted(folded))
-    vals = np.array([folded[k] for k in ks])
+    ks = np.arange(state.n_x // 2 + 1)
+    vals = np.zeros(ks.size)
+    np.maximum.at(vals, np.abs(xi).astype(int), amp)
     peak = float(np.max(vals))
     band = (vals > max(noise_floor, 1e-300)) & (vals < 0.5 * peak) & (ks > 0)
     if np.count_nonzero(band) < 5:

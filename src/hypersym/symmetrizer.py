@@ -332,31 +332,6 @@ class SymmetrizerField:
             "n_nodes": int(np.prod(r.shape[:-2])),
         }
 
-    def to_csv(self, path) -> None:
-        m = self.R.shape[-1]
-        cols = ["t", "x", "xi", "min_eig"]
-        for i in range(m):
-            for j in range(m):
-                cols += [f"re_R{i}{j}", f"im_R{i}{j}"]
-        lines = [",".join(cols)]
-        mineig = np.linalg.eigvalsh(self.R).min(axis=-1)
-        for it, t in enumerate(self.t_nodes):
-            for ix, x in enumerate(self.x_nodes):
-                for ik, xi in enumerate(self.xi_nodes):
-                    rr = self.R[it, ix, ik]
-                    row = [repr(float(t)), repr(float(x)), repr(float(xi)),
-                           repr(float(mineig[it, ix, ik]))]
-                    for i in range(m):
-                        for j in range(m):
-                            row += [repr(rr[i, j].real), repr(rr[i, j].imag)]
-                    lines.append(",".join(row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def to_binary(self, path) -> None:
-        """Row-major complex128 dump of R, shape (nt, nx, nxi, m, m)."""
-        np.ascontiguousarray(self.R).tofile(path)
-
 
 def build_field(
     coeffs: SystemCoefficients,
@@ -617,10 +592,11 @@ def mollify_path(
 ) -> MollifiedSymmetrizer:
     """Discrete time-mollification ``<xi>^delta int R(s) chi((t-s)<xi>^delta) ds``.
 
-    ``r_path`` has shape (nt,) + node_shape + (m, m) and ``bracket_vals``
-    broadcasts over node_shape.  Weights are renormalized to unit mass so a
-    time-constant path is reproduced exactly; refuses paths sampled more
-    coarsely than a quarter of the narrowest kernel width.
+    ``ts`` is ascending, ``r_path`` has shape (nt,) + node_shape + (m, m)
+    and ``bracket_vals`` broadcasts over node_shape.  Weights are
+    renormalized to unit mass so a time-constant path is reproduced exactly;
+    refuses paths sampled more coarsely than a quarter of the narrowest
+    kernel width.
     """
     ts = np.asarray(ts, dtype=float)
     eval_ts = np.atleast_1d(np.asarray(eval_ts, dtype=float))
@@ -638,13 +614,16 @@ def mollify_path(
     node_shape = r_path.shape[1:-2]
     m = r_path.shape[-1]
     out = np.empty((len(eval_ts),) + node_shape + (m, m), dtype=complex)
-    arg_shape = (len(ts),) + node_shape
+    # the kernel vanishes beyond the widest width, so only that slice of ts counts
+    lo = np.searchsorted(ts, eval_ts - np.max(widths), side="left")
+    hi = np.searchsorted(ts, eval_ts + np.max(widths), side="right")
     for ie, t in enumerate(eval_ts):
-        u = (t - ts).reshape((len(ts),) + (1,) * len(node_shape)) / widths[None]
-        w = poly_bump(np.broadcast_to(u, arg_shape))
+        near = slice(lo[ie], hi[ie])
+        u = (t - ts[near]).reshape((-1,) + (1,) * len(node_shape)) / widths[None]
+        w = poly_bump(np.broadcast_to(u, u.shape[:1] + node_shape))
         norm = np.sum(w, axis=0)
         w = w / np.where(norm == 0, 1.0, norm)
-        out[ie] = np.einsum("t...,t...ij->...ij", w, r_path)
+        out[ie] = np.einsum("t...,t...ij->...ij", w, r_path[near])
     return MollifiedSymmetrizer(eval_ts=eval_ts, values=out, delta=float(delta))
 
 

@@ -59,6 +59,15 @@ def test_wrong_type_rejected(cfg):
     ["theta", "--preset", "diag_sym", {"eps_lo": 1e-2, "eps_hi": 1e-1}],
     ["nuij", "--seed", "0", {"s_values": [0.0]}],
     ["nuij", "--seed", "0", {"s_values": []}],
+    ["conjtest", {"n_lattice": 0}],
+    ["conjtest", {"n_lattice": -4}],
+    ["conjtest", {"ell": 0}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"n_lattice": 100}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"n_lattice": 0}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"stride": 0}],
+    ["study-h", "--preset", "xdep", "--seed", "0", {"h_list": []}],
+    ["study-parabolic", "--preset", "xdep", "--seed", "0", {"eps_list": []}],
+    ["symmetrize", "--preset", "diag_sym", {"n_xi": 0}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     if isinstance(argv[-1], dict):  # a config part goes through a file

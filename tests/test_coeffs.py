@@ -99,3 +99,16 @@ def test_constant_system():
     assert cs.x_band == 0
     np.testing.assert_allclose(cs.eval_a(5.0, 2.0), [[0, 1], [1, 0]])
     assert cs.eval_b(0.0, 0.0).shape == (2, 2)
+
+
+def test_harmonic_matrices_sum_to_field():
+    # the truncated generator collapses the terms per x-harmonic at each
+    # time; summed back over e^{ikx} they must give A(t, x) itself
+    from hypersym.presets import get_preset
+
+    a_field = get_preset("xdep").coeffs.a_field
+    for t, x in ((0.3, 0.7), (1.1, -2.0)):
+        a_k = a_field.harmonic_matrices(t)
+        assert sorted(a_k) == [-1, 0, 1]
+        total = sum(c * np.exp(1j * k * x) for k, c in a_k.items())
+        np.testing.assert_allclose(total, a_field.dx(t, x, 0), atol=1e-13)

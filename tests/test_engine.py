@@ -4,27 +4,33 @@ import numpy as np
 import pytest
 
 from hypersym.engine import (
-    SampledSymbol,
     SpectralState,
     TrigMatrixSymbol,
     conjugated_symbol_bk,
     conjugation_remainder_probe,
     dense_operator_matrix,
-    hermitian_form,
     lattice,
-    quantize_kn,
-    state_to_vector,
-    symbol_from_coeffs,
     weighted_norm,
 )
-from hypersym.coeffs import constant_system
-from hypersym.errors import AliasingError, BudgetError, WeightOverflowError
+from hypersym.errors import BudgetError, WeightOverflowError
 from hypersym.weights import bracket, bracket_pow, gevrey_weight
+from kn_reference import kn_apply, symbol_values
 
 
 def _random_state(m=2, n=64, seed=0):
     rng = np.random.default_rng(seed)
     return SpectralState(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+
+
+def _op(sym, st):
+    """The engine's quantization Op(sym) applied to a state (dense matrix)."""
+    vec = dense_operator_matrix(sym, st.n_x) @ st.coeffs.reshape(-1)
+    return SpectralState(vec.reshape(st.m, st.n_x))
+
+
+def _form(sym, st):
+    """Energy pairing ``Re <Op(sym) u, u>``."""
+    return float(np.real(np.vdot(st.coeffs, _op(sym, st).coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +103,7 @@ def test_weighted_norm_examples():
 def test_quantize_constant_symbol_identity():
     st = _random_state()
     sym = TrigMatrixSymbol(m=2, terms=((0, np.eye(2), None),))
-    out = quantize_kn(sym.sample(st.n_x), st)
+    out = _op(sym, st)
     assert np.max(np.abs(out.coeffs - st.coeffs)) <= 1e-12
 
 
@@ -110,7 +116,7 @@ def test_quantize_x_only_symbol_is_pointwise_multiplication():
     coeffs[0, -20:] = rng.normal(size=20)
     st = SpectralState(coeffs)
     sym = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
-    out = quantize_kn(sym.sample(n), st)
+    out = _op(sym, st)
     x = 2 * np.pi * np.arange(n) / n
     expected = np.exp(1j * x)[None, :] * st.to_physical()
     assert np.max(np.abs(out.to_physical() - expected)) <= 1e-10
@@ -123,7 +129,7 @@ def test_quantize_ixi_is_spectral_derivative():
     sym = TrigMatrixSymbol(
         m=1, terms=((0, np.eye(1), lambda xi: 1j * np.asarray(xi, complex)),)
     )
-    out = quantize_kn(sym.sample(n), st).to_physical()
+    out = _op(sym, st).to_physical()
     assert np.max(np.abs(out - (-3 * np.sin(3 * x))[None, :])) <= 1e-10
 
 
@@ -132,7 +138,7 @@ def test_quantize_x_independent_matches_multiplier():
     sym = TrigMatrixSymbol(
         m=2, terms=((0, np.eye(2), lambda xi: bracket(xi, 2.0).astype(complex)),)
     )
-    q = quantize_kn(sym.sample(st.n_x), st)
+    q = _op(sym, st)
     mult = st.coeffs * bracket_pow(st.xi, 2.0, 1.0)
     assert np.max(np.abs(q.coeffs - mult)) <= 1e-12 * np.max(np.abs(mult))
 
@@ -140,8 +146,6 @@ def test_quantize_x_independent_matches_multiplier():
 def test_quantize_differential_symbol_product_rule():
     # p = A1(x) * (i xi) against physical-space A1(x) d_x u
     n = 128
-    cs = constant_system(np.array([[0.0]]))  # placeholder for m
-    x_fine = None
     rng = np.random.default_rng(6)
     band = 20
     coeffs = np.zeros((1, n), dtype=complex)
@@ -156,16 +160,11 @@ def test_quantize_differential_symbol_product_rule():
             (-1, np.eye(1) * a1 / 2.0, lambda xi: 1j * np.asarray(xi, complex)),
         ),
     )
-    out = quantize_kn(sym.sample(n), st).to_physical()
+    out = _op(sym, st).to_physical()
     x = 2 * np.pi * np.arange(n) / n
     du = SpectralState(st.coeffs * (1j * st.xi)[None, :]).to_physical()
     expected = np.cos(x)[None, :] * du
     assert np.max(np.abs(out - expected)) <= 1e-8
-
-
-def test_sampled_symbol_nyquist_enforced():
-    with pytest.raises(AliasingError):
-        SampledSymbol(values=np.zeros((64, 64, 1, 1), dtype=complex), x_band=1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +173,7 @@ def test_sampled_symbol_nyquist_enforced():
 
 def test_dense_identity():
     sym = TrigMatrixSymbol(m=1, terms=((0, np.eye(1), None),))
-    d = dense_operator_matrix(sym.sample(16))
+    d = dense_operator_matrix(sym, 16)
     np.testing.assert_allclose(d, np.eye(16), atol=1e-13)
 
 
@@ -182,7 +181,7 @@ def test_dense_block_diagonal_for_multiplier():
     sym = TrigMatrixSymbol(
         m=2, terms=((0, np.array([[1.0, 2.0], [0.5, -1.0]]), None),)
     )
-    d = dense_operator_matrix(sym.sample(8))
+    d = dense_operator_matrix(sym, 8)
     # component blocks carry the constant matrix entries on their diagonals
     np.testing.assert_allclose(np.diag(d[:8, :8]), np.ones(8), atol=1e-13)
     np.testing.assert_allclose(np.diag(d[:8, 8:]), 2 * np.ones(8), atol=1e-13)
@@ -192,7 +191,7 @@ def test_dense_block_diagonal_for_multiplier():
 def test_dense_shift_structure():
     sym = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
     n = 16
-    d = dense_operator_matrix(sym.sample(n))
+    d = dense_operator_matrix(sym, n)
     xi = lattice(n).astype(int)
     for j, xin in enumerate(xi):
         col = d[:, j]
@@ -212,16 +211,15 @@ def test_dense_matches_quantize_on_random_symbol():
     )
     sym = TrigMatrixSymbol(m=2, terms=terms)
     st = _random_state(m=2, n=32, seed=8)
-    sampled = sym.sample(32)
-    v1 = dense_operator_matrix(sampled) @ state_to_vector(st)
-    v2 = state_to_vector(quantize_kn(sampled, st))
+    v1 = dense_operator_matrix(sym, 32) @ st.coeffs.reshape(-1)
+    v2 = kn_apply(sym, st.coeffs).reshape(-1)
     assert np.max(np.abs(v1 - v2)) <= 1e-10 * max(1.0, np.max(np.abs(v1)))
 
 
 def test_dense_budget():
     sym = TrigMatrixSymbol(m=1, terms=((0, np.eye(1), None),))
     with pytest.raises(BudgetError):
-        dense_operator_matrix(sym.sample(1024))
+        dense_operator_matrix(sym, 1024)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +229,7 @@ def test_dense_budget():
 def test_hermitian_form_identity_symbol():
     st = _random_state()
     sym = TrigMatrixSymbol(m=2, terms=((0, np.eye(2), None),))
-    val = hermitian_form(sym.sample(st.n_x), st)
+    val = _form(sym, st)
     assert val == pytest.approx(st.norm() ** 2)
 
 
@@ -240,14 +238,14 @@ def test_hermitian_form_diagonal_single_mode():
     coeffs[0, 3] = 1.5
     st = SpectralState(coeffs)
     sym = TrigMatrixSymbol(m=2, terms=((0, np.diag([2.0, 0.0]), None),))
-    assert hermitian_form(sym.sample(32), st) == pytest.approx(2 * 1.5**2)
+    assert _form(sym, st) == pytest.approx(2 * 1.5**2)
 
 
 def test_hermitian_form_positive_lower_bound():
     st = _random_state()
     p = np.array([[2.0, 0.5], [0.5, 1.0]])
     sym = TrigMatrixSymbol(m=2, terms=((0, p, None),))
-    val = hermitian_form(sym.sample(st.n_x), st)
+    val = _form(sym, st)
     min_eig = np.min(np.linalg.eigvalsh(p))
     assert val >= min_eig * st.norm() ** 2 - 1e-10
     assert val > 0
@@ -262,7 +260,7 @@ def test_conjugated_bk_zeroth_order_is_symbol():
     b0 = conjugated_symbol_bk(sym, 0.7, 0.75, 2.0, 0)
     xi = lattice(32)
     np.testing.assert_allclose(
-        b0.eval(np.array([0.3]), xi), sym.eval(np.array([0.3]), xi), atol=1e-14
+        symbol_values(b0, [0.3], xi), symbol_values(sym, [0.3], xi), atol=1e-14
     )
 
 
@@ -273,7 +271,7 @@ def test_conjugated_bk_x_independent_unchanged():
     bk = conjugated_symbol_bk(sym, 0.7, 0.75, 2.0, 3)
     xi = lattice(32)
     np.testing.assert_allclose(
-        bk.eval(np.array([0.0]), xi), sym.eval(np.array([0.0]), xi), atol=1e-13
+        symbol_values(bk, [0.0], xi), symbol_values(sym, [0.0], xi), atol=1e-13
     )
 
 
@@ -285,7 +283,7 @@ def test_conjugated_bk_first_order_hand_value():
     xi = lattice(32)
     x = np.array([0.9])
     expected = np.exp(1j * 0.9) * (1.0 + tau * rho * xi * bracket(xi, ell) ** (rho - 2))
-    got = b1.eval(x, xi)[0, :, 0, 0]
+    got = symbol_values(b1, x, xi)[0, :, 0, 0]
     np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
@@ -318,43 +316,10 @@ def test_remainder_tau_shrinks_on_overflow():
     assert rep.tau_used < 100.0
 
 
-def test_symbol_from_coeffs_matches_generator():
-    from hypersym.presets import get_preset
-
-    pre = get_preset("xdep")
-    sym = symbol_from_coeffs(pre.coeffs, t=0.3)
-    xi = lattice(16)
-    vals = sym.eval(np.array([0.7]), xi)
-    a = pre.coeffs.eval_a(0.3, 0.7)
-    np.testing.assert_allclose(vals[0, 3], 1j * a * xi[3], atol=1e-13)
-
-
-def test_state_serialization(tmp_path):
-    st = _random_state(m=2, n=16, seed=9)
-    csv_path = tmp_path / "state.csv"
-    bin_path = tmp_path / "state.bin"
-    st.to_csv(csv_path)
-    st.to_binary(bin_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "xi,component,re,im"
-    assert len(lines) == 1 + 16 * 2
-    raw = np.fromfile(bin_path, dtype=np.complex128).reshape(2, 16)
-    np.testing.assert_array_equal(raw, st.coeffs)
-
-
-def test_sampled_symbol_csv(tmp_path):
-    sym = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
-    sampled = sym.sample(8)
-    path = tmp_path / "symbol.csv"
-    sampled.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("x_index,xi,re_p00")
-    assert len(lines) == 1 + sampled.n_q * sampled.n_x
-
-
 def test_hermitian_form_x_dependent_matches_dense():
-    # x-dependent hermitian symbol: the form equals the quadratic form of
-    # the hermitian part of the dense operator matrix
+    # x-dependent hermitian symbol: the form of the oversampled-grid
+    # reference equals the quadratic form of the hermitian part of the
+    # dense operator matrix
     sym = TrigMatrixSymbol(
         m=1,
         terms=((0, 2.0 * np.eye(1), None),
@@ -362,10 +327,9 @@ def test_hermitian_form_x_dependent_matches_dense():
                (-1, 0.5 * np.eye(1), None)),
     )  # p(x, xi) = 2 + cos x, hermitian-valued
     st = _random_state(m=1, n=32, seed=12)
-    sampled = sym.sample(32)
-    val = hermitian_form(sampled, st)
-    d = dense_operator_matrix(sampled)
-    v = state_to_vector(st)
+    val = float(np.real(np.vdot(st.coeffs, kn_apply(sym, st.coeffs))))
+    d = dense_operator_matrix(sym, 32)
+    v = st.coeffs.reshape(-1)
     quad = np.real(v.conj() @ ((d + d.conj().T) / 2.0) @ v)
     assert val == pytest.approx(quad, rel=1e-12)
     assert abs(val - np.real(val)) == 0.0

@@ -218,6 +218,23 @@ def test_radius_fit_gaussian():
     assert c_fit > 0
 
 
+def test_radius_fit_folds_by_max_amplitude():
+    # +-xi fold to |xi| keeping the larger amplitude; the dict loop it
+    # replaced is the reference, and the fit must not see which side held it
+    n = 256
+    xi = lattice(n)
+    amp = np.exp(-2.0 * np.hypot(xi, 1.0) ** (1.0 / 1.5))
+    amp *= np.random.default_rng(31).uniform(0.5, 1.0, n)
+    folded = {}
+    for i in np.argsort(np.abs(xi), kind="stable"):
+        key = abs(int(xi[i]))
+        folded[key] = max(folded.get(key, 0.0), float(amp[i]))
+    one_sided = np.zeros(n)
+    one_sided[list(folded)] = list(folded.values())  # |xi| = n/2 sits at xi = -n/2
+    assert gevrey_radius_fit(SpectralState(amp[None, :]), 1.5) == \
+        gevrey_radius_fit(SpectralState(one_sided[None, :]), 1.5)
+
+
 def test_radius_fit_requires_tail():
     st = _single_mode(64, 1, 2)
     with pytest.raises(InconclusiveError):
@@ -318,12 +335,13 @@ def test_numeric_abort_carries_last_time():
 
 
 def test_generator_matches_quantized_symbol():
-    # the term-shift application must equal alias-free Kohn-Nirenberg
-    # quantization of i A + B projected to the lattice, with cutoffs applied
+    # the term-shift application, collapsed per x-harmonic, must equal the
+    # oversampled-grid Kohn-Nirenberg quantization of i A + B projected to
+    # the lattice, with cutoffs applied
     from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, \
         cosine_terms, sine_terms
-    from hypersym.engine import quantize_kn, symbol_from_coeffs
     from hypersym.weights import smooth_cutoff
+    from kn_reference import generator_symbol, kn_apply
 
     a_terms = [CoeffTerm(0, "1", np.array([[0.0, 1.0], [0.25, 0.0]], dtype=complex))]
     a_terms += cosine_terms(1, np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex))
@@ -331,18 +349,28 @@ def test_generator_matches_quantized_symbol():
     b_terms = cosine_terms(1, np.array([[0.0, 0.2], [0.2, 0.0]], dtype=complex))
     cs = SystemCoefficients(m=2, a_field=MatrixField(2, a_terms),
                             b_field=MatrixField(2, b_terms))
+    # "1" and "t" terms at one harmonic, plus a B term at another
+    two_t = SystemCoefficients(
+        m=2,
+        a_field=MatrixField(2, [
+            CoeffTerm(1, "1", np.array([[0.3, 1.0], [0.0, -0.2]], dtype=complex)),
+            CoeffTerm(1, "t", np.array([[0.0, 0.5], [0.7, 0.1]], dtype=complex)),
+        ]),
+        b_field=MatrixField(2, [
+            CoeffTerm(-2, "1", np.array([[0.4, 0.0], [0.2, -0.3]], dtype=complex)),
+        ]),
+    )
     rng = np.random.default_rng(23)
     st = SpectralState(rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64)))
     h = 1.0 / 8.0
-    out = TruncatedGenerator(cs, st.n_x, h, 0.0).apply(0.0, st.coeffs)
-    sym = symbol_from_coeffs(cs, t=0.0)
     chi = smooth_cutoff(h * st.xi)
-    inner = SpectralState(st.coeffs * chi[None, :])
-    quantized = quantize_kn(sym.sample(64), inner)
-    expected = quantized.coeffs * chi[None, :]
-    assert np.max(np.abs(out - expected)) <= 1e-11 * max(
-        1.0, np.max(np.abs(expected))
-    )
+    for coeffs, t in ((cs, 0.0), (two_t, 0.37)):
+        out = TruncatedGenerator(coeffs, st.n_x, h, 0.0).apply(t, st.coeffs)
+        quantized = kn_apply(generator_symbol(coeffs, t), st.coeffs * chi[None, :])
+        expected = quantized * chi[None, :]
+        assert np.max(np.abs(out - expected)) <= 1e-11 * max(
+            1.0, np.max(np.abs(expected))
+        )
 
 
 def test_certificate_rejects_fat_tails():

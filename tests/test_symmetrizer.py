@@ -26,7 +26,7 @@ from hypersym.symmetrizer import (
     solve_R_lyapunov,
     symbol_estimate_probe,
 )
-from hypersym.weights import bracket, bracket_pow
+from hypersym.weights import bracket, bracket_pow, poly_bump
 
 
 def _params(theta=0, rho=0.5, a=2.0, ell=4.0, tau=0.5, big_t=2.0):
@@ -332,6 +332,23 @@ def test_mollify_constant_path_identity():
         assert np.max(np.abs(mol.values[i] - r0[None])) <= 1e-8
 
 
+def test_mollify_matches_full_kernel_sum():
+    # only the path times within the widest width of an eval time are
+    # summed; the sum over every path time is the reference
+    ts = np.linspace(-1.0, 2.0, 1600)
+    rng = np.random.default_rng(4)
+    path = (np.cos(np.outer(ts, rng.uniform(1.0, 9.0, 3)))[:, :, None, None]
+            * rng.normal(size=(3, 2, 2)))
+    br = np.array([4.0, 16.0, 64.0])
+    widths = br ** -1.0
+    eval_ts = [0.0, 0.37, 1.0]
+    mol = mollify_path(ts, path, br, delta=1.0, eval_ts=eval_ts)
+    for i, t in enumerate(eval_ts):
+        w = poly_bump((t - ts)[:, None] / widths[None, :])
+        expected = np.einsum("tn,tnij->nij", w / w.sum(axis=0), path)
+        assert np.max(np.abs(mol.values[i] - expected)) <= 1e-14
+
+
 def test_mollify_rejects_coarse_path():
     ts = np.linspace(-1.0, 2.0, 12)
     path = np.broadcast_to(np.eye(2), (len(ts), 1, 2, 2)).copy()
@@ -448,20 +465,6 @@ def test_mollified_minus_plain_lipschitz_scaling():
     if np.count_nonzero(good) >= 3:
         slope = float(np.polyfit(np.log(br[good]), np.log(vals[good]), 1)[0])
         assert slope <= target + 0.15
-
-
-def test_field_serialization(tmp_path):
-    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    p = _params()
-    field = build_field(cs, p, [0.0, 0.5], [0.0], [4.0, 16.0])
-    csv_path = tmp_path / "field.csv"
-    bin_path = tmp_path / "field.bin"
-    field.to_csv(csv_path)
-    field.to_binary(bin_path)
-    header = csv_path.read_text().splitlines()[0]
-    assert header.startswith("t,x,xi,min_eig,re_R00")
-    raw = np.fromfile(bin_path, dtype=np.complex128).reshape(field.R.shape)
-    np.testing.assert_array_equal(raw, field.R)
 
 
 def test_lattice_generator_matches_pointwise():
