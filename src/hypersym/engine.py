@@ -104,7 +104,9 @@ def shift_map(k: int, n_x: int) -> tuple[np.ndarray, np.ndarray]:
 
     Positions are in FFT order; frequency xi goes to xi + k, and modes that
     leave the lattice ``-N_x/2 .. N_x/2 - 1`` are dropped (the spectral
-    truncation of the engine).
+    truncation of the engine).  Assumes an even (power-of-two) lattice, as
+    :class:`SpectralState` does: for odd N_x the lattice holds +N_x//2 and
+    this map would drop it.
     """
     xi = lattice(n_x).astype(int)
     half = n_x // 2

@@ -93,8 +93,9 @@ class TruncatedGenerator:
 
     Trig-polynomial coefficients act in coefficient space by exact frequency
     shifts (:func:`engine.shift_map`), which is their Kohn-Nirenberg
-    quantization on the lattice.  At each time the terms collapse per
-    x-harmonic k into one product ``[A_k(t) | B_k(t)] @ [i xi v ; v]``.
+    quantization on the lattice.  At each time the terms of each field
+    collapse per x-harmonic k, so ``A_k(t) @ (i xi v)`` and ``B_k(t) @ v``
+    are one product each.
     """
 
     def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float):
@@ -125,17 +126,12 @@ class TruncatedGenerator:
 
     def apply(self, t: float, coeffs_hat: np.ndarray) -> np.ndarray:
         v = coeffs_hat * self.chi[None, :]
-        ops = self.coeffs.a_field.harmonic_matrices(t)
-        vv = 1j * self.xi[None, :] * v
-        b_k = self.coeffs.b_field.harmonic_matrices(t)
-        if b_k:  # stack [A_k | B_k] against [i xi v ; v]
-            zero = np.zeros((self.coeffs.m, self.coeffs.m))
-            ops = {k: np.concatenate([ops.get(k, zero), b_k.get(k, zero)], axis=1)
-                   for k in self._shifts}
-            vv = np.concatenate([vv, v])
         out = np.zeros_like(coeffs_hat)
-        for k, (src, tgt) in self._shifts.items():
-            out[:, tgt] += ops[k] @ vv[:, src]
+        for fld, w in ((self.coeffs.a_field, 1j * self.xi[None, :] * v),
+                       (self.coeffs.b_field, v)):
+            for k, mat in fld.harmonic_matrices(t).items():
+                src, tgt = self._shifts[k]
+                out[:, tgt] += mat @ w[:, src]
         out *= self.chi[None, :]
         if self.eps_par:
             out -= self.heat[None, :] * coeffs_hat
