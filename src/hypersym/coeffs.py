@@ -25,33 +25,38 @@ _ABS_RE = re.compile(r"^\|t\|\^([0-9.]+)$")
 _LAC_RE = re.compile(r"^lacunary\(\s*([0-9.]+)\s*,\s*(\d+)\s*\)$")
 
 
-def eval_time_term(term: str, t) -> np.ndarray:
-    """Evaluate one time-grammar expression at t (scalar or array)."""
-    t = np.asarray(t, dtype=float)
+def time_function(term: str):
+    """Compile one time-grammar expression to a vectorized function of t.
+
+    The returned callable takes t as a scalar or an array and returns an
+    array of the same shape; the string is parsed here, once.
+    """
     term = term.strip()
     if term == "1":
-        return np.ones_like(t)
-    if term == "t":
-        return t.copy()
-    m = _POW_RE.match(term)
-    if m:
-        return t ** int(m.group(1))
-    m = _ABS_RE.match(term)
-    if m:
-        return np.abs(t) ** float(m.group(1))
-    m = _LAC_RE.match(term)
-    if m:
+        g = np.ones_like
+    elif term == "t":
+        g = np.copy
+    elif m := _POW_RE.match(term):
+        p = int(m.group(1))
+
+        def g(t):
+            return t**p
+    elif m := _ABS_RE.match(term):
+        q = float(m.group(1))
+
+        def g(t):
+            return np.abs(t) ** q
+    elif m := _LAC_RE.match(term):
         kappa, levels = float(m.group(1)), int(m.group(2))
-        out = np.zeros_like(t)
-        for j in range(levels):
-            out += 2.0 ** (-kappa * j) * np.cos((2.0**j) * t)
-        return out
-    raise ConfigError(f"unrecognized time term {term!r}")
 
-
-def _validate_time_term(term: str) -> str:
-    eval_time_term(term, 0.0)
-    return term.strip()
+        def g(t):
+            out = np.zeros_like(t)
+            for j in range(levels):
+                out += 2.0 ** (-kappa * j) * np.cos((2.0**j) * t)
+            return out
+    else:
+        raise ConfigError(f"unrecognized time term {term!r}")
+    return lambda t: g(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -61,12 +66,13 @@ class CoeffTerm:
     x_freq: int
     t_term: str
     matrix: np.ndarray  # complex (m, m), read-only
+    g: object = field(init=False, repr=False, compare=False)  # compiled t_term
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        _validate_time_term(self.t_term)
+        object.__setattr__(self, "g", time_function(self.t_term))
 
 
 class MatrixField:
@@ -91,17 +97,21 @@ class MatrixField:
         for term in self.terms:
             out += (
                 term.matrix
-                * float(eval_time_term(term.t_term, t))
+                * float(term.g(t))
                 * (term.x_freq**order)
                 * np.exp(1j * term.x_freq * x)
             )
         return out
 
-    def harmonic_matrices(self, t: float) -> dict[int, np.ndarray]:
-        """Collapse the t-dependence: {k: sum of C*g(t) over terms at k}."""
+    def harmonic_matrices(self, ts) -> dict[int, np.ndarray]:
+        """Collapse the t-dependence: {k: sum of C*g(ts) over terms at k}.
+
+        ``ts`` is a scalar or a 1-D array; each value is an (n_t, m, m) stack.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out: dict[int, np.ndarray] = {}
         for term in self.terms:
-            c = term.matrix * float(eval_time_term(term.t_term, t))
+            c = term.matrix * term.g(ts)[:, None, None]
             if term.x_freq in out:
                 out[term.x_freq] = out[term.x_freq] + c
             else:
@@ -191,7 +201,7 @@ def _field_from_json(m: int, entries: list) -> MatrixField:
             raise ConfigError("entry grid does not match matrix size")
         for j in range(m):
             for item in entries[i][j]:
-                key = (int(item["x_freq"]), _validate_time_term(item["t_term"]))
+                key = (int(item["x_freq"]), item["t_term"].strip())
                 if key not in collected:
                     collected[key] = np.zeros((m, m), dtype=complex)
                 collected[key][i, j] += item["re"] + 1j * item.get("im", 0.0)

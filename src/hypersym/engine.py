@@ -99,19 +99,17 @@ def weighted_norm(state: SpectralState, sigma: float, ell: float) -> float:
 # Symbols and their exact quantization
 
 
-def shift_map(k: int, n_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice action of the x-harmonic ``e^{ikx}``: mode ``src`` moves to ``tgt``.
+def shift_map(k: int, n: int) -> tuple[slice, slice]:
+    """Action of the x-harmonic ``e^{ikx}`` on n consecutive frequencies.
 
-    Positions are in FFT order; frequency xi goes to xi + k, and modes that
-    leave the lattice ``-N_x/2 .. N_x/2 - 1`` are dropped (the spectral
-    truncation of the engine).  Assumes an even (power-of-two) lattice, as
-    :class:`SpectralState` does: for odd N_x the lattice holds +N_x//2 and
-    this map would drop it.
+    Positions count the frequencies in ascending (centered) order: the
+    whole lattice ``-N_x/2 .. N_x/2 - 1``, or the active band of the
+    truncated generator.  Frequency xi goes to xi + k, so position p goes
+    to p + k; modes that leave the range are dropped (the spectral
+    truncation of the engine).  Returns the ``src`` and ``tgt`` slices.
     """
-    xi = lattice(n_x).astype(int)
-    half = n_x // 2
-    src = np.flatnonzero((xi + k >= -half) & (xi + k <= half - 1))
-    return src, (xi[src] + k) % n_x
+    keep = max(0, n - abs(k))
+    return slice(max(0, -k), max(0, -k) + keep), slice(max(0, k), max(0, k) + keep)
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,10 @@ def dense_operator_matrix(p: TrigMatrixSymbol, n_x: int) -> np.ndarray:
     if n_x > DENSE_BUDGET:
         raise BudgetError(f"dense operator limited to N_x <= {DENSE_BUDGET}")
     xi = lattice(n_x)
+    fft_pos = (np.arange(n_x) - n_x // 2) % n_x  # of each centered position
     block = np.zeros((n_x, n_x, m, m), dtype=complex)  # (out, in, m, m)
     for k, c, f in p.terms:
-        src, tgt = shift_map(k, n_x)
+        src, tgt = (fft_pos[s] for s in shift_map(k, n_x))
         prof = np.ones(n_x) if f is None else np.asarray(f(xi), dtype=complex)
         block[tgt, src] += prof[src, None, None] * c
     return np.transpose(block, (2, 0, 3, 1)).reshape(m * n_x, m * n_x)

@@ -257,6 +257,9 @@ def run_params(
 
 def _solve_setup(config: dict):
     n_x = _lattice_size(config)
+    for key in ("dt", "horizon", "s"):
+        if key in config and not config[key] > 0:
+            raise ConfigError(f"{key} must be positive, got {config[key]}")
     coeffs, theta_decl, name = _resolve_coeffs(config)
     mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
     kappa = Fraction(coeffs.kappa).limit_denominator(100) if coeffs.kappa else None
@@ -321,9 +324,11 @@ def _cmd_certify(config: dict) -> dict:
 
 def _cmd_theta(config: dict) -> dict:
     coeffs, theta_decl, name = _resolve_coeffs(config)
+    n_eps = config.get("n_eps", 9)
+    if n_eps < 2:
+        raise ConfigError(f"n_eps must be at least 2 to span a range, got {n_eps}")
     try:
-        eps = np.geomspace(config.get("eps_lo", 1e-3), config.get("eps_hi", 1e-1),
-                           config.get("n_eps", 9))
+        eps = np.geomspace(config.get("eps_lo", 1e-3), config.get("eps_hi", 1e-1), n_eps)
         ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
         xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 5), endpoint=False)
         te = matkernel.estimate_theta(coeffs, eps, t_values=ts, x_values=xs)
@@ -373,9 +378,10 @@ def _cmd_nuij(config: dict) -> dict:
 
 
 def _cmd_symmetrize(config: dict) -> dict:
+    for key, default in (("n_xi", 9), ("n_t", 4), ("n_x", 5)):
+        if config.get(key, default) < 1:
+            raise ConfigError(f"{key} must be positive, got {config[key]}")
     n_xi = config.get("n_xi", 9)
-    if n_xi < 1:
-        raise ConfigError(f"n_xi must be positive, got {n_xi}")
     coeffs, theta_decl, name = _resolve_coeffs(config)
     cal = calibrate(coeffs, theta_decl)
     params = run_params(coeffs, cal.theta, cal=cal)
@@ -468,11 +474,16 @@ def _cmd_solve(config: dict, out_dir: str | None) -> dict:
     stride = config.get("stride", 8)
     if stride < 1:
         raise ConfigError(f"stride must be positive, got {stride}")
+    eps_par = config.get("eps_par", 0.0)
+    if not eps_par >= 0:
+        # a negative regularization is anti-dissipative, and lam_bound's
+        # stability scale would no longer bound the step
+        raise ConfigError(f"eps_par must be nonnegative, got {eps_par}")
     coeffs, name, params, problem, cal = _solve_setup(config)
     res = solver.solve_cauchy(
         problem, params,
         h=config.get("h", 1.0 / float(params.ell)),
-        eps_par=config.get("eps_par", 0.0),
+        eps_par=eps_par,
         dt=config.get("dt"),
         stride=stride,
     )

@@ -6,6 +6,15 @@ snapshots (mathematically identical for diagnostics, and it keeps symbol
 quantization out of the time loop).  The symmetrizer energy is rebuilt at
 every sample time with the running window ``tau = T - a t``; in Hoelder mode
 the mollified symmetrizer takes its place.
+
+Only the active band, the modes with chi(h xi) > 0, goes through RK4.  Off
+it chi = 0, the generator is ``-eps_par xi^2``, and one RK4 step multiplies
+each mode by ``1 + z + z^2/2 + z^3/6 + z^4/24`` with ``z = -dt eps_par xi^2``
+(exactly 1 when eps_par = 0); likewise ``M = -a <xi>^rho I`` there, so
+``R = I/2`` exactly and Lyapunov solves run on band nodes only.  A forced
+run evolves the whole lattice, since the forcing drives every mode.  The
+full state is assembled at sample times and at the end.  The time
+coefficients of every RK4 stage are evaluated once, before the loop.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hypersym.coeffs import SystemCoefficients, eval_time_term
+from hypersym.coeffs import SystemCoefficients
 from hypersym.engine import SpectralState, lattice, shift_map, weighted_norm
 from hypersym.errors import ConfigError, InconclusiveError, NumericAbortError
 from hypersym.planner import validate_params
@@ -89,26 +98,50 @@ class CauchyProblem:
 
 
 class TruncatedGenerator:
-    """Applies ``chi(hD) (i A(t,x,D) + B(t,x)) chi(hD) - eps_par |D|^2``.
+    """Applies ``chi(hD) (i A(t,x,D) + B(t,x)) chi(hD) - eps_par |D|^2`` on a band.
 
-    Trig-polynomial coefficients act in coefficient space by exact frequency
-    shifts (:func:`engine.shift_map`), which is their Kohn-Nirenberg
-    quantization on the lattice.  At each time the terms of each field
-    collapse per x-harmonic k, so ``A_k(t) @ (i xi v)`` and ``B_k(t) @ v``
-    are one product each.
+    The band is the modes with chi(h xi) > 0, the contiguous range
+    |xi| < 1/h (chi decreases in |xi|), or the whole lattice when
+    ``whole_lattice`` is set.  Band states are (m, n_band) arrays in
+    centered order: column j holds frequency ``xi[j]``, found at FFT
+    position ``index[j]`` of a lattice state.  Trig-polynomial coefficients
+    act by exact frequency shifts (:func:`engine.shift_map`), which is their
+    Kohn-Nirenberg quantization; on the band each x-harmonic k is a pair of
+    slices.  The terms of each field collapse per harmonic, so
+    ``A_k(t) @ (i xi v)`` and ``B_k(t) @ v`` are one product each, with the
+    matrices evaluated once by :meth:`compile` for the times a solve uses.
     """
 
-    def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float):
+    def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float,
+                 whole_lattice: bool = False):
         self.coeffs = coeffs
         self.n_x = n_x
         self.h = float(h)
         self.eps_par = float(eps_par)
-        xi = lattice(n_x)
-        self.xi = xi
-        self.chi = smooth_cutoff(self.h * xi) if self.h > 0 else np.ones(n_x)
-        self.heat = eps_par * xi**2
-        ks = {term.x_freq for term in coeffs.a_field.terms + coeffs.b_field.terms}
-        self._shifts = {k: shift_map(k, n_x) for k in sorted(ks)}
+        xi = np.arange(-(n_x // 2), n_x - n_x // 2, dtype=float)
+        chi = smooth_cutoff(self.h * xi) if self.h > 0 else np.ones(n_x)
+        band = slice(None) if whole_lattice else chi > 0
+        self.xi = xi[band]
+        self.chi = chi[band]
+        self.index = self.xi.astype(int) % n_x
+        self.heat = self.eps_par * self.xi**2
+        self._i_xi = 1j * self.xi
+        self._rows: dict = {}
+        self._terms: list = []
+
+    def compile(self, ts) -> None:
+        """Evaluate the harmonic matrices at every time in ``ts`` once.
+
+        :meth:`apply` accepts exactly these times.  Each term is (src, tgt,
+        (n_t, m, m) stack, whether it acts on ``i xi v``), one per harmonic.
+        """
+        ts = np.unique(np.asarray(ts, dtype=float))
+        self._rows = {t: i for i, t in enumerate(ts.tolist())}
+        n = len(self.xi)
+        self._terms = [(*shift_map(k, n), stack, on_a)
+                       for on_a, fld in ((True, self.coeffs.a_field),
+                                         (False, self.coeffs.b_field))
+                       for k, stack in fld.harmonic_matrices(ts).items()]
 
     def lam_bound(self, t_hi: float) -> float:
         """Stability scale: sup over modes of ||iA(xi)|| + eps |xi|^2."""
@@ -116,30 +149,29 @@ class TruncatedGenerator:
 
         def sup(fld):
             # per-term triangle bound, so that it holds at every x
-            return max(sum(np.linalg.norm(term.matrix, 2)
-                           * abs(float(eval_time_term(term.t_term, t)))
-                           for term in fld.terms) for t in ts)
+            return float(np.max(sum((np.linalg.norm(term.matrix, 2) * np.abs(term.g(ts))
+                                     for term in fld.terms), np.zeros(ts.size))))
 
         xi_max = self.n_x / 2.0
         return (sup(self.coeffs.a_field) * xi_max + sup(self.coeffs.b_field)
                 + self.eps_par * xi_max**2)
 
     def apply(self, t: float, coeffs_hat: np.ndarray) -> np.ndarray:
-        v = coeffs_hat * self.chi[None, :]
-        out = np.zeros_like(coeffs_hat)
-        for fld, w in ((self.coeffs.a_field, 1j * self.xi[None, :] * v),
-                       (self.coeffs.b_field, v)):
-            for k, mat in fld.harmonic_matrices(t).items():
-                src, tgt = self._shifts[k]
-                out[:, tgt] += mat @ w[:, src]
-        out *= self.chi[None, :]
+        """The generator at a compiled time t on a band state (m, n_band)."""
+        row = self._rows[t]
+        v = coeffs_hat * self.chi
+        w_a = self._i_xi * v
+        out = np.zeros(coeffs_hat.shape, dtype=complex)
+        for src, tgt, stack, on_a in self._terms:
+            out[:, tgt] += stack[row] @ (w_a if on_a else v)[:, src]
+        out *= self.chi
         if self.eps_par:
-            out -= self.heat[None, :] * coeffs_hat
+            out -= self.heat * coeffs_hat
         return out
 
 
-def step_rk4(rhs, state: SpectralState, t: float, dt: float,
-             lam_max: float | None = None) -> SpectralState:
+def step_rk4(rhs, u: np.ndarray, t: float, dt: float,
+             lam_max: float | None = None) -> np.ndarray:
     """Classical four-stage explicit step for ``du/dt = rhs(t, u)``.
 
     Refuses steps beyond the stability budget ``dt <= 2.5 / lam_max``.
@@ -149,12 +181,11 @@ def step_rk4(rhs, state: SpectralState, t: float, dt: float,
             f"dt = {dt:.3g} violates the stability budget 2.5/Lambda = "
             f"{2.5 / lam_max:.3g}"
         )
-    u = state.coeffs
     k1 = rhs(t, u)
     k2 = rhs(t + dt / 2.0, u + dt / 2.0 * k1)
     k3 = rhs(t + dt / 2.0, u + dt / 2.0 * k2)
     k4 = rhs(t + dt, u + dt * k3)
-    return SpectralState(u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +299,9 @@ def solve_cauchy(
             f"{1.0 / float(params.ell)}"
         )
     n_x = problem.g.n_x
-    gen = TruncatedGenerator(coeffs, n_x, h, eps_par)
+    # the forcing drives every mode, so a forced run evolves the whole lattice
+    gen = TruncatedGenerator(coeffs, n_x, h, eps_par,
+                             whole_lattice=problem.forcing is not None)
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
     if dt is None:
         dt = min(0.5 / lam, problem.horizon / 8.0)
@@ -282,16 +315,26 @@ def solve_cauchy(
     rho = float(params.rho)
     ell = float(params.ell)
     xi = lattice(n_x)
-    chi2 = gen.chi**2
     # up-front overflow probe for the largest weight in the run
     gevrey_weight(xi, big_t, rho, ell)
+    # every RK4 stage time, computed as step_rk4 computes it
+    step_ts = np.arange(n_steps) * dt
+    gen.compile(np.concatenate([step_ts, step_ts + dt / 2.0, step_ts + dt]))
 
-    def r_multiplier(t: float) -> np.ndarray:
-        # R(t, xi) of the cutoff generator for x-independent coefficients,
-        # with the running window tau = T - a t substituted into H_N
-        m_stack, rhs = damped_generator(coeffs, replace(params, tau=big_t - a * t),
-                                        t, 0.0, xi, chi2)
-        return _lyap_solve_batch(m_stack, rhs)
+    # R is solved where chi > 0; elsewhere M = -a <xi>^rho I, so R = I/2.
+    active = gen.chi > 0
+    r_index, r_xi, r_chi2 = gen.index[active], gen.xi[active], gen.chi[active] ** 2
+
+    def r_generator(t: float):
+        # damped generator of the cutoff problem for x-independent
+        # coefficients, with the running window tau = T - a t in H_N
+        return damped_generator(coeffs, replace(params, tau=big_t - a * t),
+                                t, 0.0, r_xi, r_chi2)
+
+    def r_lattice(r_band: np.ndarray) -> np.ndarray:
+        r = np.tile(np.eye(coeffs.m, dtype=complex) / 2.0, (n_x, 1, 1))
+        r[r_index] = r_band
+        return r
 
     x_independent = coeffs.x_band == 0
     use_molly = coeffs.t_regularity == "holder" and params.delta is not None
@@ -311,16 +354,19 @@ def solve_cauchy(
             t_lo = -width_max * 1.05
             t_hi = problem.horizon + width_max * 1.05
             path_ts = np.arange(t_lo, t_hi + dt_path, dt_path)
-            r_path = np.stack([r_multiplier(float(tp)) for tp in path_ts])
-            molly = mollify_path(path_ts, r_path, br, delta, np.asarray(sample_times))
-            molly_values = molly.values  # (n_samples, n_xi, m, m)
+            gens = [r_generator(float(tp)) for tp in path_ts]
+            r_path = _lyap_solve_batch(np.stack([g[0] for g in gens]),
+                                       np.stack([g[1] for g in gens]))
+            molly = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta,
+                                 np.asarray(sample_times))
+            molly_values = molly.values  # (n_samples, n_active, m, m)
         else:
             er_mode = "multiplier"
 
-    def rhs(t, coeffs_hat):
-        out = gen.apply(t, coeffs_hat)
+    def rhs(t, band_hat):
+        out = gen.apply(t, band_hat)
         if problem.forcing is not None:
-            out = out + problem.forcing(t).coeffs
+            out = out + problem.forcing(t).coeffs[:, gen.index]
         return out
 
     sigmas = _sigma_values(params)
@@ -343,9 +389,9 @@ def solve_cauchy(
             for s in f_norms:
                 f_norms[s].append(weighted_norm(ft, s, ell))
         if er_mode == "multiplier":
-            r_here = r_multiplier(t)
+            r_here = r_lattice(_lyap_solve_batch(*r_generator(t)))
         elif er_mode == "mollified":
-            r_here = molly_values[idx]
+            r_here = r_lattice(molly_values[idx])
         else:
             r_here = None
         if r_here is None:
@@ -362,20 +408,35 @@ def solve_cauchy(
         else:
             gevrey_cs.append(float("nan"))
 
-    u = problem.g
+    # Off the band the generator is -eps_par xi^2, so one RK4 step multiplies
+    # each mode by 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2
+    # (exactly 1 when eps_par = 0).
+    u0 = problem.g.coeffs
+    off_index = np.setdiff1d(np.arange(n_x), gen.index)
+    band, off = u0[:, gen.index], u0[:, off_index]
+    z = -dt * gen.eps_par * xi[off_index] ** 2
+    amp = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+    def assemble() -> SpectralState:
+        full = np.empty_like(u0)
+        full[:, gen.index] = band
+        full[:, off_index] = off
+        return SpectralState(full)
+
     t = 0.0
-    sample(0, t, u)
+    sample(0, t, problem.g)
     next_sample = 1
     for k in range(n_steps):
-        u = step_rk4(rhs, u, t, dt, lam_max=lam)
+        band = step_rk4(rhs, band, t, dt, lam_max=lam)
+        off = off * amp
         t = (k + 1) * dt
-        peak = float(np.max(np.abs(u.coeffs)))
+        peak = np.maximum(np.max(np.abs(band)), np.max(np.abs(off), initial=0.0))
         if not np.isfinite(peak):
             raise NumericAbortError(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
             )
         if next_sample < len(sample_times) and t >= sample_times[next_sample] - 1e-12:
-            sample(next_sample, t, u)
+            sample(next_sample, t, assemble())
             next_sample += 1
 
     times = np.asarray(times_list)
@@ -403,7 +464,7 @@ def solve_cauchy(
         times=times,
         states=states,
         trace=trace,
-        final=u,
+        final=assemble(),
     )
 
 

@@ -160,6 +160,11 @@ def damped_generator(
 # Lyapunov solve and quadrature oracle
 
 
+# Nodes per dense solve in _lyap_solve_batch: the m^2 x m^2 systems take
+# 16 m^4 bytes a node, several copies at once, so long stacks go in chunks.
+_LYAP_CHUNK = 4096
+
+
 def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale: np.ndarray) -> np.ndarray:
     """Solve ``M* R + R M = -rhs I`` for a stack of matrices.
 
@@ -172,14 +177,15 @@ def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale: np.ndarray) -> np.ndarray:
     flat = m_stack.reshape(-1, m, m)
     rhs = np.broadcast_to(np.asarray(rhs_scale, dtype=float), lead).reshape(-1)
     eye = np.eye(m)
-    mstar = flat.conj().transpose(0, 2, 1)
-    # Row-major vec: K[(i,j),(k,l)] = M*[i,k] delta[j,l] + delta[i,k] M[l,j]
-    k1 = np.einsum("nik,jl->nijkl", mstar, eye)
-    k2 = np.einsum("ik,njl->nijkl", eye, flat.transpose(0, 2, 1))
-    op = (k1 + k2).reshape(-1, m * m, m * m)
-    b = (-rhs[:, None] * np.eye(m).reshape(1, -1)).astype(complex)
-    vec = np.linalg.solve(op, b[:, :, None])[:, :, 0]
-    r = vec.reshape(-1, m, m)
+    r = np.empty_like(flat)
+    for lo in range(0, len(flat), _LYAP_CHUNK):
+        part = flat[lo:lo + _LYAP_CHUNK]
+        # Row-major vec: K[(i,j),(k,l)] = M*[i,k] delta[j,l] + delta[i,k] M[l,j]
+        op = np.einsum("nik,jl->nijkl", part.conj().transpose(0, 2, 1), eye)
+        op += np.einsum("ik,njl->nijkl", eye, part.transpose(0, 2, 1))
+        b = (-rhs[lo:lo + _LYAP_CHUNK, None] * eye.reshape(1, -1)).astype(complex)
+        r[lo:lo + _LYAP_CHUNK] = np.linalg.solve(op.reshape(-1, m * m, m * m),
+                                                 b[:, :, None]).reshape(-1, m, m)
     r = (r + r.conj().transpose(0, 2, 1)) / 2.0
     return r.reshape(*lead, m, m)
 

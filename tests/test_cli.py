@@ -68,6 +68,15 @@ def test_wrong_type_rejected(cfg):
     ["study-h", "--preset", "xdep", "--seed", "0", {"h_list": []}],
     ["study-parabolic", "--preset", "xdep", "--seed", "0", {"eps_list": []}],
     ["symmetrize", "--preset", "diag_sym", {"n_xi": 0}],
+    ["symmetrize", "--preset", "diag_sym", {"n_t": 0}],
+    ["symmetrize", "--preset", "diag_sym", {"n_x": 0}],
+    ["theta", "--preset", "diag_sym", {"n_eps": 0}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"dt": 0}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": -1}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"horizon": 0}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"s": 0}],
+    ["study-h", "--preset", "xdep", "--seed", "0", {"dt": 0}],
+    ["study-parabolic", "--preset", "xdep", "--seed", "0", {"dt": 0}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     if isinstance(argv[-1], dict):  # a config part goes through a file
@@ -160,10 +169,16 @@ def test_criterion_failure_maps_to_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_maps_to_exit_3(tmp_path):
+    # the zero-order term B = 300 grows the state like e^{300 t}, out of
+    # the double range before t = 2.4 < horizon (a negative eps_par, which
+    # did this before, is now refused as a config error)
+    one = [[[{"x_freq": 0, "t_term": "1", "re": 1.0}]]]
+    amplify = [[[{"x_freq": 0, "t_term": "1", "re": 300.0}]]]
     cfg = {"command": "solve", "schema_version": "1", "seed": 3,
-           "preset": "xdep", "n_lattice": 64, "eps_par": -40.0,
-           "dt": 0.012, "stride": 4}
+           "coeffs": {"m": 1, "A": one, "B": amplify}, "n_lattice": 64,
+           "horizon": 3.0, "stride": 4}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path)]) == 3

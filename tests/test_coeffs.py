@@ -13,24 +13,33 @@ from hypersym.coeffs import (
     coeffs_to_json,
     constant_system,
     cosine_terms,
-    eval_time_term,
     sine_terms,
+    time_function,
 )
 from hypersym.errors import ConfigError
 
 
 def test_time_grammar():
-    assert eval_time_term("1", 3.0) == 1.0
-    assert eval_time_term("t", 3.0) == 3.0
-    assert eval_time_term("t^2", 3.0) == 9.0
-    assert eval_time_term("|t|^0.5", 4.0) == 2.0
-    lac = eval_time_term("lacunary(0.5,3)", 0.0)
+    assert time_function("1")(3.0) == 1.0
+    assert time_function("t")(3.0) == 3.0
+    assert time_function("t^2")(3.0) == 9.0
+    assert time_function("|t|^0.5")(4.0) == 2.0
+    lac = time_function("lacunary(0.5,3)")(0.0)
     assert lac == pytest.approx(1 + 2**-0.5 + 2**-1.0)
+
+
+def test_time_function_vectorized_matches_scalar_calls():
+    ts = np.array([-1.3, 0.0, 0.37, 2.5])
+    for term in ("1", "t", " t^3 ", "|t|^0.5", "lacunary(0.5, 12)"):
+        g = time_function(term)
+        np.testing.assert_array_equal(g(ts), [float(g(float(t))) for t in ts])
 
 
 def test_time_grammar_rejects_unknown():
     with pytest.raises(ConfigError):
-        eval_time_term("exp(t)", 1.0)
+        time_function("exp(t)")
+    with pytest.raises(ConfigError):
+        CoeffTerm(0, "exp(t)", np.eye(1))
 
 
 def test_trig_evaluation_and_derivatives():
@@ -107,8 +116,9 @@ def test_harmonic_matrices_sum_to_field():
     from hypersym.presets import get_preset
 
     a_field = get_preset("xdep").coeffs.a_field
-    for t, x in ((0.3, 0.7), (1.1, -2.0)):
-        a_k = a_field.harmonic_matrices(t)
-        assert sorted(a_k) == [-1, 0, 1]
-        total = sum(c * np.exp(1j * k * x) for k, c in a_k.items())
+    ts = (0.3, 1.1)
+    a_k = a_field.harmonic_matrices(ts)  # one (n_t, m, m) stack per harmonic
+    assert sorted(a_k) == [-1, 0, 1]
+    for i, (t, x) in enumerate(zip(ts, (0.7, -2.0))):
+        total = sum(c[i] * np.exp(1j * k * x) for k, c in a_k.items())
         np.testing.assert_allclose(total, a_field.dx(t, x, 0), atol=1e-13)

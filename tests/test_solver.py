@@ -20,6 +20,7 @@ from hypersym.solver import (
     step_rk4,
 )
 from hypersym.symmetrizer import ParameterSet
+from hypersym.weights import smooth_cutoff
 
 
 def _single_mode(n, m, mode, comp=0, value=1.0):
@@ -36,23 +37,31 @@ def _single_mode(n, m, mode, comp=0, value=1.0):
 def test_rhs_constant_diagonal_no_cutoff():
     cs = constant_system(np.diag([1.0, -2.0]))
     st = _single_mode(32, 2, 5)
-    out = TruncatedGenerator(cs, st.n_x, 0.0, 0.0).apply(0.0, st.coeffs)
+    gen = TruncatedGenerator(cs, st.n_x, 0.0, 0.0)
+    gen.compile([0.0])
+    out = gen.apply(0.0, st.coeffs[:, gen.index])
     # i A(xi) u_hat per mode: component 0 gets i * 1 * 5
-    np.testing.assert_allclose(out[0], 5j * st.coeffs[0], atol=1e-14)
+    np.testing.assert_allclose(out[0], 5j * st.coeffs[0, gen.index], atol=1e-14)
 
 
 def test_rhs_pure_heat():
     cs = constant_system(np.zeros((1, 1)))
     st = _single_mode(32, 1, 4)
-    out = TruncatedGenerator(cs, st.n_x, 0.0, 0.3).apply(0.0, st.coeffs)
-    np.testing.assert_allclose(out, -0.3 * 16.0 * st.coeffs, atol=1e-14)
+    gen = TruncatedGenerator(cs, st.n_x, 0.0, 0.3)
+    gen.compile([0.0])
+    out = gen.apply(0.0, st.coeffs[:, gen.index])
+    np.testing.assert_allclose(out, -0.3 * 16.0 * st.coeffs[:, gen.index], atol=1e-14)
 
 
 def test_rhs_cutoff_annihilates_high_modes():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     st = _single_mode(64, 2, 30)
-    out = TruncatedGenerator(cs, st.n_x, 1.0 / 8.0, 0.0).apply(0.0, st.coeffs)
-    # mode 30 is beyond the cutoff support 1/h = 8
+    # mode 30 is beyond the cutoff support 1/h = 8: outside the active band,
+    # and annihilated by chi when the whole lattice is evolved
+    assert 30 not in TruncatedGenerator(cs, st.n_x, 1.0 / 8.0, 0.0).xi
+    gen = TruncatedGenerator(cs, st.n_x, 1.0 / 8.0, 0.0, whole_lattice=True)
+    gen.compile([0.0])
+    out = gen.apply(0.0, st.coeffs[:, gen.index])
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -62,16 +71,16 @@ def test_rhs_cutoff_annihilates_high_modes():
 
 def test_rk4_zero_rhs():
     st = _single_mode(16, 1, 2)
-    out = step_rk4(lambda t, u: np.zeros_like(u), st, 0.0, 0.1)
-    np.testing.assert_array_equal(out.coeffs, st.coeffs)
+    out = step_rk4(lambda t, u: np.zeros_like(u), st.coeffs, 0.0, 0.1)
+    np.testing.assert_array_equal(out, st.coeffs)
 
 
 def test_rk4_scalar_amplification_polynomial():
     st = _single_mode(16, 1, 0, value=1.0)
     dt = 0.3
-    out = step_rk4(lambda t, u: -u, st, 0.0, dt)
+    out = step_rk4(lambda t, u: -u, st.coeffs, 0.0, dt)
     expected = 1 - dt + dt**2 / 2 - dt**3 / 6 + dt**4 / 24
-    assert out.coeffs[0, 0].real == pytest.approx(expected, rel=1e-14)
+    assert out[0, 0].real == pytest.approx(expected, rel=1e-14)
 
 
 def test_rk4_matches_matrix_exponential_order():
@@ -79,14 +88,15 @@ def test_rk4_matches_matrix_exponential_order():
     a1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     cs = constant_system(a1)
     st = _single_mode(16, 2, 3)
-    idx = int(np.where(lattice(16).astype(int) == 3)[0][0])
+    gen = TruncatedGenerator(cs, 16, 0.0, 0.0)
+    idx = int(np.where(gen.xi == 3)[0][0])
     errs = []
     dts = [0.1, 0.05, 0.025]
     for dt in dts:
-        gen = TruncatedGenerator(cs, 16, 0.0, 0.0)
-        out = step_rk4(lambda t, u: gen.apply(t, u), st, 0.0, dt)
-        exact = matrix_exp(1j * a1 * 3.0 * dt) @ st.coeffs[:, [idx]]
-        errs.append(np.max(np.abs(out.coeffs[:, [idx]] - exact)))
+        gen.compile([0.0, dt / 2.0, dt])
+        out = step_rk4(gen.apply, st.coeffs[:, gen.index], 0.0, dt)
+        exact = matrix_exp(1j * a1 * 3.0 * dt) @ st.coeffs[:, [gen.index[idx]]]
+        errs.append(np.max(np.abs(out[:, [idx]] - exact)))
     order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert order >= 4.5
 
@@ -94,7 +104,7 @@ def test_rk4_matches_matrix_exponential_order():
 def test_rk4_budget_refused():
     st = _single_mode(16, 1, 0)
     with pytest.raises(ConfigError):
-        step_rk4(lambda t, u: -u, st, 0.0, 1.0, lam_max=10.0)
+        step_rk4(lambda t, u: -u, st.coeffs, 0.0, 1.0, lam_max=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +337,82 @@ def test_numeric_abort_carries_last_time():
     params = _quick_params()
     g = gevrey_data(64, 2, 2.0, 1.5, seed=18)
     prob = CauchyProblem(cs, g, horizon=2.0)
-    # anti-dissipative regularization blows up fast
+    # anti-dissipative regularization blows up fast, off the band first
+    dt = 2.4 / 205.0
     with pytest.raises(NumericAbortError) as err:
-        solve_cauchy(prob, params, h=1 / 16, eps_par=-20.0, dt=2.4 / 205.0,
+        solve_cauchy(prob, params, h=1 / 16, eps_par=-20.0, dt=dt,
                      track_energy=False)
-    assert err.value.last_time >= 0.0
+    n_steps = math.ceil(prob.horizon / dt)
+    _, last_time = _full_lattice_loop(prob, 1 / 16, -20.0, n_steps)
+    assert last_time is not None and 0.0 < last_time < prob.horizon
+    assert err.value.last_time == last_time
+
+
+# ---------------------------------------------------------------------------
+# The band evolution against the full-lattice loop it replaced
+
+
+def _full_lattice_loop(problem, h, eps_par, n_steps):
+    """RK4 over every lattice mode in FFT order: (final coeffs, None), or
+    (None, last finite time) when the state loses finiteness.
+
+    The generator applies each harmonic by index maps on the whole lattice
+    (``xi -> xi + k``, dropping modes that leave it) and evaluates the time
+    coefficients at each call, as the solver did before it evolved the band.
+    """
+    coeffs, n_x = problem.coeffs, problem.g.n_x
+    xi = lattice(n_x)
+    chi = smooth_cutoff(h * xi)
+    half = n_x // 2
+
+    def rhs(t, u):
+        v = u * chi[None, :]
+        out = np.zeros_like(u)
+        for fld, w in ((coeffs.a_field, 1j * xi[None, :] * v), (coeffs.b_field, v)):
+            for k, mat in fld.harmonic_matrices(t).items():
+                src = np.flatnonzero((xi + k >= -half) & (xi + k <= half - 1))
+                out[:, (xi[src].astype(int) + k) % n_x] += mat[0] @ w[:, src]
+        out *= chi[None, :]
+        if eps_par:
+            out -= eps_par * xi[None, :] ** 2 * u
+        if problem.forcing is not None:
+            out = out + problem.forcing(t).coeffs
+        return out
+
+    dt = problem.horizon / n_steps
+    u, t = problem.g.coeffs, 0.0
+    for k in range(n_steps):
+        u = step_rk4(rhs, u, t, dt)
+        t = (k + 1) * dt
+        if not np.isfinite(float(np.max(np.abs(u)))):
+            return None, t - dt
+    return u, None
+
+
+def _band_case(kind):
+    params = _quick_params()
+    if kind == "xdep-eps":  # off-band modes decay by the RK4 factor
+        prob = CauchyProblem(get_preset("xdep").coeffs, gevrey_data(128, 2, 2.0, 1.5, seed=19),
+                             horizon=0.5)
+        return prob, params, 1 / 16, 1e-2
+    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    f0 = gevrey_data(64, 2, 2.0, 2.0, seed=17)
+    prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=16), horizon=0.5,
+                         forcing=lambda t: f0.scaled(math.cos(t)))
+    return prob, params, 1 / 16, 0.0
+
+
+@pytest.mark.parametrize("kind", ["xdep-eps", "forced"])
+def test_band_evolution_matches_full_lattice_loop(kind):
+    prob, params, h, eps_par = _band_case(kind)
+    res = solve_cauchy(prob, params, h=h, eps_par=eps_par, track_energy=False)
+    ref, last_time = _full_lattice_loop(prob, h, eps_par, round(prob.horizon / res.dt))
+    assert last_time is None
+    assert np.max(np.abs(res.final.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # modes off the active band move, by the RK4 decay factor or the forcing
+    off = np.setdiff1d(np.arange(prob.g.n_x),
+                       TruncatedGenerator(prob.coeffs, prob.g.n_x, h, eps_par).index)
+    assert np.max(np.abs(ref[:, off] - prob.g.coeffs[:, off])) > 1e-6
 
 
 def test_generator_matches_quantized_symbol():
@@ -365,12 +446,19 @@ def test_generator_matches_quantized_symbol():
     h = 1.0 / 8.0
     chi = smooth_cutoff(h * st.xi)
     for coeffs, t in ((cs, 0.0), (two_t, 0.37)):
-        out = TruncatedGenerator(coeffs, st.n_x, h, 0.0).apply(t, st.coeffs)
         quantized = kn_apply(generator_symbol(coeffs, t), st.coeffs * chi[None, :])
         expected = quantized * chi[None, :]
-        assert np.max(np.abs(out - expected)) <= 1e-11 * max(
-            1.0, np.max(np.abs(expected))
-        )
+        # on the active band, and on the whole lattice in centered order
+        for whole in (False, True):
+            gen = TruncatedGenerator(coeffs, st.n_x, h, 0.0, whole_lattice=whole)
+            gen.compile([t])
+            out = gen.apply(t, st.coeffs[:, gen.index])
+            assert np.max(np.abs(out - expected[:, gen.index])) <= 1e-11 * max(
+                1.0, np.max(np.abs(expected))
+            )
+            if not whole:  # chi = 0 off the band, so nothing is left out there
+                off = np.setdiff1d(np.arange(st.n_x), gen.index)
+                assert off.size and np.all(expected[:, off] == 0)
 
 
 def test_certificate_rejects_fat_tails():
