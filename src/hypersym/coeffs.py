@@ -91,15 +91,21 @@ class MatrixField:
     def x_band(self) -> int:
         return max((abs(t.x_freq) for t in self.terms), default=0)
 
-    def dx(self, t: float, x: float, order: int) -> np.ndarray:
-        """Exact D_x^order with D_x = -i d/dx; D_x^j exp(ikx) = k^j exp(ikx)."""
-        out = np.zeros((self.m, self.m), dtype=complex)
+    def dx(self, t, x, order: int) -> np.ndarray:
+        """Exact D_x^order with D_x = -i d/dx; D_x^j exp(ikx) = k^j exp(ikx).
+
+        ``t`` and ``x`` are scalars or arrays that broadcast together; the
+        result has their broadcast shape followed by (m, m).
+        """
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(np.broadcast_shapes(t.shape, x.shape) + (self.m, self.m), dtype=complex)
         for term in self.terms:
             out += (
                 term.matrix
-                * float(term.g(t))
+                * term.g(t)[..., None, None]
                 * (term.x_freq**order)
-                * np.exp(1j * term.x_freq * x)
+                * np.exp(1j * term.x_freq * x)[..., None, None]
             )
         return out
 
@@ -151,17 +157,11 @@ class SystemCoefficients:
     def x_band(self) -> int:
         return max(self.a_field.x_band, self.b_field.x_band)
 
-    def eval_a(self, t: float, x: float) -> np.ndarray:
-        return self.a_field.dx(t, x, 0)
-
-    def eval_b(self, t: float, x: float) -> np.ndarray:
-        return self.b_field.dx(t, x, 0)
-
     def holder_ratio(self, t_lo: float, t_hi: float, n: int = 200) -> float:
         """sup of ||A(t)-A(t')|| / |t-t'|^kappa over sampled pairs."""
         kappa = self.kappa if self.kappa is not None else 1.0
         ts = np.linspace(t_lo, t_hi, n)
-        mats = np.array([self.eval_a(t, 0.0) for t in ts])
+        mats = self.a_field.dx(ts, 0.0, 0)
         worst = 0.0
         for i in range(n - 1):
             for j in (i + 1, min(i + 7, n - 1)):

@@ -13,10 +13,6 @@ class WeightOverflowError(HypersymError):
     """Exponential weight exceeds the double-precision safety budget."""
 
 
-class MatrixExpOverflowError(HypersymError):
-    """Matrix exponential would exceed the representable range."""
-
-
 class StabilityMarginError(HypersymError):
     """Matrix is not safely Hurwitz (stability margin below threshold)."""
 

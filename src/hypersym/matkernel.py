@@ -18,25 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
-from hypersym.errors import MatrixExpOverflowError
 from hypersym.rootsplit import _sort_rows, char_poly, polished_roots
 
 # ---------------------------------------------------------------------------
 # Symbols
 
 
-def eval_symbol(coeffs: SystemCoefficients, t: float, x: float, xi) -> np.ndarray:
-    """Principal symbol A(t, x, xi) = A1(t, x) * xi (one space dimension).
-
-    ``xi`` may be an array; the result has its shape followed by (m, m).
-    """
-    return coeffs.eval_a(t, x) * np.asarray(xi, dtype=float)[..., None, None]
-
-
 def taylor_symbol(
     coeffs: SystemCoefficients,
-    t: float,
-    x: float,
+    t,
+    x,
     xi,
     z,
     order: int,
@@ -44,10 +35,11 @@ def taylor_symbol(
     """Taylor polynomial ``sum_{j<=order} (z^j / j!) D_x^j A(t, x) xi``.
 
     ``D_x = -i d/dx``; with trig-polynomial coefficients every derivative is
-    exact and each ``D_x^j A(t, x)`` is evaluated once per call.  ``z`` and
-    ``xi`` are arrays (or scalars) that broadcast together; the result has
-    their broadcast shape followed by (m, m).  At z = 0 this is exactly the
-    symbol A(t, x) xi.  Two conventions cover every caller:
+    exact and each ``D_x^j A(t, x)`` is evaluated once per call.  ``t``,
+    ``x``, ``xi`` and ``z`` are arrays (or scalars) that broadcast together;
+    the result has their broadcast shape followed by (m, m).  At z = 0 and
+    order 0 this is exactly the symbol A(t, x) xi.  Two conventions cover
+    every caller:
 
     - frequency direction, ``z = eps xi``: the generator polynomial H_N;
     - spatial direction at the complexified argument ``x + s y``,
@@ -55,7 +47,8 @@ def taylor_symbol(
     """
     z = np.asarray(z)
     xi = np.asarray(xi, dtype=float)
-    out = np.zeros(np.broadcast_shapes(z.shape, xi.shape) + (coeffs.m, coeffs.m), dtype=complex)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x), z.shape, xi.shape)
+    out = np.zeros(shape + (coeffs.m, coeffs.m), dtype=complex)
     fac = 1.0
     for j in range(order + 1):
         if j > 0:
@@ -131,27 +124,6 @@ def expm_batched(a: np.ndarray) -> np.ndarray:
     return result.reshape(*lead, m, m)
 
 
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential with overflow refusal.
-
-    Overflow is flagged through the sharp growth bound: the numerical
-    abscissa (largest eigenvalue of the hermitian part) must keep
-    ``e^{abscissa}`` representable; the crude bound e^{||M||} would wrongly
-    refuse well-conditioned stable matrices with large norm.
-    """
-    m = np.asarray(m, dtype=complex)
-    herm = (m + m.conj().T) / 2.0
-    abscissa = float(np.max(np.linalg.eigvalsh(herm)))
-    if abscissa > 709.0:
-        raise MatrixExpOverflowError(
-            f"e^M exceeds representable range (numerical abscissa {abscissa:.3g})"
-        )
-    out = expm_batched(m)
-    if not np.all(np.isfinite(out)):
-        raise MatrixExpOverflowError("matrix exponential overflowed")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalues
 
@@ -210,8 +182,8 @@ def certify_real_spectrum(
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
     # shape (nt, nx, nxi, m, m)
-    a = np.array([[eval_symbol(coeffs, t, x, xi_values) for x in x_values]
-                  for t in t_values])
+    a = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
+                      z=0.0, order=0)
     im = _max_imag(a)
     norm_max = float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
     i_t, i_x, i_xi = np.unravel_index(np.argmax(im), im.shape)
@@ -260,11 +232,8 @@ def spectral_bound_certify(
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
     # z = i (i s) y for the imaginary step i s; shape (nt, nx, ns, ny, m, m)
-    hs = np.array([
-        [taylor_symbol(coeffs, t, x, xi, -s_values[:, None] * y_values, coeffs.m)
-         for x in x_values]
-        for t in t_values
-    ])
+    hs = taylor_symbol(coeffs, t_values[:, None, None, None], x_values[:, None, None], xi,
+                       -s_values[:, None] * y_values, coeffs.m)
     im = _max_imag(hs).transpose(2, 0, 1, 3)  # (ns, nt, nx, ny)
     im_max = np.max(im, axis=(1, 2, 3))
     table = [(float(s), float(v)) for s, v in zip(s_values, im_max)]
@@ -382,14 +351,13 @@ def _growth_curves(
     """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf."""
     g = np.empty(len(eps_values))
     low = np.empty(len(eps_values))
+    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
     # H_N(eps) at every node, shape (n_eps, n_nodes, m, m), nodes in (t, x, xi) order
-    hs_all = np.concatenate([
-        taylor_symbol(coeffs, float(t), float(x), xi_values,
-                      eps_values[:, None] * xi_values, n_taylor)
-        for t in np.atleast_1d(t_values)
-        for x in np.atleast_1d(x_values)
-    ], axis=1)
+    hs_all = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
+                           eps_values[:, None, None, None] * xi_values, n_taylor
+                           ).reshape(len(eps_values), -1, coeffs.m, coeffs.m)
     for i, eps in enumerate(eps_values):
         if s_grid is None:
             # Target the hump at s*eps = O(1); beyond u ~ 30 the decay term

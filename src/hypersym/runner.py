@@ -199,13 +199,9 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
                          c1=0.1, theta=theta, a0=0.0, eps0=eps0, c_spec=c)
     xis = np.array([4.0, 16.0, 64.0])
     mu = bracket(xis, 4.0) ** 0.5
-    worst = 0.0
-    for t in ts:
-        for x in xs:
-            h = symmetrizer.hn_over_lattice(coeffs, probe, float(t), float(x), xis)
-            spread = np.max(np.abs(np.linalg.eigvals(h).imag), axis=-1) / (c * mu)
-            worst = max(worst, float(np.max(spread)))
-    a0 = worst * 1.05
+    h = symmetrizer.hn_over_lattice(coeffs, probe, ts[:, None, None], xs[:, None], xis)
+    spread = np.max(np.abs(np.linalg.eigvals(h).imag), axis=-1) / (c * mu)
+    a0 = float(np.max(spread)) * 1.05
     return Calibration(c=c, a0=a0, eps0=eps0, theta=theta, max_ratio=cert.max_ratio)
 
 
@@ -257,9 +253,12 @@ def run_params(
 
 def _solve_setup(config: dict):
     n_x = _lattice_size(config)
-    for key in ("dt", "horizon", "s"):
+    for key in ("dt", "horizon", "s", "ell"):
         if key in config and not config[key] > 0:
             raise ConfigError(f"{key} must be positive, got {config[key]}")
+    if not config.get("h", 0.0) >= 0:
+        # h = 0 means no cutoff; a negative h would silently mean the same
+        raise ConfigError(f"h must be nonnegative, got {config['h']}")
     coeffs, theta_decl, name = _resolve_coeffs(config)
     mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
     kappa = Fraction(coeffs.kappa).limit_denominator(100) if coeffs.kappa else None
@@ -327,6 +326,9 @@ def _cmd_theta(config: dict) -> dict:
     n_eps = config.get("n_eps", 9)
     if n_eps < 2:
         raise ConfigError(f"n_eps must be at least 2 to span a range, got {n_eps}")
+    for key, default in (("eps_lo", 1e-3), ("eps_hi", 1e-1)):
+        if not config.get(key, default) > 0:
+            raise ConfigError(f"{key} must be positive, got {config[key]}")
     try:
         eps = np.geomspace(config.get("eps_lo", 1e-3), config.get("eps_hi", 1e-1), n_eps)
         ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
@@ -354,6 +356,9 @@ def _cmd_nuij(config: dict) -> dict:
     m_max = config.get("m_max", 6)
     n_polys = config.get("n_polys", 200)
     spread = config.get("spread", 3.0)
+    if not spread >= 0:
+        # spread 0 gives coincident roots, which the split handles
+        raise ConfigError(f"spread must be nonnegative, got {spread}")
     s_values = config.get("s_values", list(np.geomspace(1e-3, 1.0, 7)))
     if not s_values or 0 in s_values:
         raise ConfigError("s_values must be a nonempty list of nonzero numbers")
@@ -378,8 +383,9 @@ def _cmd_nuij(config: dict) -> dict:
 
 
 def _cmd_symmetrize(config: dict) -> dict:
-    for key, default in (("n_xi", 9), ("n_t", 4), ("n_x", 5)):
-        if config.get(key, default) < 1:
+    for key, default in (("n_xi", 9), ("n_t", 4), ("n_x", 5), ("xi_lo", 2.0**4),
+                         ("xi_hi", 2.0**12)):
+        if not config.get(key, default) > 0:
             raise ConfigError(f"{key} must be positive, got {config[key]}")
     n_xi = config.get("n_xi", 9)
     coeffs, theta_decl, name = _resolve_coeffs(config)

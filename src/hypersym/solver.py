@@ -325,9 +325,10 @@ def solve_cauchy(
     active = gen.chi > 0
     r_index, r_xi, r_chi2 = gen.index[active], gen.xi[active], gen.chi[active] ** 2
 
-    def r_generator(t: float):
+    def r_generator(t):
         # damped generator of the cutoff problem for x-independent
-        # coefficients, with the running window tau = T - a t in H_N
+        # coefficients, with the running window tau = T - a t in H_N; an
+        # array t of shape (n, 1) gives one row of band generators per time
         return damped_generator(coeffs, replace(params, tau=big_t - a * t),
                                 t, 0.0, r_xi, r_chi2)
 
@@ -354,9 +355,7 @@ def solve_cauchy(
             t_lo = -width_max * 1.05
             t_hi = problem.horizon + width_max * 1.05
             path_ts = np.arange(t_lo, t_hi + dt_path, dt_path)
-            gens = [r_generator(float(tp)) for tp in path_ts]
-            r_path = _lyap_solve_batch(np.stack([g[0] for g in gens]),
-                                       np.stack([g[1] for g in gens]))
+            r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]))
             molly = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta,
                                  np.asarray(sample_times))
             molly_values = molly.values  # (n_samples, n_active, m, m)

@@ -116,17 +116,20 @@ def rescale_for_a(params: ParameterSet, a: float) -> ParameterSet:
 def hn_over_lattice(
     coeffs: SystemCoefficients,
     params: ParameterSet,
-    t: float,
-    x: float,
+    t,
+    x,
     xi_values,
 ) -> np.ndarray:
-    """Frequency-Taylor generator H_N over a frequency array; shape xi.shape + (m, m).
+    """Frequency-Taylor generator H_N; the broadcast shape of its inputs, then (m, m).
 
     ``H_N = sum_{j<=N} (1/j!) D_x^j A(t,x,xi) (tau * grad <xi>^rho)^j``,
     realized by :func:`taylor_symbol` with ``z = eps xi`` and
-    ``eps = tau * rho * <xi>_ell^(rho-2)``.
+    ``eps = tau * rho * <xi>_ell^(rho-2)``.  ``t``, ``x``, ``xi_values`` and
+    ``params.tau`` may be arrays that broadcast together; an array tau gives
+    each time its own window (``tau = T - a t`` along a path).
     """
-    rho, ell, tau = float(params.rho), float(params.ell), float(params.tau)
+    rho, ell = float(params.rho), float(params.ell)
+    tau = np.asarray(params.tau, dtype=float)
     xi_values = np.asarray(xi_values, dtype=float)
     eps = tau * rho * bracket(xi_values, ell) ** (rho - 2.0)
     return taylor_symbol(coeffs, t, x, xi_values, eps * xi_values, params.n_taylor(coeffs.m))
@@ -135,16 +138,18 @@ def hn_over_lattice(
 def damped_generator(
     coeffs: SystemCoefficients,
     params: ParameterSet,
-    t: float,
-    x: float,
+    t,
+    x,
     xi_values,
     chi2=1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped generator ``M = i chi^2 H_N - a <xi>_ell^rho I`` and its right-hand side.
 
     Returns ``(M, a <xi>_ell^rho)``, the pair the Lyapunov identity
-    ``M* R + R M = -a <xi>_ell^rho I`` takes, vectorized over ``xi_values``.
-    H_N is :func:`hn_over_lattice`, the Taylor sum at ``z = eps xi``.
+    ``M* R + R M = -a <xi>_ell^rho I`` takes.  ``t``, ``x``, ``xi_values``
+    and an array ``params.tau`` broadcast together as in
+    :func:`hn_over_lattice`; M has their broadcast shape followed by (m, m)
+    and the right-hand side has the shape of ``xi_values``.
     ``chi2`` carries the squared spectral cutoff chi^2(h xi) of the
     regularized evolution and broadcasts against ``xi_values``; 1.0 means no
     truncation.
@@ -350,16 +355,13 @@ def build_field(
     t_nodes = np.atleast_1d(np.asarray(t_nodes, dtype=float))
     x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
     xi_nodes = np.atleast_1d(np.asarray(xi_nodes, dtype=float))
-    m = coeffs.m
-    m_stack = np.empty((len(t_nodes), len(x_nodes), len(xi_nodes), m, m), dtype=complex)
-    for it, t in enumerate(t_nodes):
-        for ix, x in enumerate(x_nodes):
-            m_stack[it, ix], rhs = damped_generator(coeffs, params, float(t), float(x), xi_nodes)
+    m_stack, rhs = damped_generator(coeffs, params, t_nodes[:, None, None], x_nodes[:, None],
+                                    xi_nodes)
     return SymmetrizerField(
         t_nodes=t_nodes,
         x_nodes=x_nodes,
         xi_nodes=xi_nodes,
-        R=_lyap_solve_batch(m_stack, np.broadcast_to(rhs, m_stack.shape[:-2])),
+        R=_lyap_solve_batch(m_stack, rhs),
         M=m_stack,
         params=params,
     )
@@ -470,26 +472,24 @@ def _stencil_derivatives(coeffs, groups, t0, alpha, beta, dt_flag) -> list[np.nd
     m = coeffs.m
     hx = 2.0 * math.pi / (8.0 * max(coeffs.x_band, 1) * max(beta, 1) + 64.0)
     ht = 1e-3
-    t_offsets = _STENCILS[int(dt_flag)]
-    m_parts, rhs_parts, hxis = [], [], []
+    ts = t0 + np.array(_STENCILS[int(dt_flag)]) * ht
+    m_parts, rhs_parts, shapes, hxis = [], [], [], []
     for params, x_values, xi_values in groups:
         hxi = 1e-3 * bracket(xi_values, float(params.ell))
         xis = xi_values[None, :] + np.array(_STENCILS[alpha])[:, None] * hxi[None, :]
-        for ot in t_offsets:
-            for x in x_values:
-                for ox in _STENCILS[beta]:
-                    m_stack, rhs = damped_generator(coeffs, params, t0 + ot * ht,
-                                                    x + ox * hx, xis)
-                    m_parts.append(m_stack.reshape(-1, m, m))
-                    rhs_parts.append(rhs.reshape(-1))
+        xs = x_values[:, None] + np.array(_STENCILS[beta]) * hx
+        # nodes (t offset, x, x offset, xi offset, xi)
+        m_stack, rhs = damped_generator(coeffs, params, ts[:, None, None, None, None],
+                                        xs[:, :, None, None], xis)
+        shapes.append(m_stack.shape)
+        m_parts.append(m_stack.reshape(-1, m, m))
+        rhs_parts.append(np.broadcast_to(rhs, m_stack.shape[:-2]).reshape(-1))
         hxis.append(hxi)
     r_all = _lyap_solve_batch(np.concatenate(m_parts), np.concatenate(rhs_parts))
     out, start = [], 0
-    for (_, x_values, xi_values), hxi in zip(groups, hxis):
-        shape = (len(t_offsets), len(x_values), len(_STENCILS[beta]),
-                 len(_STENCILS[alpha]), len(xi_values))
-        r = r_all[start:start + math.prod(shape)].reshape(shape + (m, m))
-        start += math.prod(shape)
+    for shape, part, hxi in zip(shapes, m_parts, hxis):
+        r = r_all[start:start + len(part)].reshape(shape)
+        start += len(part)
         d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
         d = _central(np.moveaxis(d, 2, 0), beta, hx)
         out.append(_central(d, int(dt_flag), ht))
@@ -660,9 +660,8 @@ def holder_difference_probe(
     nu, rho = params.nu, float(params.rho)
     xi_values = np.asarray(xi_values, dtype=float)
     ts = sorted({float(t) for pair in t_pairs for t in pair})
-    gens = [damped_generator(coeffs, params, t, x0, xi_values) for t in ts]
-    r = dict(zip(ts, _lyap_solve_batch(np.array([g[0] for g in gens]),
-                                       np.array([g[1] for g in gens]))))
+    r = dict(zip(ts, _lyap_solve_batch(
+        *damped_generator(coeffs, params, np.array(ts)[:, None], x0, xi_values))))
     ratios = np.zeros(len(xi_values))
     for t1, t2 in t_pairs:
         diff = np.linalg.norm(r[float(t1)] - r[float(t2)], 2, axis=(-2, -1))

@@ -77,6 +77,15 @@ def test_wrong_type_rejected(cfg):
     ["solve", "--preset", "xdep", "--seed", "0", {"s": 0}],
     ["study-h", "--preset", "xdep", "--seed", "0", {"dt": 0}],
     ["study-parabolic", "--preset", "xdep", "--seed", "0", {"dt": 0}],
+    ["symmetrize", "--preset", "diag_sym", {"xi_lo": 0}],
+    ["symmetrize", "--preset", "diag_sym", {"xi_lo": -4}],
+    ["symmetrize", "--preset", "diag_sym", {"xi_hi": -1}],
+    ["nuij", "--seed", "0", {"spread": -1}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"ell": -4}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"h": -0.01}],
+    ["study-parabolic", "--preset", "xdep", "--seed", "0", {"h": -0.01}],
+    ["theta", "--preset", "diag_sym", {"eps_lo": -1e-3}],
+    ["theta", "--preset", "diag_sym", {"eps_hi": 0}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     if isinstance(argv[-1], dict):  # a config part goes through a file
@@ -95,6 +104,13 @@ def test_nuij_negative_s_passes(s_values):
                        "m_max": 4, "n_polys": 20, "s_values": s_values})
     assert status == 0 and doc["passed"]
     assert doc["worst_margin"] >= 1.0
+
+
+def test_nuij_coincident_roots_spread_zero():
+    # spread 0 draws coincident roots: the lower spread bound is 0, not above it
+    status, doc = run({"command": "nuij", "schema_version": "1", "seed": 1,
+                       "m_max": 3, "n_polys": 5, "spread": 0.0})
+    assert status == 0 and doc["passed"]
 
 
 def test_schema_version_required():

@@ -74,7 +74,8 @@ def test_json_round_trip():
     doc = coeffs_to_json(coeffs)
     back = coeffs_from_json(doc)
     for t, x in ((0.0, 0.0), (0.5, 1.1), (2.0, 4.0)):
-        np.testing.assert_allclose(back.eval_a(t, x), coeffs.eval_a(t, x), atol=1e-15)
+        np.testing.assert_allclose(back.a_field.dx(t, x, 0), coeffs.a_field.dx(t, x, 0),
+                                   atol=1e-15)
     assert back.x_band == coeffs.x_band
 
 
@@ -106,8 +107,8 @@ def test_holder_ratio_bounded():
 def test_constant_system():
     cs = constant_system(np.array([[0, 1], [1, 0]]))
     assert cs.x_band == 0
-    np.testing.assert_allclose(cs.eval_a(5.0, 2.0), [[0, 1], [1, 0]])
-    assert cs.eval_b(0.0, 0.0).shape == (2, 2)
+    np.testing.assert_allclose(cs.a_field.dx(5.0, 2.0, 0), [[0, 1], [1, 0]])
+    assert cs.b_field.dx(0.0, 0.0, 0).shape == (2, 2)
 
 
 def test_harmonic_matrices_sum_to_field():
@@ -122,3 +123,21 @@ def test_harmonic_matrices_sum_to_field():
     for i, (t, x) in enumerate(zip(ts, (0.7, -2.0))):
         total = sum(c[i] * np.exp(1j * k * x) for k, c in a_k.items())
         np.testing.assert_allclose(total, a_field.dx(t, x, 0), atol=1e-13)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_dx_broadcasts_like_scalar_calls(order):
+    # (t, x) arrays broadcast together; every node is the scalar call, bit
+    # for bit, for each preset's terms (holder_k's lacunary path among them)
+    from hypersym.presets import get_preset, preset_names
+
+    ts = np.array([-0.2, 0.0, 0.37, 1.9])[:, None]
+    xs = np.array([0.0, 1.1, -2.5])
+    for name in preset_names():
+        fld = get_preset(name).coeffs.a_field
+        grid = fld.dx(ts, xs, order)
+        assert grid.shape == (4, 3, fld.m, fld.m)
+        for it, t in enumerate(ts[:, 0]):
+            for ix, x in enumerate(xs):
+                assert np.array_equal(grid[it, ix], fld.dx(float(t), float(x), order))
+        assert np.array_equal(fld.dx(ts[:, 0], 0.7, order)[2], fld.dx(0.37, 0.7, order))

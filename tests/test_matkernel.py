@@ -10,13 +10,10 @@ from hypersym.coeffs import (
     constant_system,
     cosine_terms,
 )
-from hypersym.errors import MatrixExpOverflowError
 from hypersym.matkernel import (
     certify_real_spectrum,
     estimate_theta,
-    eval_symbol,
     expm_batched,
-    matrix_exp,
     spectral_bound_certify,
     spectrum,
     taylor_symbol,
@@ -40,17 +37,21 @@ def _t2_system() -> SystemCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# eval_symbol
+# Symbol A(t, x) xi: the Taylor symbol at z = 0, order 0
+
+
+def _symbol(cs, t, x, xi):
+    return taylor_symbol(cs, t, x, xi, 0.0, order=0)
 
 
 def test_eval_symbol_linear_in_xi():
     cs = constant_system(np.array([[0, 1], [1, 0]]))
-    np.testing.assert_allclose(eval_symbol(cs, 0, 0, 2.0), [[0, 2], [2, 0]])
+    np.testing.assert_allclose(_symbol(cs, 0, 0, 2.0), [[0, 2], [2, 0]])
 
 
 def test_eval_symbol_t_dependence():
     cs = _t2_system()
-    np.testing.assert_allclose(eval_symbol(cs, 0.0, 0.0, 3.0), [[0, 0], [3, 0]])
+    np.testing.assert_allclose(_symbol(cs, 0.0, 0.0, 3.0), [[0, 0], [3, 0]])
 
 
 def test_eval_symbol_x_dependence():
@@ -58,7 +59,7 @@ def test_eval_symbol_x_dependence():
     terms += cosine_terms(1, np.array([[0, 0], [-0.5, 0]], dtype=complex))
     cs = SystemCoefficients(m=2, a_field=MatrixField(2, terms),
                             b_field=MatrixField(2, []))
-    a = eval_symbol(cs, 0.0, np.pi / 2, 1.0)
+    a = _symbol(cs, 0.0, np.pi / 2, 1.0)
     assert a[1, 0].real == pytest.approx(0.5)
     assert a[0, 1].real == pytest.approx(1.0)
 
@@ -71,7 +72,7 @@ def test_taylor_spatial_constant_coeffs():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     s, y = 0.3j, 0.7
     h = taylor_symbol(cs, 0.0, 0.0, 2.0, 1j * s * y, order=2)
-    np.testing.assert_allclose(h, eval_symbol(cs, 0, 0, 2.0), atol=1e-15)
+    np.testing.assert_allclose(h, _symbol(cs, 0, 0, 2.0), atol=1e-15)
 
 
 def test_taylor_spatial_hand_expansion():
@@ -85,13 +86,13 @@ def test_taylor_spatial_hand_expansion():
 def test_taylor_spatial_zeroth_term():
     cs = _x2_like_system()
     h = taylor_symbol(cs, 0.0, 0.4, 1.3, 0.0, order=2)
-    np.testing.assert_allclose(h, eval_symbol(cs, 0.0, 0.4, 1.3), atol=1e-15)
+    np.testing.assert_allclose(h, _symbol(cs, 0.0, 0.4, 1.3), atol=1e-15)
 
 
 def test_taylor_frequency_eps_zero_bitlevel():
     cs = _x2_like_system()
     h = taylor_symbol(cs, 0.0, 0.8, 1.7, 0.0 * 1.7, order=4)
-    assert np.array_equal(h, eval_symbol(cs, 0.0, 0.8, 1.7))
+    assert np.array_equal(h, cs.a_field.dx(0.0, 0.8, 0) * 1.7)
 
 
 def test_taylor_frequency_hand_expansion():
@@ -105,7 +106,7 @@ def test_taylor_frequency_hand_expansion():
 def test_taylor_frequency_constant_coeffs():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     h = taylor_symbol(cs, 0.0, 0.0, 2.0, 0.5 * 2.0, order=3)
-    np.testing.assert_allclose(h, eval_symbol(cs, 0, 0, 2.0), atol=1e-15)
+    np.testing.assert_allclose(h, _symbol(cs, 0, 0, 2.0), atol=1e-15)
 
 
 def _taylor_reference(coeffs, t, x, term, order):
@@ -140,25 +141,35 @@ def test_taylor_symbol_matches_pointwise_loop(name):
             assert np.linalg.norm(spat[k] - ref) <= 1e-14 * np.linalg.norm(ref)
         at_zero = taylor_symbol(cs, t, x, xis, np.zeros(len(xis)), order)
         for k, xi in enumerate(xis):
-            assert np.array_equal(at_zero[k], eval_symbol(cs, t, x, xi))
+            assert np.array_equal(at_zero[k], cs.a_field.dx(t, x, 0) * xi)
+        # a (t, x) grid broadcast against (eps, xi): one call, bit for bit the
+        # per-node scalar calls
+        ts, xs = np.array([0.0, 0.3, 0.9]), np.array([-0.4, 1.1])
+        grid = taylor_symbol(cs, ts[:, None, None, None], xs[:, None, None], xis,
+                             eps[:, None] * xis, order)
+        assert grid.shape == (len(ts), len(xs), len(eps), len(xis), cs.m, cs.m)
+        for it, tt in enumerate(ts):
+            for ix, xx in enumerate(xs):
+                node = taylor_symbol(cs, float(tt), float(xx), xis, eps[:, None] * xis, order)
+                assert np.array_equal(grid[it, ix], node)
 
 
 # ---------------------------------------------------------------------------
-# matrix_exp
+# Matrix exponential
 
 
 def test_matrix_exp_zero():
-    np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(expm_batched(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
 
 def test_matrix_exp_nilpotent():
     np.testing.assert_allclose(
-        matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]])), [[1, 1], [0, 1]], atol=1e-15
+        expm_batched(np.array([[0.0, 1.0], [0.0, 0.0]])), [[1, 1], [0, 1]], atol=1e-15
     )
 
 
 def test_matrix_exp_diagonal():
-    got = matrix_exp(np.diag([-1.0, -2.0]))
+    got = expm_batched(np.diag([-1.0, -2.0]))
     np.testing.assert_allclose(np.diag(got), np.exp([-1.0, -2.0]), rtol=1e-14)
 
 
@@ -168,14 +179,9 @@ def test_matrix_exp_contract_large_norm():
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     m = q @ np.diag([-1000.0, -1.0, -10.0, 3.0, 0.5, -700.0]) @ q.T
     expected = q @ np.diag(np.exp([-1000.0, -1.0, -10.0, 3.0, 0.5, -700.0])) @ q.T
-    got = matrix_exp(m)
+    got = expm_batched(m)
     rel = np.linalg.norm(got - expected, 2) / np.linalg.norm(expected, 2)
     assert rel <= 1e-12
-
-
-def test_matrix_exp_overflow_flagged():
-    with pytest.raises(MatrixExpOverflowError):
-        matrix_exp(np.diag([800.0, 0.0]))
 
 
 def test_matrix_exp_inverse_property():
@@ -185,8 +191,8 @@ def test_matrix_exp_inverse_property():
     for _ in range(25):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         m *= 10.0 / max(np.linalg.norm(m, 2), 1e-9)
-        e_plus = matrix_exp(m)
-        e_minus = matrix_exp(-m)
+        e_plus = expm_batched(m)
+        e_minus = expm_batched(-m)
         cond = np.linalg.norm(e_plus, 2) * np.linalg.norm(e_minus, 2)
         err = np.linalg.norm(e_plus @ e_minus - np.eye(3), 2)
         assert err <= max(1e-10, 20 * np.finfo(float).eps * cond)
@@ -200,7 +206,7 @@ def test_matrix_exp_spectral_mapping():
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m *= 5.0 / max(np.linalg.norm(m, 2), 1e-9)
         lam = np.linalg.eigvals(m)
-        got = np.sort_complex(np.linalg.eigvals(matrix_exp(m)))
+        got = np.sort_complex(np.linalg.eigvals(expm_batched(m)))
         want = np.sort_complex(np.exp(lam))
         assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -211,7 +217,7 @@ def test_expm_batched_mixed_norms():
     stack[0] *= 50.0
     got = expm_batched(stack)
     for i in range(6):
-        single = matrix_exp(stack[i])
+        single = expm_batched(stack[i])
         assert np.linalg.norm(got[i] - single, 2) <= 1e-10 * np.linalg.norm(single, 2)
 
 
@@ -282,7 +288,7 @@ def test_batched_spectrum_matches_per_node_roots(name):
     ss = np.geomspace(1e-4, 1e-1, 7)
     ys = np.array([1.0, 0.5, -1.0])
     stacks = [
-        np.array([[[eval_symbol(cs, t, x, xi) for xi in (1.0, -1.0, 2.0)] for x in xs]
+        np.array([[[_symbol(cs, t, x, xi) for xi in (1.0, -1.0, 2.0)] for x in xs]
                   for t in ts]),
         np.array([[taylor_symbol(cs, t, x, 1.0, -ss[:, None] * ys, cs.m) for x in xs]
                   for t in ts]),

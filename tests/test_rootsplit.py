@@ -188,10 +188,10 @@ def test_interlacing_every_application():
 
 def test_q_probe_on_strictly_hyperbolic_preset():
     from hypersym.presets import get_preset
-    from hypersym.matkernel import eval_symbol, spectrum
+    from hypersym.matkernel import spectrum, taylor_symbol
 
     pre = get_preset("xdep")
-    lam = float(np.max(spectrum(eval_symbol(pre.coeffs, 0.0, 0.0, 1.0)).real))
+    lam = float(np.max(spectrum(taylor_symbol(pre.coeffs, 0.0, 0.0, 1.0, 0.0, order=0)).real))
     for y in (0.3, 1.0):
         fit = q_lower_bound_probe(pre.coeffs, 0.0, 0.0, lam, 1, y,
                                   np.geomspace(1e-3, 1e-2, 7))

@@ -8,7 +8,7 @@ import pytest
 from hypersym.coeffs import constant_system
 from hypersym.engine import SpectralState, lattice
 from hypersym.errors import ConfigError, InconclusiveError
-from hypersym.matkernel import matrix_exp
+from hypersym.matkernel import expm_batched
 from hypersym.presets import get_preset
 from hypersym.planner import plan
 from hypersym.solver import (
@@ -95,7 +95,7 @@ def test_rk4_matches_matrix_exponential_order():
     for dt in dts:
         gen.compile([0.0, dt / 2.0, dt])
         out = step_rk4(gen.apply, st.coeffs[:, gen.index], 0.0, dt)
-        exact = matrix_exp(1j * a1 * 3.0 * dt) @ st.coeffs[:, [gen.index[idx]]]
+        exact = expm_batched(1j * a1 * 3.0 * dt) @ st.coeffs[:, [gen.index[idx]]]
         errs.append(np.max(np.abs(out[:, [idx]] - exact)))
     order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert order >= 4.5

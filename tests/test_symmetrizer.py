@@ -8,7 +8,7 @@ import pytest
 
 from hypersym.coeffs import constant_system
 from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
-from hypersym.matkernel import eval_symbol, expm_batched
+from hypersym.matkernel import expm_batched, taylor_symbol
 from hypersym.presets import get_preset
 from hypersym.planner import plan
 from hypersym.symmetrizer import (
@@ -62,7 +62,7 @@ def test_build_m_constant_in_x_equals_symbol():
     p = _params()
     m, _ = damped_generator(cs, p, 0.0, 0.0, 5.0)
     mu = bracket_pow(5.0, 4.0, 0.5)
-    expected = 1j * eval_symbol(cs, 0, 0, 5.0) - 2.0 * mu * np.eye(2)
+    expected = 1j * taylor_symbol(cs, 0, 0, 5.0, 0.0, order=0) - 2.0 * mu * np.eye(2)
     np.testing.assert_allclose(m, expected, atol=1e-13)
 
 
@@ -232,6 +232,41 @@ def test_field_invariants_on_presets():
         assert inv["max_hermitian_defect"] <= 1e-12
         assert inv["min_eigenvalue"] > 0.0
         assert inv["max_lyapunov_residual_rel"] <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["xdep", "holder_k", "block_direct_sum"])
+def test_build_field_matches_per_node_loop(name):
+    # the (t, x) grid in one damped_generator call against one call per node
+    pre = get_preset(name)
+    p = _params(theta=pre.theta)
+    ts, xs, xis = [0.0, 0.35, 0.9], [0.0, 1.3], np.geomspace(4.0, 512.0, 4)
+    field = build_field(pre.coeffs, p, ts, xs, xis)
+    for it, t in enumerate(ts):
+        for ix, x in enumerate(xs):
+            m_stack, rhs = damped_generator(pre.coeffs, p, t, x, xis)
+            assert np.array_equal(field.M[it, ix], m_stack)
+            assert np.array_equal(field.R[it, ix], _lyap_solve_batch(m_stack, rhs))
+
+
+def test_damped_generator_array_tau_matches_per_time_calls():
+    # tau = T - a t along a path, as the mollified solve passes it: one call
+    # with (n, 1) arrays equals one replace(params, tau=...) call per time
+    from fractions import Fraction
+
+    pre = get_preset("holder_k")
+    params = plan(0, "holder", Fraction(1, 2)).params
+    big_t, a = float(params.T), float(params.a)
+    ts = np.array([-0.3, 0.0, 0.0625, 0.71])
+    xis = np.array([-5.0, 1.0, 16.0, 200.0])
+    chi2 = np.array([1.0, 0.5, 0.25, 0.0])
+    m_all, rhs_all = damped_generator(pre.coeffs, replace(params, tau=big_t - a * ts[:, None]),
+                                      ts[:, None], 0.0, xis, chi2)
+    assert m_all.shape == (len(ts), len(xis), pre.coeffs.m, pre.coeffs.m)
+    for i, t in enumerate(ts):
+        m_one, rhs_one = damped_generator(pre.coeffs, replace(params, tau=big_t - a * float(t)),
+                                          float(t), 0.0, xis, chi2)
+        assert np.array_equal(m_all[i], m_one)
+        assert np.array_equal(rhs_all, rhs_one)
 
 
 def test_quadrature_field_matches_lyapunov_field():
