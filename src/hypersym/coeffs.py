@@ -20,6 +20,8 @@ import numpy as np
 
 from hypersym.errors import ConfigError
 
+MAX_M = 8  # the largest system size; matkernel.spectrum enforces it too
+
 _POW_RE = re.compile(r"^t\^(\d+)$")
 _ABS_RE = re.compile(r"^\|t\|\^([0-9.]+)$")
 _LAC_RE = re.compile(r"^lacunary\(\s*([0-9.]+)\s*,\s*(\d+)\s*\)$")
@@ -228,6 +230,8 @@ def coeffs_to_json(coeffs: SystemCoefficients) -> dict:
 def coeffs_from_json(doc: dict) -> SystemCoefficients:
     try:
         m = int(doc["m"])
+        if not 1 <= m <= MAX_M:
+            raise ConfigError(f"bad coefficient document: m = {m} not in 1..{MAX_M}")
         return SystemCoefficients(
             m=m,
             a_field=_field_from_json(m, doc["A"]),

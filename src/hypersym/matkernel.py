@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.coeffs import SystemCoefficients
+from hypersym.coeffs import MAX_M, SystemCoefficients
 from hypersym.rootsplit import _sort_rows, char_poly, polished_roots
 
 # ---------------------------------------------------------------------------
@@ -139,8 +139,8 @@ def spectrum(m) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[-1]
-    if n > 8:
-        raise ValueError("spectrum supports matrices of size <= 8")
+    if n > MAX_M:
+        raise ValueError(f"spectrum supports matrices of size <= {MAX_M}")
     if n <= 4:
         return polished_roots(char_poly(m))
     return _sort_rows(np.linalg.eigvals(m))

@@ -215,7 +215,6 @@ def plan(
     c: RationalLike = Fraction(1, 2),
     a0: RationalLike = 1,
     eps0: RationalLike = Fraction(1, 2),
-    m: int = 2,
 ) -> PlanResult:
     """Compute thresholds and an admissible parameter template.
 

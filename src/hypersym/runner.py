@@ -8,6 +8,7 @@ never recomputes.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -25,87 +26,141 @@ from hypersym.weights import bracket
 
 SCHEMA_VERSION = "1"
 
-_COMMON_PROPS = {
-    "command": {"type": "string"},
-    "schema_version": {"type": "string"},
-    "seed": {"type": "integer"},
-    "out": {"type": "string"},
-    "preset": {"type": "string"},
-    "coeffs": {"type": "object"},
-}
+
+def _prop(kind: str, default=None, **bounds) -> dict:
+    """One field: its JSON type, its literal default if it has one, and its bounds."""
+    prop = {"type": kind, **bounds}
+    if default is not None:
+        prop["default"] = default
+    return prop
+
+
+def _list(kind: str, default, **item_bounds) -> dict:
+    return _prop("array", default, items=_prop(kind, **item_bounds), minItems=1)
 
 
 def _schema(extra: dict, required: list[str]) -> dict:
-    props = dict(_COMMON_PROPS)
-    props.update(extra)
-    return {
-        "type": "object",
-        "properties": props,
-        "required": ["command", "schema_version"] + required,
-        "additionalProperties": False,
-    }
+    props = {"command": _prop("string"), "schema_version": _prop("string"),
+             "seed": _prop("integer", minimum=0), "out": _prop("string"),
+             "preset": _prop("string"), "coeffs": _prop("object"), **extra}
+    return {"properties": props, "required": ["command", "schema_version"] + required}
 
 
-_NUM = {"type": "number"}
-_NUMLIST = {"type": "array", "items": {"type": "number"}}
+# A field without a default is required, or its default is derived from other
+# values in the handler (solve's h, s, c0, horizon and dt; study-h's ell).
+_POS = {"exclusiveMinimum": 0}
+_CUTOFF = _prop("number", minimum=0)  # h = 0 means no cutoff
+_LATTICE = _prop("integer", 256, minimum=2, powerOfTwo=True)
+_SOLVE = {"n_lattice": _LATTICE, "s": _prop("number", **_POS), "c0": _prop("number", **_POS),
+          "dt": _prop("number", **_POS)}
 
 COMMAND_SCHEMAS = {
-    "certify": _schema({"tol": _NUM, "n_t": {"type": "integer"},
-                        "n_x": {"type": "integer"}, "xi_values": _NUMLIST,
-                        "s_values": _NUMLIST, "y_values": _NUMLIST}, []),
-    "theta": _schema({"eps_lo": _NUM, "eps_hi": _NUM, "n_eps": {"type": "integer"},
-                      "n_t": {"type": "integer"}, "n_x": {"type": "integer"}}, []),
-    "nuij": _schema({"m_max": {"type": "integer"}, "n_polys": {"type": "integer"},
-                     "spread": _NUM, "s_values": _NUMLIST}, ["seed"]),
-    "symmetrize": _schema({"xi_lo": _NUM, "xi_hi": _NUM, "n_xi": {"type": "integer"},
-                           "n_t": {"type": "integer"}, "n_x": {"type": "integer"},
-                           "check_a_power": {"type": "boolean"}}, []),
-    "conjtest": _schema({"tau": _NUM, "rho": _NUM, "ell": _NUM,
-                         "n_lattice": {"type": "integer"},
-                         "k_list": {"type": "array", "items": {"type": "integer"}},
-                         "order_one": {"type": "boolean"}}, []),
-    "plan": _schema({"theta": {"type": "integer"}, "mode": {"type": "string"},
-                     "kappa": {"type": "string"}}, ["theta"]),
-    "solve": _schema({"n_lattice": {"type": "integer"}, "h": _NUM, "eps_par": _NUM,
-                      "dt": _NUM, "stride": {"type": "integer"}, "s": _NUM,
-                      "c0": _NUM, "horizon": _NUM, "ell": _NUM}, ["seed"]),
-    "study-h": _schema({"n_lattice": {"type": "integer"}, "h_list": _NUMLIST,
-                        "s": _NUM, "c0": _NUM, "dt": _NUM}, ["seed"]),
-    "study-parabolic": _schema({"n_lattice": {"type": "integer"},
-                                "eps_list": _NUMLIST, "s": _NUM, "c0": _NUM,
-                                "dt": _NUM, "h": _NUM}, ["seed"]),
-    "report": _schema({"run_dir": {"type": "string"}}, ["run_dir"]),
+    "certify": _schema({"tol": _prop("number", 1e-9, minimum=0),
+                        "n_t": _prop("integer", 4, minimum=1),
+                        "n_x": _prop("integer", 6, minimum=1),
+                        "xi_values": _list("number", [1.0, -1.0, 2.0]),
+                        "s_values": _list("number", list(np.geomspace(1e-4, 1e-1, 7)),
+                                          **_POS),
+                        "y_values": _list("number", [1.0, 0.5, -1.0])}, []),
+    "theta": _schema({"eps_lo": _prop("number", 1e-3, **_POS),
+                      "eps_hi": _prop("number", 1e-1, **_POS),
+                      "n_eps": _prop("integer", 9, minimum=2),
+                      "n_t": _prop("integer", 4, minimum=1),
+                      "n_x": _prop("integer", 5, minimum=1)}, []),
+    # degree 1 has no root gap, so m_max < 2 would check nothing; spread 0
+    # draws coincident roots, which the split handles
+    "nuij": _schema({"m_max": _prop("integer", 6, minimum=2),
+                     "n_polys": _prop("integer", 200, minimum=1),
+                     "spread": _prop("number", 3.0, minimum=0),
+                     "s_values": _list("number", list(np.geomspace(1e-3, 1.0, 7)))},
+                    ["seed"]),
+    "symmetrize": _schema({"xi_lo": _prop("number", 2.0**4, **_POS),
+                           "xi_hi": _prop("number", 2.0**12, **_POS),
+                           "n_xi": _prop("integer", 9, minimum=2),
+                           "n_t": _prop("integer", 4, minimum=1),
+                           "n_x": _prop("integer", 5, minimum=1),
+                           "check_a_power": _prop("boolean", False)}, []),
+    # the Gevrey weight e^{tau <xi>^rho} needs tau > 0 and 0 < rho < 1
+    "conjtest": _schema({"tau": _prop("number", 1.5, **_POS),
+                         "rho": _prop("number", 0.75, exclusiveMaximum=1, **_POS),
+                         "ell": _prop("number", 1.0, **_POS),
+                         "n_lattice": _LATTICE,
+                         "k_list": _list("integer", [0, 1, 2], minimum=0),
+                         "order_one": _prop("boolean", True)}, []),
+    "plan": _schema({"theta": _prop("integer", minimum=0),
+                     "mode": _prop("string", "lipschitz"), "kappa": _prop("string")},
+                    ["theta"]),
+    # a negative eps_par is anti-dissipative, and lam_bound's stability scale
+    # would no longer bound the step
+    "solve": _schema({**_SOLVE, "h": _CUTOFF, "eps_par": _prop("number", 0.0, minimum=0),
+                      "stride": _prop("integer", 8, minimum=1),
+                      "horizon": _prop("number", **_POS), "ell": _prop("number", **_POS)},
+                     ["seed"]),
+    "study-h": _schema({**_SOLVE, "h_list": _list("number", [1 / 64, 1 / 128, 1 / 256],
+                                                  **_POS)}, ["seed"]),
+    "study-parabolic": _schema({**_SOLVE, "h": _CUTOFF,
+                                "eps_list": _list("number", [1e-2, 1e-3, 1e-4], **_POS)},
+                               ["seed"]),
+    "report": _schema({"run_dir": _prop("string")}, ["run_dir"]),
 }
 
 
 _JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool,
                "object": dict, "array": list}
 
+_BOUNDS = {
+    "minimum": (lambda v, b: v >= b, "is less than the minimum of"),
+    "exclusiveMinimum": (lambda v, b: v > b, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (lambda v, b: v < b, "is greater than or equal to the maximum of"),
+}
+
 
 def _is_type(value, kind: str) -> bool:
     # bool subclasses int in Python, but a JSON boolean is not a number
     if isinstance(value, bool):
         return kind == "boolean"
+    if kind == "number" and isinstance(value, float):
+        # Python's json reads NaN and Infinity, which JSON numbers exclude
+        return math.isfinite(value)
     return isinstance(value, _JSON_TYPES[kind])
 
 
-def validate_config(config: dict) -> dict:
-    """Schema-validate a config; unknown fields and commands are rejected.
+def _violation(value, prop: dict) -> str | None:
+    """How ``value`` breaks its field's type or bounds, or None."""
+    if not _is_type(value, prop["type"]):
+        return f"is not of type {prop['type']!r}"
+    for bound, (holds, words) in _BOUNDS.items():
+        if bound in prop and not holds(value, prop[bound]):
+            return f"{words} {prop[bound]!r}"
+    if prop.get("powerOfTwo") and value & (value - 1):
+        return "is not a power of two"
+    if prop["type"] == "array" and len(value) < prop["minItems"]:
+        return f"has fewer than the minItems of {prop['minItems']}"
+    return None
 
-    The schemas are flat: each property has a JSON type, arrays an item type.
-    A boolean is neither an integer nor a number.
+
+def _check(key: str, value, prop: dict) -> None:
+    why = _violation(value, prop)
+    if why:
+        raise ConfigError(f"config rejected: {key}: {value!r} {why}")
+    for v in value if prop["type"] == "array" else ():
+        _check(key, v, prop["items"])
+
+
+def validate_config(config: dict) -> dict:
+    """Check a config against its command's schema; return it with defaults filled in.
+
+    Unknown fields and commands are rejected, and so is any value of the
+    wrong JSON type or outside its field's bounds.  A boolean is neither an
+    integer nor a number.  The given dict is not changed.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     command = config.get("command")
     if command not in COMMAND_SCHEMAS:
-        raise ConfigError(
-            f"unknown command {command!r}; have {sorted(COMMAND_SCHEMAS)}"
-        )
+        raise ConfigError(f"unknown command {command!r}; have {sorted(COMMAND_SCHEMAS)}")
     if config.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION!r}"
-        )
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION!r}")
     schema = COMMAND_SCHEMAS[command]
     for key in schema["required"]:
         if key not in config:
@@ -114,29 +169,10 @@ def validate_config(config: dict) -> dict:
         prop = schema["properties"].get(key)
         if prop is None:
             raise ConfigError(f"config rejected: unknown field {key!r}")
-        values = [value]
-        if prop["type"] == "array" and _is_type(value, "array"):
-            prop, values = prop["items"], value
-        for v in values:
-            if not _is_type(v, prop["type"]):
-                raise ConfigError(
-                    f"config rejected: {key}: {v!r} is not of type {prop['type']!r}"
-                )
-    return config
-
-
-def _lattice_size(config: dict) -> int:
-    n_x = config.get("n_lattice", 256)
-    if n_x < 2 or n_x & (n_x - 1):
-        raise ConfigError(f"n_lattice must be a power of two >= 2, got {n_x}")
-    return n_x
-
-
-def _positive_list(config: dict, key: str, default: list) -> list:
-    values = config.get(key, default)
-    if not values or min(values) <= 0:
-        raise ConfigError(f"{key} must be a nonempty list of positive numbers")
-    return values
+        _check(key, value, prop)
+    defaults = {key: prop["default"] for key, prop in schema["properties"].items()
+                if "default" in prop}
+    return copy.deepcopy({**defaults, **config})
 
 
 def _resolve_coeffs(config: dict) -> tuple[SystemCoefficients, int | None, str]:
@@ -252,13 +288,7 @@ def run_params(
 
 
 def _solve_setup(config: dict):
-    n_x = _lattice_size(config)
-    for key in ("dt", "horizon", "s", "ell"):
-        if key in config and not config[key] > 0:
-            raise ConfigError(f"{key} must be positive, got {config[key]}")
-    if not config.get("h", 0.0) >= 0:
-        # h = 0 means no cutoff; a negative h would silently mean the same
-        raise ConfigError(f"h must be nonnegative, got {config['h']}")
+    n_x = config["n_lattice"]
     coeffs, theta_decl, name = _resolve_coeffs(config)
     mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
     kappa = Fraction(coeffs.kappa).limit_denominator(100) if coeffs.kappa else None
@@ -274,7 +304,7 @@ def _solve_setup(config: dict):
     c0_min = 1.2 * big_t * float(bracket(n_x / 2, float(params.ell))) ** float(params.rho) \
         / float(bracket(n_x / 2, 1.0)) ** (1.0 / s)
     c0 = config.get("c0", max(1.5, c0_min))
-    g = solver.gevrey_data(n_x, coeffs.m, s, c0, seed=config.get("seed", 0))
+    g = solver.gevrey_data(n_x, coeffs.m, s, c0, seed=config["seed"])
     horizon = config.get("horizon",
                          (big_t - float(params.c1)) / float(params.a))
     problem = solver.CauchyProblem(coeffs, g, horizon=horizon, gevrey_s=s,
@@ -290,18 +320,12 @@ def _solve_setup(config: dict):
 
 def _cmd_certify(config: dict) -> dict:
     coeffs, theta, name = _resolve_coeffs(config)
-    try:
-        ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
-        xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 6), endpoint=False)
-        rep = matkernel.certify_real_spectrum(coeffs, ts, xs,
-                                              config.get("xi_values", [1.0, -1.0, 2.0]),
-                                              tol=config.get("tol", 1e-9))
-        sb = matkernel.spectral_bound_certify(
-            coeffs, ts, xs, config.get("y_values", [1.0, 0.5, -1.0]),
-            config.get("s_values", list(np.geomspace(1e-4, 1e-1, 7))),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    ts = np.linspace(0.0, 1.0, config["n_t"])
+    xs = np.linspace(0.0, 2 * math.pi, config["n_x"], endpoint=False)
+    rep = matkernel.certify_real_spectrum(coeffs, ts, xs, config["xi_values"],
+                                          tol=config["tol"])
+    sb = matkernel.spectral_bound_certify(coeffs, ts, xs, config["y_values"],
+                                          config["s_values"])
     return {
         "preset": name,
         "real_spectrum": {
@@ -323,19 +347,13 @@ def _cmd_certify(config: dict) -> dict:
 
 def _cmd_theta(config: dict) -> dict:
     coeffs, theta_decl, name = _resolve_coeffs(config)
-    n_eps = config.get("n_eps", 9)
-    if n_eps < 2:
-        raise ConfigError(f"n_eps must be at least 2 to span a range, got {n_eps}")
-    for key, default in (("eps_lo", 1e-3), ("eps_hi", 1e-1)):
-        if not config.get(key, default) > 0:
-            raise ConfigError(f"{key} must be positive, got {config[key]}")
+    eps = np.geomspace(config["eps_lo"], config["eps_hi"], config["n_eps"])
+    ts = np.linspace(0.0, 1.0, config["n_t"])
+    xs = np.linspace(0.0, 2 * math.pi, config["n_x"], endpoint=False)
     try:
-        eps = np.geomspace(config.get("eps_lo", 1e-3), config.get("eps_hi", 1e-1), n_eps)
-        ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
-        xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 5), endpoint=False)
         te = matkernel.estimate_theta(coeffs, eps, t_values=ts, x_values=xs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:  # eps_lo..eps_hi spans less than two decades
+        raise ConfigError(f"eps_lo, eps_hi: {exc}") from None
     matches = theta_decl is None or te.theta_hat == theta_decl
     return {
         "preset": name,
@@ -353,20 +371,14 @@ def _cmd_theta(config: dict) -> dict:
 
 
 def _cmd_nuij(config: dict) -> dict:
-    m_max = config.get("m_max", 6)
-    n_polys = config.get("n_polys", 200)
-    spread = config.get("spread", 3.0)
-    if not spread >= 0:
-        # spread 0 gives coincident roots, which the split handles
-        raise ConfigError(f"spread must be nonnegative, got {spread}")
-    s_values = config.get("s_values", list(np.geomspace(1e-3, 1.0, 7)))
-    if not s_values or 0 in s_values:
-        raise ConfigError("s_values must be a nonempty list of nonzero numbers")
+    n_polys, spread, s_values = config["n_polys"], config["spread"], config["s_values"]
+    if 0 in s_values:
+        raise ConfigError("s_values must be nonzero")
     s_arr = np.asarray(s_values, dtype=float)
     seed = config["seed"]
     table = []
     worst_margin = math.inf
-    for m in range(1, m_max + 1):
+    for m in range(1, config["m_max"] + 1):
         c_m = rootsplit.nuij_constant(m)
         worst = None  # single root: no gap to measure
         if m > 1:
@@ -383,17 +395,12 @@ def _cmd_nuij(config: dict) -> dict:
 
 
 def _cmd_symmetrize(config: dict) -> dict:
-    for key, default in (("n_xi", 9), ("n_t", 4), ("n_x", 5), ("xi_lo", 2.0**4),
-                         ("xi_hi", 2.0**12)):
-        if not config.get(key, default) > 0:
-            raise ConfigError(f"{key} must be positive, got {config[key]}")
-    n_xi = config.get("n_xi", 9)
     coeffs, theta_decl, name = _resolve_coeffs(config)
     cal = calibrate(coeffs, theta_decl)
     params = run_params(coeffs, cal.theta, cal=cal)
-    xis = np.geomspace(config.get("xi_lo", 2.0**4), config.get("xi_hi", 2.0**12), n_xi)
-    ts = np.linspace(0.0, 1.0, config.get("n_t", 4))
-    xs = np.linspace(0.0, 2 * math.pi, config.get("n_x", 5), endpoint=False)
+    xis = np.geomspace(config["xi_lo"], config["xi_hi"], config["n_xi"])
+    ts = np.linspace(0.0, 1.0, config["n_t"])
+    xs = np.linspace(0.0, 2 * math.pi, config["n_x"], endpoint=False)
     field = symmetrizer.build_field(coeffs, params, ts, xs, xis)
     inv = field.check_invariants()
     rhs = field.rhs_scales()
@@ -407,7 +414,7 @@ def _cmd_symmetrize(config: dict) -> dict:
     ))
     lb = symmetrizer.lower_bound_check(field)
     probe = symmetrizer.symbol_estimate_probe(
-        coeffs, params, xis, check_a_power=config.get("check_a_power", False)
+        coeffs, params, xis, check_a_power=config["check_a_power"]
     )
     return {
         "preset": name,
@@ -430,22 +437,16 @@ def _cmd_symmetrize(config: dict) -> dict:
 
 
 def _cmd_conjtest(config: dict) -> dict:
-    rho = config.get("rho", 0.75)
-    ell = config.get("ell", 1.0)
-    tau = config.get("tau", 1.5)
-    n_x = _lattice_size(config)
-    if not ell > 0:
-        raise ConfigError(f"ell must be positive, got {ell}")
-    k_list = config.get("k_list", [0, 1, 2])
+    rho, ell, order_one = config["rho"], config["ell"], config["order_one"]
     m_eye = np.eye(1)
-    if config.get("order_one", True):
+    if order_one:
         a = engine.TrigMatrixSymbol(
             m=1, terms=((1, m_eye, lambda xi: bracket(xi, ell).astype(complex)),)
         )
     else:
         a = engine.TrigMatrixSymbol(m=1, terms=((1, m_eye, None),))
-    rep = engine.conjugation_remainder_probe(a, tau, rho, ell, k_list, n_x,
-                                             two_sided=config.get("order_one", True))
+    rep = engine.conjugation_remainder_probe(a, config["tau"], rho, ell, config["k_list"],
+                                             config["n_lattice"], two_sided=order_one)
     orders = [r.fitted for r in rep.rows]
     monotone = all(
         orders[i + 1] <= orders[i] + 0.1
@@ -468,7 +469,7 @@ def _cmd_conjtest(config: dict) -> dict:
 def _cmd_plan(config: dict) -> dict:
     try:
         kappa = Fraction(config["kappa"]) if "kappa" in config else None
-        result = planner.plan(config["theta"], config.get("mode", "lipschitz"), kappa)
+        result = planner.plan(config["theta"], config["mode"], kappa)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from None
     doc = result.to_json()
@@ -476,20 +477,13 @@ def _cmd_plan(config: dict) -> dict:
     return doc
 
 
-def _cmd_solve(config: dict, out_dir: str | None) -> dict:
-    stride = config.get("stride", 8)
-    if stride < 1:
-        raise ConfigError(f"stride must be positive, got {stride}")
-    eps_par = config.get("eps_par", 0.0)
-    if not eps_par >= 0:
-        # a negative regularization is anti-dissipative, and lam_bound's
-        # stability scale would no longer bound the step
-        raise ConfigError(f"eps_par must be nonnegative, got {eps_par}")
+def _cmd_solve(config: dict) -> dict:
+    stride, out_dir = config["stride"], config.get("out")
     coeffs, name, params, problem, cal = _solve_setup(config)
     res = solver.solve_cauchy(
         problem, params,
         h=config.get("h", 1.0 / float(params.ell)),
-        eps_par=eps_par,
+        eps_par=config["eps_par"],
         dt=config.get("dt"),
         stride=stride,
     )
@@ -540,7 +534,7 @@ def _cmd_solve(config: dict, out_dir: str | None) -> dict:
 
 
 def _cmd_study_h(config: dict) -> dict:
-    h_list = _positive_list(config, "h_list", [1 / 64, 1 / 128, 1 / 256])
+    h_list = config["h_list"]
     config = dict(config)
     config.setdefault("ell", 1.0 / max(h_list))
     coeffs, name, params, problem, cal = _solve_setup(config)
@@ -559,9 +553,8 @@ def _cmd_study_h(config: dict) -> dict:
 
 
 def _cmd_study_parabolic(config: dict) -> dict:
-    eps_list = _positive_list(config, "eps_list", [1e-2, 1e-3, 1e-4])
     coeffs, name, params, problem, cal = _solve_setup(config)
-    st = solver.parabolic_study(problem, params, eps_list, dt=config.get("dt"),
+    st = solver.parabolic_study(problem, params, config["eps_list"], dt=config.get("dt"),
                                 h=config.get("h"))
     return {
         "preset": name,
@@ -601,16 +594,16 @@ def _cmd_report(config: dict) -> dict:
 
 
 _DISPATCH = {
-    "certify": lambda cfg, out: _cmd_certify(cfg),
-    "theta": lambda cfg, out: _cmd_theta(cfg),
-    "nuij": lambda cfg, out: _cmd_nuij(cfg),
-    "symmetrize": lambda cfg, out: _cmd_symmetrize(cfg),
-    "conjtest": lambda cfg, out: _cmd_conjtest(cfg),
-    "plan": lambda cfg, out: _cmd_plan(cfg),
+    "certify": _cmd_certify,
+    "theta": _cmd_theta,
+    "nuij": _cmd_nuij,
+    "symmetrize": _cmd_symmetrize,
+    "conjtest": _cmd_conjtest,
+    "plan": _cmd_plan,
     "solve": _cmd_solve,
-    "study-h": lambda cfg, out: _cmd_study_h(cfg),
-    "study-parabolic": lambda cfg, out: _cmd_study_parabolic(cfg),
-    "report": lambda cfg, out: _cmd_report(cfg),
+    "study-h": _cmd_study_h,
+    "study-parabolic": _cmd_study_parabolic,
+    "report": _cmd_report,
 }
 
 
@@ -620,14 +613,15 @@ def run(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
     Exit status: 0 ok, 1 criterion failed.  Configuration and numeric
     failures raise and are mapped to codes 2/3 by the CLI.
     """
-    config = validate_config(config)
-    command = config["command"]
-    if out_dir is None:
-        out_dir = config.get("out")
+    resolved = validate_config(config)
+    command = resolved["command"]
+    if out_dir is not None:
+        resolved["out"] = out_dir
+    out_dir = resolved.get("out")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    summary = _DISPATCH[command](config, out_dir)
-    summary = {"command": command, "config": config, **summary}
+    # the summary echoes the config as given, not the resolved one
+    summary = {"command": command, "config": config, **_DISPATCH[command](resolved)}
     if out_dir:
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)

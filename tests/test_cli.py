@@ -1,13 +1,19 @@
 """CLI and runner: schemas, exit codes, artifacts, determinism."""
 
+import copy
 import json
 import os
+import re
 
 import pytest
 
 from hypersym.cli import main
 from hypersym.errors import ConfigError
-from hypersym.runner import run, validate_config
+from hypersym.runner import COMMAND_SCHEMAS, _check, run, validate_config
+
+
+def _zero_coeffs(m):
+    return {"m": m, "A": [[[] for _ in range(m)] for _ in range(m)]}
 
 
 def test_plan_via_cli(capsys):
@@ -86,16 +92,49 @@ def test_wrong_type_rejected(cfg):
     ["study-parabolic", "--preset", "xdep", "--seed", "0", {"h": -0.01}],
     ["theta", "--preset", "diag_sym", {"eps_lo": -1e-3}],
     ["theta", "--preset", "diag_sym", {"eps_hi": 0}],
+    ["nuij", "--seed", "0", {"n_polys": 0}],
+    ["nuij", "--seed", "0", {"m_max": 0}],
+    ["nuij", "--seed", "0", {"m_max": 1}],
+    ["conjtest", {"k_list": []}],
+    ["conjtest", {"k_list": [-1]}],
+    ["conjtest", {"tau": -1}],
+    ["conjtest", {"rho": 2}],
+    ["certify", "--preset", "diag_sym", {"tol": -1}],
+    ["certify", "--preset", "diag_sym", {"xi_values": [float("nan")]}],
+    ["solve", "--preset", "xdep", {"seed": -1}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"c0": 0}],
+    ["symmetrize", "--preset", "diag_sym", {"n_xi": 1}],
+    ["symmetrize", {"coeffs": _zero_coeffs(9)}],
+    ["solve", "--seed", "0", {"coeffs": _zero_coeffs(9)}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
+    fields = []
     if isinstance(argv[-1], dict):  # a config part goes through a file
         path = tmp_path / "config.json"
         path.write_text(json.dumps(argv[-1]))
+        fields = list(argv[-1]) + list(argv[-1].get("coeffs", {}))
         argv = argv[:-1] + ["--config", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    if fields:  # the message names the offending field
+        assert re.search(r"\b(%s)\b" % "|".join(fields), err), err
+
+
+def test_schema_table_self_check():
+    for schema in COMMAND_SCHEMAS.values():
+        for key, prop in schema["properties"].items():
+            if "default" in prop:  # every literal default satisfies its own bound
+                _check(key, prop["default"], prop)
+    cfg = {"command": "nuij", "schema_version": "1", "seed": 0, "m_max": 2, "n_polys": 3}
+    given = copy.deepcopy(cfg)
+    resolved = validate_config(cfg)
+    assert cfg == given and resolved["spread"] == 3.0
+    resolved["s_values"].append(5.0)  # the table's default is not shared
+    assert len(validate_config(cfg)["s_values"]) == 7
+    _, summary = run(cfg)
+    assert summary["config"] == given
 
 
 @pytest.mark.parametrize("s_values", [[-0.1], [-1e-2, 1e-2]])

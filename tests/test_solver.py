@@ -102,9 +102,13 @@ def test_rk4_matches_matrix_exponential_order():
 
 
 def test_rk4_budget_refused():
-    st = _single_mode(16, 1, 0)
-    with pytest.raises(ConfigError):
-        step_rk4(lambda t, u: -u, st.coeffs, 0.0, 1.0, lam_max=10.0)
+    # lam_bound = |xi|max ||A|| = 32 on 64 modes: dt lam is 2 at dt = 1/16
+    # (inside the budget 2.5) and 4 at dt = 1/8
+    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 2.0, seed=2), horizon=0.5)
+    solve_cauchy(prob, _quick_params(), h=0.25, dt=1 / 16, track_energy=False)
+    with pytest.raises(ConfigError, match="stability budget"):
+        solve_cauchy(prob, _quick_params(), h=0.25, dt=1 / 8, track_energy=False)
 
 
 # ---------------------------------------------------------------------------
