@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypersym.coeffs import MAX_M, SystemCoefficients
+from hypersym.errors import HypersymError
 from hypersym.rootsplit import _sort_rows, char_poly, polished_roots
 
 # ---------------------------------------------------------------------------
@@ -323,6 +324,9 @@ def q_lower_bound_probe(
 # Theta estimation
 
 
+EPS_SPAN = 99.0  # smallest eps_max / eps_min a theta fit accepts (two decades)
+
+
 @dataclass
 class ThetaEstimate:
     theta_hat: int
@@ -338,6 +342,52 @@ class ThetaEstimate:
     l_values: np.ndarray
 
 
+def _blocks(hs: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the decoupled diagonal blocks of a stack (..., m, m): the connected
+    components of the exact-nonzero pattern of the whole stack, unioned with its transpose."""
+    m = hs.shape[-1]
+    link = np.any(hs != 0, axis=tuple(range(hs.ndim - 2)))
+    reach = link | link.T | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):  # paths of length up to 2^k after k squarings
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+
+
+def _exp_norms(hs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``||e^{isH}||_2`` for H in (n_nodes, m, m) and s in (n_s,), shape (n_s, n_nodes).
+
+    A direct sum's norm is its largest block norm.  A 1x1 block gives
+    ``e^{-s Im h}``.  A 2x2 block with Z = sH, ``mu = tr Z / 2``, ``K = Z - mu I``
+    and ``d^2 = -det K`` has ``e^{iZ} = e^{i mu} (cos(d) I + i sinc(d) K)``, even
+    in d and exact at d = 0 (Moler & Van Loan, SIAM Review 45(1), 2003), and norm
+    ``sqrt((p + r)/2 + hypot((p - r)/2, |q|))`` over the entries p, q, r of E*E,
+    where no term cancels.  Larger blocks take ``expm_batched`` and an SVD.
+    """
+    norms = np.zeros((len(s), len(hs)))
+    for idx in _blocks(hs):
+        h = hs[:, idx[:, None], idx]
+        if len(idx) == 1:
+            nb = np.exp(-s[:, None] * h[:, 0, 0].imag)
+        elif len(idx) == 2:
+            z = s[:, None, None, None] * h  # s H: no underflow where s H is O(1)
+            half = 0.5 * (z[..., 0, 0] - z[..., 1, 1])
+            sd = np.sqrt(half**2 + z[..., 0, 1] * z[..., 1, 0])
+            zero = sd == 0  # sinc by hand: np.sinc's pi round trip errs by |sd| u
+            c, w = np.cos(sd), 1j * np.where(zero, 1.0, np.sin(sd) / np.where(zero, 1.0, sd))
+            e11, e12, e21, e22 = c + w * half, w * z[..., 0, 1], w * z[..., 1, 0], c - w * half
+            p = np.abs(e11) ** 2 + np.abs(e21) ** 2
+            r = np.abs(e12) ** 2 + np.abs(e22) ** 2
+            q = np.abs(np.conj(e11) * e12 + np.conj(e21) * e22)
+            nb = np.exp(-0.5 * (z[..., 0, 0] + z[..., 1, 1]).imag) \
+                * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+        else:
+            exps = expm_batched(1j * s[:, None, None, None] * h)
+            finite = np.isfinite(exps).all()
+            nb = np.linalg.svd(exps, compute_uv=False)[..., 0] if finite else np.inf
+        norms = np.maximum(norms, nb)
+    return norms
+
+
 def _growth_curves(
     coeffs: SystemCoefficients,
     n_taylor: int,
@@ -346,41 +396,37 @@ def _growth_curves(
     x_values,
     xi_values,
     c_hat: float,
-    s_grid,
 ):
-    """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf."""
-    g = np.empty(len(eps_values))
-    low = np.empty(len(eps_values))
+    """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf.
+
+    One eps at a time, so that peak memory stays that of one (s, node) batch.
+    """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
     # H_N(eps) at every node, shape (n_eps, n_nodes, m, m), nodes in (t, x, xi) order
-    hs_all = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
-                           eps_values[:, None, None, None] * xi_values, n_taylor
-                           ).reshape(len(eps_values), -1, coeffs.m, coeffs.m)
+    hs = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
+                       eps_values[:, None, None, None] * xi_values, n_taylor
+                       ).reshape(len(eps_values), -1, coeffs.m, coeffs.m)
+    # Target the hump at s*eps = O(1); beyond u ~ 30 the decay term
+    # dominates any admissible polynomial transient.
+    s = np.concatenate((np.zeros((len(eps_values), 1)),
+                        np.geomspace(1e-2, 30.0, 36) / eps_values[:, None]), axis=1)
+    damp = np.exp(-c_hat * s * eps_values[:, None])[:, :, None]
+    g, low = np.empty(len(eps_values)), np.empty(len(eps_values))
     for i, eps in enumerate(eps_values):
-        if s_grid is None:
-            # Target the hump at s*eps = O(1); beyond u ~ 30 the decay term
-            # dominates any admissible polynomial transient.
-            s_values = np.concatenate(([0.0], np.geomspace(1e-2, 30.0, 36) / eps))
-        else:
-            s_values = np.asarray(s_grid, dtype=float)
-        hs = hs_all[i]
-        stack = 1j * s_values[:, None, None, None] * hs[None, :, :, :]
-        exps = expm_batched(stack.reshape(-1, coeffs.m, coeffs.m))
-        norms = np.linalg.svd(exps, compute_uv=False)[:, 0].reshape(
-            len(s_values), len(hs)
-        )
-        damp = np.exp(-c_hat * s_values * eps)[:, None]
-        g[i] = float(np.max(damp * norms))
-        low[i] = float(np.min(norms / damp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = _exp_norms(hs[i], s[i])
+        if not np.isfinite(norms).all():
+            raise HypersymError(f"theta barometer: ||e^(is H_N)|| is not finite at "
+                                f"eps = {eps:.6g}; the symbol is not hyperbolic")
+        g[i], low[i] = np.max(damp[i] * norms), np.min(norms / damp[i])
     return g, low
 
 
 def estimate_theta(
     coeffs: SystemCoefficients,
     eps_values,
-    s_grid=None,
     t_values=(0.0,),
     x_values=(0.0,),
     xi_values=(1.0, -1.0),
@@ -402,7 +448,7 @@ def estimate_theta(
     confirm two-sidedness; both constants are empirical, not sharp.
     """
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
-    if eps_values[-1] / eps_values[0] < 99.0:
+    if eps_values[-1] / eps_values[0] < EPS_SPAN:
         raise ValueError("eps_values must span at least two decades")
     m = coeffs.m
     if c_hat is None:
@@ -423,7 +469,7 @@ def estimate_theta(
     theta_raw = float(m - 1)
     for _ in range(max(m, 1)):
         g, low = _growth_curves(
-            coeffs, n_taylor, eps_values, t_values, x_values, xi_values, c_hat, s_grid
+            coeffs, n_taylor, eps_values, t_values, x_values, xi_values, c_hat
         )
         slope, _ = np.polyfit(np.log(eps_values), np.log(g), 1)
         theta_raw = -float(slope)

@@ -320,6 +320,8 @@ def _solve_setup(config: dict):
 
 def _cmd_certify(config: dict) -> dict:
     coeffs, theta, name = _resolve_coeffs(config)
+    if not any(config["y_values"]):  # at y = 0 every probe is the real symbol
+        raise ConfigError("y_values: needs a nonzero entry, or the spectral bound is vacuous")
     ts = np.linspace(0.0, 1.0, config["n_t"])
     xs = np.linspace(0.0, 2 * math.pi, config["n_x"], endpoint=False)
     rep = matkernel.certify_real_spectrum(coeffs, ts, xs, config["xi_values"],
@@ -350,10 +352,9 @@ def _cmd_theta(config: dict) -> dict:
     eps = np.geomspace(config["eps_lo"], config["eps_hi"], config["n_eps"])
     ts = np.linspace(0.0, 1.0, config["n_t"])
     xs = np.linspace(0.0, 2 * math.pi, config["n_x"], endpoint=False)
-    try:
-        te = matkernel.estimate_theta(coeffs, eps, t_values=ts, x_values=xs)
-    except ValueError as exc:  # eps_lo..eps_hi spans less than two decades
-        raise ConfigError(f"eps_lo, eps_hi: {exc}") from None
+    if eps.max() / eps.min() < matkernel.EPS_SPAN:
+        raise ConfigError("eps_lo, eps_hi: eps_values must span at least two decades")
+    te = matkernel.estimate_theta(coeffs, eps, t_values=ts, x_values=xs)
     matches = theta_decl is None or te.theta_hat == theta_decl
     return {
         "preset": name,

@@ -106,6 +106,7 @@ def test_wrong_type_rejected(cfg):
     ["symmetrize", "--preset", "diag_sym", {"n_xi": 1}],
     ["symmetrize", {"coeffs": _zero_coeffs(9)}],
     ["solve", "--seed", "0", {"coeffs": _zero_coeffs(9)}],
+    ["certify", "--preset", "xdep", {"y_values": [0.0]}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -221,6 +222,27 @@ def test_criterion_failure_maps_to_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     status = main(["--config", str(path)])
     assert status == 1
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("theta", {}),
+    ("symmetrize", {}),
+    ("solve", {"seed": 0, "n_lattice": 64}),
+])
+def test_elliptic_input_exits_3_without_traceback(command, extra, tmp_path, capsys):
+    # the growth curves of a non-hyperbolic symbol overflow: a numeric abort
+    from hypersym.coeffs import coeffs_to_json, constant_system
+    import numpy as np
+
+    elliptic = constant_system(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    cfg = {"command": command, "schema_version": "1",
+           "coeffs": coeffs_to_json(elliptic), **extra}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort:") and len(err.splitlines()) == 1
+    assert "eps = 0.001" in err and "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

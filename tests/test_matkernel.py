@@ -11,6 +11,9 @@ from hypersym.coeffs import (
     cosine_terms,
 )
 from hypersym.matkernel import (
+    _blocks,
+    _exp_norms,
+    _growth_curves,
     certify_real_spectrum,
     estimate_theta,
     expm_batched,
@@ -397,6 +400,94 @@ def test_theta_requires_two_decades():
         estimate_theta(cs, np.geomspace(1e-2, 1e-1, 5))
 
 
+# ---------------------------------------------------------------------------
+# ||e^{isH}|| in closed form (the theta growth curves)
+
+
+def _pade_growth_curves(coeffs, n_taylor, eps_values, t_values, x_values, xi_values, c_hat):
+    """The growth curves by one Pade exponential and one SVD per (eps, s, node)."""
+    hs_all = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
+                           eps_values[:, None, None, None] * xi_values, n_taylor
+                           ).reshape(len(eps_values), -1, coeffs.m, coeffs.m)
+    g, low = np.empty(len(eps_values)), np.empty(len(eps_values))
+    for i, eps in enumerate(eps_values):
+        s_values = np.concatenate(([0.0], np.geomspace(1e-2, 30.0, 36) / eps))
+        exps = expm_batched(1j * s_values[:, None, None, None] * hs_all[i][None])
+        norms = np.linalg.svd(exps, compute_uv=False)[..., 0]
+        damp = np.exp(-c_hat * s_values * eps)[:, None]
+        g[i], low[i] = np.max(damp * norms), np.min(norms / damp)
+    return g, low
+
+
+_TS = np.linspace(0.0, 1.0, 4)
+_XS = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+_XIS = np.array([1.0, -1.0])
+
+
+def _norms(h, s):
+    return _exp_norms(np.asarray(h, dtype=complex)[None], np.asarray(s))[:, 0]
+
+
+def test_exp_norm_nilpotent_exact():
+    s = np.concatenate(([0.0], np.geomspace(1e-3, 3e4, 200)))
+    np.testing.assert_allclose(_norms([[0, 0], [1, 0]], s), (s + np.sqrt(s**2 + 4)) / 2,
+                               rtol=1e-14, atol=0)
+
+
+def test_exp_norm_hermitian_and_scalar_blocks():
+    s = np.geomspace(1e-2, 1e4, 50)
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = a + a.conj().T
+    np.testing.assert_allclose(_norms(h.real, s), 1.0, rtol=1e-14)
+    # complex h12 h21 rounds to Im d ~ u |d|, which e^{s Im d} turns into s ||H|| u
+    bound = 1e-14 + s * np.linalg.norm(h, 2) * np.finfo(float).eps
+    assert np.all(np.abs(_norms(h, s) - 1.0) <= bound)
+    h = np.diag([0.3 + 2e-3j, -1.0 + 1e-3j])  # two 1x1 blocks
+    assert len(_blocks(h)) == 2
+    np.testing.assert_allclose(_norms(h, s), np.exp(-s * 1e-3), rtol=1e-14)
+    np.testing.assert_allclose(_norms([[0.5 - 1e-3j]], s), np.exp(s * 1e-3), rtol=1e-14)
+
+
+def test_blocks_couple_both_directions():
+    # 0 -> 1 <- 2: no index reaches the others along rows alone
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = h[2, 1] = 1.0
+    assert [list(b) for b in _blocks(h)] == [[0, 1, 2]]
+    s = np.array([0.5, 2.0, 40.0])
+    ref = np.linalg.svd(expm_batched(1j * s[:, None, None] * h), compute_uv=False)[:, 0]
+    np.testing.assert_allclose(_norms(h, s), ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_growth_curves_match_pade(name):
+    coeffs = get_preset(name).coeffs
+    eps = np.geomspace(1e-3, 1e-1, 7)
+    for n_taylor in (coeffs.m, 2 * coeffs.m):
+        args = (coeffs, n_taylor, eps, _TS, _XS, _XIS, 1.0)
+        g, low = _growth_curves(*args)
+        g_ref, low_ref = _pade_growth_curves(*args)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-9)
+        np.testing.assert_allclose(low, low_ref, rtol=1e-9)
+
+
+def test_mixed_block_direct_sum_takes_pade_path():
+    cs = get_preset("block_direct_sum").coeffs
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    mixed = SystemCoefficients(
+        m=4, a_field=MatrixField(4, [CoeffTerm(t.x_freq, t.t_term, u @ t.matrix @ u.conj().T)
+                                     for t in cs.a_field.terms]),
+        b_field=MatrixField(4, []))
+    assert [len(b) for b in _blocks(taylor_symbol(cs, _TS[:, None], 0.0, 1.0, 0.1, 4))] == [2, 2]
+    assert [len(b) for b in _blocks(taylor_symbol(mixed, _TS[:, None], 0.0, 1.0, 0.1, 4))] == [4]
+    eps = np.geomspace(1e-3, 1e-1, 7)
+    te = estimate_theta(cs, eps, t_values=_TS, x_values=_XS)
+    te_mixed = estimate_theta(mixed, eps, t_values=_TS, x_values=_XS)
+    assert te_mixed.theta_hat == te.theta_hat
+    np.testing.assert_allclose(te_mixed.g_values, te.g_values, rtol=1e-9)
+
+
 def test_smooth_cutoff_plateau():
     from hypersym.weights import smooth_cutoff
 
@@ -431,9 +522,3 @@ def test_spectrum_larger_sizes_and_budget():
     with pytest.raises(ValueError):
         spectrum(np.eye(9))
 
-
-def test_theta_with_explicit_s_grid():
-    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    te = estimate_theta(cs, np.geomspace(1e-3, 1e-1, 7),
-                        s_grid=np.linspace(0.0, 50.0, 26))
-    assert te.theta_hat == 0
