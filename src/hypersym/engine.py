@@ -89,10 +89,16 @@ class SpectralState:
         return SpectralState(alpha * self.coeffs)
 
 
-def weighted_norm(state: SpectralState, sigma: float, ell: float) -> float:
-    """l2 norm of ``<xi>_ell^sigma u_hat`` over the lattice, all components."""
-    w = bracket_pow(state.xi, ell, sigma)
-    return float(np.sqrt(np.sum((np.abs(state.coeffs) * w[None, :]) ** 2)))
+def weighted_norm(coeffs, sigmas, ell: float) -> np.ndarray:
+    """l2 norms of ``<xi>_ell^sigma u_hat`` over the lattice, all components.
+
+    ``coeffs`` is a stack (..., m, N_x) of states in FFT order; the result
+    is (..., len(sigmas)).  All sigmas take one product of the squared
+    moduli against the table ``<xi>^(2 sigma)``.
+    """
+    coeffs = np.asarray(coeffs)
+    table = bracket_pow(lattice(coeffs.shape[-1])[:, None], ell, 2.0 * np.asarray(sigmas))
+    return np.sqrt(np.sum(coeffs.real**2 + coeffs.imag**2, axis=-2) @ table)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,3 @@ class NumericAbortError(HypersymError):
     def __init__(self, message: str, last_time: float):
         super().__init__(message)
         self.last_time = last_time
-
-
-class InconclusiveError(HypersymError):
-    """Measurement lacks enough signal to produce a fit."""

@@ -14,7 +14,14 @@ each mode by ``1 + z + z^2/2 + z^3/6 + z^4/24`` with ``z = -dt eps_par xi^2``
 ``R = I/2`` exactly and Lyapunov solves run on band nodes only.  A forced
 run evolves the whole lattice, since the forcing drives every mode.  The
 full state is assembled at sample times and at the end.  The time
-coefficients of every RK4 stage are evaluated once, before the loop.
+coefficients of every RK4 stage are evaluated once, before the loop, into
+one matrix per time, so each generator application is a single product
+(:class:`TruncatedGenerator`).
+
+The loop only records the sampled states.  The diagnostics then run over
+blocks of samples: one weight array, one product of the squared moduli
+against the ``<xi>^(2 sigma)`` table for all five norms, one band Lyapunov
+batch for the R-energy and one stack-first radius fit per block.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
-from hypersym.engine import SpectralState, lattice, shift_map, weighted_norm
-from hypersym.errors import ConfigError, InconclusiveError, NumericAbortError
+from hypersym.engine import SpectralState, lattice, weighted_norm
+from hypersym.errors import ConfigError, NumericAbortError
 from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
     ParameterSet,
@@ -105,11 +112,16 @@ class TruncatedGenerator:
     ``whole_lattice`` is set.  Band states are (m, n_band) arrays in
     centered order: column j holds frequency ``xi[j]``, found at FFT
     position ``index[j]`` of a lattice state.  Trig-polynomial coefficients
-    act by exact frequency shifts (:func:`engine.shift_map`), which is their
-    Kohn-Nirenberg quantization; on the band each x-harmonic k is a pair of
-    slices.  The terms of each field collapse per harmonic, so
-    ``A_k(t) @ (i xi v)`` and ``B_k(t) @ v`` are one product each, with the
-    matrices evaluated once by :meth:`compile` for the times a solve uses.
+    act by exact frequency shifts, which is their Kohn-Nirenberg
+    quantization: harmonic k moves position p to p + k and drops the modes
+    that leave the band (the rule of :func:`engine.shift_map`).  The inputs
+    of the fields that have terms, ``i xi v`` for A and ``v`` for B, sit in
+    a zero-padded buffer with K = ``coeffs.x_band`` zeros on each side;
+    window row K - k of its sliding-window view is the source shifted by k,
+    zero where it left the band.  So one product of the
+    ``(m, F m (2K+1))`` matrix of every harmonic of those F fields,
+    evaluated once by :meth:`compile` for the times a solve uses, applies
+    the whole generator.
     """
 
     def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float,
@@ -125,23 +137,34 @@ class TruncatedGenerator:
         self.chi = chi[band]
         self.index = self.xi.astype(int) % n_x
         self.heat = self.eps_par * self.xi**2
-        self._i_xi = 1j * self.xi
+        n, k_max = len(self.xi), coeffs.x_band
+        # each field's input is factor * u, at columns K .. K + n - 1 of its
+        # buffer row; the padding stays zero
+        fields = [(fld, fac) for fld, fac in ((coeffs.a_field, 1j * self.xi * self.chi),
+                                              (coeffs.b_field, self.chi + 0j)) if fld.terms]
+        self._fields = [fld for fld, _ in fields]
+        self._factors = np.array([fac for _, fac in fields], dtype=complex).reshape(-1, 1, n)
+        buf = np.zeros((len(fields), coeffs.m, n + 2 * k_max), dtype=complex)
+        self._center = buf[:, :, k_max:k_max + n]
+        self._windows = np.lib.stride_tricks.sliding_window_view(buf, n, axis=-1)
         self._rows: dict = {}
-        self._terms: list = []
+        self._stack = None
 
     def compile(self, ts) -> None:
         """Evaluate the harmonic matrices at every time in ``ts`` once.
 
-        :meth:`apply` accepts exactly these times.  Each term is (src, tgt,
-        (n_t, m, m) stack, whether it acts on ``i xi v``), one per harmonic.
+        :meth:`apply` accepts exactly these times.  Row i of the stack is
+        the (m, F m (2K+1)) matrix at the i-th distinct time: column
+        (f, d, K - k) holds component d of harmonic k of field f.
         """
         ts = np.unique(np.asarray(ts, dtype=float))
         self._rows = {t: i for i, t in enumerate(ts.tolist())}
-        n = len(self.xi)
-        self._terms = [(*shift_map(k, n), stack, on_a)
-                       for on_a, fld in ((True, self.coeffs.a_field),
-                                         (False, self.coeffs.b_field))
-                       for k, stack in fld.harmonic_matrices(ts).items()]
+        m, k_max = self.coeffs.m, self.coeffs.x_band
+        stack = np.zeros((ts.size, m, len(self._fields), m, 2 * k_max + 1), dtype=complex)
+        for f, fld in enumerate(self._fields):
+            for k, mats in fld.harmonic_matrices(ts).items():
+                stack[:, :, f, :, k_max - k] = mats
+        self._stack = stack.reshape(ts.size, m, -1)
 
     def lam_bound(self, t_hi: float) -> float:
         """Stability scale: sup over modes of ||iA(xi)|| + eps |xi|^2."""
@@ -158,12 +181,8 @@ class TruncatedGenerator:
 
     def apply(self, t: float, coeffs_hat: np.ndarray) -> np.ndarray:
         """The generator at a compiled time t on a band state (m, n_band)."""
-        row = self._rows[t]
-        v = coeffs_hat * self.chi
-        w_a = self._i_xi * v
-        out = np.zeros(coeffs_hat.shape, dtype=complex)
-        for src, tgt, stack, on_a in self._terms:
-            out[:, tgt] += stack[row] @ (w_a if on_a else v)[:, src]
+        np.multiply(coeffs_hat, self._factors, out=self._center)
+        out = self._stack[self._rows[t]] @ self._windows.reshape(-1, coeffs_hat.shape[-1])
         out *= self.chi
         if self.eps_par:
             out -= self.heat * coeffs_hat
@@ -182,14 +201,27 @@ def step_rk4(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Traces and the main loop
 
+# Temporaries of one block of sample diagnostics, in bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def _samples_per_block(m: int, n_x: int, n_lyap: int) -> int:
+    """Samples per block of diagnostics, so that its temporaries stay near
+    _BLOCK_BYTES: a sample takes a few copies of its (m, n_x) state and, for
+    each of its ``n_lyap`` Lyapunov nodes, about four copies of the
+    m^2 x m^2 system that ``_lyap_solve_batch`` builds."""
+    return max(1, _BLOCK_BYTES // (64 * (m * n_x + m**4 * n_lyap)))
+
 
 @dataclass
 class EnergyTrace:
     times: np.ndarray
     e_r: np.ndarray  # R-weighted energy of v, normalized by its initial value
     e_r_raw: np.ndarray
-    norms: dict  # sigma -> array of ||<D>^sigma v(t)||
-    f_norms: dict  # sigma -> array of ||<D>^sigma f_tilde(t)|| (forced runs)
+    norms: np.ndarray  # (n_samples, 5): ||<D>^sigma v(t)||, column j for sigmas[j]
+    # (n_samples, 2): ||<D>^sigma f_tilde(t)|| for sigma = 3nu, 2nu - (rho-1)/2;
+    # NaN in unforced runs
+    f_norms: np.ndarray
     gevrey_c: np.ndarray
     increments: np.ndarray  # per-sample increments of normalized e_r
     er_mode: str  # multiplier | mollified | skipped
@@ -203,7 +235,7 @@ class EnergyTrace:
         for i, t in enumerate(self.times):
             row = [repr(float(t)), repr(float(self.e_r[i])), repr(float(self.e_r_raw[i])),
                    repr(float(self.gevrey_c[i]))]
-            row += [repr(float(self.norms[s][i])) for s in self.sigmas]
+            row += [repr(float(x)) for x in self.norms[i]]
             lines.append(",".join(row))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -222,37 +254,43 @@ class SolveResult:
     final: SpectralState
 
 
-def gevrey_radius_fit(state: SpectralState, s: float,
-                      noise_floor: float = 1e-14) -> tuple[float, float]:
+def gevrey_radius_fit(coeffs, s: float, noise_floor: float = 1e-14):
     """Least-squares radius of ``|u_hat| ~ e^{-c <xi>^(1/s)}`` over the tail.
 
-    Requires at least three decades of tail above the noise floor;
-    otherwise the measurement is inconclusive.
+    ``coeffs`` is a stack (..., m, N_x) of states in FFT order; returns the
+    fitted c and the rms residual, each of the stack's leading shape.  A fit
+    needs at least five tail points spanning three decades above the noise
+    floor; otherwise the measurement is inconclusive and both are NaN.
     """
-    xi = state.xi
-    amp = np.linalg.norm(state.coeffs, axis=0)
-    # fold +-xi to |xi| taking the max amplitude
-    ks = np.arange(state.n_x // 2 + 1)
-    vals = np.zeros(ks.size)
-    np.maximum.at(vals, np.abs(xi).astype(int), amp)
-    peak = float(np.max(vals))
-    band = (vals > max(noise_floor, 1e-300)) & (vals < 0.5 * peak) & (ks > 0)
-    if np.count_nonzero(band) < 5:
-        raise InconclusiveError("not enough tail points for a radius fit")
-    decades = math.log10(np.max(vals[band]) / np.min(vals[band]))
-    if decades < 3.0:
-        raise InconclusiveError(f"tail spans only {decades:.2f} decades")
-    xcoord = bracket(ks[band].astype(float), 1.0) ** (1.0 / s)
-    ycoord = -np.log(vals[band])
-    slope, intercept = np.polyfit(xcoord, ycoord, 1)
-    resid = float(np.sqrt(np.mean((ycoord - (slope * xcoord + intercept)) ** 2)))
-    return float(slope), resid
-
-
-_SIGMA_KEYS = ("-nu", "(rho-1)/2", "rho/2", "nu", "3nu")
+    coeffs = np.asarray(coeffs)
+    n_x = coeffs.shape[-1]
+    half = n_x // 2
+    amp = np.sqrt(np.sum(coeffs.real**2 + coeffs.imag**2, axis=-2))
+    # fold +-xi to |xi| taking the max amplitude; -N_x/2 has no mirror
+    vals = amp[..., :half + 1].copy()
+    np.maximum(vals[..., 1:half], amp[..., :half:-1], out=vals[..., 1:half])
+    peak = np.max(vals, axis=-1, keepdims=True)
+    band = (vals > max(noise_floor, 1e-300)) & (vals < 0.5 * peak)
+    band[..., 0] = False
+    count = np.count_nonzero(band, axis=-1)
+    lo = np.min(np.where(band, vals, np.inf), axis=-1)
+    hi = np.max(np.where(band, vals, 0.0), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conclusive = (count >= 5) & (np.log10(hi / lo) >= 3.0)
+        # closed-form least squares over the band, in centered coordinates
+        n = np.maximum(count, 1)[..., None]
+        xcoord = np.where(band, bracket(np.arange(half + 1.0), 1.0) ** (1.0 / s), 0.0)
+        ycoord = np.where(band, -np.log(np.where(band, vals, 1.0)), 0.0)
+        dx = np.where(band, xcoord - np.sum(xcoord, axis=-1, keepdims=True) / n, 0.0)
+        dy = np.where(band, ycoord - np.sum(ycoord, axis=-1, keepdims=True) / n, 0.0)
+        slope = np.sum(dx * dy, axis=-1, keepdims=True) / np.sum(dx * dx, axis=-1, keepdims=True)
+        resid = np.sqrt(np.sum((dy - slope * dx) ** 2, axis=-1, keepdims=True) / n)
+    return np.where(conclusive, slope[..., 0], np.nan), np.where(conclusive, resid[..., 0], np.nan)
 
 
 def _sigma_values(params: ParameterSet) -> tuple:
+    """The norm orders of the trace, in column order: -nu, (rho-1)/2,
+    rho/2, nu, 3nu.  With nu = 0 three of them coincide."""
     nu = params.nu
     rho = float(params.rho)
     return (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
@@ -324,11 +362,6 @@ def solve_cauchy(
         return damped_generator(coeffs, replace(params, tau=big_t - a * t),
                                 t, 0.0, r_xi, r_chi2)
 
-    def r_lattice(r_band: np.ndarray) -> np.ndarray:
-        r = np.tile(np.eye(coeffs.m, dtype=complex) / 2.0, (n_x, 1, 1))
-        r[r_index] = r_band
-        return r
-
     x_independent = coeffs.x_band == 0
     use_molly = coeffs.t_regularity == "holder" and params.delta is not None
     er_mode = "skipped"
@@ -360,44 +393,12 @@ def solve_cauchy(
             out = out + problem.forcing(t).coeffs[:, gen.index]
         return out
 
-    sigmas = _sigma_values(params)
     times_list: list[float] = []
-    e_r_raw: list[float] = []
-    norms: dict = {s: [] for s in sigmas}
-    f_norms: dict = {3.0 * params.nu: [], 2.0 * params.nu - (rho - 1.0) / 2.0: []}
-    gevrey_cs: list[float] = []
     states: list[SpectralState] = []
 
-    def sample(idx: int, t: float, u: SpectralState):
-        weight = gevrey_weight(xi, big_t - a * t, rho, ell)
-        v = SpectralState(u.coeffs * weight[None, :])
+    def sample(t: float, u: SpectralState):
         times_list.append(t)
         states.append(u)
-        for s in sigmas:
-            norms[s].append(weighted_norm(v, s, ell))
-        if problem.forcing is not None:
-            ft = SpectralState(problem.forcing(t).coeffs * weight[None, :])
-            for s in f_norms:
-                f_norms[s].append(weighted_norm(ft, s, ell))
-        if er_mode == "multiplier":
-            r_here = r_lattice(_lyap_solve_batch(*r_generator(t)))
-        elif er_mode == "mollified":
-            r_here = r_lattice(molly_values[idx])
-        else:
-            r_here = None
-        if r_here is None:
-            e_r_raw.append(float("nan"))
-        else:
-            quad = np.einsum("ck,kcd,dk->", np.conj(v.coeffs), r_here, v.coeffs)
-            e_r_raw.append(float(np.real(quad)))
-        if problem.gevrey_s is not None:
-            try:
-                c_fit, _ = gevrey_radius_fit(u, problem.gevrey_s)
-            except InconclusiveError:
-                c_fit = float("nan")
-            gevrey_cs.append(c_fit)
-        else:
-            gevrey_cs.append(float("nan"))
 
     # Off the band the generator is -eps_par xi^2, so one RK4 step multiplies
     # each mode by 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2
@@ -415,23 +416,51 @@ def solve_cauchy(
         return SpectralState(full)
 
     t = 0.0
-    sample(0, t, problem.g)
+    sample(t, problem.g)
     next_sample = 1
     for k in range(n_steps):
         band = step_rk4(rhs, band, t, dt)
         off = off * amp
         t = (k + 1) * dt
-        peak = np.maximum(np.max(np.abs(band)), np.max(np.abs(off), initial=0.0))
+        peak = np.maximum(np.abs(band).max(), np.abs(off).max(initial=0.0))
         if not np.isfinite(peak):
             raise NumericAbortError(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
             )
         if next_sample < len(sample_times) and t >= sample_times[next_sample] - 1e-12:
-            sample(next_sample, t, assemble())
+            sample(t, assemble())
             next_sample += 1
 
+    # The diagnostics run over blocks of samples.
     times = np.asarray(times_list)
-    e_r_arr = np.asarray(e_r_raw)
+    n_samples = times.size
+    sigmas = _sigma_values(params)
+    f_sigmas = (3.0 * params.nu, 2.0 * params.nu - (rho - 1.0) / 2.0)
+    norms = np.empty((n_samples, len(sigmas)))
+    f_norms = np.full((n_samples, len(f_sigmas)), np.nan)
+    e_r_arr = np.full(n_samples, np.nan)
+    gevrey_c = np.full(n_samples, np.nan)
+    r_off = np.setdiff1d(np.arange(n_x), r_index)
+    block = _samples_per_block(coeffs.m, n_x, r_xi.size if er_mode == "multiplier" else 0)
+    for lo in range(0, n_samples, block):
+        blk = slice(lo, lo + block)
+        u = np.stack([st.coeffs for st in states[blk]])
+        weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)[:, None, :]
+        v = u * weight
+        norms[blk] = weighted_norm(v, sigmas, ell)
+        if problem.forcing is not None:
+            f = np.stack([problem.forcing(t).coeffs for t in times[blk]])
+            f_norms[blk] = weighted_norm(f * weight, f_sigmas, ell)
+        if er_mode != "skipped":
+            # Re <R v, v>: the band's solved R, and R = I/2 off it
+            r_band = (_lyap_solve_batch(*r_generator(times[blk, None]))
+                      if er_mode == "multiplier" else molly_values[blk])
+            v_band = v[:, :, r_index]
+            e_r_arr[blk] = np.einsum("bck,bkcd,bdk->b", v_band.conj(), r_band, v_band).real \
+                + 0.5 * np.sum(np.abs(v[:, :, r_off]) ** 2, axis=(1, 2))
+        if problem.gevrey_s is not None:
+            gevrey_c[blk] = gevrey_radius_fit(u, problem.gevrey_s)[0]
+
     base = e_r_arr[0] if e_r_arr.size and np.isfinite(e_r_arr[0]) and e_r_arr[0] > 0 else 1.0
     e_r_norm = e_r_arr / base
     increments = np.diff(e_r_norm, prepend=e_r_norm[0] if e_r_norm.size else 0.0)
@@ -439,9 +468,9 @@ def solve_cauchy(
         times=times,
         e_r=e_r_norm,
         e_r_raw=e_r_arr,
-        norms={s: np.asarray(vs) for s, vs in norms.items()},
-        f_norms={s: np.asarray(vs) for s, vs in f_norms.items()},
-        gevrey_c=np.asarray(gevrey_cs),
+        norms=norms,
+        f_norms=f_norms,
+        gevrey_c=gevrey_c,
         increments=increments,
         er_mode=er_mode,
         sigmas=sigmas,
@@ -471,26 +500,20 @@ class EnergyResidualReport:
     er_mode: str
 
 
-def energy_residual(result: SolveResult, params: ParameterSet | None = None) -> EnergyResidualReport:
+def energy_residual(result: SolveResult) -> EnergyResidualReport:
     """Empirical constants of the two a priori estimates along a run.
 
     For unforced runs the constant is ``max_t LHS(t) / ||<D>^nu v(0)||``;
     forced runs add the time-integrated forcing norm to the denominator.
     """
-    params = params or result.params
     trace = result.trace
-    sig = _sigma_values(params)
-    nu = params.nu
-    rho = float(params.rho)
-    lhs1 = trace.norms[sig[0]]  # -nu
-    lhs2 = trace.norms[sig[1]]  # (rho-1)/2
-    rhs0 = trace.norms[sig[3]][0]  # nu at t=0
+    lhs1 = trace.norms[:, 0]  # -nu
+    lhs2 = trace.norms[:, 1]  # (rho-1)/2
+    rhs0 = trace.norms[0, 3]  # nu at t=0
     duh1 = duh2 = 0.0
     if result.problem.forcing is not None and len(trace.times) > 1:
-        f1 = trace.f_norms[3.0 * nu]
-        f2 = trace.f_norms[2.0 * nu - (rho - 1.0) / 2.0]
-        duh1 = float(np.trapezoid(f1, trace.times))
-        duh2 = float(np.trapezoid(f2, trace.times))
+        duh1 = float(np.trapezoid(trace.f_norms[:, 0], trace.times))  # 3nu
+        duh2 = float(np.trapezoid(trace.f_norms[:, 1], trace.times))  # 2nu - (rho-1)/2
     c1 = float(np.max(lhs1) / (rhs0 + duh1))
     c2 = float(np.max(lhs2) / (rhs0 + duh2))
     return EnergyResidualReport(
@@ -531,11 +554,10 @@ def h_uniformity_study(
     for h in h_list:
         res = solve_cauchy(problem, params, h=h, dt=dt, stride=stride,
                            track_energy=False)
-        rep = energy_residual(res, params)
+        rep = energy_residual(res)
         cs1.append(rep.c_first)
         cs2.append(rep.c_second)
-        sig = _sigma_values(params)
-        curves.append(res.trace.norms[sig[0]] / res.trace.norms[sig[3]][0])
+        curves.append(res.trace.norms[:, 0] / res.trace.norms[0, 3])
     n_common = min(len(c) for c in curves)
     stackc = np.stack([c[:n_common] for c in curves])
     curve_spread = float(

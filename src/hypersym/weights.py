@@ -54,11 +54,14 @@ def poly_bump(u):
 def gevrey_weight(xi, tau: float, rho: float, ell: float) -> np.ndarray:
     """Gevrey weight ``exp(tau <xi>_ell^rho)`` on a frequency lattice.
 
-    Refuses weights whose exponent leaves the overflow budget.
+    ``tau`` is a scalar or an array that broadcasts against ``xi``.
+    Refuses weights whose exponent leaves the overflow budget, naming the
+    tau of the worst one.
     """
     exponent = tau * bracket_pow(xi, ell, rho)
     worst = float(np.max(np.abs(exponent))) if exponent.size else 0.0
     if worst > EXP_BUDGET:
+        tau = np.broadcast_to(tau, exponent.shape).flat[np.argmax(np.abs(exponent))]
         raise WeightOverflowError(
             f"gevrey weight overflow: tau={tau}, rho={rho}, "
             f"ell={ell}, max |tau<xi>^rho| = {worst:.3g} > {EXP_BUDGET}"

@@ -84,15 +84,15 @@ def test_gevrey_overflow_refused():
 
 def test_weighted_norm_examples():
     st = _random_state()
-    assert weighted_norm(st, 0.0, 3.0) == pytest.approx(st.norm())
+    assert weighted_norm(st.coeffs, [0.0], 3.0)[0] == pytest.approx(st.norm())
     single = np.zeros((1, 64), dtype=complex)
     single[0, 5] = 2.0
     st1 = SpectralState(single)
-    assert weighted_norm(st1, 0.7, 2.0) == pytest.approx(
+    assert weighted_norm(st1.coeffs, [0.7], 2.0)[0] == pytest.approx(
         2.0 * bracket(5.0, 2.0) ** 0.7
     )
     # ell large at fixed support: norm ~ ell^sigma * plain norm
-    big = weighted_norm(st1, 0.7, 1e6)
+    big = weighted_norm(st1.coeffs, [0.7], 1e6)[0]
     assert big == pytest.approx(2.0 * (1e6) ** 0.7, rel=1e-5)
 
 
