@@ -509,10 +509,13 @@ def _cmd_solve(config: dict) -> dict:
     rep = solver.energy_residual(res)
     if out_dir:
         tr.to_csv(os.path.join(out_dir, "energy_trace.csv"))
-        traj = np.stack([st.coeffs for st in res.states])
-        np.ascontiguousarray(traj).tofile(os.path.join(out_dir, "trajectory.bin"))
+        # one state at a time, in C order: the bytes of the stacked samples
+        with open(os.path.join(out_dir, "trajectory.bin"), "wb") as fh:
+            for st in res.states:
+                np.ascontiguousarray(st.coeffs, dtype=complex).tofile(fh)
         with open(os.path.join(out_dir, "trajectory_meta.json"), "w") as fh:
-            json.dump({"shape": list(traj.shape), "dtype": "complex128",
+            json.dump({"shape": [len(res.states), *res.states[0].coeffs.shape],
+                       "dtype": "complex128",
                        "order": "C", "times": [float(t) for t in res.times]},
                       fh, sort_keys=True, indent=2)
     return {

@@ -9,19 +9,25 @@ the mollified symmetrizer takes its place.
 
 Only the active band, the modes with chi(h xi) > 0, goes through RK4.  Off
 it chi = 0, the generator is ``-eps_par xi^2``, and one RK4 step multiplies
-each mode by ``1 + z + z^2/2 + z^3/6 + z^4/24`` with ``z = -dt eps_par xi^2``
-(exactly 1 when eps_par = 0); likewise ``M = -a <xi>^rho I`` there, so
-``R = I/2`` exactly and Lyapunov solves run on band nodes only.  A forced
-run evolves the whole lattice, since the forcing drives every mode.  The
-full state is assembled at sample times and at the end.  The time
-coefficients of every RK4 stage are evaluated once, before the loop, into
-one matrix per time, so each generator application is a single product
-(:class:`TruncatedGenerator`).
+each mode by ``1 + z + z^2/2 + z^3/6 + z^4/24`` with ``z = -dt eps_par xi^2``;
+likewise ``M = -a <xi>^rho I`` there, so ``R = I/2`` exactly and Lyapunov
+solves run on band nodes only.  When eps_par = 0 the factor is exactly 1
+and the off-band modes are not touched at all; otherwise they take the
+products of a sample interval after its band steps.  A forced run evolves
+the whole lattice, since the forcing drives every mode.  The full state is
+assembled at sample times and at the end.  The time coefficients of every
+RK4 stage are evaluated once, before the loop, into one matrix per time, so
+each generator application is a single product (:class:`TruncatedGenerator`).
 
-The loop only records the sampled states.  The diagnostics then run over
-blocks of samples: one weight array, one product of the squared moduli
-against the ``<xi>^(2 sigma)`` table for all five norms, one band Lyapunov
-batch for the R-energy and one stack-first radius fit per block.
+The band advances one sample interval at a time.  Each step reuses five
+work buffers and writes its state into one row of the interval's block,
+with the operations of the allocating step in the same order, so its
+roundings are that step's.  Finiteness is checked once per block, and an abort
+names the first step that lost it.  The loop only records the sampled
+states.  The diagnostics then run over blocks of samples: one weight array,
+one product of the squared moduli against the ``<xi>^(2 sigma)`` table for
+all five norms, one band Lyapunov batch for the R-energy and one
+stack-first radius fit per block.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from hypersym.errors import ConfigError, NumericAbortError
 from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
     ParameterSet,
+    _lyap_node_bytes,
     _lyap_solve_batch,
     damped_generator,
     mollify_path,
@@ -136,7 +143,6 @@ class TruncatedGenerator:
         self.xi = xi[band]
         self.chi = chi[band]
         self.index = self.xi.astype(int) % n_x
-        self.heat = self.eps_par * self.xi**2
         n, k_max = len(self.xi), coeffs.x_band
         # each field's input is factor * u, at columns K .. K + n - 1 of its
         # buffer row; the padding stays zero
@@ -147,24 +153,30 @@ class TruncatedGenerator:
         buf = np.zeros((len(fields), coeffs.m, n + 2 * k_max), dtype=complex)
         self._center = buf[:, :, k_max:k_max + n]
         self._windows = np.lib.stride_tricks.sliding_window_view(buf, n, axis=-1)
-        self._rows: dict = {}
-        self._stack = None
+        # the product's right operand: the windows themselves when K = 0,
+        # else a contiguous copy of them that apply refreshes through _gather
+        self._operand = self._windows.reshape(-1, n)
+        self._gather = self._operand.reshape(self._windows.shape) if k_max else None
+        # complex, so that no product casts per call
+        self._chi = self.chi.astype(complex)
+        self._heat = (self.eps_par * self.xi**2).astype(complex)
+        self._heat_term = np.empty((coeffs.m, n), dtype=complex)
+        self._mats: dict = {}
 
     def compile(self, ts) -> None:
         """Evaluate the harmonic matrices at every time in ``ts`` once.
 
-        :meth:`apply` accepts exactly these times.  Row i of the stack is
-        the (m, F m (2K+1)) matrix at the i-th distinct time: column
-        (f, d, K - k) holds component d of harmonic k of field f.
+        :meth:`apply` accepts exactly these times.  The matrix at a time is
+        (m, F m (2K+1)): column (f, d, K - k) holds component d of harmonic k
+        of field f.
         """
         ts = np.unique(np.asarray(ts, dtype=float))
-        self._rows = {t: i for i, t in enumerate(ts.tolist())}
         m, k_max = self.coeffs.m, self.coeffs.x_band
         stack = np.zeros((ts.size, m, len(self._fields), m, 2 * k_max + 1), dtype=complex)
         for f, fld in enumerate(self._fields):
             for k, mats in fld.harmonic_matrices(ts).items():
                 stack[:, :, f, :, k_max - k] = mats
-        self._stack = stack.reshape(ts.size, m, -1)
+        self._mats = dict(zip(ts.tolist(), stack.reshape(ts.size, m, -1)))
 
     def lam_bound(self, t_hi: float) -> float:
         """Stability scale: sup over modes of ||iA(xi)|| + eps |xi|^2."""
@@ -179,23 +191,48 @@ class TruncatedGenerator:
         return (sup(self.coeffs.a_field) * xi_max + sup(self.coeffs.b_field)
                 + self.eps_par * xi_max**2)
 
-    def apply(self, t: float, coeffs_hat: np.ndarray) -> np.ndarray:
-        """The generator at a compiled time t on a band state (m, n_band)."""
-        np.multiply(coeffs_hat, self._factors, out=self._center)
-        out = self._stack[self._rows[t]] @ self._windows.reshape(-1, coeffs_hat.shape[-1])
-        out *= self.chi
+    def apply(self, t: float, coeffs_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The generator at a compiled time t on a band state (m, n_band),
+        written into ``out`` when given (it must not be ``coeffs_hat``)."""
+        np.multiply(coeffs_hat, self._factors, self._center)
+        if self._gather is not None:
+            np.copyto(self._gather, self._windows)
+        out = np.matmul(self._mats[t], self._operand, out)
+        out *= self._chi
         if self.eps_par:
-            out -= self.heat * coeffs_hat
+            out -= np.multiply(self._heat, coeffs_hat, self._heat_term)
         return out
 
 
-def step_rk4(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Classical four-stage explicit step for ``du/dt = rhs(t, u)``."""
-    k1 = rhs(t, u)
-    k2 = rhs(t + dt / 2.0, u + dt / 2.0 * k1)
-    k3 = rhs(t + dt / 2.0, u + dt / 2.0 * k2)
-    k4 = rhs(t + dt, u + dt * k3)
-    return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def step_rk4(rhs, u: np.ndarray, t: float, dt: float, out: np.ndarray | None = None,
+             work=None) -> np.ndarray:
+    """Classical four-stage explicit step for ``du/dt = rhs(t, u)``.
+
+    ``work``, five arrays shaped like u, makes the step allocation-free: the
+    stages go into them by ``rhs(t, v, k)`` and the new state into
+    ``out``, which may be u.  The operations and their order, and so every
+    rounding, are those of the allocating form.
+    """
+    if work is None:
+        k1 = rhs(t, u)
+        k2 = rhs(t + dt / 2.0, u + dt / 2.0 * k1)
+        k3 = rhs(t + dt / 2.0, u + dt / 2.0 * k2)
+        k4 = rhs(t + dt, u + dt * k3)
+        return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1, k2, k3, k4, v = work
+    # 0-d arrays of u's type stand in for the Python floats, and the outputs
+    # go by position: on small bands either costs more than the arithmetic
+    d = u.dtype
+    half, whole, two, sixth = (np.array(dt / 2.0, d), np.array(dt, d), np.array(2.0, d),
+                               np.array(dt / 6.0, d))
+    rhs(t, u, k1)
+    rhs(t + dt / 2.0, np.add(u, np.multiply(half, k1, v), v), k2)
+    rhs(t + dt / 2.0, np.add(u, np.multiply(half, k2, v), v), k3)
+    rhs(t + dt, np.add(u, np.multiply(whole, k3, v), v), k4)
+    np.add(k1, np.multiply(two, k2, k2), k1)
+    np.add(k1, np.multiply(two, k3, k3), k1)
+    np.add(k1, k4, k1)
+    return np.add(u, np.multiply(sixth, k1, k1), out)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +244,10 @@ _BLOCK_BYTES = 1 << 20
 
 def _samples_per_block(m: int, n_x: int, n_lyap: int) -> int:
     """Samples per block of diagnostics, so that its temporaries stay near
-    _BLOCK_BYTES: a sample takes a few copies of its (m, n_x) state and, for
-    each of its ``n_lyap`` Lyapunov nodes, about four copies of the
-    m^2 x m^2 system that ``_lyap_solve_batch`` builds."""
-    return max(1, _BLOCK_BYTES // (64 * (m * n_x + m**4 * n_lyap)))
+    _BLOCK_BYTES: a sample takes a few copies of its (m, n_x) state, and
+    each of its ``n_lyap`` Lyapunov nodes what the band generator and the
+    kernel of ``_lyap_solve_batch`` hold at once (``_lyap_node_bytes``)."""
+    return max(1, _BLOCK_BYTES // (64 * m * n_x + _lyap_node_bytes(m) * n_lyap))
 
 
 @dataclass
@@ -387,27 +424,23 @@ def solve_cauchy(
         else:
             er_mode = "multiplier"
 
-    def rhs(t, band_hat):
-        out = gen.apply(t, band_hat)
-        if problem.forcing is not None:
-            out = out + problem.forcing(t).coeffs[:, gen.index]
-        return out
-
-    times_list: list[float] = []
-    states: list[SpectralState] = []
-
-    def sample(t: float, u: SpectralState):
-        times_list.append(t)
-        states.append(u)
+    if problem.forcing is None:
+        rhs = gen.apply
+    else:
+        def rhs(t, band_hat, out=None):
+            out = gen.apply(t, band_hat, out)
+            return np.add(out, problem.forcing(t).coeffs[:, gen.index], out)
 
     # Off the band the generator is -eps_par xi^2, so one RK4 step multiplies
-    # each mode by 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2
-    # (exactly 1 when eps_par = 0).
+    # each mode by amp = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2.
+    # With eps_par = 0 that is exactly 1 and the modes are left alone;
+    # otherwise they take an interval's products after its band steps.
     u0 = problem.g.coeffs
     off_index = np.setdiff1d(np.arange(n_x), gen.index)
     band, off = u0[:, gen.index], u0[:, off_index]
     z = -dt * gen.eps_par * xi[off_index] ** 2
-    amp = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    amp = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).astype(complex)
+    off_peak = np.abs(off).max(initial=0.0)
 
     def assemble() -> SpectralState:
         full = np.empty_like(u0)
@@ -415,21 +448,44 @@ def solve_cauchy(
         full[:, off_index] = off
         return SpectralState(full)
 
-    t = 0.0
-    sample(t, problem.g)
-    next_sample = 1
-    for k in range(n_steps):
-        band = step_rk4(rhs, band, t, dt)
-        off = off * amp
-        t = (k + 1) * dt
-        peak = np.maximum(np.abs(band).max(), np.abs(off).max(initial=0.0))
-        if not np.isfinite(peak):
+    # The step that takes each sample: the first one after the previous
+    # sample's whose time k dt reaches the sample time, less 1e-12.
+    step_t = np.arange(1, n_steps + 1) * dt
+    sample_steps = [0]
+    for t_s in sample_times[1:]:
+        k = max(sample_steps[-1], int(np.searchsorted(step_t, t_s - 1e-12))) + 1
+        if k > n_steps:
+            break
+        sample_steps.append(k)
+    ends = sample_steps[1:] + [n_steps] * (sample_steps[-1] < n_steps)
+
+    # The band advances one interval between samples at a time, each step's
+    # state into one row of a block, and the block is checked for finiteness
+    # once.  The abort names the first step that lost it.
+    times_list, states = [0.0], [problem.g]
+    work = [np.empty_like(band) for _ in range(5)]
+    longest = int(np.max(np.diff(ends, prepend=0)))
+    block = np.empty((longest,) + band.shape, dtype=complex)
+    off_block = np.empty((longest,) + off.shape, dtype=complex) if gen.eps_par else None
+    start = 0
+    for end in ends:
+        for k in range(start, end):
+            band = step_rk4(rhs, band, k * dt, dt, block[k - start], work)
+        peaks = np.abs(block[:end - start]).max(axis=(1, 2))
+        if gen.eps_par:
+            for k in range(start, end):
+                off = np.multiply(off, amp, off_block[k - start])
+            off_peak = np.abs(off_block[:end - start]).max(axis=(1, 2), initial=0.0)
+        lost = ~np.isfinite(np.maximum(peaks, off_peak))
+        if lost.any():
+            t = (start + int(np.argmax(lost)) + 1) * dt
             raise NumericAbortError(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
             )
-        if next_sample < len(sample_times) and t >= sample_times[next_sample] - 1e-12:
-            sample(t, assemble())
-            next_sample += 1
+        if end <= sample_steps[-1]:
+            times_list.append(end * dt)
+            states.append(assemble())
+        start = end
 
     # The diagnostics run over blocks of samples.
     times = np.asarray(times_list)

@@ -165,34 +165,80 @@ def damped_generator(
 # Lyapunov solve and quadrature oracle
 
 
-# Nodes per dense solve in _lyap_solve_batch: the m^2 x m^2 systems take
-# 16 m^4 bytes a node, several copies at once, so long stacks go in chunks.
+# Nodes per chunk of _lyap_solve_batch, which bounds the kernels' temporaries
+# (see _lyap_node_bytes).
 _LYAP_CHUNK = 4096
+
+
+def _lyap_node_bytes(m: int) -> int:
+    """Peak bytes per node of a damped-generator stack and its
+    ``_lyap_solve_batch``: about 500 for the 2 x 2 closed form (tracemalloc
+    reads 283 for the generator and 499 with the solve, on wave_t2), and
+    four copies of the m^2 x m^2 system for the Kronecker solve."""
+    return 512 if m == 2 else 64 * m**4
 
 
 def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale: np.ndarray) -> np.ndarray:
     """Solve ``M* R + R M = -rhs I`` for a stack of matrices.
 
-    Row-major vectorization: the operator is
-    ``kron(M*, I) + kron(I, M^T)``; a dense m^2 x m^2 solve per node.
+    2 x 2 stacks take the closed form :func:`_lyap_2x2`, other sizes the
+    Kronecker solve :func:`_lyap_kron`; either way in chunks of
+    ``_LYAP_CHUNK`` nodes, and R is returned as its hermitian part.
     """
     m_stack = np.asarray(m_stack, dtype=complex)
     m = m_stack.shape[-1]
     lead = m_stack.shape[:-2]
     flat = m_stack.reshape(-1, m, m)
     rhs = np.broadcast_to(np.asarray(rhs_scale, dtype=float), lead).reshape(-1)
-    eye = np.eye(m)
+    solve = _lyap_2x2 if m == 2 else _lyap_kron
     r = np.empty_like(flat)
     for lo in range(0, len(flat), _LYAP_CHUNK):
-        part = flat[lo:lo + _LYAP_CHUNK]
-        # Row-major vec: K[(i,j),(k,l)] = M*[i,k] delta[j,l] + delta[i,k] M[l,j]
-        op = np.einsum("nik,jl->nijkl", part.conj().transpose(0, 2, 1), eye)
-        op += np.einsum("ik,njl->nijkl", eye, part.transpose(0, 2, 1))
-        b = (-rhs[lo:lo + _LYAP_CHUNK, None] * eye.reshape(1, -1)).astype(complex)
-        r[lo:lo + _LYAP_CHUNK] = np.linalg.solve(op.reshape(-1, m * m, m * m),
-                                                 b[:, :, None]).reshape(-1, m, m)
+        chunk = slice(lo, lo + _LYAP_CHUNK)
+        r[chunk] = solve(flat[chunk], rhs[chunk])
     r = (r + r.conj().transpose(0, 2, 1)) / 2.0
     return r.reshape(*lead, m, m)
+
+
+def _lyap_kron(part: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A dense m^2 x m^2 solve per node.  Row-major vectorization: the
+    operator is ``kron(M*, I) + kron(I, M^T)``."""
+    m = part.shape[-1]
+    eye = np.eye(m)
+    # K[(i,j),(k,l)] = M*[i,k] delta[j,l] + delta[i,k] M[l,j]
+    op = np.einsum("nik,jl->nijkl", part.conj().transpose(0, 2, 1), eye)
+    op += np.einsum("ik,njl->nijkl", eye, part.transpose(0, 2, 1))
+    b = (-rhs[:, None] * eye.reshape(1, -1)).astype(complex)
+    return np.linalg.solve(op.reshape(-1, m * m, m * m), b[:, :, None]).reshape(-1, m, m)
+
+
+def _lyap_2x2(part: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The 2 x 2 solve in closed form, elementwise over the stack.
+
+    With A = M*, ``A R = -s I - R M`` gives ``A^2 R = -s (A - M) + R M^2``,
+    and Cayley-Hamilton, ``M^2 = tr(M) M - det(M) I``, eliminates R M:
+    ``p(A) R = -s (A - M + tr(M) I)`` with
+    ``p(X) = X^2 + tr(M) X + det(M) I``.  p(A) is invertible when no
+    eigenvalue of M* is one of -M, as for Hurwitz M; its adjugate over its
+    determinant inverts it.
+    """
+    a, b, c, d = part[:, 0, 0], part[:, 0, 1], part[:, 1, 0], part[:, 1, 1]
+    ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()  # A = [[ac, cc], [bc, dc]]
+    tr = a + d
+    shared = cc * bc + (a * d - b * c)  # the diagonal of A^2 - diag(A)^2, plus det(M)
+    p11 = ac * (ac + tr) + shared
+    p22 = dc * (dc + tr) + shared
+    g = 2.0 * tr.real  # p12 = cc (ac + dc + tr), and ac + dc = conj(tr)
+    p12 = cc * g
+    p21 = bc * g
+    # A - M + tr(M) I
+    n11, n12, n21, n22 = ac + d, cc - b, bc - c, dc + a
+    f = -rhs / (p11 * p22 - p12 * p21)
+    r = np.empty_like(part)
+    r[:, 0, 0] = f * (p22 * n11 - p12 * n21)
+    r[:, 0, 1] = f * (p22 * n12 - p12 * n22)
+    r[:, 1, 0] = f * (p11 * n21 - p21 * n11)
+    r[:, 1, 1] = f * (p11 * n22 - p21 * n12)
+    return r
 
 
 def solve_R_lyapunov(m_mat: np.ndarray, rhs_scale: float) -> np.ndarray:

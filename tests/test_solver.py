@@ -351,6 +351,69 @@ def test_numeric_abort_carries_last_time():
     assert err.value.last_time == last_time
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numeric_abort_band_first_between_samples():
+    # anti-damping B blows up the band while the off-band modes stay put;
+    # the band is checked once per interval between samples, and the abort
+    # must still name the step inside the interval that lost finiteness
+    from hypersym.errors import NumericAbortError
+
+    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]), 200.0 * np.eye(2))
+    prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=5.0)
+    dt, stride = 2.4 / 232.0, 7  # lam_bound = 32 ||A|| + ||B|| = 232
+    with pytest.raises(NumericAbortError) as err:
+        solve_cauchy(prob, _quick_params(), h=1 / 16, dt=dt, stride=stride,
+                     track_energy=False)
+    n_steps = math.ceil(prob.horizon / dt)
+    _, last_time = _full_lattice_loop(prob, 1 / 16, 0.0, n_steps)
+    assert last_time is not None and 0.0 < last_time < prob.horizon
+    assert err.value.last_time == last_time
+    step = round(last_time / (prob.horizon / n_steps)) + 1
+    assert step % stride != 0 and step < n_steps
+
+
+def test_off_band_modes_match_step_by_step_product():
+    # with eps_par > 0 each off-band mode takes the RK4 factor once per
+    # step; the solver multiplies an interval's steps after its band steps
+    prob, params, h, eps_par = _band_case("xdep-eps")
+    res = solve_cauchy(prob, params, h=h, eps_par=eps_par, stride=4, track_energy=False)
+    n_x = prob.g.n_x
+    off_index = np.setdiff1d(np.arange(n_x), TruncatedGenerator(prob.coeffs, n_x, h, 0.0).index)
+    z = -res.dt * eps_par * lattice(n_x)[off_index] ** 2
+    amp = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    off = prob.g.coeffs[:, off_index]
+    expect = {0: off}
+    n_steps = round(prob.horizon / res.dt)
+    for k in range(1, n_steps + 1):
+        off = off * amp
+        expect[k] = off
+    for t, st in zip(res.times, res.states):
+        assert np.array_equal(st.coeffs[:, off_index], expect[round(t / res.dt)])
+    assert np.array_equal(res.final.coeffs[:, off_index], off)
+    assert n_steps % 4 != 0 and not np.array_equal(off, prob.g.coeffs[:, off_index])
+
+
+@pytest.mark.parametrize("preset,eps_par", [("xdep", 0.05), ("wave_t2", 0.0)])
+def test_step_rk4_work_buffers_match_allocating_form(preset, eps_par):
+    # the buffered step repeats the allocating step's operations in order,
+    # so the two agree bit for bit, also when out is u
+    coeffs = get_preset(preset).coeffs
+    gen = TruncatedGenerator(coeffs, 128, 1 / 16, eps_par)
+    dt = 0.01
+    gen.compile([0.0, dt / 2.0, dt])
+    rng = np.random.default_rng(44)
+    u = rng.normal(size=(coeffs.m, gen.xi.size)) + 1j * rng.normal(size=(coeffs.m, gen.xi.size))
+    ref = step_rk4(lambda t, v: gen.apply(t, v), u, 0.0, dt)
+    work = [np.empty_like(u) for _ in range(5)]
+    out = np.empty_like(u)
+    assert np.array_equal(step_rk4(gen.apply, u, 0.0, dt, out, work), ref)
+    assert np.array_equal(out, ref)
+    u2 = u.copy()
+    step_rk4(gen.apply, u2, 0.0, dt, u2, work)
+    assert np.array_equal(u2, ref)
+    assert np.array_equal(gen.apply(dt, u, out), gen.apply(dt, u))
+
+
 # ---------------------------------------------------------------------------
 # The band evolution against the full-lattice loop it replaced
 
