@@ -49,8 +49,12 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(config, dict):
+            print(f"config error: {args.config} does not hold a JSON object",
+                  file=sys.stderr)
             return 2
     if args.command:
         config["command"] = args.command

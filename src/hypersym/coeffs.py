@@ -159,40 +159,6 @@ class SystemCoefficients:
     def x_band(self) -> int:
         return max(self.a_field.x_band, self.b_field.x_band)
 
-    def holder_ratio(self, t_lo: float, t_hi: float, n: int = 200) -> float:
-        """sup of ||A(t)-A(t')|| / |t-t'|^kappa over sampled pairs."""
-        kappa = self.kappa if self.kappa is not None else 1.0
-        ts = np.linspace(t_lo, t_hi, n)
-        mats = self.a_field.dx(ts, 0.0, 0)
-        worst = 0.0
-        for i in range(n - 1):
-            for j in (i + 1, min(i + 7, n - 1)):
-                dt = abs(ts[j] - ts[i])
-                if dt == 0:
-                    continue
-                diff = np.linalg.norm(mats[j] - mats[i], 2)
-                worst = max(worst, diff / dt**kappa)
-        return worst
-
-
-def _field_to_json(fld: MatrixField) -> list:
-    entries = [[[] for _ in range(fld.m)] for _ in range(fld.m)]
-    for term in fld.terms:
-        for i in range(fld.m):
-            for j in range(fld.m):
-                z = complex(term.matrix[i, j])
-                if z == 0:
-                    continue
-                entries[i][j].append(
-                    {
-                        "x_freq": term.x_freq,
-                        "t_term": term.t_term,
-                        "re": z.real,
-                        "im": z.imag,
-                    }
-                )
-    return entries
-
 
 def _field_from_json(m: int, entries: list) -> MatrixField:
     collected: dict[tuple[int, str], np.ndarray] = {}
@@ -214,19 +180,6 @@ def _field_from_json(m: int, entries: list) -> MatrixField:
     return MatrixField(m, terms)
 
 
-def coeffs_to_json(coeffs: SystemCoefficients) -> dict:
-    doc = {
-        "m": coeffs.m,
-        "t_regularity": coeffs.t_regularity,
-        "x_band": coeffs.x_band,
-        "A": _field_to_json(coeffs.a_field),
-        "B": _field_to_json(coeffs.b_field),
-    }
-    if coeffs.kappa is not None:
-        doc["kappa"] = coeffs.kappa
-    return doc
-
-
 def coeffs_from_json(doc: dict) -> SystemCoefficients:
     try:
         m = int(doc["m"])
@@ -243,29 +196,9 @@ def coeffs_from_json(doc: dict) -> SystemCoefficients:
         raise ConfigError(f"bad coefficient document: {exc}") from exc
 
 
-def constant_system(a1: np.ndarray, b: np.ndarray | None = None) -> SystemCoefficients:
-    """System with constant coefficients A1 = a1, B = b."""
-    a1 = np.asarray(a1, dtype=complex)
-    m = a1.shape[0]
-    a_terms = [CoeffTerm(0, "1", a1)]
-    b_terms = [] if b is None else [CoeffTerm(0, "1", np.asarray(b, dtype=complex))]
-    return SystemCoefficients(m=m, a_field=MatrixField(m, a_terms), b_field=MatrixField(m, b_terms))
-
-
 def cosine_terms(k: int, matrix: np.ndarray, t_term: str = "1") -> list[CoeffTerm]:
     """Terms realizing ``matrix * g(t) * cos(k x)`` as e^{ikx}/2 + e^{-ikx}/2."""
     matrix = np.asarray(matrix, dtype=complex)
     if k == 0:
         return [CoeffTerm(0, t_term, matrix)]
     return [CoeffTerm(k, t_term, matrix / 2.0), CoeffTerm(-k, t_term, matrix / 2.0)]
-
-
-def sine_terms(k: int, matrix: np.ndarray, t_term: str = "1") -> list[CoeffTerm]:
-    """Terms realizing ``matrix * g(t) * sin(k x)``."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if k == 0:
-        return []
-    return [
-        CoeffTerm(k, t_term, matrix / 2j),
-        CoeffTerm(-k, t_term, -matrix / 2j),
-    ]

@@ -88,14 +88,6 @@ class FeasibleRegion:
     vertex_delta: Fraction
     vertex_rho: Fraction
 
-    def rho_min_smoothing(self, delta: RationalLike) -> Fraction:
-        d = _frac(delta)
-        return (Fraction(self.line_a_num) - self.kappa * d) / self.denom
-
-    def rho_min_dt(self, delta: RationalLike) -> Fraction:
-        d = _frac(delta)
-        return (Fraction(self.line_b_num) + (1 - self.kappa) * d) / self.denom
-
 
 def feasible_region(theta: int, kappa: RationalLike) -> FeasibleRegion:
     k = _frac(kappa)

@@ -42,19 +42,8 @@ class RealRootedPoly:
             if np.max(np.abs(expanded - c)) > 1e-10 * scale:
                 raise ValueError("supplied roots do not reproduce coefficients")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, z):
         return _horner(self.coeffs, z)
-
-    def to_json(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, coeffs: list[float]) -> "RealRootedPoly":
-        return cls(coeffs=np.asarray(coeffs, dtype=float))
 
 
 @dataclass

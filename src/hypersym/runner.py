@@ -576,8 +576,13 @@ def _cmd_report(config: dict) -> dict:
     summary_path = os.path.join(run_dir, "summary.json")
     if not os.path.exists(summary_path):
         raise ConfigError(f"no summary.json under {run_dir!r}")
-    with open(summary_path) as fh:
-        summary = json.load(fh)
+    try:
+        with open(summary_path) as fh:
+            summary = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{summary_path} is not valid JSON: {exc}") from None
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{summary_path} does not hold a JSON object")
     lines = [f"run report: {run_dir}", "=" * 40]
     for key in sorted(summary):
         if key in ("config",):

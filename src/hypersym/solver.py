@@ -15,9 +15,10 @@ solves run on band nodes only.  When eps_par = 0 the factor is exactly 1
 and the off-band modes are not touched at all; otherwise they take the
 products of a sample interval after its band steps.  A forced run evolves
 the whole lattice, since the forcing drives every mode.  The full state is
-assembled at sample times and at the end.  The time coefficients of every
-RK4 stage are evaluated once, before the loop, into one matrix per time, so
-each generator application is a single product (:class:`TruncatedGenerator`).
+assembled at sample times, the last of which is the final step.  The time
+coefficients of every RK4 stage are evaluated once, before the loop, into
+one matrix per time, so each generator application is a single product
+(:class:`TruncatedGenerator`).
 
 The band advances one sample interval at a time.  Each step reuses five
 work buffers and writes its state into one row of the interval's block,
@@ -61,17 +62,16 @@ def gevrey_data(
     s: float,
     c0: float,
     seed: int = 0,
-    amplitude: float = 1.0,
 ) -> SpectralState:
     """Synthetic initial data with an exact Gevrey-s certificate.
 
-    ``|g_hat(xi)| = amplitude * e^{-c0 <xi>^(1/s)}`` with seeded random
+    ``|g_hat(xi)| = e^{-c0 <xi>^(1/s)}`` with seeded random
     phases, conjugate-symmetric so physical samples are real; the unpaired
     top mode is zeroed.
     """
     xi = lattice(n_x)
     rng = np.random.default_rng(seed)
-    amp = amplitude * np.exp(-c0 * bracket(xi, 1.0) ** (1.0 / s))
+    amp = np.exp(-c0 * bracket(xi, 1.0) ** (1.0 / s))
     coeffs = np.zeros((m, n_x), dtype=complex)
     half = n_x // 2
     for c in range(m):
@@ -85,6 +85,12 @@ def gevrey_data(
     return SpectralState(coeffs)
 
 
+# Relative slack of the certificate check, on c0 and on the bound: enough for
+# the rounding of gevrey_data's phases and exponentials, far below the factor
+# a wrong c0 or s moves the tail by.
+_CERT_SLACK = 1.05
+
+
 @dataclass
 class CauchyProblem:
     """Initial data, forcing and certificate for one evolution run."""
@@ -95,16 +101,16 @@ class CauchyProblem:
     forcing: object = None  # callable t -> SpectralState, or None
     gevrey_s: float | None = None
     gevrey_c0: float | None = None
-    gevrey_big_c0: float = 1.0
 
-    def check_certificate(self, slack: float = 1.05) -> bool:
-        """Verify ``|g_hat| <= C0 e^{-c0 <xi>^(1/s)}`` on the lattice."""
+    def check_certificate(self) -> bool:
+        """Verify ``|g_hat| <= e^{-c0 <xi>^(1/s)}``, the amplitude gevrey_data
+        synthesizes, on the lattice up to ``_CERT_SLACK``."""
         if self.gevrey_s is None or self.gevrey_c0 is None:
             return True
-        bound = self.gevrey_big_c0 * np.exp(
-            -self.gevrey_c0 / slack * bracket(self.g.xi, 1.0) ** (1.0 / self.gevrey_s)
+        bound = np.exp(
+            -self.gevrey_c0 / _CERT_SLACK * bracket(self.g.xi, 1.0) ** (1.0 / self.gevrey_s)
         )
-        return bool(np.all(np.abs(self.g.coeffs) <= bound[None, :] * slack + 1e-300))
+        return bool(np.all(np.abs(self.g.coeffs) <= bound[None, :] * _CERT_SLACK + 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +297,19 @@ class SolveResult:
     final: SpectralState
 
 
-def gevrey_radius_fit(coeffs, s: float, noise_floor: float = 1e-14):
+# Amplitudes at or below this are rounding residue of the unit-size data and
+# carry no radius information.
+_NOISE_FLOOR = 1e-14
+
+
+def gevrey_radius_fit(coeffs, s: float):
     """Least-squares radius of ``|u_hat| ~ e^{-c <xi>^(1/s)}`` over the tail.
 
     ``coeffs`` is a stack (..., m, N_x) of states in FFT order; returns the
     fitted c and the rms residual, each of the stack's leading shape.  A fit
-    needs at least five tail points spanning three decades above the noise
-    floor; otherwise the measurement is inconclusive and both are NaN.
+    needs at least five tail points spanning three decades above
+    ``_NOISE_FLOOR``; otherwise the measurement is inconclusive and both are
+    NaN.
     """
     coeffs = np.asarray(coeffs)
     n_x = coeffs.shape[-1]
@@ -307,7 +319,7 @@ def gevrey_radius_fit(coeffs, s: float, noise_floor: float = 1e-14):
     vals = amp[..., :half + 1].copy()
     np.maximum(vals[..., 1:half], amp[..., :half:-1], out=vals[..., 1:half])
     peak = np.max(vals, axis=-1, keepdims=True)
-    band = (vals > max(noise_floor, 1e-300)) & (vals < 0.5 * peak)
+    band = (vals > _NOISE_FLOOR) & (vals < 0.5 * peak)
     band[..., 0] = False
     count = np.count_nonzero(band, axis=-1)
     lo = np.min(np.where(band, vals, np.inf), axis=-1)
@@ -399,13 +411,17 @@ def solve_cauchy(
         return damped_generator(coeffs, replace(params, tau=big_t - a * t),
                                 t, 0.0, r_xi, r_chi2)
 
+    # A sample is taken every stride steps and at the last step: sample k
+    # holds the state after sample_steps[k] steps, at time sample_steps[k] dt.
+    sample_steps = list(range(0, n_steps + 1, stride))
+    if sample_steps[-1] < n_steps:
+        sample_steps.append(n_steps)
+    times = np.asarray(sample_steps) * dt
+
     x_independent = coeffs.x_band == 0
     use_molly = coeffs.t_regularity == "holder" and params.delta is not None
     er_mode = "skipped"
     molly_values = None
-    sample_times = [k * stride * dt for k in range(n_steps // stride + 1)]
-    if sample_times[-1] < problem.horizon - 1e-12:
-        sample_times.append(problem.horizon)
     if track_energy and x_independent:
         if use_molly:
             er_mode = "mollified"
@@ -418,9 +434,8 @@ def solve_cauchy(
             t_hi = problem.horizon + width_max * 1.05
             path_ts = np.arange(t_lo, t_hi + dt_path, dt_path)
             r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]))
-            molly = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta,
-                                 np.asarray(sample_times))
-            molly_values = molly.values  # (n_samples, n_active, m, m)
+            # (n_samples, n_active, m, m)
+            molly_values = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta, times)
         else:
             er_mode = "multiplier"
 
@@ -442,33 +457,15 @@ def solve_cauchy(
     amp = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).astype(complex)
     off_peak = np.abs(off).max(initial=0.0)
 
-    def assemble() -> SpectralState:
-        full = np.empty_like(u0)
-        full[:, gen.index] = band
-        full[:, off_index] = off
-        return SpectralState(full)
-
-    # The step that takes each sample: the first one after the previous
-    # sample's whose time k dt reaches the sample time, less 1e-12.
-    step_t = np.arange(1, n_steps + 1) * dt
-    sample_steps = [0]
-    for t_s in sample_times[1:]:
-        k = max(sample_steps[-1], int(np.searchsorted(step_t, t_s - 1e-12))) + 1
-        if k > n_steps:
-            break
-        sample_steps.append(k)
-    ends = sample_steps[1:] + [n_steps] * (sample_steps[-1] < n_steps)
-
     # The band advances one interval between samples at a time, each step's
     # state into one row of a block, and the block is checked for finiteness
     # once.  The abort names the first step that lost it.
-    times_list, states = [0.0], [problem.g]
+    states = [problem.g]
     work = [np.empty_like(band) for _ in range(5)]
-    longest = int(np.max(np.diff(ends, prepend=0)))
+    longest = int(np.max(np.diff(sample_steps)))
     block = np.empty((longest,) + band.shape, dtype=complex)
     off_block = np.empty((longest,) + off.shape, dtype=complex) if gen.eps_par else None
-    start = 0
-    for end in ends:
+    for start, end in zip(sample_steps, sample_steps[1:]):
         for k in range(start, end):
             band = step_rk4(rhs, band, k * dt, dt, block[k - start], work)
         peaks = np.abs(block[:end - start]).max(axis=(1, 2))
@@ -482,13 +479,12 @@ def solve_cauchy(
             raise NumericAbortError(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
             )
-        if end <= sample_steps[-1]:
-            times_list.append(end * dt)
-            states.append(assemble())
-        start = end
+        full = np.empty_like(u0)
+        full[:, gen.index] = band
+        full[:, off_index] = off
+        states.append(SpectralState(full))
 
     # The diagnostics run over blocks of samples.
-    times = np.asarray(times_list)
     n_samples = times.size
     sigmas = _sigma_values(params)
     f_sigmas = (3.0 * params.nu, 2.0 * params.nu - (rho - 1.0) / 2.0)
@@ -540,7 +536,7 @@ def solve_cauchy(
         times=times,
         states=states,
         trace=trace,
-        final=assemble(),
+        final=states[-1],
     )
 
 
@@ -552,8 +548,6 @@ def solve_cauchy(
 class EnergyResidualReport:
     c_first: float  # empirical constant in the sigma = -nu estimate
     c_second: float  # empirical constant in the sigma = (rho-1)/2 estimate
-    max_increment: float
-    er_mode: str
 
 
 def energy_residual(result: SolveResult) -> EnergyResidualReport:
@@ -572,12 +566,13 @@ def energy_residual(result: SolveResult) -> EnergyResidualReport:
         duh2 = float(np.trapezoid(trace.f_norms[:, 1], trace.times))  # 2nu - (rho-1)/2
     c1 = float(np.max(lhs1) / (rhs0 + duh1))
     c2 = float(np.max(lhs2) / (rhs0 + duh2))
-    return EnergyResidualReport(
-        c_first=c1,
-        c_second=c2,
-        max_increment=float(np.max(trace.increments[1:])) if len(trace.increments) > 1 else 0.0,
-        er_mode=trace.er_mode,
-    )
+    return EnergyResidualReport(c_first=c1, c_second=c2)
+
+
+# Largest relative spread of the estimate constants, and of the normalized
+# curves, that still counts as uniform in h or in eps_par: the tolerance of
+# the uniformity criteria.
+_SPREAD_TOL = 0.10
 
 
 @dataclass
@@ -596,10 +591,9 @@ def h_uniformity_study(
     params: ParameterSet,
     h_list,
     dt: float | None = None,
-    spread_tol: float = 0.10,
-    stride: int = 8,
 ) -> HStudyResult:
-    """Empirical estimate constants across cutoff scales; pass if spread <= tol.
+    """Empirical estimate constants across cutoff scales; pass if every spread
+    is at most ``_SPREAD_TOL``.
 
     Besides the per-run constants (max over time), the whole normalized
     curves ``t -> LHS(t) / RHS(0)`` are compared across h so that
@@ -608,8 +602,7 @@ def h_uniformity_study(
     cs1, cs2 = [], []
     curves = []
     for h in h_list:
-        res = solve_cauchy(problem, params, h=h, dt=dt, stride=stride,
-                           track_energy=False)
+        res = solve_cauchy(problem, params, h=h, dt=dt, track_energy=False)
         rep = energy_residual(res)
         cs1.append(rep.c_first)
         cs2.append(rep.c_second)
@@ -629,11 +622,16 @@ def h_uniformity_study(
         spread_second=float(spread2),
         curve_spread=curve_spread,
         passed=bool(
-            spread1 <= spread_tol
-            and spread2 <= spread_tol
-            and curve_spread <= spread_tol
+            spread1 <= _SPREAD_TOL
+            and spread2 <= _SPREAD_TOL
+            and curve_spread <= _SPREAD_TOL
         ),
     )
+
+
+# First-order self-convergence in eps_par, within 0.3 either way: the
+# regularization's error is O(eps_par) on the smooth data of the studies.
+_RATE_WINDOW = (0.7, 1.3)
 
 
 @dataclass
@@ -652,15 +650,14 @@ def parabolic_study(
     params: ParameterSet,
     eps_list,
     dt: float | None = None,
-    rate_window: tuple = (0.7, 1.3),
-    uniform_tol: float = 0.10,
     h: float | None = None,
 ) -> ParabolicStudyResult:
     """Self-convergence in the parabolic regularization strength.
 
     Runs each eps and eps/2, reports ``||u_eps - u_{eps/2}||`` at the final
     time, the fitted convergence rate, and the spread of the sup-in-time
-    plain norms (uniform-in-eps energy boundedness).
+    plain norms (uniform-in-eps energy boundedness).  The rate passes inside
+    ``_RATE_WINDOW`` and the spread at most ``_SPREAD_TOL``.
     """
     if h is None:
         h = 1.0 / float(params.ell)
@@ -682,6 +679,6 @@ def parabolic_study(
         rate=rate,
         sup_norms=[float(s) for s in sups],
         energy_spread=float(spread),
-        passed_rate=bool(rate_window[0] <= rate <= rate_window[1]),
-        passed_uniform=bool(spread <= uniform_tol),
+        passed_rate=bool(_RATE_WINDOW[0] <= rate <= _RATE_WINDOW[1]),
+        passed_uniform=bool(spread <= _SPREAD_TOL),
     )

@@ -1,0 +1,229 @@
+"""Test-side fixtures and claim probes that no command runs.
+
+Fixtures build small systems, serialize coefficients into config documents
+and move states between Fourier and physical samples.  The probes measure
+claims of the paper that the acceptance tests check directly: the Hoelder
+ratio of a coefficient path, the lower bound of the characteristic
+polynomial near a multiple eigenvalue, and the Hoelder difference estimate
+of the symmetrizer.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
+from hypersym.engine import SpectralState
+from hypersym.matkernel import taylor_symbol
+from hypersym.symmetrizer import ParameterSet, _fit_window, _lyap_solve_batch, damped_generator
+from hypersym.weights import bracket
+
+# ---------------------------------------------------------------------------
+# Systems and coefficient documents
+
+
+def constant_system(a1: np.ndarray, b: np.ndarray | None = None) -> SystemCoefficients:
+    """System with constant coefficients A1 = a1, B = b."""
+    a1 = np.asarray(a1, dtype=complex)
+    m = a1.shape[0]
+    a_terms = [CoeffTerm(0, "1", a1)]
+    b_terms = [] if b is None else [CoeffTerm(0, "1", np.asarray(b, dtype=complex))]
+    return SystemCoefficients(m=m, a_field=MatrixField(m, a_terms), b_field=MatrixField(m, b_terms))
+
+
+def sine_terms(k: int, matrix: np.ndarray, t_term: str = "1") -> list[CoeffTerm]:
+    """Terms realizing ``matrix * g(t) * sin(k x)``."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if k == 0:
+        return []
+    return [
+        CoeffTerm(k, t_term, matrix / 2j),
+        CoeffTerm(-k, t_term, -matrix / 2j),
+    ]
+
+
+def _field_to_json(fld: MatrixField) -> list:
+    entries = [[[] for _ in range(fld.m)] for _ in range(fld.m)]
+    for term in fld.terms:
+        for i in range(fld.m):
+            for j in range(fld.m):
+                z = complex(term.matrix[i, j])
+                if z == 0:
+                    continue
+                entries[i][j].append(
+                    {
+                        "x_freq": term.x_freq,
+                        "t_term": term.t_term,
+                        "re": z.real,
+                        "im": z.imag,
+                    }
+                )
+    return entries
+
+
+def coeffs_to_json(coeffs: SystemCoefficients) -> dict:
+    """The coefficient document ``coeffs_from_json`` reads back."""
+    doc = {
+        "m": coeffs.m,
+        "t_regularity": coeffs.t_regularity,
+        "x_band": coeffs.x_band,
+        "A": _field_to_json(coeffs.a_field),
+        "B": _field_to_json(coeffs.b_field),
+    }
+    if coeffs.kappa is not None:
+        doc["kappa"] = coeffs.kappa
+    return doc
+
+
+def holder_ratio(coeffs: SystemCoefficients, t_lo: float, t_hi: float, n: int = 200) -> float:
+    """sup of ||A(t)-A(t')|| / |t-t'|^kappa over sampled pairs."""
+    kappa = coeffs.kappa if coeffs.kappa is not None else 1.0
+    ts = np.linspace(t_lo, t_hi, n)
+    mats = coeffs.a_field.dx(ts, 0.0, 0)
+    worst = 0.0
+    for i in range(n - 1):
+        for j in (i + 1, min(i + 7, n - 1)):
+            dt = abs(ts[j] - ts[i])
+            if dt == 0:
+                continue
+            diff = np.linalg.norm(mats[j] - mats[i], 2)
+            worst = max(worst, diff / dt**kappa)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# States
+
+
+def from_physical(samples: np.ndarray) -> SpectralState:
+    """The state whose physical samples on the uniform grid are ``samples``."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=complex))
+    return SpectralState(np.fft.fft(samples, axis=1) / samples.shape[1])
+
+
+def to_physical(state: SpectralState) -> np.ndarray:
+    return np.fft.ifft(state.coeffs * state.n_x, axis=1)
+
+
+def is_conjugate_symmetric(state: SpectralState, tol: float = 1e-12) -> bool:
+    """Real-valued states: u_hat(-xi) == conj(u_hat(xi))."""
+    c = state.coeffs
+    mirrored = np.roll(c[:, ::-1], 1, axis=1)  # index of -xi
+    scale = max(1.0, float(np.max(np.abs(c))))
+    return bool(np.max(np.abs(c - mirrored.conj())) <= tol * scale)
+
+
+def scaled(state: SpectralState, alpha: complex) -> SpectralState:
+    return SpectralState(alpha * state.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Characteristic-polynomial lower bound
+
+
+@dataclass
+class QLowerBoundFit:
+    """Fit of ``|Q(lambda + i*M*s, ..., i s)|`` against ``s``."""
+
+    c_hat: float
+    r_hat: float
+    r_declared: int
+    m_scale: float
+    s_values: np.ndarray
+    q_values: np.ndarray
+    spread: float
+    passed: bool
+
+
+def q_lower_bound_probe(
+    coeffs: SystemCoefficients,
+    t: float,
+    x: float,
+    lam: float,
+    r: int,
+    y: float,
+    s_values,
+    xi: float = 1.0,
+    m_scale: float = 1.0,
+) -> QLowerBoundFit:
+    """Probe the lower bound ``|Q| >= c |s|^r`` near a multiplicity-r eigenvalue.
+
+    ``Q(zeta, t, x, y, s) = det(zeta I - H(t, x, y, s))`` with H the spatial
+    Taylor symbol of order m.  ``m_scale`` shifts the probe point to
+    ``lam + i * m_scale * s`` (large values avoid the degenerate diagonal
+    where Q vanishes identically).  Fitted constants are reported rather
+    than asserted, since the bound's constant depends on unquantified
+    neighborhood sizes.
+    """
+    s_values = np.asarray(s_values, dtype=float)
+    # z = i (i s) y: the spatial Taylor symbol at the imaginary step i s
+    hs = taylor_symbol(coeffs, t, x, xi, -s_values * y, coeffs.m)
+    zeta = lam + 1j * m_scale * s_values
+    q = np.abs(np.linalg.det(zeta[:, None, None] * np.eye(coeffs.m) - hs))
+    positive = q > 0
+    if np.count_nonzero(positive) < 2:
+        return QLowerBoundFit(
+            c_hat=0.0, r_hat=math.inf, r_declared=r, m_scale=m_scale,
+            s_values=s_values, q_values=q, spread=math.inf, passed=False,
+        )
+    slope, intercept = np.polyfit(np.log(s_values[positive]), np.log(q[positive]), 1)
+    ratios = q[positive] / s_values[positive] ** r
+    c_hat = float(np.min(ratios))
+    spread = float(np.max(ratios) / np.min(ratios)) if c_hat > 0 else math.inf
+    passed = bool(slope <= r + 0.2 and c_hat > 0.0)
+    return QLowerBoundFit(
+        c_hat=c_hat, r_hat=float(slope), r_declared=r, m_scale=m_scale,
+        s_values=s_values, q_values=q, spread=spread, passed=passed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Hoelder differences of the symmetrizer
+
+
+@dataclass
+class HolderDifferenceFit:
+    exponent: float | None
+    target: float
+    max_ratio: float
+    passed: bool
+    xi_values: np.ndarray
+    ratios: np.ndarray
+
+
+def holder_difference_probe(
+    coeffs: SystemCoefficients,
+    params: ParameterSet,
+    t_pairs,
+    xi_values,
+    x0: float = 0.0,
+    tol: float = 0.15,
+) -> HolderDifferenceFit:
+    """Measure ``||R(t) - R(t')|| / |t - t'|^kappa`` across scales.
+
+    Passes when the ratio stays bounded and its bracket exponent does not
+    exceed ``3 nu + 1 - rho`` + tol.
+    """
+    kappa = float(params.kappa if params.kappa is not None else coeffs.kappa or 1.0)
+    nu, rho = params.nu, float(params.rho)
+    xi_values = np.asarray(xi_values, dtype=float)
+    ts = sorted({float(t) for pair in t_pairs for t in pair})
+    r = dict(zip(ts, _lyap_solve_batch(
+        *damped_generator(coeffs, params, np.array(ts)[:, None], x0, xi_values))))
+    ratios = np.zeros(len(xi_values))
+    for t1, t2 in t_pairs:
+        diff = np.linalg.norm(r[float(t1)] - r[float(t2)], 2, axis=(-2, -1))
+        ratios = np.maximum(ratios, diff / abs(t1 - t2) ** kappa)
+    target = 3 * nu + 1 - rho
+    br = bracket(xi_values, float(params.ell))
+    if np.max(ratios) <= 1e-12:
+        return HolderDifferenceFit(None, target, float(np.max(ratios)), True,
+                                   xi_values, ratios)
+    good = (ratios > 1e-12) & _fit_window(xi_values, float(params.ell))
+    if np.count_nonzero(good) < 3:
+        good = ratios > 1e-12
+    slope = float(np.polyfit(np.log(br[good]), np.log(ratios[good]), 1)[0])
+    passed = bool(slope <= target + tol and np.all(np.isfinite(ratios)))
+    return HolderDifferenceFit(slope, target, float(np.max(ratios)), passed,
+                               xi_values, ratios)

@@ -25,16 +25,16 @@ from hypersym.solver import CauchyProblem, gevrey_data, h_uniformity_study, \
     parabolic_study, solve_cauchy
 from hypersym.symmetrizer import (
     ParameterSet,
+    _lyap_solve_batch,
     build_field,
-    holder_difference_probe,
     lower_bound_check,
     quadrature_R,
-    solve_R_lyapunov,
     symbol_estimate_probe,
 )
 from hypersym.weights import bracket
 
 from conftest import ACCEPTANCE_LINES
+from support import holder_difference_probe
 
 BANK = ("diag_sym", "wave_t2", "jordan_lower", "xdep", "holder_k",
         "block_direct_sum")
@@ -86,7 +86,7 @@ def test_criterion_01_lyapunov_identity():
 
 def test_criterion_02_closed_form_symmetrizers():
     a, mu = 2.0, 5.0
-    r_scalar = solve_R_lyapunov(np.array([[-a * mu]]), a * mu)
+    r_scalar = _lyap_solve_batch(np.array([[[-a * mu]]]), [a * mu])[0]
     scalar_err = abs(r_scalar[0, 0] - 0.5)
     lam = 3.0
     m = np.array([[-a * mu, 1j * lam], [0.0, -a * mu]])
@@ -94,7 +94,7 @@ def test_criterion_02_closed_form_symmetrizers():
         [[0.5, 1j * lam / (4 * a * mu)],
          [-1j * lam / (4 * a * mu), 0.5 + lam**2 / (4 * a**2 * mu**2)]]
     )
-    jordan_err = np.linalg.norm(solve_R_lyapunov(m, a * mu) - closed, 2)
+    jordan_err = np.linalg.norm(_lyap_solve_batch(m[None], [a * mu])[0] - closed, 2)
     _report(
         2, "closed-form symmetrizers (scalar 1e-12, Jordan 1e-10)",
         scalar_err <= 1e-12 and jordan_err <= 1e-10,

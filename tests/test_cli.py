@@ -123,6 +123,26 @@ def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
         assert re.search(r"\b(%s)\b" % "|".join(fields), err), err
 
 
+@pytest.mark.parametrize("command, config_text, summary_text", [
+    ("certify", "[]", None),  # a config that is not an object
+    (None, "[]", None),  # the same without a command on the line
+    ("certify", "\xff\xfe{}", None),  # a config that is not UTF-8
+    ("report", None, '{"passed": tru'),  # a summary that is not JSON
+    ("report", None, "[1]"),  # a summary that is not an object
+])
+def test_non_object_json_exits_2_without_traceback(command, config_text, summary_text,
+                                                   capsys, tmp_path):
+    if summary_text is not None:
+        (tmp_path / "summary.json").write_text(summary_text)
+        config_text = json.dumps({"run_dir": str(tmp_path)})
+    path = tmp_path / "config.json"
+    path.write_bytes(config_text.encode("latin-1"))  # one byte per character
+    assert main(([command] if command else []) + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_schema_table_self_check():
     for schema in COMMAND_SCHEMAS.values():
         for key, prop in schema["properties"].items():
@@ -212,7 +232,7 @@ def test_report_missing_dir_errors(tmp_path):
 
 def test_criterion_failure_maps_to_exit_1(tmp_path, capsys):
     # a preset that is not hyperbolic: certify must fail with exit code 1
-    from hypersym.coeffs import coeffs_to_json, constant_system
+    from support import coeffs_to_json, constant_system
     import numpy as np
 
     bad = constant_system(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -231,7 +251,7 @@ def test_criterion_failure_maps_to_exit_1(tmp_path, capsys):
 ])
 def test_elliptic_input_exits_3_without_traceback(command, extra, tmp_path, capsys):
     # the growth curves of a non-hyperbolic symbol overflow: a numeric abort
-    from hypersym.coeffs import coeffs_to_json, constant_system
+    from support import coeffs_to_json, constant_system
     import numpy as np
 
     elliptic = constant_system(np.array([[0.0, 1.0], [-1.0, 0.0]]))

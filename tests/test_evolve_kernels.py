@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from hypersym import runner, solver
-from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, sine_terms
+from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
 from hypersym.engine import lattice, shift_map
 from hypersym.presets import get_preset, preset_names
 from hypersym.symmetrizer import _lyap_solve_batch, damped_generator, mollify_path
 from hypersym.weights import bracket, bracket_pow, gevrey_weight
+from support import sine_terms
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +113,8 @@ def _per_sample_diagnostics(res, h):
         dt_path = width_min / 5.0
         path_ts = np.arange(-width_max * 1.05, problem.horizon + width_max * 1.05 + dt_path,
                             dt_path)
-        n_steps = round(problem.horizon / res.dt)
-        stride = round(res.times[1] / res.dt)
-        sample_times = [k * stride * res.dt for k in range(n_steps // stride + 1)]
-        if sample_times[-1] < problem.horizon - 1e-12:
-            sample_times.append(problem.horizon)
         molly_values = mollify_path(path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None])),
-                                    bracket(r_xi, ell), delta, np.asarray(sample_times)).values
+                                    bracket(r_xi, ell), delta, res.times)
 
     norms, e_r, c_fit = [], [], []
     for idx, (t, st) in enumerate(zip(res.times, res.states)):

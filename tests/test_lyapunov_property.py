@@ -1,4 +1,6 @@
-"""Randomized property: the closed-form 2x2 Lyapunov solve against the Kronecker solve.
+"""Randomized properties of the batched Lyapunov kernel.
+
+2 x 2: the closed-form solve against the Kronecker solve.
 
 M = U T U* with T upper triangular, a random unitary U and a scale
 10^[-2, 3].  T's eigenvalues are Hurwitz (Re in [-3, -0.3], Im in [-5, 5])
@@ -11,6 +13,12 @@ to s), times cond(K) / 1e3 where the condition number of the Kronecker
 operator K exceeds 1e3.  A backward-stable solve's residual grows with it:
 on these draws the Kronecker solve's own residual reaches 9.6e-13 s at
 cond(K) = 9.8e3.
+
+4 x 4: the Kronecker solve on general Hurwitz matrices, built the same way
+from a random upper-triangular T, and on direct sums of two 2 x 2 draws,
+the layout of block_direct_sum.  Each R is held to the same residual bound,
+to hermitian positive definiteness, and to the quadrature oracle within
+1e-6, the tolerance of criterion 01.
 """
 
 import numpy as np
@@ -20,7 +28,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from hypersym import symmetrizer  # noqa: E402
-from hypersym.symmetrizer import _lyap_kron, _lyap_solve_batch  # noqa: E402
+from hypersym.symmetrizer import _lyap_kron, _lyap_solve_batch, quadrature_R  # noqa: E402
 
 _settings = hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
                                 database=None)
@@ -50,8 +58,25 @@ def hurwitz_2x2(draw):
     return scale * (u @ t_mat @ u.conj().T), scale * draw(st.floats(0.1, 10.0))
 
 
+@st.composite
+def hurwitz_4x4(draw):
+    if draw(st.booleans()):  # two decoupled blocks, one rhs scale
+        (m1, s), (m2, _) = draw(hurwitz_2x2()), draw(hurwitz_2x2())
+        m_mat = np.zeros((4, 4), dtype=complex)
+        m_mat[:2, :2], m_mat[2:, 2:] = m1, m2
+        return m_mat, s
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eigs = -rng.uniform(0.3, 3.0, 4) + 1j * rng.uniform(-5.0, 5.0, 4)
+    coupling = 10.0 ** draw(st.floats(-2.0, 1.0))
+    t_mat = np.diag(eigs) + coupling * np.triu(
+        rng.uniform(-1.0, 1.0, (4, 4)) + 1j * rng.uniform(-1.0, 1.0, (4, 4)), 1)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    scale = 10.0 ** draw(st.floats(-2.0, 3.0))
+    return scale * (u @ t_mat @ u.conj().T), scale * draw(st.floats(0.1, 10.0))
+
+
 def _kron_condition(m_mat):
-    eye = np.eye(2)
+    eye = np.eye(m_mat.shape[-1])
     return np.linalg.cond(np.kron(m_mat.conj().T, eye) + np.kron(eye, m_mat.T))
 
 
@@ -68,6 +93,20 @@ def test_closed_form_matches_kronecker(case):
     assert np.min(np.linalg.eigvalsh(r)) > 0.0
     resid = m_mat.conj().T @ r + r @ m_mat + s * np.eye(2)
     assert np.linalg.norm(resid, 2) <= 1e-12 * slack * s
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(hurwitz_4x4())
+def test_four_by_four_residual_positivity_and_quadrature(case):
+    m_mat, s = case
+    r = _lyap_solve_batch(m_mat[None], np.array([s]))[0]
+    slack = max(1.0, _kron_condition(m_mat) / 1e3)
+    resid = m_mat.conj().T @ r + r @ m_mat + s * np.eye(4)
+    assert np.linalg.norm(resid, 2) <= 1e-12 * slack * s
+    assert np.array_equal(r, r.conj().T)
+    assert np.min(np.linalg.eigvalsh(r)) > 0.0
+    quad = quadrature_R(m_mat, s)
+    assert np.linalg.norm(quad - r, 2) <= 1e-6 * np.linalg.norm(r, 2)
 
 
 def test_chunks_and_kernel_choice(monkeypatch):

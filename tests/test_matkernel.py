@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from hypersym.coeffs import (
-    CoeffTerm,
-    MatrixField,
-    SystemCoefficients,
-    constant_system,
-    cosine_terms,
-)
+from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
 from hypersym.matkernel import (
     _blocks,
     _exp_norms,
@@ -22,6 +16,7 @@ from hypersym.matkernel import (
     taylor_symbol,
 )
 from hypersym.presets import get_preset, preset_names
+from support import constant_system
 
 
 def _x2_like_system() -> SystemCoefficients:

@@ -56,7 +56,9 @@ def test_feasible_region_vertex():
         assert fr.vertex_delta == 1
         assert fr.vertex_rho == (F(3 * theta + 2) - kappa) / (3 * theta + 2)
         # both constraint lines meet at the vertex exactly
-        assert fr.rho_min_smoothing(1) == fr.rho_min_dt(1) == fr.vertex_rho
+        smoothing = (F(fr.line_a_num) - fr.kappa * fr.vertex_delta) / fr.denom
+        dt_line = (F(fr.line_b_num) + (1 - fr.kappa) * fr.vertex_delta) / fr.denom
+        assert smoothing == dt_line == fr.vertex_rho
     assert feasible_region(0, 1).vertex_rho == F(1, 2)
     assert feasible_region(1, F(1, 2)).vertex_rho == F(9, 10)
 
@@ -111,6 +113,7 @@ def test_plan_json_round_trip_fields():
     assert doc["s0"] == "7/6"
     assert doc["rho"] == "6/7"
     assert doc["binding"] == "second-estimate"
-    p = ParameterSet.from_json(doc["params"])
+    p = ParameterSet(**{k: v for k, v in doc["params"].items() if k != "nu"})  # nu is derived
+    assert p.nu == doc["params"]["nu"]
     assert validate_params(p, c=doc["params"]["c_spec"], a0=doc["params"]["a0"],
                            eps0=doc["params"]["eps0"]) == []

@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.coeffs import (
-    CoeffTerm,
-    MatrixField,
-    SystemCoefficients,
-    constant_system,
-    cosine_terms,
-)
+from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
 from hypersym.errors import NotRealRootedError
-from hypersym.matkernel import q_lower_bound_probe
 from hypersym.rootsplit import (
     RealRootedPoly,
     char_poly,
@@ -22,6 +15,7 @@ from hypersym.rootsplit import (
     nuij_split,
     random_real_rooted,
 )
+from support import constant_system, q_lower_bound_probe
 
 
 def test_split_linear():
@@ -163,12 +157,6 @@ def test_expand_roots_examples():
     np.testing.assert_allclose(expand_roots([1.0, 1.0, 1.0]), [-1, 3, -3, 1],
                                atol=1e-12)
     np.testing.assert_allclose(expand_roots([0.0, 0.0]), [0, 0, 1], atol=1e-15)
-
-
-def test_poly_json_round_trip():
-    poly = random_real_rooted(4, 1.5, seed=3)
-    back = RealRootedPoly.from_json(poly.to_json())
-    np.testing.assert_allclose(back.coeffs, poly.coeffs, atol=1e-15)
 
 
 def test_interlacing_every_application():
