@@ -1,11 +1,15 @@
 """1-D periodic Fourier pseudodifferential engine.
 
-States live on a truncated integer frequency lattice with transforms
-normalized so Parseval holds with unit constant.  Operators are quantized by
-the Kohn-Nirenberg rule ``Op(p)u(x) = sum_xi e^{i x xi} p(x, xi) u_hat(xi)``;
-for a trig-polynomial symbol this is exact on the lattice, one frequency
-shift per x-harmonic (:func:`shift_map`).  A dense Fourier-basis operator
-matrix serves as the oracle for conjugation experiments.
+A state of an m-vector system is a complex array of shape (m, N_x): row c
+holds the Fourier coefficients of component c on the integer frequency
+lattice in FFT order (:func:`lattice`), and a stack of states is
+(..., m, N_x).  Physical samples are ``u(x_j) = sum_xi u_hat e^{i xi x_j}``,
+so Parseval holds with unit constant: the squared lattice norm is the mean
+squared physical sample.  Operators are quantized by the Kohn-Nirenberg
+rule ``Op(p)u(x) = sum_xi e^{i x xi} p(x, xi) u_hat(xi)``; for a
+trig-polynomial symbol this is exact on the lattice, one frequency shift
+per x-harmonic (:func:`shift_map`).  A dense Fourier-basis operator matrix
+serves as the oracle for conjugation experiments.
 """
 
 from __future__ import annotations
@@ -24,44 +28,6 @@ DENSE_BUDGET = 512
 def lattice(n_x: int) -> np.ndarray:
     """Integer frequencies in FFT order: 0..N/2-1, -N/2..-1."""
     return np.fft.fftfreq(n_x, d=1.0 / n_x)
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """m-vector-valued periodic function stored as Fourier coefficients.
-
-    ``coeffs[c, k]`` is the coefficient of component c at the k-th lattice
-    frequency (FFT order).  Physical samples are ``u(x_j) = sum_xi
-    coeffs * e^{i xi x_j}`` so the squared lattice norm equals the mean
-    squared physical samples (unit-constant Parseval).
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2:
-            raise ValueError("coeffs must be (components, N_x)")
-        n = c.shape[1]
-        if n < 2 or n & (n - 1):
-            raise ValueError("N_x must be a power of two")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n_x(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def xi(self) -> np.ndarray:
-        return lattice(self.n_x)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
-
-    def __sub__(self, other: "SpectralState") -> "SpectralState":
-        return SpectralState(self.coeffs - other.coeffs)
 
 
 def weighted_norm(coeffs, sigmas, ell: float) -> np.ndarray:

@@ -24,8 +24,6 @@ class Preset:
     name: str
     coeffs: SystemCoefficients
     theta: int
-    strictly_hyperbolic: bool
-    description: str
 
 
 def _diag_sym() -> Preset:
@@ -38,8 +36,7 @@ def _diag_sym() -> Preset:
     coeffs = SystemCoefficients(
         m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, [])
     )
-    return Preset("diag_sym", coeffs, theta=0, strictly_hyperbolic=True,
-                  description="symmetric x-dependent family, uniformly diagonalizable")
+    return Preset("diag_sym", coeffs, theta=0)
 
 
 def _wave_t2() -> Preset:
@@ -50,8 +47,7 @@ def _wave_t2() -> Preset:
     coeffs = SystemCoefficients(
         m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, [])
     )
-    return Preset("wave_t2", coeffs, theta=1, strictly_hyperbolic=False,
-                  description="first-order form of u_tt = t^2 u_xx; degenerates at t = 0")
+    return Preset("wave_t2", coeffs, theta=1)
 
 
 def _jordan_lower() -> Preset:
@@ -60,8 +56,7 @@ def _jordan_lower() -> Preset:
     coeffs = SystemCoefficients(
         m=2, a_field=MatrixField(2, a_terms), b_field=MatrixField(2, b_terms)
     )
-    return Preset("jordan_lower", coeffs, theta=1, strictly_hyperbolic=False,
-                  description="nilpotent principal part with lower-order coupling")
+    return Preset("jordan_lower", coeffs, theta=1)
 
 
 def _xdep() -> Preset:
@@ -74,8 +69,7 @@ def _xdep() -> Preset:
     coeffs = SystemCoefficients(
         m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, [])
     )
-    return Preset("xdep", coeffs, theta=0, strictly_hyperbolic=True,
-                  description="strictly hyperbolic with trig x-dependence")
+    return Preset("xdep", coeffs, theta=0)
 
 
 def _holder_k() -> Preset:
@@ -90,8 +84,7 @@ def _holder_k() -> Preset:
         t_regularity="holder",
         kappa=0.5,
     )
-    return Preset("holder_k", coeffs, theta=0, strictly_hyperbolic=True,
-                  description="1/2-Hoelder lacunary time path, non-normal")
+    return Preset("holder_k", coeffs, theta=0)
 
 
 def _block_direct_sum() -> Preset:
@@ -109,8 +102,7 @@ def _block_direct_sum() -> Preset:
     coeffs = SystemCoefficients(
         m=m, a_field=MatrixField(m, terms), b_field=MatrixField(m, [])
     )
-    return Preset("block_direct_sum", coeffs, theta=0, strictly_hyperbolic=False,
-                  description="two decoupled strictly hyperbolic 2x2 blocks")
+    return Preset("block_direct_sum", coeffs, theta=0)
 
 
 def _wave_x2() -> Preset:
@@ -121,8 +113,7 @@ def _wave_x2() -> Preset:
     coeffs = SystemCoefficients(
         m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, [])
     )
-    return Preset("wave_x2", coeffs, theta=1, strictly_hyperbolic=False,
-                  description="x-degenerate wave family: lower-left entry 2 - 2 cos x")
+    return Preset("wave_x2", coeffs, theta=1)
 
 
 _BUILDERS = {

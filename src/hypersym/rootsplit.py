@@ -42,9 +42,6 @@ class RealRootedPoly:
             if np.max(np.abs(expanded - c)) > 1e-10 * scale:
                 raise ValueError("supplied roots do not reproduce coefficients")
 
-    def __call__(self, z):
-        return _horner(self.coeffs, z)
-
 
 @dataclass
 class SplitResult:

@@ -305,8 +305,13 @@ def _solve_setup(config: dict):
         / float(bracket(n_x / 2, 1.0)) ** (1.0 / s)
     c0 = config.get("c0", max(1.5, c0_min))
     g = solver.gevrey_data(n_x, coeffs.m, s, c0, seed=config["seed"])
-    horizon = config.get("horizon",
-                         (big_t - float(params.c1)) / float(params.a))
+    # past (T - c1)/a the running window tau = T - a t of the weight falls
+    # below c1 and then below zero, where the energy and radius gates are vacuous
+    window = (big_t - float(params.c1)) / float(params.a)
+    horizon = config.get("horizon", window)
+    if horizon > window:
+        raise ConfigError(f"horizon = {horizon} is beyond the weight window "
+                          f"(T - c1)/a = {window:.6g}")
     problem = solver.CauchyProblem(coeffs, g, horizon=horizon, gevrey_s=s,
                                    gevrey_c0=c0)
     if not problem.check_certificate():
@@ -479,15 +484,11 @@ def _cmd_plan(config: dict) -> dict:
 
 
 def _cmd_solve(config: dict) -> dict:
-    stride, out_dir = config["stride"], config.get("out")
+    stride, out_dir, eps_par = config["stride"], config.get("out"), config["eps_par"]
     coeffs, name, params, problem, cal = _solve_setup(config)
-    res = solver.solve_cauchy(
-        problem, params,
-        h=config.get("h", 1.0 / float(params.ell)),
-        eps_par=config["eps_par"],
-        dt=config.get("dt"),
-        stride=stride,
-    )
+    h = config.get("h", 1.0 / float(params.ell))
+    res = solver.solve_cauchy(problem, params, h=h, eps_par=eps_par, dt=config.get("dt"),
+                              stride=stride)
     tr = res.trace
     eta = res.dt**2 + 1e-8
     stride_eta = eta * stride
@@ -509,20 +510,16 @@ def _cmd_solve(config: dict) -> dict:
     rep = solver.energy_residual(res)
     if out_dir:
         tr.to_csv(os.path.join(out_dir, "energy_trace.csv"))
-        # one state at a time, in C order: the bytes of the stacked samples
-        with open(os.path.join(out_dir, "trajectory.bin"), "wb") as fh:
-            for st in res.states:
-                np.ascontiguousarray(st.coeffs, dtype=complex).tofile(fh)
+        res.states.tofile(os.path.join(out_dir, "trajectory.bin"))
         with open(os.path.join(out_dir, "trajectory_meta.json"), "w") as fh:
-            json.dump({"shape": [len(res.states), *res.states[0].coeffs.shape],
-                       "dtype": "complex128",
-                       "order": "C", "times": [float(t) for t in res.times]},
+            json.dump({"shape": list(res.states.shape), "dtype": "complex128",
+                       "order": "C", "times": [float(t) for t in tr.times]},
                       fh, sort_keys=True, indent=2)
     return {
         "preset": name,
         "params": params.to_json(),
-        "n_lattice": problem.g.n_x,
-        "h": res.h, "eps_par": res.eps_par, "dt": res.dt,
+        "n_lattice": problem.g.shape[1],
+        "h": h, "eps_par": eps_par, "dt": res.dt,
         "horizon": problem.horizon,
         "er_mode": tr.er_mode,
         "eta_per_step": eta,

@@ -14,21 +14,25 @@ likewise ``M = -a <xi>^rho I`` there, so ``R = I/2`` exactly and Lyapunov
 solves run on band nodes only.  When eps_par = 0 the factor is exactly 1
 and the off-band modes are not touched at all; otherwise they take the
 products of a sample interval after its band steps.  A forced run evolves
-the whole lattice, since the forcing drives every mode.  The full state is
-assembled at sample times, the last of which is the final step.  The time
+the whole lattice, since the forcing drives every mode.  The time
 coefficients of every RK4 stage are evaluated once, before the loop, into
 one matrix per time, so each generator application is a single product
 (:class:`TruncatedGenerator`).
+
+A state is a complex (m, n_x) array in FFT order, as in
+:mod:`hypersym.engine`.  The samples, the last of which is the final step,
+fill one (n_samples, m, n_x) array that starts as copies of u0, so a sample
+takes only the band, and the off-band modes when eps_par > 0.
 
 The band advances one sample interval at a time.  Each step reuses five
 work buffers and writes its state into one row of the interval's block,
 with the operations of the allocating step in the same order, so its
 roundings are that step's.  Finiteness is checked once per block, and an abort
 names the first step that lost it.  The loop only records the sampled
-states.  The diagnostics then run over blocks of samples: one weight array,
-one product of the squared moduli against the ``<xi>^(2 sigma)`` table for
-all five norms, one band Lyapunov batch for the R-energy and one
-stack-first radius fit per block.
+states.  The diagnostics then run over blocks of samples, slices of the
+sample array: one weight array, one product of the squared moduli against
+the ``<xi>^(2 sigma)`` table for all five norms, one band Lyapunov batch for
+the R-energy and one stack-first radius fit per block.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
-from hypersym.engine import SpectralState, lattice, weighted_norm
+from hypersym.engine import lattice, weighted_norm
 from hypersym.errors import ConfigError, NumericAbortError
 from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
@@ -62,8 +66,8 @@ def gevrey_data(
     s: float,
     c0: float,
     seed: int = 0,
-) -> SpectralState:
-    """Synthetic initial data with an exact Gevrey-s certificate.
+) -> np.ndarray:
+    """Synthetic initial data (m, n_x) with an exact Gevrey-s certificate.
 
     ``|g_hat(xi)| = e^{-c0 <xi>^(1/s)}`` with seeded random
     phases, conjugate-symmetric so physical samples are real; the unpaired
@@ -82,7 +86,7 @@ def gevrey_data(
         neg = np.arange(half + 1, n_x)
         coeffs[c, neg] = np.conj(coeffs[c, n_x - neg])
         coeffs[c, half] = 0.0
-    return SpectralState(coeffs)
+    return coeffs
 
 
 # Relative slack of the certificate check, on c0 and on the bound: enough for
@@ -96,9 +100,9 @@ class CauchyProblem:
     """Initial data, forcing and certificate for one evolution run."""
 
     coeffs: SystemCoefficients
-    g: SpectralState
+    g: np.ndarray  # complex (m, n_x), FFT order
     horizon: float
-    forcing: object = None  # callable t -> SpectralState, or None
+    forcing: object = None  # callable t -> (m, n_x) array, or None
     gevrey_s: float | None = None
     gevrey_c0: float | None = None
 
@@ -107,10 +111,9 @@ class CauchyProblem:
         synthesizes, on the lattice up to ``_CERT_SLACK``."""
         if self.gevrey_s is None or self.gevrey_c0 is None:
             return True
-        bound = np.exp(
-            -self.gevrey_c0 / _CERT_SLACK * bracket(self.g.xi, 1.0) ** (1.0 / self.gevrey_s)
-        )
-        return bool(np.all(np.abs(self.g.coeffs) <= bound[None, :] * _CERT_SLACK + 1e-300))
+        xi = lattice(self.g.shape[1])
+        bound = np.exp(-self.gevrey_c0 / _CERT_SLACK * bracket(xi, 1.0) ** (1.0 / self.gevrey_s))
+        return bool(np.all(np.abs(self.g) <= bound[None, :] * _CERT_SLACK + 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +290,9 @@ class EnergyTrace:
 @dataclass
 class SolveResult:
     problem: CauchyProblem
-    params: ParameterSet
-    h: float
-    eps_par: float
     dt: float
-    times: np.ndarray
-    states: list  # sampled SpectralStates of u
+    states: np.ndarray  # (n_samples, m, n_x): u at trace.times, the last at the horizon
     trace: EnergyTrace
-    final: SpectralState
 
 
 # Amplitudes at or below this are rounding residue of the unit-size data and
@@ -376,7 +374,7 @@ def solve_cauchy(
             f"cutoff scale h = {h} above the uniformity range 1/ell = "
             f"{1.0 / float(params.ell)}"
         )
-    n_x = problem.g.n_x
+    n_x = problem.g.shape[1]
     # the forcing drives every mode, so a forced run evolves the whole lattice
     gen = TruncatedGenerator(coeffs, n_x, h, eps_par,
                              whole_lattice=problem.forcing is not None)
@@ -444,13 +442,13 @@ def solve_cauchy(
     else:
         def rhs(t, band_hat, out=None):
             out = gen.apply(t, band_hat, out)
-            return np.add(out, problem.forcing(t).coeffs[:, gen.index], out)
+            return np.add(out, problem.forcing(t)[:, gen.index], out)
 
     # Off the band the generator is -eps_par xi^2, so one RK4 step multiplies
     # each mode by amp = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2.
     # With eps_par = 0 that is exactly 1 and the modes are left alone;
     # otherwise they take an interval's products after its band steps.
-    u0 = problem.g.coeffs
+    u0 = problem.g
     off_index = np.setdiff1d(np.arange(n_x), gen.index)
     band, off = u0[:, gen.index], u0[:, off_index]
     z = -dt * gen.eps_par * xi[off_index] ** 2
@@ -459,13 +457,14 @@ def solve_cauchy(
 
     # The band advances one interval between samples at a time, each step's
     # state into one row of a block, and the block is checked for finiteness
-    # once.  The abort names the first step that lost it.
-    states = [problem.g]
+    # once.  The abort names the first step that lost it.  Every sample starts
+    # as u0, so it takes only the band, and the off-band modes when they move.
+    states = np.repeat(u0[None], times.size, axis=0)
     work = [np.empty_like(band) for _ in range(5)]
     longest = int(np.max(np.diff(sample_steps)))
     block = np.empty((longest,) + band.shape, dtype=complex)
     off_block = np.empty((longest,) + off.shape, dtype=complex) if gen.eps_par else None
-    for start, end in zip(sample_steps, sample_steps[1:]):
+    for sample, start, end in zip(states[1:], sample_steps, sample_steps[1:]):
         for k in range(start, end):
             band = step_rk4(rhs, band, k * dt, dt, block[k - start], work)
         peaks = np.abs(block[:end - start]).max(axis=(1, 2))
@@ -479,10 +478,9 @@ def solve_cauchy(
             raise NumericAbortError(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
             )
-        full = np.empty_like(u0)
-        full[:, gen.index] = band
-        full[:, off_index] = off
-        states.append(SpectralState(full))
+        sample[:, gen.index] = band
+        if gen.eps_par:
+            sample[:, off_index] = off
 
     # The diagnostics run over blocks of samples.
     n_samples = times.size
@@ -496,12 +494,12 @@ def solve_cauchy(
     block = _samples_per_block(coeffs.m, n_x, r_xi.size if er_mode == "multiplier" else 0)
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
-        u = np.stack([st.coeffs for st in states[blk]])
+        u = states[blk]
         weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)[:, None, :]
         v = u * weight
         norms[blk] = weighted_norm(v, sigmas, ell)
         if problem.forcing is not None:
-            f = np.stack([problem.forcing(t).coeffs for t in times[blk]])
+            f = np.stack([problem.forcing(t) for t in times[blk]])
             f_norms[blk] = weighted_norm(f * weight, f_sigmas, ell)
         if er_mode != "skipped":
             # Re <R v, v>: the band's solved R, and R = I/2 off it
@@ -527,17 +525,7 @@ def solve_cauchy(
         er_mode=er_mode,
         sigmas=sigmas,
     )
-    return SolveResult(
-        problem=problem,
-        params=params,
-        h=h,
-        eps_par=eps_par,
-        dt=dt,
-        times=times,
-        states=states,
-        trace=trace,
-        final=states[-1],
-    )
+    return SolveResult(problem=problem, dt=dt, states=states, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +633,11 @@ class ParabolicStudyResult:
     passed_uniform: bool
 
 
+def _l2(u) -> float:
+    """Plain l2 norm of a state over all its components and modes."""
+    return float(np.sqrt(np.sum(np.abs(u) ** 2)))
+
+
 def parabolic_study(
     problem: CauchyProblem,
     params: ParameterSet,
@@ -668,8 +661,8 @@ def parabolic_study(
                           track_energy=False, stride=16)
         r2 = solve_cauchy(problem, params, h=h, eps_par=eps / 2.0, dt=dt,
                           track_energy=False, stride=16)
-        diffs.append((r1.final - r2.final).norm())
-        sups.append(max(st.norm() for st in r1.states))
+        diffs.append(_l2(r1.states[-1] - r2.states[-1]))
+        sups.append(max(_l2(u) for u in r1.states))
     eps_arr = np.asarray(list(eps_list), dtype=float)
     rate = float(np.polyfit(np.log(eps_arr), np.log(np.maximum(diffs, 1e-300)), 1)[0])
     spread = (max(sups) - min(sups)) / min(sups)

@@ -13,8 +13,11 @@ import numpy as np
 
 from hypersym.errors import WeightOverflowError
 
-# e^500 is close to the double-precision limit once weights get squared in
-# quadratic forms were not for headroom; chosen as the safety budget.
+# Largest |tau <xi>^rho| a Gevrey weight may take.  Within it the weight and
+# its inverse, e^500 (about 1.4e217) and e^-500, are normal doubles, with a
+# factor e^209 to spare below the largest (about e^709.8).  The norms and
+# energies square the weighted state w u, never w alone, so the decay of the
+# data keeps them finite.
 EXP_BUDGET = 500.0
 
 

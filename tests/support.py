@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
-from hypersym.engine import SpectralState
 from hypersym.matkernel import taylor_symbol
 from hypersym.symmetrizer import ParameterSet, _fit_window, _lyap_solve_batch, damped_generator
 from hypersym.weights import bracket
@@ -96,26 +95,21 @@ def holder_ratio(coeffs: SystemCoefficients, t_lo: float, t_hi: float, n: int = 
 # States
 
 
-def from_physical(samples: np.ndarray) -> SpectralState:
-    """The state whose physical samples on the uniform grid are ``samples``."""
+def from_physical(samples: np.ndarray) -> np.ndarray:
+    """The state (m, n_x) whose physical samples on the uniform grid are ``samples``."""
     samples = np.atleast_2d(np.asarray(samples, dtype=complex))
-    return SpectralState(np.fft.fft(samples, axis=1) / samples.shape[1])
+    return np.fft.fft(samples, axis=1) / samples.shape[1]
 
 
-def to_physical(state: SpectralState) -> np.ndarray:
-    return np.fft.ifft(state.coeffs * state.n_x, axis=1)
+def to_physical(c: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(c * c.shape[1], axis=1)
 
 
-def is_conjugate_symmetric(state: SpectralState, tol: float = 1e-12) -> bool:
+def is_conjugate_symmetric(c: np.ndarray, tol: float = 1e-12) -> bool:
     """Real-valued states: u_hat(-xi) == conj(u_hat(xi))."""
-    c = state.coeffs
     mirrored = np.roll(c[:, ::-1], 1, axis=1)  # index of -xi
     scale = max(1.0, float(np.max(np.abs(c))))
     return bool(np.max(np.abs(c - mirrored.conj())) <= tol * scale)
-
-
-def scaled(state: SpectralState, alpha: complex) -> SpectralState:
-    return SpectralState(alpha * state.coeffs)
 
 
 # ---------------------------------------------------------------------------

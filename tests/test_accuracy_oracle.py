@@ -10,7 +10,7 @@ same band, whose error is 16^4 times below the solver's.
 Tolerance, from the RK4 local error.  The solver's global error is the sum
 of its local errors ``l_k = S_dt u(t_k) - u(t_{k+1})``, S_dt one RK4 step,
 each carried to T by the exact propagator.  With u the reference trajectory
-at the solver's step times, ``final`` must satisfy
+at the solver's step times, its last sample u_T must satisfy
 
     |u_T - u(T)| <= 2 G sum_k |l_k|,   G = max_k |u(t_k)| / |u(0)|,
 
@@ -78,7 +78,7 @@ def test_final_state_within_rk4_error_bound(preset, h):
 
     big_t, dt = problem.horizon, res.dt
     n_steps = round(big_t / dt)
-    u0 = problem.g.coeffs.reshape(-1)[rows]
+    u0 = problem.g.reshape(-1)[rows]
     traj = [u0]  # the reference at the solver's step times
     if t_independent:
         lmat = op(0.0)
@@ -97,10 +97,10 @@ def test_final_state_within_rk4_error_bound(preset, h):
              for k, v in enumerate(traj[:-1])]
     growth = max(np.linalg.norm(v) for v in traj) / np.linalg.norm(u0)
     tol = 2.0 * growth * sum(local) / np.linalg.norm(ref)
-    err = np.linalg.norm(res.final.coeffs.reshape(-1)[rows] - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(res.states[-1].reshape(-1)[rows] - ref) / np.linalg.norm(ref)
     assert tol < 1e-2  # a bound that could not catch a wrong generator is no test
     assert err <= tol, (err, tol)
     # eps_par = 0: the modes off the band are the data, exactly
     off = np.setdiff1d(np.arange(n_x * problem.coeffs.m), rows)
-    np.testing.assert_array_equal(res.final.coeffs.reshape(-1)[off],
-                                  problem.g.coeffs.reshape(-1)[off])
+    np.testing.assert_array_equal(res.states[-1].reshape(-1)[off],
+                                  problem.g.reshape(-1)[off])

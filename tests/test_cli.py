@@ -107,6 +107,7 @@ def test_wrong_type_rejected(cfg):
     ["symmetrize", {"coeffs": _zero_coeffs(9)}],
     ["solve", "--seed", "0", {"coeffs": _zero_coeffs(9)}],
     ["certify", "--preset", "xdep", {"y_values": [0.0]}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"horizon": 2.0}],  # past (T - c1)/a
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -268,14 +269,14 @@ def test_elliptic_input_exits_3_without_traceback(command, extra, tmp_path, caps
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_maps_to_exit_3(tmp_path):
-    # the zero-order term B = 300 grows the state like e^{300 t}, out of
-    # the double range before t = 2.4 < horizon (a negative eps_par, which
-    # did this before, is now refused as a config error)
+    # the zero-order term B = 1000 grows the state like e^{1000 t}, out of
+    # the double range near t = 0.71, inside the default horizon, the weight
+    # window 0.875 (a negative eps_par, which did this before, is now refused
+    # as a config error)
     one = [[[{"x_freq": 0, "t_term": "1", "re": 1.0}]]]
-    amplify = [[[{"x_freq": 0, "t_term": "1", "re": 300.0}]]]
+    amplify = [[[{"x_freq": 0, "t_term": "1", "re": 1000.0}]]]
     cfg = {"command": "solve", "schema_version": "1", "seed": 3,
-           "coeffs": {"m": 1, "A": one, "B": amplify}, "n_lattice": 64,
-           "horizon": 3.0, "stride": 4}
+           "coeffs": {"m": 1, "A": one, "B": amplify}, "n_lattice": 64, "stride": 4}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path)]) == 3

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hypersym.engine import (
-    SpectralState,
     TrigMatrixSymbol,
     conjugated_symbol_bk,
     conjugation_remainder_probe,
@@ -20,18 +19,18 @@ from support import from_physical, is_conjugate_symmetric, to_physical
 
 def _random_state(m=2, n=64, seed=0):
     rng = np.random.default_rng(seed)
-    return SpectralState(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+    return rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
 
 
 def _op(sym, st):
     """The engine's quantization Op(sym) applied to a state (dense matrix)."""
-    vec = dense_operator_matrix(sym, st.n_x) @ st.coeffs.reshape(-1)
-    return SpectralState(vec.reshape(st.coeffs.shape))
+    vec = dense_operator_matrix(sym, st.shape[1]) @ st.reshape(-1)
+    return vec.reshape(st.shape)
 
 
 def _form(sym, st):
     """Energy pairing ``Re <Op(sym) u, u>``."""
-    return float(np.real(np.vdot(st.coeffs, _op(sym, st).coeffs)))
+    return float(np.real(np.vdot(st, _op(sym, st))))
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +55,7 @@ def test_parseval_unit_constant():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(2, 128))
     st = from_physical(u)
-    assert st.norm() ** 2 == pytest.approx(np.mean(np.sum(np.abs(u) ** 2, axis=0)))
-
-
-def test_power_of_two_required():
-    with pytest.raises(ValueError):
-        SpectralState(np.zeros((1, 48), dtype=complex))
+    assert np.linalg.norm(st) ** 2 == pytest.approx(np.mean(np.sum(np.abs(u) ** 2, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -70,30 +64,29 @@ def test_power_of_two_required():
 
 def test_gevrey_inverse_pair():
     st = _random_state()
-    w = gevrey_weight(st.xi, 0.8, 0.75, 2.0)
-    winv = gevrey_weight(st.xi, -0.8, 0.75, 2.0)
-    out = st.coeffs * w[None, :] * winv[None, :]
-    assert np.max(np.abs(out - st.coeffs)) <= 1e-10
+    w = gevrey_weight(lattice(st.shape[1]), 0.8, 0.75, 2.0)
+    winv = gevrey_weight(lattice(st.shape[1]), -0.8, 0.75, 2.0)
+    out = st * w[None, :] * winv[None, :]
+    assert np.max(np.abs(out - st)) <= 1e-10
 
 
 def test_gevrey_overflow_refused():
     st = _random_state(n=256)
     with pytest.raises(WeightOverflowError) as err:
-        gevrey_weight(st.xi, 50.0, 0.9, 1.0)
+        gevrey_weight(lattice(st.shape[1]), 50.0, 0.9, 1.0)
     assert "tau" in str(err.value)
 
 
 def test_weighted_norm_examples():
     st = _random_state()
-    assert weighted_norm(st.coeffs, [0.0], 3.0)[0] == pytest.approx(st.norm())
+    assert weighted_norm(st, [0.0], 3.0)[0] == pytest.approx(np.linalg.norm(st))
     single = np.zeros((1, 64), dtype=complex)
     single[0, 5] = 2.0
-    st1 = SpectralState(single)
-    assert weighted_norm(st1.coeffs, [0.7], 2.0)[0] == pytest.approx(
+    assert weighted_norm(single, [0.7], 2.0)[0] == pytest.approx(
         2.0 * bracket(5.0, 2.0) ** 0.7
     )
     # ell large at fixed support: norm ~ ell^sigma * plain norm
-    big = weighted_norm(st1.coeffs, [0.7], 1e6)[0]
+    big = weighted_norm(single, [0.7], 1e6)[0]
     assert big == pytest.approx(2.0 * (1e6) ** 0.7, rel=1e-5)
 
 
@@ -105,7 +98,7 @@ def test_quantize_constant_symbol_identity():
     st = _random_state()
     sym = TrigMatrixSymbol(m=2, terms=((0, np.eye(2), None),))
     out = _op(sym, st)
-    assert np.max(np.abs(out.coeffs - st.coeffs)) <= 1e-12
+    assert np.max(np.abs(out - st)) <= 1e-12
 
 
 def test_quantize_x_only_symbol_is_pointwise_multiplication():
@@ -115,7 +108,7 @@ def test_quantize_x_only_symbol_is_pointwise_multiplication():
     coeffs = np.zeros((1, n), dtype=complex)
     coeffs[0, :20] = rng.normal(size=20)
     coeffs[0, -20:] = rng.normal(size=20)
-    st = SpectralState(coeffs)
+    st = coeffs
     sym = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
     out = _op(sym, st)
     x = 2 * np.pi * np.arange(n) / n
@@ -140,8 +133,8 @@ def test_quantize_x_independent_matches_multiplier():
         m=2, terms=((0, np.eye(2), lambda xi: bracket(xi, 2.0).astype(complex)),)
     )
     q = _op(sym, st)
-    mult = st.coeffs * bracket_pow(st.xi, 2.0, 1.0)
-    assert np.max(np.abs(q.coeffs - mult)) <= 1e-12 * np.max(np.abs(mult))
+    mult = st * bracket_pow(lattice(st.shape[1]), 2.0, 1.0)
+    assert np.max(np.abs(q - mult)) <= 1e-12 * np.max(np.abs(mult))
 
 
 def test_quantize_differential_symbol_product_rule():
@@ -152,7 +145,7 @@ def test_quantize_differential_symbol_product_rule():
     coeffs = np.zeros((1, n), dtype=complex)
     coeffs[0, 1:band] = rng.normal(size=band - 1)
     coeffs[0, -band:] = rng.normal(size=band)
-    st = SpectralState(coeffs)
+    st = coeffs
     a1 = 1.0  # coefficient of cos x
     sym = TrigMatrixSymbol(
         m=1,
@@ -163,7 +156,7 @@ def test_quantize_differential_symbol_product_rule():
     )
     out = to_physical(_op(sym, st))
     x = 2 * np.pi * np.arange(n) / n
-    du = to_physical(SpectralState(st.coeffs * (1j * st.xi)[None, :]))
+    du = to_physical(st * (1j * lattice(st.shape[1]))[None, :])
     expected = np.cos(x)[None, :] * du
     assert np.max(np.abs(out - expected)) <= 1e-8
 
@@ -212,8 +205,8 @@ def test_dense_matches_quantize_on_random_symbol():
     )
     sym = TrigMatrixSymbol(m=2, terms=terms)
     st = _random_state(m=2, n=32, seed=8)
-    v1 = dense_operator_matrix(sym, 32) @ st.coeffs.reshape(-1)
-    v2 = kn_apply(sym, st.coeffs).reshape(-1)
+    v1 = dense_operator_matrix(sym, 32) @ st.reshape(-1)
+    v2 = kn_apply(sym, st).reshape(-1)
     assert np.max(np.abs(v1 - v2)) <= 1e-10 * max(1.0, np.max(np.abs(v1)))
 
 
@@ -231,13 +224,13 @@ def test_hermitian_form_identity_symbol():
     st = _random_state()
     sym = TrigMatrixSymbol(m=2, terms=((0, np.eye(2), None),))
     val = _form(sym, st)
-    assert val == pytest.approx(st.norm() ** 2)
+    assert val == pytest.approx(np.linalg.norm(st) ** 2)
 
 
 def test_hermitian_form_diagonal_single_mode():
     coeffs = np.zeros((2, 32), dtype=complex)
     coeffs[0, 3] = 1.5
-    st = SpectralState(coeffs)
+    st = coeffs
     sym = TrigMatrixSymbol(m=2, terms=((0, np.diag([2.0, 0.0]), None),))
     assert _form(sym, st) == pytest.approx(2 * 1.5**2)
 
@@ -248,7 +241,7 @@ def test_hermitian_form_positive_lower_bound():
     sym = TrigMatrixSymbol(m=2, terms=((0, p, None),))
     val = _form(sym, st)
     min_eig = np.min(np.linalg.eigvalsh(p))
-    assert val >= min_eig * st.norm() ** 2 - 1e-10
+    assert val >= min_eig * np.linalg.norm(st) ** 2 - 1e-10
     assert val > 0
 
 
@@ -328,9 +321,9 @@ def test_hermitian_form_x_dependent_matches_dense():
                (-1, 0.5 * np.eye(1), None)),
     )  # p(x, xi) = 2 + cos x, hermitian-valued
     st = _random_state(m=1, n=32, seed=12)
-    val = float(np.real(np.vdot(st.coeffs, kn_apply(sym, st.coeffs))))
+    val = float(np.real(np.vdot(st, kn_apply(sym, st))))
     d = dense_operator_matrix(sym, 32)
-    v = st.coeffs.reshape(-1)
+    v = st.reshape(-1)
     quad = np.real(v.conj() @ ((d + d.conj().T) / 2.0) @ v)
     assert val == pytest.approx(quad, rel=1e-12)
     assert abs(val - np.real(val)) == 0.0

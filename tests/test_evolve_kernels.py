@@ -91,14 +91,14 @@ def _radius_fit_polyfit(coeffs, s, noise_floor=1e-14):
     return float(np.polyfit(xcoord, -np.log(vals[band]), 1)[0])
 
 
-def _per_sample_diagnostics(res, h):
+def _per_sample_diagnostics(res, params, h):
     """Norms, raw R-energy and radius fit of each sample, one at a time."""
-    problem, params = res.problem, res.params
-    coeffs, n_x = problem.coeffs, problem.g.n_x
+    problem, times = res.problem, res.trace.times
+    coeffs, n_x = problem.coeffs, problem.g.shape[1]
     big_t, a, rho, ell = (float(params.T), float(params.a), float(params.rho),
                           float(params.ell))
     xi = lattice(n_x)
-    gen = solver.TruncatedGenerator(coeffs, n_x, h, res.eps_par)
+    gen = solver.TruncatedGenerator(coeffs, n_x, h, 0.0)
     r_index, r_xi, r_chi2 = gen.index, gen.xi, gen.chi**2
 
     def r_generator(t):
@@ -114,11 +114,11 @@ def _per_sample_diagnostics(res, h):
         path_ts = np.arange(-width_max * 1.05, problem.horizon + width_max * 1.05 + dt_path,
                             dt_path)
         molly_values = mollify_path(path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None])),
-                                    bracket(r_xi, ell), delta, res.times)
+                                    bracket(r_xi, ell), delta, times)
 
     norms, e_r, c_fit = [], [], []
-    for idx, (t, st) in enumerate(zip(res.times, res.states)):
-        v = st.coeffs * gevrey_weight(xi, big_t - a * t, rho, ell)[None, :]
+    for idx, (t, u) in enumerate(zip(times, res.states)):
+        v = u * gevrey_weight(xi, big_t - a * t, rho, ell)[None, :]
         norms.append([np.sqrt(np.sum((np.abs(v) * bracket_pow(xi, ell, s)[None, :]) ** 2))
                       for s in res.trace.sigmas])
         if res.trace.er_mode == "skipped":
@@ -128,7 +128,7 @@ def _per_sample_diagnostics(res, h):
             r[r_index] = (_lyap_solve_batch(*r_generator(t)) if molly_values is None
                           else molly_values[idx])
             e_r.append(float(np.real(np.einsum("ck,kcd,dk->", np.conj(v), r, v))))
-        c_fit.append(_radius_fit_polyfit(st.coeffs, problem.gevrey_s))
+        c_fit.append(_radius_fit_polyfit(u, problem.gevrey_s))
     return np.array(norms), np.array(e_r), np.array(c_fit)
 
 
@@ -170,8 +170,8 @@ def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, monkeyp
     monkeypatch.setattr(solver, "_samples_per_block", lambda m, n_x, n_lyap: block)
     res = solver.solve_cauchy(problem, params, h=h, stride=4)
     assert res.trace.er_mode == er_mode
-    assert len(res.times) % block != 0 and len(res.times) > 2 * block
-    norms, e_r, c_fit = _per_sample_diagnostics(res, h)
+    assert len(res.states) % block != 0 and len(res.states) > 2 * block
+    norms, e_r, c_fit = _per_sample_diagnostics(res, params, h)
     _assert_close(res.trace.norms, norms, 1e-12)
     _assert_close(res.trace.e_r_raw, e_r, 1e-12)
     _assert_close(res.trace.gevrey_c, c_fit, 1e-12)

@@ -200,10 +200,3 @@ def test_nuij_split_stack_matches_per_row_calls():
                 np.testing.assert_array_equal(res.coeffs[i, j], one.coeffs)
                 np.testing.assert_array_equal(res.roots[i, j], one.roots)
                 assert res.min_gap[i, j] == one.min_gap
-
-
-def test_poly_call_is_horner():
-    poly = RealRootedPoly(coeffs=np.array([2.0, -3.0, 1.0]))
-    z = np.array([0.0, 1.0, 2.0, 1j])
-    np.testing.assert_allclose(poly(z), z**2 - 3 * z + 2, atol=1e-15)
-    assert poly(3.0) == pytest.approx(2.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.engine import SpectralState, lattice
+from hypersym.engine import lattice
 from hypersym.errors import ConfigError
 from hypersym.matkernel import expm_batched
 from hypersym.presets import get_preset
@@ -20,14 +20,14 @@ from hypersym.solver import (
 )
 from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import smooth_cutoff
-from support import constant_system, from_physical, is_conjugate_symmetric, scaled
+from support import constant_system, from_physical, is_conjugate_symmetric
 
 
 def _single_mode(n, m, mode, comp=0, value=1.0):
     coeffs = np.zeros((m, n), dtype=complex)
     idx = int(np.where(lattice(n).astype(int) == mode)[0][0])
     coeffs[comp, idx] = value
-    return SpectralState(coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -37,20 +37,20 @@ def _single_mode(n, m, mode, comp=0, value=1.0):
 def test_rhs_constant_diagonal_no_cutoff():
     cs = constant_system(np.diag([1.0, -2.0]))
     st = _single_mode(32, 2, 5)
-    gen = TruncatedGenerator(cs, st.n_x, 0.0, 0.0)
+    gen = TruncatedGenerator(cs, st.shape[1], 0.0, 0.0)
     gen.compile([0.0])
-    out = gen.apply(0.0, st.coeffs[:, gen.index])
+    out = gen.apply(0.0, st[:, gen.index])
     # i A(xi) u_hat per mode: component 0 gets i * 1 * 5
-    np.testing.assert_allclose(out[0], 5j * st.coeffs[0, gen.index], atol=1e-14)
+    np.testing.assert_allclose(out[0], 5j * st[0, gen.index], atol=1e-14)
 
 
 def test_rhs_pure_heat():
     cs = constant_system(np.zeros((1, 1)))
     st = _single_mode(32, 1, 4)
-    gen = TruncatedGenerator(cs, st.n_x, 0.0, 0.3)
+    gen = TruncatedGenerator(cs, st.shape[1], 0.0, 0.3)
     gen.compile([0.0])
-    out = gen.apply(0.0, st.coeffs[:, gen.index])
-    np.testing.assert_allclose(out, -0.3 * 16.0 * st.coeffs[:, gen.index], atol=1e-14)
+    out = gen.apply(0.0, st[:, gen.index])
+    np.testing.assert_allclose(out, -0.3 * 16.0 * st[:, gen.index], atol=1e-14)
 
 
 def test_rhs_cutoff_annihilates_high_modes():
@@ -58,10 +58,10 @@ def test_rhs_cutoff_annihilates_high_modes():
     st = _single_mode(64, 2, 30)
     # mode 30 is beyond the cutoff support 1/h = 8: outside the active band,
     # and annihilated by chi when the whole lattice is evolved
-    assert 30 not in TruncatedGenerator(cs, st.n_x, 1.0 / 8.0, 0.0).xi
-    gen = TruncatedGenerator(cs, st.n_x, 1.0 / 8.0, 0.0, whole_lattice=True)
+    assert 30 not in TruncatedGenerator(cs, st.shape[1], 1.0 / 8.0, 0.0).xi
+    gen = TruncatedGenerator(cs, st.shape[1], 1.0 / 8.0, 0.0, whole_lattice=True)
     gen.compile([0.0])
-    out = gen.apply(0.0, st.coeffs[:, gen.index])
+    out = gen.apply(0.0, st[:, gen.index])
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -71,14 +71,14 @@ def test_rhs_cutoff_annihilates_high_modes():
 
 def test_rk4_zero_rhs():
     st = _single_mode(16, 1, 2)
-    out = step_rk4(lambda t, u: np.zeros_like(u), st.coeffs, 0.0, 0.1)
-    np.testing.assert_array_equal(out, st.coeffs)
+    out = step_rk4(lambda t, u: np.zeros_like(u), st, 0.0, 0.1)
+    np.testing.assert_array_equal(out, st)
 
 
 def test_rk4_scalar_amplification_polynomial():
     st = _single_mode(16, 1, 0, value=1.0)
     dt = 0.3
-    out = step_rk4(lambda t, u: -u, st.coeffs, 0.0, dt)
+    out = step_rk4(lambda t, u: -u, st, 0.0, dt)
     expected = 1 - dt + dt**2 / 2 - dt**3 / 6 + dt**4 / 24
     assert out[0, 0].real == pytest.approx(expected, rel=1e-14)
 
@@ -94,8 +94,8 @@ def test_rk4_matches_matrix_exponential_order():
     dts = [0.1, 0.05, 0.025]
     for dt in dts:
         gen.compile([0.0, dt / 2.0, dt])
-        out = step_rk4(gen.apply, st.coeffs[:, gen.index], 0.0, dt)
-        exact = expm_batched(1j * a1 * 3.0 * dt) @ st.coeffs[:, [gen.index[idx]]]
+        out = step_rk4(gen.apply, st[:, gen.index], 0.0, dt)
+        exact = expm_batched(1j * a1 * 3.0 * dt) @ st[:, [gen.index[idx]]]
         errs.append(np.max(np.abs(out[:, [idx]] - exact)))
     order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert order >= 4.5
@@ -125,7 +125,7 @@ def test_zero_system_constant_state():
     g = gevrey_data(64, 2, 2.0, 1.5, seed=1)
     prob = CauchyProblem(cs, g, horizon=0.5)
     res = solve_cauchy(prob, _quick_params(), h=0.25, stride=4)
-    assert np.max(np.abs(res.final.coeffs - g.coeffs)) <= 1e-12
+    assert np.max(np.abs(res.states[-1] - g)) <= 1e-12
 
 
 def test_skew_system_norm_conserved():
@@ -135,7 +135,8 @@ def test_skew_system_norm_conserved():
     prob = CauchyProblem(cs, g, horizon=0.5)
     res = solve_cauchy(prob, _quick_params(), h=0.25, stride=4,
                        track_energy=False)
-    assert res.final.norm() == pytest.approx(g.norm(), abs=1e-8 * g.norm())
+    norm0 = np.linalg.norm(g)
+    assert np.linalg.norm(res.states[-1]) == pytest.approx(norm0, abs=1e-8 * norm0)
 
 
 def test_linearity():
@@ -144,11 +145,11 @@ def test_linearity():
                           c1=0.125, theta=1, a0=0.0, eps0=0.5, c_spec=0.5)
     g = gevrey_data(64, 2, 8.0 / 7.0, 1.5, seed=3)
     prob1 = CauchyProblem(pre.coeffs, g, horizon=0.4)
-    prob2 = CauchyProblem(pre.coeffs, scaled(g, 2.5), horizon=0.4)
+    prob2 = CauchyProblem(pre.coeffs, 2.5 * g, horizon=0.4)
     r1 = solve_cauchy(prob1, params, h=0.25, stride=8, track_energy=False)
     r2 = solve_cauchy(prob2, params, h=0.25, stride=8, track_energy=False)
-    assert np.max(np.abs(r2.final.coeffs - 2.5 * r1.final.coeffs)) <= 1e-12 * max(
-        1.0, np.max(np.abs(r2.final.coeffs))
+    assert np.max(np.abs(r2.states[-1] - 2.5 * r1.states[-1])) <= 1e-12 * max(
+        1.0, np.max(np.abs(r2.states[-1]))
     )
 
 
@@ -159,7 +160,7 @@ def test_reality_preserved():
     prob = CauchyProblem(pre.coeffs, g, horizon=0.5)
     res = solve_cauchy(prob, _quick_params(), h=0.25, stride=8,
                        track_energy=False)
-    assert is_conjugate_symmetric(res.final, tol=1e-12)
+    assert is_conjugate_symmetric(res.states[-1], tol=1e-12)
 
 
 def test_truncation_consistency():
@@ -171,10 +172,10 @@ def test_truncation_consistency():
     params = _quick_params()
     r1 = solve_cauchy(prob, params, h=1 / 16, stride=16, track_energy=False)
     r2 = solve_cauchy(prob, params, h=1 / 32, stride=16, track_energy=False)
-    xi = g.xi
+    xi = lattice(g.shape[1])
     tail_mask = np.abs(xi) >= 8.0  # coarser plateau edge 1/(2h) = 8
-    tail_mass = float(np.sqrt(np.sum(np.abs(g.coeffs[:, tail_mask]) ** 2)))
-    diff = (r1.final - r2.final).norm()
+    tail_mass = float(np.sqrt(np.sum(np.abs(g[:, tail_mask]) ** 2)))
+    diff = np.linalg.norm(r1.states[-1] - r2.states[-1])
     growth_budget = 10.0  # crude operator-growth allowance over the horizon
     assert diff <= growth_budget * max(tail_mass, 1e-14)
 
@@ -214,8 +215,7 @@ def test_radius_fit_exact_synthetic():
     xi = lattice(n)
     s = 1.5
     coeffs = np.exp(-2.0 * np.hypot(xi, 1.0) ** (1.0 / s))[None, :].astype(complex)
-    st = SpectralState(coeffs)
-    c_fit, resid = gevrey_radius_fit(st.coeffs, s)
+    c_fit, resid = gevrey_radius_fit(coeffs, s)
     assert c_fit == pytest.approx(2.0, abs=0.05)
     assert resid <= 1e-6
 
@@ -226,7 +226,7 @@ def test_radius_fit_gaussian():
     sigma = 0.25
     u = np.exp(-((x - np.pi) ** 2) / (2 * sigma**2))
     st = from_physical(u[None, :])
-    c_fit, _ = gevrey_radius_fit(st.coeffs, 2.0)
+    c_fit, _ = gevrey_radius_fit(st, 2.0)
     # gaussian tail: |u_hat| ~ e^{-sigma^2 xi^2 / 2}; in <xi>^(1/2)
     # coordinates the fitted c is finite and positive over the band
     assert c_fit > 0
@@ -251,7 +251,7 @@ def test_radius_fit_folds_by_max_amplitude():
 def test_radius_fit_requires_tail():
     # an inconclusive fit reads NaN
     st = _single_mode(64, 1, 2)
-    assert np.all(np.isnan(gevrey_radius_fit(st.coeffs, 1.5)))
+    assert np.all(np.isnan(gevrey_radius_fit(st, 1.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +318,14 @@ def test_forced_run_duhamel_denominator():
     f0 = gevrey_data(64, 2, 2.0, 2.0, seed=17)
 
     def forcing(t):
-        return scaled(f0, math.cos(t))
+        return math.cos(t) * f0
 
     prob = CauchyProblem(cs, g, horizon=0.5, forcing=forcing)
     res = solve_cauchy(prob, params, h=1 / 16, stride=8, track_energy=False)
     rep = energy_residual(res)
     assert np.isfinite(rep.c_first) and rep.c_first > 0
     # zero data, forced: constant still finite thanks to the Duhamel term
-    prob0 = CauchyProblem(cs, SpectralState(np.zeros((2, 64), dtype=complex)),
+    prob0 = CauchyProblem(cs, np.zeros((2, 64), dtype=complex),
                           horizon=0.5, forcing=forcing)
     res0 = solve_cauchy(prob0, params, h=1 / 16, stride=8, track_energy=False)
     rep0 = energy_residual(res0)
@@ -377,20 +377,20 @@ def test_off_band_modes_match_step_by_step_product():
     # step; the solver multiplies an interval's steps after its band steps
     prob, params, h, eps_par = _band_case("xdep-eps")
     res = solve_cauchy(prob, params, h=h, eps_par=eps_par, stride=4, track_energy=False)
-    n_x = prob.g.n_x
+    n_x = prob.g.shape[1]
     off_index = np.setdiff1d(np.arange(n_x), TruncatedGenerator(prob.coeffs, n_x, h, 0.0).index)
     z = -res.dt * eps_par * lattice(n_x)[off_index] ** 2
     amp = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-    off = prob.g.coeffs[:, off_index]
+    off = prob.g[:, off_index]
     expect = {0: off}
     n_steps = round(prob.horizon / res.dt)
     for k in range(1, n_steps + 1):
         off = off * amp
         expect[k] = off
-    for t, st in zip(res.times, res.states):
-        assert np.array_equal(st.coeffs[:, off_index], expect[round(t / res.dt)])
-    assert np.array_equal(res.final.coeffs[:, off_index], off)
-    assert n_steps % 4 != 0 and not np.array_equal(off, prob.g.coeffs[:, off_index])
+    for t, st in zip(res.trace.times, res.states):
+        assert np.array_equal(st[:, off_index], expect[round(t / res.dt)])
+    assert np.array_equal(res.states[-1][:, off_index], off)
+    assert n_steps % 4 != 0 and not np.array_equal(off, prob.g[:, off_index])
 
 
 @pytest.mark.parametrize("preset,eps_par", [("xdep", 0.05), ("wave_t2", 0.0)])
@@ -426,7 +426,7 @@ def _full_lattice_loop(problem, h, eps_par, n_steps):
     (``xi -> xi + k``, dropping modes that leave it) and evaluates the time
     coefficients at each call, as the solver did before it evolved the band.
     """
-    coeffs, n_x = problem.coeffs, problem.g.n_x
+    coeffs, n_x = problem.coeffs, problem.g.shape[1]
     xi = lattice(n_x)
     chi = smooth_cutoff(h * xi)
     half = n_x // 2
@@ -442,11 +442,11 @@ def _full_lattice_loop(problem, h, eps_par, n_steps):
         if eps_par:
             out -= eps_par * xi[None, :] ** 2 * u
         if problem.forcing is not None:
-            out = out + problem.forcing(t).coeffs
+            out = out + problem.forcing(t)
         return out
 
     dt = problem.horizon / n_steps
-    u, t = problem.g.coeffs, 0.0
+    u, t = problem.g, 0.0
     for k in range(n_steps):
         u = step_rk4(rhs, u, t, dt)
         t = (k + 1) * dt
@@ -464,7 +464,7 @@ def _band_case(kind):
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     f0 = gevrey_data(64, 2, 2.0, 2.0, seed=17)
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=16), horizon=0.5,
-                         forcing=lambda t: scaled(f0, math.cos(t)))
+                         forcing=lambda t: math.cos(t) * f0)
     return prob, params, 1 / 16, 0.0
 
 
@@ -474,11 +474,11 @@ def test_band_evolution_matches_full_lattice_loop(kind):
     res = solve_cauchy(prob, params, h=h, eps_par=eps_par, track_energy=False)
     ref, last_time = _full_lattice_loop(prob, h, eps_par, round(prob.horizon / res.dt))
     assert last_time is None
-    assert np.max(np.abs(res.final.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(res.states[-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
     # modes off the active band move, by the RK4 decay factor or the forcing
-    off = np.setdiff1d(np.arange(prob.g.n_x),
-                       TruncatedGenerator(prob.coeffs, prob.g.n_x, h, eps_par).index)
-    assert np.max(np.abs(ref[:, off] - prob.g.coeffs[:, off])) > 1e-6
+    off = np.setdiff1d(np.arange(prob.g.shape[1]),
+                       TruncatedGenerator(prob.coeffs, prob.g.shape[1], h, eps_par).index)
+    assert np.max(np.abs(ref[:, off] - prob.g[:, off])) > 1e-6
 
 
 def test_generator_matches_quantized_symbol():
@@ -508,22 +508,22 @@ def test_generator_matches_quantized_symbol():
         ]),
     )
     rng = np.random.default_rng(23)
-    st = SpectralState(rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64)))
+    st = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
     h = 1.0 / 8.0
-    chi = smooth_cutoff(h * st.xi)
+    chi = smooth_cutoff(h * lattice(st.shape[1]))
     for coeffs, t in ((cs, 0.0), (two_t, 0.37)):
-        quantized = kn_apply(generator_symbol(coeffs, t), st.coeffs * chi[None, :])
+        quantized = kn_apply(generator_symbol(coeffs, t), st * chi[None, :])
         expected = quantized * chi[None, :]
         # on the active band, and on the whole lattice in centered order
         for whole in (False, True):
-            gen = TruncatedGenerator(coeffs, st.n_x, h, 0.0, whole_lattice=whole)
+            gen = TruncatedGenerator(coeffs, st.shape[1], h, 0.0, whole_lattice=whole)
             gen.compile([t])
-            out = gen.apply(t, st.coeffs[:, gen.index])
+            out = gen.apply(t, st[:, gen.index])
             assert np.max(np.abs(out - expected[:, gen.index])) <= 1e-11 * max(
                 1.0, np.max(np.abs(expected))
             )
             if not whole:  # chi = 0 off the band, so nothing is left out there
-                off = np.setdiff1d(np.arange(st.n_x), gen.index)
+                off = np.setdiff1d(np.arange(st.shape[1]), gen.index)
                 assert off.size and np.all(expected[:, off] == 0)
 
 

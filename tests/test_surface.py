@@ -3,13 +3,16 @@
 Every module-level function and class, and every public method, must be
 referenced by name somewhere in ``src/hypersym`` outside its own definition.
 A name that only tests reach is a fixture or a probe, and it lives under
-``tests/`` (``support.py``, ``kn_reference.py``).
+``tests/`` (``support.py``, ``kn_reference.py``).  Every dataclass field must
+be read as an attribute somewhere in ``src/hypersym`` or ``tests/``; a field
+that is only written carries nothing.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hypersym"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hypersym"
 
 
 def _definitions(tree: ast.Module):
@@ -36,3 +39,20 @@ def test_every_definition_is_referenced_in_src():
                 unused.append(f"{module}: {label}")
     assert not unused, "defined in src/hypersym but referenced only outside it: " \
         + ", ".join(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    src = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    tests = [ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))]
+    read = {node.attr for tree in src + tests for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{node.name}.{item.target.id}" for tree in src for node in tree.body
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    assert not unread, "dataclass fields that nothing reads: " + ", ".join(unread)
