@@ -362,13 +362,17 @@ def _growth_curves(
     return g, low
 
 
+# Frequencies of the barometer's nodes.  H_N at frequency xi and scale eps is
+# |xi| times H_N at sign(xi) and scale eps |xi|, so |xi| = 1 loses nothing;
+# the two signs are the two directions.
+_THETA_XI = (1.0, -1.0)
+
+
 def estimate_theta(
     coeffs: SystemCoefficients,
     eps_values,
     t_values=(0.0,),
     x_values=(0.0,),
-    xi_values=(1.0, -1.0),
-    c_hat: float | None = None,
 ) -> ThetaEstimate:
     """Estimate the block-size barometer theta from matrix-exponential growth.
 
@@ -378,9 +382,10 @@ def estimate_theta(
     iterated starting from N = m until self-consistent (at most m steps; on
     non-convergence theta = m - 1, which is always valid).
 
-    c_hat defaults to 1.05x the certified spatial spectral-bound ratio,
-    floored at 1.0 so that x-independent families (certified ratio exactly 0)
-    still damp polynomial transients.  The lower branch
+    The nodes sit at xi in ``_THETA_XI``.  c_hat is 1.05x the certified
+    spatial spectral-bound ratio, floored at 1.0 so that x-independent
+    families (certified ratio exactly 0) still damp polynomial transients.
+    The lower branch
     ``L(eps) = inf_s e^{+c_hat s eps} ||e^{is H_N(eps)}||`` is fitted to
     confirm two-sidedness; both constants are empirical, not sharp.
     """
@@ -388,15 +393,14 @@ def estimate_theta(
     if eps_values[-1] / eps_values[0] < EPS_SPAN:
         raise ValueError("eps_values must span at least two decades")
     m = coeffs.m
-    if c_hat is None:
-        cert = spectral_bound_certify(
-            coeffs,
-            t_values,
-            x_values,
-            y_values=(1.0,),
-            s_values=np.geomspace(1e-3, 1e-1, 7),
-        )
-        c_hat = max(1.05 * cert.max_ratio, 1.0)
+    cert = spectral_bound_certify(
+        coeffs,
+        t_values,
+        x_values,
+        y_values=(1.0,),
+        s_values=np.geomspace(1e-3, 1e-1, 7),
+    )
+    c_hat = max(1.05 * cert.max_ratio, 1.0)
 
     n_taylor = m
     seen = set()
@@ -405,7 +409,7 @@ def estimate_theta(
     theta_raw = float(m - 1)
     for _ in range(max(m, 1)):
         g, low = _growth_curves(
-            coeffs, n_taylor, eps_values, t_values, x_values, xi_values, c_hat
+            coeffs, n_taylor, eps_values, t_values, x_values, _THETA_XI, c_hat
         )
         slope, _ = np.polyfit(np.log(eps_values), np.log(g), 1)
         theta_raw = -float(slope)

@@ -45,9 +45,8 @@ class RealRootedPoly:
 
 @dataclass
 class SplitResult:
-    """Split polynomials; all fields but ``s`` carry the broadcast leading axes."""
+    """Split polynomials; every field carries the broadcast leading axes."""
 
-    s: np.ndarray  # as given
     coeffs: np.ndarray  # (..., m+1) ascending, monic
     roots: np.ndarray  # (..., m) strictly increasing for s != 0
     min_gap: np.ndarray  # (...)
@@ -127,7 +126,7 @@ def nuij_split(poly, s, iterations: int | None = None) -> SplitResult:
         )
     real_roots = np.sort(roots.real, axis=-1)
     min_gap = np.min(np.diff(real_roots, axis=-1), axis=-1, initial=math.inf)
-    return SplitResult(s=s, coeffs=c, roots=real_roots, min_gap=min_gap)
+    return SplitResult(coeffs=c, roots=real_roots, min_gap=min_gap)
 
 
 def nuij_constant(m: int) -> float:

@@ -197,7 +197,6 @@ class Calibration:
     a0: float
     eps0: float
     theta: int
-    max_ratio: float
 
 
 def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibration:
@@ -238,7 +237,7 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
     h = symmetrizer.hn_over_lattice(coeffs, probe, ts[:, None, None], xs[:, None], xis)
     spread = np.max(np.abs(np.linalg.eigvals(h).imag), axis=-1) / (c * mu)
     a0 = float(np.max(spread)) * 1.05
-    return Calibration(c=c, a0=a0, eps0=eps0, theta=theta, max_ratio=cert.max_ratio)
+    return Calibration(c=c, a0=a0, eps0=eps0, theta=theta)
 
 
 def run_params(
@@ -288,6 +287,7 @@ def run_params(
 
 
 def _solve_setup(config: dict):
+    """(preset name, calibrated parameters, Cauchy problem) of a solve or study."""
     n_x = config["n_lattice"]
     coeffs, theta_decl, name = _resolve_coeffs(config)
     mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
@@ -316,7 +316,7 @@ def _solve_setup(config: dict):
                                    gevrey_c0=c0)
     if not problem.check_certificate():
         raise ConfigError("synthesized data violates its own Gevrey certificate")
-    return coeffs, name, params, problem, cal
+    return name, params, problem
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +485,7 @@ def _cmd_plan(config: dict) -> dict:
 
 def _cmd_solve(config: dict) -> dict:
     stride, out_dir, eps_par = config["stride"], config.get("out"), config["eps_par"]
-    coeffs, name, params, problem, cal = _solve_setup(config)
+    name, params, problem = _solve_setup(config)
     h = config.get("h", 1.0 / float(params.ell))
     res = solver.solve_cauchy(problem, params, h=h, eps_par=eps_par, dt=config.get("dt"),
                               stride=stride)
@@ -493,7 +493,7 @@ def _cmd_solve(config: dict) -> dict:
     eta = res.dt**2 + 1e-8
     stride_eta = eta * stride
     increments = tr.increments[1:]
-    if tr.er_mode == "skipped" or not len(increments):
+    if tr.er_mode == "skipped":
         # x-dependent coefficients: the monotone-energy gate only applies
         # where Op(R) is an exact multiplier
         monotone = None
@@ -507,7 +507,7 @@ def _cmd_solve(config: dict) -> dict:
         and np.all(c_t >= c_t[0] - a * tr.times * 1.1 - 1e-9)
         and np.all(c_t > 0)
     )
-    rep = solver.energy_residual(res)
+    rep = solver.energy_residual(tr)
     if out_dir:
         tr.to_csv(os.path.join(out_dir, "energy_trace.csv"))
         res.states.tofile(os.path.join(out_dir, "trajectory.bin"))
@@ -538,7 +538,7 @@ def _cmd_study_h(config: dict) -> dict:
     h_list = config["h_list"]
     config = dict(config)
     config.setdefault("ell", 1.0 / max(h_list))
-    coeffs, name, params, problem, cal = _solve_setup(config)
+    name, params, problem = _solve_setup(config)
     st = solver.h_uniformity_study(problem, params, h_list, dt=config.get("dt"))
     return {
         "preset": name,
@@ -554,7 +554,7 @@ def _cmd_study_h(config: dict) -> dict:
 
 
 def _cmd_study_parabolic(config: dict) -> dict:
-    coeffs, name, params, problem, cal = _solve_setup(config)
+    name, params, problem = _solve_setup(config)
     st = solver.parabolic_study(problem, params, config["eps_list"], dt=config.get("dt"),
                                 h=config.get("h"))
     return {

@@ -13,10 +13,10 @@ each mode by ``1 + z + z^2/2 + z^3/6 + z^4/24`` with ``z = -dt eps_par xi^2``;
 likewise ``M = -a <xi>^rho I`` there, so ``R = I/2`` exactly and Lyapunov
 solves run on band nodes only.  When eps_par = 0 the factor is exactly 1
 and the off-band modes are not touched at all; otherwise they take the
-products of a sample interval after its band steps.  A forced run evolves
-the whole lattice, since the forcing drives every mode.  The time
-coefficients of every RK4 stage are evaluated once, before the loop, into
-one matrix per time, so each generator application is a single product
+products of a sample interval after its band steps.  With h = 0, chi = 1
+everywhere and the band is the whole lattice.  The time coefficients of
+every RK4 stage are evaluated once, before the loop, into one matrix per
+time, so each generator application is a single product
 (:class:`TruncatedGenerator`).
 
 A state is a complex (m, n_x) array in FFT order, as in
@@ -97,12 +97,11 @@ _CERT_SLACK = 1.05
 
 @dataclass
 class CauchyProblem:
-    """Initial data, forcing and certificate for one evolution run."""
+    """Initial data and Gevrey certificate for one evolution run."""
 
     coeffs: SystemCoefficients
     g: np.ndarray  # complex (m, n_x), FFT order
     horizon: float
-    forcing: object = None  # callable t -> (m, n_x) array, or None
     gevrey_s: float | None = None
     gevrey_c0: float | None = None
 
@@ -124,8 +123,8 @@ class TruncatedGenerator:
     """Applies ``chi(hD) (i A(t,x,D) + B(t,x)) chi(hD) - eps_par |D|^2`` on a band.
 
     The band is the modes with chi(h xi) > 0, the contiguous range
-    |xi| < 1/h (chi decreases in |xi|), or the whole lattice when
-    ``whole_lattice`` is set.  Band states are (m, n_band) arrays in
+    |xi| < 1/h (chi decreases in |xi|); with h = 0, chi = 1 and the band is
+    the whole lattice.  Band states are (m, n_band) arrays in
     centered order: column j holds frequency ``xi[j]``, found at FFT
     position ``index[j]`` of a lattice state.  Trig-polynomial coefficients
     act by exact frequency shifts, which is their Kohn-Nirenberg
@@ -140,15 +139,14 @@ class TruncatedGenerator:
     the whole generator.
     """
 
-    def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float,
-                 whole_lattice: bool = False):
+    def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float):
         self.coeffs = coeffs
         self.n_x = n_x
         self.h = float(h)
         self.eps_par = float(eps_par)
         xi = np.arange(-(n_x // 2), n_x - n_x // 2, dtype=float)
-        chi = smooth_cutoff(self.h * xi) if self.h > 0 else np.ones(n_x)
-        band = slice(None) if whole_lattice else chi > 0
+        chi = smooth_cutoff(self.h * xi)  # exactly 1 everywhere when h = 0
+        band = chi > 0
         self.xi = xi[band]
         self.chi = chi[band]
         self.index = self.xi.astype(int) % n_x
@@ -265,9 +263,6 @@ class EnergyTrace:
     e_r: np.ndarray  # R-weighted energy of v, normalized by its initial value
     e_r_raw: np.ndarray
     norms: np.ndarray  # (n_samples, 5): ||<D>^sigma v(t)||, column j for sigmas[j]
-    # (n_samples, 2): ||<D>^sigma f_tilde(t)|| for sigma = 3nu, 2nu - (rho-1)/2;
-    # NaN in unforced runs
-    f_norms: np.ndarray
     gevrey_c: np.ndarray
     increments: np.ndarray  # per-sample increments of normalized e_r
     er_mode: str  # multiplier | mollified | skipped
@@ -289,7 +284,6 @@ class EnergyTrace:
 
 @dataclass
 class SolveResult:
-    problem: CauchyProblem
     dt: float
     states: np.ndarray  # (n_samples, m, n_x): u at trace.times, the last at the horizon
     trace: EnergyTrace
@@ -375,9 +369,7 @@ def solve_cauchy(
             f"{1.0 / float(params.ell)}"
         )
     n_x = problem.g.shape[1]
-    # the forcing drives every mode, so a forced run evolves the whole lattice
-    gen = TruncatedGenerator(coeffs, n_x, h, eps_par,
-                             whole_lattice=problem.forcing is not None)
+    gen = TruncatedGenerator(coeffs, n_x, h, eps_par)
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
     if dt is None:
         dt = min(0.5 / lam, problem.horizon / 8.0)
@@ -398,9 +390,8 @@ def solve_cauchy(
     step_ts = np.arange(n_steps) * dt
     gen.compile(np.concatenate([step_ts, step_ts + dt / 2.0, step_ts + dt]))
 
-    # R is solved where chi > 0; elsewhere M = -a <xi>^rho I, so R = I/2.
-    active = gen.chi > 0
-    r_index, r_xi, r_chi2 = gen.index[active], gen.xi[active], gen.chi[active] ** 2
+    # R is solved on the band, where chi > 0; elsewhere M = -a <xi>^rho I, so R = I/2.
+    r_xi, r_chi2 = gen.xi, gen.chi**2
 
     def r_generator(t):
         # damped generator of the cutoff problem for x-independent
@@ -437,13 +428,6 @@ def solve_cauchy(
         else:
             er_mode = "multiplier"
 
-    if problem.forcing is None:
-        rhs = gen.apply
-    else:
-        def rhs(t, band_hat, out=None):
-            out = gen.apply(t, band_hat, out)
-            return np.add(out, problem.forcing(t)[:, gen.index], out)
-
     # Off the band the generator is -eps_par xi^2, so one RK4 step multiplies
     # each mode by amp = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2.
     # With eps_par = 0 that is exactly 1 and the modes are left alone;
@@ -466,7 +450,7 @@ def solve_cauchy(
     off_block = np.empty((longest,) + off.shape, dtype=complex) if gen.eps_par else None
     for sample, start, end in zip(states[1:], sample_steps, sample_steps[1:]):
         for k in range(start, end):
-            band = step_rk4(rhs, band, k * dt, dt, block[k - start], work)
+            band = step_rk4(gen.apply, band, k * dt, dt, block[k - start], work)
         peaks = np.abs(block[:end - start]).max(axis=(1, 2))
         if gen.eps_par:
             for k in range(start, end):
@@ -485,12 +469,9 @@ def solve_cauchy(
     # The diagnostics run over blocks of samples.
     n_samples = times.size
     sigmas = _sigma_values(params)
-    f_sigmas = (3.0 * params.nu, 2.0 * params.nu - (rho - 1.0) / 2.0)
     norms = np.empty((n_samples, len(sigmas)))
-    f_norms = np.full((n_samples, len(f_sigmas)), np.nan)
     e_r_arr = np.full(n_samples, np.nan)
     gevrey_c = np.full(n_samples, np.nan)
-    r_off = np.setdiff1d(np.arange(n_x), r_index)
     block = _samples_per_block(coeffs.m, n_x, r_xi.size if er_mode == "multiplier" else 0)
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
@@ -498,34 +479,30 @@ def solve_cauchy(
         weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)[:, None, :]
         v = u * weight
         norms[blk] = weighted_norm(v, sigmas, ell)
-        if problem.forcing is not None:
-            f = np.stack([problem.forcing(t) for t in times[blk]])
-            f_norms[blk] = weighted_norm(f * weight, f_sigmas, ell)
         if er_mode != "skipped":
             # Re <R v, v>: the band's solved R, and R = I/2 off it
             r_band = (_lyap_solve_batch(*r_generator(times[blk, None]))
                       if er_mode == "multiplier" else molly_values[blk])
-            v_band = v[:, :, r_index]
+            v_band = v[:, :, gen.index]
             e_r_arr[blk] = np.einsum("bck,bkcd,bdk->b", v_band.conj(), r_band, v_band).real \
-                + 0.5 * np.sum(np.abs(v[:, :, r_off]) ** 2, axis=(1, 2))
+                + 0.5 * np.sum(np.abs(v[:, :, off_index]) ** 2, axis=(1, 2))
         if problem.gevrey_s is not None:
             gevrey_c[blk] = gevrey_radius_fit(u, problem.gevrey_s)[0]
 
-    base = e_r_arr[0] if e_r_arr.size and np.isfinite(e_r_arr[0]) and e_r_arr[0] > 0 else 1.0
+    base = e_r_arr[0] if np.isfinite(e_r_arr[0]) and e_r_arr[0] > 0 else 1.0
     e_r_norm = e_r_arr / base
-    increments = np.diff(e_r_norm, prepend=e_r_norm[0] if e_r_norm.size else 0.0)
+    increments = np.diff(e_r_norm, prepend=e_r_norm[0])
     trace = EnergyTrace(
         times=times,
         e_r=e_r_norm,
         e_r_raw=e_r_arr,
         norms=norms,
-        f_norms=f_norms,
         gevrey_c=gevrey_c,
         increments=increments,
         er_mode=er_mode,
         sigmas=sigmas,
     )
-    return SolveResult(problem=problem, dt=dt, states=states, trace=trace)
+    return SolveResult(dt=dt, states=states, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -538,22 +515,13 @@ class EnergyResidualReport:
     c_second: float  # empirical constant in the sigma = (rho-1)/2 estimate
 
 
-def energy_residual(result: SolveResult) -> EnergyResidualReport:
-    """Empirical constants of the two a priori estimates along a run.
-
-    For unforced runs the constant is ``max_t LHS(t) / ||<D>^nu v(0)||``;
-    forced runs add the time-integrated forcing norm to the denominator.
-    """
-    trace = result.trace
-    lhs1 = trace.norms[:, 0]  # -nu
-    lhs2 = trace.norms[:, 1]  # (rho-1)/2
+def energy_residual(trace: EnergyTrace) -> EnergyResidualReport:
+    """Empirical constants of the two a priori estimates along a run:
+    ``max_t LHS(t) / ||<D>^nu v(0)||`` for LHS the sigma = -nu and the
+    sigma = (rho-1)/2 norm of v."""
     rhs0 = trace.norms[0, 3]  # nu at t=0
-    duh1 = duh2 = 0.0
-    if result.problem.forcing is not None and len(trace.times) > 1:
-        duh1 = float(np.trapezoid(trace.f_norms[:, 0], trace.times))  # 3nu
-        duh2 = float(np.trapezoid(trace.f_norms[:, 1], trace.times))  # 2nu - (rho-1)/2
-    c1 = float(np.max(lhs1) / (rhs0 + duh1))
-    c2 = float(np.max(lhs2) / (rhs0 + duh2))
+    c1 = float(np.max(trace.norms[:, 0]) / rhs0)  # -nu
+    c2 = float(np.max(trace.norms[:, 1]) / rhs0)  # (rho-1)/2
     return EnergyResidualReport(c_first=c1, c_second=c2)
 
 
@@ -591,7 +559,7 @@ def h_uniformity_study(
     curves = []
     for h in h_list:
         res = solve_cauchy(problem, params, h=h, dt=dt, track_energy=False)
-        rep = energy_residual(res)
+        rep = energy_residual(res.trace)
         cs1.append(rep.c_first)
         cs2.append(rep.c_second)
         curves.append(res.trace.norms[:, 0] / res.trace.norms[0, 3])

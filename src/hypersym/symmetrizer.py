@@ -454,6 +454,10 @@ _PROBE_T0 = 0.1
 # Damping strengths of the a-sweep: an octave apart, so the log-log fit of
 # the a-slope has two octaves of leverage.
 _A_VALUES = (2.0, 4.0, 8.0)
+# Spatial points of the probe: x = 0, where the sine harmonics vanish and the
+# cosine ones are stationary, and two points off every symmetry point of the
+# harmonics, so that no x-derivative of R vanishes at all of them.
+_X_PROBES = (0.0, 0.9, 2.1)
 # Slack of a fitted exponent over its class target: the acceptance margin
 # of the symbol-estimate criterion.
 _EXPONENT_TOL = 0.15
@@ -507,7 +511,6 @@ def symbol_estimate_probe(
     coeffs: SystemCoefficients,
     params: ParameterSet,
     xi_values,
-    x_probes=(0.0, 0.9, 2.1),
     max_order: int = 2,
     include_dt: bool = True,
     check_a_power: bool = False,
@@ -517,13 +520,13 @@ def symbol_estimate_probe(
     Target exponent per row: ``2 nu + (1 - rho + nu) |beta| - (rho - nu)
     |alpha|`` with an extra ``1 - rho + nu`` for the time derivative (one
     time derivative acts like one space derivative), probed at t =
-    ``_PROBE_T0``.  The fit passes when it does not exceed target +
+    ``_PROBE_T0`` and x in ``_X_PROBES``.  The fit passes when it does not exceed target +
     ``_EXPONENT_TOL``; a log-fit residual above 0.3 marks
     the row inconclusive rather than failed.  Rows whose samples sit at the
     noise floor pass trivially.
     """
     xi_values = np.asarray(xi_values, dtype=float)
-    x_probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
+    x_probes = np.asarray(_X_PROBES, dtype=float)
     nu = params.nu
     rho = float(params.rho)
     ell = float(params.ell)

@@ -66,7 +66,7 @@ def test_final_state_within_rk4_error_bound(preset, h):
     n_x = 64
     cfg = {"command": "solve", "schema_version": "1", "preset": preset, "seed": 1,
            "n_lattice": n_x}
-    _, _, params, problem, _ = runner._solve_setup(runner.validate_config(cfg))
+    _, params, problem = runner._solve_setup(runner.validate_config(cfg))
     h = h or 1.0 / float(params.ell)
     res = solver.solve_cauchy(problem, params, h=h, track_energy=False)
     rows, terms = _band_operator(problem.coeffs, n_x, h)

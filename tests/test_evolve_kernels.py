@@ -61,9 +61,12 @@ def _one_sided_system():
 @pytest.mark.parametrize("whole", [False, True])
 @pytest.mark.parametrize("preset", preset_names() + ["one_sided"])
 def test_apply_matches_per_term_shifts(preset, whole, eps_par):
+    # whole: h = 0, so chi = 1, the band is the whole lattice and the padded
+    # windows reach its edge
     coeffs = _one_sided_system() if preset == "one_sided" else get_preset(preset).coeffs
     n_x, ts = 128, (0.0, 0.37, 1.1)
-    gen = solver.TruncatedGenerator(coeffs, n_x, 1.0 / 16.0, eps_par, whole_lattice=whole)
+    gen = solver.TruncatedGenerator(coeffs, n_x, 0.0 if whole else 1.0 / 16.0, eps_par)
+    assert (len(gen.xi) == n_x) == whole
     gen.compile(ts)
     rng = np.random.default_rng(41)
     u = rng.normal(size=(coeffs.m, len(gen.xi))) + 1j * rng.normal(size=(coeffs.m, len(gen.xi)))
@@ -91,9 +94,9 @@ def _radius_fit_polyfit(coeffs, s, noise_floor=1e-14):
     return float(np.polyfit(xcoord, -np.log(vals[band]), 1)[0])
 
 
-def _per_sample_diagnostics(res, params, h):
+def _per_sample_diagnostics(res, problem, params, h):
     """Norms, raw R-energy and radius fit of each sample, one at a time."""
-    problem, times = res.problem, res.trace.times
+    times = res.trace.times
     coeffs, n_x = problem.coeffs, problem.g.shape[1]
     big_t, a, rho, ell = (float(params.T), float(params.a), float(params.rho),
                           float(params.ell))
@@ -163,7 +166,7 @@ def test_radius_fit_stack_matches_polyfit_with_nans():
 def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, monkeypatch):
     cfg = {"command": "solve", "schema_version": "1", "preset": preset, "seed": 0,
            "n_lattice": n_x}
-    _, _, params, problem, _ = runner._solve_setup(runner.validate_config(cfg))
+    _, params, problem = runner._solve_setup(runner.validate_config(cfg))
     h = 1.0 / float(params.ell)
     if preset == "xdep":
         h = 1.0 / 16.0  # a band of 31 modes, so that the tail is long enough to fit
@@ -171,7 +174,7 @@ def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, monkeyp
     res = solver.solve_cauchy(problem, params, h=h, stride=4)
     assert res.trace.er_mode == er_mode
     assert len(res.states) % block != 0 and len(res.states) > 2 * block
-    norms, e_r, c_fit = _per_sample_diagnostics(res, params, h)
+    norms, e_r, c_fit = _per_sample_diagnostics(res, problem, params, h)
     _assert_close(res.trace.norms, norms, 1e-12)
     _assert_close(res.trace.e_r_raw, e_r, 1e-12)
     _assert_close(res.trace.gevrey_c, c_fit, 1e-12)

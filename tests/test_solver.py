@@ -57,12 +57,10 @@ def test_rhs_cutoff_annihilates_high_modes():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     st = _single_mode(64, 2, 30)
     # mode 30 is beyond the cutoff support 1/h = 8: outside the active band,
-    # and annihilated by chi when the whole lattice is evolved
-    assert 30 not in TruncatedGenerator(cs, st.shape[1], 1.0 / 8.0, 0.0).xi
-    gen = TruncatedGenerator(cs, st.shape[1], 1.0 / 8.0, 0.0, whole_lattice=True)
-    gen.compile([0.0])
-    out = gen.apply(0.0, st[:, gen.index])
-    assert np.max(np.abs(out)) <= 1e-14
+    # which is |xi| < 1/h
+    gen = TruncatedGenerator(cs, st.shape[1], 1.0 / 8.0, 0.0)
+    assert 30 not in gen.xi
+    assert np.max(np.abs(gen.xi)) < 8
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +288,7 @@ def test_both_apriori_constants_finite_at_weaker_rho():
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon)
     res = solve_cauchy(prob, params, h=1 / 128, stride=8, track_energy=False)
-    rep = energy_residual(res)
+    rep = energy_residual(res.trace)
     assert np.isfinite(rep.c_first) and rep.c_first > 0
     assert np.isfinite(rep.c_second) and rep.c_second > 0
 
@@ -305,31 +303,8 @@ def test_scalar_transport_empirical_constant_one():
     g = gevrey_data(64, 1, 2.0, 1.5, seed=15)
     prob = CauchyProblem(cs, g, horizon=0.5)
     res = solve_cauchy(prob, params, h=1 / 16, stride=8, track_energy=False)
-    rep = energy_residual(res)
+    rep = energy_residual(res.trace)
     assert rep.c_first == pytest.approx(1.0, abs=1e-10)
-
-
-def test_forced_run_duhamel_denominator():
-    from hypersym.solver import energy_residual
-
-    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    params = _quick_params()
-    g = gevrey_data(64, 2, 2.0, 1.5, seed=16)
-    f0 = gevrey_data(64, 2, 2.0, 2.0, seed=17)
-
-    def forcing(t):
-        return math.cos(t) * f0
-
-    prob = CauchyProblem(cs, g, horizon=0.5, forcing=forcing)
-    res = solve_cauchy(prob, params, h=1 / 16, stride=8, track_energy=False)
-    rep = energy_residual(res)
-    assert np.isfinite(rep.c_first) and rep.c_first > 0
-    # zero data, forced: constant still finite thanks to the Duhamel term
-    prob0 = CauchyProblem(cs, np.zeros((2, 64), dtype=complex),
-                          horizon=0.5, forcing=forcing)
-    res0 = solve_cauchy(prob0, params, h=1 / 16, stride=8, track_energy=False)
-    rep0 = energy_residual(res0)
-    assert np.isfinite(rep0.c_first)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -441,8 +416,6 @@ def _full_lattice_loop(problem, h, eps_par, n_steps):
         out *= chi[None, :]
         if eps_par:
             out -= eps_par * xi[None, :] ** 2 * u
-        if problem.forcing is not None:
-            out = out + problem.forcing(t)
         return out
 
     dt = problem.horizon / n_steps
@@ -455,30 +428,39 @@ def _full_lattice_loop(problem, h, eps_par, n_steps):
     return u, None
 
 
+# kind: (h, eps_par).  h = 0 is chi = 1, so the band is the whole lattice.
+_BAND_CASES = {"xdep-eps": (1 / 16, 1e-2), "unforced": (1 / 16, 0.0),
+               "whole": (0.0, 0.0), "whole-eps": (0.0, 1e-2)}
+
+
 def _band_case(kind):
-    params = _quick_params()
-    if kind == "xdep-eps":  # off-band modes decay by the RK4 factor
+    h, eps_par = _BAND_CASES[kind]
+    if kind == "unforced":
+        prob = CauchyProblem(constant_system(np.array([[0.0, 1.0], [1.0, 0.0]])),
+                             gevrey_data(64, 2, 2.0, 1.5, seed=16), horizon=0.5)
+    else:
         prob = CauchyProblem(get_preset("xdep").coeffs, gevrey_data(128, 2, 2.0, 1.5, seed=19),
                              horizon=0.5)
-        return prob, params, 1 / 16, 1e-2
-    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    f0 = gevrey_data(64, 2, 2.0, 2.0, seed=17)
-    prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=16), horizon=0.5,
-                         forcing=lambda t: math.cos(t) * f0)
-    return prob, params, 1 / 16, 0.0
+    return prob, _quick_params(), h, eps_par
 
 
-@pytest.mark.parametrize("kind", ["xdep-eps", "forced"])
+@pytest.mark.parametrize("kind", list(_BAND_CASES))
 def test_band_evolution_matches_full_lattice_loop(kind):
     prob, params, h, eps_par = _band_case(kind)
     res = solve_cauchy(prob, params, h=h, eps_par=eps_par, track_energy=False)
     ref, last_time = _full_lattice_loop(prob, h, eps_par, round(prob.horizon / res.dt))
     assert last_time is None
     assert np.max(np.abs(res.states[-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # modes off the active band move, by the RK4 decay factor or the forcing
     off = np.setdiff1d(np.arange(prob.g.shape[1]),
                        TruncatedGenerator(prob.coeffs, prob.g.shape[1], h, eps_par).index)
-    assert np.max(np.abs(ref[:, off] - prob.g[:, off])) > 1e-6
+    if h == 0:
+        assert off.size == 0
+    elif eps_par:
+        # modes off the active band move, by the RK4 decay factor
+        assert np.max(np.abs(ref[:, off] - prob.g[:, off])) > 1e-6
+    else:
+        # off the band the generator is zero, so those modes keep u0 exactly
+        assert off.size and np.array_equal(res.states[-1][:, off], prob.g[:, off])
 
 
 def test_generator_matches_quantized_symbol():
@@ -509,22 +491,24 @@ def test_generator_matches_quantized_symbol():
     )
     rng = np.random.default_rng(23)
     st = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    h = 1.0 / 8.0
-    chi = smooth_cutoff(h * lattice(st.shape[1]))
     for coeffs, t in ((cs, 0.0), (two_t, 0.37)):
-        quantized = kn_apply(generator_symbol(coeffs, t), st * chi[None, :])
-        expected = quantized * chi[None, :]
-        # on the active band, and on the whole lattice in centered order
-        for whole in (False, True):
-            gen = TruncatedGenerator(coeffs, st.shape[1], h, 0.0, whole_lattice=whole)
+        # on the active band, and with h = 0 (chi = 1) on the whole lattice in
+        # centered order, where the shifts reach the lattice edge
+        for h in (1.0 / 8.0, 0.0):
+            chi = smooth_cutoff(h * lattice(st.shape[1]))
+            quantized = kn_apply(generator_symbol(coeffs, t), st * chi[None, :])
+            expected = quantized * chi[None, :]
+            gen = TruncatedGenerator(coeffs, st.shape[1], h, 0.0)
             gen.compile([t])
             out = gen.apply(t, st[:, gen.index])
             assert np.max(np.abs(out - expected[:, gen.index])) <= 1e-11 * max(
                 1.0, np.max(np.abs(expected))
             )
-            if not whole:  # chi = 0 off the band, so nothing is left out there
-                off = np.setdiff1d(np.arange(st.shape[1]), gen.index)
+            off = np.setdiff1d(np.arange(st.shape[1]), gen.index)
+            if h:  # chi = 0 off the band, so nothing is left out there
                 assert off.size and np.all(expected[:, off] == 0)
+            else:
+                assert off.size == 0
 
 
 def test_certificate_rejects_fat_tails():

@@ -5,7 +5,9 @@ referenced by name somewhere in ``src/hypersym`` outside its own definition.
 A name that only tests reach is a fixture or a probe, and it lives under
 ``tests/`` (``support.py``, ``kn_reference.py``).  Every dataclass field must
 be read as an attribute somewhere in ``src/hypersym`` or ``tests/``; a field
-that is only written carries nothing.
+that is only written carries nothing.  Every defaulted parameter must be
+passed by some call in ``src/hypersym`` or ``tests/``; a default that no
+caller overrides is a constant.
 """
 
 import ast
@@ -56,3 +58,55 @@ def test_every_dataclass_field_is_read():
               for item in node.body
               if isinstance(item, ast.AnnAssign) and item.target.id not in read]
     assert not unread, "dataclass fields that nothing reads: " + ", ".join(unread)
+
+
+def _defaulted(tree: ast.Module):
+    """(label, call name, positional index or None, parameter) of each defaulted
+    parameter of a function or method.  A method's index does not count self,
+    and a constructor is called by its class's name."""
+    methods = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = methods.get(id(node))
+        bound = cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                            for d in node.decorator_list)
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        label = f"{cls.name}.{node.name}" if cls is not None else node.name
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield label, name, i - bound, arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield label, name, None, arg.arg
+
+
+def test_every_defaulted_parameter_is_passed():
+    src = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = list(src.values()) + [ast.parse(path.read_text())
+                                  for path in sorted(TESTS.glob("*.py"))]
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    called = {id(call.func) for call in calls}
+    # a function passed as a value is called under another name, with any arguments
+    escaped = {node.id if isinstance(node, ast.Name) else node.attr
+               for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.Name, ast.Attribute))
+               and isinstance(node.ctx, ast.Load) and id(node) not in called}
+
+    def passes(call, index, param):
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        return index is not None and len(call.args) > index
+
+    unpassed = []
+    for module, tree in src.items():
+        for label, name, index, param in _defaulted(tree):
+            named = [call for call in calls
+                     if getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+            if name not in escaped and not any(passes(c, index, param) for c in named):
+                unpassed.append(f"{module}: {label}({param})")
+    assert not unpassed, "defaulted parameters that no call passes: " + ", ".join(unpassed)
