@@ -14,9 +14,19 @@ likewise ``M = -a <xi>^rho I`` there, so ``R = I/2`` exactly and Lyapunov
 solves run on band nodes only.  When eps_par = 0 the factor is exactly 1
 and the off-band modes are not touched at all; otherwise they take the
 products of a sample interval after its band steps.  With h = 0, chi = 1
-everywhere and the band is the whole lattice.  The time coefficients of
-every RK4 stage are evaluated once, before the loop, into one matrix per
-time, so each generator application is a single product
+everywhere and the band is the whole lattice.
+
+The band takes one of two step paths, chosen by size alone.  The generator
+is linear, so an RK4 step is a fixed polynomial in it, and on a small band
+:class:`BandPropagator` precomputes each step as one banded matrix: the
+products of the generator's per-time-term parts (words of length 1 to 4)
+are applied once per solve to coloured unit vectors, and each step's matrix
+is their combination with that step's coefficients, one real product per
+chunk of steps.  A step is then one ``einsum`` against the sliding windows
+of the zero-padded state.  That path is taken when the word table fits in
+``_BLOCK_BYTES``.  A larger band steps by :func:`step_rk4` on the generator,
+whose time coefficients are evaluated once, before the loop, into one
+matrix per RK4 stage time, so each application is a single product
 (:class:`TruncatedGenerator`).
 
 A state is a complex (m, n_x) array in FFT order, as in
@@ -24,15 +34,18 @@ A state is a complex (m, n_x) array in FFT order, as in
 fill one (n_samples, m, n_x) array that starts as copies of u0, so a sample
 takes only the band, and the off-band modes when eps_par > 0.
 
-The band advances one sample interval at a time.  Each step reuses five
-work buffers and writes its state into one row of the interval's block,
-with the operations of the allocating step in the same order, so its
-roundings are that step's.  Finiteness is checked once per block, and an abort
-names the first step that lost it.  The loop only records the sampled
-states.  The diagnostics then run over blocks of samples, slices of the
-sample array: one weight array, one product of the squared moduli against
-the ``<xi>^(2 sigma)`` table for all five norms, one band Lyapunov batch for
-the R-energy and one stack-first radius fit per block.
+The band advances one sample interval at a time, each step writing its
+state into one row of the interval's block.  A buffered :func:`step_rk4`
+reuses five work buffers with the operations of the plain allocating RK4
+step (the tests' reference) in the same order, so its roundings are that
+step's.  Finiteness is checked once per block, and an abort names the
+first step whose state lost it.  On the propagator path that is the first
+state that leaves the double range; a stepped band can lose it a few steps
+sooner, when an RK4 stage overflows first.  The loop only records the
+sampled states.  The diagnostics then run over blocks of samples, slices
+of the sample array: one weight array, one product of the squared moduli
+against the ``<xi>^(2 sigma)`` table for all five norms, one band Lyapunov
+batch for the R-energy and one stack-first radius fit per block.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hypersym.coeffs import SystemCoefficients
+from hypersym.coeffs import SystemCoefficients, time_function
 from hypersym.engine import lattice, weighted_norm
 from hypersym.errors import ConfigError, NumericAbortError
 from hypersym.planner import validate_params
@@ -136,7 +149,9 @@ class TruncatedGenerator:
     zero where it left the band.  So one product of the
     ``(m, F m (2K+1))`` matrix of every harmonic of those F fields,
     evaluated once by :meth:`compile` for the times a solve uses, applies
-    the whole generator.
+    the whole generator.  Split by the time terms of the coefficients, the
+    generator is also ``sum_j g_j(t) L_j``, and :meth:`word_table` holds the
+    products of up to four L_j that :class:`BandPropagator` combines.
     """
 
     def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float):
@@ -169,6 +184,13 @@ class TruncatedGenerator:
         self._heat = (self.eps_par * self.xi**2).astype(complex)
         self._heat_term = np.empty((coeffs.m, n), dtype=complex)
         self._mats: dict = {}
+        # L(t) = sum_j g_j(t) L_j over the distinct time terms, the heat term
+        # in the constant one, which a generator without terms also has; a
+        # product of up to four L_j couples modes at most word_width apart
+        self.time_terms = {term.t_term: term.g for fld in self._fields for term in fld.terms}
+        if self.eps_par or not self.time_terms:
+            self.time_terms.setdefault("1", time_function("1"))
+        self.word_width = min(4 * k_max, n - 1)
 
     def compile(self, ts) -> None:
         """Evaluate the harmonic matrices at every time in ``ts`` once.
@@ -198,9 +220,9 @@ class TruncatedGenerator:
         return (sup(self.coeffs.a_field) * xi_max + sup(self.coeffs.b_field)
                 + self.eps_par * xi_max**2)
 
-    def apply(self, t: float, coeffs_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, t: float, coeffs_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The generator at a compiled time t on a band state (m, n_band),
-        written into ``out`` when given (it must not be ``coeffs_hat``)."""
+        written into ``out`` (it must not be ``coeffs_hat``)."""
         np.multiply(coeffs_hat, self._factors, self._center)
         if self._gather is not None:
             np.copyto(self._gather, self._windows)
@@ -210,22 +232,60 @@ class TruncatedGenerator:
             out -= np.multiply(self._heat, coeffs_hat, self._heat_term)
         return out
 
+    def word_table(self) -> np.ndarray:
+        """Every word of length 0 to 4 in the L_j of :attr:`time_terms`, banded.
 
-def step_rk4(rhs, u: np.ndarray, t: float, dt: float, out: np.ndarray | None = None,
-             work=None) -> np.ndarray:
+        Word (a, b, ...) is the product L_a L_b ..., its last factor applied
+        first.  The words come by length, each length in lexicographic order
+        of the time terms, and the empty word is the identity.  Entry
+        [w, d, q, c, s] takes component c of mode q + s - W to component d of
+        mode q, W = :attr:`word_width`, and is zero where that mode is off
+        the band.  Each word is applied once, to the C m probes that each sum
+        the unit vectors of one component over the modes of one colour
+        p mod C, C = min(2W + 1, n_band) (Curtis, Powell & Reid, J. Inst.
+        Math. Appl. 13, 1974): a mode's row of a word meets at most one mode
+        of each colour, so every entry can be read off the images.
+        """
+        m, n, k_max = self.coeffs.m, self.xi.size, self.coeffs.x_band
+        width = self.word_width
+        names = list(self.time_terms)
+        # each L_j as one (m, F m (2K+1)) matrix, in the layout of compile
+        mats = np.zeros((len(names), m, len(self._fields), m, 2 * k_max + 1), dtype=complex)
+        for f, fld in enumerate(self._fields):
+            for term in fld.terms:
+                mats[names.index(term.t_term), :, f, :, k_max - term.x_freq] += term.matrix
+        mats = mats.reshape(len(names), m, len(self._fields) * m * (2 * k_max + 1))
+        heat = [self._heat if name == "1" else 0.0 for name in names]
+
+        def apply_term(j, x):
+            # L_j on a stack (B, m, n) of band vectors, the products of apply
+            buf = np.zeros((len(x), len(self._fields), m, n + 2 * k_max), dtype=complex)
+            np.multiply(x[:, None], self._factors, buf[..., k_max:k_max + n])
+            windows = np.lib.stride_tricks.sliding_window_view(buf, n, axis=-1)
+            return mats[j] @ windows.reshape(len(x), -1, n) * self._chi - heat[j] * x
+
+        colors = min(2 * width + 1, n)
+        probes = np.zeros((colors, m, m, n), dtype=complex)
+        for c in range(m):
+            probes[:, c, c] = np.arange(n) % colors == np.arange(colors)[:, None]
+        words = [probes.reshape(1, colors * m, m, n)]
+        for _ in range(4):
+            images = [apply_term(j, words[-1].reshape(-1, m, n)) for j in range(len(names))]
+            words.append(np.stack(images).reshape((-1,) + words[0].shape[1:]))
+        images = np.concatenate(words).reshape(-1, colors, m, m, n)  # [w, colour, c, d, q]
+        q = np.arange(n)[:, None]
+        p = q + np.arange(2 * width + 1) - width  # [q, s]: the source mode
+        table = images.transpose(0, 4, 1, 2, 3)[:, q, p % colors]  # [w, q, s, c, d]
+        table[:, (p < 0) | (p >= n)] = 0.0
+        return table.transpose(0, 4, 1, 3, 2)
+
+
+def step_rk4(rhs, u: np.ndarray, t: float, dt: float, out: np.ndarray, work) -> np.ndarray:
     """Classical four-stage explicit step for ``du/dt = rhs(t, u)``.
 
-    ``work``, five arrays shaped like u, makes the step allocation-free: the
-    stages go into them by ``rhs(t, v, k)`` and the new state into
-    ``out``, which may be u.  The operations and their order, and so every
-    rounding, are those of the allocating form.
+    ``work`` is five arrays shaped like u: the stages go into them by
+    ``rhs(t, v, k)`` and the new state into ``out``, which may be u.
     """
-    if work is None:
-        k1 = rhs(t, u)
-        k2 = rhs(t + dt / 2.0, u + dt / 2.0 * k1)
-        k3 = rhs(t + dt / 2.0, u + dt / 2.0 * k2)
-        k4 = rhs(t + dt, u + dt * k3)
-        return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     k1, k2, k3, k4, v = work
     # 0-d arrays of u's type stand in for the Python floats, and the outputs
     # go by position: on small bands either costs more than the arithmetic
@@ -242,11 +302,73 @@ def step_rk4(rhs, u: np.ndarray, t: float, dt: float, out: np.ndarray | None = N
     return np.add(u, np.multiply(sixth, k1, k1), out)
 
 
+# Temporaries of one block of sample diagnostics, and the most that the
+# precomputed RK4 propagators of a solve hold at once, in bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+class BandPropagator:
+    """One RK4 step of the band as a precomputed banded matrix.
+
+    The generator is linear, ``L(t) = sum_j g_j(t) L_j``, so the step from t
+    is a fixed polynomial in L1, L2 and L3, the generator at t, t + dt/2 and
+    t + dt::
+
+        P = I + dt/6 (L1 + 4 L2 + L3) + dt^2/6 (L2 L1 + L2 L2 + L3 L2)
+              + dt^3/12 (L2 L2 L1 + L3 L2 L2) + dt^4/24 L3 L2 L2 L1
+
+    That is the sum of c_w L_w over the words w of
+    :meth:`TruncatedGenerator.word_table`, where each c_w is a product of
+    the g_j at the three stage times and 1 for the empty word.  P couples
+    modes at most W = ``gen.word_width`` apart, and it has the table's
+    layout: a step is ``einsum("dqcs,cqs->dq", P, windows)`` over the
+    windows of 2W + 1 modes of the state zero-padded by W modes on each
+    side.
+    """
+
+    def __init__(self, gen: TruncatedGenerator, dt: float):
+        self._dt = dt
+        self._g = list(gen.time_terms.values())
+        table = np.ascontiguousarray(gen.word_table())
+        self._shape = table.shape[1:]
+        # complex entries as (re, im) pairs, for real coefficient rows
+        self._table = table.reshape(len(table), -1).view(float)
+
+    @staticmethod
+    def table_bytes(gen: TruncatedGenerator) -> int:
+        """Bytes of the word table of ``gen``: 1 + J + J^2 + J^3 + J^4 words
+        over J time terms, each (m, n_band, m, 2W + 1) complex."""
+        j, m, n = len(gen.time_terms), gen.coeffs.m, gen.xi.size
+        return 16 * (1 + j + j**2 + j**3 + j**4) * m * n * m * (2 * gen.word_width + 1)
+
+    def matrices(self, ks) -> np.ndarray:
+        """The propagators of steps ``ks``, step k going from k dt to
+        (k + 1) dt: (len(ks), m, n_band, m, 2W + 1)."""
+        dt = self._dt
+        t = np.asarray(ks) * dt
+        # g_j at the stage times, computed as step_rk4 computes them: [k, j]
+        g1, g2, g3 = (np.stack([g(s) for g in self._g], axis=-1)
+                      for s in (t, t + dt / 2.0, t + dt))
+        rows = [np.ones((t.size, 1)),
+                dt / 6.0 * (g1 + 4.0 * g2 + g3),
+                dt**2 / 6.0 * (np.einsum("ka,kb->kab", g2, g1 + g2)
+                               + np.einsum("ka,kb->kab", g3, g2)),
+                dt**3 / 12.0 * np.einsum("kb,kac->kabc", g2, np.einsum("ka,kc->kac", g2, g1)
+                                         + np.einsum("ka,kc->kac", g3, g2)),
+                dt**4 / 24.0 * np.einsum("ka,kb,kc,kd->kabcd", g3, g2, g2, g1)]
+        rows = np.concatenate([r.reshape(t.size, -1) for r in rows], axis=1)
+        return (rows @ self._table).view(complex).reshape((t.size,) + self._shape)
+
+    def steps(self, n_steps: int):
+        """The propagators of steps 0 to n_steps - 1 in turn, formed in
+        chunks of about ``_BLOCK_BYTES``."""
+        chunk = max(1, _BLOCK_BYTES // (16 * math.prod(self._shape)))
+        for lo in range(0, n_steps, chunk):
+            yield from self.matrices(np.arange(lo, min(lo + chunk, n_steps)))
+
+
 # ---------------------------------------------------------------------------
 # Traces and the main loop
-
-# Temporaries of one block of sample diagnostics, in bytes.
-_BLOCK_BYTES = 1 << 20
 
 
 def _samples_per_block(m: int, n_x: int, n_lyap: int) -> int:
@@ -386,9 +508,13 @@ def solve_cauchy(
     xi = lattice(n_x)
     # up-front overflow probe for the largest weight in the run
     gevrey_weight(xi, big_t, rho, ell)
-    # every RK4 stage time, computed as step_rk4 computes it
-    step_ts = np.arange(n_steps) * dt
-    gen.compile(np.concatenate([step_ts, step_ts + dt / 2.0, step_ts + dt]))
+    # A band whose word table fits in _BLOCK_BYTES steps by precomputed
+    # propagators; a larger one by step_rk4 on the generator compiled at every
+    # RK4 stage time, computed as step_rk4 computes it.
+    prop = BandPropagator(gen, dt) if BandPropagator.table_bytes(gen) <= _BLOCK_BYTES else None
+    if prop is None:
+        step_ts = np.arange(n_steps) * dt
+        gen.compile(np.concatenate([step_ts, step_ts + dt / 2.0, step_ts + dt]))
 
     # R is solved on the band, where chi > 0; elsewhere M = -a <xi>^rho I, so R = I/2.
     r_xi, r_chi2 = gen.xi, gen.chi**2
@@ -439,19 +565,33 @@ def solve_cauchy(
     amp = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).astype(complex)
     off_peak = np.abs(off).max(initial=0.0)
 
-    # The band advances one interval between samples at a time, each step's
-    # state into one row of a block, and the block is checked for finiteness
-    # once.  The abort names the first step that lost it.  Every sample starts
-    # as u0, so it takes only the band, and the off-band modes when they move.
+    # The band advances one interval between samples at a time.  Row 0 of the
+    # block holds the interval's first state and row i + 1 the state after its
+    # step i, padded with the propagators' width of zeros on each side (none
+    # when stepping), and the block is checked for finiteness once.  The abort
+    # names the first step that lost it.  Every sample starts as u0, so it
+    # takes only the band, and the off-band modes when they move.
     states = np.repeat(u0[None], times.size, axis=0)
-    work = [np.empty_like(band) for _ in range(5)]
+    n_band = band.shape[1]
+    width = gen.word_width if prop else 0
     longest = int(np.max(np.diff(sample_steps)))
-    block = np.empty((longest,) + band.shape, dtype=complex)
+    block = np.zeros((longest + 1, coeffs.m, n_band + 2 * width), dtype=complex)
+    rows = block[:, :, width:width + n_band]
+    rows[0] = band
+    if prop is None:
+        work = [np.empty_like(band) for _ in range(5)]
+    else:
+        props = prop.steps(n_steps)
+        windows = np.lib.stride_tricks.sliding_window_view(block, 2 * width + 1, axis=-1)
     off_block = np.empty((longest,) + off.shape, dtype=complex) if gen.eps_par else None
     for sample, start, end in zip(states[1:], sample_steps, sample_steps[1:]):
-        for k in range(start, end):
-            band = step_rk4(gen.apply, band, k * dt, dt, block[k - start], work)
-        peaks = np.abs(block[:end - start]).max(axis=(1, 2))
+        if prop is None:
+            for i in range(end - start):
+                step_rk4(gen.apply, rows[i], (start + i) * dt, dt, rows[i + 1], work)
+        else:
+            for i in range(end - start):
+                np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
+        peaks = np.abs(rows[1:end - start + 1]).max(axis=(1, 2))
         if gen.eps_par:
             for k in range(start, end):
                 off = np.multiply(off, amp, off_block[k - start])
@@ -462,7 +602,8 @@ def solve_cauchy(
             raise NumericAbortError(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
             )
-        sample[:, gen.index] = band
+        rows[0] = rows[end - start]
+        sample[:, gen.index] = rows[0]
         if gen.eps_par:
             sample[:, off_index] = off
 

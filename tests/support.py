@@ -1,11 +1,12 @@
-"""Test-side fixtures and claim probes that no command runs.
+"""Test-side fixtures, references and claim probes that no command runs.
 
 Fixtures build small systems, serialize coefficients into config documents
-and move states between Fourier and physical samples.  The probes measure
-claims of the paper that the acceptance tests check directly: the Hoelder
-ratio of a coefficient path, the lower bound of the characteristic
-polynomial near a multiple eigenvalue, and the Hoelder difference estimate
-of the symmetrizer.
+and move states between Fourier and physical samples.  The allocating RK4
+step is the reference of the solver's buffered step and of its
+propagators.  The probes measure claims of the paper that the acceptance
+tests check directly: the Hoelder ratio of a coefficient path, the lower
+bound of the characteristic polynomial near a multiple eigenvalue, and the
+Hoelder difference estimate of the symmetrizer.
 """
 
 import math
@@ -110,6 +111,25 @@ def is_conjugate_symmetric(c: np.ndarray, tol: float = 1e-12) -> bool:
     mirrored = np.roll(c[:, ::-1], 1, axis=1)  # index of -xi
     scale = max(1.0, float(np.max(np.abs(c))))
     return bool(np.max(np.abs(c - mirrored.conj())) <= tol * scale)
+
+
+# ---------------------------------------------------------------------------
+# The reference RK4 step
+
+
+def allocating_rhs(gen):
+    """``gen.apply`` as ``rhs(t, u)``, each call into a new array."""
+    return lambda t, u: gen.apply(t, u, np.empty_like(u))
+
+
+def rk4_step(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """Classical four-stage explicit step for ``du/dt = rhs(t, u)``, every
+    stage a new array.  ``solver.step_rk4`` repeats its operations in order."""
+    k1 = rhs(t, u)
+    k2 = rhs(t + dt / 2.0, u + dt / 2.0 * k1)
+    k3 = rhs(t + dt / 2.0, u + dt / 2.0 * k2)
+    k4 = rhs(t + dt, u + dt * k3)
+    return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,10 @@ CHECKER = check.Checker()
     {"command": "solve", "preset": "holder_k", "seed": 0, "n_lattice": 256},
     {"command": "solve", "preset": "wave_t2", "seed": 0, "n_lattice": 1024},
     {"command": "study-h", "preset": "xdep", "seed": 0},
+    {"command": "study-parabolic", "preset": "xdep", "seed": 0},
+    {"command": "solve", "preset": "xdep", "seed": 0, "n_lattice": 1024},
 ], ids=["conjtest-order-one", "conjtest-order-zero", "solve-xdep", "solve-holder_k",
-        "solve-wave_t2-1024", "study-h-xdep"])
+        "solve-wave_t2-1024", "study-h-xdep", "study-parabolic-xdep", "solve-xdep-1024"])
 def test_task_matches_reference(config, tmp_path):
     result = tasks.run_task(config, str(tmp_path))
     verdict, problems = CHECKER.check(config, result)
