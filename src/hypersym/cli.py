@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 
 def _apply_thread_override() -> None:
@@ -72,14 +73,19 @@ def main(argv=None) -> int:
     if args.kappa:
         config["kappa"] = args.kappa
 
-    try:
-        status, summary = runner.run(config)
-    except errors.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except errors.HypersymError as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return 3
+    # a run that fails prints one line, its cause; one that completes also
+    # shows the warnings raised on the way
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            status, summary = runner.run(config)
+        except errors.ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except errors.HypersymError as exc:
+            print(f"numeric abort: {exc}", file=sys.stderr)
+            return 3
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     printable = {k: v for k, v in summary.items() if k != "config"}
     json.dump(printable, sys.stdout, sort_keys=True, indent=2, default=str)
     print()

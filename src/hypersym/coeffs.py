@@ -111,21 +111,6 @@ class MatrixField:
             )
         return out
 
-    def harmonic_matrices(self, ts) -> dict[int, np.ndarray]:
-        """Collapse the t-dependence: {k: sum of C*g(ts) over terms at k}.
-
-        ``ts`` is a scalar or a 1-D array; each value is an (n_t, m, m) stack.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out: dict[int, np.ndarray] = {}
-        for term in self.terms:
-            c = term.matrix * term.g(ts)[:, None, None]
-            if term.x_freq in out:
-                out[term.x_freq] = out[term.x_freq] + c
-            else:
-                out[term.x_freq] = c
-        return out
-
     def sup_norm_bound(self) -> float:
         """Crude sup over x of the spectral norm at |g(t)| <= g_bound per term."""
         return sum(np.linalg.norm(t.matrix, 2) for t in self.terms)

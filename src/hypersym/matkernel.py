@@ -142,6 +142,8 @@ def spectrum(m) -> np.ndarray:
         raise ValueError(f"spectrum supports matrices of size <= {MAX_M}")
     if n <= 4:
         return polished_roots(char_poly(m))
+    if not np.isfinite(m).all():
+        raise HypersymError("matrix entries are not finite: the symbol leaves the double range")
     return _sort_rows(np.linalg.eigvals(m))
 
 

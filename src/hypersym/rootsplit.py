@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.errors import NotRealRootedError
+from hypersym.errors import HypersymError, NotRealRootedError
 
 
 @dataclass
@@ -79,9 +79,13 @@ def polished_roots(c) -> np.ndarray:
     The eigenvalues of one companion-matrix stack (the matrices ``np.roots``
     builds), then one guarded Newton step (skipped near multiple roots where
     the step would be large), then deterministic ordering of each row by
-    real part, then imaginary part.
+    real part, then imaginary part.  Coefficients past the double range
+    raise :class:`HypersymError`.
     """
     c = np.asarray(c, dtype=complex)
+    if not np.isfinite(c).all():
+        raise HypersymError("polynomial coefficients are not finite: the symbol or "
+                            "polynomial leaves the double range")
     d = c.shape[-1] - 1
     companion = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
     companion[..., 0, :] = -c[..., -2::-1] / c[..., -1:]

@@ -19,7 +19,7 @@ import numpy as np
 
 from hypersym import engine, matkernel, planner, rootsplit, solver, symmetrizer
 from hypersym.coeffs import SystemCoefficients, coeffs_from_json
-from hypersym.errors import ConfigError
+from hypersym.errors import ConfigError, HypersymError
 from hypersym.presets import get_preset
 from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import bracket
@@ -235,6 +235,8 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
     xis = np.array([4.0, 16.0, 64.0])
     mu = bracket(xis, 4.0) ** 0.5
     h = symmetrizer.hn_over_lattice(coeffs, probe, ts[:, None, None], xs[:, None], xis)
+    if not np.isfinite(h).all():
+        raise HypersymError("calibration: H_N is not finite: the symbol leaves the double range")
     spread = np.max(np.abs(np.linalg.eigvals(h).imag), axis=-1) / (c * mu)
     a0 = float(np.max(spread)) * 1.05
     return Calibration(c=c, a0=a0, eps0=eps0, theta=theta)
@@ -301,10 +303,18 @@ def _solve_setup(config: dict):
     if not s < s0:
         raise ConfigError(f"data index s = {s} must be below s0 = {s0}")
     big_t = float(params.T)
-    c0_min = 1.2 * big_t * float(bracket(n_x / 2, float(params.ell))) ** float(params.rho) \
-        / float(bracket(n_x / 2, 1.0)) ** (1.0 / s)
+    try:
+        c0_min = 1.2 * big_t * float(bracket(n_x / 2, float(params.ell))) ** float(params.rho) \
+            / float(bracket(n_x / 2, 1.0)) ** (1.0 / s)
+    except OverflowError:
+        raise ConfigError(f"s = {s}: the data's decay rate <n_lattice/2>^(1/s) is beyond "
+                          "the double range") from None
     c0 = config.get("c0", max(1.5, c0_min))
     g = solver.gevrey_data(n_x, coeffs.m, s, c0, seed=config["seed"])
+    # the norms square the amplitudes, and the largest is e^(-c0), at xi = 0
+    if not np.sum(np.abs(g) ** 2) >= np.finfo(float).tiny:
+        raise ConfigError(f"c0 = {c0}: the data's squared amplitudes, at most e^(-2 c0), "
+                          "fall below the normal double range")
     # past (T - c1)/a the running window tau = T - a t of the weight falls
     # below c1 and then below zero, where the energy and radius gates are vacuous
     window = (big_t - float(params.c1)) / float(params.a)
@@ -475,10 +485,12 @@ def _cmd_conjtest(config: dict) -> dict:
 def _cmd_plan(config: dict) -> dict:
     try:
         kappa = Fraction(config["kappa"]) if "kappa" in config else None
-        result = planner.plan(config["theta"], config["mode"], kappa)
+        doc = planner.plan(config["theta"], config["mode"], kappa).to_json()
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from None
-    doc = result.to_json()
+    except OverflowError:
+        raise ConfigError(f"theta = {config['theta']}, kappa = {config.get('kappa')}: the "
+                          "planned parameters are beyond the double range") from None
     doc["passed"] = True
     return doc
 
@@ -554,6 +566,8 @@ def _cmd_study_h(config: dict) -> dict:
 
 
 def _cmd_study_parabolic(config: dict) -> dict:
+    if len(set(config["eps_list"])) < 2:
+        raise ConfigError("eps_list: the rate fit needs at least two distinct values")
     name, params, problem = _solve_setup(config)
     st = solver.parabolic_study(problem, params, config["eps_list"], dt=config.get("dt"),
                                 h=config.get("h"))

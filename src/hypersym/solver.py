@@ -25,9 +25,9 @@ is their combination with that step's coefficients, one real product per
 chunk of steps.  A step is then one ``einsum`` against the sliding windows
 of the zero-padded state.  That path is taken when the word table fits in
 ``_BLOCK_BYTES``.  A larger band steps by :func:`step_rk4` on the generator,
-whose time coefficients are evaluated once, before the loop, into one
-matrix per RK4 stage time, so each application is a single product
-(:class:`TruncatedGenerator`).
+each stage a single product with that stage's matrix ``sum_j g_j L_j``
+(:class:`TruncatedGenerator`).  Both paths take the g_j at the stage times
+from :meth:`TruncatedGenerator.stage_coefficients`.
 
 A state is a complex (m, n_x) array in FFT order, as in
 :mod:`hypersym.engine`.  The samples, the last of which is the final step,
@@ -147,20 +147,20 @@ class TruncatedGenerator:
     a zero-padded buffer with K = ``coeffs.x_band`` zeros on each side;
     window row K - k of its sliding-window view is the source shifted by k,
     zero where it left the band.  So one product of the
-    ``(m, F m (2K+1))`` matrix of every harmonic of those F fields,
-    evaluated once by :meth:`compile` for the times a solve uses, applies
-    the whole generator.  Split by the time terms of the coefficients, the
-    generator is also ``sum_j g_j(t) L_j``, and :meth:`word_table` holds the
-    products of up to four L_j that :class:`BandPropagator` combines.
+    ``(m, F m (2K+1))`` matrix of every harmonic of those F fields applies
+    the whole generator.  Split by the time terms of the coefficients, that
+    matrix is ``sum_j g_j(t) L_j``: :attr:`term_matrices` holds the L_j,
+    column (f, d, K - k) holding component d of harmonic k of field f, and
+    :meth:`word_table` the products of up to four L_j that
+    :class:`BandPropagator` combines.
     """
 
     def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float):
         self.coeffs = coeffs
         self.n_x = n_x
-        self.h = float(h)
         self.eps_par = float(eps_par)
         xi = np.arange(-(n_x // 2), n_x - n_x // 2, dtype=float)
-        chi = smooth_cutoff(self.h * xi)  # exactly 1 everywhere when h = 0
+        chi = smooth_cutoff(float(h) * xi)  # exactly 1 everywhere when h = 0
         band = chi > 0
         self.xi = xi[band]
         self.chi = chi[band]
@@ -183,29 +183,27 @@ class TruncatedGenerator:
         self._chi = self.chi.astype(complex)
         self._heat = (self.eps_par * self.xi**2).astype(complex)
         self._heat_term = np.empty((coeffs.m, n), dtype=complex)
-        self._mats: dict = {}
         # L(t) = sum_j g_j(t) L_j over the distinct time terms, the heat term
         # in the constant one, which a generator without terms also has; a
         # product of up to four L_j couples modes at most word_width apart
         self.time_terms = {term.t_term: term.g for fld in self._fields for term in fld.terms}
         if self.eps_par or not self.time_terms:
             self.time_terms.setdefault("1", time_function("1"))
+        names = list(self.time_terms)
+        mats = np.zeros((len(names), coeffs.m, len(fields), coeffs.m, 2 * k_max + 1),
+                        dtype=complex)
+        for f, fld in enumerate(self._fields):
+            for term in fld.terms:
+                mats[names.index(term.t_term), :, f, :, k_max - term.x_freq] += term.matrix
+        self.term_matrices = mats.reshape(len(names), coeffs.m, -1)
         self.word_width = min(4 * k_max, n - 1)
 
-    def compile(self, ts) -> None:
-        """Evaluate the harmonic matrices at every time in ``ts`` once.
-
-        :meth:`apply` accepts exactly these times.  The matrix at a time is
-        (m, F m (2K+1)): column (f, d, K - k) holds component d of harmonic k
-        of field f.
-        """
-        ts = np.unique(np.asarray(ts, dtype=float))
-        m, k_max = self.coeffs.m, self.coeffs.x_band
-        stack = np.zeros((ts.size, m, len(self._fields), m, 2 * k_max + 1), dtype=complex)
-        for f, fld in enumerate(self._fields):
-            for k, mats in fld.harmonic_matrices(ts).items():
-                stack[:, :, f, :, k_max - k] = mats
-        self._mats = dict(zip(ts.tolist(), stack.reshape(ts.size, m, -1)))
+    def stage_coefficients(self, ks, dt: float) -> np.ndarray:
+        """The g_j of :attr:`time_terms` at the RK4 stage times of steps
+        ``ks``, k dt, k dt + dt/2 and k dt + dt: (3, len(ks), J)."""
+        t = np.asarray(ks) * dt
+        return np.stack([np.stack([g(s) for g in self.time_terms.values()], axis=-1)
+                         for s in (t, t + dt / 2.0, t + dt)])
 
     def lam_bound(self, t_hi: float) -> float:
         """Stability scale: sup over modes of ||iA(xi)|| + eps |xi|^2."""
@@ -220,13 +218,14 @@ class TruncatedGenerator:
         return (sup(self.coeffs.a_field) * xi_max + sup(self.coeffs.b_field)
                 + self.eps_par * xi_max**2)
 
-    def apply(self, t: float, coeffs_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The generator at a compiled time t on a band state (m, n_band),
-        written into ``out`` (it must not be ``coeffs_hat``)."""
+    def apply(self, mat: np.ndarray, coeffs_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The generator with matrix ``mat``, ``sum_j g_j(t) L_j`` at its time
+        t, on a band state (m, n_band), written into ``out`` (it must not be
+        ``coeffs_hat``)."""
         np.multiply(coeffs_hat, self._factors, self._center)
         if self._gather is not None:
             np.copyto(self._gather, self._windows)
-        out = np.matmul(self._mats[t], self._operand, out)
+        out = np.matmul(mat, self._operand, out)
         out *= self._chi
         if self.eps_par:
             out -= np.multiply(self._heat, coeffs_hat, self._heat_term)
@@ -247,14 +246,8 @@ class TruncatedGenerator:
         of each colour, so every entry can be read off the images.
         """
         m, n, k_max = self.coeffs.m, self.xi.size, self.coeffs.x_band
-        width = self.word_width
+        width, mats = self.word_width, self.term_matrices
         names = list(self.time_terms)
-        # each L_j as one (m, F m (2K+1)) matrix, in the layout of compile
-        mats = np.zeros((len(names), m, len(self._fields), m, 2 * k_max + 1), dtype=complex)
-        for f, fld in enumerate(self._fields):
-            for term in fld.terms:
-                mats[names.index(term.t_term), :, f, :, k_max - term.x_freq] += term.matrix
-        mats = mats.reshape(len(names), m, len(self._fields) * m * (2 * k_max + 1))
         heat = [self._heat if name == "1" else 0.0 for name in names]
 
         def apply_term(j, x):
@@ -280,11 +273,13 @@ class TruncatedGenerator:
         return table.transpose(0, 4, 1, 3, 2)
 
 
-def step_rk4(rhs, u: np.ndarray, t: float, dt: float, out: np.ndarray, work) -> np.ndarray:
+def step_rk4(rhs, u: np.ndarray, stages, dt: float, out: np.ndarray, work) -> np.ndarray:
     """Classical four-stage explicit step for ``du/dt = rhs(t, u)``.
 
-    ``work`` is five arrays shaped like u: the stages go into them by
-    ``rhs(t, v, k)`` and the new state into ``out``, which may be u.
+    ``stages`` holds what ``rhs`` takes for the times t, t + dt/2 and
+    t + dt, the step's start, middle and end.  ``work`` is five arrays
+    shaped like u: the stages go into them by ``rhs(stages[i], v, k)`` and
+    the new state into ``out``, which may be u.
     """
     k1, k2, k3, k4, v = work
     # 0-d arrays of u's type stand in for the Python floats, and the outputs
@@ -292,10 +287,11 @@ def step_rk4(rhs, u: np.ndarray, t: float, dt: float, out: np.ndarray, work) -> 
     d = u.dtype
     half, whole, two, sixth = (np.array(dt / 2.0, d), np.array(dt, d), np.array(2.0, d),
                                np.array(dt / 6.0, d))
-    rhs(t, u, k1)
-    rhs(t + dt / 2.0, np.add(u, np.multiply(half, k1, v), v), k2)
-    rhs(t + dt / 2.0, np.add(u, np.multiply(half, k2, v), v), k3)
-    rhs(t + dt, np.add(u, np.multiply(whole, k3, v), v), k4)
+    start, middle, end = stages
+    rhs(start, u, k1)
+    rhs(middle, np.add(u, np.multiply(half, k1, v), v), k2)
+    rhs(middle, np.add(u, np.multiply(half, k2, v), v), k3)
+    rhs(end, np.add(u, np.multiply(whole, k3, v), v), k4)
     np.add(k1, np.multiply(two, k2, k2), k1)
     np.add(k1, np.multiply(two, k3, k3), k1)
     np.add(k1, k4, k1)
@@ -328,7 +324,7 @@ class BandPropagator:
 
     def __init__(self, gen: TruncatedGenerator, dt: float):
         self._dt = dt
-        self._g = list(gen.time_terms.values())
+        self._coefficients = gen.stage_coefficients
         table = np.ascontiguousarray(gen.word_table())
         self._shape = table.shape[1:]
         # complex entries as (re, im) pairs, for real coefficient rows
@@ -345,19 +341,16 @@ class BandPropagator:
         """The propagators of steps ``ks``, step k going from k dt to
         (k + 1) dt: (len(ks), m, n_band, m, 2W + 1)."""
         dt = self._dt
-        t = np.asarray(ks) * dt
-        # g_j at the stage times, computed as step_rk4 computes them: [k, j]
-        g1, g2, g3 = (np.stack([g(s) for g in self._g], axis=-1)
-                      for s in (t, t + dt / 2.0, t + dt))
-        rows = [np.ones((t.size, 1)),
+        g1, g2, g3 = self._coefficients(ks, dt)  # each [k, j]
+        rows = [np.ones((len(g1), 1)),
                 dt / 6.0 * (g1 + 4.0 * g2 + g3),
                 dt**2 / 6.0 * (np.einsum("ka,kb->kab", g2, g1 + g2)
                                + np.einsum("ka,kb->kab", g3, g2)),
                 dt**3 / 12.0 * np.einsum("kb,kac->kabc", g2, np.einsum("ka,kc->kac", g2, g1)
                                          + np.einsum("ka,kc->kac", g3, g2)),
                 dt**4 / 24.0 * np.einsum("ka,kb,kc,kd->kabcd", g3, g2, g2, g1)]
-        rows = np.concatenate([r.reshape(t.size, -1) for r in rows], axis=1)
-        return (rows @ self._table).view(complex).reshape((t.size,) + self._shape)
+        rows = np.concatenate([r.reshape(len(g1), -1) for r in rows], axis=1)
+        return (rows @ self._table).view(complex).reshape((len(g1),) + self._shape)
 
     def steps(self, n_steps: int):
         """The propagators of steps 0 to n_steps - 1 in turn, formed in
@@ -509,12 +502,14 @@ def solve_cauchy(
     # up-front overflow probe for the largest weight in the run
     gevrey_weight(xi, big_t, rho, ell)
     # A band whose word table fits in _BLOCK_BYTES steps by precomputed
-    # propagators; a larger one by step_rk4 on the generator compiled at every
-    # RK4 stage time, computed as step_rk4 computes it.
+    # propagators; a larger one by step_rk4 on the generator, with step k's
+    # three stage matrices sum_j g_j L_j in stages[k], summed term by term.
     prop = BandPropagator(gen, dt) if BandPropagator.table_bytes(gen) <= _BLOCK_BYTES else None
     if prop is None:
-        step_ts = np.arange(n_steps) * dt
-        gen.compile(np.concatenate([step_ts, step_ts + dt / 2.0, step_ts + dt]))
+        g = gen.stage_coefficients(np.arange(n_steps), dt).transpose(1, 0, 2)[..., None, None]
+        stages = g[:, :, 0] * gen.term_matrices[0]
+        for j in range(1, len(gen.term_matrices)):
+            stages += g[:, :, j] * gen.term_matrices[j]
 
     # R is solved on the band, where chi > 0; elsewhere M = -a <xi>^rho I, so R = I/2.
     r_xi, r_chi2 = gen.xi, gen.chi**2
@@ -587,7 +582,7 @@ def solve_cauchy(
     for sample, start, end in zip(states[1:], sample_steps, sample_steps[1:]):
         if prop is None:
             for i in range(end - start):
-                step_rk4(gen.apply, rows[i], (start + i) * dt, dt, rows[i + 1], work)
+                step_rk4(gen.apply, rows[i], stages[start + i], dt, rows[i + 1], work)
         else:
             for i in range(end - start):
                 np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
@@ -704,8 +699,9 @@ def h_uniformity_study(
         cs1.append(rep.c_first)
         cs2.append(rep.c_second)
         curves.append(res.trace.norms[:, 0] / res.trace.norms[0, 3])
-    n_common = min(len(c) for c in curves)
-    stackc = np.stack([c[:n_common] for c in curves])
+    # lam_bound never reads h, so every h shares dt and the sample times, and
+    # the curves stack as they are
+    stackc = np.stack(curves)
     curve_spread = float(
         np.max(stackc.max(axis=0) - stackc.min(axis=0)) / np.max(stackc)
     )

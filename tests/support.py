@@ -117,9 +117,19 @@ def is_conjugate_symmetric(c: np.ndarray, tol: float = 1e-12) -> bool:
 # The reference RK4 step
 
 
+def generator_matrix(gen, t: float) -> np.ndarray:
+    """The matrix ``sum_j g_j(t) L_j`` that ``gen.apply`` takes at time t,
+    summed in time-term order, as the solver sums its stage matrices."""
+    gs = [g(t) for g in gen.time_terms.values()]
+    out = gs[0] * gen.term_matrices[0]
+    for g, mat in zip(gs[1:], gen.term_matrices[1:]):
+        out = out + g * mat
+    return out
+
+
 def allocating_rhs(gen):
     """``gen.apply`` as ``rhs(t, u)``, each call into a new array."""
-    return lambda t, u: gen.apply(t, u, np.empty_like(u))
+    return lambda t, u: gen.apply(generator_matrix(gen, t), u, np.empty_like(u))
 
 
 def rk4_step(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:

@@ -108,6 +108,16 @@ def test_wrong_type_rejected(cfg):
     ["solve", "--seed", "0", {"coeffs": _zero_coeffs(9)}],
     ["certify", "--preset", "xdep", {"y_values": [0.0]}],
     ["solve", "--preset", "xdep", "--seed", "0", {"horizon": 2.0}],  # past (T - c1)/a
+    # a rate needs two distinct eps; a log-log fit through one point fails
+    ["study-parabolic", "--preset", "xdep", "--seed", "0", {"eps_list": [0.01]}],
+    ["study-parabolic", "--preset", "xdep", "--seed", "0", {"eps_list": [0.01, 0.01]}],
+    ["study-parabolic", "--preset", "xdep", "--seed", "0", {"eps_list": [1.0]}],
+    # the planned ell, or the log fallback of its check, leaves the double range
+    ["plan", "--theta", "256"],
+    ["plan", "--theta", "0", "--mode", "holder", "--kappa", "1/1000000000000"],
+    # <N/2>^(1/s) overflows; e^(-c0) squared underflows, so every norm is 0
+    ["solve", "--preset", "xdep", "--seed", "0", {"s": 1e-300}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"c0": 800}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -264,6 +274,32 @@ def test_elliptic_input_exits_3_without_traceback(command, extra, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("numeric abort:") and len(err.splitlines()) == 1
     assert "eps = 0.001" in err and "Traceback" not in err
+
+
+def _const(re):
+    """One constant entry of a coefficient document."""
+    return [{"x_freq": 0, "t_term": "1", "re": re}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--preset", "xdep", {"xi_values": [1e160]}],
+    ["certify", "--preset", "xdep", {"s_values": [1e200]}],
+    ["nuij", "--seed", "0", {"spread": 1e150}],
+    # the characteristic polynomials overflow; at m = 1 calibration's H_N does
+    ["solve", "--seed", "0", {"coeffs": {"m": 2, "A": [[[], _const(1e308)],
+                                                       [_const(1.0), []]]}}],
+    ["solve", "--seed", "0", {"coeffs": {"m": 1, "A": [[_const(1e308)]]}}],
+])
+def test_non_finite_symbol_exits_3_without_traceback(argv, capsys, recwarn, tmp_path):
+    # symbol values past the double range: a numeric abort of one line, and
+    # the overflow warnings on the way are not shown
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(argv[-1]))
+    assert main(argv[:-1] + ["--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort:") and len(err.splitlines()) == 1
+    assert "not finite" in err and "Traceback" not in err
+    assert not recwarn.list
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -109,18 +109,23 @@ def test_constant_system():
     assert cs.b_field.dx(0.0, 0.0, 0).shape == (2, 2)
 
 
-def test_harmonic_matrices_sum_to_field():
-    # the truncated generator collapses the terms per x-harmonic at each
-    # time; summed back over e^{ikx} they must give A(t, x) itself
+def test_term_matrices_sum_to_field():
+    # the truncated generator splits its matrix by time term, sum_j g_j(t)
+    # L_j, with one column block per x-harmonic; summed back over e^{ikx}
+    # the blocks must give A(t, x) itself
     from hypersym.presets import get_preset
+    from hypersym.solver import TruncatedGenerator
 
-    a_field = get_preset("xdep").coeffs.a_field
-    ts = (0.3, 1.1)
-    a_k = a_field.harmonic_matrices(ts)  # one (n_t, m, m) stack per harmonic
-    assert sorted(a_k) == [-1, 0, 1]
-    for i, (t, x) in enumerate(zip(ts, (0.7, -2.0))):
-        total = sum(c[i] * np.exp(1j * k * x) for k, c in a_k.items())
-        np.testing.assert_allclose(total, a_field.dx(t, x, 0), atol=1e-13)
+    coeffs = get_preset("xdep").coeffs
+    gen = TruncatedGenerator(coeffs, 16, 0.0, 0.0)
+    assert list(gen.time_terms) == ["1", "t"]
+    k_max = coeffs.x_band
+    for t, x in ((0.3, 0.7), (1.1, -2.0)):
+        mat = sum(g(t) * l_j for g, l_j in zip(gen.time_terms.values(), gen.term_matrices))
+        blocks = mat.reshape(coeffs.m, 1, coeffs.m, 2 * k_max + 1)[:, 0]  # A is field 0
+        total = sum(blocks[:, :, k_max - k] * np.exp(1j * k * x)
+                    for k in range(-k_max, k_max + 1))
+        np.testing.assert_allclose(total, coeffs.a_field.dx(t, x, 0), atol=1e-13)
 
 
 @pytest.mark.parametrize("order", [0, 1, 3])

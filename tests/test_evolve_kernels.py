@@ -1,8 +1,8 @@
 """The evolve loop's two kernels against the per-term and per-sample code they replaced.
 
 ``TruncatedGenerator.apply`` takes one product against the sliding-window
-view of a zero-padded buffer; the reference applies each collapsed
-harmonic by its pair of ``shift_map`` slices.  The sample diagnostics run
+view of a zero-padded buffer; the reference applies each coefficient
+term by the pair of ``shift_map`` slices of its harmonic.  The sample diagnostics run
 over blocks of samples; the reference computes them one sample at a time,
 with ``np.polyfit`` for the radius fit and R assembled on the whole lattice.
 """
@@ -28,14 +28,14 @@ from support import allocating_rhs, sine_terms
 
 
 def _per_term_apply(gen, t, u):
-    """The generator applied term by term: one pair of slices per harmonic."""
+    """The generator applied term by term: one pair of slices per term."""
     v = u * gen.chi
     w_a = 1j * gen.xi * v
     out = np.zeros(u.shape, dtype=complex)
     for on_a, fld in ((True, gen.coeffs.a_field), (False, gen.coeffs.b_field)):
-        for k, mats in fld.harmonic_matrices([t]).items():
-            src, tgt = shift_map(k, len(gen.xi))
-            out[:, tgt] += mats[0] @ (w_a if on_a else v)[:, src]
+        for term in fld.terms:
+            src, tgt = shift_map(term.x_freq, len(gen.xi))
+            out[:, tgt] += term.g(t) * term.matrix @ (w_a if on_a else v)[:, src]
     out *= gen.chi
     if gen.eps_par:
         out -= gen.eps_par * gen.xi**2 * u
@@ -67,7 +67,6 @@ def test_apply_matches_per_term_shifts(preset, whole, eps_par):
     n_x, ts = 128, (0.0, 0.37, 1.1)
     gen = solver.TruncatedGenerator(coeffs, n_x, 0.0 if whole else 1.0 / 16.0, eps_par)
     assert (len(gen.xi) == n_x) == whole
-    gen.compile(ts)
     rng = np.random.default_rng(41)
     u = rng.normal(size=(coeffs.m, len(gen.xi))) + 1j * rng.normal(size=(coeffs.m, len(gen.xi)))
     for t in ts:

@@ -1,8 +1,8 @@
 """Property: one precomputed RK4 propagator step is one reference RK4 step.
 
 ``BandPropagator`` forms a step as a banded matrix from the generator's word
-table.  The reference is the allocating RK4 step over the compiled
-``TruncatedGenerator.apply``.  The systems are drawn with m in {1, 2, 3},
+table.  The reference is the allocating RK4 step over
+``TruncatedGenerator.apply``, with the generator's matrix at each stage time.  The systems are drawn with m in {1, 2, 3},
 x-harmonics up to K in {0, 1, 2}, one to three time terms, eps_par >= 0 and
 dt lam up to 2.5, on bands both wider and narrower than the 2W + 1 colours of
 the probing (narrower, every mode has a colour of its own).  The propagator
@@ -53,7 +53,6 @@ def band_steps(draw):
 def test_propagator_step_matches_reference_rk4(case):
     gen, dt, k, u = case
     t = k * dt
-    gen.compile([t, t + dt / 2.0, t + dt])
     ref = rk4_step(allocating_rhs(gen), u, t, dt)
     width = gen.word_width
     windows = np.lib.stride_tricks.sliding_window_view(

@@ -20,8 +20,8 @@ from hypersym.solver import (
 )
 from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import smooth_cutoff
-from support import (allocating_rhs, constant_system, from_physical, is_conjugate_symmetric,
-                     rk4_step)
+from support import (allocating_rhs, constant_system, from_physical, generator_matrix,
+                     is_conjugate_symmetric, rk4_step)
 
 
 def _single_mode(n, m, mode, comp=0, value=1.0):
@@ -39,7 +39,6 @@ def test_rhs_constant_diagonal_no_cutoff():
     cs = constant_system(np.diag([1.0, -2.0]))
     st = _single_mode(32, 2, 5)
     gen = TruncatedGenerator(cs, st.shape[1], 0.0, 0.0)
-    gen.compile([0.0])
     out = allocating_rhs(gen)(0.0, st[:, gen.index])
     # i A(xi) u_hat per mode: component 0 gets i * 1 * 5
     np.testing.assert_allclose(out[0], 5j * st[0, gen.index], atol=1e-14)
@@ -49,7 +48,6 @@ def test_rhs_pure_heat():
     cs = constant_system(np.zeros((1, 1)))
     st = _single_mode(32, 1, 4)
     gen = TruncatedGenerator(cs, st.shape[1], 0.0, 0.3)
-    gen.compile([0.0])
     out = allocating_rhs(gen)(0.0, st[:, gen.index])
     np.testing.assert_allclose(out, -0.3 * 16.0 * st[:, gen.index], atol=1e-14)
 
@@ -92,7 +90,6 @@ def test_rk4_matches_matrix_exponential_order():
     errs = []
     dts = [0.1, 0.05, 0.025]
     for dt in dts:
-        gen.compile([0.0, dt / 2.0, dt])
         out = rk4_step(allocating_rhs(gen), st[:, gen.index], 0.0, dt)
         exact = expm_batched(1j * a1 * 3.0 * dt) @ st[:, [gen.index[idx]]]
         errs.append(np.max(np.abs(out[:, [idx]] - exact)))
@@ -376,16 +373,16 @@ def test_step_rk4_work_buffers_match_allocating_form(preset, eps_par):
     coeffs = get_preset(preset).coeffs
     gen = TruncatedGenerator(coeffs, 128, 1 / 16, eps_par)
     dt = 0.01
-    gen.compile([0.0, dt / 2.0, dt])
+    stages = [generator_matrix(gen, t) for t in (0.0, dt / 2.0, dt)]
     rng = np.random.default_rng(44)
     u = rng.normal(size=(coeffs.m, gen.xi.size)) + 1j * rng.normal(size=(coeffs.m, gen.xi.size))
     ref = rk4_step(allocating_rhs(gen), u, 0.0, dt)
     work = [np.empty_like(u) for _ in range(5)]
     out = np.empty_like(u)
-    assert np.array_equal(step_rk4(gen.apply, u, 0.0, dt, out, work), ref)
+    assert np.array_equal(step_rk4(gen.apply, u, stages, dt, out, work), ref)
     assert np.array_equal(out, ref)
     u2 = u.copy()
-    step_rk4(gen.apply, u2, 0.0, dt, u2, work)
+    step_rk4(gen.apply, u2, stages, dt, u2, work)
     assert np.array_equal(u2, ref)
 
 
@@ -397,9 +394,9 @@ def _full_lattice_loop(problem, h, eps_par, n_steps):
     """RK4 over every lattice mode in FFT order: (final coeffs, None), or
     (None, last finite time) when the state loses finiteness.
 
-    The generator applies each harmonic by index maps on the whole lattice
-    (``xi -> xi + k``, dropping modes that leave it) and evaluates the time
-    coefficients at each call, as the solver did before it evolved the band.
+    The generator applies each term's harmonic by index maps on the whole
+    lattice (``xi -> xi + k``, dropping modes that leave it) and evaluates the
+    time coefficients at each call, as the solver did before it evolved the band.
     After every step the state is rescaled by a power of two, which is exact,
     so no stage overflows: the state is lost at the first step whose true
     magnitude, the largest modulus times the scale, is past the largest
@@ -414,9 +411,10 @@ def _full_lattice_loop(problem, h, eps_par, n_steps):
         v = u * chi[None, :]
         out = np.zeros_like(u)
         for fld, w in ((coeffs.a_field, 1j * xi[None, :] * v), (coeffs.b_field, v)):
-            for k, mat in fld.harmonic_matrices(t).items():
+            for term in fld.terms:
+                k = term.x_freq
                 src = np.flatnonzero((xi + k >= -half) & (xi + k <= half - 1))
-                out[:, (xi[src].astype(int) + k) % n_x] += mat[0] @ w[:, src]
+                out[:, (xi[src].astype(int) + k) % n_x] += term.g(t) * term.matrix @ w[:, src]
         out *= chi[None, :]
         if eps_par:
             out -= eps_par * xi[None, :] ** 2 * u
@@ -507,7 +505,6 @@ def test_generator_matches_quantized_symbol():
             quantized = kn_apply(generator_symbol(coeffs, t), st * chi[None, :])
             expected = quantized * chi[None, :]
             gen = TruncatedGenerator(coeffs, st.shape[1], h, 0.0)
-            gen.compile([t])
             out = allocating_rhs(gen)(t, st[:, gen.index])
             assert np.max(np.abs(out - expected[:, gen.index])) <= 1e-11 * max(
                 1.0, np.max(np.abs(expected))
