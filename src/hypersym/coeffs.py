@@ -50,6 +50,9 @@ def time_function(term: str):
             return np.abs(t) ** q
     elif m := _LAC_RE.match(term):
         kappa, levels = float(m.group(1)), int(m.group(2))
+        if levels > 1024:
+            raise ConfigError(f"time term {term!r}: 2^j overflows a double at j = 1024, "
+                              "so lacunary takes at most 1024 levels")
 
         def g(t):
             out = np.zeros_like(t)

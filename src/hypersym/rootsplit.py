@@ -19,31 +19,6 @@ from hypersym.errors import HypersymError, NotRealRootedError
 
 
 @dataclass
-class RealRootedPoly:
-    """Monic polynomial with (claimed) real roots.
-
-    Coefficients are stored ascending: ``coeffs[j]`` multiplies ``zeta^j``
-    and ``coeffs[-1] == 1``.  If roots are supplied, expanding them must
-    reproduce the coefficients to 1e-10 relative.
-    """
-
-    coeffs: np.ndarray
-    roots: np.ndarray | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.size < 1 or abs(c[-1] - 1.0) > 1e-14:
-            raise ValueError("polynomial must be monic (ascending coefficients)")
-        self.coeffs = c
-        if self.roots is not None:
-            self.roots = np.sort(np.asarray(self.roots, dtype=float))
-            expanded = expand_roots(self.roots)
-            scale = max(1.0, float(np.max(np.abs(c))))
-            if np.max(np.abs(expanded - c)) > 1e-10 * scale:
-                raise ValueError("supplied roots do not reproduce coefficients")
-
-
-@dataclass
 class SplitResult:
     """Split polynomials; every field carries the broadcast leading axes."""
 
@@ -53,10 +28,13 @@ class SplitResult:
 
 
 def expand_roots(roots) -> np.ndarray:
-    """Ascending monic coefficients of prod (zeta - r)."""
-    c = np.array([1.0])
-    for r in np.asarray(roots, dtype=float):
-        c = np.concatenate(([0.0], c)) - r * np.concatenate((c, [0.0]))
+    """Ascending monic coefficients of prod (zeta - r): ``(..., m) -> (..., m+1)``."""
+    roots = np.asarray(roots, dtype=float)
+    c = np.ones(roots.shape[:-1] + (1,))
+    pad = np.zeros_like(c)
+    for j in range(roots.shape[-1]):
+        c = np.concatenate((pad, c), axis=-1) \
+            - roots[..., j, None] * np.concatenate((c, pad), axis=-1)
     return c
 
 
@@ -99,18 +77,17 @@ def polished_roots(c) -> np.ndarray:
     return _sort_rows(np.where(safe, raw - step, raw))
 
 
-def nuij_split(poly, s, iterations: int | None = None) -> SplitResult:
+def nuij_split(rows, s, iterations: int | None = None) -> SplitResult:
     """Apply ``(1 + s d/dzeta)`` ``iterations`` times (default: the degree).
 
-    ``poly`` is a :class:`RealRootedPoly` or ascending monic coefficient
-    rows ``(..., m+1)``; ``s`` broadcasts against the rows' leading axes.
+    ``rows`` are ascending monic coefficients ``(..., m+1)``; ``s``
+    broadcasts against their leading axes.
     The split polynomial of a real-rooted input is again real-rooted with
     consecutive-root gaps at least ``nuij_constant(m) * |s|``.  A complex
     root beyond tolerance means the input was not real-rooted and is
     reported as such, since the operator preserves real-rootedness.
     """
-    rows = np.asarray(poly.coeffs if isinstance(poly, RealRootedPoly) else poly,
-                      dtype=float)
+    rows = np.asarray(rows, dtype=float)
     s = np.asarray(s, dtype=float)
     m = rows.shape[-1] - 1
     if iterations is None:
@@ -170,8 +147,10 @@ def char_poly(h) -> np.ndarray:
     return coeffs
 
 
-def random_real_rooted(m: int, spread: float, seed: int) -> RealRootedPoly:
-    """Deterministic test generator: m roots uniform in [-spread, spread]."""
-    rng = np.random.default_rng(seed)
-    roots = np.sort(rng.uniform(-spread, spread, size=m))
-    return RealRootedPoly(coeffs=expand_roots(roots), roots=roots)
+def random_real_rooted(m: int, spread: float, seeds) -> np.ndarray:
+    """Sorted roots ``(len(seeds), m)``, uniform in [-spread, spread]: row i
+    is drawn by ``np.random.default_rng(seeds[i])``."""
+    roots = np.empty((len(seeds), m))
+    for row, seed in zip(roots, seeds):
+        row[:] = np.random.default_rng(seed).uniform(-spread, spread, size=m)
+    return np.sort(roots, axis=-1)

@@ -398,8 +398,8 @@ def _cmd_nuij(config: dict) -> dict:
         c_m = rootsplit.nuij_constant(m)
         worst = None  # single root: no gap to measure
         if m > 1:
-            rows = np.array([rootsplit.random_real_rooted(m, spread, seed + 1000 * m + i).coeffs
-                             for i in range(n_polys)]).reshape(-1, 1, m + 1)
+            rows = rootsplit.expand_roots(rootsplit.random_real_rooted(
+                m, spread, seed + 1000 * m + np.arange(n_polys)))[:, None, :]
             # the separation bound is gap >= c(m) |s|, for either sign of s
             res = rootsplit.nuij_split(rows, s_arr)
             worst = float(np.min(res.min_gap / (c_m * np.abs(s_arr)), initial=math.inf))
@@ -498,6 +498,10 @@ def _cmd_plan(config: dict) -> dict:
 def _cmd_solve(config: dict) -> dict:
     stride, out_dir, eps_par = config["stride"], config.get("out"), config["eps_par"]
     name, params, problem = _solve_setup(config)
+    # without a radius at t = 0 the radius gate has nothing to compare against
+    if np.isnan(solver.gevrey_radius_fit(problem.g, problem.gevrey_s)[0]):
+        raise ConfigError(f"c0 = {problem.gevrey_c0}, n_lattice = {problem.g.shape[1]}: "
+                          "the data's Gevrey radius fit at t = 0 is inconclusive")
     h = config.get("h", 1.0 / float(params.ell))
     res = solver.solve_cauchy(problem, params, h=h, eps_par=eps_par, dt=config.get("dt"),
                               stride=stride)

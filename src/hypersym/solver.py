@@ -488,7 +488,13 @@ def solve_cauchy(
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
     if dt is None:
         dt = min(0.5 / lam, problem.horizon / 8.0)
-    n_steps = max(1, int(math.ceil(problem.horizon / dt)))
+    # an infinite Lambda leaves dt = 0, and a tiny dt a step count that no
+    # index reaches
+    steps = problem.horizon / dt if dt > 0 else math.inf
+    if not (math.isfinite(lam) and steps <= np.iinfo(np.intp).max):
+        raise ConfigError(f"dt = {dt:.3g}, Lambda = {lam:.3g} (eps_par = {eps_par:.3g}): "
+                          f"{steps:.3g} steps are past the index range")
+    n_steps = max(1, math.ceil(steps))
     dt = problem.horizon / n_steps
     if dt * lam > 2.5:
         raise ConfigError(f"dt = {dt:.3g} violates the stability budget "
@@ -552,7 +558,11 @@ def solve_cauchy(
     # Off the band the generator is -eps_par xi^2, so one RK4 step multiplies
     # each mode by amp = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2.
     # With eps_par = 0 that is exactly 1 and the modes are left alone;
-    # otherwise they take an interval's products after its band steps.
+    # otherwise they take an interval's products after its band steps.  With
+    # eps_par > 0 they never grow: lam >= eps_par (n_x/2)^2 >= eps_par xi^2
+    # and dt lam <= 2.5 put z in [-2.5, 0], where amp lies in [0.27, 1].  A
+    # negative eps_par, which the CLI refuses but this function takes, makes
+    # them grow, and they are checked for finiteness with the band.
     u0 = problem.g
     off_index = np.setdiff1d(np.arange(n_x), gen.index)
     band, off = u0[:, gen.index], u0[:, off_index]

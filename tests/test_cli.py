@@ -118,6 +118,16 @@ def test_wrong_type_rejected(cfg):
     # <N/2>^(1/s) overflows; e^(-c0) squared underflows, so every norm is 0
     ["solve", "--preset", "xdep", "--seed", "0", {"s": 1e-300}],
     ["solve", "--preset", "xdep", "--seed", "0", {"c0": 800}],
+    # data too smooth for a Gevrey radius fit at t = 0: the radius gate is vacuous
+    ["solve", "--preset", "xdep", "--seed", "0", {"c0": 20}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"c0": 40}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"c0": 300}],
+    ["solve", "--preset", "wave_t2", "--seed", "0", {"c0": 10}],
+    ["solve", "--preset", "wave_t2", "--seed", "0", {"c0": 40}],
+    # a step count past the index range, or an infinite Lambda
+    ["solve", "--preset", "xdep", "--seed", "0", {"dt": 1e-300}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e300}],
+    ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e305}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -132,6 +142,31 @@ def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     assert "Traceback" not in err
     if fields:  # the message names the offending field
         assert re.search(r"\b(%s)\b" % "|".join(fields), err), err
+
+
+def _lacunary_coeffs(levels):
+    term = {"x_freq": 0, "t_term": f"lacunary(0.5, {levels})", "re": 1.0}
+    return {"m": 1, "A": [[[term]]]}
+
+
+@pytest.mark.parametrize("command, config, names", [
+    # 2^j leaves the double range at j = 1024
+    ("certify", {"coeffs": _lacunary_coeffs(1025)}, "lacunary(0.5, 1025)"),
+    ("theta", {"coeffs": _lacunary_coeffs(4000)}, "lacunary(0.5, 4000)"),
+    # the failing run is one eps of the list
+    ("study-parabolic", {"preset": "xdep", "seed": 0, "eps_list": [1e300, 1]},
+     "eps_par = 1e+300"),
+])
+def test_out_of_range_term_or_step_count_exits_2(command, config, names, capsys, tmp_path):
+    # the message names the time term, or the eps of the list that failed,
+    # rather than a config field
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert names in err, err
 
 
 @pytest.mark.parametrize("command, config_text, summary_text", [

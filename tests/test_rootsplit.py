@@ -8,7 +8,6 @@ import pytest
 from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
 from hypersym.errors import NotRealRootedError
 from hypersym.rootsplit import (
-    RealRootedPoly,
     char_poly,
     expand_roots,
     nuij_constant,
@@ -19,15 +18,13 @@ from support import constant_system, q_lower_bound_probe
 
 
 def test_split_linear():
-    poly = RealRootedPoly(coeffs=np.array([0.0, 1.0]))
-    res = nuij_split(poly, 0.4)
+    res = nuij_split([0.0, 1.0], 0.4)
     np.testing.assert_allclose(res.roots, [-0.4], atol=1e-12)
 
 
 def test_split_double_root_at_zero():
     # zeta^2 -> zeta^2 + 4 zeta + 2 at s = 1; roots -2 +- sqrt(2)
-    poly = RealRootedPoly(coeffs=np.array([0.0, 0.0, 1.0]))
-    res = nuij_split(poly, 1.0)
+    res = nuij_split([0.0, 0.0, 1.0], 1.0)
     np.testing.assert_allclose(res.coeffs, [2.0, 4.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(res.roots, [-2 - math.sqrt(2), -2 + math.sqrt(2)],
                                atol=1e-10)
@@ -37,18 +34,14 @@ def test_split_double_root_at_zero():
 @pytest.mark.parametrize("s", [0.1, 0.5, 2.0])
 def test_split_symmetric_pair(s):
     # zeta^2 - 1 -> zeta^2 + 4 s zeta + 2 s^2 - 1
-    poly = RealRootedPoly(coeffs=np.array([-1.0, 0.0, 1.0]))
-    res = nuij_split(poly, s)
+    res = nuij_split([-1.0, 0.0, 1.0], s)
     np.testing.assert_allclose(res.coeffs, [2 * s**2 - 1, 4 * s, 1.0], atol=1e-12)
     assert res.min_gap == pytest.approx(2 * math.sqrt(2 * s**2 + 1), rel=1e-10)
 
 
 def test_split_rejects_complex_roots():
-    poly = RealRootedPoly.__new__(RealRootedPoly)
-    poly.coeffs = np.array([1.0, 0.0, 1.0])  # zeta^2 + 1, not real-rooted
-    poly.roots = None
     with pytest.raises(NotRealRootedError):
-        nuij_split(poly, 1e-4)
+        nuij_split([1.0, 0.0, 1.0], 1e-4)  # zeta^2 + 1, not real-rooted
 
 
 def test_nuij_constants():
@@ -71,21 +64,16 @@ def test_separation_property_sweep():
     # smaller version of the acceptance sweep: gap >= c(m) |s| with zero slack
     s_values = np.geomspace(1e-3, 1.0, 5)
     for m in range(2, 7):
-        c_m = nuij_constant(m)
-        for i in range(40):
-            poly = random_real_rooted(m, 3.0, seed=9000 + 97 * m + i)
-            for s in s_values:
-                res = nuij_split(poly, float(s))
-                assert res.min_gap >= c_m * s - 1e-9
+        rows = expand_roots(random_real_rooted(m, 3.0, 9000 + 97 * m + np.arange(40)))
+        res = nuij_split(rows[:, None, :], s_values)
+        assert np.all(res.min_gap >= nuij_constant(m) * s_values - 1e-9)
 
 
 def test_interlacing_single_application():
     rng_seeds = range(20)
     for seed in rng_seeds:
-        poly = random_real_rooted(5, 2.0, seed=seed)
-        res = nuij_split(poly, 0.3, iterations=1)
-        old = np.sort(poly.roots)
-        new = res.roots
+        old = random_real_rooted(5, 2.0, [seed])[0]
+        new = nuij_split(expand_roots(old), 0.3, iterations=1).roots
         # daughters weakly interlace mothers: new_k <= old_k <= new_{k+1}
         for k in range(len(old)):
             assert new[k] <= old[k] + 1e-9
@@ -95,9 +83,8 @@ def test_interlacing_single_application():
 
 def test_mirror_symmetry_even_polynomial():
     for coeffs in ([-1.0, 0.0, 1.0], [4.0, 0.0, -5.0, 0.0, 1.0]):
-        poly = RealRootedPoly(coeffs=np.array(coeffs))
-        plus = nuij_split(poly, 0.7)
-        minus = nuij_split(poly, -0.7)
+        plus = nuij_split(coeffs, 0.7)
+        minus = nuij_split(coeffs, -0.7)
         np.testing.assert_allclose(np.sort(-minus.roots), plus.roots, atol=1e-9)
 
 
@@ -147,10 +134,23 @@ def test_q_probe_simple_root_slope_one():
 
 
 def test_random_real_rooted_deterministic():
-    p1 = random_real_rooted(3, 2.0, seed=11)
-    p2 = random_real_rooted(3, 2.0, seed=11)
-    np.testing.assert_array_equal(p1.coeffs, p2.coeffs)
-    assert np.all(np.abs(p1.roots) <= 2.0)
+    r1 = random_real_rooted(3, 2.0, [11])
+    r2 = random_real_rooted(3, 2.0, [11])
+    np.testing.assert_array_equal(r1, r2)
+    assert np.all(np.abs(r1) <= 2.0)
+
+
+def test_stacked_draw_and_expansion_match_one_polynomial_at_a_time():
+    for m in range(1, 7):
+        seeds = 300 + 1000 * m + np.arange(9)
+        rows = expand_roots(random_real_rooted(m, 2.5, seeds))
+        assert rows.shape == (9, m + 1)
+        for row, seed in zip(rows, seeds):
+            roots = np.sort(np.random.default_rng(int(seed)).uniform(-2.5, 2.5, size=m))
+            one = np.array([1.0])
+            for r in roots:
+                one = np.concatenate(([0.0], one)) - r * np.concatenate((one, [0.0]))
+            np.testing.assert_array_equal(row, one)
 
 
 def test_expand_roots_examples():
@@ -162,11 +162,10 @@ def test_expand_roots_examples():
 def test_interlacing_every_application():
     # daughters weakly interlace mothers at every one of the m applications
     for seed in range(8):
-        poly = random_real_rooted(5, 2.0, seed=500 + seed)
-        prev = np.sort(poly.roots)
+        prev = random_real_rooted(5, 2.0, [500 + seed])[0]
+        row = expand_roots(prev)
         for level in range(1, 6):
-            res = nuij_split(poly, 0.25, iterations=level)
-            cur = res.roots
+            cur = nuij_split(row, 0.25, iterations=level).roots
             for k in range(len(prev)):
                 assert cur[k] <= prev[k] + 1e-9
                 if k + 1 < len(cur):
@@ -190,13 +189,12 @@ def test_q_probe_on_strictly_hyperbolic_preset():
 def test_nuij_split_stack_matches_per_row_calls():
     s_values = np.array([-1.0, -0.05, 1e-3, 0.2, 1.0])
     for m in range(1, 7):
-        polys = [random_real_rooted(m, 3.0, seed=700 + 13 * m + i) for i in range(6)]
-        rows = np.array([p.coeffs for p in polys])
+        rows = expand_roots(random_real_rooted(m, 3.0, 700 + 13 * m + np.arange(6)))
         res = nuij_split(rows[:, None, :], s_values)
         assert res.roots.shape == (6, 5, m) and res.min_gap.shape == (6, 5)
-        for i, poly in enumerate(polys):
+        for i, row in enumerate(rows):
             for j, s in enumerate(s_values):
-                one = nuij_split(poly, float(s))
+                one = nuij_split(row, float(s))
                 np.testing.assert_array_equal(res.coeffs[i, j], one.coeffs)
                 np.testing.assert_array_equal(res.roots[i, j], one.roots)
                 assert res.min_gap[i, j] == one.min_gap
