@@ -51,6 +51,7 @@ batch for the R-energy and one stack-first radius fit per block.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -499,6 +500,15 @@ def solve_cauchy(
     if dt * lam > 2.5:
         raise ConfigError(f"dt = {dt:.3g} violates the stability budget "
                           f"2.5/Lambda = {2.5 / lam:.3g}")
+    # The samples (a state and a time each) and, when stepping, every step's
+    # three stage matrices are held at once; they must fit in physical memory.
+    stepping = BandPropagator.table_bytes(gen) > _BLOCK_BYTES
+    need = ((math.ceil(n_steps / stride) + 1) * (16 * coeffs.m * n_x + 16)
+            + (48 * n_steps * gen.term_matrices[0].size if stepping else 0))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"dt = {dt:.3g}: {n_steps} steps need {need:.3g} bytes, "
+                          f"past the {have:.3g} bytes of memory")
 
     big_t = float(params.T)
     a = float(params.a)
@@ -510,7 +520,7 @@ def solve_cauchy(
     # A band whose word table fits in _BLOCK_BYTES steps by precomputed
     # propagators; a larger one by step_rk4 on the generator, with step k's
     # three stage matrices sum_j g_j L_j in stages[k], summed term by term.
-    prop = BandPropagator(gen, dt) if BandPropagator.table_bytes(gen) <= _BLOCK_BYTES else None
+    prop = None if stepping else BandPropagator(gen, dt)
     if prop is None:
         g = gen.stage_coefficients(np.arange(n_steps), dt).transpose(1, 0, 2)[..., None, None]
         stages = g[:, :, 0] * gen.term_matrices[0]
@@ -529,10 +539,8 @@ def solve_cauchy(
 
     # A sample is taken every stride steps and at the last step: sample k
     # holds the state after sample_steps[k] steps, at time sample_steps[k] dt.
-    sample_steps = list(range(0, n_steps + 1, stride))
-    if sample_steps[-1] < n_steps:
-        sample_steps.append(n_steps)
-    times = np.asarray(sample_steps) * dt
+    sample_steps = np.union1d(np.arange(0, n_steps + 1, stride), n_steps)
+    times = sample_steps * dt
 
     x_independent = coeffs.x_band == 0
     use_molly = coeffs.t_regularity == "holder" and params.delta is not None

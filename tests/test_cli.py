@@ -128,6 +128,8 @@ def test_wrong_type_rejected(cfg):
     ["solve", "--preset", "xdep", "--seed", "0", {"dt": 1e-300}],
     ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e300}],
     ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e305}],
+    # 8.75e8 steps: their samples alone would take about 900 GB
+    ["solve", "--preset", "xdep", "--seed", "0", {"dt": 1e-9}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []

@@ -13,6 +13,7 @@ from hypersym.planner import plan
 from hypersym.symmetrizer import (
     ParameterSet,
     _lyap_solve_batch,
+    _panel_gram,
     _stencil_derivatives,
     build_field,
     damped_generator,
@@ -145,6 +146,41 @@ def test_quadrature_expm_count_independent_of_panels(monkeypatch):
     assert big >= 4 * small
     assert counts[big] <= counts[small]
     assert counts[big] < big
+    # a stack of mixed phase rates shares one panel grid: one panel-step
+    # exponential for the whole stack, then one per node and Gauss node
+    stack = np.array([_jordan(k)[0] for k in (1.0, 10.0, 200.0, 1000.0)])
+    sizes.clear()
+    quadrature_R(stack, 1.0, tol=tol)
+    levels = [8]
+    while len(levels) < len(sizes) - 1:
+        levels.append(int(levels[-1] * 1.5) + 1)
+    assert sizes == [len(stack) * n for n in [1] + levels]
+
+
+def _plain_gram(step, n):
+    gram = np.zeros_like(step)
+    power = np.broadcast_to(np.eye(step.shape[-1], dtype=complex), step.shape)
+    for _ in range(n):
+        gram = gram + power.conj().swapaxes(-1, -2) @ power
+        power = power @ step
+    return gram
+
+
+def test_panel_gram_doubling_matches_plain_sum():
+    # random Hurwitz stacks of each size, and a non-normal Jordan step whose
+    # powers grow ~37x before they decay
+    rng = np.random.default_rng(11)
+    steps = []
+    for m in range(1, 5):
+        x = rng.normal(size=(6, m, m)) + 1j * rng.normal(size=(6, m, m))
+        margin = np.max(np.linalg.eigvals(x).real, axis=-1) + rng.uniform(0.2, 2.0, 6)
+        steps.append(expm_batched(0.3 * (x - margin[:, None, None] * np.eye(m))))
+    steps.append(expm_batched(0.05 * _jordan(100.0)[0])[None])
+    for step in steps:
+        for n in range(1, 71):
+            ref = _plain_gram(step, n)
+            err = np.linalg.norm(_panel_gram(step, n) - ref, axis=(-2, -1))
+            assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(-2, -1))), (step.shape, n)
 
 
 def test_quadrature_nonnormal_jordan_closed_form():
@@ -156,9 +192,9 @@ def test_quadrature_nonnormal_jordan_closed_form():
         assert np.linalg.norm(r - closed, 2) <= 1e-9 * np.linalg.norm(closed, 2)
 
 
-def test_quadrature_stack_spanning_phase_groups():
-    # phase rates ~k / margin for k = 1, 10, 100, 1000 cannot all share a
-    # group (a group spans omega <= 2 base + 1)
+def test_quadrature_stack_spanning_phase_rates():
+    # phase rates ~k / margin for k = 1, 10, 100, 1000 on one panel grid, set
+    # by the fastest: the slow nodes take panels far finer than they need
     rng = np.random.default_rng(3)
     stack, rhs = [], []
     for k in (1.0, 10.0, 100.0, 1000.0):
