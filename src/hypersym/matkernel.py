@@ -293,10 +293,10 @@ def _blocks(hs: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
 
 
-def _exp_norms(hs: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """``||e^{isH}||_2`` for H in (n_nodes, m, m) and s in (n_s,), shape (n_s, n_nodes).
 
-    A direct sum's norm is its largest block norm.  A 1x1 block gives
+    A direct sum's norm, over ``blocks``, is its largest block norm.  A 1x1 block gives
     ``e^{-s Im h}``.  A 2x2 block with Z = sH, ``mu = tr Z / 2``, ``K = Z - mu I``
     and ``d^2 = -det K`` has ``e^{iZ} = e^{i mu} (cos(d) I + i sinc(d) K)``, even
     in d and exact at d = 0 (Moler & Van Loan, SIAM Review 45(1), 2003), and norm
@@ -304,7 +304,7 @@ def _exp_norms(hs: np.ndarray, s: np.ndarray) -> np.ndarray:
     where no term cancels.  Larger blocks take ``expm_batched`` and an SVD.
     """
     norms = np.zeros((len(s), len(hs)))
-    for idx in _blocks(hs):
+    for idx in blocks:
         h = hs[:, idx[:, None], idx]
         if len(idx) == 1:
             nb = np.exp(-s[:, None] * h[:, 0, 0].imag)
@@ -339,7 +339,7 @@ def _growth_curves(
 ):
     """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf.
 
-    One eps at a time, so that peak memory stays that of one (s, node) batch.
+    One eps at a time (peak memory is one (s, node) batch), on one block partition.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
@@ -353,10 +353,10 @@ def _growth_curves(
     s = np.concatenate((np.zeros((len(eps_values), 1)),
                         np.geomspace(1e-2, 30.0, 36) / eps_values[:, None]), axis=1)
     damp = np.exp(-c_hat * s * eps_values[:, None])[:, :, None]
-    g, low = np.empty(len(eps_values)), np.empty(len(eps_values))
+    g, low, blocks = np.empty(len(eps_values)), np.empty(len(eps_values)), _blocks(hs)
     for i, eps in enumerate(eps_values):
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = _exp_norms(hs[i], s[i])
+            norms = _exp_norms(hs[i], s[i], blocks)
         if not np.isfinite(norms).all():
             raise HypersymError(f"theta barometer: ||e^(is H_N)|| is not finite at "
                                 f"eps = {eps:.6g}; the symbol is not hyperbolic")

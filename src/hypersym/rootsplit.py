@@ -54,18 +54,18 @@ def _sort_rows(z: np.ndarray) -> np.ndarray:
 def polished_roots(c) -> np.ndarray:
     """Roots of ascending-coefficient polynomials, ``(..., d+1) -> (..., d)``.
 
-    The eigenvalues of one companion-matrix stack (the matrices ``np.roots``
-    builds), then one guarded Newton step (skipped near multiple roots where
-    the step would be large), then deterministic ordering of each row by
-    real part, then imaginary part.  Coefficients past the double range
-    raise :class:`HypersymError`.
+    The eigenvalues of one companion-matrix stack in the field of the
+    coefficients (real rows take the real eigensolver), then one guarded
+    Newton step (skipped near multiple roots where the step would be large),
+    then deterministic ordering of each row by real part, then imaginary
+    part.  Coefficients past the double range raise :class:`HypersymError`.
     """
-    c = np.asarray(c, dtype=complex)
+    c = np.asarray(c, dtype=np.result_type(np.asarray(c), float))
     if not np.isfinite(c).all():
         raise HypersymError("polynomial coefficients are not finite: the symbol or "
                             "polynomial leaves the double range")
     d = c.shape[-1] - 1
-    companion = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    companion = np.zeros(c.shape[:-1] + (d, d), dtype=c.dtype)
     companion[..., 0, :] = -c[..., -2::-1] / c[..., -1:]
     companion[..., np.arange(1, d), np.arange(d - 1)] = 1.0
     raw = np.linalg.eigvals(companion)

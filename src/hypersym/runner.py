@@ -19,7 +19,7 @@ import numpy as np
 
 from hypersym import engine, matkernel, planner, rootsplit, solver, symmetrizer
 from hypersym.coeffs import SystemCoefficients, coeffs_from_json
-from hypersym.errors import ConfigError, HypersymError
+from hypersym.errors import ConfigError, HypersymError, NotRealRootedError
 from hypersym.presets import get_preset
 from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import bracket
@@ -391,6 +391,11 @@ def _cmd_nuij(config: dict) -> dict:
     if 0 in s_values:
         raise ConfigError("s_values must be nonzero")
     s_arr = np.asarray(s_values, dtype=float)
+    # the split's lowest coefficient carries s^m: below the smallest normal
+    # double it loses precision, and then underflows to a false double root
+    if np.min(np.abs(s_arr)) < np.finfo(float).tiny ** (1.0 / config["m_max"]):
+        raise ConfigError(f"s_values, m_max: |s|^m_max = {np.min(np.abs(s_arr)):.3g}^"
+                          f"{config['m_max']} is below the smallest normal double")
     seed = config["seed"]
     table = []
     worst_margin = math.inf
@@ -401,7 +406,11 @@ def _cmd_nuij(config: dict) -> dict:
             rows = rootsplit.expand_roots(rootsplit.random_real_rooted(
                 m, spread, seed + 1000 * m + np.arange(n_polys)))[:, None, :]
             # the separation bound is gap >= c(m) |s|, for either sign of s
-            res = rootsplit.nuij_split(rows, s_arr)
+            try:
+                res = rootsplit.nuij_split(rows, s_arr)
+            except NotRealRootedError:  # the rows were drawn real-rooted
+                raise HypersymError(f"the roots of the degree m = {m} split are not resolved "
+                                    f"in double precision (take m_max below {m})") from None
             worst = float(np.min(res.min_gap / (c_m * np.abs(s_arr)), initial=math.inf))
             worst_margin = min(worst_margin, worst)
         table.append({"m": m, "c_m": c_m, "min_gap_over_cs": worst})

@@ -10,6 +10,7 @@ the Hoelder-mode energy of the solver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -242,6 +243,16 @@ def _panel_gram(step: np.ndarray, n: int) -> np.ndarray:
     return gram
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes``-point Gauss-Legendre rule on [-1, 1], read-only: computed once per
+    count, and ``quadrature_R`` uses max_refine + 1 counts (8, 13, 20, ...)."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for part in rule:
+        part.setflags(write=False)
+    return rule
+
+
 def quadrature_R(
     m_mat: np.ndarray,
     rhs_scale,
@@ -287,7 +298,7 @@ def quadrature_R(
     scale = (rhs / margins)[:, None, None]
     prev, nodes = None, 8
     for _ in range(max_refine + 1):
-        gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+        gl_x, gl_w = _gauss_legendre(nodes)
         offs = expm_batched((half * (1.0 + gl_x))[:, None, None, None] * scaled[None])
         prods = offs.conj().swapaxes(-1, -2) @ gram[None] @ offs
         cur = np.einsum("j,jnik->nik", half * gl_w, prods) * scale

@@ -130,6 +130,10 @@ def test_wrong_type_rejected(cfg):
     ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e305}],
     # 8.75e8 steps: their samples alone would take about 900 GB
     ["solve", "--preset", "xdep", "--seed", "0", {"dt": 1e-9}],
+    # s^6 below the smallest normal double: the coincident-root split's lowest
+    # coefficient, 6! s^6, underflows and reads as a false double root
+    ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-55]}],
+    ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-100]}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -219,6 +223,17 @@ def test_nuij_coincident_roots_spread_zero():
     status, doc = run({"command": "nuij", "schema_version": "1", "seed": 1,
                        "m_max": 3, "n_polys": 5, "spread": 0.0})
     assert status == 0 and doc["passed"]
+
+
+def test_nuij_unresolved_degree_exits_3_naming_it(capsys, tmp_path):
+    # the rows are drawn real-rooted; at degree 19 the companion roots of their
+    # split are not resolved in double precision, which is no fault of the input
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"m_max": 19}))
+    assert main(["nuij", "--seed", "0", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort:") and len(err.splitlines()) == 1
+    assert "degree m = 19" in err and "input" not in err and "Traceback" not in err
 
 
 def test_schema_version_required():

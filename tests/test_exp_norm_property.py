@@ -76,7 +76,7 @@ def _scale_for(h, u):
 
 
 def _closed(h, s):
-    return _exp_norms(h[None], np.array([s]))[0, 0]
+    return _exp_norms(h[None], np.array([s]), _blocks(h))[0, 0]
 
 
 @_settings

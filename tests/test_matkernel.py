@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hypersym import matkernel
 from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
 from hypersym.matkernel import (
     _blocks,
@@ -420,7 +421,8 @@ _XIS = np.array([1.0, -1.0])
 
 
 def _norms(h, s):
-    return _exp_norms(np.asarray(h, dtype=complex)[None], np.asarray(s))[:, 0]
+    h = np.asarray(h, dtype=complex)
+    return _exp_norms(h[None], np.asarray(s), _blocks(h))[:, 0]
 
 
 def test_exp_norm_nilpotent_exact():
@@ -464,6 +466,21 @@ def test_growth_curves_match_pade(name):
         g_ref, low_ref = _pade_growth_curves(*args)
         np.testing.assert_allclose(g, g_ref, rtol=1e-9)
         np.testing.assert_allclose(low, low_ref, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_growth_curves_one_partition_matches_per_eps(name, monkeypatch):
+    # one _blocks partition of the whole (eps, node) stack, against each eps's own
+    coeffs = get_preset(name).coeffs
+    eps = np.geomspace(1e-3, 1e-1, 9)  # the theta command's default grid
+    for n_taylor in (coeffs.m, 2 * coeffs.m):
+        args = (coeffs, n_taylor, eps, _TS, _XS, _XIS, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(matkernel, "_exp_norms",
+                          lambda hs, s, blocks: _exp_norms(hs, s, _blocks(hs)))
+            g_ref, low_ref = _growth_curves(*args)
+        g, low = _growth_curves(*args)
+        assert np.array_equal(g, g_ref) and np.array_equal(low, low_ref)
 
 
 def test_mixed_block_direct_sum_takes_pade_path():

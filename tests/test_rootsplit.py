@@ -42,6 +42,8 @@ def test_split_symmetric_pair(s):
 def test_split_rejects_complex_roots():
     with pytest.raises(NotRealRootedError):
         nuij_split([1.0, 0.0, 1.0], 1e-4)  # zeta^2 + 1, not real-rooted
+    with pytest.raises(NotRealRootedError):  # one bad row of a stack, either sign of s
+        nuij_split([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], [[1e-4], [-1e-4]])
 
 
 def test_nuij_constants():

@@ -214,6 +214,18 @@ def test_quadrature_stack_spanning_phase_rates():
         assert rel <= 1e-6
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("mu", [-0.5, -3.0, -1.0 + 40.0j])
+def test_quadrature_truncation_error_is_its_tail(mu, tol):
+    # M = mu, rhs = -2 Re mu: R = -2 Re mu int_0^inf e^{2 s Re mu} ds = 1, and
+    # the integral cut at r_max (unit decay rate) misses exactly e^{-2 r_max};
+    # a cut one panel earlier misses e^{2 w} times more
+    r_max = max(6.0, 0.85 * math.log(1.0 / tol))
+    tail = math.exp(-2.0 * r_max)
+    err = 1.0 - quadrature_R(np.array([[mu]]), -2.0 * mu.real, tol=tol)[0, 0].real
+    assert 0.5 * tail <= err <= 2.0 * tail, err / tail
+
+
 def test_quadrature_refinement_budget():
     with pytest.raises(BudgetError):
         quadrature_R(_jordan(10.0)[0], 1.0, max_refine=0)
