@@ -1,9 +1,10 @@
 """Pointwise matrix analysis of the principal symbol.
 
 Taylor-polynomial symbols in the spatial and frequency directions, a batched
-Pade matrix exponential, deterministic small-matrix eigenvalues,
-real-spectrum certification, the spatial spectral-bound certificate, and the
-block-size barometer (theta) estimator.
+matrix exponential (closed form on 1x1 and 2x2 blocks, Pade on larger ones),
+deterministic small-matrix eigenvalues, real-spectrum certification, the
+spatial spectral-bound certificate, and the block-size barometer (theta)
+estimator.
 
 All operations are pure functions of their inputs; grid sweeps are
 vectorized with deterministic reduction order.
@@ -57,7 +58,7 @@ def taylor_symbol(
 
 
 # ---------------------------------------------------------------------------
-# Matrix exponential (scaling and squaring, Pade-13 core, batched)
+# Matrix exponential (scaling and squaring, block-wise closed-form or Pade-13 cores)
 
 _PADE13 = (
     64764752532480000.0,
@@ -78,26 +79,34 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
-def expm_batched(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack of square matrices (..., m, m).
+def _blocks(hs: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the decoupled diagonal blocks of a stack (..., m, m): the connected
+    components of the exact-nonzero pattern of the whole stack, unioned with its transpose."""
+    m = hs.shape[-1]
+    link = np.any(hs != 0, axis=tuple(range(hs.ndim - 2)))
+    reach = link | link.T | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):  # paths of length up to 2^k after k squarings
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
 
-    Each member is scaled by its own power of two to bring the 1-norm under
-    the Pade-13 threshold, then squared back individually.
+
+def _exp_2x2(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries e11, e12, e21, e22 of ``E = cos(d) I + i sinc(d) K`` for Z in (..., 2, 2).
+
+    With ``mu = tr Z / 2``, ``K = Z - mu I`` and ``d^2 = -det K``,
+    ``e^{iZ} = e^{i mu} E``, even in d and exact at d = 0 (Moler & Van Loan,
+    SIAM Review 45(1), 2003).
     """
-    a = np.asarray(a, dtype=complex)
-    m = a.shape[-1]
-    lead = a.shape[:-2]
-    a = a.reshape(-1, m, m)
-    norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
-    with np.errstate(divide="ignore"):
-        n_sq = np.where(
-            norm1 > _THETA13,
-            np.ceil(np.log2(np.maximum(norm1, 1e-300) / _THETA13)),
-            0.0,
-        ).astype(int)
-    a = a / (2.0 ** n_sq)[:, None, None]
+    half = 0.5 * (z[..., 0, 0] - z[..., 1, 1])
+    sd = np.sqrt(half**2 + z[..., 0, 1] * z[..., 1, 0])
+    zero = sd == 0  # sinc by hand: np.sinc's pi round trip errs by |sd| u
+    c, w = np.cos(sd), 1j * np.where(zero, 1.0, np.sin(sd) / np.where(zero, 1.0, sd))
+    return c + w * half, w * z[..., 0, 1], w * z[..., 1, 0], c - w * half
 
-    ident = np.broadcast_to(np.eye(m, dtype=complex), a.shape)
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """The Pade-13 approximant of e^A for a stack (n, k, k) scaled under ``_THETA13``."""
+    ident = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
     b = _PADE13
     a2 = a @ a
     a4 = a2 @ a2
@@ -116,7 +125,43 @@ def expm_batched(a: np.ndarray) -> np.ndarray:
         + b[2] * a2
         + b[0] * ident
     )
-    result = np.linalg.solve(v - u, v + u)
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm_batched(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a stack of square matrices (..., m, m).
+
+    Each member is scaled by its own power of two to bring the 1-norm under
+    the Pade-13 threshold, then squared back individually.  In between, each
+    block of the scaled stack's :func:`_blocks` partition is exponentiated on
+    its own: a 1x1 block h by ``e^h``, a 2x2 block A by the closed form
+    ``e^{tr A / 2} E`` of :func:`_exp_2x2` at ``Z = -iA`` (an exact rotation),
+    and a larger block by the Pade-13 core (Higham, SIMAX 26(4), 2005).
+    """
+    a = np.asarray(a, dtype=complex)
+    m = a.shape[-1]
+    lead = a.shape[:-2]
+    a = a.reshape(-1, m, m)
+    norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    with np.errstate(divide="ignore"):
+        n_sq = np.where(
+            norm1 > _THETA13,
+            np.ceil(np.log2(np.maximum(norm1, 1e-300) / _THETA13)),
+            0.0,
+        ).astype(int)
+    a = a / (2.0 ** n_sq)[:, None, None]
+
+    result = np.zeros_like(a)
+    for idx in _blocks(a):
+        block = a[:, idx[:, None], idx]
+        if len(idx) == 1:
+            exp = np.exp(block)
+        elif len(idx) == 2:
+            exp = np.exp(0.5 * np.trace(block, axis1=1, axis2=2))[:, None, None] \
+                * np.stack(_exp_2x2(-1j * block), axis=-1).reshape(-1, 2, 2)
+        else:
+            exp = _pade13(block)
+        result[:, idx[:, None], idx] = exp
     for k in range(int(n_sq.max()) if n_sq.size else 0):
         mask = n_sq > k
         result[mask] = result[mask] @ result[mask]
@@ -282,26 +327,16 @@ class ThetaEstimate:
     g_values: np.ndarray  # G(eps) at the eps_values in ascending order
 
 
-def _blocks(hs: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the decoupled diagonal blocks of a stack (..., m, m): the connected
-    components of the exact-nonzero pattern of the whole stack, unioned with its transpose."""
-    m = hs.shape[-1]
-    link = np.any(hs != 0, axis=tuple(range(hs.ndim - 2)))
-    reach = link | link.T | np.eye(m, dtype=bool)
-    for _ in range(m.bit_length()):  # paths of length up to 2^k after k squarings
-        reach = (reach.astype(int) @ reach.astype(int)) > 0
-    return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
-
-
 def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """``||e^{isH}||_2`` for H in (n_nodes, m, m) and s in (n_s,), shape (n_s, n_nodes).
 
     A direct sum's norm, over ``blocks``, is its largest block norm.  A 1x1 block gives
-    ``e^{-s Im h}``.  A 2x2 block with Z = sH, ``mu = tr Z / 2``, ``K = Z - mu I``
-    and ``d^2 = -det K`` has ``e^{iZ} = e^{i mu} (cos(d) I + i sinc(d) K)``, even
-    in d and exact at d = 0 (Moler & Van Loan, SIAM Review 45(1), 2003), and norm
-    ``sqrt((p + r)/2 + hypot((p - r)/2, |q|))`` over the entries p, q, r of E*E,
-    where no term cancels.  Larger blocks take ``expm_batched`` and an SVD.
+    ``e^{-s Im h}``.  A 2x2 block with Z = sH has ``e^{iZ} = e^{i mu} E`` with
+    ``mu = tr Z / 2`` and E from :func:`_exp_2x2`, the closed form that
+    ``expm_batched`` shares, and norm
+    ``|e^{i mu}| sqrt((p + r)/2 + hypot((p - r)/2, |q|))`` over the entries
+    p, q, r of E*E, where no term cancels.  Larger blocks, irreducible, take
+    ``expm_batched``'s Pade core and an SVD.
     """
     norms = np.zeros((len(s), len(hs)))
     for idx in blocks:
@@ -310,11 +345,7 @@ def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.nd
             nb = np.exp(-s[:, None] * h[:, 0, 0].imag)
         elif len(idx) == 2:
             z = s[:, None, None, None] * h  # s H: no underflow where s H is O(1)
-            half = 0.5 * (z[..., 0, 0] - z[..., 1, 1])
-            sd = np.sqrt(half**2 + z[..., 0, 1] * z[..., 1, 0])
-            zero = sd == 0  # sinc by hand: np.sinc's pi round trip errs by |sd| u
-            c, w = np.cos(sd), 1j * np.where(zero, 1.0, np.sin(sd) / np.where(zero, 1.0, sd))
-            e11, e12, e21, e22 = c + w * half, w * z[..., 0, 1], w * z[..., 1, 0], c - w * half
+            e11, e12, e21, e22 = _exp_2x2(z)
             p = np.abs(e11) ** 2 + np.abs(e21) ** 2
             r = np.abs(e12) ** 2 + np.abs(e22) ** 2
             q = np.abs(np.conj(e11) * e12 + np.conj(e21) * e22)

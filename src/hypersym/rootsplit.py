@@ -115,14 +115,17 @@ def nuij_constant(m: int) -> float:
 
     Seeded with c_2 = 1 and advanced through
     ``c_{l+1} = min_{2<=k<=l} (k + c_l - sqrt((k + c_l)^2 - 4 c_l)) / 2``
-    up to l = m + 1; strictly positive and decreasing in m.
+    up to l = m + 1; strictly positive and decreasing in m.  That is the
+    smaller root of ``x^2 - (k + c_l) x + c_l``, taken as c_l over the larger
+    one, ``2 c_l / (k + c_l + sqrt((k + c_l)^2 - 4 c_l))``: the difference
+    form cancels as c_l shrinks (7.5% off at m = 17, exactly 0 from m = 18).
     """
     if m < 1:
         raise ValueError("degree must be >= 1")
     c = 1.0  # c_2
     for ell in range(2, m + 1):
         c = min(
-            (k + c - math.sqrt((k + c) ** 2 - 4.0 * c)) / 2.0
+            2.0 * c / (k + c + math.sqrt((k + c) ** 2 - 4.0 * c))
             for k in range(2, ell + 1)
         )
     return c

@@ -61,6 +61,7 @@ from hypersym.engine import lattice, weighted_norm
 from hypersym.errors import ConfigError, NumericAbortError
 from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
+    _BLOCK_BYTES,
     ParameterSet,
     _lyap_node_bytes,
     _lyap_solve_batch,
@@ -297,11 +298,6 @@ def step_rk4(rhs, u: np.ndarray, stages, dt: float, out: np.ndarray, work) -> np
     np.add(k1, np.multiply(two, k3, k3), k1)
     np.add(k1, k4, k1)
     return np.add(u, np.multiply(sixth, k1, k1), out)
-
-
-# Temporaries of one block of sample diagnostics, and the most that the
-# precomputed RK4 propagators of a solve hold at once, in bytes.
-_BLOCK_BYTES = 1 << 20
 
 
 class BandPropagator:

@@ -107,11 +107,12 @@ def hn_over_lattice(
 
     ``H_N = sum_{j<=N} (1/j!) D_x^j A(t,x,xi) (tau * grad <xi>^rho)^j``,
     realized by :func:`taylor_symbol` with ``z = eps xi`` and
-    ``eps = tau * rho * <xi>_ell^(rho-2)``.  ``t``, ``x``, ``xi_values`` and
-    ``params.tau`` may be arrays that broadcast together; an array tau gives
-    each time its own window (``tau = T - a t`` along a path).
+    ``eps = tau * rho * <xi>_ell^(rho-2)``.  ``t``, ``x``, ``xi_values``,
+    ``params.tau`` and ``params.ell`` may be arrays that broadcast together;
+    an array tau gives each time its own window (``tau = T - a t`` along a
+    path), and array ell and tau give each node its own parameter set.
     """
-    rho, ell = float(params.rho), float(params.ell)
+    rho, ell = float(params.rho), np.asarray(params.ell, dtype=float)
     tau = np.asarray(params.tau, dtype=float)
     xi_values = np.asarray(xi_values, dtype=float)
     eps = tau * rho * bracket(xi_values, ell) ** (rho - 2.0)
@@ -130,15 +131,16 @@ def damped_generator(
 
     Returns ``(M, a <xi>_ell^rho)``, the pair the Lyapunov identity
     ``M* R + R M = -a <xi>_ell^rho I`` takes.  ``t``, ``x``, ``xi_values``
-    and an array ``params.tau`` broadcast together as in
-    :func:`hn_over_lattice`; M has their broadcast shape followed by (m, m)
-    and the right-hand side has the shape of ``xi_values``.
+    and array ``params.tau``, ``params.ell`` and ``params.a`` broadcast
+    together as in :func:`hn_over_lattice`; M has their broadcast shape
+    followed by (m, m) and the right-hand side that of xi, a and ell.
     ``chi2`` carries the squared spectral cutoff chi^2(h xi) of the
     regularized evolution and broadcasts against ``xi_values``; 1.0 means no
     truncation.
     """
     xi_values = np.asarray(xi_values, dtype=float)
-    rhs = float(params.a) * bracket_pow(xi_values, float(params.ell), float(params.rho))
+    rhs = np.asarray(params.a, dtype=float) * bracket_pow(
+        xi_values, np.asarray(params.ell, dtype=float), float(params.rho))
     h = hn_over_lattice(coeffs, params, t, x, xi_values)
     m_stack = 1j * np.asarray(chi2)[..., None, None] * h - rhs[..., None, None] * np.eye(coeffs.m)
     return m_stack, rhs
@@ -148,9 +150,10 @@ def damped_generator(
 # Lyapunov solve and quadrature oracle
 
 
-# Nodes per chunk of _lyap_solve_batch, which bounds the kernels' temporaries
-# (see _lyap_node_bytes).
-_LYAP_CHUNK = 4096
+# Temporaries of one chunk of _lyap_solve_batch and of one block of the
+# solver's sample diagnostics, and the most that the solver's precomputed RK4
+# propagators hold at once, in bytes.
+_BLOCK_BYTES = 1 << 20
 
 
 def _lyap_node_bytes(m: int) -> int:
@@ -166,7 +169,8 @@ def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale: np.ndarray) -> np.ndarray:
 
     2 x 2 stacks take the closed form :func:`_lyap_2x2`, other sizes the
     Kronecker solve :func:`_lyap_kron`; either way in chunks of
-    ``_LYAP_CHUNK`` nodes, and R is returned as its hermitian part.
+    ``_BLOCK_BYTES // _lyap_node_bytes(m)`` nodes (2,048 at m = 2, 64 at
+    m = 4), and R is returned as its hermitian part.
     """
     m_stack = np.asarray(m_stack, dtype=complex)
     m = m_stack.shape[-1]
@@ -175,8 +179,9 @@ def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale: np.ndarray) -> np.ndarray:
     rhs = np.broadcast_to(np.asarray(rhs_scale, dtype=float), lead).reshape(-1)
     solve = _lyap_2x2 if m == 2 else _lyap_kron
     r = np.empty_like(flat)
-    for lo in range(0, len(flat), _LYAP_CHUNK):
-        chunk = slice(lo, lo + _LYAP_CHUNK)
+    step = _BLOCK_BYTES // _lyap_node_bytes(m)
+    for lo in range(0, len(flat), step):
+        chunk = slice(lo, lo + step)
         r[chunk] = solve(flat[chunk], rhs[chunk])
     r = (r + r.conj().transpose(0, 2, 1)) / 2.0
     return r.reshape(*lead, m, m)
@@ -474,38 +479,51 @@ def _central(f: np.ndarray, order: int, h) -> np.ndarray:
     return (f[2] - 2 * f[1] + f[0]) / h**2
 
 
-def _stencil_derivatives(coeffs, groups, t0, alpha, beta, dt_flag) -> list[np.ndarray]:
+def _stencil_derivatives(coeffs, groups, t0, rows) -> list[list[np.ndarray]]:
     """Central finite differences of R in xi (alpha), x (beta) and t at (x, xi) nodes.
 
-    ``groups`` lists ``(params, x_values, xi_values)``; the stencil nodes of
-    every group go through one batched Lyapunov solve.  Steps are
-    ``hxi = 1e-3 <xi>_ell``, ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and
-    ``ht = 1e-3``.  Returns one (n_x, n_xi, m, m) array per group.
+    ``groups`` lists ``(params, x_values, xi_values)``, whose parameter sets
+    differ at most in a, ell and tau, as those of :func:`rescale_for_a` do;
+    ``rows`` lists ``(alpha, beta, dt)``.  The offsets (t, x, xi) that the
+    rows' stencils use form one deduplicated set, and the offset nodes of
+    every group go through one ``damped_generator`` call and one batched
+    Lyapunov solve.  Steps are ``hxi = 1e-3 <xi>_ell``,
+    ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and ``ht = 1e-3``.  Returns,
+    per row, one (n_x, n_xi, m, m) array per group.
     """
-    m = coeffs.m
-    hx = 2.0 * math.pi / (8.0 * max(coeffs.x_band, 1) * max(beta, 1) + 64.0)
     ht = 1e-3
-    ts = t0 + np.array(_STENCILS[int(dt_flag)]) * ht
-    m_parts, rhs_parts, shapes, hxis = [], [], [], []
+    offsets: dict = {}  # (t step, x offset, xi step) -> node index
+    stencils = []  # per row: its offsets' indices, (t, x, xi) axes, and hx
+    for alpha, beta, dt_flag in rows:
+        hx = 2.0 * math.pi / (8.0 * max(coeffs.x_band, 1) * max(beta, 1) + 64.0)
+        stencils.append((np.array([[[offsets.setdefault((k, j * hx, i), len(offsets))
+                                     for i in _STENCILS[alpha]] for j in _STENCILS[beta]]
+                                   for k in _STENCILS[int(dt_flag)]]), hx))
+    k_off, x_off, i_off = (np.array(c) for c in zip(*offsets))
+    nodes, hxis = [], []
     for params, x_values, xi_values in groups:
         hxi = 1e-3 * bracket(xi_values, float(params.ell))
-        xis = xi_values[None, :] + np.array(_STENCILS[alpha])[:, None] * hxi[None, :]
-        xs = x_values[:, None] + np.array(_STENCILS[beta]) * hx
-        # nodes (t offset, x, x offset, xi offset, xi)
-        m_stack, rhs = damped_generator(coeffs, params, ts[:, None, None, None, None],
-                                        xs[:, :, None, None], xis)
-        shapes.append(m_stack.shape)
-        m_parts.append(m_stack.reshape(-1, m, m))
-        rhs_parts.append(np.broadcast_to(rhs, m_stack.shape[:-2]).reshape(-1))
+        # nodes (offset, x, xi)
+        grid = np.broadcast_arrays((t0 + k_off * ht)[:, None, None],
+                                   (x_values + x_off[:, None])[:, :, None],
+                                   (xi_values + i_off[:, None] * hxi)[:, None, :])
+        per_node = [np.full(grid[0].size, float(v)) for v in (params.a, params.ell, params.tau)]
+        nodes.append([g.reshape(-1) for g in grid] + per_node)
         hxis.append(hxi)
-    r_all = _lyap_solve_batch(np.concatenate(m_parts), np.concatenate(rhs_parts))
-    out, start = [], 0
-    for shape, part, hxi in zip(shapes, m_parts, hxis):
-        r = r_all[start:start + len(part)].reshape(shape)
-        start += len(part)
-        d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
-        d = _central(np.moveaxis(d, 2, 0), beta, hx)
-        out.append(_central(d, int(dt_flag), ht))
+    t, x, xi, a, ell, tau = (np.concatenate(c) for c in zip(*nodes))
+    r_all = _lyap_solve_batch(*damped_generator(
+        coeffs, replace(groups[0][0], a=a, ell=ell, tau=tau), t, x, xi))
+    out, start = [[] for _ in rows], 0
+    for (_, x_values, xi_values), hxi in zip(groups, hxis):
+        size = len(offsets) * len(x_values) * len(xi_values)
+        r_group = r_all[start:start + size].reshape(len(offsets), len(x_values),
+                                                    len(xi_values), coeffs.m, coeffs.m)
+        start += size
+        for (alpha, beta, dt_flag), (idx, hx), derivs in zip(rows, stencils, out):
+            r = np.moveaxis(r_group[idx], 3, 1)  # (t offset, x, x offset, xi offset, xi)
+            d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
+            d = _central(np.moveaxis(d, 2, 0), beta, hx)
+            derivs.append(_central(d, int(dt_flag), ht))
     return out
 
 
@@ -526,6 +544,11 @@ def symbol_estimate_probe(
     ``_EXPONENT_TOL``; a log-fit residual above 0.3 marks
     the row inconclusive rather than failed.  Rows whose samples sit at the
     noise floor pass trivially.
+
+    Every row's stencil nodes, and those of the a-sweep groups when
+    ``check_a_power`` is set, go through one :func:`_stencil_derivatives`
+    call: the 7 default rows share 13 distinct (t, x, xi) offsets per probe
+    point, one ``damped_generator`` call and one Lyapunov solve.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     x_probes = np.asarray(_X_PROBES, dtype=float)
@@ -538,12 +561,15 @@ def symbol_estimate_probe(
     if include_dt:
         combos.append((0, 0, True))
     br = bracket(xi_values, ell)
-    for alpha, beta, dt_flag in combos:
+    groups = [(params, x_probes, xi_values)]
+    if check_a_power:
+        xi_ref = xi_values[[len(xi_values) // 2]]
+        groups += [(rescale_for_a(params, a), x_probes[:1], xi_ref) for a in _A_VALUES]
+    derivs = _stencil_derivatives(coeffs, groups, _PROBE_T0, combos)
+    for (alpha, beta, dt_flag), (d, *d_a) in zip(combos, derivs):
         target = 2 * nu + (1 - rho + nu) * beta - (rho - nu) * alpha
         if dt_flag:
             target += 1 - rho + nu
-        (d,) = _stencil_derivatives(coeffs, [(params, x_probes, xi_values)], _PROBE_T0,
-                                    alpha, beta, dt_flag)
         vals = np.max(np.linalg.norm(d, 2, axis=(-2, -1)), axis=0)
         floor = 1e-12
         if np.max(vals) <= floor:
@@ -566,11 +592,7 @@ def symbol_estimate_probe(
             # The class constant is one-sided: families far below the bound
             # shed a-decay into their bracket slack, so the a-slope is
             # reported and only monotone non-increase in a is asserted.
-            xi_ref = xi_values[[len(xi_values) // 2]]
-            groups = [(rescale_for_a(params, a), x_probes[:1], xi_ref) for a in _A_VALUES]
-            norms = [float(np.linalg.norm(d[0, 0], 2))
-                     for d in _stencil_derivatives(coeffs, groups, _PROBE_T0, alpha, beta,
-                                                   dt_flag)]
+            norms = [float(np.linalg.norm(da[0, 0], 2)) for da in d_a]
             if max(norms) > floor:
                 a_fitted = float(
                     np.polyfit(np.log(np.asarray(_A_VALUES, float)),

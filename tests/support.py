@@ -6,7 +6,8 @@ step is the reference of the solver's buffered step and of its
 propagators.  The probes measure claims of the paper that the acceptance
 tests check directly: the Hoelder ratio of a coefficient path, the lower
 bound of the characteristic polynomial near a multiple eigenvalue, and the
-Hoelder difference estimate of the symmetrizer.
+Hoelder difference estimate of the symmetrizer.  The symbol probe's
+stencils, taken one row at a time, are the reference of its one batch.
 """
 
 import math
@@ -16,7 +17,14 @@ import numpy as np
 
 from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
 from hypersym.matkernel import taylor_symbol
-from hypersym.symmetrizer import ParameterSet, _fit_window, _lyap_solve_batch, damped_generator
+from hypersym.symmetrizer import (
+    _STENCILS,
+    ParameterSet,
+    _central,
+    _fit_window,
+    _lyap_solve_batch,
+    damped_generator,
+)
 from hypersym.weights import bracket
 
 # ---------------------------------------------------------------------------
@@ -251,3 +259,44 @@ def holder_difference_probe(
     passed = bool(slope <= target + tol and np.all(np.isfinite(ratios)))
     return HolderDifferenceFit(slope, target, float(np.max(ratios)), passed,
                                xi_values, ratios)
+
+
+# ---------------------------------------------------------------------------
+# Symbol-probe stencils, one row at a time
+
+
+def per_row_stencil_derivatives(coeffs, groups, t0, alpha, beta, dt_flag) -> list[np.ndarray]:
+    """One probe row's central differences of R, as ``symbol_estimate_probe``
+    once took them: a ``damped_generator`` call per group and one Lyapunov
+    solve per row, the reference of the probe's one batch over all rows.
+
+    ``groups`` lists ``(params, x_values, xi_values)``; the stencil nodes of
+    every group go through one batched Lyapunov solve.  Steps are
+    ``hxi = 1e-3 <xi>_ell``, ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and
+    ``ht = 1e-3``.  Returns one (n_x, n_xi, m, m) array per group.
+    """
+    m = coeffs.m
+    hx = 2.0 * math.pi / (8.0 * max(coeffs.x_band, 1) * max(beta, 1) + 64.0)
+    ht = 1e-3
+    ts = t0 + np.array(_STENCILS[int(dt_flag)]) * ht
+    m_parts, rhs_parts, shapes, hxis = [], [], [], []
+    for params, x_values, xi_values in groups:
+        hxi = 1e-3 * bracket(xi_values, float(params.ell))
+        xis = xi_values[None, :] + np.array(_STENCILS[alpha])[:, None] * hxi[None, :]
+        xs = x_values[:, None] + np.array(_STENCILS[beta]) * hx
+        # nodes (t offset, x, x offset, xi offset, xi)
+        m_stack, rhs = damped_generator(coeffs, params, ts[:, None, None, None, None],
+                                        xs[:, :, None, None], xis)
+        shapes.append(m_stack.shape)
+        m_parts.append(m_stack.reshape(-1, m, m))
+        rhs_parts.append(np.broadcast_to(rhs, m_stack.shape[:-2]).reshape(-1))
+        hxis.append(hxi)
+    r_all = _lyap_solve_batch(np.concatenate(m_parts), np.concatenate(rhs_parts))
+    out, start = [], 0
+    for shape, part, hxi in zip(shapes, m_parts, hxis):
+        r = r_all[start:start + len(part)].reshape(shape)
+        start += len(part)
+        d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
+        d = _central(np.moveaxis(d, 2, 0), beta, hx)
+        out.append(_central(d, int(dt_flag), ht))
+    return out

@@ -28,7 +28,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from hypersym import symmetrizer  # noqa: E402
-from hypersym.symmetrizer import _lyap_kron, _lyap_solve_batch, quadrature_R  # noqa: E402
+from hypersym.symmetrizer import (  # noqa: E402
+    _lyap_2x2,
+    _lyap_kron,
+    _lyap_node_bytes,
+    _lyap_solve_batch,
+    quadrature_R,
+)
 
 _settings = hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
                                 database=None)
@@ -110,14 +116,23 @@ def test_four_by_four_residual_positivity_and_quadrature(case):
 
 
 def test_chunks_and_kernel_choice(monkeypatch):
-    # chunking leaves every node's R unchanged; 2x2 stacks take the closed
-    # form and other sizes the Kronecker solve
+    # chunking by the byte budget leaves every node's R unchanged; 2x2
+    # stacks take the closed form and other sizes the Kronecker solve
     rng = np.random.default_rng(45)
     m2 = rng.normal(size=(7, 3, 2, 2)) + 1j * rng.normal(size=(7, 3, 2, 2)) - 4.0 * np.eye(2)
     s2 = rng.uniform(0.5, 2.0, size=(7, 3))
     whole = _lyap_solve_batch(m2, s2)
-    monkeypatch.setattr(symmetrizer, "_LYAP_CHUNK", 4)
-    assert np.array_equal(_lyap_solve_batch(m2, s2), whole)
+    calls = []
+
+    def counting(part, rhs):
+        calls.append(len(part))
+        return _lyap_2x2(part, rhs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetrizer, "_lyap_2x2", counting)
+        patch.setattr(symmetrizer, "_BLOCK_BYTES", 4 * _lyap_node_bytes(2))
+        assert np.array_equal(_lyap_solve_batch(m2, s2), whole)
+    assert calls == [4, 4, 4, 4, 4, 1]  # 21 nodes in chunks of 4
     single = np.array([[_lyap_solve_batch(m2[i, j][None], s2[i, j:j + 1])[0]
                         for j in range(3)] for i in range(7)])
     assert np.array_equal(single, whole)

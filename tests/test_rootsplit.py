@@ -62,6 +62,17 @@ def test_nuij_constants():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def test_nuij_constants_match_mpmath():
+    # the recursion in its difference form at 60 digits, where nothing cancels
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        c = mp.mpf(1)
+        for m in range(1, 25):
+            if m > 1:
+                c = min((k + c - mp.sqrt((k + c) ** 2 - 4 * c)) / 2 for k in range(2, m + 1))
+            assert abs(nuij_constant(m) - c) <= 1e-13 * c
+
+
 def test_separation_property_sweep():
     # smaller version of the acceptance sweep: gap >= c(m) |s| with zero slack
     s_values = np.geomspace(1e-3, 1.0, 5)

@@ -8,8 +8,10 @@ import pytest
 
 from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
 from hypersym.matkernel import expm_batched, taylor_symbol
-from hypersym.presets import get_preset
+from hypersym import symmetrizer
+from hypersym.presets import get_preset, preset_names
 from hypersym.planner import plan
+from hypersym.runner import run_params
 from hypersym.symmetrizer import (
     ParameterSet,
     _lyap_solve_batch,
@@ -25,7 +27,7 @@ from hypersym.symmetrizer import (
     symbol_estimate_probe,
 )
 from hypersym.weights import bracket, bracket_pow, poly_bump
-from support import constant_system, holder_difference_probe
+from support import constant_system, holder_difference_probe, per_row_stencil_derivatives
 
 
 def _solve_one(m_mat, s):
@@ -382,6 +384,31 @@ def test_symbol_probe_a_sweep_reports():
     assert saw_fit
 
 
+@pytest.mark.parametrize("check_a_power", [False, True])
+@pytest.mark.parametrize("name", preset_names())
+def test_probe_batch_matches_per_row_stencils(name, check_a_power, monkeypatch):
+    # the probe's one batch over every row and a-sweep group reads the same
+    # node values, bit for bit, as one generator call and solve per row
+    pre = get_preset(name)
+    params = run_params(pre.coeffs, pre.theta)
+    seen = []
+
+    def spy(coeffs, groups, t0, rows):
+        derivs = _stencil_derivatives(coeffs, groups, t0, rows)
+        seen.append((groups, t0, rows, derivs))
+        return derivs
+
+    monkeypatch.setattr(symmetrizer, "_stencil_derivatives", spy)
+    symbol_estimate_probe(pre.coeffs, params, np.geomspace(16.0, 2.0**12, 9),
+                          check_a_power=check_a_power)
+    ((groups, t0, rows, derivs),) = seen
+    assert len(rows) == 7 and len(groups) == (4 if check_a_power else 1)
+    for row, batch in zip(rows, derivs):
+        ref = [d for group in groups
+               for d in per_row_stencil_derivatives(pre.coeffs, [group], t0, *row)]
+        assert all(np.array_equal(b, r) for b, r in zip(batch, ref, strict=True))
+
+
 def test_rescale_for_a_stays_admissible():
     from hypersym.planner import validate_params
 
@@ -587,9 +614,10 @@ def test_batched_probes_match_pointwise_solves(name):
     # the probe rows, and a rescaled-a group as check_a_power batches them
     groups = [(pr.params, x_probes, xis),
               (rescale_for_a(pr.params, 4.0), x_probes[:1], xis[[2]])]
-    for alpha, beta, dt_flag in [(0, 0, False), (1, 0, False), (2, 0, False), (0, 1, False),
-                                 (0, 2, False), (1, 1, False), (0, 0, True)]:
-        derivs = _stencil_derivatives(pre.coeffs, groups, 0.1, alpha, beta, dt_flag)
+    rows = [(0, 0, False), (1, 0, False), (2, 0, False), (0, 1, False),
+            (0, 2, False), (1, 1, False), (0, 0, True)]
+    for (alpha, beta, dt_flag), derivs in zip(rows, _stencil_derivatives(pre.coeffs, groups,
+                                                                          0.1, rows)):
         for (params, xps, xs), d in zip(groups, derivs):
             for i, xp in enumerate(xps):
                 for k, xi in enumerate(xs):
