@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypersym.errors import BudgetError, WeightOverflowError
-from hypersym.weights import bracket, bracket_pow, gevrey_weight
+from hypersym.weights import bracket, gevrey_weight
 
 DENSE_BUDGET = 512
 
@@ -30,16 +30,12 @@ def lattice(n_x: int) -> np.ndarray:
     return np.fft.fftfreq(n_x, d=1.0 / n_x)
 
 
-def weighted_norm(coeffs, sigmas, ell: float) -> np.ndarray:
-    """l2 norms of ``<xi>_ell^sigma u_hat`` over the lattice, all components.
-
-    ``coeffs`` is a stack (..., m, N_x) of states in FFT order; the result
-    is (..., len(sigmas)).  All sigmas take one product of the squared
-    moduli against the table ``<xi>^(2 sigma)``.
-    """
+def squared_moduli(coeffs) -> np.ndarray:
+    """``sum_c |u_hat_c|^2`` of a stack (..., m, N_x) of states: (..., N_x),
+    with no temporary of the stack's size."""
     coeffs = np.asarray(coeffs)
-    table = bracket_pow(lattice(coeffs.shape[-1])[:, None], ell, 2.0 * np.asarray(sigmas))
-    return np.sqrt(np.sum(coeffs.real**2 + coeffs.imag**2, axis=-2) @ table)
+    return (np.einsum("...cn,...cn->...n", coeffs.real, coeffs.real)
+            + np.einsum("...cn,...cn->...n", coeffs.imag, coeffs.imag))
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,14 @@ class SpectralBoundReport:
     table: list[tuple[float, float]]  # (s, max |Im zeta| at that s)
     passed: bool
     n_samples: int
+    grid: tuple[np.ndarray, np.ndarray, np.ndarray]  # s, y, max |Im zeta| at each (s, y)
+
+    def max_ratio_over(self, s_values, y_values) -> float:
+        """max_ratio of the grid's scales ``s_values`` and directions ``y_values``
+        alone, equal to that of a certificate on them: a maximum over nodes."""
+        s, y, im = self.grid
+        rows = np.isin(s, s_values)
+        return float(np.max(np.max(im[rows][:, np.isin(y, y_values)], axis=1) / s[rows]))
 
 
 def spectral_bound_certify(
@@ -284,7 +292,8 @@ def spectral_bound_certify(
     hs = taylor_symbol(coeffs, t_values[:, None, None, None], x_values[:, None, None], 1.0,
                        -s_values[:, None] * y_values, coeffs.m)
     im = _max_imag(hs)  # (nt, nx, ns, ny)
-    im_max = np.max(im, axis=(0, 1, 3))
+    im_sy = np.max(im, axis=(0, 1))
+    im_max = np.max(im_sy, axis=1)
     table = [(float(s), float(v)) for s, v in zip(s_values, im_max)]
     ratios = im_max / s_values
     max_ratio = float(np.max(ratios))
@@ -300,6 +309,7 @@ def spectral_bound_certify(
         table=table,
         passed=passed,
         n_samples=im.size,
+        grid=(s_values, y_values, im_sy),
     )
 
 
@@ -401,11 +411,17 @@ def _growth_curves(
 _THETA_XI = (1.0, -1.0)
 
 
+# Scales and direction of the spectral-bound certificate that sets c_hat.
+THETA_SCALES = np.geomspace(1e-3, 1e-1, 7)
+_THETA_Y = (1.0,)
+
+
 def estimate_theta(
     coeffs: SystemCoefficients,
     eps_values,
     t_values=(0.0,),
     x_values=(0.0,),
+    cert: SpectralBoundReport | None = None,
 ) -> ThetaEstimate:
     """Estimate the block-size barometer theta from matrix-exponential growth.
 
@@ -416,8 +432,10 @@ def estimate_theta(
     non-convergence theta = m - 1, which is always valid).
 
     The nodes sit at xi in ``_THETA_XI``.  c_hat is 1.05x the certified
-    spatial spectral-bound ratio, floored at 1.0 so that x-independent
-    families (certified ratio exactly 0) still damp polynomial transients.
+    spatial spectral-bound ratio over ``THETA_SCALES`` at y = 1, floored at
+    1.0 so that x-independent families (certified ratio exactly 0) still
+    damp polynomial transients; it is read from ``cert``, a certificate on
+    the same t and x whose grid holds them, or certified here.
     The lower branch
     ``L(eps) = inf_s e^{+c_hat s eps} ||e^{is H_N(eps)}||`` is fitted to
     confirm two-sidedness; both constants are empirical, not sharp.
@@ -426,14 +444,8 @@ def estimate_theta(
     if eps_values[-1] / eps_values[0] < EPS_SPAN:
         raise ValueError("eps_values must span at least two decades")
     m = coeffs.m
-    cert = spectral_bound_certify(
-        coeffs,
-        t_values,
-        x_values,
-        y_values=(1.0,),
-        s_values=np.geomspace(1e-3, 1e-1, 7),
-    )
-    c_hat = max(1.05 * cert.max_ratio, 1.0)
+    cert = cert or spectral_bound_certify(coeffs, t_values, x_values, _THETA_Y, THETA_SCALES)
+    c_hat = max(1.05 * cert.max_ratio_over(THETA_SCALES, _THETA_Y), 1.0)
 
     n_taylor = m
     seen = set()
@@ -444,8 +456,8 @@ def estimate_theta(
         g, low = _growth_curves(
             coeffs, n_taylor, eps_values, t_values, x_values, _THETA_XI, c_hat
         )
-        slope, _ = np.polyfit(np.log(eps_values), np.log(g), 1)
-        theta_raw = -float(slope)
+        fit = np.polyfit(np.log(eps_values), np.log(g), 1)
+        theta_raw = -float(fit[0])
         theta_hat = int(np.clip(round(theta_raw), 0, m - 1))
         n_next = max(2 * theta_hat, m)
         if n_next == n_taylor:
@@ -458,21 +470,11 @@ def estimate_theta(
     if not converged:
         theta_hat = m - 1
 
-    fit = np.polyfit(np.log(eps_values), np.log(g), 1)
-    residual = float(
-        np.sqrt(np.mean((np.log(g) - np.polyval(fit, np.log(eps_values))) ** 2))
-    )
+    residual = float(np.sqrt(np.mean((np.log(g) - np.polyval(fit, np.log(eps_values))) ** 2)))
     upper_c = float(np.exp(fit[1]))
     lower_c = float(np.max(eps_values**theta_hat / low))
     warning = bool(abs(theta_raw - theta_hat) > _SLOPE_TOL) or not converged
-    return ThetaEstimate(
-        theta_hat=theta_hat,
-        theta_raw=theta_raw,
-        upper_fit=(upper_c, float(c_hat)),
-        lower_fit=(lower_c, float(c_hat)),
-        residual=residual,
-        warning=warning,
-        converged=converged,
-        n_used=n_taylor,
-        g_values=g,
-    )
+    return ThetaEstimate(theta_hat=theta_hat, theta_raw=theta_raw,
+                         upper_fit=(upper_c, float(c_hat)), lower_fit=(lower_c, float(c_hat)),
+                         residual=residual, warning=warning, converged=converged,
+                         n_used=n_taylor, g_values=g)

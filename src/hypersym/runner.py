@@ -199,6 +199,10 @@ class Calibration:
     theta: int
 
 
+# Scales of the spectral-bound certificate that sets c.
+_C_SCALES = np.geomspace(1e-3, 1e-1, 5)
+
+
 def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibration:
     """Empirical constants for the parameter constraints.
 
@@ -210,13 +214,14 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
     """
     ts = np.linspace(0.0, 1.0, 4)
     xs = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
+    # one certificate over the scales of c and of the theta fits' c_hat
     cert = matkernel.spectral_bound_certify(
-        coeffs, ts, xs, (1.0, -1.0), np.geomspace(1e-3, 1e-1, 5)
+        coeffs, ts, xs, (1.0, -1.0), np.union1d(_C_SCALES, matkernel.THETA_SCALES)
     )
-    c = max(1.05 * cert.max_ratio, 0.5)
+    c = max(1.05 * cert.max_ratio_over(_C_SCALES, (1.0, -1.0)), 0.5)
     if theta is None:
         theta = matkernel.estimate_theta(
-            coeffs, np.geomspace(1e-3, 1e-1, 7), t_values=ts, x_values=xs
+            coeffs, np.geomspace(1e-3, 1e-1, 7), t_values=ts, x_values=xs, cert=cert
         ).theta_hat
     eps0 = 0.5
     for _ in range(3):
@@ -225,6 +230,7 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
             np.geomspace(eps0 * 1e-2, eps0, 7),
             t_values=ts,
             x_values=xs,
+            cert=cert,
         )
         if te.theta_hat == theta and te.residual <= 0.25:
             break
@@ -508,7 +514,7 @@ def _cmd_solve(config: dict) -> dict:
     stride, out_dir, eps_par = config["stride"], config.get("out"), config["eps_par"]
     name, params, problem = _solve_setup(config)
     # without a radius at t = 0 the radius gate has nothing to compare against
-    if np.isnan(solver.gevrey_radius_fit(problem.g, problem.gevrey_s)[0]):
+    if np.isnan(solver.gevrey_radius_fit(engine.squared_moduli(problem.g), problem.gevrey_s)[0]):
         raise ConfigError(f"c0 = {problem.gevrey_c0}, n_lattice = {problem.g.shape[1]}: "
                           "the data's Gevrey radius fit at t = 0 is inconclusive")
     h = config.get("h", 1.0 / float(params.ell))

@@ -43,9 +43,12 @@ first step whose state lost it.  On the propagator path that is the first
 state that leaves the double range; a stepped band can lose it a few steps
 sooner, when an RK4 stage overflows first.  The loop only records the
 sampled states.  The diagnostics then run over blocks of samples, slices
-of the sample array: one weight array, one product of the squared moduli
-against the ``<xi>^(2 sigma)`` table for all five norms, one band Lyapunov
-batch for the R-energy and one stack-first radius fit per block.
+of the sample array, and read each state once, for its squared moduli
+q = sum_c |u_c|^2.  A block takes one weight array w and one product of
+q w^2 against a per-solve table: its ``<xi>^(2 sigma)`` columns give the
+five norms, and its column of 1/2 on the off-band modes their R-energy.
+The band's R-energy is one Lyapunov batch and one batched product R v,
+and the radius fit reads q.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients, time_function
-from hypersym.engine import lattice, weighted_norm
+from hypersym.engine import lattice, squared_moduli
 from hypersym.errors import ConfigError, NumericAbortError
 from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
@@ -68,7 +71,7 @@ from hypersym.symmetrizer import (
     damped_generator,
     mollify_path,
 )
-from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
+from hypersym.weights import bracket, bracket_pow, gevrey_weight, smooth_cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +366,12 @@ class BandPropagator:
 
 def _samples_per_block(m: int, n_x: int, n_lyap: int) -> int:
     """Samples per block of diagnostics, so that its temporaries stay near
-    _BLOCK_BYTES: a sample takes a few copies of its (m, n_x) state, and
-    each of its ``n_lyap`` Lyapunov nodes what the band generator and the
-    kernel of ``_lyap_solve_batch`` hold at once (``_lyap_node_bytes``)."""
-    return max(1, _BLOCK_BYTES // (64 * m * n_x + _lyap_node_bytes(m) * n_lyap))
+    _BLOCK_BYTES: a sample holds 48 bytes a mode, its squared moduli, weight
+    and their products and the radius fit's rows (tracemalloc reads 45 n_x
+    on every preset, whatever m), and each of its ``n_lyap`` Lyapunov nodes
+    what the band generator and the kernel of ``_lyap_solve_batch`` hold at
+    once (``_lyap_node_bytes``)."""
+    return max(1, _BLOCK_BYTES // (48 * n_x + _lyap_node_bytes(m) * n_lyap))
 
 
 @dataclass
@@ -406,25 +411,29 @@ class SolveResult:
 _NOISE_FLOOR = 1e-14
 
 
-def gevrey_radius_fit(coeffs, s: float):
+def gevrey_radius_fit(sq, s: float):
     """Least-squares radius of ``|u_hat| ~ e^{-c <xi>^(1/s)}`` over the tail.
 
-    ``coeffs`` is a stack (..., m, N_x) of states in FFT order; returns the
-    fitted c and the rms residual, each of the stack's leading shape.  A fit
-    needs at least five tail points spanning three decades above
-    ``_NOISE_FLOOR``; otherwise the measurement is inconclusive and both are
-    NaN.
+    ``sq`` is a stack (..., N_x) of squared moduli ``sum_c |u_hat_c|^2`` in
+    FFT order (:func:`engine.squared_moduli`); returns the fitted c and the
+    rms residual, each of the stack's leading shape.  A fit needs at least
+    five tail points spanning three decades above ``_NOISE_FLOOR``;
+    otherwise the measurement is inconclusive and both are NaN.
     """
-    coeffs = np.asarray(coeffs)
-    n_x = coeffs.shape[-1]
-    half = n_x // 2
-    amp = np.sqrt(np.sum(coeffs.real**2 + coeffs.imag**2, axis=-2))
-    # fold +-xi to |xi| taking the max amplitude; -N_x/2 has no mirror
-    vals = amp[..., :half + 1].copy()
-    np.maximum(vals[..., 1:half], amp[..., :half:-1], out=vals[..., 1:half])
+    sq = np.asarray(sq, dtype=float)
+    half = sq.shape[-1] // 2
+    # fold +-xi to |xi| taking the max; -N_x/2 has no mirror.  The square root
+    # is monotone, so the fold may come first.
+    vals = sq[..., :half + 1].copy()
+    np.maximum(vals[..., 1:half], sq[..., :half:-1], out=vals[..., 1:half])
+    np.sqrt(vals, out=vals)
     peak = np.max(vals, axis=-1, keepdims=True)
     band = (vals > _NOISE_FLOOR) & (vals < 0.5 * peak)
     band[..., 0] = False
+    # the rest reads only the |xi| from the first to the last that a tail holds
+    ks = np.flatnonzero(np.any(band, axis=tuple(range(band.ndim - 1))))
+    ks = np.arange(ks[0], ks[-1] + 1) if ks.size else np.arange(1)
+    band, vals = band[..., ks], vals[..., ks]
     count = np.count_nonzero(band, axis=-1)
     lo = np.min(np.where(band, vals, np.inf), axis=-1)
     hi = np.max(np.where(band, vals, 0.0), axis=-1)
@@ -432,21 +441,13 @@ def gevrey_radius_fit(coeffs, s: float):
         conclusive = (count >= 5) & (np.log10(hi / lo) >= 3.0)
         # closed-form least squares over the band, in centered coordinates
         n = np.maximum(count, 1)[..., None]
-        xcoord = np.where(band, bracket(np.arange(half + 1.0), 1.0) ** (1.0 / s), 0.0)
+        xcoord = np.where(band, bracket(ks.astype(float), 1.0) ** (1.0 / s), 0.0)
         ycoord = np.where(band, -np.log(np.where(band, vals, 1.0)), 0.0)
         dx = np.where(band, xcoord - np.sum(xcoord, axis=-1, keepdims=True) / n, 0.0)
         dy = np.where(band, ycoord - np.sum(ycoord, axis=-1, keepdims=True) / n, 0.0)
         slope = np.sum(dx * dy, axis=-1, keepdims=True) / np.sum(dx * dx, axis=-1, keepdims=True)
         resid = np.sqrt(np.sum((dy - slope * dx) ** 2, axis=-1, keepdims=True) / n)
     return np.where(conclusive, slope[..., 0], np.nan), np.where(conclusive, resid[..., 0], np.nan)
-
-
-def _sigma_values(params: ParameterSet) -> tuple:
-    """The norm orders of the trace, in column order: -nu, (rho-1)/2,
-    rho/2, nu, 3nu.  With nu = 0 three of them coincide."""
-    nu = params.nu
-    rho = float(params.rho)
-    return (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
 
 
 def solve_cauchy(
@@ -467,12 +468,8 @@ def solve_cauchy(
     the last healthy time on NaN/overflow.
     """
     coeffs = problem.coeffs
-    violations = validate_params(
-        params,
-        c=params.c_spec if params.c_spec is not None else 0.5,
-        a0=params.a0,
-        eps0=params.eps0,
-    )
+    violations = validate_params(params, c=params.c_spec if params.c_spec is not None else 0.5,
+                                 a0=params.a0, eps0=params.eps0)
     if violations:
         raise ConfigError("invalid parameters: " + "; ".join(violations))
     if h > 1.0 / float(params.ell) + 1e-12:
@@ -546,13 +543,9 @@ def solve_cauchy(
         if use_molly:
             er_mode = "mollified"
             delta = float(params.delta)
-            br = bracket(xi, ell)
-            width_max = float(np.max(br**-delta))
-            width_min = float(np.min(br**-delta))
-            dt_path = width_min / 5.0
-            t_lo = -width_max * 1.05
-            t_hi = problem.horizon + width_max * 1.05
-            path_ts = np.arange(t_lo, t_hi + dt_path, dt_path)
+            widths = bracket(xi, ell) ** -delta
+            dt_path, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
+            path_ts = np.arange(-pad, problem.horizon + pad + dt_path, dt_path)
             r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]))
             # (n_samples, n_active, m, m)
             molly_values = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta, times)
@@ -616,9 +609,15 @@ def solve_cauchy(
         if gen.eps_par:
             sample[:, off_index] = off
 
-    # The diagnostics run over blocks of samples.
-    n_samples = times.size
-    sigmas = _sigma_values(params)
+    # The diagnostics run over blocks of samples, each block's states read
+    # once for their squared moduli q.  One product of q w^2 against ``table``
+    # gives the squared norms of the five orders sigma (with nu = 0 three of
+    # them coincide) and the off-band R-energy, R = I/2 there.
+    n_samples, nu = times.size, params.nu
+    sigmas = (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
+    table = np.zeros((n_x, len(sigmas) + 1))
+    table[:, :-1] = bracket_pow(xi[:, None], ell, 2.0 * np.asarray(sigmas))
+    table[off_index, -1] = 0.5
     norms = np.empty((n_samples, len(sigmas)))
     e_r_arr = np.full(n_samples, np.nan)
     gevrey_c = np.full(n_samples, np.nan)
@@ -626,32 +625,28 @@ def solve_cauchy(
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
         u = states[blk]
-        weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)[:, None, :]
-        v = u * weight
-        norms[blk] = weighted_norm(v, sigmas, ell)
+        weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)
+        q = squared_moduli(u)
+        sums = (q * weight * weight) @ table
+        norms[blk] = np.sqrt(sums[:, :-1])
         if er_mode != "skipped":
-            # Re <R v, v>: the band's solved R, and R = I/2 off it
+            # the band's Re <R v, v> with its solved R, as the dot product of
+            # v and R v over their real and imaginary parts
             r_band = (_lyap_solve_batch(*r_generator(times[blk, None]))
                       if er_mode == "multiplier" else molly_values[blk])
-            v_band = v[:, :, gen.index]
-            e_r_arr[blk] = np.einsum("bck,bkcd,bdk->b", v_band.conj(), r_band, v_band).real \
-                + 0.5 * np.sum(np.abs(v[:, :, off_index]) ** 2, axis=(1, 2))
+            v_band = (u[:, :, gen.index] * weight[:, None, gen.index]).transpose(0, 2, 1)
+            rv = r_band @ v_band[..., None]
+            e_r_arr[blk] = np.einsum("bi,bi->b", v_band.reshape(len(u), -1).view(float),
+                                     rv.reshape(len(u), -1).view(float)) + sums[:, -1]
         if problem.gevrey_s is not None:
-            gevrey_c[blk] = gevrey_radius_fit(u, problem.gevrey_s)[0]
+            gevrey_c[blk] = gevrey_radius_fit(q, problem.gevrey_s)[0]
 
     base = e_r_arr[0] if np.isfinite(e_r_arr[0]) and e_r_arr[0] > 0 else 1.0
     e_r_norm = e_r_arr / base
     increments = np.diff(e_r_norm, prepend=e_r_norm[0])
-    trace = EnergyTrace(
-        times=times,
-        e_r=e_r_norm,
-        e_r_raw=e_r_arr,
-        norms=norms,
-        gevrey_c=gevrey_c,
-        increments=increments,
-        er_mode=er_mode,
-        sigmas=sigmas,
-    )
+    trace = EnergyTrace(times=times, e_r=e_r_norm, e_r_raw=e_r_arr, norms=norms,
+                        gevrey_c=gevrey_c, increments=increments, er_mode=er_mode,
+                        sigmas=sigmas)
     return SolveResult(dt=dt, states=states, trace=trace)
 
 

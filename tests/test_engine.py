@@ -9,7 +9,6 @@ from hypersym.engine import (
     conjugation_remainder_probe,
     dense_operator_matrix,
     lattice,
-    weighted_norm,
 )
 from hypersym.errors import BudgetError, WeightOverflowError
 from hypersym.weights import bracket, bracket_pow, gevrey_weight
@@ -75,19 +74,6 @@ def test_gevrey_overflow_refused():
     with pytest.raises(WeightOverflowError) as err:
         gevrey_weight(lattice(st.shape[1]), 50.0, 0.9, 1.0)
     assert "tau" in str(err.value)
-
-
-def test_weighted_norm_examples():
-    st = _random_state()
-    assert weighted_norm(st, [0.0], 3.0)[0] == pytest.approx(np.linalg.norm(st))
-    single = np.zeros((1, 64), dtype=complex)
-    single[0, 5] = 2.0
-    assert weighted_norm(single, [0.7], 2.0)[0] == pytest.approx(
-        2.0 * bracket(5.0, 2.0) ** 0.7
-    )
-    # ell large at fixed support: norm ~ ell^sigma * plain norm
-    big = weighted_norm(single, [0.7], 1e6)[0]
-    assert big == pytest.approx(2.0 * (1e6) ** 0.7, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

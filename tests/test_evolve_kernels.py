@@ -16,7 +16,7 @@ import pytest
 
 from hypersym import runner, solver
 from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
-from hypersym.engine import lattice, shift_map
+from hypersym.engine import lattice, shift_map, squared_moduli
 from hypersym.presets import get_preset, preset_names
 from hypersym.symmetrizer import _lyap_solve_batch, damped_generator, mollify_path
 from hypersym.weights import bracket, bracket_pow, gevrey_weight
@@ -154,23 +154,30 @@ def test_radius_fit_stack_matches_polyfit_with_nans():
     stack = np.stack([np.stack([u, 0.5 * np.roll(u, 1)]) for u in states])
     ref = np.array([_radius_fit_polyfit(c, s) for c in stack])
     assert np.isnan(ref).sum() == 3
-    _assert_close(solver.gevrey_radius_fit(stack, s)[0], ref, 1e-12)
+    _assert_close(solver.gevrey_radius_fit(squared_moduli(stack), s)[0], ref, 1e-12)
 
 
-@pytest.mark.parametrize("preset,er_mode,n_x,block", [
-    ("xdep", "skipped", 128, 4),
-    ("wave_t2", "multiplier", 128, 5),
-    ("holder_k", "mollified", 64, 7),
+@pytest.mark.parametrize("preset,er_mode,n_x,block,cap,h,eps_par", [
+    # xdep on a band of 31 modes, so that the tail is long enough to fit
+    pytest.param("xdep", "skipped", 128, 4, {}, 1.0 / 16.0, 0.0, id="xdep-skipped-128-4"),
+    pytest.param("wave_t2", "multiplier", 128, 5, {}, None, 0.0,
+                 id="wave_t2-multiplier-128-5"),
+    pytest.param("holder_k", "mollified", 64, 7, {}, None, 0.0, id="holder_k-mollified-64-7"),
+    # ell = 8 leaves 49 modes off the band; they move, and R = I/2 there
+    # carries up to 1e-5 of the energy
+    pytest.param("wave_t2", "multiplier", 64, 6, {"ell": 8}, None, 0.02,
+                 id="wave_t2-multiplier-eps"),
+    # h = 0: the band is the whole lattice and no mode is off it
+    pytest.param("wave_t2", "multiplier", 64, 4, {}, 0.0, 0.0, id="wave_t2-multiplier-h0"),
 ])
-def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, monkeypatch):
+def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, cap, h, eps_par,
+                                            monkeypatch):
     cfg = {"command": "solve", "schema_version": "1", "preset": preset, "seed": 0,
-           "n_lattice": n_x}
+           "n_lattice": n_x, **cap}
     _, params, problem = runner._solve_setup(runner.validate_config(cfg))
-    h = 1.0 / float(params.ell)
-    if preset == "xdep":
-        h = 1.0 / 16.0  # a band of 31 modes, so that the tail is long enough to fit
+    h = 1.0 / float(params.ell) if h is None else h
     monkeypatch.setattr(solver, "_samples_per_block", lambda m, n_x, n_lyap: block)
-    res = solver.solve_cauchy(problem, params, h=h, stride=4)
+    res = solver.solve_cauchy(problem, params, h=h, eps_par=eps_par, stride=4)
     assert res.trace.er_mode == er_mode
     assert len(res.states) % block != 0 and len(res.states) > 2 * block
     norms, e_r, c_fit = _per_sample_diagnostics(res, problem, params, h)

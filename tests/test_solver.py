@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.engine import lattice
+from hypersym.engine import lattice, squared_moduli
 from hypersym.errors import ConfigError
 from hypersym.matkernel import expm_batched
 from hypersym.presets import get_preset
@@ -19,7 +19,7 @@ from hypersym.solver import (
     step_rk4,
 )
 from hypersym.symmetrizer import ParameterSet
-from hypersym.weights import smooth_cutoff
+from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
 from support import (allocating_rhs, constant_system, from_physical, generator_matrix,
                      is_conjugate_symmetric, rk4_step)
 
@@ -124,6 +124,33 @@ def test_zero_system_constant_state():
     assert np.max(np.abs(res.states[-1] - g)) <= 1e-12
 
 
+def test_weighted_norm_examples():
+    # the trace's norms are ||<xi>_ell^sigma v|| of v = e^{(T - a t) <xi>_ell^rho} u;
+    # on the zero system u stays the data at every sample
+    params = _quick_params()
+    big_t, a, rho, ell = params.T, params.a, float(params.rho), params.ell
+    cs = constant_system(np.zeros((2, 2)))
+    g = gevrey_data(64, 2, 2.0, 1.5, seed=1)
+    res = solve_cauchy(CauchyProblem(cs, g, horizon=0.5), params, h=0.0, stride=4,
+                       track_energy=False)
+    times, sigmas = res.trace.times, np.array(res.trace.sigmas)
+    # with nu = 0, column 3 is the plain norm of v
+    assert sigmas[3] == 0.0
+    plain = [np.linalg.norm(g * gevrey_weight(lattice(64), big_t - a * t, rho, ell))
+             for t in times]
+    np.testing.assert_allclose(res.trace.norms[:, 3], plain, rtol=1e-13)
+    # a single mode of amplitude 2 at xi = 5, at t = 0 and along the run
+    single = _single_mode(64, 2, 5, comp=1, value=2.0)
+    res = solve_cauchy(CauchyProblem(cs, single, horizon=0.5), params, h=0.0, stride=4,
+                       track_energy=False)
+    br = bracket(5.0, ell)
+    np.testing.assert_allclose(res.trace.norms[0], 2.0 * br**sigmas * np.exp(big_t * br**rho),
+                               rtol=1e-13)
+    np.testing.assert_allclose(res.trace.norms,
+                               res.trace.norms[0] * np.exp(-a * times[:, None] * br**rho),
+                               rtol=1e-13)
+
+
 def test_skew_system_norm_conserved():
     # symmetric A1, no cutoff damping inside the band: plain norm conserved
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -211,7 +238,7 @@ def test_radius_fit_exact_synthetic():
     xi = lattice(n)
     s = 1.5
     coeffs = np.exp(-2.0 * np.hypot(xi, 1.0) ** (1.0 / s))[None, :].astype(complex)
-    c_fit, resid = gevrey_radius_fit(coeffs, s)
+    c_fit, resid = gevrey_radius_fit(squared_moduli(coeffs), s)
     assert c_fit == pytest.approx(2.0, abs=0.05)
     assert resid <= 1e-6
 
@@ -222,7 +249,7 @@ def test_radius_fit_gaussian():
     sigma = 0.25
     u = np.exp(-((x - np.pi) ** 2) / (2 * sigma**2))
     st = from_physical(u[None, :])
-    c_fit, _ = gevrey_radius_fit(st, 2.0)
+    c_fit, _ = gevrey_radius_fit(squared_moduli(st), 2.0)
     # gaussian tail: |u_hat| ~ e^{-sigma^2 xi^2 / 2}; in <xi>^(1/2)
     # coordinates the fitted c is finite and positive over the band
     assert c_fit > 0
@@ -241,13 +268,13 @@ def test_radius_fit_folds_by_max_amplitude():
         folded[key] = max(folded.get(key, 0.0), float(amp[i]))
     one_sided = np.zeros(n)
     one_sided[list(folded)] = list(folded.values())  # |xi| = n/2 sits at xi = -n/2
-    assert gevrey_radius_fit(amp[None, :], 1.5) == gevrey_radius_fit(one_sided[None, :], 1.5)
+    assert gevrey_radius_fit(amp**2, 1.5) == gevrey_radius_fit(one_sided**2, 1.5)
 
 
 def test_radius_fit_requires_tail():
     # an inconclusive fit reads NaN
     st = _single_mode(64, 1, 2)
-    assert np.all(np.isnan(gevrey_radius_fit(st, 1.5)))
+    assert np.all(np.isnan(gevrey_radius_fit(squared_moduli(st), 1.5)))
 
 
 # ---------------------------------------------------------------------------

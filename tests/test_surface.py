@@ -1,7 +1,12 @@
 """Surface guard: ``src/hypersym`` defines only what the package itself uses.
 
 Every module-level function and class, and every public method, must be
-referenced by name somewhere in ``src/hypersym`` outside its own definition.
+referenced somewhere in ``src/hypersym`` outside its own definition.  A
+module-level name of module M counts as referenced only through a binding of
+M: a ``Name`` in M itself, a ``Name`` bound by ``from hypersym.M import
+name`` in another module, or ``M.name`` where M is an imported module.
+Methods are matched by name alone: any ``Name`` or attribute of that name
+counts.
 A name that only tests reach is a fixture or a probe, and it lives under
 ``tests/`` (``support.py``, ``kn_reference.py``).  Every dataclass field must
 be read as an attribute somewhere in ``src/hypersym`` or ``tests/``; a field
@@ -28,17 +33,45 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _references(module: str, tree: ast.Module):
+    """((module, name), node) of each ``Name`` and module attribute in ``tree``,
+    the module of the tree, keyed by the binding that it reaches."""
+    modules, members = {}, {}  # local name -> module, and -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hypersym"):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module == "hypersym":
+                    modules[local] = alias.name
+                else:
+                    members[local] = (node.module.removeprefix("hypersym."), alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("hypersym.") and alias.asname:
+                    modules[alias.asname] = alias.name.removeprefix("hypersym.")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield members.get(node.id, (module, node.id)), node
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            yield (modules[node.value.id], node.attr), node
+
+
 def test_every_definition_is_referenced_in_src():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = [(node.id if isinstance(node, ast.Name) else node.attr, node)
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    bound = [(key, node) for module, tree in trees.items()
+             for key, node in _references(module, tree)]
+    named = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
     unused = []
     for module, tree in trees.items():
         for label, name, definition in _definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
-            if not any(used == name and id(node) not in inside for used, node in uses):
-                unused.append(f"{module}: {label}")
+            uses = named if "." in label else bound
+            key = name if "." in label else (module, name)
+            if not any(used == key and id(node) not in inside for used, node in uses):
+                unused.append(f"{module}.py: {label}")
     assert not unused, "defined in src/hypersym but referenced only outside it: " \
         + ", ".join(unused)
 
