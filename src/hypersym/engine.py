@@ -8,8 +8,10 @@ so Parseval holds with unit constant: the squared lattice norm is the mean
 squared physical sample.  Operators are quantized by the Kohn-Nirenberg
 rule ``Op(p)u(x) = sum_xi e^{i x xi} p(x, xi) u_hat(xi)``; for a
 trig-polynomial symbol this is exact on the lattice, one frequency shift
-per x-harmonic (:func:`shift_map`).  A dense Fourier-basis operator matrix
-serves as the oracle for conjugation experiments.
+per x-harmonic (:func:`shift_map`).  The conjugation probe conjugates a
+one-harmonic scalar symbol by the Gevrey weight in closed form: the
+remainder has one entry per column, so its norm on a band of columns is the
+largest entry there.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.errors import BudgetError, WeightOverflowError
+from hypersym.errors import WeightOverflowError
 from hypersym.weights import bracket, gevrey_weight
-
-DENSE_BUDGET = 512
 
 
 def lattice(n_x: int) -> np.ndarray:
@@ -39,7 +39,7 @@ def squared_moduli(coeffs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Symbols and their exact quantization
+# Exact quantization: one frequency shift per x-harmonic
 
 
 def shift_map(k: int, n: int) -> tuple[slice, slice]:
@@ -53,72 +53,6 @@ def shift_map(k: int, n: int) -> tuple[slice, slice]:
     """
     keep = max(0, n - abs(k))
     return slice(max(0, -k), max(0, -k) + keep), slice(max(0, k), max(0, k) + keep)
-
-
-@dataclass(frozen=True)
-class TrigMatrixSymbol:
-    """Symbol ``p(x, xi) = sum_terms C * f(xi) * e^{i k x}`` with exact D_x.
-
-    Terms are (k, C, f) with integer x-frequency k, matrix C and a scalar
-    frequency profile f (None means identically 1).  ``D_x^j`` multiplies
-    each term by ``k^j``, exactly.
-    """
-
-    m: int
-    terms: tuple
-
-
-def dense_operator_matrix(p: TrigMatrixSymbol, n_x: int) -> np.ndarray:
-    """Fourier-basis matrix of Op(p) on the lattice; flattening is component-major.
-
-    Row/column index ``r * N_x + k`` pairs component r with the k-th lattice
-    frequency in FFT order.  Each term ``C f(xi) e^{ikx}`` adds
-    ``C f(xi_in)`` at (out, in) = (xi_in + k, xi_in), so the matrix is
-    exactly banded in ``xi_out - xi_in``.
-    """
-    m = p.m
-    if n_x > DENSE_BUDGET:
-        raise BudgetError(f"dense operator limited to N_x <= {DENSE_BUDGET}")
-    xi = lattice(n_x)
-    fft_pos = (np.arange(n_x) - n_x // 2) % n_x  # of each centered position
-    block = np.zeros((n_x, n_x, m, m), dtype=complex)  # (out, in, m, m)
-    for k, c, f in p.terms:
-        src, tgt = (fft_pos[s] for s in shift_map(k, n_x))
-        prof = np.ones(n_x) if f is None else np.asarray(f(xi), dtype=complex)
-        block[tgt, src] += prof[src, None, None] * c
-    return np.transpose(block, (2, 0, 3, 1)).reshape(m * n_x, m * n_x)
-
-
-# ---------------------------------------------------------------------------
-# Conjugation by Gevrey weights
-
-
-def conjugated_symbol_bk(
-    a: TrigMatrixSymbol, tau: float, rho: float, ell: float, order: int
-) -> TrigMatrixSymbol:
-    """Truncated conjugation expansion ``b_k``.
-
-    ``b_k = sum_{j<=k} (1/j!) D_x^j a (tau grad <xi>_ell^rho)^j``; per trig
-    harmonic the sum collapses to the scalar factor
-    ``sum_j (k w(xi))^j / j!`` with ``w = tau rho xi <xi>^(rho-2)``.
-    """
-    new_terms = []
-    for k, c, f in a.terms:
-
-        def profile(xi, _f=f, _k=k):
-            xi = np.asarray(xi, dtype=float)
-            w = tau * rho * xi * bracket(xi, ell) ** (rho - 2.0)
-            acc = np.zeros(xi.shape, dtype=complex)
-            fac = 1.0
-            for j in range(order + 1):
-                if j > 0:
-                    fac *= j
-                acc += (_k * w) ** j / fac
-            base = 1.0 if _f is None else np.asarray(_f(xi), dtype=complex)
-            return base * acc
-
-        new_terms.append((k, c, profile))
-    return TrigMatrixSymbol(m=a.m, terms=tuple(new_terms))
 
 
 # Slack of a fitted remainder order over its target: the acceptance margin of
@@ -147,7 +81,8 @@ class ConjugationReport:
 
 
 def conjugation_remainder_probe(
-    a: TrigMatrixSymbol,
+    harmonic: int,
+    order: int,
     tau: float,
     rho: float,
     ell: float,
@@ -157,53 +92,52 @@ def conjugation_remainder_probe(
 ) -> ConjugationReport:
     """Empirical order of the conjugation remainder per truncation level.
 
-    The exact conjugated operator is computed as ``W Op(a) W^{-1}`` with W
-    the diagonal Gevrey weight (dense oracle); the remainder
-    ``Delta_k = exact - Op(b_k)`` is restricted to dyadic input-frequency
-    bands and its operator norm fitted against the bracket.  Passing is
-    one-sided (fitted order <= max(rho - k(1-rho), rho - 1) + ``_ORDER_TOL``)
-    unless ``two_sided`` demands agreement within ``_ORDER_TOL``.  If the
-    weight overflows the budget, tau is halved until admissible and reported.
+    The symbol is scalar, ``a = e^{i h x} <xi>_ell^order`` with h the
+    ``harmonic``, and W is the diagonal Gevrey weight ``e^{tau <D>^rho}``.
+    Then ``W Op(a) W^{-1}`` and ``Op(b_k)``, with ``b_k`` the expansion
+    ``sum_{j<=k} (1/j!) D_x^j a (tau grad <xi>_ell^rho)^j``, both send mode xi
+    to xi + h alone, and their difference ``Delta_k`` holds in column xi
+    ``<xi>^order [e^{tau(<xi+h>^rho - <xi>^rho)} - sum_{j<=k} s^j / j!]``,
+    ``s = h tau rho xi <xi>^(rho-2)``; modes whose image leaves the lattice
+    are dropped (:func:`shift_map`).  Distinct columns fill distinct rows,
+    so the operator norm of ``Delta_k`` on a dyadic input-frequency band is
+    the largest entry there, and it is fitted against the bracket.  Passing
+    is one-sided (fitted order <= max(rho - k(1-rho), rho - 1) +
+    ``_ORDER_TOL``) unless ``two_sided`` demands agreement within
+    ``_ORDER_TOL``.  If the lattice's weight overflows the budget, tau is
+    halved until admissible and reported.
     """
-    xi = lattice(n_x)
     tau_used, shrunk = float(tau), False
     while True:
         try:
-            w_vals = gevrey_weight(xi, tau_used, rho, ell)
+            gevrey_weight(n_x / 2.0, tau_used, rho, ell)  # the lattice's largest
             break
         except WeightOverflowError:
             tau_used /= 2.0
             shrunk = True
             if tau_used < 1e-8:
                 raise
-    exact = dense_operator_matrix(a, n_x)
-    w_diag = np.tile(w_vals, a.m)
-    exact = exact * w_diag[:, None] / w_diag[None, :]
+    # the columns, in ascending order, whose image stays on the lattice
+    src = shift_map(harmonic, n_x)[0]
+    xi = (np.arange(n_x, dtype=float) - n_x // 2)[src]
+    profile = bracket(xi, ell) ** order
+    exact = profile * np.exp(tau_used * (bracket(xi + harmonic, ell) ** rho
+                                         - bracket(xi, ell) ** rho))
+    s = harmonic * tau_used * rho * xi * bracket(xi, ell) ** (rho - 2.0)
+    threshold = 1e-13 * max(1.0, float(np.max(np.abs(exact), initial=0.0)))
 
-    abs_xi = np.abs(xi)
     j_max = int(math.log2(n_x // 2))
-    bands = []
-    for j in range(1, j_max):
-        cols = np.where((abs_xi >= 2**j) & (abs_xi < 2 ** (j + 1)))[0]
-        if cols.size:
-            bands.append((math.sqrt(2**j * 2 ** (j + 1)), cols))
-
+    centers = np.sqrt(2.0 ** np.arange(1, j_max) * 2.0 ** np.arange(2, j_max + 1))
     rows = []
     for k in sorted(k_list):
-        bk = conjugated_symbol_bk(a, tau_used, rho, ell, k)
-        approx = dense_operator_matrix(bk, n_x)
-        delta = exact - approx
-        centers = np.array([c for c, _ in bands])
-        norms = np.array(
-            [
-                np.linalg.norm(
-                    delta[:, np.concatenate([cols + r * n_x for r in range(a.m)])], 2
-                )
-                for _, cols in bands
-            ]
-        )
+        taylor = sum(s**j / math.factorial(j) for j in range(k + 1))
+        # |Delta_k| on the whole lattice, folded onto |xi| = 0 .. N_x/2 - 1
+        col = np.zeros(n_x)
+        col[src] = np.abs(exact - profile * taylor)
+        folded = np.maximum(col[n_x // 2:], col[n_x // 2:0:-1])
+        norms = np.array([folded[2**j:2 ** (j + 1)].max() for j in range(1, j_max)])
         target = max(rho - k * (1.0 - rho), rho - 1.0)
-        good = norms > 1e-13 * max(1.0, float(np.max(np.abs(exact))))
+        good = norms > threshold
         if np.count_nonzero(good) < 2:
             rows.append(ConjugationOrderRow(k, target, None, norms, True))
             continue

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import os
+
 
 class HypersymError(Exception):
     """Base class for toolkit errors."""
@@ -35,3 +37,11 @@ class NumericAbortError(HypersymError):
     def __init__(self, message: str, last_time: float):
         super().__init__(message)
         self.last_time = last_time
+
+
+def require_memory(need: float, what: str) -> None:
+    """Refuse, as a configuration error, arrays of ``need`` bytes that the
+    machine's physical memory cannot hold; ``what`` names the setting."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"{what} need {need:.3g} bytes, past the {have:.3g} bytes of memory")

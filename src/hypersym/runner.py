@@ -19,7 +19,7 @@ import numpy as np
 
 from hypersym import engine, matkernel, planner, rootsplit, solver, symmetrizer
 from hypersym.coeffs import SystemCoefficients, coeffs_from_json
-from hypersym.errors import ConfigError, HypersymError, NotRealRootedError
+from hypersym.errors import ConfigError, HypersymError, NotRealRootedError, require_memory
 from hypersym.presets import get_preset
 from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import bracket
@@ -434,11 +434,10 @@ def _cmd_symmetrize(config: dict) -> dict:
     xs = np.linspace(0.0, 2 * math.pi, config["n_x"], endpoint=False)
     field = symmetrizer.build_field(coeffs, params, ts, xs, xis)
     inv = field.check_invariants()
-    rhs = field.rhs_scales()
     lyap_ok = inv["max_lyapunov_residual_rel"] <= 1e-8
     sub = (slice(None), slice(0, 2), slice(None))
     quad = symmetrizer.quadrature_R(field.M[sub], np.broadcast_to(
-        rhs[None, None, :], field.M.shape[:-2])[sub], tol=1e-8)
+        field.rhs, field.M.shape[:-2])[sub], tol=1e-8)
     agree = float(np.max(
         np.linalg.norm(quad - field.R[sub], axis=(-2, -1))
         / np.linalg.norm(field.R[sub], axis=(-2, -1))
@@ -469,15 +468,12 @@ def _cmd_symmetrize(config: dict) -> dict:
 
 def _cmd_conjtest(config: dict) -> dict:
     rho, ell, order_one = config["rho"], config["ell"], config["order_one"]
-    m_eye = np.eye(1)
-    if order_one:
-        a = engine.TrigMatrixSymbol(
-            m=1, terms=((1, m_eye, lambda xi: bracket(xi, ell).astype(complex)),)
-        )
-    else:
-        a = engine.TrigMatrixSymbol(m=1, terms=((1, m_eye, None),))
-    rep = engine.conjugation_remainder_probe(a, config["tau"], rho, ell, config["k_list"],
-                                             config["n_lattice"], two_sided=order_one)
+    n_x = config["n_lattice"]
+    # the probe's arrays peak near 70 bytes a mode (tracemalloc, n_lattice
+    # 2^14 to 2^18); 128 bounds them
+    require_memory(128 * n_x, f"n_lattice = {n_x}: the conjugation probe's arrays")
+    rep = engine.conjugation_remainder_probe(1, 1 if order_one else 0, config["tau"], rho, ell,
+                                             config["k_list"], n_x, two_sided=order_one)
     orders = [r.fitted for r in rep.rows]
     monotone = all(
         orders[i + 1] <= orders[i] + 0.1

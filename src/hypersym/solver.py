@@ -12,9 +12,10 @@ it chi = 0, the generator is ``-eps_par xi^2``, and one RK4 step multiplies
 each mode by ``1 + z + z^2/2 + z^3/6 + z^4/24`` with ``z = -dt eps_par xi^2``;
 likewise ``M = -a <xi>^rho I`` there, so ``R = I/2`` exactly and Lyapunov
 solves run on band nodes only.  When eps_par = 0 the factor is exactly 1
-and the off-band modes are not touched at all; otherwise they take the
-products of a sample interval after its band steps.  With h = 0, chi = 1
-everywhere and the band is the whole lattice.
+and the off-band modes are not touched at all; otherwise each sample's
+off-band modes are u0's times the factor's power, its step count, set in
+one broadcast per block of samples as the diagnostics read them.  With
+h = 0, chi = 1 everywhere and the band is the whole lattice.
 
 The band takes one of two step paths, chosen by size alone.  The generator
 is linear, so an RK4 step is a fixed polynomial in it, and on a small band
@@ -54,14 +55,13 @@ and the radius fit reads q.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients, time_function
 from hypersym.engine import lattice, squared_moduli
-from hypersym.errors import ConfigError, NumericAbortError
+from hypersym.errors import ConfigError, NumericAbortError, require_memory
 from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
     _BLOCK_BYTES,
@@ -477,6 +477,9 @@ def solve_cauchy(
             f"cutoff scale h = {h} above the uniformity range 1/ell = "
             f"{1.0 / float(params.ell)}"
         )
+    if eps_par < 0:
+        raise ConfigError(f"eps_par = {eps_par} is negative: an anti-dissipative "
+                          "regularization that the stability scale does not bound")
     n_x = problem.g.shape[1]
     gen = TruncatedGenerator(coeffs, n_x, h, eps_par)
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
@@ -498,10 +501,7 @@ def solve_cauchy(
     stepping = BandPropagator.table_bytes(gen) > _BLOCK_BYTES
     need = ((math.ceil(n_steps / stride) + 1) * (16 * coeffs.m * n_x + 16)
             + (48 * n_steps * gen.term_matrices[0].size if stepping else 0))
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(f"dt = {dt:.3g}: {n_steps} steps need {need:.3g} bytes, "
-                          f"past the {have:.3g} bytes of memory")
+    require_memory(need, f"dt = {dt:.3g}: {n_steps} steps")
 
     big_t = float(params.T)
     a = float(params.a)
@@ -553,26 +553,24 @@ def solve_cauchy(
             er_mode = "multiplier"
 
     # Off the band the generator is -eps_par xi^2, so one RK4 step multiplies
-    # each mode by amp = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2.
-    # With eps_par = 0 that is exactly 1 and the modes are left alone;
-    # otherwise they take an interval's products after its band steps.  With
-    # eps_par > 0 they never grow: lam >= eps_par (n_x/2)^2 >= eps_par xi^2
-    # and dt lam <= 2.5 put z in [-2.5, 0], where amp lies in [0.27, 1].  A
-    # negative eps_par, which the CLI refuses but this function takes, makes
-    # them grow, and they are checked for finiteness with the band.
+    # each mode by amp = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2,
+    # and sample k holds u0 amp^sample_steps[k] there, set block by block
+    # with the diagnostics.  With eps_par = 0 that is exactly u0, and the
+    # modes are left alone.  lam >= eps_par (n_x/2)^2 >= eps_par xi^2 and
+    # dt lam <= 2.5 put z in [-2.5, 0], where amp lies in [0.27, 1]: the
+    # modes never grow, so only u0 can make them non-finite.
     u0 = problem.g
+    if not np.isfinite(u0).all():
+        raise NumericAbortError(f"evolution lost finiteness at t = {dt:.6g}", last_time=0.0)
     off_index = np.setdiff1d(np.arange(n_x), gen.index)
-    band, off = u0[:, gen.index], u0[:, off_index]
-    z = -dt * gen.eps_par * xi[off_index] ** 2
-    amp = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).astype(complex)
-    off_peak = np.abs(off).max(initial=0.0)
+    band = u0[:, gen.index]
 
     # The band advances one interval between samples at a time.  Row 0 of the
     # block holds the interval's first state and row i + 1 the state after its
     # step i, padded with the propagators' width of zeros on each side (none
     # when stepping), and the block is checked for finiteness once.  The abort
     # names the first step that lost it.  Every sample starts as u0, so it
-    # takes only the band, and the off-band modes when they move.
+    # takes only the band.
     states = np.repeat(u0[None], times.size, axis=0)
     n_band = band.shape[1]
     width = gen.word_width if prop else 0
@@ -585,7 +583,6 @@ def solve_cauchy(
     else:
         props = prop.steps(n_steps)
         windows = np.lib.stride_tricks.sliding_window_view(block, 2 * width + 1, axis=-1)
-    off_block = np.empty((longest,) + off.shape, dtype=complex) if gen.eps_par else None
     for sample, start, end in zip(states[1:], sample_steps, sample_steps[1:]):
         if prop is None:
             for i in range(end - start):
@@ -593,12 +590,7 @@ def solve_cauchy(
         else:
             for i in range(end - start):
                 np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
-        peaks = np.abs(rows[1:end - start + 1]).max(axis=(1, 2))
-        if gen.eps_par:
-            for k in range(start, end):
-                off = np.multiply(off, amp, off_block[k - start])
-            off_peak = np.abs(off_block[:end - start]).max(axis=(1, 2), initial=0.0)
-        lost = ~np.isfinite(np.maximum(peaks, off_peak))
+        lost = ~np.isfinite(np.abs(rows[1:end - start + 1]).max(axis=(1, 2)))
         if lost.any():
             t = (start + int(np.argmax(lost)) + 1) * dt
             raise NumericAbortError(
@@ -606,8 +598,9 @@ def solve_cauchy(
             )
         rows[0] = rows[end - start]
         sample[:, gen.index] = rows[0]
-        if gen.eps_par:
-            sample[:, off_index] = off
+    if gen.eps_par:
+        z = -dt * gen.eps_par * xi[off_index] ** 2
+        amp = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
 
     # The diagnostics run over blocks of samples, each block's states read
     # once for their squared moduli q.  One product of q w^2 against ``table``
@@ -624,6 +617,8 @@ def solve_cauchy(
     block = _samples_per_block(coeffs.m, n_x, r_xi.size if er_mode == "multiplier" else 0)
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
+        if gen.eps_par:
+            states[blk, :, off_index] = u0[:, off_index] * amp ** sample_steps[blk, None, None]
         u = states[blk]
         weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)
         q = squared_moduli(u)

@@ -327,11 +327,8 @@ class SymmetrizerField:
     xi_nodes: np.ndarray
     R: np.ndarray  # (nt, nx, nxi, m, m)
     M: np.ndarray  # matching generators
+    rhs: np.ndarray  # (nxi,): a <xi>_ell^rho, the Lyapunov right-hand side
     params: ParameterSet
-
-    def rhs_scales(self) -> np.ndarray:
-        mu = bracket_pow(self.xi_nodes, float(self.params.ell), float(self.params.rho))
-        return float(self.params.a) * mu
 
     def check_invariants(self) -> dict:
         """Hermitian/positive/Lyapunov-residual checks over every node."""
@@ -340,14 +337,11 @@ class SymmetrizerField:
             np.max(np.linalg.norm(r - r.conj().swapaxes(-1, -2), axis=(-2, -1)))
         )
         mineig = float(np.min(np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2).min(axis=-1)))
-        rhs = self.rhs_scales()[None, None, :, None, None]
         eye = np.eye(r.shape[-1])
         resid = (
-            self.M.conj().swapaxes(-1, -2) @ r + r @ self.M + rhs * eye
+            self.M.conj().swapaxes(-1, -2) @ r + r @ self.M + self.rhs[..., None, None] * eye
         )
-        rel = float(
-            np.max(np.linalg.norm(resid, axis=(-2, -1)) / self.rhs_scales()[None, None, :])
-        )
+        rel = float(np.max(np.linalg.norm(resid, axis=(-2, -1)) / self.rhs))
         return {
             "max_hermitian_defect": herm,
             "min_eigenvalue": mineig,
@@ -373,6 +367,7 @@ def build_field(
         xi_nodes=xi_nodes,
         R=_lyap_solve_batch(m_stack, rhs),
         M=m_stack,
+        rhs=rhs,
         params=params,
     )
 

@@ -3,12 +3,30 @@
 Independent of the engine's term-shift quantization: the symbol is sampled
 at ``n_q >= 2 (x_band + N_x)`` physical points (no aliasing), the action
 ``sum_xi e^{i x xi} p(x, xi) u_hat(xi)`` is formed there, and the result is
-transformed back and projected onto the lattice.
+transformed back and projected onto the lattice.  The dense conjugation
+``W Op(a) W^{-1} - Op(b_k)`` built from these matrices is the oracle of the
+engine's closed-form conjugation probe.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.engine import TrigMatrixSymbol, lattice
+from hypersym.engine import lattice
+from hypersym.weights import bracket, gevrey_weight
+
+
+@dataclass(frozen=True)
+class TrigMatrixSymbol:
+    """Symbol ``p(x, xi) = sum_terms C * f(xi) * e^{i k x}``.
+
+    Terms are (k, C, f) with integer x-frequency k, matrix C and a scalar
+    frequency profile f (None means identically 1).
+    """
+
+    m: int
+    terms: tuple
 
 
 def symbol_values(symbol: TrigMatrixSymbol, x, xi) -> np.ndarray:
@@ -54,3 +72,40 @@ def generator_symbol(coeffs, t: float) -> TrigMatrixSymbol:
     terms += [(term.x_freq, term.matrix * float(term.g(t)), None)
               for term in coeffs.b_field.terms]
     return TrigMatrixSymbol(m=coeffs.m, terms=tuple(terms))
+
+
+def conjugated_symbol_bk(a: TrigMatrixSymbol, tau: float, rho: float, ell: float,
+                         order: int) -> TrigMatrixSymbol:
+    """Truncated conjugation expansion ``b_k = sum_{j<=k} (1/j!) D_x^j a
+    (tau grad <xi>_ell^rho)^j``: per harmonic k the profile takes the factor
+    ``sum_j (k w(xi))^j / j!`` with ``w = tau rho xi <xi>^(rho-2)``."""
+    def profile(xi, f, k):
+        xi = np.asarray(xi, dtype=float)
+        w = k * tau * rho * xi * bracket(xi, ell) ** (rho - 2.0)
+        base = 1.0 if f is None else np.asarray(f(xi), dtype=complex)
+        return base * sum(w**j / math.factorial(j) for j in range(order + 1)).astype(complex)
+
+    return TrigMatrixSymbol(a.m, tuple((k, c, lambda xi, f=f, k=k: profile(xi, f, k))
+                                       for k, c, f in a.terms))
+
+
+def dense_conjugation_band_norms(a: TrigMatrixSymbol, tau: float, rho: float, ell: float,
+                                 order: int, n_x: int) -> tuple[np.ndarray, float]:
+    """Operator 2-norms of ``W Op(a) W^{-1} - Op(b_order)`` on the dyadic bands
+    ``2^j <= |xi| < 2^(j+1)``, ``1 <= j < log2(N_x / 2)``, of input frequencies.
+
+    W is the diagonal weight ``e^{tau <xi>^rho}``.  Entries of ``Op(a)`` off
+    the symbol's support are the grid transform's rounding, below 1e-13 of
+    its largest; the weight ratios, up to ``e^{tau <N_x/2>^rho}``, would lift
+    them above the remainder, so they are zeroed first.  Returns the norms
+    and the largest entry of ``W Op(a) W^{-1}``.
+    """
+    exact = kn_matrix(a, n_x)
+    exact[np.abs(exact) < 1e-10 * np.max(np.abs(exact))] = 0.0
+    w = np.tile(gevrey_weight(lattice(n_x), tau, rho, ell), a.m)
+    exact *= w[:, None] / w[None, :]
+    delta = exact - kn_matrix(conjugated_symbol_bk(a, tau, rho, ell, order), n_x)
+    abs_xi = np.tile(np.abs(lattice(n_x)), a.m)
+    norms = [np.linalg.norm(delta[:, (abs_xi >= 2**j) & (abs_xi < 2 ** (j + 1))], 2)
+             for j in range(1, int(math.log2(n_x // 2)))]
+    return np.array(norms), float(np.max(np.abs(exact)))

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hypersym.engine import TrigMatrixSymbol, conjugation_remainder_probe
+from hypersym.engine import conjugation_remainder_probe
 from hypersym.matkernel import estimate_theta, spectral_bound_certify
 from hypersym.planner import (
     feasible_region,
@@ -31,7 +31,6 @@ from hypersym.symmetrizer import (
     quadrature_R,
     symbol_estimate_probe,
 )
-from hypersym.weights import bracket
 
 from conftest import ACCEPTANCE_LINES
 from support import holder_difference_probe
@@ -69,8 +68,7 @@ def test_criterion_01_lyapunov_identity():
         inv = field.check_invariants()
         assert inv["n_nodes"] >= 500
         worst_resid = max(worst_resid, inv["max_lyapunov_residual_rel"])
-        rhs = np.broadcast_to(field.rhs_scales()[None, None, :],
-                              field.M.shape[:-2])
+        rhs = np.broadcast_to(field.rhs, field.M.shape[:-2])
         quad = quadrature_R(field.M, rhs, tol=1e-7)
         agree = float(np.max(
             np.linalg.norm(quad - field.R, axis=(-2, -1))
@@ -168,22 +166,16 @@ def test_criterion_05_symbol_estimates():
 
 def test_criterion_06_conjugation():
     rho, ell, nx = 0.75, 1.0, 256
-    order1 = TrigMatrixSymbol(
-        m=1, terms=((1, np.eye(1), lambda xi: bracket(xi, ell).astype(complex)),)
-    )
-    rep = conjugation_remainder_probe(order1, 1.5, rho, ell, [0, 1, 2], nx,
-                                      two_sided=True)
+    # the symbols e^{ix} <xi>_ell and, x-independent, <xi>_ell
+    rep = conjugation_remainder_probe(1, 1, 1.5, rho, ell, [0, 1, 2], nx, two_sided=True)
     fits = [r.fitted for r in rep.rows]
     targets = [r.target for r in rep.rows]
     within = all(abs(f - t) <= 0.2 for f, t in zip(fits, targets))
     monotone = all(b <= a + 0.1 for a, b in zip(fits, fits[1:]))
     # exact-zero cases
-    sym_xindep = TrigMatrixSymbol(
-        m=1, terms=((0, np.eye(1), lambda xi: bracket(xi, ell).astype(complex)),)
-    )
-    rep_x = conjugation_remainder_probe(sym_xindep, 1.5, rho, ell, [0], nx)
+    rep_x = conjugation_remainder_probe(0, 1, 1.5, rho, ell, [0], nx)
     zero_x = np.max(rep_x.rows[0].band_norms) <= 1e-12
-    rep_t0 = conjugation_remainder_probe(order1, 0.0, rho, ell, [0], nx)
+    rep_t0 = conjugation_remainder_probe(1, 1, 0.0, rho, ell, [0], nx)
     zero_t = np.max(rep_t0.rows[0].band_norms) <= 1e-14
     _report(
         6, "conjugation remainder orders at rho = 3/4, N = 256",

@@ -27,9 +27,9 @@ import pytest
 import scipy.linalg
 
 from hypersym import runner, solver
-from hypersym.engine import TrigMatrixSymbol, lattice
+from hypersym.engine import lattice
 from hypersym.weights import smooth_cutoff
-from kn_reference import kn_matrix
+from kn_reference import TrigMatrixSymbol, kn_matrix
 
 
 def _band_operator(coeffs, n_x, h):

@@ -377,3 +377,28 @@ def test_solve_xdep_skips_energy_gate(tmp_path):
     assert summary["er_mode"] == "skipped"
     assert summary["energy_monotone"] is None
     assert status == 0
+
+
+def test_conjtest_runs_past_the_old_dense_limit():
+    # the closed-form probe holds O(n_lattice) arrays, so 1024 runs
+    status, summary = run({"command": "conjtest", "schema_version": "1", "n_lattice": 1024})
+    assert status == 0
+    assert [row["k"] for row in summary["rows"]] == [0, 1, 2]
+    assert all(row["fitted"] is not None for row in summary["rows"])
+
+
+def test_conjtest_lattice_past_memory_exits_2(monkeypatch, tmp_path, capsys):
+    # 2^40 modes need far more bytes than any machine holds: a config error
+    # naming n_lattice, raised before the probe allocates anything
+    from hypersym import engine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe ran")
+
+    monkeypatch.setattr(engine, "conjugation_remainder_probe", refuse)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_lattice": 2**40}))
+    assert main(["conjtest", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_lattice = 1099511627776")
+    assert len(err.splitlines()) == 1 and "bytes of memory" in err

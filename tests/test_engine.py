@@ -1,18 +1,12 @@
-"""Spectral states, weights, quantization, dense oracle, conjugation."""
+"""Spectral states, weights, the reference quantization, conjugation."""
 
 import numpy as np
 import pytest
 
-from hypersym.engine import (
-    TrigMatrixSymbol,
-    conjugated_symbol_bk,
-    conjugation_remainder_probe,
-    dense_operator_matrix,
-    lattice,
-)
-from hypersym.errors import BudgetError, WeightOverflowError
+from hypersym.engine import conjugation_remainder_probe, lattice
+from hypersym.errors import WeightOverflowError
 from hypersym.weights import bracket, bracket_pow, gevrey_weight
-from kn_reference import kn_apply, symbol_values
+from kn_reference import TrigMatrixSymbol, conjugated_symbol_bk, kn_apply, kn_matrix, symbol_values
 from support import from_physical, is_conjugate_symmetric, to_physical
 
 
@@ -21,15 +15,9 @@ def _random_state(m=2, n=64, seed=0):
     return rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
 
 
-def _op(sym, st):
-    """The engine's quantization Op(sym) applied to a state (dense matrix)."""
-    vec = dense_operator_matrix(sym, st.shape[1]) @ st.reshape(-1)
-    return vec.reshape(st.shape)
-
-
 def _form(sym, st):
     """Energy pairing ``Re <Op(sym) u, u>``."""
-    return float(np.real(np.vdot(st, _op(sym, st))))
+    return float(np.real(np.vdot(st, kn_apply(sym, st))))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +71,7 @@ def test_gevrey_overflow_refused():
 def test_quantize_constant_symbol_identity():
     st = _random_state()
     sym = TrigMatrixSymbol(m=2, terms=((0, np.eye(2), None),))
-    out = _op(sym, st)
+    out = kn_apply(sym, st)
     assert np.max(np.abs(out - st)) <= 1e-12
 
 
@@ -96,7 +84,7 @@ def test_quantize_x_only_symbol_is_pointwise_multiplication():
     coeffs[0, -20:] = rng.normal(size=20)
     st = coeffs
     sym = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
-    out = _op(sym, st)
+    out = kn_apply(sym, st)
     x = 2 * np.pi * np.arange(n) / n
     expected = np.exp(1j * x)[None, :] * to_physical(st)
     assert np.max(np.abs(to_physical(out) - expected)) <= 1e-10
@@ -109,7 +97,7 @@ def test_quantize_ixi_is_spectral_derivative():
     sym = TrigMatrixSymbol(
         m=1, terms=((0, np.eye(1), lambda xi: 1j * np.asarray(xi, complex)),)
     )
-    out = to_physical(_op(sym, st))
+    out = to_physical(kn_apply(sym, st))
     assert np.max(np.abs(out - (-3 * np.sin(3 * x))[None, :])) <= 1e-10
 
 
@@ -118,7 +106,7 @@ def test_quantize_x_independent_matches_multiplier():
     sym = TrigMatrixSymbol(
         m=2, terms=((0, np.eye(2), lambda xi: bracket(xi, 2.0).astype(complex)),)
     )
-    q = _op(sym, st)
+    q = kn_apply(sym, st)
     mult = st * bracket_pow(lattice(st.shape[1]), 2.0, 1.0)
     assert np.max(np.abs(q - mult)) <= 1e-12 * np.max(np.abs(mult))
 
@@ -140,7 +128,7 @@ def test_quantize_differential_symbol_product_rule():
             (-1, np.eye(1) * a1 / 2.0, lambda xi: 1j * np.asarray(xi, complex)),
         ),
     )
-    out = to_physical(_op(sym, st))
+    out = to_physical(kn_apply(sym, st))
     x = 2 * np.pi * np.arange(n) / n
     du = to_physical(st * (1j * lattice(st.shape[1]))[None, :])
     expected = np.cos(x)[None, :] * du
@@ -148,12 +136,12 @@ def test_quantize_differential_symbol_product_rule():
 
 
 # ---------------------------------------------------------------------------
-# Dense oracle
+# Reference matrix
 
 
 def test_dense_identity():
     sym = TrigMatrixSymbol(m=1, terms=((0, np.eye(1), None),))
-    d = dense_operator_matrix(sym, 16)
+    d = kn_matrix(sym, 16)
     np.testing.assert_allclose(d, np.eye(16), atol=1e-13)
 
 
@@ -161,7 +149,7 @@ def test_dense_block_diagonal_for_multiplier():
     sym = TrigMatrixSymbol(
         m=2, terms=((0, np.array([[1.0, 2.0], [0.5, -1.0]]), None),)
     )
-    d = dense_operator_matrix(sym, 8)
+    d = kn_matrix(sym, 8)
     # component blocks carry the constant matrix entries on their diagonals
     np.testing.assert_allclose(np.diag(d[:8, :8]), np.ones(8), atol=1e-13)
     np.testing.assert_allclose(np.diag(d[:8, 8:]), 2 * np.ones(8), atol=1e-13)
@@ -171,7 +159,7 @@ def test_dense_block_diagonal_for_multiplier():
 def test_dense_shift_structure():
     sym = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
     n = 16
-    d = dense_operator_matrix(sym, n)
+    d = kn_matrix(sym, n)
     xi = lattice(n).astype(int)
     for j, xin in enumerate(xi):
         col = d[:, j]
@@ -180,26 +168,6 @@ def test_dense_shift_structure():
             assert list(nz) == [int(np.where(xi == xin + 1)[0][0])]
         else:
             assert nz.size == 0  # shifted out of the lattice
-
-
-def test_dense_matches_quantize_on_random_symbol():
-    rng = np.random.default_rng(7)
-    terms = (
-        (0, rng.normal(size=(2, 2)) + 0j, lambda xi: np.asarray(xi, complex)),
-        (1, rng.normal(size=(2, 2)) + 0j, None),
-        (-2, rng.normal(size=(2, 2)) + 0j, lambda xi: bracket(xi, 1.0).astype(complex)),
-    )
-    sym = TrigMatrixSymbol(m=2, terms=terms)
-    st = _random_state(m=2, n=32, seed=8)
-    v1 = dense_operator_matrix(sym, 32) @ st.reshape(-1)
-    v2 = kn_apply(sym, st).reshape(-1)
-    assert np.max(np.abs(v1 - v2)) <= 1e-10 * max(1.0, np.max(np.abs(v1)))
-
-
-def test_dense_budget():
-    sym = TrigMatrixSymbol(m=1, terms=((0, np.eye(1), None),))
-    with pytest.raises(BudgetError):
-        dense_operator_matrix(sym, 1024)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +236,16 @@ def test_conjugated_bk_first_order_hand_value():
 
 
 def test_remainder_zero_for_x_independent_and_tau_zero():
-    sym_xi = TrigMatrixSymbol(
-        m=1, terms=((0, np.eye(1), lambda xi: bracket(xi, 1.0).astype(complex)),)
-    )
-    rep = conjugation_remainder_probe(sym_xi, 1.0, 0.75, 1.0, [0, 1], 64)
+    # harmonic 0: the weight commutes with Op(a); tau 0: no weight at all
+    rep = conjugation_remainder_probe(0, 1, 1.0, 0.75, 1.0, [0, 1], 64)
     for row in rep.rows:
         assert np.max(row.band_norms) <= 1e-12
-    sym_x = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
-    rep0 = conjugation_remainder_probe(sym_x, 0.0, 0.75, 1.0, [0], 64)
+    rep0 = conjugation_remainder_probe(1, 0, 0.0, 0.75, 1.0, [0], 64)
     assert np.max(rep0.rows[0].band_norms) <= 1e-14
 
 
 def test_remainder_orders_one_sided_and_monotone():
-    sym = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
-    rep = conjugation_remainder_probe(sym, 1.0, 0.75, 1.0, [0, 1, 2], 128)
+    rep = conjugation_remainder_probe(1, 0, 1.0, 0.75, 1.0, [0, 1, 2], 128)
     fits = [r.fitted for r in rep.rows]
     for r in rep.rows:
         assert r.passed
@@ -290,26 +254,28 @@ def test_remainder_orders_one_sided_and_monotone():
 
 
 def test_remainder_tau_shrinks_on_overflow():
-    sym = TrigMatrixSymbol(m=1, terms=((1, np.eye(1), None),))
-    rep = conjugation_remainder_probe(sym, 100.0, 0.9, 1.0, [0], 128)
+    rep = conjugation_remainder_probe(1, 0, 100.0, 0.9, 1.0, [0], 128)
     assert rep.tau_shrunk
     assert rep.tau_used < 100.0
 
 
 def test_hermitian_form_x_dependent_matches_dense():
-    # x-dependent hermitian symbol: the form of the oversampled-grid
-    # reference equals the quadratic form of the hermitian part of the
-    # dense operator matrix
+    # x-dependent hermitian symbol p(x, xi) = 2 + cos x: the form of the
+    # reference quantization is the quadratic form of its matrix's hermitian
+    # part, and on a band-limited state the physical mean of p |u|^2
     sym = TrigMatrixSymbol(
         m=1,
         terms=((0, 2.0 * np.eye(1), None),
                (1, 0.5 * np.eye(1), None),
                (-1, 0.5 * np.eye(1), None)),
-    )  # p(x, xi) = 2 + cos x, hermitian-valued
+    )
     st = _random_state(m=1, n=32, seed=12)
+    st[:, 12:-12] = 0.0  # |xi| < 12, so that no mode leaves the lattice
     val = float(np.real(np.vdot(st, kn_apply(sym, st))))
-    d = dense_operator_matrix(sym, 32)
+    d = kn_matrix(sym, 32)
     v = st.reshape(-1)
     quad = np.real(v.conj() @ ((d + d.conj().T) / 2.0) @ v)
     assert val == pytest.approx(quad, rel=1e-12)
-    assert abs(val - np.real(val)) == 0.0
+    x = 2 * np.pi * np.arange(32) / 32
+    phys = np.mean((2.0 + np.cos(x)) * np.abs(to_physical(st)[0]) ** 2)
+    assert val == pytest.approx(phys, rel=1e-12)

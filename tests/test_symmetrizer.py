@@ -315,7 +315,7 @@ def test_quadrature_field_matches_lyapunov_field():
     pr = plan(0, "lipschitz")
     xis = np.geomspace(4.0, 256.0, 4)
     f1 = build_field(pre.coeffs, pr.params, [0.2], [0.0, 2.0], xis)
-    quad = quadrature_R(f1.M, np.broadcast_to(f1.rhs_scales(), f1.M.shape[:-2]), tol=1e-8)
+    quad = quadrature_R(f1.M, np.broadcast_to(f1.rhs, f1.M.shape[:-2]), tol=1e-8)
     rel = np.max(
         np.linalg.norm(f1.R - quad, axis=(-2, -1))
         / np.linalg.norm(f1.R, axis=(-2, -1))
