@@ -1,14 +1,15 @@
 """Declarative coefficient fields for first-order systems in one space dimension.
 
-Coefficients are finite trigonometric polynomials in x (entire in x, so every
-x-derivative is exact, no numerical differentiation anywhere) and small
-closed-form expressions in t.  A field is a sum of terms::
+Coefficients are finite trigonometric polynomials in x and small
+closed-form expressions in t.  A field is a list of terms::
 
     C * g(t) * exp(i * k * x)
 
 with C a complex m-by-m matrix, integer x-frequency k, and g drawn from a
 small grammar: ``1``, ``t``, ``t^p``, ``|t|^p``, and lacunary cosine sums
-``lacunary(kappa, levels)`` producing kappa-Hoelder paths.
+``lacunary(kappa, levels)`` producing kappa-Hoelder paths.  Since
+``D_x = -i d/dx`` sends a term to k times itself, its x-derivatives are
+exact and never formed numerically.
 """
 
 from __future__ import annotations
@@ -81,7 +82,11 @@ class CoeffTerm:
 
 
 class MatrixField:
-    """Sum of trig-polynomial terms; evaluation and exact x-derivatives."""
+    """Sum of trig-polynomial terms of one size, checked on construction.
+
+    Consumers read the terms directly: each is a single x-harmonic, so its
+    x-derivatives are exact multiples of itself.
+    """
 
     def __init__(self, m: int, terms: list[CoeffTerm]):
         self.m = m
@@ -95,28 +100,6 @@ class MatrixField:
     @property
     def x_band(self) -> int:
         return max((abs(t.x_freq) for t in self.terms), default=0)
-
-    def dx(self, t, x, order: int) -> np.ndarray:
-        """Exact D_x^order with D_x = -i d/dx; D_x^j exp(ikx) = k^j exp(ikx).
-
-        ``t`` and ``x`` are scalars or arrays that broadcast together; the
-        result has their broadcast shape followed by (m, m).
-        """
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast_shapes(t.shape, x.shape) + (self.m, self.m), dtype=complex)
-        for term in self.terms:
-            out += (
-                term.matrix
-                * term.g(t)[..., None, None]
-                * (term.x_freq**order)
-                * np.exp(1j * term.x_freq * x)[..., None, None]
-            )
-        return out
-
-    def sup_norm_bound(self) -> float:
-        """Crude sup over x of the spectral norm at |g(t)| <= g_bound per term."""
-        return sum(np.linalg.norm(t.matrix, 2) for t in self.terms)
 
 
 @dataclass

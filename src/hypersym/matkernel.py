@@ -24,6 +24,11 @@ from hypersym.rootsplit import _sort_rows, char_poly, polished_roots
 # Symbols
 
 
+def taylor_order(theta: int, m: int) -> int:
+    """The Taylor order ``N = max(2 theta, m)`` of H_N at block size theta."""
+    return max(2 * theta, m)
+
+
 def taylor_symbol(
     coeffs: SystemCoefficients,
     t,
@@ -34,12 +39,12 @@ def taylor_symbol(
 ) -> np.ndarray:
     """Taylor polynomial ``sum_{j<=order} (z^j / j!) D_x^j A(t, x) xi``.
 
-    ``D_x = -i d/dx``; with trig-polynomial coefficients every derivative is
-    exact and each ``D_x^j A(t, x)`` is evaluated once per call.  ``t``,
-    ``x``, ``xi`` and ``z`` are arrays (or scalars) that broadcast together;
-    the result has their broadcast shape followed by (m, m).  At z = 0 and
-    order 0 this is exactly the symbol A(t, x) xi.  Two conventions cover
-    every caller:
+    ``D_x = -i d/dx`` sends a term ``C g(t) e^{ikx}`` of A to k times itself,
+    so the term contributes itself times ``sum_{j<=order} (k z)^j / j!``: one
+    pass over the terms, each time function evaluated once.  ``t``, ``x``,
+    ``xi`` and ``z`` are arrays (or scalars) that broadcast together; the
+    result has their broadcast shape followed by (m, m).  At z = 0 this is
+    exactly the symbol A(t, x) xi.  Two conventions cover every caller:
 
     - frequency direction, ``z = eps xi``: the generator polynomial H_N;
     - spatial direction at the complexified argument ``x + s y``,
@@ -48,13 +53,24 @@ def taylor_symbol(
     z = np.asarray(z)
     xi = np.asarray(xi, dtype=float)
     shape = np.broadcast_shapes(np.shape(t), np.shape(x), z.shape, xi.shape)
+    # A(t, x) apart from the z-dependent parts, which vanish exactly at z = 0
+    # (A(t, x) xi bit for bit at any shapes) and keep their own precision at
+    # small z where the terms of A cancel
+    field = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)) + (coeffs.m, coeffs.m),
+                     dtype=complex)
     out = np.zeros(shape + (coeffs.m, coeffs.m), dtype=complex)
-    fac = 1.0
-    for j in range(order + 1):
-        if j > 0:
-            fac *= j
-        out += ((z**j / fac) * xi)[..., None, None] * coeffs.a_field.dx(t, x, j)
-    return out
+    for term in coeffs.a_field.terms:
+        value = (term.matrix * term.g(t)[..., None, None]
+                 * np.exp(1j * term.x_freq * x)[..., None, None])
+        field += value
+        if term.x_freq and order:  # D_x^j, j >= 1, vanishes on x-independent terms
+            kz = term.x_freq * z
+            power = tail = kz
+            for j in range(2, order + 1):
+                power = power * kz / j
+                tail = tail + power
+            out += value * tail[..., None, None]
+    return (field + out) * xi[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +314,7 @@ def spectral_bound_certify(
     ratios = im_max / s_values
     max_ratio = float(np.max(ratios))
     # Ratios below solver noise count as zero so exactly-real families pass.
-    floor = 1e-9 * (1.0 + coeffs.a_field.sup_norm_bound())
+    floor = 1e-9 * (1.0 + sum(np.linalg.norm(term.matrix, 2) for term in coeffs.a_field.terms))
     if max_ratio * max(s_values) <= floor:
         passed = True
     else:
@@ -447,7 +463,7 @@ def estimate_theta(
     cert = cert or spectral_bound_certify(coeffs, t_values, x_values, _THETA_Y, THETA_SCALES)
     c_hat = max(1.05 * cert.max_ratio_over(THETA_SCALES, _THETA_Y), 1.0)
 
-    n_taylor = m
+    n_taylor = taylor_order(0, m)
     seen = set()
     converged = False
     g = low = None
@@ -459,7 +475,7 @@ def estimate_theta(
         fit = np.polyfit(np.log(eps_values), np.log(g), 1)
         theta_raw = -float(fit[0])
         theta_hat = int(np.clip(round(theta_raw), 0, m - 1))
-        n_next = max(2 * theta_hat, m)
+        n_next = taylor_order(theta_hat, m)
         if n_next == n_taylor:
             converged = True
             break

@@ -18,7 +18,7 @@ import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
-from hypersym.matkernel import expm_batched, taylor_symbol
+from hypersym.matkernel import expm_batched, taylor_order, taylor_symbol
 from hypersym.weights import bracket, bracket_pow, poly_bump
 
 
@@ -52,7 +52,7 @@ class ParameterSet:
         return self.theta * (1.0 - float(self.rho))
 
     def n_taylor(self, m: int) -> int:
-        return max(2 * self.theta, m)
+        return taylor_order(self.theta, m)
 
     def to_json(self) -> dict:
         def enc(v):
@@ -291,11 +291,9 @@ def quadrature_R(
     scaled = flat / margins[:, None, None]
 
     # After rescaling the integrand decays like e^{-2r}; the truncation
-    # tail at r_max is e^{-2 r_max} (modulo a polynomial transient).
+    # tail at r_max is e^{-2 r_max} = min(e^{-12}, tol^1.7), never above tol
+    # (modulo a polynomial transient).
     r_max = max(6.0, 0.85 * math.log(1.0 / tol))
-    if math.exp(-2.0 * r_max) > tol:
-        raise BudgetError("quadrature truncation bound unreachable within budget")
-
     omega = float(np.max(np.linalg.norm(flat, axis=(1, 2)) / margins))
     n_panels = max(4, int(math.ceil(r_max * max(omega, 1.0) / 4.0)))
     half = r_max / n_panels / 2.0

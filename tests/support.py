@@ -1,13 +1,15 @@
 """Test-side fixtures, references and claim probes that no command runs.
 
 Fixtures build small systems, serialize coefficients into config documents
-and move states between Fourier and physical samples.  The allocating RK4
-step is the reference of the solver's buffered step and of its
-propagators.  The probes measure claims of the paper that the acceptance
-tests check directly: the Hoelder ratio of a coefficient path, the lower
-bound of the characteristic polynomial near a multiple eigenvalue, and the
-Hoelder difference estimate of the symmetrizer.  The symbol probe's
-stencils, taken one row at a time, are the reference of its one batch.
+and move states between Fourier and physical samples.  A field's exact
+x-derivatives, summed order by order, are the reference of the closed-form
+Taylor symbol.  The allocating RK4 step is the reference of the solver's
+buffered step and of its propagators.  The probes measure claims of the
+paper that the acceptance tests check directly: the Hoelder ratio of a
+coefficient path, the lower bound of the characteristic polynomial near a
+multiple eigenvalue, and the Hoelder difference estimate of the symmetrizer.
+The symbol probe's stencils, taken one row at a time, are the reference of
+its one batch.
 """
 
 import math
@@ -84,11 +86,48 @@ def coeffs_to_json(coeffs: SystemCoefficients) -> dict:
     return doc
 
 
+# ---------------------------------------------------------------------------
+# Exact x-derivatives and the derivative-sum Taylor symbol
+
+
+def field_dx(fld: MatrixField, t, x, order: int = 0) -> np.ndarray:
+    """Exact ``D_x^order`` of a field, ``D_x = -i d/dx``: ``D_x^j e^{ikx} = k^j e^{ikx}``.
+
+    ``t`` and ``x`` are scalars or arrays that broadcast together; the result
+    has their broadcast shape followed by (m, m).  Order 0 is the field itself.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(np.broadcast_shapes(t.shape, x.shape) + (fld.m, fld.m), dtype=complex)
+    for term in fld.terms:
+        out += (
+            term.matrix
+            * term.g(t)[..., None, None]
+            * (term.x_freq**order)
+            * np.exp(1j * term.x_freq * x)[..., None, None]
+        )
+    return out
+
+
+def taylor_reference(coeffs: SystemCoefficients, t, x, xi, z, order: int) -> np.ndarray:
+    """``sum_{j<=order} (z^j / j!) D_x^j A(t, x) xi``, one derivative order at a time."""
+    z = np.asarray(z)
+    xi = np.asarray(xi, dtype=float)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x), z.shape, xi.shape)
+    out = np.zeros(shape + (coeffs.m, coeffs.m), dtype=complex)
+    fac = 1.0
+    for j in range(order + 1):
+        if j > 0:
+            fac *= j
+        out += ((z**j / fac) * xi)[..., None, None] * field_dx(coeffs.a_field, t, x, j)
+    return out
+
+
 def holder_ratio(coeffs: SystemCoefficients, t_lo: float, t_hi: float, n: int = 200) -> float:
     """sup of ||A(t)-A(t')|| / |t-t'|^kappa over sampled pairs."""
     kappa = coeffs.kappa if coeffs.kappa is not None else 1.0
     ts = np.linspace(t_lo, t_hi, n)
-    mats = coeffs.a_field.dx(ts, 0.0, 0)
+    mats = field_dx(coeffs.a_field, ts, 0.0)
     worst = 0.0
     for i in range(n - 1):
         for j in (i + 1, min(i + 7, n - 1)):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypersym.engine import conjugation_remainder_probe, lattice
+from hypersym.engine import _ORDER_TOL, conjugation_remainder_probe, lattice
 from hypersym.errors import WeightOverflowError
 from hypersym.weights import bracket, bracket_pow, gevrey_weight
 from kn_reference import TrigMatrixSymbol, conjugated_symbol_bk, kn_apply, kn_matrix, symbol_values
@@ -251,6 +251,17 @@ def test_remainder_orders_one_sided_and_monotone():
         assert r.passed
     for a, b in zip(fits, fits[1:]):
         assert b <= a + 0.1
+
+
+@pytest.mark.parametrize("n_x", [256, 4096])
+def test_remainder_order_zero_symbol_two_sided(n_x):
+    # e^{ix} has order 0, so Delta_k has order rho - 1 - k(1 - rho): one below
+    # the probe's order-one targets, which a remainder one order too large meets
+    rho = 0.75
+    rep = conjugation_remainder_probe(1, 0, 1.5, rho, 1.0, [0, 1, 2], n_x)
+    assert not rep.tau_shrunk
+    for row in rep.rows:
+        assert abs(row.fitted - (rho - 1.0 - row.k * (1.0 - rho))) <= _ORDER_TOL
 
 
 def test_remainder_tau_shrinks_on_overflow():
