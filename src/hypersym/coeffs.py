@@ -21,7 +21,7 @@ import numpy as np
 
 from hypersym.errors import ConfigError
 
-MAX_M = 8  # the largest system size; matkernel.spectrum enforces it too
+MAX_M = 8  # the largest system size
 
 _POW_RE = re.compile(r"^t\^(\d+)$")
 _ABS_RE = re.compile(r"^\|t\|\^([0-9.]+)$")

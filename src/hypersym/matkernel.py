@@ -2,9 +2,9 @@
 
 Taylor-polynomial symbols in the spatial and frequency directions, a batched
 matrix exponential (closed form on 1x1 and 2x2 blocks, Pade on larger ones),
-deterministic small-matrix eigenvalues, real-spectrum certification, the
-spatial spectral-bound certificate, and the block-size barometer (theta)
-estimator.
+batched eigenvalues (closed form on 1x1 and 2x2 blocks, the dense solver on
+larger ones), real-spectrum certification, the spatial spectral-bound
+certificate, and the block-size barometer (theta) estimator.
 
 All operations are pure functions of their inputs; grid sweeps are
 vectorized with deterministic reduction order.
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.coeffs import MAX_M, SystemCoefficients
+from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import HypersymError
-from hypersym.rootsplit import _sort_rows, char_poly, polished_roots
 
 # ---------------------------------------------------------------------------
 # Symbols
@@ -106,6 +105,13 @@ def _blocks(hs: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
 
 
+def _split_2x2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``half = (z11 - z22) / 2`` and ``sd = sqrt(half^2 + z12 z21)`` for Z in (..., 2, 2):
+    the eigenvalues of Z are ``tr Z / 2 -+ sd``."""
+    half = 0.5 * (z[..., 0, 0] - z[..., 1, 1])
+    return half, np.sqrt(half**2 + z[..., 0, 1] * z[..., 1, 0])
+
+
 def _exp_2x2(z: np.ndarray) -> tuple[np.ndarray, ...]:
     """Entries e11, e12, e21, e22 of ``E = cos(d) I + i sinc(d) K`` for Z in (..., 2, 2).
 
@@ -113,8 +119,7 @@ def _exp_2x2(z: np.ndarray) -> tuple[np.ndarray, ...]:
     ``e^{iZ} = e^{i mu} E``, even in d and exact at d = 0 (Moler & Van Loan,
     SIAM Review 45(1), 2003).
     """
-    half = 0.5 * (z[..., 0, 0] - z[..., 1, 1])
-    sd = np.sqrt(half**2 + z[..., 0, 1] * z[..., 1, 0])
+    half, sd = _split_2x2(z)
     zero = sd == 0  # sinc by hand: np.sinc's pi round trip errs by |sd| u
     c, w = np.cos(sd), 1j * np.where(zero, 1.0, np.sin(sd) / np.where(zero, 1.0, sd))
     return c + w * half, w * z[..., 0, 1], w * z[..., 1, 0], c - w * half
@@ -188,31 +193,42 @@ def expm_batched(a: np.ndarray) -> np.ndarray:
 # Eigenvalues
 
 
-def spectrum(m) -> np.ndarray:
-    """Eigenvalues of a stack ``(..., n, n) -> (..., n)``, each row ordered by
-    real part, then imaginary part.
+def block_eigvals(stack) -> np.ndarray:
+    """Eigenvalues of a stack ``(..., m, m) -> (..., m)``, unordered.
 
-    For size <= 4 the roots come from the characteristic polynomials via
-    companion matrices with one guarded Newton polish step, for
-    reproducibility over generic QR ordering; larger sizes fall back to the
-    dense solver with the same ordering.
+    Each block of the stack's :func:`_blocks` partition is solved on its own:
+    a 1x1 block is its entry, a 2x2 block Z has ``tr Z / 2 -+ sd`` with the
+    discriminant of :func:`_split_2x2`, and a larger block, irreducible, goes
+    to the dense solver.  Entries or a discriminant past the double range
+    raise :class:`HypersymError`: the square root of an overflowed
+    discriminant is real, so its imaginary part alone would read 0.
     """
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[-1]
-    if n > MAX_M:
-        raise ValueError(f"spectrum supports matrices of size <= {MAX_M}")
-    if n <= 4:
-        return polished_roots(char_poly(m))
-    if not np.isfinite(m).all():
+    a = np.asarray(stack, dtype=complex)
+    if not np.isfinite(a).all():
         raise HypersymError("matrix entries are not finite: the symbol leaves the double range")
-    return _sort_rows(np.linalg.eigvals(m))
+    vals = np.empty(a.shape[:-1], dtype=complex)
+    for idx in _blocks(a):
+        block = a[..., idx[:, None], idx]
+        if len(idx) == 1:
+            vals[..., idx] = block[..., 0]
+        elif len(idx) == 2:
+            _, sd = _split_2x2(block)
+            if not np.isfinite(sd).all():
+                raise HypersymError("2x2 block discriminant is not finite: the symbol "
+                                    "leaves the double range")
+            # halves first, so that the trace of finite entries cannot overflow
+            mu = 0.5 * block[..., 0, 0] + 0.5 * block[..., 1, 1]
+            vals[..., idx] = np.stack((mu - sd, mu + sd), axis=-1)
+        else:
+            vals[..., idx] = np.linalg.eigvals(block)
+    return vals
 
 
 def _max_imag(stack: np.ndarray) -> np.ndarray:
     """Largest |Im eigenvalue| of each matrix in a non-empty stack."""
     if stack.size == 0:
         raise ValueError("certification grid is empty")
-    return np.max(np.abs(spectrum(stack).imag), axis=-1)
+    return np.max(np.abs(block_eigvals(stack).imag), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +330,8 @@ def spectral_bound_certify(
     ratios = im_max / s_values
     max_ratio = float(np.max(ratios))
     # Ratios below solver noise count as zero so exactly-real families pass.
-    floor = 1e-9 * (1.0 + sum(np.linalg.norm(term.matrix, 2) for term in coeffs.a_field.terms))
+    terms = np.reshape([term.matrix for term in coeffs.a_field.terms], (-1, coeffs.m, coeffs.m))
+    floor = 1e-9 * (1.0 + sum(np.linalg.norm(terms, 2, axis=(-2, -1))))
     if max_ratio * max(s_values) <= floor:
         passed = True
     else:

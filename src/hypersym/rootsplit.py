@@ -1,11 +1,11 @@
-"""Hyperbolic-polynomial machinery: root splitting and characteristic polynomials.
+"""Hyperbolic-polynomial machinery: root splitting.
 
 The splitter applies ``(1 + s d/dzeta)`` repeatedly to a monic real-rooted
 polynomial.  Each application is exact coefficient arithmetic (derivative
 plus scaled add), which amplifies no rounding; only the final root extraction
 is numerical (companion matrix plus one Newton polish step, deterministic
 ordering).  Every routine takes a stack: leading axes index independent
-polynomials or matrices, and a single one is a stack with no leading axes.
+polynomials, and a single one is a stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -129,25 +129,6 @@ def nuij_constant(m: int) -> float:
             for k in range(2, ell + 1)
         )
     return c
-
-
-def char_poly(h) -> np.ndarray:
-    """Monic characteristic polynomials, ascending: ``(..., m, m) -> (..., m+1)``.
-
-    Faddeev-LeVerrier recursion over the whole stack, in complex arithmetic.
-    """
-    a = np.asarray(h, dtype=complex)
-    m = a.shape[-1]
-    ident = np.eye(m, dtype=complex)
-    coeffs = np.zeros(a.shape[:-2] + (m + 1,), dtype=complex)
-    coeffs[..., m] = 1.0
-    mk = ident
-    for k in range(1, m + 1):
-        am = a @ mk
-        ck = -np.trace(am, axis1=-2, axis2=-1) / k
-        coeffs[..., m - k] = ck
-        mk = am + ck[..., None, None] * ident
-    return coeffs
 
 
 def random_real_rooted(m: int, spread: float, seeds) -> np.ndarray:

@@ -243,7 +243,7 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
     h = symmetrizer.hn_over_lattice(coeffs, probe, ts[:, None, None], xs[:, None], xis)
     if not np.isfinite(h).all():
         raise HypersymError("calibration: H_N is not finite: the symbol leaves the double range")
-    spread = np.max(np.abs(np.linalg.eigvals(h).imag), axis=-1) / (c * mu)
+    spread = matkernel._max_imag(h) / (c * mu)
     a0 = float(np.max(spread)) * 1.05
     return Calibration(c=c, a0=a0, eps0=eps0, theta=theta)
 

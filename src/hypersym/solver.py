@@ -216,8 +216,10 @@ class TruncatedGenerator:
 
         def sup(fld):
             # per-term triangle bound, so that it holds at every x
-            return float(np.max(sum((np.linalg.norm(term.matrix, 2) * np.abs(term.g(ts))
-                                     for term in fld.terms), np.zeros(ts.size))))
+            norms = np.linalg.norm(np.reshape([term.matrix for term in fld.terms],
+                                              (-1, fld.m, fld.m)), 2, axis=(-2, -1))
+            return float(np.max(sum((norm * np.abs(term.g(ts))
+                                     for norm, term in zip(norms, fld.terms)), np.zeros(ts.size))))
 
         xi_max = self.n_x / 2.0
         return (sup(self.coeffs.a_field) * xi_max + sup(self.coeffs.b_field)

@@ -18,7 +18,7 @@ import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
-from hypersym.matkernel import expm_batched, taylor_order, taylor_symbol
+from hypersym.matkernel import block_eigvals, expm_batched, taylor_order, taylor_symbol
 from hypersym.weights import bracket, bracket_pow, poly_bump
 
 
@@ -285,7 +285,7 @@ def quadrature_R(
     flat = np.asarray(m_mat, dtype=complex).reshape(-1, *shape[-2:])
     rhs = np.broadcast_to(np.asarray(rhs_scale, dtype=float), shape[:-2]).reshape(-1)
 
-    margins = -np.max(np.linalg.eigvals(flat).real, axis=-1)
+    margins = -np.max(block_eigvals(flat).real, axis=-1)
     if np.any(margins <= 0):
         raise StabilityMarginError("quadrature requires a Hurwitz matrix")
     scaled = flat / margins[:, None, None]

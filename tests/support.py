@@ -3,8 +3,10 @@
 Fixtures build small systems, serialize coefficients into config documents
 and move states between Fourier and physical samples.  A field's exact
 x-derivatives, summed order by order, are the reference of the closed-form
-Taylor symbol.  The allocating RK4 step is the reference of the solver's
-buffered step and of its propagators.  The probes measure claims of the
+Taylor symbol.  Faddeev-LeVerrier characteristic polynomials and their
+polished, ordered roots are the reference of the block-wise eigenvalues.
+The allocating RK4 step is the reference of the solver's buffered step and
+of its propagators.  The probes measure claims of the
 paper that the acceptance tests check directly: the Hoelder ratio of a
 coefficient path, the lower bound of the characteristic polynomial near a
 multiple eigenvalue, and the Hoelder difference estimate of the symmetrizer.
@@ -17,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
+from hypersym.coeffs import MAX_M, CoeffTerm, MatrixField, SystemCoefficients
+from hypersym.errors import HypersymError
 from hypersym.matkernel import taylor_symbol
+from hypersym.rootsplit import _sort_rows, polished_roots
 from hypersym.symmetrizer import (
     _STENCILS,
     ParameterSet,
@@ -137,6 +141,49 @@ def holder_ratio(coeffs: SystemCoefficients, t_lo: float, t_hi: float, n: int = 
             diff = np.linalg.norm(mats[j] - mats[i], 2)
             worst = max(worst, diff / dt**kappa)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomials and the ordered spectrum they give
+
+
+def char_poly(h) -> np.ndarray:
+    """Monic characteristic polynomials, ascending: ``(..., m, m) -> (..., m+1)``.
+
+    Faddeev-LeVerrier recursion over the whole stack, in complex arithmetic.
+    """
+    a = np.asarray(h, dtype=complex)
+    m = a.shape[-1]
+    ident = np.eye(m, dtype=complex)
+    coeffs = np.zeros(a.shape[:-2] + (m + 1,), dtype=complex)
+    coeffs[..., m] = 1.0
+    mk = ident
+    for k in range(1, m + 1):
+        am = a @ mk
+        ck = -np.trace(am, axis1=-2, axis2=-1) / k
+        coeffs[..., m - k] = ck
+        mk = am + ck[..., None, None] * ident
+    return coeffs
+
+
+def spectrum(m) -> np.ndarray:
+    """Eigenvalues of a stack ``(..., n, n) -> (..., n)``, each row ordered by
+    real part, then imaginary part.
+
+    For size <= 4 the roots come from the characteristic polynomials via
+    companion matrices with one guarded Newton polish step, for
+    reproducibility over generic QR ordering; larger sizes fall back to the
+    dense solver with the same ordering.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[-1]
+    if n > MAX_M:
+        raise ValueError(f"spectrum supports matrices of size <= {MAX_M}")
+    if n <= 4:
+        return polished_roots(char_poly(m))
+    if not np.isfinite(m).all():
+        raise HypersymError("matrix entries are not finite: the symbol leaves the double range")
+    return _sort_rows(np.linalg.eigvals(m))
 
 
 # ---------------------------------------------------------------------------

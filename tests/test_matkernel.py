@@ -5,19 +5,22 @@ import pytest
 
 from hypersym import matkernel
 from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
+from hypersym.errors import HypersymError
 from hypersym.matkernel import (
     _blocks,
     _exp_norms,
     _growth_curves,
+    _max_imag,
+    _split_2x2,
+    block_eigvals,
     certify_real_spectrum,
     estimate_theta,
     expm_batched,
     spectral_bound_certify,
-    spectrum,
     taylor_symbol,
 )
 from hypersym.presets import get_preset, preset_names
-from support import constant_system, field_dx
+from support import char_poly, constant_system, field_dx, spectrum
 
 
 def _x2_like_system() -> SystemCoefficients:
@@ -244,8 +247,6 @@ def test_spectrum_imaginary_pair(eps):
 
 
 def test_spectrum_char_poly_residual():
-    from hypersym.rootsplit import char_poly
-
     rng = np.random.default_rng(4)
     for _ in range(10):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -293,11 +294,25 @@ def test_batched_spectrum_matches_per_node_roots(name):
                   for t in ts]),
     ]
     for stack in stacks:
-        got = spectrum(stack)
-        assert got.shape == stack.shape[:-1]
+        im = _max_imag(stack)
+        re = np.max(block_eigvals(stack).real, axis=-1)
+        assert im.shape == re.shape == stack.shape[:-2]
         for idx in np.ndindex(stack.shape[:-2]):
             ref = _spectrum_one(stack[idx])
-            assert np.all(np.abs(got[idx] - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+            for got, want in ((im[idx], np.max(np.abs(ref.imag))), (re[idx], np.max(ref.real))):
+                assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
+
+
+def test_overflowing_discriminant_raises():
+    # bc = 1e320 overflows to +inf, whose square root is real: the eigenvalues'
+    # imaginary parts alone would read 0 and pass a certificate
+    stack = np.array([[[0.0, 1e160], [1e160, 0.0]], [[1.0, 0.0], [0.0, 2.0]]])
+    with np.errstate(over="ignore"):
+        _, sd = _split_2x2(stack.astype(complex))
+        assert sd[0] == np.inf and sd.imag[0] == 0.0
+        for probe in (block_eigvals, _max_imag):
+            with pytest.raises(HypersymError, match="not finite"):
+                probe(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ import pytest
 from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
 from hypersym.errors import NotRealRootedError
 from hypersym.rootsplit import (
-    char_poly,
     expand_roots,
     nuij_constant,
     nuij_split,
     random_real_rooted,
 )
-from support import constant_system, q_lower_bound_probe
+from support import char_poly, constant_system, q_lower_bound_probe, spectrum
 
 
 def test_split_linear():
@@ -188,7 +187,7 @@ def test_interlacing_every_application():
 
 def test_q_probe_on_strictly_hyperbolic_preset():
     from hypersym.presets import get_preset
-    from hypersym.matkernel import spectrum, taylor_symbol
+    from hypersym.matkernel import taylor_symbol
 
     pre = get_preset("xdep")
     lam = float(np.max(spectrum(taylor_symbol(pre.coeffs, 0.0, 0.0, 1.0, 0.0, order=0)).real))

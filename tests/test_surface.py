@@ -12,7 +12,8 @@ A name that only tests reach is a fixture or a probe, and it lives under
 be read as an attribute somewhere in ``src/hypersym`` or ``tests/``; a field
 that is only written carries nothing.  Every defaulted parameter must be
 passed by some call in ``src/hypersym`` or ``tests/``; a default that no
-caller overrides is a constant.
+caller overrides is a constant.  The dense eigensolver is called only behind
+``matkernel.block_eigvals`` and in ``rootsplit.polished_roots``.
 """
 
 import ast
@@ -143,3 +144,22 @@ def test_every_defaulted_parameter_is_passed():
             if name not in escaped and not any(passes(c, index, param) for c in named):
                 unpassed.append(f"{module}: {label}({param})")
     assert not unpassed, "defaulted parameters that no call passes: " + ", ".join(unpassed)
+
+
+# The only callers of the dense eigensolver: the block-wise eigenvalues send it
+# irreducible blocks of size 3 or more, and the splitter its companion matrices.
+# Every other eigenvalue in the package goes through ``block_eigvals``.
+_EIGVALS_CALLERS = {("matkernel", "block_eigvals"), ("rootsplit", "polished_roots")}
+
+
+def test_dense_eigensolver_only_behind_block_eigvals():
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) \
+                        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigvals":
+                    callers.add((path.stem, owner))
+    assert callers <= _EIGVALS_CALLERS, "eigvals called outside block_eigvals: " \
+        + ", ".join(f"{module}.{owner}" for module, owner in sorted(callers - _EIGVALS_CALLERS))
