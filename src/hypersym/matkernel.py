@@ -255,15 +255,16 @@ def certify_real_spectrum(
 
     Passes iff ``max |Im eigenvalue| <= tol * (1 + ||A||)`` over the grid;
     the report carries the worst sample (the first in (t, x, xi) order).
+    The symbol is A(t, x) xi, so the largest ``||A||`` is the largest 2-norm
+    over the (t, x) grid times the largest |xi|.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
-    # shape (nt, nx, nxi, m, m)
-    a = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
-                      z=0.0, order=0)
-    im = _max_imag(a)
-    norm_max = float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
+    field = taylor_symbol(coeffs, t_values[:, None], x_values, 1.0, z=0.0, order=0)
+    im = _max_imag(field[:, :, None] * xi_values[:, None, None])  # (nt, nx, nxi)
+    norm_max = float(np.max(np.linalg.norm(field, 2, axis=(-2, -1)))
+                     * np.max(np.abs(xi_values)))
     i_t, i_x, i_xi = np.unravel_index(np.argmax(im), im.shape)
     tol_eff = tol * (1.0 + norm_max)
     return RealSpectrumReport(

@@ -78,7 +78,6 @@ class FeasibleRegion:
     substituted; their intersection sits at delta = 1 exactly.
     """
 
-    theta: int
     kappa: Fraction
     # rho >= (line_a_num - kappa*delta) / denom  and
     # rho >= (line_b_num + (1-kappa)*delta) / denom
@@ -96,7 +95,6 @@ def feasible_region(theta: int, kappa: RationalLike) -> FeasibleRegion:
     denom = 3 * theta + 2
     vertex_rho = (Fraction(denom) - k) / denom
     return FeasibleRegion(
-        theta=theta,
         kappa=k,
         denom=denom,
         line_a_num=3 * theta + 2,

@@ -12,7 +12,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -453,15 +453,8 @@ def _cmd_symmetrize(config: dict) -> dict:
         "lyapunov_ok": bool(lyap_ok),
         "quadrature_agreement": agree,
         "quadrature_ok": bool(agree <= 1e-6),
-        "lower_bound": {"exponent": lb.exponent, "target": lb.target,
-                        "c_prime": lb.c_prime, "passed": lb.passed},
-        "symbol_rows": [
-            {"alpha": r.alpha, "beta": r.beta, "dt": r.dt, "target": r.target,
-             "fitted": r.fitted, "residual": r.residual,
-             "a_power_fitted": r.a_power_fitted, "passed": r.passed,
-             "inconclusive": r.inconclusive}
-            for r in probe.rows
-        ],
+        "lower_bound": asdict(lb),
+        "symbol_rows": [asdict(r) for r in probe.rows],
         "passed": bool(lyap_ok and agree <= 1e-6 and lb.passed and probe.passed),
     }
 

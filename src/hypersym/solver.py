@@ -71,7 +71,7 @@ from hypersym.symmetrizer import (
     damped_generator,
     mollify_path,
 )
-from hypersym.weights import bracket, bracket_pow, gevrey_weight, smooth_cutoff
+from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +611,7 @@ def solve_cauchy(
     n_samples, nu = times.size, params.nu
     sigmas = (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
     table = np.zeros((n_x, len(sigmas) + 1))
-    table[:, :-1] = bracket_pow(xi[:, None], ell, 2.0 * np.asarray(sigmas))
+    table[:, :-1] = bracket(xi[:, None], ell) ** (2.0 * np.asarray(sigmas))
     table[off_index, -1] = 0.5
     norms = np.empty((n_samples, len(sigmas)))
     e_r_arr = np.full(n_samples, np.nan)

@@ -19,7 +19,7 @@ import numpy as np
 from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
 from hypersym.matkernel import block_eigvals, expm_batched, taylor_order, taylor_symbol
-from hypersym.weights import bracket, bracket_pow, poly_bump
+from hypersym.weights import bracket, poly_bump
 
 
 @dataclass
@@ -107,12 +107,11 @@ def hn_over_lattice(
 
     ``H_N = sum_{j<=N} (1/j!) D_x^j A(t,x,xi) (tau * grad <xi>^rho)^j``,
     realized by :func:`taylor_symbol` with ``z = eps xi`` and
-    ``eps = tau * rho * <xi>_ell^(rho-2)``.  ``t``, ``x``, ``xi_values``,
-    ``params.tau`` and ``params.ell`` may be arrays that broadcast together;
-    an array tau gives each time its own window (``tau = T - a t`` along a
-    path), and array ell and tau give each node its own parameter set.
+    ``eps = tau * rho * <xi>_ell^(rho-2)``.  ``t``, ``x``, ``xi_values`` and
+    ``params.tau`` may be arrays that broadcast together: an array tau gives
+    each time its own window (``tau = T - a t`` along a path).
     """
-    rho, ell = float(params.rho), np.asarray(params.ell, dtype=float)
+    rho, ell = float(params.rho), float(params.ell)
     tau = np.asarray(params.tau, dtype=float)
     xi_values = np.asarray(xi_values, dtype=float)
     eps = tau * rho * bracket(xi_values, ell) ** (rho - 2.0)
@@ -131,16 +130,14 @@ def damped_generator(
 
     Returns ``(M, a <xi>_ell^rho)``, the pair the Lyapunov identity
     ``M* R + R M = -a <xi>_ell^rho I`` takes.  ``t``, ``x``, ``xi_values``
-    and array ``params.tau``, ``params.ell`` and ``params.a`` broadcast
-    together as in :func:`hn_over_lattice`; M has their broadcast shape
-    followed by (m, m) and the right-hand side that of xi, a and ell.
-    ``chi2`` carries the squared spectral cutoff chi^2(h xi) of the
-    regularized evolution and broadcasts against ``xi_values``; 1.0 means no
-    truncation.
+    and an array ``params.tau`` broadcast together as in
+    :func:`hn_over_lattice`; M has their broadcast shape followed by (m, m)
+    and the right-hand side that of xi.  ``chi2`` carries the squared
+    spectral cutoff chi^2(h xi) of the regularized evolution and broadcasts
+    against ``xi_values``; 1.0 means no truncation.
     """
     xi_values = np.asarray(xi_values, dtype=float)
-    rhs = np.asarray(params.a, dtype=float) * bracket_pow(
-        xi_values, np.asarray(params.ell, dtype=float), float(params.rho))
+    rhs = float(params.a) * bracket(xi_values, float(params.ell)) ** float(params.rho)
     h = hn_over_lattice(coeffs, params, t, x, xi_values)
     m_stack = 1j * np.asarray(chi2)[..., None, None] * h - rhs[..., None, None] * np.eye(coeffs.m)
     return m_stack, rhs
@@ -328,13 +325,20 @@ class SymmetrizerField:
     rhs: np.ndarray  # (nxi,): a <xi>_ell^rho, the Lyapunov right-hand side
     params: ParameterSet
 
+    @functools.cached_property
+    def min_eigenvalues(self) -> np.ndarray:
+        """Smallest eigenvalue of R per node, (nt, nx, nxi): computed once for
+        the invariants and the lower bound.  ``_lyap_solve_batch`` returns R
+        exactly hermitian, so it is taken as it is."""
+        return np.linalg.eigvalsh(self.R)[..., 0]
+
     def check_invariants(self) -> dict:
         """Hermitian/positive/Lyapunov-residual checks over every node."""
         r = self.R
         herm = float(
             np.max(np.linalg.norm(r - r.conj().swapaxes(-1, -2), axis=(-2, -1)))
         )
-        mineig = float(np.min(np.linalg.eigvalsh((r + r.conj().swapaxes(-1, -2)) / 2).min(axis=-1)))
+        mineig = float(np.min(self.min_eigenvalues))
         eye = np.eye(r.shape[-1])
         resid = (
             self.M.conj().swapaxes(-1, -2) @ r + r @ self.M + self.rhs[..., None, None] * eye
@@ -400,8 +404,7 @@ def lower_bound_check(field: SymmetrizerField) -> LowerBoundReport:
     """
     params = field.params
     nu = params.nu
-    mineig = np.linalg.eigvalsh(field.R).min(axis=-1)  # (nt, nx, nxi)
-    per_xi = mineig.min(axis=(0, 1))
+    per_xi = field.min_eigenvalues.min(axis=(0, 1))
     br = bracket(field.xi_nodes, float(params.ell))
     win = _fit_window(field.xi_nodes, float(params.ell))
     if np.count_nonzero(win) >= 2 and (br[win].max() / br[win].min()) > 1.001:
@@ -438,7 +441,6 @@ class SymbolEstimateRow:
 @dataclass
 class SymbolEstimateReport:
     rows: list[SymbolEstimateRow]
-    params: ParameterSet
 
     @property
     def passed(self) -> bool:
@@ -447,6 +449,10 @@ class SymbolEstimateReport:
 
 # Offsets of the central differences of order 0, 1 and 2.
 _STENCILS = ((0,), (-1, 1), (-1, 0, 1))
+# The probe's rows (alpha, beta, dt): every xi and x order up to two, and
+# the first time derivative.
+_ROWS = ((0, 0, False), (0, 1, False), (0, 2, False), (1, 0, False), (1, 1, False),
+         (2, 0, False), (0, 0, True))
 
 # The probe's fixed time: off t = 0, where wave_t2 degenerates and |t|^q
 # terms lose smoothness, by a hundred steps of the 1e-3 t-stencil.
@@ -472,17 +478,14 @@ def _central(f: np.ndarray, order: int, h) -> np.ndarray:
     return (f[2] - 2 * f[1] + f[0]) / h**2
 
 
-def _stencil_derivatives(coeffs, groups, t0, rows) -> list[list[np.ndarray]]:
+def _stencil_derivatives(coeffs, params, x_values, xi_values, t0, rows) -> list[np.ndarray]:
     """Central finite differences of R in xi (alpha), x (beta) and t at (x, xi) nodes.
 
-    ``groups`` lists ``(params, x_values, xi_values)``, whose parameter sets
-    differ at most in a, ell and tau, as those of :func:`rescale_for_a` do;
     ``rows`` lists ``(alpha, beta, dt)``.  The offsets (t, x, xi) that the
-    rows' stencils use form one deduplicated set, and the offset nodes of
-    every group go through one ``damped_generator`` call and one batched
-    Lyapunov solve.  Steps are ``hxi = 1e-3 <xi>_ell``,
-    ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and ``ht = 1e-3``.  Returns,
-    per row, one (n_x, n_xi, m, m) array per group.
+    rows' stencils use form one deduplicated set, whose nodes go through one
+    ``damped_generator`` call and one batched Lyapunov solve.  Steps are
+    ``hxi = 1e-3 <xi>_ell``, ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and
+    ``ht = 1e-3``.  Returns one (n_x, n_xi, m, m) array per row.
     """
     ht = 1e-3
     offsets: dict = {}  # (t step, x offset, xi step) -> node index
@@ -493,30 +496,17 @@ def _stencil_derivatives(coeffs, groups, t0, rows) -> list[list[np.ndarray]]:
                                      for i in _STENCILS[alpha]] for j in _STENCILS[beta]]
                                    for k in _STENCILS[int(dt_flag)]]), hx))
     k_off, x_off, i_off = (np.array(c) for c in zip(*offsets))
-    nodes, hxis = [], []
-    for params, x_values, xi_values in groups:
-        hxi = 1e-3 * bracket(xi_values, float(params.ell))
-        # nodes (offset, x, xi)
-        grid = np.broadcast_arrays((t0 + k_off * ht)[:, None, None],
-                                   (x_values + x_off[:, None])[:, :, None],
-                                   (xi_values + i_off[:, None] * hxi)[:, None, :])
-        per_node = [np.full(grid[0].size, float(v)) for v in (params.a, params.ell, params.tau)]
-        nodes.append([g.reshape(-1) for g in grid] + per_node)
-        hxis.append(hxi)
-    t, x, xi, a, ell, tau = (np.concatenate(c) for c in zip(*nodes))
+    hxi = 1e-3 * bracket(xi_values, float(params.ell))
+    # nodes (offset, x, xi)
     r_all = _lyap_solve_batch(*damped_generator(
-        coeffs, replace(groups[0][0], a=a, ell=ell, tau=tau), t, x, xi))
-    out, start = [[] for _ in rows], 0
-    for (_, x_values, xi_values), hxi in zip(groups, hxis):
-        size = len(offsets) * len(x_values) * len(xi_values)
-        r_group = r_all[start:start + size].reshape(len(offsets), len(x_values),
-                                                    len(xi_values), coeffs.m, coeffs.m)
-        start += size
-        for (alpha, beta, dt_flag), (idx, hx), derivs in zip(rows, stencils, out):
-            r = np.moveaxis(r_group[idx], 3, 1)  # (t offset, x, x offset, xi offset, xi)
-            d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
-            d = _central(np.moveaxis(d, 2, 0), beta, hx)
-            derivs.append(_central(d, int(dt_flag), ht))
+        coeffs, params, (t0 + k_off * ht)[:, None, None], (x_values + x_off[:, None])[:, :, None],
+        (xi_values + i_off[:, None] * hxi)[:, None, :]))
+    out = []
+    for (alpha, beta, dt_flag), (idx, hx) in zip(rows, stencils):
+        r = np.moveaxis(r_all[idx], 3, 1)  # (t offset, x, x offset, xi offset, xi)
+        d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
+        d = _central(np.moveaxis(d, 2, 0), beta, hx)
+        out.append(_central(d, int(dt_flag), ht))
     return out
 
 
@@ -524,24 +514,23 @@ def symbol_estimate_probe(
     coeffs: SystemCoefficients,
     params: ParameterSet,
     xi_values,
-    max_order: int = 2,
-    include_dt: bool = True,
     check_a_power: bool = False,
 ) -> SymbolEstimateReport:
     """Measure ``d_x^beta d_xi^alpha R`` decay against the class targets.
 
-    Target exponent per row: ``2 nu + (1 - rho + nu) |beta| - (rho - nu)
-    |alpha|`` with an extra ``1 - rho + nu`` for the time derivative (one
-    time derivative acts like one space derivative), probed at t =
-    ``_PROBE_T0`` and x in ``_X_PROBES``.  The fit passes when it does not exceed target +
-    ``_EXPONENT_TOL``; a log-fit residual above 0.3 marks
+    Target exponent per row of ``_ROWS``: ``2 nu + (1 - rho + nu) |beta| -
+    (rho - nu) |alpha|`` with an extra ``1 - rho + nu`` for the time
+    derivative (one time derivative acts like one space derivative), probed
+    at t = ``_PROBE_T0`` and x in ``_X_PROBES``.  The fit passes when it does
+    not exceed target + ``_EXPONENT_TOL``; a log-fit residual above 0.3 marks
     the row inconclusive rather than failed.  Rows whose samples sit at the
     noise floor pass trivially.
 
-    Every row's stencil nodes, and those of the a-sweep groups when
-    ``check_a_power`` is set, go through one :func:`_stencil_derivatives`
-    call: the 7 default rows share 13 distinct (t, x, xi) offsets per probe
-    point, one ``damped_generator`` call and one Lyapunov solve.
+    The 7 rows share 13 distinct (t, x, xi) offsets per probe point, one
+    :func:`_stencil_derivatives` call: one ``damped_generator`` call and one
+    Lyapunov solve.  ``check_a_power`` adds one such call per damping
+    strength in ``_A_VALUES``, each with its own :func:`rescale_for_a`
+    parameter set, at the first probe point and the middle frequency.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     x_probes = np.asarray(_X_PROBES, dtype=float)
@@ -549,17 +538,12 @@ def symbol_estimate_probe(
     rho = float(params.rho)
     ell = float(params.ell)
     rows: list[SymbolEstimateRow] = []
-    combos = [(al, be, False) for al in range(max_order + 1) for be in range(max_order + 1)
-              if 0 < al + be <= max_order or (al, be) == (0, 0)]
-    if include_dt:
-        combos.append((0, 0, True))
     br = bracket(xi_values, ell)
-    groups = [(params, x_probes, xi_values)]
-    if check_a_power:
-        xi_ref = xi_values[[len(xi_values) // 2]]
-        groups += [(rescale_for_a(params, a), x_probes[:1], xi_ref) for a in _A_VALUES]
-    derivs = _stencil_derivatives(coeffs, groups, _PROBE_T0, combos)
-    for (alpha, beta, dt_flag), (d, *d_a) in zip(combos, derivs):
+    derivs = _stencil_derivatives(coeffs, params, x_probes, xi_values, _PROBE_T0, _ROWS)
+    sweep = [_stencil_derivatives(coeffs, rescale_for_a(params, a), x_probes[:1],
+                                  xi_values[[len(xi_values) // 2]], _PROBE_T0, _ROWS)
+             for a in (_A_VALUES if check_a_power else ())]
+    for (alpha, beta, dt_flag), d, *d_a in zip(_ROWS, derivs, *sweep):
         target = 2 * nu + (1 - rho + nu) * beta - (rho - nu) * alpha
         if dt_flag:
             target += 1 - rho + nu
@@ -598,7 +582,7 @@ def symbol_estimate_probe(
             SymbolEstimateRow(alpha, beta, dt_flag, target, fitted, resid,
                               a_fitted, passed, inconclusive)
         )
-    return SymbolEstimateReport(rows=rows, params=params)
+    return SymbolEstimateReport(rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,6 @@ def bracket(xi, ell: float = 1.0):
     return np.hypot(xi, ell)
 
 
-def bracket_pow(xi, ell: float, sigma: float):
-    """``<xi>_ell^sigma``."""
-    return bracket(xi, ell) ** sigma
-
-
 def _smooth_step(u):
     # C-infinity ramp: 0 at u<=0, 1 at u>=1.
     u = np.clip(u, 0.0, 1.0)
@@ -61,7 +56,7 @@ def gevrey_weight(xi, tau: float, rho: float, ell: float) -> np.ndarray:
     Refuses weights whose exponent leaves the overflow budget, naming the
     tau of the worst one.
     """
-    exponent = tau * bracket_pow(xi, ell, rho)
+    exponent = tau * bracket(xi, ell) ** rho
     worst = float(np.max(np.abs(exponent))) if exponent.size else 0.0
     if worst > EXP_BUDGET:
         tau = np.broadcast_to(tau, exponent.shape).flat[np.argmax(np.abs(exponent))]

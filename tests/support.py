@@ -351,38 +351,45 @@ def holder_difference_probe(
 # Symbol-probe stencils, one row at a time
 
 
-def per_row_stencil_derivatives(coeffs, groups, t0, alpha, beta, dt_flag) -> list[np.ndarray]:
+def per_row_stencil_derivatives(coeffs, params, x_values, xi_values, t0, alpha, beta,
+                                dt_flag) -> np.ndarray:
     """One probe row's central differences of R, as ``symbol_estimate_probe``
-    once took them: a ``damped_generator`` call per group and one Lyapunov
-    solve per row, the reference of the probe's one batch over all rows.
+    once took them: a ``damped_generator`` call and a Lyapunov solve per row,
+    the reference of the probe's one batch over all rows.
 
-    ``groups`` lists ``(params, x_values, xi_values)``; the stencil nodes of
-    every group go through one batched Lyapunov solve.  Steps are
-    ``hxi = 1e-3 <xi>_ell``, ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and
-    ``ht = 1e-3``.  Returns one (n_x, n_xi, m, m) array per group.
+    Steps are ``hxi = 1e-3 <xi>_ell``, ``hx = 2 pi / (8 band max(beta, 1) + 64)``
+    and ``ht = 1e-3``.  Returns an (n_x, n_xi, m, m) array.
     """
-    m = coeffs.m
     hx = 2.0 * math.pi / (8.0 * max(coeffs.x_band, 1) * max(beta, 1) + 64.0)
     ht = 1e-3
     ts = t0 + np.array(_STENCILS[int(dt_flag)]) * ht
-    m_parts, rhs_parts, shapes, hxis = [], [], [], []
-    for params, x_values, xi_values in groups:
-        hxi = 1e-3 * bracket(xi_values, float(params.ell))
-        xis = xi_values[None, :] + np.array(_STENCILS[alpha])[:, None] * hxi[None, :]
-        xs = x_values[:, None] + np.array(_STENCILS[beta]) * hx
-        # nodes (t offset, x, x offset, xi offset, xi)
-        m_stack, rhs = damped_generator(coeffs, params, ts[:, None, None, None, None],
-                                        xs[:, :, None, None], xis)
-        shapes.append(m_stack.shape)
-        m_parts.append(m_stack.reshape(-1, m, m))
-        rhs_parts.append(np.broadcast_to(rhs, m_stack.shape[:-2]).reshape(-1))
-        hxis.append(hxi)
-    r_all = _lyap_solve_batch(np.concatenate(m_parts), np.concatenate(rhs_parts))
-    out, start = [], 0
-    for shape, part, hxi in zip(shapes, m_parts, hxis):
-        r = r_all[start:start + len(part)].reshape(shape)
-        start += len(part)
-        d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
-        d = _central(np.moveaxis(d, 2, 0), beta, hx)
-        out.append(_central(d, int(dt_flag), ht))
-    return out
+    hxi = 1e-3 * bracket(xi_values, float(params.ell))
+    xis = xi_values[None, :] + np.array(_STENCILS[alpha])[:, None] * hxi[None, :]
+    xs = x_values[:, None] + np.array(_STENCILS[beta]) * hx
+    # nodes (t offset, x, x offset, xi offset, xi)
+    r = _lyap_solve_batch(*damped_generator(coeffs, params, ts[:, None, None, None, None],
+                                            xs[:, :, None, None], xis))
+    d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
+    d = _central(np.moveaxis(d, 2, 0), beta, hx)
+    return _central(d, int(dt_flag), ht)
+
+
+# ---------------------------------------------------------------------------
+# Golden summaries
+
+
+def golden_problems(got, want, path="summary") -> list[str]:
+    """Where a summary departs from its golden record: floats by more than
+    1e-10 relative, any other value or key set by any difference."""
+    if isinstance(want, dict):
+        if sorted(got) != sorted(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [p for key in want for p in golden_problems(got[key], want[key], f"{path}.{key}")]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [p for i, (g, w) in enumerate(zip(got, want))
+                for p in golden_problems(g, w, f"{path}.{i}")]
+    if isinstance(want, float) and isinstance(got, float):
+        ok = math.isclose(got, want, rel_tol=1e-10, abs_tol=0.0)
+    else:
+        ok = got == want
+    return [] if ok else [f"{path}: {got!r} != {want!r}"]

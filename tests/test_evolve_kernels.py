@@ -19,7 +19,7 @@ from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
 from hypersym.engine import lattice, shift_map, squared_moduli
 from hypersym.presets import get_preset, preset_names
 from hypersym.symmetrizer import _lyap_solve_batch, damped_generator, mollify_path
-from hypersym.weights import bracket, bracket_pow, gevrey_weight
+from hypersym.weights import bracket, gevrey_weight
 from support import allocating_rhs, sine_terms
 
 
@@ -121,7 +121,7 @@ def _per_sample_diagnostics(res, problem, params, h):
     norms, e_r, c_fit = [], [], []
     for idx, (t, u) in enumerate(zip(times, res.states)):
         v = u * gevrey_weight(xi, big_t - a * t, rho, ell)[None, :]
-        norms.append([np.sqrt(np.sum((np.abs(v) * bracket_pow(xi, ell, s)[None, :]) ** 2))
+        norms.append([np.sqrt(np.sum((np.abs(v) * (bracket(xi, ell) ** s)[None, :]) ** 2))
                       for s in res.trace.sigmas])
         if res.trace.er_mode == "skipped":
             e_r.append(math.nan)
@@ -214,7 +214,7 @@ def test_energy_trace_norms_recompute_from_trajectory_at_nu_zero(tmp_path):
     xi = lattice(traj.shape[-1])
     for i, t in enumerate(times):
         v = traj[i] * gevrey_weight(xi, p["T"] - p["a"] * t, p["rho"], p["ell"])[None, :]
-        expect = [np.sqrt(np.sum(np.abs(v) ** 2 * bracket_pow(xi, p["ell"], 2.0 * s)))
+        expect = [np.sqrt(np.sum(np.abs(v) ** 2 * bracket(xi, p["ell"]) ** (2.0 * s)))
                   for s in sigmas]
         np.testing.assert_allclose(table[i, 4:], expect, rtol=1e-12)
     assert table[1, 4] != table[0, 4]

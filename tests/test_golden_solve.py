@@ -12,27 +12,13 @@ else must be equal.
 """
 
 import json
-import math
 import os
 
 from hypersym.runner import run
+from support import golden_problems
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                       "solve_xdep_h64.json")
-
-
-def _compare(got, want, path, problems):
-    if isinstance(want, dict):
-        if sorted(got) != sorted(want):
-            problems.append(f"{path}: keys {sorted(got)} != {sorted(want)}")
-            return
-        for key in want:
-            _compare(got[key], want[key], f"{path}.{key}", problems)
-    elif isinstance(want, float) and isinstance(got, float):
-        if not math.isclose(got, want, rel_tol=1e-10, abs_tol=0.0):
-            problems.append(f"{path}: {got!r} != {want!r}")
-    elif got != want:
-        problems.append(f"{path}: {got!r} != {want!r}")
 
 
 def test_solve_xdep_small_h_matches_golden():
@@ -40,7 +26,6 @@ def test_solve_xdep_small_h_matches_golden():
         golden = json.load(fh)
     status, summary = run(dict(golden["config"]))
     summary.pop("config")
-    problems = []
-    _compare(summary, golden["summary"], "summary", problems)
+    problems = golden_problems(summary, golden["summary"])
     assert status == golden["status"]
     assert not problems, problems

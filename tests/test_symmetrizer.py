@@ -26,7 +26,7 @@ from hypersym.symmetrizer import (
     rescale_for_a,
     symbol_estimate_probe,
 )
-from hypersym.weights import bracket, bracket_pow, poly_bump
+from hypersym.weights import bracket, poly_bump
 from support import (constant_system, field_dx, holder_difference_probe,
                      per_row_stencil_derivatives)
 
@@ -50,7 +50,7 @@ def test_build_m_scalar():
     p = _params()
     xi = 3.0
     m, rhs = damped_generator(cs, p, 0.0, 0.0, xi)
-    mu = bracket_pow(xi, 4.0, 0.5)
+    mu = bracket(xi, 4.0) ** 0.5
     np.testing.assert_allclose(m, [[-2.0 * mu]], atol=1e-14)
     assert rhs == 2.0 * mu
 
@@ -60,7 +60,7 @@ def test_build_m_jordan_assembly():
     p = _params()
     xi = 2.0
     m, _ = damped_generator(cs, p, 0.0, 0.0, xi)
-    mu = bracket_pow(xi, 4.0, 0.5)
+    mu = bracket(xi, 4.0) ** 0.5
     np.testing.assert_allclose(m, [[-2 * mu, 2j], [0, -2 * mu]], atol=1e-13)
 
 
@@ -68,7 +68,7 @@ def test_build_m_constant_in_x_equals_symbol():
     cs = constant_system(np.array([[0.1, 1.0], [1.0, -0.1]]))
     p = _params()
     m, _ = damped_generator(cs, p, 0.0, 0.0, 5.0)
-    mu = bracket_pow(5.0, 4.0, 0.5)
+    mu = bracket(5.0, 4.0) ** 0.5
     expected = 1j * taylor_symbol(cs, 0, 0, 5.0, 0.0, order=0) - 2.0 * mu * np.eye(2)
     np.testing.assert_allclose(m, expected, atol=1e-13)
 
@@ -276,6 +276,18 @@ def test_field_invariants_on_presets():
         assert inv["max_lyapunov_residual_rel"] <= 1e-8
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_field_is_exactly_hermitian(name):
+    # the invariants and the lower bound share eigvalsh(R), which reads one
+    # triangle of R: the solve must return R hermitian bit for bit
+    pre = get_preset(name)
+    field = build_field(pre.coeffs, run_params(pre.coeffs, pre.theta), np.linspace(0.0, 1.0, 4),
+                        np.linspace(0.0, 2 * math.pi, 5, endpoint=False),
+                        np.geomspace(16.0, 2.0**12, 9))
+    assert np.array_equal(field.R, field.R.conj().swapaxes(-1, -2))
+    assert field.check_invariants()["max_hermitian_defect"] == 0.0
+
+
 @pytest.mark.parametrize("name", ["xdep", "holder_k", "block_direct_sum"])
 def test_build_field_matches_per_node_loop(name):
     # the (t, x) grid in one damped_generator call against one call per node
@@ -352,8 +364,11 @@ def test_lower_bound_jordan_theta_one():
 def test_symbol_probe_scalar_trivial():
     cs = constant_system(np.array([[0.0]]))
     p = _params()
-    rep = symbol_estimate_probe(cs, p, np.geomspace(16, 1024, 5),
-                                max_order=1, include_dt=False)
+    rep = symbol_estimate_probe(cs, p, np.geomspace(16, 1024, 5))
+    # every xi and x order up to two, then the time derivative
+    assert [(row.alpha, row.beta, row.dt) for row in rep.rows] == [
+        (0, 0, False), (0, 1, False), (0, 2, False), (1, 0, False), (1, 1, False),
+        (2, 0, False), (0, 0, True)]
     for row in rep.rows:
         assert row.passed
 
@@ -375,7 +390,6 @@ def test_symbol_probe_a_sweep_reports():
     pr = plan(0, "lipschitz")
     rep = symbol_estimate_probe(pre.coeffs, pr.params,
                                 np.geomspace(2.0**4, 2.0**9, 5),
-                                max_order=1, include_dt=False,
                                 check_a_power=True)
     saw_fit = False
     for row in rep.rows:
@@ -388,26 +402,26 @@ def test_symbol_probe_a_sweep_reports():
 @pytest.mark.parametrize("check_a_power", [False, True])
 @pytest.mark.parametrize("name", preset_names())
 def test_probe_batch_matches_per_row_stencils(name, check_a_power, monkeypatch):
-    # the probe's one batch over every row and a-sweep group reads the same
-    # node values, bit for bit, as one generator call and solve per row
+    # each parameter set's one batch over every row reads the same node
+    # values, bit for bit, as one generator call and solve per row
     pre = get_preset(name)
     params = run_params(pre.coeffs, pre.theta)
     seen = []
 
-    def spy(coeffs, groups, t0, rows):
-        derivs = _stencil_derivatives(coeffs, groups, t0, rows)
-        seen.append((groups, t0, rows, derivs))
+    def spy(coeffs, params, x_values, xi_values, t0, rows):
+        derivs = _stencil_derivatives(coeffs, params, x_values, xi_values, t0, rows)
+        seen.append((params, x_values, xi_values, t0, rows, derivs))
         return derivs
 
     monkeypatch.setattr(symmetrizer, "_stencil_derivatives", spy)
     symbol_estimate_probe(pre.coeffs, params, np.geomspace(16.0, 2.0**12, 9),
                           check_a_power=check_a_power)
-    ((groups, t0, rows, derivs),) = seen
-    assert len(rows) == 7 and len(groups) == (4 if check_a_power else 1)
-    for row, batch in zip(rows, derivs):
-        ref = [d for group in groups
-               for d in per_row_stencil_derivatives(pre.coeffs, [group], t0, *row)]
-        assert all(np.array_equal(b, r) for b, r in zip(batch, ref, strict=True))
+    assert len(seen) == (4 if check_a_power else 1)
+    for p, x_values, xi_values, t0, rows, derivs in seen:
+        assert len(rows) == 7
+        for row, batch in zip(rows, derivs, strict=True):
+            ref = per_row_stencil_derivatives(pre.coeffs, p, x_values, xi_values, t0, *row)
+            assert np.array_equal(batch, ref)
 
 
 def test_rescale_for_a_stays_admissible():
@@ -612,14 +626,13 @@ def test_batched_probes_match_pointwise_solves(name):
     pr = plan(0, "holder", Fraction(1, 2)) if name == "holder_k" else plan(0, "lipschitz")
     xis = np.geomspace(16.0, 1024.0, 4)
     x_probes = np.array([0.0, 0.9, 2.1])
-    # the probe rows, and a rescaled-a group as check_a_power batches them
-    groups = [(pr.params, x_probes, xis),
-              (rescale_for_a(pr.params, 4.0), x_probes[:1], xis[[2]])]
     rows = [(0, 0, False), (1, 0, False), (2, 0, False), (0, 1, False),
             (0, 2, False), (1, 1, False), (0, 0, True)]
-    for (alpha, beta, dt_flag), derivs in zip(rows, _stencil_derivatives(pre.coeffs, groups,
-                                                                          0.1, rows)):
-        for (params, xps, xs), d in zip(groups, derivs):
+    # the probe's parameter set, and a rescaled-a one as check_a_power takes it
+    for params, xps, xs in [(pr.params, x_probes, xis),
+                            (rescale_for_a(pr.params, 4.0), x_probes[:1], xis[[2]])]:
+        derivs = _stencil_derivatives(pre.coeffs, params, xps, xs, 0.1, rows)
+        for (alpha, beta, dt_flag), d in zip(rows, derivs, strict=True):
             for i, xp in enumerate(xps):
                 for k, xi in enumerate(xs):
                     ref = _fd_reference(pre.coeffs, params, 0.1, xp, xi, alpha, beta, dt_flag)
