@@ -12,96 +12,41 @@ from fractions import Fraction
 
 from hypersym.symmetrizer import ParameterSet
 
-RationalLike = int | float | str | Fraction
+# The mollifier exponent delta: the vertex of the (delta, rho) region.  The
+# smoothing line rho >= (3 theta + 2 - kappa delta)/(3 theta + 2) falls in
+# delta and the time-derivative line rho >= (3 theta + 1 + (1 - kappa) delta)
+# /(3 theta + 2) rises; they meet at delta = 1 for every theta and kappa.
+DELTA = Fraction(1)
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value of the float
-    return Fraction(x)
-
-
-def s0_lipschitz(theta: int) -> Fraction:
-    """Gevrey threshold for Lipschitz-in-time coefficients."""
-    if theta < 0:
-        raise ValueError("theta must be a nonnegative integer")
-    return max(
-        Fraction(2 + 6 * theta, 1 + 6 * theta),
-        Fraction(3 + 4 * theta, 2 + 4 * theta),
-    )
-
-
-def s0_holder(theta: int, kappa: RationalLike) -> Fraction:
-    """Gevrey threshold for kappa-Hoelder-in-time coefficients."""
-    k = _frac(kappa)
-    if not (0 < k < 1):
-        raise ValueError("kappa must lie in (0, 1)")
-    return min(
-        Fraction(2 + 3 * theta) / (Fraction(2 + 3 * theta) - k),
-        s0_lipschitz(theta),
-    )
-
-
-def rho_required(theta: int, mode: str, kappa: RationalLike | None = None):
+def rho_required(theta: int, mode: str, kappa: Fraction | float | None = None):
     """Minimal admissible weight exponent rho and the binding estimate.
 
     Lipschitz mode takes the smaller of the two a-priori-estimate
     thresholds (the smaller rho admits the larger Gevrey index s = 1/rho);
-    Hoelder mode additionally enforces the mollifier constraint, combined
-    by max since every hypothesis must hold simultaneously.
+    Hoelder mode additionally enforces the mollifier constraint at the
+    region's vertex delta = 1, combined by max since every hypothesis must
+    hold simultaneously.  The Gevrey threshold is s0 = 1/rho.
     """
-    first = Fraction(1 + 6 * theta, 2 + 6 * theta)
-    second = Fraction(2 + 4 * theta, 3 + 4 * theta)
-    rho_lip = min(first, second)
-    binding = "first-estimate" if rho_lip == first else "second-estimate"
-    if mode == "lipschitz":
-        return rho_lip, binding
+    if mode not in ("lipschitz", "holder"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "holder":
         if kappa is None:
             raise ValueError("holder mode requires kappa")
-        k = _frac(kappa)
-        rho_hol = Fraction(3 * theta + 2) - k
-        rho_hol = rho_hol / Fraction(3 * theta + 2)
-        if rho_hol >= rho_lip:
+        kappa = Fraction(kappa)
+        if not 0 < kappa < 1:
+            raise ValueError("kappa must lie in (0, 1)")
+    if theta < 0:
+        raise ValueError("theta must be a nonnegative integer")
+    first = Fraction(1 + 6 * theta, 2 + 6 * theta)
+    second = Fraction(2 + 4 * theta, 3 + 4 * theta)
+    rho = min(first, second)
+    binding = "first-estimate" if rho == first else "second-estimate"
+    if mode == "holder":
+        rho_hol = (3 * theta + 2 - kappa) / (3 * theta + 2)
+        if rho_hol >= rho:
             return rho_hol, "holder-mollifier"
-        return rho_lip, binding
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-@dataclass
-class FeasibleRegion:
-    """The (delta, rho) region for the mollified symmetrizer.
-
-    Both constraints are linear in rho once nu = theta(1 - rho) is
-    substituted; their intersection sits at delta = 1 exactly.
-    """
-
-    kappa: Fraction
-    # rho >= (line_a_num - kappa*delta) / denom  and
-    # rho >= (line_b_num + (1-kappa)*delta) / denom
-    denom: int
-    line_a_num: int
-    line_b_num: int
-    vertex_delta: Fraction
-    vertex_rho: Fraction
-
-
-def feasible_region(theta: int, kappa: RationalLike) -> FeasibleRegion:
-    k = _frac(kappa)
-    if not (0 < k <= 1):
-        raise ValueError("kappa must lie in (0, 1]")
-    denom = 3 * theta + 2
-    vertex_rho = (Fraction(denom) - k) / denom
-    return FeasibleRegion(
-        kappa=k,
-        denom=denom,
-        line_a_num=3 * theta + 2,
-        line_b_num=3 * theta + 1,
-        vertex_delta=Fraction(1),
-        vertex_rho=vertex_rho,
-    )
+    return rho, binding
 
 
 def _le_pow(lhs: Fraction, base: Fraction, expo: Fraction) -> bool:
@@ -126,9 +71,9 @@ def _le_pow(lhs: Fraction, base: Fraction, expo: Fraction) -> bool:
 
 def validate_params(
     p: ParameterSet,
-    c: RationalLike,
-    a0: RationalLike,
-    eps0: RationalLike,
+    c: Fraction | float,
+    a0: Fraction | float,
+    eps0: Fraction | float,
 ) -> list[str]:
     """Exact admissibility check of a parameter set against a certified c.
 
@@ -137,15 +82,8 @@ def validate_params(
     ``1 <= a <= ell^(1-rho)``; Taylor-scale window ``tau * ell^(rho-1) <=
     eps0``; damping floor ``a >= a0 + 1``.
     """
-    rho = _frac(p.rho)
-    a = _frac(p.a)
-    ell = _frac(p.ell)
-    tau = _frac(p.tau)
-    big_t = _frac(p.T)
-    c1 = _frac(p.c1)
-    c = _frac(c)
-    a0 = _frac(a0)
-    eps0 = _frac(eps0)
+    rho, a, ell, tau, big_t, c1 = map(Fraction, (p.rho, p.a, p.ell, p.tau, p.T, p.c1))
+    c, a0, eps0 = Fraction(c), Fraction(a0), Fraction(eps0)
 
     violations = []
     if not (0 < rho < 1):
@@ -201,34 +139,22 @@ def _pow_ceil_int(a: Fraction, expo: Fraction) -> int:
 def plan(
     theta: int,
     mode: str = "lipschitz",
-    kappa: RationalLike | None = None,
-    c: RationalLike = Fraction(1, 2),
-    a0: RationalLike = 1,
-    eps0: RationalLike = Fraction(1, 2),
+    kappa: Fraction | float | None = None,
+    c: Fraction | float = Fraction(1, 2),
+    a0: Fraction | float = 1,
+    eps0: Fraction | float = Fraction(1, 2),
 ) -> PlanResult:
     """Compute thresholds and an admissible parameter template.
 
-    The template picks ``a = a0 + 1``, the smallest power-of-two ``ell``
+    The threshold is s0 = 1/rho with rho from :func:`rho_required`.  The
+    template picks ``a = a0 + 1``, the smallest power-of-two ``ell``
     compatible with the weight window, ``T`` at the damping-window boundary
     and ``tau`` inside both windows; every choice is re-validated exactly.
     """
-    c = _frac(c)
-    a0 = _frac(a0)
-    eps0 = _frac(eps0)
-    if mode == "lipschitz":
-        s0 = s0_lipschitz(theta)
-        delta = None
-        kap = None
-    elif mode == "holder":
-        if kappa is None:
-            raise ValueError("holder mode requires kappa")
-        kap = _frac(kappa)
-        s0 = s0_holder(theta, kap)
-        delta = feasible_region(theta, kap).vertex_delta
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     rho, binding = rho_required(theta, mode, kappa)
-    assert s0 * rho == 1, "threshold and exponent must be exact reciprocals"
+    s0 = 1 / rho
+    kap, delta = (Fraction(kappa), DELTA) if mode == "holder" else (None, None)
+    c, a0, eps0 = Fraction(c), Fraction(a0), Fraction(eps0)
 
     a = a0 + 1
     ell = _pow_ceil_int(a, 1 - rho)
@@ -247,7 +173,7 @@ def plan(
         T=big_t,
         c1=c1,
         theta=theta,
-        kappa=None if kap is None else kap,
+        kappa=kap,
         s=s0,
         delta=delta,
         a0=a0,

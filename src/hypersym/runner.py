@@ -249,21 +249,19 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
 
 
 def run_params(
-    coeffs: SystemCoefficients,
-    theta: int,
+    cal: Calibration,
     mode: str = "lipschitz",
     kappa=None,
     ell_max: float | None = None,
-    cal: Calibration | None = None,
 ) -> ParameterSet:
-    """Admissible parameters for an evolution run, calibrated per problem.
+    """Admissible parameters for an evolution run, from a problem's calibration.
 
     Without an ``ell_max`` cap the planner template is used directly.  A cap
     (needed when the cutoff range h <= 1/ell must reach coarse h) shrinks a
     to the weight window ``a <= ell^(1-rho)``, which is only admissible when
     the calibrated damping floor a0 is small enough.
     """
-    cal = cal or calibrate(coeffs, theta)
+    theta = cal.theta
     rho_frac, _ = planner.rho_required(theta, mode, kappa)
     if ell_max is None:
         # Keep the damping at scale a >= 2 even when the empirical floor
@@ -285,8 +283,7 @@ def run_params(
     c1 = cal.c * tau / 2.0
     params = ParameterSet(rho=rho_frac, a=a, ell=ell, tau=tau, T=big_t, c1=c1,
                           theta=theta, kappa=kappa,
-                          delta=planner.feasible_region(theta, kappa).vertex_delta
-                          if mode == "holder" else None,
+                          delta=planner.DELTA if mode == "holder" else None,
                           a0=cal.a0, eps0=cal.eps0, c_spec=cal.c)
     violations = planner.validate_params(params, cal.c, cal.a0, cal.eps0)
     if violations:
@@ -301,10 +298,11 @@ def _solve_setup(config: dict):
     mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
     kappa = Fraction(coeffs.kappa).limit_denominator(100) if coeffs.kappa else None
     cal = calibrate(coeffs, theta_decl)
-    ell_max = config.get("ell")
-    params = run_params(coeffs, cal.theta, mode, kappa, ell_max=ell_max, cal=cal)
-    s0 = float(planner.s0_holder(cal.theta, kappa) if mode == "holder"
-               else planner.s0_lipschitz(cal.theta))
+    try:
+        params = run_params(cal, mode, kappa, ell_max=config.get("ell"))
+    except ValueError as exc:  # the planner's kappa range, met by the rounded kappa
+        raise ConfigError(f"kappa = {coeffs.kappa} rounds to {kappa}: {exc}") from None
+    s0 = float(1 / params.rho)
     s = config.get("s", 0.5 * (1.0 + s0))
     if not s < s0:
         raise ConfigError(f"data index s = {s} must be below s0 = {s0}")
@@ -428,7 +426,7 @@ def _cmd_nuij(config: dict) -> dict:
 def _cmd_symmetrize(config: dict) -> dict:
     coeffs, theta_decl, name = _resolve_coeffs(config)
     cal = calibrate(coeffs, theta_decl)
-    params = run_params(coeffs, cal.theta, cal=cal)
+    params = run_params(cal)
     xis = np.geomspace(config["xi_lo"], config["xi_hi"], config["n_xi"])
     ts = np.linspace(0.0, 1.0, config["n_t"])
     xs = np.linspace(0.0, 2 * math.pi, config["n_x"], endpoint=False)

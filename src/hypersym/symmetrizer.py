@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -27,10 +27,10 @@ class ParameterSet:
     """Weight/damping parameters with the admissibility constraints attached.
 
     Values may be exact rationals (from the planner) or floats; numeric
-    consumers coerce to float.  ``nu = theta (1 - rho)`` and
-    ``N = max(2 theta, m)`` are derived.  ``a0`` and ``eps0`` are empirical
-    floor constants with no canonical closed form, calibrated per problem;
-    ``c_spec`` is the certified spectral-bound constant.
+    consumers coerce to float.  ``nu = theta (1 - rho)`` is derived, and so
+    is the Taylor order ``taylor_order(theta, m)``.  ``a0`` and ``eps0`` are
+    empirical floor constants with no canonical closed form, calibrated per
+    problem; ``c_spec`` is the certified spectral-bound constant.
     """
 
     rho: object
@@ -51,31 +51,10 @@ class ParameterSet:
     def nu(self) -> float:
         return self.theta * (1.0 - float(self.rho))
 
-    def n_taylor(self, m: int) -> int:
-        return taylor_order(self.theta, m)
-
     def to_json(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            return float(v)
-
-        return {
-            "rho": enc(self.rho),
-            "a": enc(self.a),
-            "ell": enc(self.ell),
-            "tau": enc(self.tau),
-            "T": enc(self.T),
-            "c1": enc(self.c1),
-            "theta": self.theta,
-            "kappa": enc(self.kappa),
-            "s": enc(self.s),
-            "delta": enc(self.delta),
-            "a0": enc(self.a0),
-            "eps0": enc(self.eps0),
-            "c_spec": enc(self.c_spec),
-            "nu": self.nu,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {k: None if v is None else float(v) for k, v in values.items()}
+        return {**doc, "theta": self.theta, "nu": self.nu}  # theta stays an int
 
 
 def rescale_for_a(params: ParameterSet, a: float) -> ParameterSet:
@@ -115,7 +94,8 @@ def hn_over_lattice(
     tau = np.asarray(params.tau, dtype=float)
     xi_values = np.asarray(xi_values, dtype=float)
     eps = tau * rho * bracket(xi_values, ell) ** (rho - 2.0)
-    return taylor_symbol(coeffs, t, x, xi_values, eps * xi_values, params.n_taylor(coeffs.m))
+    n_taylor = taylor_order(params.theta, coeffs.m)
+    return taylor_symbol(coeffs, t, x, xi_values, eps * xi_values, n_taylor)
 
 
 def damped_generator(

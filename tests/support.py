@@ -11,11 +11,14 @@ paper that the acceptance tests check directly: the Hoelder ratio of a
 coefficient path, the lower bound of the characteristic polynomial near a
 multiple eigenvalue, and the Hoelder difference estimate of the symmetrizer.
 The symbol probe's stencils, taken one row at a time, are the reference of
-its one batch.
+its one batch.  The paper's Gevrey thresholds s0 and the two constraint
+lines of the mollifier's (delta, rho) region are the references of the
+planner's one exponent, rho, and its constant delta.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -376,6 +379,29 @@ def per_row_stencil_derivatives(coeffs, params, x_values, xi_values, t0, alpha, 
 
 # ---------------------------------------------------------------------------
 # Golden summaries
+
+
+# ---------------------------------------------------------------------------
+# Exact thresholds, as the paper states them
+
+
+def s0_lipschitz_reference(theta: int) -> Fraction:
+    """Gevrey threshold for Lipschitz-in-time coefficients: the larger of the
+    two a-priori estimates' indices."""
+    return max(Fraction(2 + 6 * theta, 1 + 6 * theta), Fraction(3 + 4 * theta, 2 + 4 * theta))
+
+
+def s0_holder_reference(theta: int, kappa: Fraction) -> Fraction:
+    """Gevrey threshold for kappa-Hoelder-in-time coefficients."""
+    return min(Fraction(2 + 3 * theta) / (2 + 3 * theta - kappa), s0_lipschitz_reference(theta))
+
+
+def mollifier_lines(theta: int, kappa: Fraction, delta: Fraction) -> tuple[Fraction, Fraction]:
+    """The least rho each constraint of the mollified symmetrizer allows at
+    ``delta``: the smoothing line and the time-derivative line."""
+    denom = 3 * theta + 2
+    return ((3 * theta + 2 - kappa * delta) / denom,
+            (3 * theta + 1 + (1 - kappa) * delta) / denom)
 
 
 def golden_problems(got, want, path="summary") -> list[str]:

@@ -12,13 +12,7 @@ import pytest
 
 from hypersym.engine import conjugation_remainder_probe
 from hypersym.matkernel import estimate_theta, spectral_bound_certify
-from hypersym.planner import (
-    feasible_region,
-    plan,
-    rho_required,
-    s0_holder,
-    s0_lipschitz,
-)
+from hypersym.planner import plan, rho_required
 from hypersym.presets import get_preset
 from hypersym.rootsplit import expand_roots, nuij_constant, nuij_split, random_real_rooted
 from hypersym.solver import CauchyProblem, gevrey_data, h_uniformity_study, \
@@ -33,7 +27,12 @@ from hypersym.symmetrizer import (
 )
 
 from conftest import ACCEPTANCE_LINES
-from support import holder_difference_probe
+from support import (
+    holder_difference_probe,
+    mollifier_lines,
+    s0_holder_reference,
+    s0_lipschitz_reference,
+)
 
 BANK = ("diag_sym", "wave_t2", "jordan_lower", "xdep", "holder_k",
         "block_direct_sum")
@@ -185,23 +184,23 @@ def test_criterion_06_conjugation():
 
 
 def test_criterion_07_planner_exactness():
+    # the planner's s0 = 1/rho and delta against the paper's formulas, written here
     checks = [
-        s0_lipschitz(0) == F(2),
-        s0_lipschitz(1) == F(7, 6),
-        s0_holder(0, F(1, 2)) == F(2) / (F(2) - F(1, 2)),
-        s0_holder(0, F(1, 3)) == F(2) / (F(2) - F(1, 3)),
+        plan(0).s0 == F(2),
+        plan(1).s0 == F(7, 6),
+        plan(0, "holder", F(1, 2)).s0 == F(2) / (F(2) - F(1, 2)),
+        plan(0, "holder", F(1, 3)).s0 == F(2) / (F(2) - F(1, 3)),
         all(
-            s0_lipschitz(t) * rho_required(t, "lipschitz")[0] == 1
+            s0_lipschitz_reference(t) * rho_required(t, "lipschitz")[0] == 1
             for t in range(9)
         ),
     ]
     for theta in (0, 1, 2, 3):
         for kappa in (F(1, 2), F(1, 3), F(9, 10)):
-            fr = feasible_region(theta, kappa)
-            checks.append(fr.vertex_delta == 1)
-            checks.append(
-                fr.vertex_rho == (F(3 * theta + 2) - kappa) / (3 * theta + 2)
-            )
+            pr = plan(theta, "holder", kappa)
+            smoothing, dt_line = mollifier_lines(theta, kappa, pr.delta)
+            checks.append(pr.delta == pr.params.delta == 1 and smoothing == dt_line)
+            checks.append(pr.s0 == s0_holder_reference(theta, kappa))
     _report(7, "planner exact rational thresholds", all(checks),
             f"{sum(bool(c) for c in checks)}/{len(checks)} identities")
 

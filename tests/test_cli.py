@@ -16,6 +16,19 @@ def _zero_coeffs(m):
     return {"m": m, "A": [[[] for _ in range(m)] for _ in range(m)]}
 
 
+def _holder_coeffs(kappa):
+    # holder_k's coefficients, inline, with the declared Hoelder exponent kappa
+    one = {"x_freq": 0, "t_term": "1", "re": 1.0}
+    path = {"x_freq": 0, "t_term": "lacunary(0.5,12)", "re": 0.1}
+    return {"m": 2, "A": [[[], [one, path]], [[one], []]], "t_regularity": "holder",
+            "kappa": kappa}
+
+
+# declared exponents in (0, 1] that the run's planner, which rounds kappa to a
+# denominator of at most 100, reads as 0 or 1
+_KAPPA_ROUNDED_OUT = (0.001, 0.004, 0.996, 0.999, 1.0)
+
+
 def test_plan_via_cli(capsys):
     status = main(["plan", "--theta", "1"])
     out = capsys.readouterr().out
@@ -134,6 +147,9 @@ def test_wrong_type_rejected(cfg):
     # coefficient, 6! s^6, underflows and reads as a false double root
     ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-55]}],
     ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-100]}],
+    # a Hoelder exponent outside the planner's (0, 1) once rounded
+    *[[command, "--seed", "0", {"coeffs": _holder_coeffs(kappa)}]
+      for kappa in _KAPPA_ROUNDED_OUT for command in ("solve", "study-h", "study-parabolic")],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -148,6 +164,14 @@ def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     assert "Traceback" not in err
     if fields:  # the message names the offending field
         assert re.search(r"\b(%s)\b" % "|".join(fields), err), err
+
+
+@pytest.mark.parametrize("kappa", [0.001, 1.0])
+@pytest.mark.parametrize("command", ["symmetrize", "certify", "theta"])
+def test_holder_kappa_rounded_out_runs_where_nothing_plans_in_holder_mode(command, kappa):
+    status, _ = run({"command": command, "schema_version": "1",
+                     "coeffs": _holder_coeffs(kappa)})
+    assert status == 0
 
 
 def _lacunary_coeffs(levels):

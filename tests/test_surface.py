@@ -9,8 +9,13 @@ Methods are matched by name alone: any ``Name`` or attribute of that name
 counts.
 A name that only tests reach is a fixture or a probe, and it lives under
 ``tests/`` (``support.py``, ``kn_reference.py``).  Every dataclass field must
-be read as an attribute somewhere in ``src/hypersym`` or ``tests/``; a field
-that is only written carries nothing.  Every defaulted parameter must be
+be read as an attribute somewhere in ``src/hypersym`` or ``tests/``, or its
+dataclass must reach ``dataclasses.asdict`` or ``dataclasses.fields`` in
+``src/hypersym``, which read every field; a field that is only written
+carries nothing.  The argument of ``asdict`` or ``fields`` is resolved to its
+class through the return annotation of the call that bound it, through the
+``list[D]`` field annotation that a loop variable runs over, or as ``self``
+in a method of the class.  Every defaulted parameter must be
 passed by some call in ``src/hypersym`` or ``tests/``; a default that no
 caller overrides is a constant.  The dense eigensolver is called only behind
 ``matkernel.block_eigvals`` and in ``rootsplit.polished_roots``.
@@ -82,13 +87,57 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _serialized_classes(trees: list[ast.Module]) -> set[str]:
+    """Names of the dataclasses whose instances ``src`` passes to ``asdict`` or
+    ``fields``."""
+    returns = {node.name: ast.unparse(node.returns).strip("'\"")
+               for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.returns is not None}
+    elements = {(node.name, item.target.id): item.annotation.slice.id
+                for tree in trees for node in tree.body
+                if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.annotation, ast.Subscript)
+                and getattr(item.annotation.value, "id", None) == "list"
+                and isinstance(item.annotation.slice, ast.Name)}
+    owners = {id(item): node.name for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef)
+              for item in node.body if isinstance(item, ast.FunctionDef)}
+    classes = set()
+    for func in (node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)):
+        nodes = list(ast.walk(func))
+        bound = {"self": owners.get(id(func))}
+        bound.update({node.targets[0].id: returns.get(_callee(node.value)) for node in nodes
+                      if isinstance(node, ast.Assign) and len(node.targets) == 1
+                      and isinstance(node.targets[0], ast.Name)
+                      and isinstance(node.value, ast.Call)})
+        for node in nodes:  # for v in x.rows, with x bound by a call and rows a list[D]
+            if isinstance(node, (ast.For, ast.comprehension)) \
+                    and isinstance(node.target, ast.Name) \
+                    and isinstance(node.iter, ast.Attribute) \
+                    and isinstance(node.iter.value, ast.Name):
+                owner = bound.get(node.iter.value.id)
+                bound[node.target.id] = elements.get((owner, node.iter.attr))
+        classes |= {bound.get(node.args[0].id) for node in nodes
+                    if isinstance(node, ast.Call) and _callee(node) in ("asdict", "fields")
+                    and node.args and isinstance(node.args[0], ast.Name)}
+    return classes - {None}
+
+
 def test_every_dataclass_field_is_read():
     src = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     tests = [ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))]
     read = {node.attr for tree in src + tests for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    serialized = _serialized_classes(src)
     unread = [f"{node.name}.{item.target.id}" for tree in src for node in tree.body
               if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              and node.name not in serialized
               for item in node.body
               if isinstance(item, ast.AnnAssign) and item.target.id not in read]
     assert not unread, "dataclass fields that nothing reads: " + ", ".join(unread)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
-from hypersym.matkernel import expm_batched, taylor_symbol
+from hypersym.matkernel import expm_batched, taylor_order, taylor_symbol
 from hypersym import symmetrizer
 from hypersym.presets import get_preset, preset_names
 from hypersym.planner import plan
-from hypersym.runner import run_params
+from hypersym.runner import calibrate, run_params
 from hypersym.symmetrizer import (
     ParameterSet,
     _lyap_solve_batch,
@@ -281,7 +281,8 @@ def test_field_is_exactly_hermitian(name):
     # the invariants and the lower bound share eigvalsh(R), which reads one
     # triangle of R: the solve must return R hermitian bit for bit
     pre = get_preset(name)
-    field = build_field(pre.coeffs, run_params(pre.coeffs, pre.theta), np.linspace(0.0, 1.0, 4),
+    params = run_params(calibrate(pre.coeffs, pre.theta))
+    field = build_field(pre.coeffs, params, np.linspace(0.0, 1.0, 4),
                         np.linspace(0.0, 2 * math.pi, 5, endpoint=False),
                         np.geomspace(16.0, 2.0**12, 9))
     assert np.array_equal(field.R, field.R.conj().swapaxes(-1, -2))
@@ -405,7 +406,7 @@ def test_probe_batch_matches_per_row_stencils(name, check_a_power, monkeypatch):
     # each parameter set's one batch over every row reads the same node
     # values, bit for bit, as one generator call and solve per row
     pre = get_preset(name)
-    params = run_params(pre.coeffs, pre.theta)
+    params = run_params(calibrate(pre.coeffs, pre.theta))
     seen = []
 
     def spy(coeffs, params, x_values, xi_values, t0, rows):
@@ -588,7 +589,7 @@ def test_lattice_generator_matches_pointwise():
     p = _params()
     xis = np.array([2.0, 16.0, 128.0])
     stack = hn_over_lattice(pre.coeffs, p, 0.3, 1.1, xis)
-    n = p.n_taylor(pre.coeffs.m)
+    n = taylor_order(p.theta, pre.coeffs.m)
     for i, xi in enumerate(xis):
         # per-node sum (eps^j / j!) D_x^j A xi^(j+1), eps = tau rho <xi>^(rho-2)
         eps = 0.5 * 0.5 * bracket(xi, 4.0) ** (0.5 - 2.0)
