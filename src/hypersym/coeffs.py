@@ -14,6 +14,7 @@ exact and never formed numerically.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -129,6 +130,18 @@ class SystemCoefficients:
     @property
     def x_band(self) -> int:
         return max(self.a_field.x_band, self.b_field.x_band)
+
+    @functools.cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """Index sets of the decoupled diagonal blocks of every stack built from the system:
+        the components of the A and B terms' nonzero pattern, its transpose and I."""
+        link = np.eye(self.m, dtype=bool)
+        for term in self.a_field.terms + self.b_field.terms:
+            link |= term.matrix != 0
+        reach = link | link.T
+        for _ in range(self.m.bit_length()):  # paths of length up to 2^k after k squarings
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
 
 
 def _field_from_json(m: int, entries: list) -> MatrixField:

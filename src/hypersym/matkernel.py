@@ -4,7 +4,8 @@ Taylor-polynomial symbols in the spatial and frequency directions, a batched
 matrix exponential (closed form on 1x1 and 2x2 blocks, Pade on larger ones),
 batched eigenvalues (closed form on 1x1 and 2x2 blocks, the dense solver on
 larger ones), real-spectrum certification, the spatial spectral-bound
-certificate, and the block-size barometer (theta) estimator.
+certificate, and the block-size barometer (theta) estimator.  The kernels
+take the system's block partition, ``SystemCoefficients.blocks``, never a stack's.
 
 All operations are pure functions of their inputs; grid sweeps are
 vectorized with deterministic reduction order.
@@ -94,17 +95,6 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
-def _blocks(hs: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the decoupled diagonal blocks of a stack (..., m, m): the connected
-    components of the exact-nonzero pattern of the whole stack, unioned with its transpose."""
-    m = hs.shape[-1]
-    link = np.any(hs != 0, axis=tuple(range(hs.ndim - 2)))
-    reach = link | link.T | np.eye(m, dtype=bool)
-    for _ in range(m.bit_length()):  # paths of length up to 2^k after k squarings
-        reach = (reach.astype(int) @ reach.astype(int)) > 0
-    return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
-
-
 def _split_2x2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``half = (z11 - z22) / 2`` and ``sd = sqrt(half^2 + z12 z21)`` for Z in (..., 2, 2):
     the eigenvalues of Z are ``tr Z / 2 -+ sd``."""
@@ -149,13 +139,13 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def expm_batched(a: np.ndarray) -> np.ndarray:
+def expm_batched(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """Matrix exponential of a stack of square matrices (..., m, m).
 
     Each member is scaled by its own power of two to bring the 1-norm under
     the Pade-13 threshold, then squared back individually.  In between, each
-    block of the scaled stack's :func:`_blocks` partition is exponentiated on
-    its own: a 1x1 block h by ``e^h``, a 2x2 block A by the closed form
+    of ``blocks``, the system's partition (``SystemCoefficients.blocks``), is
+    exponentiated on its own: a 1x1 block h by ``e^h``, a 2x2 block A by the closed form
     ``e^{tr A / 2} E`` of :func:`_exp_2x2` at ``Z = -iA`` (an exact rotation),
     and a larger block by the Pade-13 core (Higham, SIMAX 26(4), 2005).
     """
@@ -173,7 +163,7 @@ def expm_batched(a: np.ndarray) -> np.ndarray:
     a = a / (2.0 ** n_sq)[:, None, None]
 
     result = np.zeros_like(a)
-    for idx in _blocks(a):
+    for idx in blocks:
         block = a[:, idx[:, None], idx]
         if len(idx) == 1:
             exp = np.exp(block)
@@ -193,10 +183,11 @@ def expm_batched(a: np.ndarray) -> np.ndarray:
 # Eigenvalues
 
 
-def block_eigvals(stack) -> np.ndarray:
+def block_eigvals(stack, blocks: list[np.ndarray]) -> np.ndarray:
     """Eigenvalues of a stack ``(..., m, m) -> (..., m)``, unordered.
 
-    Each block of the stack's :func:`_blocks` partition is solved on its own:
+    Each of ``blocks``, the stack's decoupled diagonal blocks from its
+    system's ``SystemCoefficients.blocks``, is solved on its own:
     a 1x1 block is its entry, a 2x2 block Z has ``tr Z / 2 -+ sd`` with the
     discriminant of :func:`_split_2x2`, and a larger block, irreducible, goes
     to the dense solver.  Entries or a discriminant past the double range
@@ -207,7 +198,7 @@ def block_eigvals(stack) -> np.ndarray:
     if not np.isfinite(a).all():
         raise HypersymError("matrix entries are not finite: the symbol leaves the double range")
     vals = np.empty(a.shape[:-1], dtype=complex)
-    for idx in _blocks(a):
+    for idx in blocks:
         block = a[..., idx[:, None], idx]
         if len(idx) == 1:
             vals[..., idx] = block[..., 0]
@@ -224,11 +215,11 @@ def block_eigvals(stack) -> np.ndarray:
     return vals
 
 
-def _max_imag(stack: np.ndarray) -> np.ndarray:
-    """Largest |Im eigenvalue| of each matrix in a non-empty stack."""
+def _max_imag(stack: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """Largest |Im eigenvalue| of each matrix in a non-empty stack of ``blocks``."""
     if stack.size == 0:
         raise ValueError("certification grid is empty")
-    return np.max(np.abs(block_eigvals(stack).imag), axis=-1)
+    return np.max(np.abs(block_eigvals(stack, blocks).imag), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +253,7 @@ def certify_real_spectrum(
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
     field = taylor_symbol(coeffs, t_values[:, None], x_values, 1.0, z=0.0, order=0)
-    im = _max_imag(field[:, :, None] * xi_values[:, None, None])  # (nt, nx, nxi)
+    im = _max_imag(field[:, :, None] * xi_values[:, None, None], coeffs.blocks)  # (nt, nx, nxi)
     norm_max = float(np.max(np.linalg.norm(field, 2, axis=(-2, -1)))
                      * np.max(np.abs(xi_values)))
     i_t, i_x, i_xi = np.unravel_index(np.argmax(im), im.shape)
@@ -324,7 +315,7 @@ def spectral_bound_certify(
     # z = i (i s) y for the imaginary step i s; shape (nt, nx, ns, ny, m, m)
     hs = taylor_symbol(coeffs, t_values[:, None, None, None], x_values[:, None, None], 1.0,
                        -s_values[:, None] * y_values, coeffs.m)
-    im = _max_imag(hs)  # (nt, nx, ns, ny)
+    im = _max_imag(hs, coeffs.blocks)  # (nt, nx, ns, ny)
     im_sy = np.max(im, axis=(0, 1))
     im_max = np.max(im_sy, axis=1)
     table = [(float(s), float(v)) for s, v in zip(s_values, im_max)]
@@ -374,10 +365,10 @@ class ThetaEstimate:
 def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """``||e^{isH}||_2`` for H in (n_nodes, m, m) and s in (n_s,), shape (n_s, n_nodes).
 
-    A direct sum's norm, over ``blocks``, is its largest block norm.  A 1x1 block gives
-    ``e^{-s Im h}``.  A 2x2 block with Z = sH has ``e^{iZ} = e^{i mu} E`` with
-    ``mu = tr Z / 2`` and E from :func:`_exp_2x2`, the closed form that
-    ``expm_batched`` shares, and norm
+    A direct sum's norm, over ``blocks`` (the system's), is its largest block
+    norm.  A 1x1 block gives ``e^{-s Im h}``.  A 2x2 block with Z = sH has
+    ``e^{iZ} = e^{i mu} E`` with ``mu = tr Z / 2`` and E from :func:`_exp_2x2`,
+    the closed form that ``expm_batched`` shares, and norm
     ``|e^{i mu}| sqrt((p + r)/2 + hypot((p - r)/2, |q|))`` over the entries
     p, q, r of E*E, where no term cancels.  Larger blocks, irreducible, take
     ``expm_batched``'s Pade core and an SVD.
@@ -396,7 +387,7 @@ def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.nd
             nb = np.exp(-0.5 * (z[..., 0, 0] + z[..., 1, 1]).imag) \
                 * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
         else:
-            exps = expm_batched(1j * s[:, None, None, None] * h)
+            exps = expm_batched(1j * s[:, None, None, None] * h, [np.arange(len(idx))])
             finite = np.isfinite(exps).all()
             nb = np.linalg.svd(exps, compute_uv=False)[..., 0] if finite else np.inf
         norms = np.maximum(norms, nb)
@@ -414,7 +405,7 @@ def _growth_curves(
 ):
     """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf.
 
-    One eps at a time (peak memory is one (s, node) batch), on one block partition.
+    One eps at a time (peak memory is one (s, node) batch), on the system's partition.
     """
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
@@ -428,10 +419,10 @@ def _growth_curves(
     s = np.concatenate((np.zeros((len(eps_values), 1)),
                         np.geomspace(1e-2, 30.0, 36) / eps_values[:, None]), axis=1)
     damp = np.exp(-c_hat * s * eps_values[:, None])[:, :, None]
-    g, low, blocks = np.empty(len(eps_values)), np.empty(len(eps_values)), _blocks(hs)
+    g, low = np.empty(len(eps_values)), np.empty(len(eps_values))
     for i, eps in enumerate(eps_values):
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = _exp_norms(hs[i], s[i], blocks)
+            norms = _exp_norms(hs[i], s[i], coeffs.blocks)
         if not np.isfinite(norms).all():
             raise HypersymError(f"theta barometer: ||e^(is H_N)|| is not finite at "
                                 f"eps = {eps:.6g}; the symbol is not hyperbolic")

@@ -243,7 +243,7 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
     h = symmetrizer.hn_over_lattice(coeffs, probe, ts[:, None, None], xs[:, None], xis)
     if not np.isfinite(h).all():
         raise HypersymError("calibration: H_N is not finite: the symbol leaves the double range")
-    spread = matkernel._max_imag(h) / (c * mu)
+    spread = matkernel._max_imag(h, coeffs.blocks) / (c * mu)
     a0 = float(np.max(spread)) * 1.05
     return Calibration(c=c, a0=a0, eps0=eps0, theta=theta)
 
@@ -435,7 +435,7 @@ def _cmd_symmetrize(config: dict) -> dict:
     lyap_ok = inv["max_lyapunov_residual_rel"] <= 1e-8
     sub = (slice(None), slice(0, 2), slice(None))
     quad = symmetrizer.quadrature_R(field.M[sub], np.broadcast_to(
-        field.rhs, field.M.shape[:-2])[sub], tol=1e-8)
+        field.rhs, field.M.shape[:-2])[sub], coeffs.blocks, tol=1e-8)
     agree = float(np.max(
         np.linalg.norm(quad - field.R[sub], axis=(-2, -1))
         / np.linalg.norm(field.R[sub], axis=(-2, -1))

@@ -366,14 +366,14 @@ class BandPropagator:
 # Traces and the main loop
 
 
-def _samples_per_block(m: int, n_x: int, n_lyap: int) -> int:
+def _samples_per_block(blocks: list[np.ndarray], n_x: int, n_lyap: int) -> int:
     """Samples per block of diagnostics, so that its temporaries stay near
     _BLOCK_BYTES: a sample holds 48 bytes a mode, its squared moduli, weight
     and their products and the radius fit's rows (tracemalloc reads 45 n_x
     on every preset, whatever m), and each of its ``n_lyap`` Lyapunov nodes
     what the band generator and the kernel of ``_lyap_solve_batch`` hold at
-    once (``_lyap_node_bytes``)."""
-    return max(1, _BLOCK_BYTES // (48 * n_x + _lyap_node_bytes(m) * n_lyap))
+    once on the system's partition ``blocks`` (``_lyap_node_bytes``)."""
+    return max(1, _BLOCK_BYTES // (48 * n_x + _lyap_node_bytes(blocks) * n_lyap))
 
 
 @dataclass
@@ -548,7 +548,7 @@ def solve_cauchy(
             widths = bracket(xi, ell) ** -delta
             dt_path, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
             path_ts = np.arange(-pad, problem.horizon + pad + dt_path, dt_path)
-            r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]))
+            r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks)
             # (n_samples, n_active, m, m)
             molly_values = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta, times)
         else:
@@ -616,7 +616,7 @@ def solve_cauchy(
     norms = np.empty((n_samples, len(sigmas)))
     e_r_arr = np.full(n_samples, np.nan)
     gevrey_c = np.full(n_samples, np.nan)
-    block = _samples_per_block(coeffs.m, n_x, r_xi.size if er_mode == "multiplier" else 0)
+    block = _samples_per_block(coeffs.blocks, n_x, r_xi.size if er_mode == "multiplier" else 0)
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
         if gen.eps_par:
@@ -629,7 +629,7 @@ def solve_cauchy(
         if er_mode != "skipped":
             # the band's Re <R v, v> with its solved R, as the dot product of
             # v and R v over their real and imaginary parts
-            r_band = (_lyap_solve_batch(*r_generator(times[blk, None]))
+            r_band = (_lyap_solve_batch(*r_generator(times[blk, None]), coeffs.blocks)
                       if er_mode == "multiplier" else molly_values[blk])
             v_band = (u[:, :, gen.index] * weight[:, None, gen.index]).transpose(0, 2, 1)
             rv = r_band @ v_band[..., None]

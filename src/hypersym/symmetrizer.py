@@ -129,37 +129,46 @@ def damped_generator(
 
 # Temporaries of one chunk of _lyap_solve_batch and of one block of the
 # solver's sample diagnostics, and the most that the solver's precomputed RK4
-# propagators hold at once, in bytes.
+# propagators hold at once, in bytes.  Lyapunov chunks follow the system's largest block.
 _BLOCK_BYTES = 1 << 20
 
 
-def _lyap_node_bytes(m: int) -> int:
+def _lyap_node_bytes(blocks: list[np.ndarray]) -> int:
     """Peak bytes per node of a damped-generator stack and its
-    ``_lyap_solve_batch``: about 500 for the 2 x 2 closed form (tracemalloc
-    reads 283 for the generator and 499 with the solve, on wave_t2), and
-    four copies of the m^2 x m^2 system for the Kronecker solve."""
-    return 512 if m == 2 else 64 * m**4
+    ``_lyap_solve_batch`` on the partition ``blocks``, set by the largest
+    block k: about 500 for the 2 x 2 closed form (tracemalloc reads 283 for
+    the generator and 499 with the solve, on wave_t2), and four copies of
+    the k^2 x k^2 system for the Kronecker solve."""
+    k = max(len(idx) for idx in blocks)
+    return 512 if k == 2 else 64 * k**4
 
 
-def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale: np.ndarray) -> np.ndarray:
+def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale, blocks: list[np.ndarray]) -> np.ndarray:
     """Solve ``M* R + R M = -rhs I`` for a stack of matrices.
 
-    2 x 2 stacks take the closed form :func:`_lyap_2x2`, other sizes the
-    Kronecker solve :func:`_lyap_kron`; either way in chunks of
-    ``_BLOCK_BYTES // _lyap_node_bytes(m)`` nodes (2,048 at m = 2, 64 at
-    m = 4), and R is returned as its hermitian part.
+    M is a direct sum over ``blocks``, the system's partition, and so is R:
+    2 x 2 blocks take the closed form :func:`_lyap_2x2`, others the
+    Kronecker solve :func:`_lyap_kron`, and R is exactly zero off the blocks.
+    Nodes go in chunks of ``_BLOCK_BYTES // _lyap_node_bytes(blocks)``
+    (2,048 at largest block 2, 64 at 4), and R is returned as its hermitian part.
     """
     m_stack = np.asarray(m_stack, dtype=complex)
     m = m_stack.shape[-1]
     lead = m_stack.shape[:-2]
     flat = m_stack.reshape(-1, m, m)
     rhs = np.broadcast_to(np.asarray(rhs_scale, dtype=float), lead).reshape(-1)
-    solve = _lyap_2x2 if m == 2 else _lyap_kron
-    r = np.empty_like(flat)
-    step = _BLOCK_BYTES // _lyap_node_bytes(m)
-    for lo in range(0, len(flat), step):
-        chunk = slice(lo, lo + step)
-        r[chunk] = solve(flat[chunk], rhs[chunk])
+    r = np.zeros_like(flat)
+    step = _BLOCK_BYTES // _lyap_node_bytes(blocks)
+    for k in sorted({len(idx) for idx in blocks}):
+        # the blocks of size k side by side, (nodes, blocks, k, k), solved as one batch
+        idx = np.array([b for b in blocks if len(b) == k])
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        solve = _lyap_2x2 if k == 2 else _lyap_kron
+        for lo in range(0, len(flat), step):
+            chunk = slice(lo, lo + step)
+            part = flat[chunk, rows, cols]
+            r[chunk, rows, cols] = solve(part.reshape(-1, k, k),
+                                         np.repeat(rhs[chunk], len(idx))).reshape(part.shape)
     r = (r + r.conj().transpose(0, 2, 1)) / 2.0
     return r.reshape(*lead, m, m)
 
@@ -238,6 +247,7 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def quadrature_R(
     m_mat: np.ndarray,
     rhs_scale,
+    blocks: list[np.ndarray],
     tol: float = 1e-8,
     max_refine: int = 8,
 ) -> np.ndarray:
@@ -256,13 +266,14 @@ def quadrature_R(
     in about 2 log2 of the panel count batched products, so the whole stack
     shares one panel grid, set by its fastest phase rate.  G costs one
     exponential per node and serves every refinement level, which takes the
-    whole stack at once.  The oracle never calls the Lyapunov solve.
+    whole stack at once, on the system's partition ``blocks``.  The oracle
+    never calls the Lyapunov solve.
     """
     shape = np.shape(m_mat)
     flat = np.asarray(m_mat, dtype=complex).reshape(-1, *shape[-2:])
     rhs = np.broadcast_to(np.asarray(rhs_scale, dtype=float), shape[:-2]).reshape(-1)
 
-    margins = -np.max(block_eigvals(flat).real, axis=-1)
+    margins = -np.max(block_eigvals(flat, blocks).real, axis=-1)
     if np.any(margins <= 0):
         raise StabilityMarginError("quadrature requires a Hurwitz matrix")
     scaled = flat / margins[:, None, None]
@@ -274,12 +285,12 @@ def quadrature_R(
     omega = float(np.max(np.linalg.norm(flat, axis=(1, 2)) / margins))
     n_panels = max(4, int(math.ceil(r_max * max(omega, 1.0) / 4.0)))
     half = r_max / n_panels / 2.0
-    gram = _panel_gram(expm_batched(2.0 * half * scaled), n_panels)
+    gram = _panel_gram(expm_batched(2.0 * half * scaled, blocks), n_panels)
     scale = (rhs / margins)[:, None, None]
     prev, nodes = None, 8
     for _ in range(max_refine + 1):
         gl_x, gl_w = _gauss_legendre(nodes)
-        offs = expm_batched((half * (1.0 + gl_x))[:, None, None, None] * scaled[None])
+        offs = expm_batched((half * (1.0 + gl_x))[:, None, None, None] * scaled[None], blocks)
         prods = offs.conj().swapaxes(-1, -2) @ gram[None] @ offs
         cur = np.einsum("j,jnik->nik", half * gl_w, prods) * scale
         if prev is not None and np.max(
@@ -347,7 +358,7 @@ def build_field(
                                     xi_nodes)
     return SymmetrizerField(
         xi_nodes=xi_nodes,
-        R=_lyap_solve_batch(m_stack, rhs),
+        R=_lyap_solve_batch(m_stack, rhs, coeffs.blocks),
         M=m_stack,
         rhs=rhs,
         params=params,
@@ -480,7 +491,7 @@ def _stencil_derivatives(coeffs, params, x_values, xi_values, t0, rows) -> list[
     # nodes (offset, x, xi)
     r_all = _lyap_solve_batch(*damped_generator(
         coeffs, params, (t0 + k_off * ht)[:, None, None], (x_values + x_off[:, None])[:, :, None],
-        (xi_values + i_off[:, None] * hxi)[:, None, :]))
+        (xi_values + i_off[:, None] * hxi)[:, None, :]), coeffs.blocks)
     out = []
     for (alpha, beta, dt_flag), (idx, hx) in zip(rows, stencils):
         r = np.moveaxis(r_all[idx], 3, 1)  # (t offset, x, x offset, xi offset, xi)

@@ -4,7 +4,9 @@ Fixtures build small systems, serialize coefficients into config documents
 and move states between Fourier and physical samples.  A field's exact
 x-derivatives, summed order by order, are the reference of the closed-form
 Taylor symbol.  Faddeev-LeVerrier characteristic polynomials and their
-polished, ordered roots are the reference of the block-wise eigenvalues.
+polished, ordered roots are the reference of the block-wise eigenvalues,
+and a stack's own block partition, from its nonzero pattern, is the
+reference of the system's partition that the kernels take.
 The allocating RK4 step is the reference of the solver's buffered step and
 of its propagators.  The probes measure claims of the
 paper that the acceptance tests check directly: the Hoelder ratio of a
@@ -147,7 +149,7 @@ def holder_ratio(coeffs: SystemCoefficients, t_lo: float, t_hi: float, n: int = 
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomials and the ordered spectrum they give
+# Characteristic polynomials and the ordered spectrum they give, and block partitions
 
 
 def char_poly(h) -> np.ndarray:
@@ -187,6 +189,17 @@ def spectrum(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise HypersymError("matrix entries are not finite: the symbol leaves the double range")
     return _sort_rows(np.linalg.eigvals(m))
+
+
+def stack_blocks(hs: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the decoupled diagonal blocks of a stack (..., m, m): the connected
+    components of the exact-nonzero pattern of the whole stack, unioned with its transpose."""
+    m = hs.shape[-1]
+    link = np.any(hs != 0, axis=tuple(range(hs.ndim - 2)))
+    reach = link | link.T | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):  # paths of length up to 2^k after k squarings
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +344,7 @@ def holder_difference_probe(
     xi_values = np.asarray(xi_values, dtype=float)
     ts = sorted({float(t) for pair in t_pairs for t in pair})
     r = dict(zip(ts, _lyap_solve_batch(
-        *damped_generator(coeffs, params, np.array(ts)[:, None], x0, xi_values))))
+        *damped_generator(coeffs, params, np.array(ts)[:, None], x0, xi_values), coeffs.blocks)))
     ratios = np.zeros(len(xi_values))
     for t1, t2 in t_pairs:
         diff = np.linalg.norm(r[float(t1)] - r[float(t2)], 2, axis=(-2, -1))
@@ -371,7 +384,7 @@ def per_row_stencil_derivatives(coeffs, params, x_values, xi_values, t0, alpha, 
     xs = x_values[:, None] + np.array(_STENCILS[beta]) * hx
     # nodes (t offset, x, x offset, xi offset, xi)
     r = _lyap_solve_batch(*damped_generator(coeffs, params, ts[:, None, None, None, None],
-                                            xs[:, :, None, None], xis))
+                                            xs[:, :, None, None], xis), coeffs.blocks)
     d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
     d = _central(np.moveaxis(d, 2, 0), beta, hx)
     return _central(d, int(dt_flag), ht)

@@ -32,6 +32,7 @@ from support import (
     mollifier_lines,
     s0_holder_reference,
     s0_lipschitz_reference,
+    stack_blocks,
 )
 
 BANK = ("diag_sym", "wave_t2", "jordan_lower", "xdep", "holder_k",
@@ -68,7 +69,7 @@ def test_criterion_01_lyapunov_identity():
         assert inv["n_nodes"] >= 500
         worst_resid = max(worst_resid, inv["max_lyapunov_residual_rel"])
         rhs = np.broadcast_to(field.rhs, field.M.shape[:-2])
-        quad = quadrature_R(field.M, rhs, tol=1e-7)
+        quad = quadrature_R(field.M, rhs, pre.coeffs.blocks, tol=1e-7)
         agree = float(np.max(
             np.linalg.norm(quad - field.R, axis=(-2, -1))
             / np.linalg.norm(field.R, axis=(-2, -1))
@@ -83,7 +84,8 @@ def test_criterion_01_lyapunov_identity():
 
 def test_criterion_02_closed_form_symmetrizers():
     a, mu = 2.0, 5.0
-    r_scalar = _lyap_solve_batch(np.array([[[-a * mu]]]), [a * mu])[0]
+    scalar = np.array([[[-a * mu]]])
+    r_scalar = _lyap_solve_batch(scalar, [a * mu], stack_blocks(scalar))[0]
     scalar_err = abs(r_scalar[0, 0] - 0.5)
     lam = 3.0
     m = np.array([[-a * mu, 1j * lam], [0.0, -a * mu]])
@@ -91,7 +93,8 @@ def test_criterion_02_closed_form_symmetrizers():
         [[0.5, 1j * lam / (4 * a * mu)],
          [-1j * lam / (4 * a * mu), 0.5 + lam**2 / (4 * a**2 * mu**2)]]
     )
-    jordan_err = np.linalg.norm(_lyap_solve_batch(m[None], [a * mu])[0] - closed, 2)
+    jordan_err = np.linalg.norm(
+        _lyap_solve_batch(m[None], [a * mu], stack_blocks(m))[0] - closed, 2)
     _report(
         2, "closed-form symmetrizers (scalar 1e-12, Jordan 1e-10)",
         scalar_err <= 1e-12 and jordan_err <= 1e-10,

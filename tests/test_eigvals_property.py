@@ -29,6 +29,7 @@ linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignm
 st = hypothesis.strategies
 
 from hypersym.matkernel import block_eigvals  # noqa: E402
+from support import stack_blocks  # noqa: E402
 
 _U = np.finfo(float).eps / 2.0
 _part = st.floats(-2.0, 2.0)
@@ -112,7 +113,7 @@ def _reference(block):
 @hypothesis.given(permuted_direct_sum())
 def test_block_eigvals_match_mpmath(case):
     stack, blocks = case
-    got = block_eigvals(stack)
+    got = block_eigvals(stack, stack_blocks(stack))
     assert got.shape == stack.shape[:-1]
     for vals, own in zip(got, blocks):
         refs = [_reference(block) for block in own]

@@ -115,7 +115,8 @@ def _per_sample_diagnostics(res, problem, params, h):
         dt_path = width_min / 5.0
         path_ts = np.arange(-width_max * 1.05, problem.horizon + width_max * 1.05 + dt_path,
                             dt_path)
-        molly_values = mollify_path(path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None])),
+        molly_values = mollify_path(path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None]),
+                                                               coeffs.blocks),
                                     bracket(r_xi, ell), delta, times)
 
     norms, e_r, c_fit = [], [], []
@@ -127,7 +128,7 @@ def _per_sample_diagnostics(res, problem, params, h):
             e_r.append(math.nan)
         else:
             r = np.tile(np.eye(coeffs.m, dtype=complex) / 2.0, (n_x, 1, 1))
-            r[r_index] = (_lyap_solve_batch(*r_generator(t)) if molly_values is None
+            r[r_index] = (_lyap_solve_batch(*r_generator(t), coeffs.blocks) if molly_values is None
                           else molly_values[idx])
             e_r.append(float(np.real(np.einsum("ck,kcd,dk->", np.conj(v), r, v))))
         c_fit.append(_radius_fit_polyfit(u, problem.gevrey_s))

@@ -17,7 +17,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from hypersym.matkernel import _blocks, _exp_norms  # noqa: E402
+from hypersym.matkernel import _exp_norms  # noqa: E402
+from support import stack_blocks  # noqa: E402
 
 _part = st.floats(-2.0, 2.0)
 _scale = st.floats(0.0, 1e4)  # s ||H||
@@ -77,7 +78,7 @@ def _scale_for(h, u):
 
 
 def _closed(h, s):
-    return _exp_norms(h[None], np.array([s]), _blocks(h))[0, 0]
+    return _exp_norms(h[None], np.array([s]), stack_blocks(h))[0, 0]
 
 
 @_settings
@@ -95,7 +96,7 @@ def test_2x2_matches_exact_norm(h, u):
 @_settings
 @hypothesis.given(permuted_direct_sum(), _scale)
 def test_permuted_direct_sum_matches_pade(h, u):
-    assert max(len(b) for b in _blocks(h)) <= 3
+    assert max(len(b) for b in stack_blocks(h)) <= 3
     s, _ = _scale_for(h, u)
     expm = pytest.importorskip("scipy.linalg").expm
     ref = np.linalg.svd(expm(1j * s * h), compute_uv=False)[0]

@@ -28,7 +28,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 expm = pytest.importorskip("scipy.linalg").expm
 
-from hypersym.matkernel import _THETA13, _blocks, _pade13, expm_batched  # noqa: E402
+from hypersym.matkernel import _THETA13, _pade13, expm_batched  # noqa: E402
+from support import stack_blocks  # noqa: E402
 
 _U = np.finfo(float).eps
 _part = st.floats(-2.0, 2.0)
@@ -57,7 +58,7 @@ def _rel(got, ref):
 
 def _check(a, ref, bound):
     """Both cores within ``bound`` (one per matrix) of ``ref``."""
-    assert np.all(_rel(expm_batched(a), ref) <= bound)
+    assert np.all(_rel(expm_batched(a, stack_blocks(a)), ref) <= bound)
     assert np.all(_rel(_pade_path(a), ref) <= bound)
 
 
@@ -99,7 +100,7 @@ def permuted_direct_sum(draw):
     hypothesis.assume(norm > 1e-3)
     s = draw(st.floats(1e-2, 1e3)) / norm
     growth = s * np.max(np.linalg.eigvals(h).real)
-    return s * h * (30.0 / growth if growth > 30.0 else 1.0), [len(b) for b in _blocks(h)]
+    return s * h * (30.0 / growth if growth > 30.0 else 1.0), [len(b) for b in stack_blocks(h)]
 
 
 @st.composite
@@ -125,10 +126,10 @@ def hurwitz_stack(draw):
 def test_permuted_direct_sum_matches_scipy(case):
     a, sizes = case
     assert max(sizes) <= 3
-    got = expm_batched(a)
+    got = expm_batched(a, stack_blocks(a))
     # the exponential of a direct sum is the direct sum of the exponentials
     coupled = np.zeros(a.shape, dtype=bool)
-    for idx in _blocks(a):
+    for idx in stack_blocks(a):
         coupled[idx[:, None], idx] = True
     assert np.all(got[~coupled] == 0.0)
     _check(a, expm(a), 32.0 * _U * (1.0 + np.linalg.norm(a, 2)))
@@ -172,7 +173,7 @@ def test_rotated_nilpotent_at_large_scale_matches_mpmath():
         a = 1e4j * u @ np.array([[0.0, 1.0], [0.0, 0.0]]) @ u.conj().T
         with mp.workdps(40):
             exact = np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=complex)
-        errs.append((_rel(expm_batched(a), exact), _rel(_pade_path(a), exact)))
+        errs.append((_rel(expm_batched(a, stack_blocks(a)), exact), _rel(_pade_path(a), exact)))
     closed, pade = np.array(errs).T
     assert np.all(closed <= 16.0 * _U * 1e8) and np.all(pade <= 16.0 * _U * 1e8)
     assert np.max(closed) <= 1.5 * np.max(pade)

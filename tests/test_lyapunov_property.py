@@ -15,10 +15,15 @@ on these draws the Kronecker solve's own residual reaches 9.6e-13 s at
 cond(K) = 9.8e3.
 
 4 x 4: the Kronecker solve on general Hurwitz matrices, built the same way
-from a random upper-triangular T, and on direct sums of two 2 x 2 draws,
-the layout of block_direct_sum.  Each R is held to the same residual bound,
-to hermitian positive definiteness, and to the quadrature oracle within
-1e-6, the tolerance of criterion 01.
+from a random upper-triangular T, and the per-block solve on direct sums of
+two 2 x 2 draws, the layout of block_direct_sum.  Each R is held to the
+same residual bound, to hermitian positive definiteness, and to the
+quadrature oracle within 1e-6, the tolerance of criterion 01.
+
+Block-diagonal stacks (2 + 2, 1 + 3, 2 + 1 + 1 and the permuted
+{0, 2} + {1, 3}): the per-block solve on the planted partition against the
+Kronecker solve of the whole matrix, within 1e-12 relative, and exactly zero
+off the blocks and exactly hermitian.
 """
 
 import numpy as np
@@ -28,6 +33,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from hypersym import symmetrizer  # noqa: E402
+from hypersym.presets import get_preset  # noqa: E402
 from hypersym.symmetrizer import (  # noqa: E402
     _lyap_2x2,
     _lyap_kron,
@@ -35,6 +41,7 @@ from hypersym.symmetrizer import (  # noqa: E402
     _lyap_solve_batch,
     quadrature_R,
 )
+from support import stack_blocks  # noqa: E402
 
 _settings = hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
                                 database=None)
@@ -90,7 +97,7 @@ def _kron_condition(m_mat):
 @hypothesis.given(hurwitz_2x2())
 def test_closed_form_matches_kronecker(case):
     m_mat, s = case
-    r = _lyap_solve_batch(m_mat[None], np.array([s]))[0]
+    r = _lyap_solve_batch(m_mat[None], np.array([s]), stack_blocks(m_mat))[0]
     ref = _lyap_kron(m_mat[None], np.array([s]))[0]
     ref = (ref + ref.conj().T) / 2.0
     slack = max(1.0, _kron_condition(m_mat) / 1e3)
@@ -105,13 +112,14 @@ def test_closed_form_matches_kronecker(case):
 @hypothesis.given(hurwitz_4x4())
 def test_four_by_four_residual_positivity_and_quadrature(case):
     m_mat, s = case
-    r = _lyap_solve_batch(m_mat[None], np.array([s]))[0]
+    blocks = stack_blocks(m_mat)
+    r = _lyap_solve_batch(m_mat[None], np.array([s]), blocks)[0]
     slack = max(1.0, _kron_condition(m_mat) / 1e3)
     resid = m_mat.conj().T @ r + r @ m_mat + s * np.eye(4)
     assert np.linalg.norm(resid, 2) <= 1e-12 * slack * s
     assert np.array_equal(r, r.conj().T)
     assert np.min(np.linalg.eigvalsh(r)) > 0.0
-    quad = quadrature_R(m_mat, s)
+    quad = quadrature_R(m_mat, s, blocks)
     assert np.linalg.norm(quad - r, 2) <= 1e-6 * np.linalg.norm(r, 2)
 
 
@@ -121,7 +129,8 @@ def test_chunks_and_kernel_choice(monkeypatch):
     rng = np.random.default_rng(45)
     m2 = rng.normal(size=(7, 3, 2, 2)) + 1j * rng.normal(size=(7, 3, 2, 2)) - 4.0 * np.eye(2)
     s2 = rng.uniform(0.5, 2.0, size=(7, 3))
-    whole = _lyap_solve_batch(m2, s2)
+    blocks2 = stack_blocks(m2)
+    whole = _lyap_solve_batch(m2, s2, blocks2)
     calls = []
 
     def counting(part, rhs):
@@ -130,13 +139,46 @@ def test_chunks_and_kernel_choice(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(symmetrizer, "_lyap_2x2", counting)
-        patch.setattr(symmetrizer, "_BLOCK_BYTES", 4 * _lyap_node_bytes(2))
-        assert np.array_equal(_lyap_solve_batch(m2, s2), whole)
+        patch.setattr(symmetrizer, "_BLOCK_BYTES", 4 * _lyap_node_bytes(blocks2))
+        assert np.array_equal(_lyap_solve_batch(m2, s2, blocks2), whole)
     assert calls == [4, 4, 4, 4, 4, 1]  # 21 nodes in chunks of 4
-    single = np.array([[_lyap_solve_batch(m2[i, j][None], s2[i, j:j + 1])[0]
+    single = np.array([[_lyap_solve_batch(m2[i, j][None], s2[i, j:j + 1], blocks2)[0]
                         for j in range(3)] for i in range(7)])
     assert np.array_equal(single, whole)
     m4 = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4)) - 6.0 * np.eye(4)
     s4 = rng.uniform(0.5, 2.0, size=5)
     ref4 = _lyap_kron(m4, s4)
-    assert np.array_equal(_lyap_solve_batch(m4, s4), (ref4 + ref4.conj().transpose(0, 2, 1)) / 2.0)
+    assert np.array_equal(_lyap_solve_batch(m4, s4, stack_blocks(m4)),
+                          (ref4 + ref4.conj().transpose(0, 2, 1)) / 2.0)
+    # the chunks follow the largest block: block_direct_sum's 2 + 2 takes the
+    # 2x2 closed form's chunks, not the 4x4 Kronecker solve's
+    direct_sum = get_preset("block_direct_sum").coeffs.blocks
+    assert _lyap_node_bytes(direct_sum) == _lyap_node_bytes(blocks2) == 512
+    assert _lyap_node_bytes(stack_blocks(m4)) == 64 * 4**4
+
+
+@pytest.mark.parametrize("parts", [[[0, 1], [2, 3]], [[0], [1, 2, 3]], [[0, 1], [2], [3]],
+                                   [[0, 2], [1, 3]]], ids=["2+2", "1+3", "2+1+1", "02+13"])
+def test_per_block_solve_matches_kronecker(parts):
+    rng = np.random.default_rng(46)
+    n_nodes = 6
+    m_stack = np.zeros((n_nodes, 4, 4), dtype=complex)
+    coupled = np.zeros((4, 4), dtype=bool)
+    for part in parts:
+        idx = np.array(part)
+        shape = (n_nodes, len(idx), len(idx))
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        margin = np.max(np.linalg.eigvals(x).real, axis=-1) + rng.uniform(0.3, 3.0, n_nodes)
+        m_stack[:, idx[:, None], idx] = x - margin[:, None, None] * np.eye(len(idx))
+        coupled[idx[:, None], idx] = True
+    m_stack *= 10.0 ** rng.uniform(-2.0, 3.0, (n_nodes, 1, 1))
+    rhs = rng.uniform(0.1, 10.0, n_nodes)
+    blocks = [np.array(part) for part in parts]
+    assert sorted(map(list, stack_blocks(m_stack))) == sorted(parts)
+    r = _lyap_solve_batch(m_stack, rhs, blocks)
+    ref = _lyap_kron(m_stack, rhs)
+    ref = (ref + ref.conj().transpose(0, 2, 1)) / 2.0
+    assert np.all(np.linalg.norm(r - ref, 2, axis=(-2, -1))
+                  <= 1e-12 * np.linalg.norm(ref, 2, axis=(-2, -1)))
+    assert np.all(r[:, ~coupled] == 0.0)
+    assert np.array_equal(r, r.conj().transpose(0, 2, 1))

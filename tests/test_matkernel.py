@@ -7,7 +7,6 @@ from hypersym import matkernel
 from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
 from hypersym.errors import HypersymError
 from hypersym.matkernel import (
-    _blocks,
     _exp_norms,
     _growth_curves,
     _max_imag,
@@ -20,7 +19,7 @@ from hypersym.matkernel import (
     taylor_symbol,
 )
 from hypersym.presets import get_preset, preset_names
-from support import char_poly, constant_system, field_dx, spectrum
+from support import char_poly, constant_system, field_dx, spectrum, stack_blocks
 
 
 def _x2_like_system() -> SystemCoefficients:
@@ -160,18 +159,24 @@ def test_taylor_symbol_matches_pointwise_loop(name):
 # Matrix exponential
 
 
+def _expm(a):
+    """expm_batched on the stack's own partition."""
+    a = np.asarray(a)
+    return expm_batched(a, stack_blocks(a))
+
+
 def test_matrix_exp_zero():
-    np.testing.assert_allclose(expm_batched(np.zeros((3, 3))), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(_expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
 
 def test_matrix_exp_nilpotent():
     np.testing.assert_allclose(
-        expm_batched(np.array([[0.0, 1.0], [0.0, 0.0]])), [[1, 1], [0, 1]], atol=1e-15
+        _expm(np.array([[0.0, 1.0], [0.0, 0.0]])), [[1, 1], [0, 1]], atol=1e-15
     )
 
 
 def test_matrix_exp_diagonal():
-    got = expm_batched(np.diag([-1.0, -2.0]))
+    got = _expm(np.diag([-1.0, -2.0]))
     np.testing.assert_allclose(np.diag(got), np.exp([-1.0, -2.0]), rtol=1e-14)
 
 
@@ -181,7 +186,7 @@ def test_matrix_exp_contract_large_norm():
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     m = q @ np.diag([-1000.0, -1.0, -10.0, 3.0, 0.5, -700.0]) @ q.T
     expected = q @ np.diag(np.exp([-1000.0, -1.0, -10.0, 3.0, 0.5, -700.0])) @ q.T
-    got = expm_batched(m)
+    got = _expm(m)
     rel = np.linalg.norm(got - expected, 2) / np.linalg.norm(expected, 2)
     assert rel <= 1e-12
 
@@ -193,8 +198,8 @@ def test_matrix_exp_inverse_property():
     for _ in range(25):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         m *= 10.0 / max(np.linalg.norm(m, 2), 1e-9)
-        e_plus = expm_batched(m)
-        e_minus = expm_batched(-m)
+        e_plus = _expm(m)
+        e_minus = _expm(-m)
         cond = np.linalg.norm(e_plus, 2) * np.linalg.norm(e_minus, 2)
         err = np.linalg.norm(e_plus @ e_minus - np.eye(3), 2)
         assert err <= max(1e-10, 20 * np.finfo(float).eps * cond)
@@ -208,7 +213,7 @@ def test_matrix_exp_spectral_mapping():
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m *= 5.0 / max(np.linalg.norm(m, 2), 1e-9)
         lam = np.linalg.eigvals(m)
-        got = np.sort_complex(np.linalg.eigvals(expm_batched(m)))
+        got = np.sort_complex(np.linalg.eigvals(_expm(m)))
         want = np.sort_complex(np.exp(lam))
         assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -217,9 +222,9 @@ def test_expm_batched_mixed_norms():
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
     stack[0] *= 50.0
-    got = expm_batched(stack)
+    got = _expm(stack)
     for i in range(6):
-        single = expm_batched(stack[i])
+        single = _expm(stack[i])
         assert np.linalg.norm(got[i] - single, 2) <= 1e-10 * np.linalg.norm(single, 2)
 
 
@@ -294,8 +299,8 @@ def test_batched_spectrum_matches_per_node_roots(name):
                   for t in ts]),
     ]
     for stack in stacks:
-        im = _max_imag(stack)
-        re = np.max(block_eigvals(stack).real, axis=-1)
+        im = _max_imag(stack, cs.blocks)
+        re = np.max(block_eigvals(stack, cs.blocks).real, axis=-1)
         assert im.shape == re.shape == stack.shape[:-2]
         for idx in np.ndindex(stack.shape[:-2]):
             ref = _spectrum_one(stack[idx])
@@ -312,7 +317,7 @@ def test_overflowing_discriminant_raises():
         assert sd[0] == np.inf and sd.imag[0] == 0.0
         for probe in (block_eigvals, _max_imag):
             with pytest.raises(HypersymError, match="not finite"):
-                probe(stack)
+                probe(stack, stack_blocks(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +444,7 @@ _XIS = np.array([1.0, -1.0])
 
 def _norms(h, s):
     h = np.asarray(h, dtype=complex)
-    return _exp_norms(h[None], np.asarray(s), _blocks(h))[:, 0]
+    return _exp_norms(h[None], np.asarray(s), stack_blocks(h))[:, 0]
 
 
 def test_exp_norm_nilpotent_exact():
@@ -458,7 +463,7 @@ def test_exp_norm_hermitian_and_scalar_blocks():
     bound = 1e-14 + s * np.linalg.norm(h, 2) * np.finfo(float).eps
     assert np.all(np.abs(_norms(h, s) - 1.0) <= bound)
     h = np.diag([0.3 + 2e-3j, -1.0 + 1e-3j])  # two 1x1 blocks
-    assert len(_blocks(h)) == 2
+    assert len(stack_blocks(h)) == 2
     np.testing.assert_allclose(_norms(h, s), np.exp(-s * 1e-3), rtol=1e-14)
     np.testing.assert_allclose(_norms([[0.5 - 1e-3j]], s), np.exp(s * 1e-3), rtol=1e-14)
 
@@ -467,9 +472,9 @@ def test_blocks_couple_both_directions():
     # 0 -> 1 <- 2: no index reaches the others along rows alone
     h = np.zeros((3, 3), dtype=complex)
     h[0, 1] = h[2, 1] = 1.0
-    assert [list(b) for b in _blocks(h)] == [[0, 1, 2]]
+    assert [list(b) for b in stack_blocks(h)] == [[0, 1, 2]]
     s = np.array([0.5, 2.0, 40.0])
-    ref = np.linalg.svd(expm_batched(1j * s[:, None, None] * h), compute_uv=False)[:, 0]
+    ref = np.linalg.svd(_expm(1j * s[:, None, None] * h), compute_uv=False)[:, 0]
     np.testing.assert_allclose(_norms(h, s), ref, rtol=1e-12)
 
 
@@ -487,14 +492,14 @@ def test_growth_curves_match_pade(name):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_growth_curves_one_partition_matches_per_eps(name, monkeypatch):
-    # one _blocks partition of the whole (eps, node) stack, against each eps's own
+    # the system's partition, against each eps stack's own
     coeffs = get_preset(name).coeffs
     eps = np.geomspace(1e-3, 1e-1, 9)  # the theta command's default grid
     for n_taylor in (coeffs.m, 2 * coeffs.m):
         args = (coeffs, n_taylor, eps, _TS, _XS, _XIS, 1.0)
         with monkeypatch.context() as patch:
             patch.setattr(matkernel, "_exp_norms",
-                          lambda hs, s, blocks: _exp_norms(hs, s, _blocks(hs)))
+                          lambda hs, s, blocks: _exp_norms(hs, s, stack_blocks(hs)))
             g_ref, low_ref = _growth_curves(*args)
         g, low = _growth_curves(*args)
         assert np.array_equal(g, g_ref) and np.array_equal(low, low_ref)
@@ -508,8 +513,10 @@ def test_mixed_block_direct_sum_takes_pade_path():
         m=4, a_field=MatrixField(4, [CoeffTerm(t.x_freq, t.t_term, u @ t.matrix @ u.conj().T)
                                      for t in cs.a_field.terms]),
         b_field=MatrixField(4, []))
-    assert [len(b) for b in _blocks(taylor_symbol(cs, _TS[:, None], 0.0, 1.0, 0.1, 4))] == [2, 2]
-    assert [len(b) for b in _blocks(taylor_symbol(mixed, _TS[:, None], 0.0, 1.0, 0.1, 4))] == [4]
+    assert [len(b) for b in stack_blocks(taylor_symbol(cs, _TS[:, None], 0.0, 1.0, 0.1, 4))] \
+        == [len(b) for b in cs.blocks] == [2, 2]
+    assert [len(b) for b in stack_blocks(taylor_symbol(mixed, _TS[:, None], 0.0, 1.0, 0.1, 4))] \
+        == [len(b) for b in mixed.blocks] == [4]
     eps = np.geomspace(1e-3, 1e-1, 7)
     te = estimate_theta(cs, eps, t_values=_TS, x_values=_XS)
     te_mixed = estimate_theta(mixed, eps, t_values=_TS, x_values=_XS)

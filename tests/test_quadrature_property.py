@@ -7,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from hypersym.symmetrizer import _lyap_solve_batch, quadrature_R  # noqa: E402
+from support import stack_blocks  # noqa: E402
 
 _part = st.floats(-2.0, 2.0)
 
@@ -29,8 +30,9 @@ def hurwitz_triangular(draw):
 @hypothesis.given(hurwitz_triangular())
 def test_quadrature_matches_lyapunov(case):
     m_mat, rhs = case
-    quad = quadrature_R(m_mat, rhs)
-    ref = _lyap_solve_batch(m_mat[None], np.array([rhs]))[0]
+    blocks = stack_blocks(m_mat)
+    quad = quadrature_R(m_mat, rhs, blocks)
+    ref = _lyap_solve_batch(m_mat[None], np.array([rhs]), blocks)[0]
     scale = np.linalg.norm(ref, 2)
     assert np.linalg.norm(quad - ref, 2) <= 1e-6 * scale
     assert np.linalg.norm(quad - quad.conj().T, 2) <= 1e-12 * scale

@@ -21,7 +21,7 @@ from hypersym.solver import (
 from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
 from support import (allocating_rhs, constant_system, from_physical, generator_matrix,
-                     is_conjugate_symmetric, rk4_step)
+                     is_conjugate_symmetric, rk4_step, stack_blocks)
 
 
 def _single_mode(n, m, mode, comp=0, value=1.0):
@@ -91,7 +91,7 @@ def test_rk4_matches_matrix_exponential_order():
     dts = [0.1, 0.05, 0.025]
     for dt in dts:
         out = rk4_step(allocating_rhs(gen), st[:, gen.index], 0.0, dt)
-        exact = expm_batched(1j * a1 * 3.0 * dt) @ st[:, [gen.index[idx]]]
+        exact = expm_batched(1j * a1 * 3.0 * dt, stack_blocks(a1)) @ st[:, [gen.index[idx]]]
         errs.append(np.max(np.abs(out[:, [idx]] - exact)))
     order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert order >= 4.5

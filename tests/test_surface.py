@@ -5,17 +5,20 @@ referenced somewhere in ``src/hypersym`` outside its own definition.  A
 module-level name of module M counts as referenced only through a binding of
 M: a ``Name`` in M itself, a ``Name`` bound by ``from hypersym.M import
 name`` in another module, or ``M.name`` where M is an imported module.
-Methods are matched by name alone: any ``Name`` or attribute of that name
-counts.
+A method of class C counts as referenced through ``x.name`` where the
+receiver x resolves to C; a receiver that resolves to another class does
+not count, and an unresolved receiver, or a bare ``Name``, matches by name
+alone.  A name resolves to a class as ``self`` in a method of the class, as
+a parameter annotated with it, as bound by a call whose return annotation
+is the class, or as the variable of a loop over a ``list[D]`` dataclass
+field, in its own function or an enclosing one.
 A name that only tests reach is a fixture or a probe, and it lives under
 ``tests/`` (``support.py``, ``kn_reference.py``).  Every dataclass field must
 be read as an attribute somewhere in ``src/hypersym`` or ``tests/``, or its
 dataclass must reach ``dataclasses.asdict`` or ``dataclasses.fields`` in
 ``src/hypersym``, which read every field; a field that is only written
-carries nothing.  The argument of ``asdict`` or ``fields`` is resolved to its
-class through the return annotation of the call that bound it, through the
-``list[D]`` field annotation that a loop variable runs over, or as ``self``
-in a method of the class.  Every defaulted parameter must be
+carries nothing.  The argument of ``asdict`` or ``fields`` is resolved to
+its class the same way.  Every defaulted parameter must be
 passed by some call in ``src/hypersym`` or ``tests/``; a default that no
 caller overrides is a constant.  The dense eigensolver is called only behind
 ``matkernel.block_eigvals`` and in ``rootsplit.polished_roots``.
@@ -63,20 +66,112 @@ def _references(module: str, tree: ast.Module):
             yield (modules[node.value.id], node.attr), node
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(scope):
+    """The nodes of a function or class body, and the nested scopes themselves but
+    not their bodies."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _resolved_names(trees: list[ast.Module]) -> dict:
+    """id of each loaded ``Name`` in ``trees`` that resolves to a class defined in
+    ``trees``, by the rules of the module docstring -> that class's name.  A name
+    bound twice to different classes, or any other way, is unresolved."""
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def class_of(annotation):
+        name = ast.unparse(annotation).strip("'\"") if annotation is not None else None
+        return name if name in classes else None
+
+    returns = {node.name: class_of(node.returns) for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    elements = {(node.name, item.target.id): item.annotation.slice.id
+                for tree in trees for node in tree.body
+                if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.annotation, ast.Subscript)
+                and getattr(item.annotation.value, "id", None) == "list"
+                and isinstance(item.annotation.slice, ast.Name)}
+    resolved = {}
+
+    def visit(scope, outer: dict, owner: str | None):
+        bound: dict = {}
+
+        def bind(target, cls):
+            bound[target.id] = cls if bound.get(target.id, cls) == cls else None
+            done.add(id(target))
+
+        done: set = set()
+        nodes = list(_own_nodes(scope))
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = scope.args
+            for i, arg in enumerate(args.posonlyargs + args.args + args.kwonlyargs):
+                bound[arg.arg] = owner if i == 0 and owner and arg.arg == "self" \
+                    else class_of(arg.annotation)
+            for arg in filter(None, (args.vararg, args.kwarg)):
+                bound[arg.arg] = None
+        for node in nodes:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                call = node.value if isinstance(node.value, ast.Call) else None
+                bind(node.targets[0], call and returns.get(_callee(call)))
+        for node in nodes:  # for v in x.rows, with x resolved and rows a list[D]
+            if isinstance(node, (ast.For, ast.comprehension)) \
+                    and isinstance(node.target, ast.Name) \
+                    and isinstance(node.iter, ast.Attribute) \
+                    and isinstance(node.iter.value, ast.Name):
+                receiver = {**outer, **bound}.get(node.iter.value.id)
+                bind(node.target, elements.get((receiver, node.iter.attr)))
+        for node in nodes:  # any other binding: tuples, loops, with, walrus
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and id(node) not in done:
+                bind(node, None)
+        if isinstance(scope, ast.ClassDef):
+            bound = {}  # a class body's names are not visible in its methods
+        names = {**outer, **bound}
+        for node in nodes:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                    and names.get(node.id):
+                resolved[id(node)] = names[node.id]
+            if isinstance(node, _SCOPES):
+                visit(node, names, scope.name if isinstance(scope, ast.ClassDef) else None)
+
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, _SCOPES):
+                visit(node, {}, None)
+    return resolved
+
+
 def test_every_definition_is_referenced_in_src():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     bound = [(key, node) for module, tree in trees.items()
              for key, node in _references(module, tree)]
-    named = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+    resolved = _resolved_names(list(trees.values()))
+    # (receiver class or None, name) of each Name and attribute
+    named = [((None, node.id) if isinstance(node, ast.Name)
+              else (resolved.get(id(node.value)), node.attr), node)
              for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))]
     unused = []
     for module, tree in trees.items():
         for label, name, definition in _definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
-            uses = named if "." in label else bound
-            key = name if "." in label else (module, name)
-            if not any(used == key and id(node) not in inside for used, node in uses):
+            if "." in label:  # a method: through its class, or an unresolved receiver
+                keys = {(label.split(".")[0], name), (None, name)}
+                used = any(key in keys and id(node) not in inside for key, node in named)
+            else:
+                used = any(key == (module, name) and id(node) not in inside
+                           for key, node in bound)
+            if not used:
                 unused.append(f"{module}.py: {label}")
     assert not unused, "defined in src/hypersym but referenced only outside it: " \
         + ", ".join(unused)
@@ -93,40 +188,11 @@ def _callee(call: ast.Call) -> str | None:
 
 def _serialized_classes(trees: list[ast.Module]) -> set[str]:
     """Names of the dataclasses whose instances ``src`` passes to ``asdict`` or
-    ``fields``."""
-    returns = {node.name: ast.unparse(node.returns).strip("'\"")
-               for tree in trees for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.returns is not None}
-    elements = {(node.name, item.target.id): item.annotation.slice.id
-                for tree in trees for node in tree.body
-                if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-                for item in node.body
-                if isinstance(item, ast.AnnAssign) and isinstance(item.annotation, ast.Subscript)
-                and getattr(item.annotation.value, "id", None) == "list"
-                and isinstance(item.annotation.slice, ast.Name)}
-    owners = {id(item): node.name for tree in trees for node in ast.walk(tree)
-              if isinstance(node, ast.ClassDef)
-              for item in node.body if isinstance(item, ast.FunctionDef)}
-    classes = set()
-    for func in (node for tree in trees for node in ast.walk(tree)
-                 if isinstance(node, ast.FunctionDef)):
-        nodes = list(ast.walk(func))
-        bound = {"self": owners.get(id(func))}
-        bound.update({node.targets[0].id: returns.get(_callee(node.value)) for node in nodes
-                      if isinstance(node, ast.Assign) and len(node.targets) == 1
-                      and isinstance(node.targets[0], ast.Name)
-                      and isinstance(node.value, ast.Call)})
-        for node in nodes:  # for v in x.rows, with x bound by a call and rows a list[D]
-            if isinstance(node, (ast.For, ast.comprehension)) \
-                    and isinstance(node.target, ast.Name) \
-                    and isinstance(node.iter, ast.Attribute) \
-                    and isinstance(node.iter.value, ast.Name):
-                owner = bound.get(node.iter.value.id)
-                bound[node.target.id] = elements.get((owner, node.iter.attr))
-        classes |= {bound.get(node.args[0].id) for node in nodes
-                    if isinstance(node, ast.Call) and _callee(node) in ("asdict", "fields")
-                    and node.args and isinstance(node.args[0], ast.Name)}
-    return classes - {None}
+    ``fields``, resolved by :func:`_resolved_names`."""
+    resolved = _resolved_names(trees)
+    return {resolved.get(id(node.args[0])) for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) in ("asdict", "fields")
+            and node.args} - {None}
 
 
 def test_every_dataclass_field_is_read():

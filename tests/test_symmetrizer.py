@@ -28,12 +28,19 @@ from hypersym.symmetrizer import (
 )
 from hypersym.weights import bracket, poly_bump
 from support import (constant_system, field_dx, holder_difference_probe,
-                     per_row_stencil_derivatives)
+                     per_row_stencil_derivatives, stack_blocks)
 
 
 def _solve_one(m_mat, s):
-    """R of one node by the batched Lyapunov kernel."""
-    return _lyap_solve_batch(np.asarray(m_mat)[None], [s])[0]
+    """R of one node by the batched Lyapunov kernel, on the node's own partition."""
+    m_mat = np.asarray(m_mat)
+    return _lyap_solve_batch(m_mat[None], [s], stack_blocks(m_mat))[0]
+
+
+def _quad(m_mat, rhs, tol=1e-8):
+    """The quadrature oracle on the stack's own partition."""
+    m_mat = np.asarray(m_mat)
+    return quadrature_R(m_mat, rhs, stack_blocks(m_mat), tol=tol)
 
 
 def _params(theta=0, rho=0.5, a=2.0, ell=4.0, tau=0.5, big_t=2.0):
@@ -92,7 +99,7 @@ def test_jordan_closed_form():
     )
     r = _solve_one(m, a * mu)
     assert np.linalg.norm(r - closed, 2) <= 1e-10
-    rq = quadrature_R(m, a * mu, tol=1e-9)
+    rq = _quad(m, a * mu, tol=1e-9)
     assert np.linalg.norm(rq - closed, 2) <= 1e-7
 
 
@@ -102,14 +109,14 @@ def test_methods_agree_on_random_stable():
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         m = x - (np.max(np.abs(np.linalg.eigvals(x).real)) + 1.0) * np.eye(3)
         r1 = _solve_one(m, 1.0)
-        r2 = quadrature_R(m, 1.0, tol=1e-8)
+        r2 = _quad(m, 1.0, tol=1e-8)
         rel = np.linalg.norm(r1 - r2, 2) / np.linalg.norm(r1, 2)
         assert rel <= 1e-6
 
 
 def test_solve_refuses_marginal_matrix():
     with pytest.raises(StabilityMarginError):
-        quadrature_R(np.array([[0.0]]), 1.0)
+        _quad(np.array([[0.0]]), 1.0)
 
 
 def _jordan(k):
@@ -124,9 +131,9 @@ def test_quadrature_expm_count_independent_of_panels(monkeypatch):
 
     sizes = []
 
-    def counting(a):
+    def counting(a, blocks):
         sizes.append(int(np.prod(np.shape(a)[:-2])))
-        return expm_batched(a)
+        return expm_batched(a, blocks)
 
     monkeypatch.setattr(sym, "expm_batched", counting)
     tol = 1e-8
@@ -135,7 +142,7 @@ def test_quadrature_expm_count_independent_of_panels(monkeypatch):
     for k in (10.0, 200.0):
         sizes.clear()
         m, _ = _jordan(k)
-        quadrature_R(m, 1.0, tol=tol)
+        _quad(m, 1.0, tol=tol)
         omega = np.linalg.norm(m)  # unit margin
         n_panels = max(4, int(np.ceil(r_max * omega / 4.0)))
         # one panel-step exponential, then one per Gauss node of each
@@ -153,7 +160,7 @@ def test_quadrature_expm_count_independent_of_panels(monkeypatch):
     # exponential for the whole stack, then one per node and Gauss node
     stack = np.array([_jordan(k)[0] for k in (1.0, 10.0, 200.0, 1000.0)])
     sizes.clear()
-    quadrature_R(stack, 1.0, tol=tol)
+    _quad(stack, 1.0, tol=tol)
     levels = [8]
     while len(levels) < len(sizes) - 1:
         levels.append(int(levels[-1] * 1.5) + 1)
@@ -177,8 +184,9 @@ def test_panel_gram_doubling_matches_plain_sum():
     for m in range(1, 5):
         x = rng.normal(size=(6, m, m)) + 1j * rng.normal(size=(6, m, m))
         margin = np.max(np.linalg.eigvals(x).real, axis=-1) + rng.uniform(0.2, 2.0, 6)
-        steps.append(expm_batched(0.3 * (x - margin[:, None, None] * np.eye(m))))
-    steps.append(expm_batched(0.05 * _jordan(100.0)[0])[None])
+        steps.append(expm_batched(0.3 * (x - margin[:, None, None] * np.eye(m)), stack_blocks(x)))
+    jordan = _jordan(100.0)[0]
+    steps.append(expm_batched(0.05 * jordan, stack_blocks(jordan))[None])
     for step in steps:
         for n in range(1, 71):
             ref = _plain_gram(step, n)
@@ -191,7 +199,7 @@ def test_quadrature_nonnormal_jordan_closed_form():
     for k in (1e2, 1e3):
         m, closed = _jordan(k)
         a_mu = 3.0
-        r = quadrature_R(a_mu * m, a_mu, tol=1e-9)
+        r = _quad(a_mu * m, a_mu, tol=1e-9)
         assert np.linalg.norm(r - closed, 2) <= 1e-9 * np.linalg.norm(closed, 2)
 
 
@@ -209,7 +217,7 @@ def test_quadrature_stack_spanning_phase_rates():
             rhs.append(rng.uniform(0.5, 2.0))
     stack = np.array(stack).reshape(4, 3, 3, 3)
     rhs = np.array(rhs).reshape(4, 3)
-    quad = quadrature_R(stack, rhs)
+    quad = _quad(stack, rhs)
     assert quad.shape == stack.shape
     for idx in np.ndindex(4, 3):
         ref = _solve_one(stack[idx], rhs[idx])
@@ -225,13 +233,13 @@ def test_quadrature_truncation_error_is_its_tail(mu, tol):
     # a cut one panel earlier misses e^{2 w} times more
     r_max = max(6.0, 0.85 * math.log(1.0 / tol))
     tail = math.exp(-2.0 * r_max)
-    err = 1.0 - quadrature_R(np.array([[mu]]), -2.0 * mu.real, tol=tol)[0, 0].real
+    err = 1.0 - _quad(np.array([[mu]]), -2.0 * mu.real, tol=tol)[0, 0].real
     assert 0.5 * tail <= err <= 2.0 * tail, err / tail
 
 
 def test_quadrature_refinement_budget():
     with pytest.raises(BudgetError):
-        quadrature_R(_jordan(10.0)[0], 1.0, max_refine=0)
+        quadrature_R(_jordan(10.0)[0], 1.0, stack_blocks(_jordan(10.0)[0]), max_refine=0)
 
 
 def test_monotone_damping_closed_forms():
@@ -300,7 +308,8 @@ def test_build_field_matches_per_node_loop(name):
         for ix, x in enumerate(xs):
             m_stack, rhs = damped_generator(pre.coeffs, p, t, x, xis)
             assert np.array_equal(field.M[it, ix], m_stack)
-            assert np.array_equal(field.R[it, ix], _lyap_solve_batch(m_stack, rhs))
+            assert np.array_equal(field.R[it, ix],
+                                  _lyap_solve_batch(m_stack, rhs, pre.coeffs.blocks))
 
 
 def test_damped_generator_array_tau_matches_per_time_calls():
@@ -329,7 +338,8 @@ def test_quadrature_field_matches_lyapunov_field():
     pr = plan(0, "lipschitz")
     xis = np.geomspace(4.0, 256.0, 4)
     f1 = build_field(pre.coeffs, pr.params, [0.2], [0.0, 2.0], xis)
-    quad = quadrature_R(f1.M, np.broadcast_to(f1.rhs, f1.M.shape[:-2]), tol=1e-8)
+    quad = quadrature_R(f1.M, np.broadcast_to(f1.rhs, f1.M.shape[:-2]), pre.coeffs.blocks,
+                        tol=1e-8)
     rel = np.max(
         np.linalg.norm(f1.R - quad, axis=(-2, -1))
         / np.linalg.norm(f1.R, axis=(-2, -1))
@@ -524,7 +534,7 @@ def test_holder_probe_linear_path():
 def _r_multiplier(coeffs, params, t, xis, tau):
     # R(t, xi) of x-independent coefficients with the window tau in H_N
     m_stack, rhs = damped_generator(coeffs, replace(params, tau=tau), t, 0.0, xis)
-    return _lyap_solve_batch(m_stack, rhs)
+    return _lyap_solve_batch(m_stack, rhs, coeffs.blocks)
 
 
 def test_mollified_dt_exponent_within_target():
@@ -606,7 +616,7 @@ def _fd_reference(coeffs, params, t0, x, xi, alpha, beta, dt_flag):
 
     def r_at(i, j, k):
         m, rhs = damped_generator(coeffs, params, t0 + k * ht, x + j * hx, xi + i * hxi)
-        return _lyap_solve_batch(m[None], np.array([rhs]))[0]
+        return _lyap_solve_batch(m[None], np.array([rhs]), coeffs.blocks)[0]
 
     def diff(f, order, h):
         if order == 0:

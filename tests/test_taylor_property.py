@@ -10,6 +10,13 @@ is within ``(7N + T + 19) u S`` of the exact sum of those values, where
 has at most 2N + 6 complex roundings, each of relative size at most 3u, and
 the additions at most N + T + 1 more.  The two paths then differ by at most
 twice that.  At z = 0 the closed form is ``A(t, x) xi`` bit for bit.
+
+Partition: inline systems whose A and B terms are permuted direct sums of
+blocks of size 1 to 3 (m <= 6).  ``SystemCoefficients.blocks`` is the
+planted partition, every stack that ``taylor_symbol``, ``hn_over_lattice``
+and ``damped_generator`` build from the system is exactly zero off it, and
+each block of a stack's own partition (``support.stack_blocks``) lies in one
+of its blocks.
 """
 
 import math
@@ -17,9 +24,10 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
+from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, coeffs_from_json
 from hypersym.matkernel import taylor_symbol
-from support import field_dx, taylor_reference
+from hypersym.symmetrizer import ParameterSet, damped_generator, hn_over_lattice
+from support import field_dx, stack_blocks, taylor_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -75,3 +83,63 @@ def test_closed_form_matches_derivative_sum(case):
     at_zero = taylor_symbol(coeffs, t, x, xi, np.zeros_like(z), order)
     symbol = field_dx(coeffs.a_field, t, x) * np.asarray(xi)[..., None, None]
     assert np.array_equal(at_zero, np.broadcast_to(symbol, at_zero.shape))
+
+
+@st.composite
+def planted_systems(draw):
+    """(inline coefficient document, planted blocks): each block is joined by a
+    random spanning tree of entries, each in A or B, plus random extra entries
+    inside the block, on random terms."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+                 .filter(lambda sizes: sum(sizes) <= 6))
+    m = sum(sizes)
+    perm = draw(st.permutations(range(m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    doc = {"m": m, "A": [[[] for _ in range(m)] for _ in range(m)],
+           "B": [[[] for _ in range(m)] for _ in range(m)]}
+
+    def put(i, j):
+        field = "A" if rng.uniform() < 0.7 else "B"
+        doc[field][i][j].append({"x_freq": int(rng.integers(-2, 3)),
+                                 "t_term": str(rng.choice(_TIME_TERMS)),
+                                 "re": float(rng.normal()), "im": float(rng.normal())})
+
+    planted, at = [], 0
+    for k in sizes:
+        block = sorted(perm[at:at + k])
+        at += k
+        planted.append(block)
+        for n, i in enumerate(block[1:], 1):  # a spanning tree, each edge either way
+            j = block[int(rng.integers(0, n))]
+            put(*((i, j) if rng.uniform() < 0.5 else (j, i)))
+        for i in block:
+            for j in block:
+                if rng.uniform() < 0.3:
+                    put(i, j)
+    return doc, planted
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(planted_systems(), st.integers(0, 2**32 - 1))
+def test_system_partition_is_planted_and_coarser_than_each_stack(case, seed):
+    doc, planted = case
+    coeffs = coeffs_from_json(doc)
+    assert sorted(map(list, coeffs.blocks)) == sorted(planted)
+    coupled = np.zeros((coeffs.m, coeffs.m), dtype=bool)
+    owner = np.empty(coeffs.m, dtype=int)
+    for n, idx in enumerate(coeffs.blocks):
+        coupled[idx[:, None], idx] = True
+        owner[idx] = n
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-2.0, 2.0, size=(3, 1, 1))
+    x = rng.uniform(-4.0, 4.0, size=(2, 1))
+    xi = rng.uniform(-50.0, 50.0, size=4)
+    z = rng.uniform(-2.0, 2.0, size=4) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=4))
+    params = ParameterSet(rho=0.5, a=2.0, ell=4.0, tau=rng.uniform(0.1, 1.0), T=2.0, c1=0.1,
+                          theta=int(rng.integers(0, 3)))
+    stacks = [taylor_symbol(coeffs, t, x, xi, z, int(rng.integers(0, 9))),
+              hn_over_lattice(coeffs, params, t, x, xi),
+              damped_generator(coeffs, params, t, x, xi)[0]]
+    for stack in stacks:
+        assert np.all(stack[..., ~coupled] == 0.0)
+        assert all(len(set(owner[idx])) == 1 for idx in stack_blocks(stack))
