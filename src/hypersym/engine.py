@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.errors import WeightOverflowError
-from hypersym.weights import bracket, gevrey_weight
+from hypersym.errors import ConfigError
+from hypersym.weights import EXP_BUDGET, bracket
 
 
 def lattice(n_x: int) -> np.ndarray:
@@ -72,8 +72,6 @@ class ConjugationOrderRow:
 @dataclass
 class ConjugationReport:
     rows: list[ConjugationOrderRow]
-    tau_used: float
-    tau_shrunk: bool
 
     @property
     def passed(self) -> bool:
@@ -104,26 +102,21 @@ def conjugation_remainder_probe(
     the largest entry there, and it is fitted against the bracket.  Passing
     is one-sided (fitted order <= max(rho - k(1-rho), rho - 1) +
     ``_ORDER_TOL``) unless ``two_sided`` demands agreement within
-    ``_ORDER_TOL``.  If the lattice's weight overflows the budget, tau is
-    halved until admissible and reported.
+    ``_ORDER_TOL``.  The probe forms only the weight's exponent difference,
+    never the weight itself; an exponent past ``EXP_BUDGET`` is refused,
+    naming tau.
     """
-    tau_used, shrunk = float(tau), False
-    while True:
-        try:
-            gevrey_weight(n_x / 2.0, tau_used, rho, ell)  # the lattice's largest
-            break
-        except WeightOverflowError:
-            tau_used /= 2.0
-            shrunk = True
-            if tau_used < 1e-8:
-                raise
     # the columns, in ascending order, whose image stays on the lattice
     src = shift_map(harmonic, n_x)[0]
     xi = (np.arange(n_x, dtype=float) - n_x // 2)[src]
     profile = bracket(xi, ell) ** order
-    exact = profile * np.exp(tau_used * (bracket(xi + harmonic, ell) ** rho
-                                         - bracket(xi, ell) ** rho))
-    s = harmonic * tau_used * rho * xi * bracket(xi, ell) ** (rho - 2.0)
+    exponent = tau * (bracket(xi + harmonic, ell) ** rho - bracket(xi, ell) ** rho)
+    worst = float(np.max(np.abs(exponent), initial=0.0))
+    if worst > EXP_BUDGET:
+        raise ConfigError(f"tau = {tau}: the conjugation exponent tau (<xi+h>^rho - <xi>^rho) "
+                          f"reaches {worst:.3g} > {EXP_BUDGET}")
+    exact = profile * np.exp(exponent)
+    s = harmonic * tau * rho * xi * bracket(xi, ell) ** (rho - 2.0)
     threshold = 1e-13 * max(1.0, float(np.max(np.abs(exact), initial=0.0)))
 
     j_max = int(math.log2(n_x // 2))
@@ -148,4 +141,4 @@ def conjugation_remainder_probe(
         else:
             ok = slope <= target + _ORDER_TOL
         rows.append(ConjugationOrderRow(k, target, slope, norms, bool(ok)))
-    return ConjugationReport(rows=rows, tau_used=tau_used, tau_shrunk=shrunk)
+    return ConjugationReport(rows=rows)

@@ -472,8 +472,9 @@ def _cmd_conjtest(config: dict) -> dict:
         if orders[i] is not None and orders[i + 1] is not None
     )
     return {
-        "rho": rho, "ell": ell, "tau_used": rep.tau_used,
-        "tau_shrunk": rep.tau_shrunk,
+        # the probe runs at the tau it is given or refuses it, so tau_shrunk is
+        # always false; both keys stay for the summaries already recorded
+        "rho": rho, "ell": ell, "tau_used": float(config["tau"]), "tau_shrunk": False,
         # the engine quantizes by the Kohn-Nirenberg rule; the probe compares
         # operators, so the quantization choice only shifts lower-order terms
         "quantization": "kohn-nirenberg",

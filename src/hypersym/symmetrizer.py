@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
-from hypersym.errors import BudgetError, SamplingError, StabilityMarginError
+from hypersym.errors import SamplingError, StabilityMarginError
 from hypersym.matkernel import block_eigvals, expm_batched, taylor_order, taylor_symbol
 from hypersym.weights import bracket, poly_bump
 
@@ -215,30 +215,11 @@ def _lyap_2x2(part: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return r
 
 
-def _panel_gram(step: np.ndarray, n: int) -> np.ndarray:
-    """``G = sum_{p<n} (P^p)* P^p`` over a stack of panel steps P, by doubling.
-
-    ``G_{a+b} = G_a + (P^a)* G_b P^a`` from ``G_1 = I``: each bit of n after
-    the leading one doubles r (a = b = r), and a set bit then adds one panel
-    in front (a = 1, b = 2r), with ``acc = P^r`` squared or advanced beside
-    it.  About 2 log2(n) batched products where the plain sum takes n.
-    """
-    eye = np.broadcast_to(np.eye(step.shape[-1], dtype=complex), step.shape)
-    gram, acc = eye, step
-    for bit in bin(n)[3:]:
-        gram = gram + acc.conj().swapaxes(-1, -2) @ gram @ acc
-        acc = acc @ acc
-        if bit == "1":
-            gram = eye + step.conj().swapaxes(-1, -2) @ gram @ step
-            acc = acc @ step
-    return gram
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``nodes``-point Gauss-Legendre rule on [-1, 1], read-only: computed once per
-    count, and ``quadrature_R`` uses max_refine + 1 counts (8, 13, 20, ...)."""
-    rule = np.polynomial.legendre.leggauss(nodes)
+@functools.cache
+def _gauss_legendre_8() -> tuple[np.ndarray, np.ndarray]:
+    """The 8-point Gauss-Legendre rule on [-1, 1], read-only, built on first use:
+    commands that never call the oracle never import ``numpy.polynomial``."""
+    rule = np.polynomial.legendre.leggauss(8)
     for part in rule:
         part.setflags(write=False)
     return rule
@@ -249,25 +230,19 @@ def quadrature_R(
     rhs_scale,
     blocks: list[np.ndarray],
     tol: float = 1e-8,
-    max_refine: int = 8,
 ) -> np.ndarray:
-    """Independent oracle: adaptive quadrature of ``rhs int (e^{sM})* e^{sM} ds``.
+    """Independent oracle: ``rhs int (e^{sM})* e^{sM} ds`` by one fixed rule.
 
-    The integrand is rescaled to unit decay rate (s = r / margin), truncated
-    where the tail bound falls below ``tol`` and integrated by composite
-    Gauss-Legendre with panel refinement until the relative change is below
-    ``tol``.  Accepts a single matrix or a stack.
-
-    Panels are uniform (width w) and share the Gauss offsets
-    ``c_j = (w/2)(1 + x_j)``, so the semigroup property gives
-    ``e^{(p w + c_j) S} = P^p E_j`` with ``P = e^{w S}``, ``E_j = e^{c_j S}``
-    and the composite sum is exactly ``sum_j w_j E_j* G E_j`` with
-    ``G = sum_p (P^p)* P^p``.  G is formed by doubling (:func:`_panel_gram`),
-    in about 2 log2 of the panel count batched products, so the whole stack
-    shares one panel grid, set by its fastest phase rate.  G costs one
-    exponential per node and serves every refinement level, which takes the
-    whole stack at once, on the system's partition ``blocks``.  The oracle
-    never calls the Lyapunov solve.
+    The integrand is rescaled to unit decay rate (s = r / margin) and cut at
+    ``r_max``, where its tail falls below ``tol``.  [0, r_max] splits into
+    2^k panels of width w, ``k = ceil(log2(r_max max(omega, 1)))`` with omega
+    the stack's fastest phase rate, so ``w omega <= 1``: there the 8-point
+    Gauss-Legendre rule's error term is about 1e-18 of a panel's integral.
+    The first panel is summed at the 8 nodes; the semigroup property then
+    gives the rest in k doublings, ``R <- R + P* R P`` and ``P <- P^2`` from
+    ``P = e^{wS}``.  Two batched exponentials serve the whole stack, on the
+    system's partition ``blocks``.  Accepts a single matrix or a stack; the
+    oracle never calls the Lyapunov solve.
     """
     shape = np.shape(m_mat)
     flat = np.asarray(m_mat, dtype=complex).reshape(-1, *shape[-2:])
@@ -283,23 +258,17 @@ def quadrature_R(
     # (modulo a polynomial transient).
     r_max = max(6.0, 0.85 * math.log(1.0 / tol))
     omega = float(np.max(np.linalg.norm(flat, axis=(1, 2)) / margins))
-    n_panels = max(4, int(math.ceil(r_max * max(omega, 1.0) / 4.0)))
-    half = r_max / n_panels / 2.0
-    gram = _panel_gram(expm_batched(2.0 * half * scaled, blocks), n_panels)
-    scale = (rhs / margins)[:, None, None]
-    prev, nodes = None, 8
-    for _ in range(max_refine + 1):
-        gl_x, gl_w = _gauss_legendre(nodes)
-        offs = expm_batched((half * (1.0 + gl_x))[:, None, None, None] * scaled[None], blocks)
-        prods = offs.conj().swapaxes(-1, -2) @ gram[None] @ offs
-        cur = np.einsum("j,jnik->nik", half * gl_w, prods) * scale
-        if prev is not None and np.max(
-            np.linalg.norm(cur - prev, axis=(1, 2))
-            / np.maximum(np.linalg.norm(cur, axis=(1, 2)), 1e-300)
-        ) < tol:
-            return ((cur + cur.conj().swapaxes(-1, -2)) / 2.0).reshape(shape)
-        prev, nodes = cur, int(nodes * 1.5) + 1
-    raise BudgetError("quadrature failed to converge within refinement budget")
+    k = math.ceil(math.log2(r_max * max(omega, 1.0)))
+    half = r_max / 2**k / 2.0
+    gl_x, gl_w = _gauss_legendre_8()
+    offs = expm_batched((half * (1.0 + gl_x))[:, None, None, None] * scaled[None], blocks)
+    r = np.einsum("j,jnik->nik", half * gl_w, offs.conj().swapaxes(-1, -2) @ offs)
+    step = expm_batched(2.0 * half * scaled, blocks)
+    for _ in range(k):
+        r = r + step.conj().swapaxes(-1, -2) @ r @ step
+        step = step @ step
+    r = r * (rhs / margins)[:, None, None]
+    return ((r + r.conj().swapaxes(-1, -2)) / 2.0).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

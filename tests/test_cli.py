@@ -150,6 +150,8 @@ def test_wrong_type_rejected(cfg):
     # a Hoelder exponent outside the planner's (0, 1) once rounded
     *[[command, "--seed", "0", {"coeffs": _holder_coeffs(kappa)}]
       for kappa in _KAPPA_ROUNDED_OUT for command in ("solve", "study-h", "study-parabolic")],
+    # the conjugation exponent tau (<xi+1>^rho - <xi>^rho) reaches 543 > EXP_BUDGET
+    ["conjtest", {"tau": 1000}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -409,6 +411,17 @@ def test_conjtest_runs_past_the_old_dense_limit():
     assert status == 0
     assert [row["k"] for row in summary["rows"]] == [0, 1, 2]
     assert all(row["fitted"] is not None for row in summary["rows"])
+
+
+@pytest.mark.parametrize("order_one", [True, False])
+def test_conjtest_keeps_its_tau_at_65536_modes(order_one):
+    # the probe forms only the exponent difference, so the default tau fits the
+    # budget on any lattice; the weight e^{1.5 <32768>^0.75} would not
+    status, summary = run({"command": "conjtest", "schema_version": "1",
+                           "n_lattice": 65536, "order_one": order_one})
+    assert status == 0
+    assert summary["tau_used"] == 1.5 and summary["tau_shrunk"] is False
+    assert all(row["passed"] for row in summary["rows"])
 
 
 def test_conjtest_lattice_past_memory_exits_2(monkeypatch, tmp_path, capsys):

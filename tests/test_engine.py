@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypersym.engine import _ORDER_TOL, conjugation_remainder_probe, lattice
-from hypersym.errors import WeightOverflowError
+from hypersym.errors import ConfigError, WeightOverflowError
 from hypersym.weights import bracket, gevrey_weight
 from kn_reference import TrigMatrixSymbol, conjugated_symbol_bk, kn_apply, kn_matrix, symbol_values
 from support import from_physical, is_conjugate_symmetric, to_physical
@@ -259,15 +259,19 @@ def test_remainder_order_zero_symbol_two_sided(n_x):
     # the probe's order-one targets, which a remainder one order too large meets
     rho = 0.75
     rep = conjugation_remainder_probe(1, 0, 1.5, rho, 1.0, [0, 1, 2], n_x)
-    assert not rep.tau_shrunk
     for row in rep.rows:
         assert abs(row.fitted - (rho - 1.0 - row.k * (1.0 - rho))) <= _ORDER_TOL
 
 
-def test_remainder_tau_shrinks_on_overflow():
-    rep = conjugation_remainder_probe(1, 0, 100.0, 0.9, 1.0, [0], 128)
-    assert rep.tau_shrunk
-    assert rep.tau_used < 100.0
+def test_remainder_exponent_past_budget_is_refused():
+    # the probe forms tau (<xi+1>^rho - <xi>^rho), at most 0.543 tau here, never
+    # the weight e^{tau <N/2>^rho}: tau = 1.5 runs at 2^18 modes, where that
+    # weight's exponent is 1.0e4, and tau = 1000 is refused by name
+    rep = conjugation_remainder_probe(1, 0, 1.5, 0.75, 1.0, [0], 2**18)
+    assert rep.rows[0].fitted is not None
+    assert conjugation_remainder_probe(1, 0, 920.0, 0.75, 1.0, [0], 128).rows
+    with pytest.raises(ConfigError, match=r"^tau = 1000\.0: .* reaches 543 > 500"):
+        conjugation_remainder_probe(1, 0, 1000.0, 0.75, 1.0, [0], 128)
 
 
 def test_hermitian_form_x_dependent_matches_dense():

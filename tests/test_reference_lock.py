@@ -1,9 +1,11 @@
-"""Behaviour lock: solver and dense-oracle tasks against the benchmark reference.
+"""Behaviour lock: every timed benchmark task against the benchmark reference.
 
-Each task runs through the benchmark's own ``run_task`` (the CLI's exit-code
-contract) and is checked by its ``Checker`` against ``perfbench/reference.json``:
+Each task of every workload's seed-0 pass (scan, oracle and evolve; 32 tasks)
+runs through the benchmark's own ``run_task`` (the CLI's exit-code contract)
+and is checked by its ``Checker`` against ``perfbench/reference.json``:
 booleans, integers and strings exactly, floats to their recorded per-field
-tolerance.  Nothing under ``perfbench/`` is written.
+tolerance, error fields to their criterion.  Nothing under ``perfbench/`` is
+written.
 """
 
 import importlib.util
@@ -28,17 +30,24 @@ check = _load("check")
 CHECKER = check.Checker()
 
 
-@pytest.mark.parametrize("config", [
-    {"command": "conjtest", "order_one": True},
-    {"command": "conjtest", "order_one": False},
-    {"command": "solve", "preset": "xdep", "seed": 0, "n_lattice": 256},
-    {"command": "solve", "preset": "holder_k", "seed": 0, "n_lattice": 256},
-    {"command": "solve", "preset": "wave_t2", "seed": 0, "n_lattice": 1024},
-    {"command": "study-h", "preset": "xdep", "seed": 0},
-    {"command": "study-parabolic", "preset": "xdep", "seed": 0},
-    {"command": "solve", "preset": "xdep", "seed": 0, "n_lattice": 1024},
-], ids=["conjtest-order-one", "conjtest-order-zero", "solve-xdep", "solve-holder_k",
-        "solve-wave_t2-1024", "study-h-xdep", "study-parabolic-xdep", "solve-xdep-1024"])
+def _task_name(config):
+    """``solve-wave_t2-1024``: the command, then what tells its tasks apart."""
+    parts = [config["command"], config.get("preset"), config.get("mode")]
+    if "order_one" in config:
+        parts.append("order-one" if config["order_one"] else "order-zero")
+    if config.get("n_lattice", 256) != 256:
+        parts.append(str(config["n_lattice"]))
+    return "-".join(part for part in parts if part)
+
+
+TASKS = []
+for workload in tasks.WORKLOADS:
+    for config in tasks.timed_tasks(workload, 0):
+        if config not in TASKS:
+            TASKS.append(config)
+
+
+@pytest.mark.parametrize("config", TASKS, ids=[_task_name(c) for c in TASKS])
 def test_task_matches_reference(config, tmp_path):
     result = tasks.run_task(config, str(tmp_path))
     verdict, problems = CHECKER.check(config, result)
