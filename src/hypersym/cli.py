@@ -8,17 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
-
-
-def _apply_thread_override() -> None:
-    # Must happen before numpy is imported anywhere in this process.
-    n = os.environ.get("HYPERSYM_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_override()
     args = _build_parser().parse_args(argv)
 
     from hypersym import errors, runner

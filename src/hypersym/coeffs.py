@@ -82,30 +82,10 @@ class CoeffTerm:
         object.__setattr__(self, "g", time_function(self.t_term))
 
 
-class MatrixField:
-    """Sum of trig-polynomial terms of one size, checked on construction.
-
-    Consumers read the terms directly: each is a single x-harmonic, so its
-    x-derivatives are exact multiples of itself.
-    """
-
-    def __init__(self, m: int, terms: list[CoeffTerm]):
-        self.m = m
-        self.terms = list(terms)
-        for term in self.terms:
-            if term.matrix.shape != (m, m):
-                raise ConfigError(
-                    f"term matrix shape {term.matrix.shape} != ({m}, {m})"
-                )
-
-    @property
-    def x_band(self) -> int:
-        return max((abs(t.x_freq) for t in self.terms), default=0)
-
-
 @dataclass
 class SystemCoefficients:
-    """Coefficients A1(t, x) and B(t, x) of an m-by-m first-order system.
+    """Coefficients A1(t, x) and B(t, x) of an m-by-m first-order system,
+    each the sum of its list of terms (``b_terms`` is empty when B = 0).
 
     ``t_regularity`` is "lipschitz" or "holder"; in Hoelder mode ``kappa``
     gives the declared exponent, testable by sampling the path.
@@ -114,12 +94,17 @@ class SystemCoefficients:
     """
 
     m: int
-    a_field: MatrixField
-    b_field: MatrixField
+    a_terms: list[CoeffTerm]
+    b_terms: list[CoeffTerm] = field(default_factory=list)
     t_regularity: str = "lipschitz"
     kappa: float | None = None
 
     def __post_init__(self):
+        for term in self.a_terms + self.b_terms:
+            if term.matrix.shape != (self.m, self.m):
+                raise ConfigError(
+                    f"term matrix shape {term.matrix.shape} != ({self.m}, {self.m})"
+                )
         if self.t_regularity not in ("lipschitz", "holder"):
             raise ConfigError(f"bad t_regularity {self.t_regularity!r}")
         if self.t_regularity == "holder" and not (
@@ -129,14 +114,14 @@ class SystemCoefficients:
 
     @property
     def x_band(self) -> int:
-        return max(self.a_field.x_band, self.b_field.x_band)
+        return max((abs(t.x_freq) for t in self.a_terms + self.b_terms), default=0)
 
     @functools.cached_property
     def blocks(self) -> list[np.ndarray]:
         """Index sets of the decoupled diagonal blocks of every stack built from the system:
         the components of the A and B terms' nonzero pattern, its transpose and I."""
         link = np.eye(self.m, dtype=bool)
-        for term in self.a_field.terms + self.b_field.terms:
+        for term in self.a_terms + self.b_terms:
             link |= term.matrix != 0
         reach = link | link.T
         for _ in range(self.m.bit_length()):  # paths of length up to 2^k after k squarings
@@ -144,7 +129,7 @@ class SystemCoefficients:
         return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
 
 
-def _field_from_json(m: int, entries: list) -> MatrixField:
+def _field_from_json(m: int, entries: list) -> list[CoeffTerm]:
     collected: dict[tuple[int, str], np.ndarray] = {}
     if len(entries) != m:
         raise ConfigError("entry grid does not match matrix size")
@@ -157,11 +142,10 @@ def _field_from_json(m: int, entries: list) -> MatrixField:
                 if key not in collected:
                     collected[key] = np.zeros((m, m), dtype=complex)
                 collected[key][i, j] += item["re"] + 1j * item.get("im", 0.0)
-    terms = [
+    return [
         CoeffTerm(x_freq=k, t_term=tt, matrix=mat)
         for (k, tt), mat in sorted(collected.items(), key=lambda kv: kv[0])
     ]
-    return MatrixField(m, terms)
 
 
 def coeffs_from_json(doc: dict) -> SystemCoefficients:
@@ -171,8 +155,8 @@ def coeffs_from_json(doc: dict) -> SystemCoefficients:
             raise ConfigError(f"bad coefficient document: m = {m} not in 1..{MAX_M}")
         return SystemCoefficients(
             m=m,
-            a_field=_field_from_json(m, doc["A"]),
-            b_field=_field_from_json(m, doc.get("B", [[[] for _ in range(m)] for _ in range(m)])),
+            a_terms=_field_from_json(m, doc["A"]),
+            b_terms=_field_from_json(m, doc.get("B", [[[] for _ in range(m)] for _ in range(m)])),
             t_regularity=doc.get("t_regularity", "lipschitz"),
             kappa=doc.get("kappa"),
         )

@@ -59,7 +59,7 @@ def taylor_symbol(
     field = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)) + (coeffs.m, coeffs.m),
                      dtype=complex)
     out = np.zeros(shape + (coeffs.m, coeffs.m), dtype=complex)
-    for term in coeffs.a_field.terms:
+    for term in coeffs.a_terms:
         value = (term.matrix * term.g(t)[..., None, None]
                  * np.exp(1j * term.x_freq * x)[..., None, None])
         field += value
@@ -322,7 +322,7 @@ def spectral_bound_certify(
     ratios = im_max / s_values
     max_ratio = float(np.max(ratios))
     # Ratios below solver noise count as zero so exactly-real families pass.
-    terms = np.reshape([term.matrix for term in coeffs.a_field.terms], (-1, coeffs.m, coeffs.m))
+    terms = np.reshape([term.matrix for term in coeffs.a_terms], (-1, coeffs.m, coeffs.m))
     floor = 1e-9 * (1.0 + sum(np.linalg.norm(terms, 2, axis=(-2, -1))))
     if max_ratio * max(s_values) <= floor:
         passed = True

@@ -11,17 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypersym.coeffs import (
-    CoeffTerm,
-    MatrixField,
-    SystemCoefficients,
-    cosine_terms,
-)
+from hypersym.coeffs import CoeffTerm, SystemCoefficients, cosine_terms
 
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     coeffs: SystemCoefficients
     theta: int
 
@@ -33,10 +27,8 @@ def _diag_sym() -> Preset:
     for t_term, cf in (("1", 1.0), ("t", 0.25)):
         terms.append(CoeffTerm(0, t_term, cf * s0))
         terms.extend(cosine_terms(1, 0.1 * cf * d, t_term))
-    coeffs = SystemCoefficients(
-        m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, [])
-    )
-    return Preset("diag_sym", coeffs, theta=0)
+    coeffs = SystemCoefficients(m=2, a_terms=terms)
+    return Preset(coeffs, theta=0)
 
 
 def _wave_t2() -> Preset:
@@ -44,19 +36,15 @@ def _wave_t2() -> Preset:
         CoeffTerm(0, "t^2", np.array([[0.0, 1.0], [0.0, 0.0]])),
         CoeffTerm(0, "1", np.array([[0.0, 0.0], [1.0, 0.0]])),
     ]
-    coeffs = SystemCoefficients(
-        m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, [])
-    )
-    return Preset("wave_t2", coeffs, theta=1)
+    coeffs = SystemCoefficients(m=2, a_terms=terms)
+    return Preset(coeffs, theta=1)
 
 
 def _jordan_lower() -> Preset:
     a_terms = [CoeffTerm(0, "1", np.array([[0.0, 1.0], [0.0, 0.0]]))]
     b_terms = [CoeffTerm(0, "1", np.array([[0.0, 0.0], [1.0, 0.0]]))]
-    coeffs = SystemCoefficients(
-        m=2, a_field=MatrixField(2, a_terms), b_field=MatrixField(2, b_terms)
-    )
-    return Preset("jordan_lower", coeffs, theta=1)
+    coeffs = SystemCoefficients(m=2, a_terms=a_terms, b_terms=b_terms)
+    return Preset(coeffs, theta=1)
 
 
 def _xdep() -> Preset:
@@ -66,10 +54,8 @@ def _xdep() -> Preset:
     for t_term, cf in (("1", 1.0), ("t", 0.2)):
         terms.append(CoeffTerm(0, t_term, cf * base))
         terms.extend(cosine_terms(1, 0.5 * cf * d, t_term))
-    coeffs = SystemCoefficients(
-        m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, [])
-    )
-    return Preset("xdep", coeffs, theta=0)
+    coeffs = SystemCoefficients(m=2, a_terms=terms)
+    return Preset(coeffs, theta=0)
 
 
 def _holder_k() -> Preset:
@@ -77,14 +63,8 @@ def _holder_k() -> Preset:
         CoeffTerm(0, "1", np.array([[0.0, 1.0], [1.0, 0.0]])),
         CoeffTerm(0, "lacunary(0.5,12)", np.array([[0.0, 0.1], [0.0, 0.0]])),
     ]
-    coeffs = SystemCoefficients(
-        m=2,
-        a_field=MatrixField(2, terms),
-        b_field=MatrixField(2, []),
-        t_regularity="holder",
-        kappa=0.5,
-    )
-    return Preset("holder_k", coeffs, theta=0)
+    coeffs = SystemCoefficients(m=2, a_terms=terms, t_regularity="holder", kappa=0.5)
+    return Preset(coeffs, theta=0)
 
 
 def _block_direct_sum() -> Preset:
@@ -99,10 +79,8 @@ def _block_direct_sum() -> Preset:
     for t_term, cf in (("1", 1.0), ("t", 0.25)):
         terms.append(CoeffTerm(0, t_term, cf * (b1 + b2)))
         terms.extend(cosine_terms(1, 0.1 * cf * d1, t_term))
-    coeffs = SystemCoefficients(
-        m=m, a_field=MatrixField(m, terms), b_field=MatrixField(m, [])
-    )
-    return Preset("block_direct_sum", coeffs, theta=0)
+    coeffs = SystemCoefficients(m=m, a_terms=terms)
+    return Preset(coeffs, theta=0)
 
 
 def _wave_x2() -> Preset:
@@ -110,10 +88,8 @@ def _wave_x2() -> Preset:
         CoeffTerm(0, "1", np.array([[0.0, 1.0], [2.0, 0.0]])),
     ]
     terms.extend(cosine_terms(1, np.array([[0.0, 0.0], [-2.0, 0.0]])))
-    coeffs = SystemCoefficients(
-        m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, [])
-    )
-    return Preset("wave_x2", coeffs, theta=1)
+    coeffs = SystemCoefficients(m=2, a_terms=terms)
+    return Preset(coeffs, theta=1)
 
 
 _BUILDERS = {

@@ -77,8 +77,8 @@ def polished_roots(c) -> np.ndarray:
     return _sort_rows(np.where(safe, raw - step, raw))
 
 
-def nuij_split(rows, s, iterations: int | None = None) -> SplitResult:
-    """Apply ``(1 + s d/dzeta)`` ``iterations`` times (default: the degree).
+def nuij_split(rows, s) -> SplitResult:
+    """Apply ``(1 + s d/dzeta)`` m times, m the degree.
 
     ``rows`` are ascending monic coefficients ``(..., m+1)``; ``s``
     broadcasts against their leading axes.
@@ -90,12 +90,10 @@ def nuij_split(rows, s, iterations: int | None = None) -> SplitResult:
     rows = np.asarray(rows, dtype=float)
     s = np.asarray(s, dtype=float)
     m = rows.shape[-1] - 1
-    if iterations is None:
-        iterations = m
     lead = np.broadcast_shapes(rows.shape[:-1], s.shape)
     c = np.broadcast_to(rows, lead + (m + 1,)).copy()
     s_col = s[..., None]
-    for _ in range(iterations):
+    for _ in range(m):
         c[..., :-1] += s_col * (c[..., 1:] * np.arange(1, m + 1))
     roots = polished_roots(c)
     imag = np.max(np.abs(roots.imag), axis=-1, initial=0.0)

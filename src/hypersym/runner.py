@@ -22,7 +22,7 @@ from hypersym.coeffs import SystemCoefficients, coeffs_from_json
 from hypersym.errors import ConfigError, HypersymError, NotRealRootedError, require_memory
 from hypersym.presets import get_preset
 from hypersym.symmetrizer import ParameterSet
-from hypersym.weights import bracket
+from hypersym.weights import EXP_BUDGET, bracket
 
 SCHEMA_VERSION = "1"
 
@@ -181,7 +181,7 @@ def _resolve_coeffs(config: dict) -> tuple[SystemCoefficients, int | None, str]:
             p = get_preset(config["preset"])
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from None
-        return p.coeffs, p.theta, p.name
+        return p.coeffs, p.theta, config["preset"]
     if "coeffs" in config:
         return coeffs_from_json(config["coeffs"]), None, "inline"
     raise ConfigError("config needs a preset or inline coeffs")
@@ -296,17 +296,25 @@ def _solve_setup(config: dict):
     n_x = config["n_lattice"]
     coeffs, theta_decl, name = _resolve_coeffs(config)
     mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
-    kappa = Fraction(coeffs.kappa).limit_denominator(100) if coeffs.kappa else None
+    kappa = Fraction(coeffs.kappa) if coeffs.kappa else None
     cal = calibrate(coeffs, theta_decl)
     try:
         params = run_params(cal, mode, kappa, ell_max=config.get("ell"))
-    except ValueError as exc:  # the planner's kappa range, met by the rounded kappa
-        raise ConfigError(f"kappa = {coeffs.kappa} rounds to {kappa}: {exc}") from None
+    except ValueError as exc:  # the planner's kappa range, (0, 1)
+        raise ConfigError(f"kappa = {coeffs.kappa}: {exc}") from None
+    except OverflowError:  # ell >= a^(1/(1 - rho)) leaves the double range as rho nears 1
+        raise ConfigError(f"theta = {cal.theta}, kappa = {coeffs.kappa}: the planned "
+                          "parameters are beyond the double range") from None
+    big_t = float(params.T)
+    # the weight e^(T <xi>_ell^rho) is smallest at xi = 0, where <0>_ell = ell
+    least = big_t * float(params.ell) ** float(params.rho)
+    if least > EXP_BUDGET:
+        raise ConfigError(f"theta = {cal.theta}, kappa = {coeffs.kappa}: the planned weight "
+                          f"exponent T ell^rho = {least:.3g} is past {EXP_BUDGET} at every xi")
     s0 = float(1 / params.rho)
     s = config.get("s", 0.5 * (1.0 + s0))
     if not s < s0:
         raise ConfigError(f"data index s = {s} must be below s0 = {s0}")
-    big_t = float(params.T)
     try:
         c0_min = 1.2 * big_t * float(bracket(n_x / 2, float(params.ell))) ** float(params.rho) \
             / float(bracket(n_x / 2, 1.0)) ** (1.0 / s)

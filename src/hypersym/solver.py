@@ -8,14 +8,13 @@ every sample time with the running window ``tau = T - a t``; in Hoelder mode
 the mollified symmetrizer takes its place.
 
 Only the active band, the modes with chi(h xi) > 0, goes through RK4.  Off
-it chi = 0, the generator is ``-eps_par xi^2``, and one RK4 step multiplies
-each mode by ``1 + z + z^2/2 + z^3/6 + z^4/24`` with ``z = -dt eps_par xi^2``;
-likewise ``M = -a <xi>^rho I`` there, so ``R = I/2`` exactly and Lyapunov
-solves run on band nodes only.  When eps_par = 0 the factor is exactly 1
-and the off-band modes are not touched at all; otherwise each sample's
-off-band modes are u0's times the factor's power, its step count, set in
-one broadcast per block of samples as the diagnostics read them.  With
-h = 0, chi = 1 everywhere and the band is the whole lattice.
+it chi = 0 and the generator is ``-eps_par xi^2``, so a mode there at time t
+is exactly ``u0 e^{-t eps_par xi^2}``; likewise ``M = -a <xi>^rho I`` there,
+so ``R = I/2`` exactly and Lyapunov solves run on band nodes only.  When
+eps_par = 0 the off-band modes are u0's and are not touched at all;
+otherwise each sample's off-band modes are set from that closed form, in one
+broadcast per block of samples as the diagnostics read them.  With h = 0,
+chi = 1 everywhere and the band is the whole lattice.
 
 The band takes one of two step paths, chosen by size alone.  The generator
 is linear, so an RK4 step is a fixed polynomial in it, and on a small band
@@ -173,9 +172,8 @@ class TruncatedGenerator:
         n, k_max = len(self.xi), coeffs.x_band
         # each field's input is factor * u, at columns K .. K + n - 1 of its
         # buffer row; the padding stays zero
-        fields = [(fld, fac) for fld, fac in ((coeffs.a_field, 1j * self.xi * self.chi),
-                                              (coeffs.b_field, self.chi + 0j)) if fld.terms]
-        self._fields = [fld for fld, _ in fields]
+        fields = [(terms, fac) for terms, fac in ((coeffs.a_terms, 1j * self.xi * self.chi),
+                                                  (coeffs.b_terms, self.chi + 0j)) if terms]
         self._factors = np.array([fac for _, fac in fields], dtype=complex).reshape(-1, 1, n)
         buf = np.zeros((len(fields), coeffs.m, n + 2 * k_max), dtype=complex)
         self._center = buf[:, :, k_max:k_max + n]
@@ -191,14 +189,14 @@ class TruncatedGenerator:
         # L(t) = sum_j g_j(t) L_j over the distinct time terms, the heat term
         # in the constant one, which a generator without terms also has; a
         # product of up to four L_j couples modes at most word_width apart
-        self.time_terms = {term.t_term: term.g for fld in self._fields for term in fld.terms}
+        self.time_terms = {term.t_term: term.g for terms, _ in fields for term in terms}
         if self.eps_par or not self.time_terms:
             self.time_terms.setdefault("1", time_function("1"))
         names = list(self.time_terms)
         mats = np.zeros((len(names), coeffs.m, len(fields), coeffs.m, 2 * k_max + 1),
                         dtype=complex)
-        for f, fld in enumerate(self._fields):
-            for term in fld.terms:
+        for f, (terms, _) in enumerate(fields):
+            for term in terms:
                 mats[names.index(term.t_term), :, f, :, k_max - term.x_freq] += term.matrix
         self.term_matrices = mats.reshape(len(names), coeffs.m, -1)
         self.word_width = min(4 * k_max, n - 1)
@@ -213,16 +211,17 @@ class TruncatedGenerator:
     def lam_bound(self, t_hi: float) -> float:
         """Stability scale: sup over modes of ||iA(xi)|| + eps |xi|^2."""
         ts = np.linspace(0.0, max(t_hi, 1e-9), 33)
+        m = self.coeffs.m
 
-        def sup(fld):
+        def sup(terms):
             # per-term triangle bound, so that it holds at every x
-            norms = np.linalg.norm(np.reshape([term.matrix for term in fld.terms],
-                                              (-1, fld.m, fld.m)), 2, axis=(-2, -1))
+            norms = np.linalg.norm(np.reshape([term.matrix for term in terms], (-1, m, m)),
+                                   2, axis=(-2, -1))
             return float(np.max(sum((norm * np.abs(term.g(ts))
-                                     for norm, term in zip(norms, fld.terms)), np.zeros(ts.size))))
+                                     for norm, term in zip(norms, terms)), np.zeros(ts.size))))
 
         xi_max = self.n_x / 2.0
-        return (sup(self.coeffs.a_field) * xi_max + sup(self.coeffs.b_field)
+        return (sup(self.coeffs.a_terms) * xi_max + sup(self.coeffs.b_terms)
                 + self.eps_par * xi_max**2)
 
     def apply(self, mat: np.ndarray, coeffs_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -259,7 +258,7 @@ class TruncatedGenerator:
 
         def apply_term(j, x):
             # L_j on a stack (B, m, n) of band vectors, the products of apply
-            buf = np.zeros((len(x), len(self._fields), m, n + 2 * k_max), dtype=complex)
+            buf = np.zeros((len(x), len(self._factors), m, n + 2 * k_max), dtype=complex)
             np.multiply(x[:, None], self._factors, buf[..., k_max:k_max + n])
             windows = np.lib.stride_tricks.sliding_window_view(buf, n, axis=-1)
             return mats[j] @ windows.reshape(len(x), -1, n) * self._chi - heat[j] * x
@@ -554,13 +553,10 @@ def solve_cauchy(
         else:
             er_mode = "multiplier"
 
-    # Off the band the generator is -eps_par xi^2, so one RK4 step multiplies
-    # each mode by amp = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -dt eps_par xi^2,
-    # and sample k holds u0 amp^sample_steps[k] there, set block by block
-    # with the diagnostics.  With eps_par = 0 that is exactly u0, and the
-    # modes are left alone.  lam >= eps_par (n_x/2)^2 >= eps_par xi^2 and
-    # dt lam <= 2.5 put z in [-2.5, 0], where amp lies in [0.27, 1]: the
-    # modes never grow, so only u0 can make them non-finite.
+    # Off the band the generator is -eps_par xi^2, so sample k holds
+    # u0 e^{-times[k] eps_par xi^2} there, set block by block with the
+    # diagnostics.  With eps_par = 0 that is exactly u0, and the modes are
+    # left alone.  The factor is at most 1, so only u0 can make them non-finite.
     u0 = problem.g
     if not np.isfinite(u0).all():
         raise NumericAbortError(f"evolution lost finiteness at t = {dt:.6g}", last_time=0.0)
@@ -600,9 +596,6 @@ def solve_cauchy(
             )
         rows[0] = rows[end - start]
         sample[:, gen.index] = rows[0]
-    if gen.eps_par:
-        z = -dt * gen.eps_par * xi[off_index] ** 2
-        amp = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
 
     # The diagnostics run over blocks of samples, each block's states read
     # once for their squared moduli q.  One product of q w^2 against ``table``
@@ -620,7 +613,8 @@ def solve_cauchy(
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
         if gen.eps_par:
-            states[blk, :, off_index] = u0[:, off_index] * amp ** sample_steps[blk, None, None]
+            states[blk, :, off_index] = u0[:, off_index] * np.exp(
+                -gen.eps_par * xi[off_index] ** 2 * times[blk, None, None])
         u = states[blk]
         weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)
         q = squared_moduli(u)

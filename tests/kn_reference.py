@@ -68,9 +68,9 @@ def generator_symbol(coeffs, t: float) -> TrigMatrixSymbol:
     """``i A(t, x, xi) + B(t, x)`` at frozen time, one symbol term per coefficient term."""
     terms = [(term.x_freq, 1j * term.matrix * float(term.g(t)),
               lambda xi: np.asarray(xi, dtype=complex))
-             for term in coeffs.a_field.terms]
+             for term in coeffs.a_terms]
     terms += [(term.x_freq, term.matrix * float(term.g(t)), None)
-              for term in coeffs.b_field.terms]
+              for term in coeffs.b_terms]
     return TrigMatrixSymbol(m=coeffs.m, terms=tuple(terms))
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hypersym.coeffs import MAX_M, CoeffTerm, MatrixField, SystemCoefficients
+from hypersym.coeffs import MAX_M, CoeffTerm, SystemCoefficients
 from hypersym.errors import HypersymError
 from hypersym.matkernel import taylor_symbol
 from hypersym.rootsplit import _sort_rows, polished_roots
@@ -48,7 +48,7 @@ def constant_system(a1: np.ndarray, b: np.ndarray | None = None) -> SystemCoeffi
     m = a1.shape[0]
     a_terms = [CoeffTerm(0, "1", a1)]
     b_terms = [] if b is None else [CoeffTerm(0, "1", np.asarray(b, dtype=complex))]
-    return SystemCoefficients(m=m, a_field=MatrixField(m, a_terms), b_field=MatrixField(m, b_terms))
+    return SystemCoefficients(m=m, a_terms=a_terms, b_terms=b_terms)
 
 
 def sine_terms(k: int, matrix: np.ndarray, t_term: str = "1") -> list[CoeffTerm]:
@@ -62,11 +62,11 @@ def sine_terms(k: int, matrix: np.ndarray, t_term: str = "1") -> list[CoeffTerm]
     ]
 
 
-def _field_to_json(fld: MatrixField) -> list:
-    entries = [[[] for _ in range(fld.m)] for _ in range(fld.m)]
-    for term in fld.terms:
-        for i in range(fld.m):
-            for j in range(fld.m):
+def _field_to_json(terms: list[CoeffTerm], m: int) -> list:
+    entries = [[[] for _ in range(m)] for _ in range(m)]
+    for term in terms:
+        for i in range(m):
+            for j in range(m):
                 z = complex(term.matrix[i, j])
                 if z == 0:
                     continue
@@ -87,8 +87,8 @@ def coeffs_to_json(coeffs: SystemCoefficients) -> dict:
         "m": coeffs.m,
         "t_regularity": coeffs.t_regularity,
         "x_band": coeffs.x_band,
-        "A": _field_to_json(coeffs.a_field),
-        "B": _field_to_json(coeffs.b_field),
+        "A": _field_to_json(coeffs.a_terms, coeffs.m),
+        "B": _field_to_json(coeffs.b_terms, coeffs.m),
     }
     if coeffs.kappa is not None:
         doc["kappa"] = coeffs.kappa
@@ -99,16 +99,17 @@ def coeffs_to_json(coeffs: SystemCoefficients) -> dict:
 # Exact x-derivatives and the derivative-sum Taylor symbol
 
 
-def field_dx(fld: MatrixField, t, x, order: int = 0) -> np.ndarray:
-    """Exact ``D_x^order`` of a field, ``D_x = -i d/dx``: ``D_x^j e^{ikx} = k^j e^{ikx}``.
+def field_dx(terms: list[CoeffTerm], m: int, t, x, order: int = 0) -> np.ndarray:
+    """Exact ``D_x^order`` of the m-by-m field that ``terms`` sum to, ``D_x = -i d/dx``:
+    ``D_x^j e^{ikx} = k^j e^{ikx}``.
 
     ``t`` and ``x`` are scalars or arrays that broadcast together; the result
     has their broadcast shape followed by (m, m).  Order 0 is the field itself.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    out = np.zeros(np.broadcast_shapes(t.shape, x.shape) + (fld.m, fld.m), dtype=complex)
-    for term in fld.terms:
+    out = np.zeros(np.broadcast_shapes(t.shape, x.shape) + (m, m), dtype=complex)
+    for term in terms:
         out += (
             term.matrix
             * term.g(t)[..., None, None]
@@ -128,7 +129,7 @@ def taylor_reference(coeffs: SystemCoefficients, t, x, xi, z, order: int) -> np.
     for j in range(order + 1):
         if j > 0:
             fac *= j
-        out += ((z**j / fac) * xi)[..., None, None] * field_dx(coeffs.a_field, t, x, j)
+        out += ((z**j / fac) * xi)[..., None, None] * field_dx(coeffs.a_terms, coeffs.m, t, x, j)
     return out
 
 
@@ -136,7 +137,7 @@ def holder_ratio(coeffs: SystemCoefficients, t_lo: float, t_hi: float, n: int = 
     """sup of ||A(t)-A(t')|| / |t-t'|^kappa over sampled pairs."""
     kappa = coeffs.kappa if coeffs.kappa is not None else 1.0
     ts = np.linspace(t_lo, t_hi, n)
-    mats = field_dx(coeffs.a_field, ts, 0.0)
+    mats = field_dx(coeffs.a_terms, coeffs.m, ts, 0.0)
     worst = 0.0
     for i in range(n - 1):
         for j in (i + 1, min(i + 7, n - 1)):

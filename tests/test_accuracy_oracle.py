@@ -40,9 +40,9 @@ def _band_operator(coeffs, n_x, h):
     rows = np.concatenate([band + r * n_x for r in range(coeffs.m)])
     chi_b = np.tile(chi[band], coeffs.m)
     terms = []
-    for fld, prof in ((coeffs.a_field, lambda z: 1j * np.asarray(z, dtype=complex)),
-                      (coeffs.b_field, None)):
-        for term in fld.terms:
+    for c_terms, prof in ((coeffs.a_terms, lambda z: 1j * np.asarray(z, dtype=complex)),
+                          (coeffs.b_terms, None)):
+        for term in c_terms:
             sym = TrigMatrixSymbol(coeffs.m, ((term.x_freq, term.matrix, prof),))
             k = kn_matrix(sym, n_x)[np.ix_(rows, rows)]
             terms.append((term.g, chi_b[:, None] * k * chi_b[None, :]))

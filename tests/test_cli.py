@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -24,9 +25,19 @@ def _holder_coeffs(kappa):
             "kappa": kappa}
 
 
-# declared exponents in (0, 1] that the run's planner, which rounds kappa to a
-# denominator of at most 100, reads as 0 or 1
-_KAPPA_ROUNDED_OUT = (0.001, 0.004, 0.996, 0.999, 1.0)
+_HOLDER_COMMANDS = ("solve", "study-h", "study-parabolic")
+# (kappa, command) pairs that exit 2: a declared exponent outside (0, 1], or 1,
+# which the planner's open range refuses, on every command; and, where the
+# planner's ell is not capped, exponents near 0, whose plan leaves the double
+# range (0.001) or puts the weight's exponent T ell^rho past EXP_BUDGET at
+# xi = 0 (0.004, 0.2)
+_KAPPA_EXITS_2 = ([(kappa, command) for kappa in (0.0, 1.0, 1.5) for command in _HOLDER_COMMANDS]
+                  + [(kappa, command) for kappa in (0.001, 0.004, 0.2)
+                     for command in ("solve", "study-parabolic")])
+# (kappa, command) pairs that run at the declared kappa: study-h caps ell, so
+# it also runs near 0
+_KAPPA_RUNS = ([(kappa, command) for kappa in (0.994, 0.996, 0.999) for command in _HOLDER_COMMANDS]
+               + [(kappa, "study-h") for kappa in (0.001, 0.004, 0.2)])
 
 
 def test_plan_via_cli(capsys):
@@ -147,9 +158,8 @@ def test_wrong_type_rejected(cfg):
     # coefficient, 6! s^6, underflows and reads as a false double root
     ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-55]}],
     ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-100]}],
-    # a Hoelder exponent outside the planner's (0, 1) once rounded
-    *[[command, "--seed", "0", {"coeffs": _holder_coeffs(kappa)}]
-      for kappa in _KAPPA_ROUNDED_OUT for command in ("solve", "study-h", "study-parabolic")],
+    # a Hoelder exponent that no run can plan
+    *[[command, "--seed", "0", {"coeffs": _holder_coeffs(kappa)}] for kappa, command in _KAPPA_EXITS_2],
     # the conjugation exponent tau (<xi+1>^rho - <xi>^rho) reaches 543 > EXP_BUDGET
     ["conjtest", {"tau": 1000}],
 ])
@@ -166,6 +176,16 @@ def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     assert "Traceback" not in err
     if fields:  # the message names the offending field
         assert re.search(r"\b(%s)\b" % "|".join(fields), err), err
+
+
+@pytest.mark.parametrize("kappa, command", _KAPPA_RUNS)
+def test_holder_runs_at_the_declared_kappa(kappa, command):
+    status, summary = run({"command": command, "schema_version": "1", "seed": 0,
+                           "coeffs": _holder_coeffs(kappa)})
+    assert status == 0
+    if "params" in summary:  # study-parabolic reports no parameters
+        assert summary["params"]["kappa"] == kappa
+        assert summary["params"]["rho"] == float(1 - Fraction(kappa) / 2)
 
 
 @pytest.mark.parametrize("kappa", [0.001, 1.0])
@@ -394,6 +414,27 @@ def test_numeric_abort_maps_to_exit_3(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path)]) == 3
+
+
+def test_weight_probe_refuses_before_the_samples_are_allocated(tmp_path):
+    # wave_t2 at n_lattice 4096 passes EXP_BUDGET at the lattice edge; the
+    # solver's up-front weight probe refuses it before the run allocates its
+    # samples, 792 states of 2 x 4096 complex (99 MiB), so the traced peak
+    # stays at a few MiB
+    import tracemalloc
+
+    from hypersym.errors import WeightOverflowError
+
+    cfg = {"command": "solve", "schema_version": "1", "preset": "wave_t2", "seed": 0,
+           "n_lattice": 4096}
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightOverflowError, match="gevrey weight overflow"):
+            run(cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_solve_xdep_skips_energy_gate(tmp_path):

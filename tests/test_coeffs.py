@@ -7,7 +7,6 @@ import pytest
 
 from hypersym.coeffs import (
     CoeffTerm,
-    MatrixField,
     SystemCoefficients,
     coeffs_from_json,
     cosine_terms,
@@ -44,36 +43,33 @@ def test_trig_evaluation_and_derivatives():
     # f(x) = 2 - 2 cos x as lower-left entry: value/derivatives at 0 match x^2
     terms = [CoeffTerm(0, "1", np.array([[0, 1], [2, 0]], dtype=complex))]
     terms += cosine_terms(1, np.array([[0, 0], [-2, 0]], dtype=complex))
-    fld = MatrixField(2, terms)
-    a = field_dx(fld, 0.0, 0.0, 0)
+    a = field_dx(terms, 2, 0.0, 0.0, 0)
     assert a[1, 0] == pytest.approx(0.0, abs=1e-15)
     # plain derivatives d^j/dx^j = (i D_x)^j
-    assert 1j * field_dx(fld, 0.0, 0.0, 1)[1, 0] == pytest.approx(0.0, abs=1e-15)
-    assert (1j**2 * field_dx(fld, 0.0, 0.0, 2)[1, 0]).real == pytest.approx(2.0)
+    assert 1j * field_dx(terms, 2, 0.0, 0.0, 1)[1, 0] == pytest.approx(0.0, abs=1e-15)
+    assert (1j**2 * field_dx(terms, 2, 0.0, 0.0, 2)[1, 0]).real == pytest.approx(2.0)
     # D_x version: D_x^2 = -d^2/dx^2
-    assert field_dx(fld, 0.0, 0.0, 2)[1, 0].real == pytest.approx(-2.0)
+    assert field_dx(terms, 2, 0.0, 0.0, 2)[1, 0].real == pytest.approx(-2.0)
     x = 0.7
-    assert field_dx(fld, 0.0, x, 0)[1, 0].real == pytest.approx(2 - 2 * math.cos(x))
+    assert field_dx(terms, 2, 0.0, x, 0)[1, 0].real == pytest.approx(2 - 2 * math.cos(x))
 
 
 def test_sine_terms_real():
-    fld = MatrixField(1, sine_terms(2, np.array([[1.0]])))
+    terms = sine_terms(2, np.array([[1.0]]))
     for x in (0.0, 0.3, 1.9):
-        assert field_dx(fld, 0.0, x, 0)[0, 0] == pytest.approx(math.sin(2 * x))
-        assert abs(field_dx(fld, 0.0, x, 0)[0, 0].imag) < 1e-15
+        assert field_dx(terms, 1, 0.0, x, 0)[0, 0] == pytest.approx(math.sin(2 * x))
+        assert abs(field_dx(terms, 1, 0.0, x, 0)[0, 0].imag) < 1e-15
 
 
 def test_json_round_trip():
     terms = [CoeffTerm(0, "t^2", np.array([[0, 1], [0, 0]], dtype=complex)),
              CoeffTerm(1, "1", np.array([[0.5j, 0], [0, -0.25]], dtype=complex))]
-    coeffs = SystemCoefficients(
-        m=2, a_field=MatrixField(2, terms), b_field=MatrixField(2, []),
-    )
+    coeffs = SystemCoefficients(m=2, a_terms=terms)
     doc = coeffs_to_json(coeffs)
     back = coeffs_from_json(doc)
     for t, x in ((0.0, 0.0), (0.5, 1.1), (2.0, 4.0)):
-        np.testing.assert_allclose(field_dx(back.a_field, t, x), field_dx(coeffs.a_field, t, x),
-                                   atol=1e-15)
+        np.testing.assert_allclose(field_dx(back.a_terms, 2, t, x),
+                                   field_dx(coeffs.a_terms, 2, t, x), atol=1e-15)
     assert back.x_band == coeffs.x_band
 
 
@@ -81,20 +77,15 @@ def test_bad_documents_rejected():
     with pytest.raises(ConfigError):
         coeffs_from_json({"m": 2, "A": []})
     with pytest.raises(ConfigError):
-        SystemCoefficients(
-            m=1,
-            a_field=MatrixField(1, []),
-            b_field=MatrixField(1, []),
-            t_regularity="holder",
-        )
+        SystemCoefficients(m=1, a_terms=[], t_regularity="holder")
+    # a term's matrix must be m-by-m
+    with pytest.raises(ConfigError, match=r"\(2, 2\) != \(1, 1\)"):
+        SystemCoefficients(m=1, a_terms=[], b_terms=[CoeffTerm(0, "1", np.eye(2))])
 
 
 def test_holder_ratio_bounded():
     terms = [CoeffTerm(0, "lacunary(0.5,10)", np.array([[1.0]], dtype=complex))]
-    coeffs = SystemCoefficients(
-        m=1, a_field=MatrixField(1, terms), b_field=MatrixField(1, []),
-        t_regularity="holder", kappa=0.5,
-    )
+    coeffs = SystemCoefficients(m=1, a_terms=terms, t_regularity="holder", kappa=0.5)
     # kappa-Hoelder: ratio finite and stable under grid refinement
     r1 = holder_ratio(coeffs, 0.0, 2.0, n=100)
     r2 = holder_ratio(coeffs, 0.0, 2.0, n=400)
@@ -105,8 +96,8 @@ def test_holder_ratio_bounded():
 def test_constant_system():
     cs = constant_system(np.array([[0, 1], [1, 0]]))
     assert cs.x_band == 0
-    np.testing.assert_allclose(field_dx(cs.a_field, 5.0, 2.0, 0), [[0, 1], [1, 0]])
-    assert field_dx(cs.b_field, 0.0, 0.0, 0).shape == (2, 2)
+    np.testing.assert_allclose(field_dx(cs.a_terms, cs.m, 5.0, 2.0, 0), [[0, 1], [1, 0]])
+    assert field_dx(cs.b_terms, cs.m, 0.0, 0.0, 0).shape == (2, 2)
 
 
 def test_term_matrices_sum_to_field():
@@ -125,7 +116,7 @@ def test_term_matrices_sum_to_field():
         blocks = mat.reshape(coeffs.m, 1, coeffs.m, 2 * k_max + 1)[:, 0]  # A is field 0
         total = sum(blocks[:, :, k_max - k] * np.exp(1j * k * x)
                     for k in range(-k_max, k_max + 1))
-        np.testing.assert_allclose(total, field_dx(coeffs.a_field, t, x, 0), atol=1e-13)
+        np.testing.assert_allclose(total, field_dx(coeffs.a_terms, coeffs.m, t, x, 0), atol=1e-13)
 
 
 @pytest.mark.parametrize("order", [0, 1, 3])
@@ -137,11 +128,12 @@ def test_dx_broadcasts_like_scalar_calls(order):
     ts = np.array([-0.2, 0.0, 0.37, 1.9])[:, None]
     xs = np.array([0.0, 1.1, -2.5])
     for name in preset_names():
-        fld = get_preset(name).coeffs.a_field
-        grid = field_dx(fld, ts, xs, order)
-        assert grid.shape == (4, 3, fld.m, fld.m)
+        coeffs = get_preset(name).coeffs
+        terms, m = coeffs.a_terms, coeffs.m
+        grid = field_dx(terms, m, ts, xs, order)
+        assert grid.shape == (4, 3, m, m)
         for it, t in enumerate(ts[:, 0]):
             for ix, x in enumerate(xs):
-                assert np.array_equal(grid[it, ix], field_dx(fld, float(t), float(x), order))
-        assert np.array_equal(field_dx(fld, ts[:, 0], 0.7, order)[2],
-                              field_dx(fld, 0.37, 0.7, order))
+                assert np.array_equal(grid[it, ix], field_dx(terms, m, float(t), float(x), order))
+        assert np.array_equal(field_dx(terms, m, ts[:, 0], 0.7, order)[2],
+                              field_dx(terms, m, 0.37, 0.7, order))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hypersym import runner, solver
-from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
+from hypersym.coeffs import CoeffTerm, SystemCoefficients
 from hypersym.engine import lattice, shift_map, squared_moduli
 from hypersym.presets import get_preset, preset_names
 from hypersym.symmetrizer import _lyap_solve_batch, damped_generator, mollify_path
@@ -32,8 +32,8 @@ def _per_term_apply(gen, t, u):
     v = u * gen.chi
     w_a = 1j * gen.xi * v
     out = np.zeros(u.shape, dtype=complex)
-    for on_a, fld in ((True, gen.coeffs.a_field), (False, gen.coeffs.b_field)):
-        for term in fld.terms:
+    for on_a, terms in ((True, gen.coeffs.a_terms), (False, gen.coeffs.b_terms)):
+        for term in terms:
             src, tgt = shift_map(term.x_freq, len(gen.xi))
             out[:, tgt] += term.g(t) * term.matrix @ (w_a if on_a else v)[:, src]
     out *= gen.chi
@@ -47,13 +47,13 @@ def _one_sided_system():
     (the presets' cosine terms carry equal matrices at k and -k)."""
     return SystemCoefficients(
         m=2,
-        a_field=MatrixField(2, [
+        a_terms=[
             CoeffTerm(0, "1", np.array([[0.0, 1.0], [0.25, 0.0]], dtype=complex)),
             CoeffTerm(1, "t", np.array([[0.3, 1.0], [0.0, -0.2]], dtype=complex)),
-        ] + sine_terms(2, np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex))),
-        b_field=MatrixField(2, [
+        ] + sine_terms(2, np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex)),
+        b_terms=[
             CoeffTerm(-2, "1", np.array([[0.4, 0.0], [0.2, -0.3]], dtype=complex)),
-        ]),
+        ],
     )
 
 

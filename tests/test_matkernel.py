@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypersym import matkernel
-from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
+from hypersym.coeffs import CoeffTerm, SystemCoefficients, cosine_terms
 from hypersym.errors import HypersymError
 from hypersym.matkernel import (
     _exp_norms,
@@ -26,15 +26,13 @@ def _x2_like_system() -> SystemCoefficients:
     # lower-left entry 2 - 2 cos x: agrees with x^2 to third order at x = 0
     terms = [CoeffTerm(0, "1", np.array([[0, 1], [2, 0]], dtype=complex))]
     terms += cosine_terms(1, np.array([[0, 0], [-2, 0]], dtype=complex))
-    return SystemCoefficients(m=2, a_field=MatrixField(2, terms),
-                              b_field=MatrixField(2, []))
+    return SystemCoefficients(m=2, a_terms=terms)
 
 
 def _t2_system() -> SystemCoefficients:
     terms = [CoeffTerm(0, "t^2", np.array([[0, 1], [0, 0]], dtype=complex)),
              CoeffTerm(0, "1", np.array([[0, 0], [1, 0]], dtype=complex))]
-    return SystemCoefficients(m=2, a_field=MatrixField(2, terms),
-                              b_field=MatrixField(2, []))
+    return SystemCoefficients(m=2, a_terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +56,7 @@ def test_eval_symbol_t_dependence():
 def test_eval_symbol_x_dependence():
     terms = [CoeffTerm(0, "1", np.array([[0, 1], [0.5, 0]], dtype=complex))]
     terms += cosine_terms(1, np.array([[0, 0], [-0.5, 0]], dtype=complex))
-    cs = SystemCoefficients(m=2, a_field=MatrixField(2, terms),
-                            b_field=MatrixField(2, []))
+    cs = SystemCoefficients(m=2, a_terms=terms)
     a = _symbol(cs, 0.0, np.pi / 2, 1.0)
     assert a[1, 0].real == pytest.approx(0.5)
     assert a[0, 1].real == pytest.approx(1.0)
@@ -93,7 +90,7 @@ def test_taylor_spatial_zeroth_term():
 def test_taylor_frequency_eps_zero_bitlevel():
     cs = _x2_like_system()
     h = taylor_symbol(cs, 0.0, 0.8, 1.7, 0.0 * 1.7, order=4)
-    assert np.array_equal(h, field_dx(cs.a_field, 0.0, 0.8) * 1.7)
+    assert np.array_equal(h, field_dx(cs.a_terms, cs.m, 0.0, 0.8) * 1.7)
 
 
 def test_taylor_frequency_hand_expansion():
@@ -117,7 +114,7 @@ def _taylor_reference(coeffs, t, x, term, order):
     for j in range(order + 1):
         if j > 0:
             fac *= j
-        out += term(j, field_dx(coeffs.a_field, t, x, j)) / fac
+        out += term(j, field_dx(coeffs.a_terms, coeffs.m, t, x, j)) / fac
     return out
 
 
@@ -142,7 +139,7 @@ def test_taylor_symbol_matches_pointwise_loop(name):
             assert np.linalg.norm(spat[k] - ref) <= 1e-14 * np.linalg.norm(ref)
         at_zero = taylor_symbol(cs, t, x, xis, np.zeros(len(xis)), order)
         for k, xi in enumerate(xis):
-            assert np.array_equal(at_zero[k], field_dx(cs.a_field, t, x) * xi)
+            assert np.array_equal(at_zero[k], field_dx(cs.a_terms, cs.m, t, x) * xi)
         # a (t, x) grid broadcast against (eps, xi): one call, bit for bit the
         # per-node scalar calls
         ts, xs = np.array([0.0, 0.3, 0.9]), np.array([-0.4, 1.1])
@@ -360,8 +357,7 @@ def test_spectral_bound_x2_ratio_one():
 def test_spectral_bound_strictly_hyperbolic_stable():
     terms = [CoeffTerm(0, "1", np.array([[0, 1], [0.25, 0]], dtype=complex))]
     terms += cosine_terms(1, np.array([[0.5, 0], [0, -0.5]], dtype=complex))
-    cs = SystemCoefficients(m=2, a_field=MatrixField(2, terms),
-                            b_field=MatrixField(2, []))
+    cs = SystemCoefficients(m=2, a_terms=terms)
     rep = spectral_bound_certify(
         cs, [0.0], np.linspace(0, 2 * np.pi, 5, endpoint=False), [1.0, -0.5],
         np.geomspace(1e-4, 1e-1, 7),
@@ -401,10 +397,9 @@ def test_theta_unitary_invariance():
     u = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     rotated_terms = [
         CoeffTerm(t.x_freq, t.t_term, u @ t.matrix @ u.conj().T)
-        for t in cs.a_field.terms
+        for t in cs.a_terms
     ]
-    cs_rot = SystemCoefficients(m=2, a_field=MatrixField(2, rotated_terms),
-                                b_field=MatrixField(2, []))
+    cs_rot = SystemCoefficients(m=2, a_terms=rotated_terms)
     te1 = estimate_theta(cs, np.geomspace(1e-3, 1e-1, 7))
     te2 = estimate_theta(cs_rot, np.geomspace(1e-3, 1e-1, 7))
     assert te1.theta_hat == te2.theta_hat
@@ -510,9 +505,8 @@ def test_mixed_block_direct_sum_takes_pade_path():
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     mixed = SystemCoefficients(
-        m=4, a_field=MatrixField(4, [CoeffTerm(t.x_freq, t.t_term, u @ t.matrix @ u.conj().T)
-                                     for t in cs.a_field.terms]),
-        b_field=MatrixField(4, []))
+        m=4, a_terms=[CoeffTerm(t.x_freq, t.t_term, u @ t.matrix @ u.conj().T)
+                      for t in cs.a_terms])
     assert [len(b) for b in stack_blocks(taylor_symbol(cs, _TS[:, None], 0.0, 1.0, 0.1, 4))] \
         == [len(b) for b in cs.blocks] == [2, 2]
     assert [len(b) for b in stack_blocks(taylor_symbol(mixed, _TS[:, None], 0.0, 1.0, 0.1, 4))] \

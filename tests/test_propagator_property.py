@@ -12,7 +12,7 @@ is called directly, whatever the solver's size rule would pick.
 import numpy as np
 import pytest
 
-from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
+from hypersym.coeffs import CoeffTerm, SystemCoefficients
 from hypersym.solver import BandPropagator, TruncatedGenerator
 from support import allocating_rhs, rk4_step
 
@@ -32,11 +32,10 @@ def band_steps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def field():
-        terms = [CoeffTerm(k, tt, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-                 for k in range(-k_max, k_max + 1) for tt in t_terms if rng.random() < 0.7]
-        return MatrixField(m, terms)
+        return [CoeffTerm(k, tt, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+                for k in range(-k_max, k_max + 1) for tt in t_terms if rng.random() < 0.7]
 
-    coeffs = SystemCoefficients(m=m, a_field=field(), b_field=field())
+    coeffs = SystemCoefficients(m=m, a_terms=field(), b_terms=field())
     n_x = draw(st.sampled_from(range(1, 25)))
     h = draw(st.sampled_from([0.0, 1.0 / 8.0]))
     eps_par = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))

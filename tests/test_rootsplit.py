@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
+from hypersym.coeffs import CoeffTerm, SystemCoefficients, cosine_terms
 from hypersym.errors import NotRealRootedError
 from hypersym.rootsplit import (
     expand_roots,
     nuij_constant,
     nuij_split,
+    polished_roots,
     random_real_rooted,
 )
 from support import char_poly, constant_system, q_lower_bound_probe, spectrum
@@ -81,11 +82,24 @@ def test_separation_property_sweep():
         assert np.all(res.min_gap >= nuij_constant(m) * s_values - 1e-9)
 
 
+def _apply_once(c, s):
+    """One ``(1 + s d/dzeta)`` on ascending coefficients, as nuij_split applies it."""
+    c = np.array(c, dtype=float)
+    c[:-1] += s * (c[1:] * np.arange(1, len(c)))
+    return c
+
+
+def _real_roots(c):
+    roots = polished_roots(c)
+    assert np.max(np.abs(roots.imag)) <= 1e-8 * np.max(np.abs(roots))
+    return np.sort(roots.real)
+
+
 def test_interlacing_single_application():
     rng_seeds = range(20)
     for seed in rng_seeds:
         old = random_real_rooted(5, 2.0, [seed])[0]
-        new = nuij_split(expand_roots(old), 0.3, iterations=1).roots
+        new = _real_roots(_apply_once(expand_roots(old), 0.3))
         # daughters weakly interlace mothers: new_k <= old_k <= new_{k+1}
         for k in range(len(old)):
             assert new[k] <= old[k] + 1e-9
@@ -127,8 +141,7 @@ def test_q_probe_degenerate_double_root():
     # diagonal), so the scaled probe point is used; expected slope <= 2.
     terms = [CoeffTerm(0, "1", np.array([[0, 1], [2, 0]], dtype=complex))]
     terms += cosine_terms(1, np.array([[0, 0], [-2, 0]], dtype=complex))
-    cs = SystemCoefficients(m=2, a_field=MatrixField(2, terms),
-                            b_field=MatrixField(2, []))
+    cs = SystemCoefficients(m=2, a_terms=terms)
     fit = q_lower_bound_probe(cs, 0.0, 0.0, 0.0, 2, 1.0,
                               np.geomspace(1e-3, 1e-1, 9), m_scale=4.0)
     assert fit.passed
@@ -172,17 +185,21 @@ def test_expand_roots_examples():
 
 
 def test_interlacing_every_application():
-    # daughters weakly interlace mothers at every one of the m applications
+    # daughters weakly interlace mothers at every one of the m applications,
+    # and the last of them is nuij_split's result
     for seed in range(8):
         prev = random_real_rooted(5, 2.0, [500 + seed])[0]
         row = expand_roots(prev)
-        for level in range(1, 6):
-            cur = nuij_split(row, 0.25, iterations=level).roots
+        split = nuij_split(row, 0.25)
+        for _ in range(5):
+            row = _apply_once(row, 0.25)
+            cur = _real_roots(row)
             for k in range(len(prev)):
                 assert cur[k] <= prev[k] + 1e-9
                 if k + 1 < len(cur):
                     assert prev[k] <= cur[k + 1] + 1e-9
             prev = cur
+        assert np.array_equal(row, split.coeffs) and np.array_equal(cur, split.roots)
 
 
 def test_q_probe_on_strictly_hyperbolic_preset():

@@ -383,34 +383,34 @@ def test_numeric_abort_band_first_between_samples():
     assert step % stride != 0 and step < n_steps
 
 
-def test_off_band_modes_match_step_by_step_product():
-    # with eps_par > 0 each off-band mode takes the RK4 factor amp once per
-    # step; the solver sets sample k to u0 amp^k with one power.  Against the
-    # k rounded products, per real component and with u = 2^-53: the products
-    # are off u0 amp^k by at most gamma_k = k u / (1 - k u) relative, the
-    # power (within one ulp, 2u) and its product with u0 by 3u + 2u^2, and
-    # each rounding below the normal range adds at most 2^-1075, never
-    # amplified since amp <= 1 and |u0| <= 1.  For k u <= 1e-3 that gives
-    # |product - solver| <= (k + 4) u |u0| amp^k + (k + 2) 2^-1074 in modulus.
+def test_off_band_modes_take_their_exact_decay():
+    # with eps_par > 0 each off-band mode at time t is u0 e^{-t eps_par xi^2};
+    # against that value at 40 digits, per real component and with u = 2^-53:
+    # the solver's exponent -eps_par xi^2 t takes two roundings (xi^2 is
+    # exact), which move e^x by at most (2u + u^2)|x| relative, the
+    # exponential adds at most one ulp (2u) and the product with u0 one
+    # rounding (u), and a result below the normal range at most 2^-1075.  So
+    # |solver - exact| <= (2|x| + 4) u |exact| + 2^-1074 in modulus, and the
+    # bound's headroom, u |exact|, covers the second-order terms.
+    mp = pytest.importorskip("mpmath")
     prob, params, h, eps_par = _band_case("xdep-eps")
     res = solve_cauchy(prob, params, h=h, eps_par=eps_par, stride=4, track_energy=False)
     n_x = prob.g.shape[1]
     off_index = np.setdiff1d(np.arange(n_x), TruncatedGenerator(prob.coeffs, n_x, h, 0.0).index)
-    z = -res.dt * eps_par * lattice(n_x)[off_index] ** 2
-    amp = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-    off = prob.g[:, off_index]
-    expect = {0: off}
-    n_steps = round(prob.horizon / res.dt)
-    for k in range(1, n_steps + 1):
-        off = off * amp
-        expect[k] = off
+    xi = lattice(n_x)[off_index]
     u = 2.0**-53
-    assert np.max(np.abs(prob.g)) <= 1.0 and n_steps * u <= 1e-3
-    for t, st in zip(res.trace.times, res.states):
-        k = round(t / res.dt)
-        bound = (k + 4) * u * np.abs(prob.g[:, off_index]) * amp**k + (k + 2) * 2.0**-1074
-        assert np.all(np.abs(st[:, off_index] - expect[k]) <= bound)
-    assert n_steps % 4 != 0 and not np.array_equal(off, prob.g[:, off_index])
+    with mp.workdps(40):
+        for t, st in zip(res.trace.times, res.states):
+            for x_i, xi_i in enumerate(xi):
+                arg = -mp.mpf(eps_par) * int(xi_i) ** 2 * mp.mpf(t)
+                decay = mp.exp(arg)
+                for c in range(prob.coeffs.m):
+                    exact = mp.mpc(prob.g[c, off_index[x_i]]) * decay
+                    bound = (2 * abs(arg) + 5) * u * abs(exact) + 2.0**-1074
+                    assert abs(mp.mpc(st[c, off_index[x_i]]) - exact) <= bound
+    n_steps = round(prob.horizon / res.dt)
+    assert n_steps % 4 != 0 and res.trace.times[-1] == n_steps * res.dt
+    assert not np.array_equal(res.states[-1][:, off_index], prob.g[:, off_index])
 
 
 @pytest.mark.parametrize("preset,eps_par", [("xdep", 0.05), ("wave_t2", 0.0)])
@@ -457,8 +457,8 @@ def _full_lattice_loop(problem, h, eps_par, n_steps):
     def rhs(t, u):
         v = u * chi[None, :]
         out = np.zeros_like(u)
-        for fld, w in ((coeffs.a_field, 1j * xi[None, :] * v), (coeffs.b_field, v)):
-            for term in fld.terms:
+        for terms, w in ((coeffs.a_terms, 1j * xi[None, :] * v), (coeffs.b_terms, v)):
+            for term in terms:
                 k = term.x_freq
                 src = np.flatnonzero((xi + k >= -half) & (xi + k <= half - 1))
                 out[:, (xi[src].astype(int) + k) % n_x] += term.g(t) * term.matrix @ w[:, src]
@@ -509,7 +509,7 @@ def test_band_evolution_matches_full_lattice_loop(kind):
     if h == 0:
         assert off.size == 0
     elif eps_par:
-        # modes off the active band move, by the RK4 decay factor
+        # modes off the active band move, by their decay e^{-t eps_par xi^2}
         assert np.max(np.abs(ref[:, off] - prob.g[:, off])) > 1e-6
     else:
         # off the band the generator is zero, so those modes keep u0 exactly
@@ -520,7 +520,7 @@ def test_generator_matches_quantized_symbol():
     # the term-shift application, collapsed per x-harmonic, must equal the
     # oversampled-grid Kohn-Nirenberg quantization of i A + B projected to
     # the lattice, with cutoffs applied
-    from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, cosine_terms
+    from hypersym.coeffs import CoeffTerm, SystemCoefficients, cosine_terms
     from hypersym.weights import smooth_cutoff
     from kn_reference import generator_symbol, kn_apply
     from support import sine_terms
@@ -529,18 +529,17 @@ def test_generator_matches_quantized_symbol():
     a_terms += cosine_terms(1, np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex))
     a_terms += sine_terms(2, np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex))
     b_terms = cosine_terms(1, np.array([[0.0, 0.2], [0.2, 0.0]], dtype=complex))
-    cs = SystemCoefficients(m=2, a_field=MatrixField(2, a_terms),
-                            b_field=MatrixField(2, b_terms))
+    cs = SystemCoefficients(m=2, a_terms=a_terms, b_terms=b_terms)
     # "1" and "t" terms at one harmonic, plus a B term at another
     two_t = SystemCoefficients(
         m=2,
-        a_field=MatrixField(2, [
+        a_terms=[
             CoeffTerm(1, "1", np.array([[0.3, 1.0], [0.0, -0.2]], dtype=complex)),
             CoeffTerm(1, "t", np.array([[0.0, 0.5], [0.7, 0.1]], dtype=complex)),
-        ]),
-        b_field=MatrixField(2, [
+        ],
+        b_terms=[
             CoeffTerm(-2, "1", np.array([[0.4, 0.0], [0.2, -0.3]], dtype=complex)),
-        ]),
+        ],
     )
     rng = np.random.default_rng(23)
     st = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))

@@ -505,12 +505,11 @@ def test_holder_probe_lacunary_bounded():
 
 def test_holder_probe_linear_path():
     # A(t) = t * A1 with kappa = 1: finite ratio, exponent within target
-    from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
+    from hypersym.coeffs import CoeffTerm, SystemCoefficients
 
     terms = [CoeffTerm(0, "t", np.array([[0.0, 1.2], [0.8, 0.0]], dtype=complex)),
              CoeffTerm(0, "1", np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex))]
-    cs = SystemCoefficients(m=2, a_field=MatrixField(2, terms),
-                            b_field=MatrixField(2, []))
+    cs = SystemCoefficients(m=2, a_terms=terms)
     p = ParameterSet(rho=0.5, a=2.0, ell=4.0, tau=0.5, T=2.0, c1=0.1,
                      theta=0, kappa=1.0, a0=0.5, eps0=0.5, c_spec=0.5)
     fit = holder_difference_probe(cs, p, [(0.2, 0.3), (0.2, 0.25)],
@@ -554,12 +553,11 @@ def test_mollified_dt_exponent_within_target():
 
 def test_mollified_minus_plain_lipschitz_scaling():
     # kappa = 1 path: || R~ - R || decays at least like the class target
-    from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients
+    from hypersym.coeffs import CoeffTerm, SystemCoefficients
 
     terms = [CoeffTerm(0, "t", np.array([[0.0, 1.2], [0.8, 0.0]], dtype=complex)),
              CoeffTerm(0, "1", np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex))]
-    cs = SystemCoefficients(m=2, a_field=MatrixField(2, terms),
-                            b_field=MatrixField(2, []))
+    cs = SystemCoefficients(m=2, a_terms=terms)
     params = ParameterSet(rho=0.5, a=2.0, ell=4.0, tau=0.5, T=2.0, c1=0.1,
                           theta=0, kappa=1.0, delta=1.0, a0=0.5, eps0=0.5,
                           c_spec=0.5)
@@ -590,7 +588,8 @@ def test_lattice_generator_matches_pointwise():
     for i, xi in enumerate(xis):
         # per-node sum (eps^j / j!) D_x^j A xi^(j+1), eps = tau rho <xi>^(rho-2)
         eps = 0.5 * 0.5 * bracket(xi, 4.0) ** (0.5 - 2.0)
-        single = sum(eps**j / math.factorial(j) * field_dx(pre.coeffs.a_field, 0.3, 1.1, j)
+        single = sum(eps**j / math.factorial(j)
+                     * field_dx(pre.coeffs.a_terms, pre.coeffs.m, 0.3, 1.1, j)
                      * xi ** (j + 1) for j in range(n + 1))
         np.testing.assert_allclose(stack[i], single, atol=1e-13)
 

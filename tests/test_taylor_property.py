@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.coeffs import CoeffTerm, MatrixField, SystemCoefficients, coeffs_from_json
+from hypersym.coeffs import CoeffTerm, SystemCoefficients, coeffs_from_json
 from hypersym.matkernel import taylor_symbol
 from hypersym.symmetrizer import ParameterSet, damped_generator, hn_over_lattice
 from support import field_dx, stack_blocks, taylor_reference
@@ -46,7 +46,7 @@ def cases(draw):
         for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
             mat = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
             terms.append(CoeffTerm(k, t_term, mat))
-    coeffs = SystemCoefficients(m=m, a_field=MatrixField(m, terms), b_field=MatrixField(m, []))
+    coeffs = SystemCoefficients(m=m, a_terms=terms)
     # each argument a scalar or an array on its own axis, so that all four broadcast
     n_t, n_x, n_xi, n_z = (draw(st.integers(0, 3)) for _ in range(4))
     t = rng.uniform(-2.0, 2.0, size=(n_t, 1, 1, 1)) if n_t else float(rng.uniform(-2.0, 2.0))
@@ -62,7 +62,7 @@ def _magnitude(coeffs, t, x, xi, z, order):
     """S of the module docstring, with the shape of the symbol."""
     shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(xi), np.shape(z))
     out = np.zeros(shape + (coeffs.m, coeffs.m))
-    for term in coeffs.a_field.terms:
+    for term in coeffs.a_terms:
         kz = np.abs(term.x_freq * np.asarray(z))
         series = sum(kz**j / math.factorial(j) for j in range(order + 1))
         out += np.abs(term.matrix) * (np.abs(term.g(t)) * series)[..., None, None]
@@ -76,12 +76,12 @@ def test_closed_form_matches_derivative_sum(case):
     got = taylor_symbol(coeffs, t, x, xi, z, order)
     ref = taylor_reference(coeffs, t, x, xi, z, order)
     assert got.shape == ref.shape
-    n_terms = len(coeffs.a_field.terms)
+    n_terms = len(coeffs.a_terms)
     bound = 2.0 * (7 * order + n_terms + 19) * _U * _magnitude(coeffs, t, x, xi, z, order)
     assert np.all(np.abs(got - ref) <= bound)
     # at z = 0 every term's truncated exponential is exactly 1
     at_zero = taylor_symbol(coeffs, t, x, xi, np.zeros_like(z), order)
-    symbol = field_dx(coeffs.a_field, t, x) * np.asarray(xi)[..., None, None]
+    symbol = field_dx(coeffs.a_terms, coeffs.m, t, x) * np.asarray(xi)[..., None, None]
     assert np.array_equal(at_zero, np.broadcast_to(symbol, at_zero.shape))
 
 
