@@ -514,9 +514,9 @@ def _cmd_solve(config: dict) -> dict:
         raise ConfigError(f"c0 = {problem.gevrey_c0}, n_lattice = {problem.g.shape[1]}: "
                           "the data's Gevrey radius fit at t = 0 is inconclusive")
     h = config.get("h", 1.0 / float(params.ell))
-    res = solver.solve_cauchy(problem, params, h=h, eps_par=eps_par, dt=config.get("dt"),
+    res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, dt=config.get("dt"),
                               stride=stride)
-    tr = res.trace
+    tr, states = res.traces[0], res.states[0]
     eta = res.dt**2 + 1e-8
     stride_eta = eta * stride
     increments = tr.increments[1:]
@@ -537,9 +537,9 @@ def _cmd_solve(config: dict) -> dict:
     rep = solver.energy_residual(tr)
     if out_dir:
         tr.to_csv(os.path.join(out_dir, "energy_trace.csv"))
-        res.states.tofile(os.path.join(out_dir, "trajectory.bin"))
+        states.tofile(os.path.join(out_dir, "trajectory.bin"))
         with open(os.path.join(out_dir, "trajectory_meta.json"), "w") as fh:
-            json.dump({"shape": list(res.states.shape), "dtype": "complex128",
+            json.dump({"shape": list(states.shape), "dtype": "complex128",
                        "order": "C", "times": [float(t) for t in tr.times]},
                       fh, sort_keys=True, indent=2)
     return {

@@ -16,39 +16,48 @@ otherwise each sample's off-band modes are set from that closed form, in one
 broadcast per block of samples as the diagnostics read them.  With h = 0,
 chi = 1 everywhere and the band is the whole lattice.
 
-The band takes one of two step paths, chosen by size alone.  The generator
-is linear, so an RK4 step is a fixed polynomial in it, and on a small band
-:class:`BandPropagator` precomputes each step as one banded matrix: the
-products of the generator's per-time-term parts (words of length 1 to 4)
-are applied once per solve to coloured unit vectors, and each step's matrix
-is their combination with that step's coefficients, one real product per
-chunk of steps.  A step is then one ``einsum`` against the sliding windows
-of the zero-padded state.  That path is taken when the word table fits in
-``_BLOCK_BYTES``.  A larger band steps by :func:`step_rk4` on the generator,
-each stage a single product with that stage's matrix ``sum_j g_j L_j``
-(:class:`TruncatedGenerator`).  Both paths take the g_j at the stage times
-from :meth:`TruncatedGenerator.stage_coefficients`.
+One solve takes several cutoffs, as the h-uniformity study does: they share
+dt, since the stability scale does not read h, and their bands lie end to
+end in one joint band, separated by ``coeffs.x_band`` modes where xi = 0
+and chi = 0.  No product of the generator crosses a separator, so one time
+loop evolves every cutoff exactly as its own solve would, in one sequence
+of steps instead of one per cutoff.
+
+The (joint) band takes one of two step paths, chosen by its size alone.  The
+generator is linear, so an RK4 step is a fixed polynomial in it, and on a
+small band :class:`BandPropagator` precomputes each step as one banded
+matrix: the products of the generator's per-time-term parts (words of length
+1 to 4) are applied once per solve to coloured unit vectors, and each step's
+matrix is their combination with that step's coefficients, one real product
+per chunk of steps.  A step is then one ``einsum`` against the sliding
+windows of the zero-padded state.  That path is taken when the word table
+fits in ``_BLOCK_BYTES``.  A larger band steps by :func:`step_rk4` on the
+generator, each stage a single product with that stage's matrix
+``sum_j g_j L_j`` (:class:`TruncatedGenerator`).  Both paths take the g_j at
+the stage times from :meth:`TruncatedGenerator.stage_coefficients`.
 
 A state is a complex (m, n_x) array in FFT order, as in
 :mod:`hypersym.engine`.  The samples, the last of which is the final step,
-fill one (n_samples, m, n_x) array that starts as copies of u0, so a sample
-takes only the band, and the off-band modes when eps_par > 0.
+fill one (n_cutoffs, n_samples, m, n_x) array that starts as copies of u0,
+so a sample takes only its cutoff's band, and the off-band modes when
+eps_par > 0.
 
-The band advances one sample interval at a time, each step writing its
-state into one row of the interval's block.  A buffered :func:`step_rk4`
-reuses five work buffers with the operations of the plain allocating RK4
-step (the tests' reference) in the same order, so its roundings are that
-step's.  Finiteness is checked once per block, and an abort names the
-first step whose state lost it.  On the propagator path that is the first
-state that leaves the double range; a stepped band can lose it a few steps
-sooner, when an RK4 stage overflows first.  The loop only records the
-sampled states.  The diagnostics then run over blocks of samples, slices
+The band advances one sample interval at a time, each step writing its state
+into one row of the interval's block.  A buffered :func:`step_rk4` reuses
+five work buffers with the operations of the plain allocating RK4 step (the
+tests' reference) in the same order, so its roundings are that step's.
+Finiteness is checked once per block, and an abort names the first step
+whose state lost it, in any cutoff's band.  On the propagator path that is
+the first state that leaves the double range; a stepped band can lose it a
+few steps sooner, when an RK4 stage overflows first.  The loop only records
+the sampled states.  The diagnostics then run over blocks of samples, slices
 of the sample array, and read each state once, for its squared moduli
 q = sum_c |u_c|^2.  A block takes one weight array w and one product of
-q w^2 against a per-solve table: its ``<xi>^(2 sigma)`` columns give the
-five norms, and its column of 1/2 on the off-band modes their R-energy.
-The band's R-energy is one Lyapunov batch and one batched product R v,
-and the radius fit reads q.
+q w^2 against a per-solve table: its ``<xi>^(2 sigma)`` columns give the five
+norms, and its column of 1/2 on the off-band modes their R-energy.  The
+band's R-energy is one Lyapunov batch and one batched product R v, and the
+radius fit reads q.  Each cutoff's samples are diagnosed on their own, and a
+block whose weighted norms leave the double range aborts.
 """
 
 from __future__ import annotations
@@ -137,39 +146,53 @@ class CauchyProblem:
 
 
 class TruncatedGenerator:
-    """Applies ``chi(hD) (i A(t,x,D) + B(t,x)) chi(hD) - eps_par |D|^2`` on a band.
+    """Applies ``chi(hD) (i A(t,x,D) + B(t,x)) chi(hD) - eps_par |D|^2`` on
+    the bands of several cutoffs h at once.
 
-    The band is the modes with chi(h xi) > 0, the contiguous range
+    A cutoff's band is the modes with chi(h xi) > 0, the contiguous range
     |xi| < 1/h (chi decreases in |xi|); with h = 0, chi = 1 and the band is
-    the whole lattice.  Band states are (m, n_band) arrays in
-    centered order: column j holds frequency ``xi[j]``, found at FFT
-    position ``index[j]`` of a lattice state.  Trig-polynomial coefficients
-    act by exact frequency shifts, which is their Kohn-Nirenberg
-    quantization: harmonic k moves position p to p + k and drops the modes
-    that leave the band (the rule of :func:`engine.shift_map`).  The inputs
-    of the fields that have terms, ``i xi v`` for A and ``v`` for B, sit in
-    a zero-padded buffer with K = ``coeffs.x_band`` zeros on each side;
-    window row K - k of its sliding-window view is the source shifted by k,
-    zero where it left the band.  So one product of the
-    ``(m, F m (2K+1))`` matrix of every harmonic of those F fields applies
-    the whole generator.  Split by the time terms of the coefficients, that
-    matrix is ``sum_j g_j(t) L_j``: :attr:`term_matrices` holds the L_j,
-    column (f, d, K - k) holding component d of harmonic k of field f, and
-    :meth:`word_table` the products of up to four L_j that
-    :class:`BandPropagator` combines.
+    the whole lattice.  The bands of ``cutoffs`` lie end to end in one joint
+    band, each but the last followed by K = ``coeffs.x_band`` separator
+    modes where xi = 0 and chi = 0.  Band states are (m, n_band) arrays:
+    column j holds frequency ``xi[j]``, and :attr:`segments` holds, per
+    cutoff, the slice of its band, in centered order, and the FFT positions
+    of those modes in a lattice state.  Trig-polynomial coefficients act by
+    exact frequency shifts, which is their Kohn-Nirenberg quantization:
+    harmonic k moves position p to p + k and drops the modes that leave the
+    band (the rule of :func:`engine.shift_map`).  The inputs of the fields
+    that have terms, ``i xi chi v`` for A and ``chi v`` for B, sit in a
+    zero-padded buffer with K zeros on each side; window row K - k of its
+    sliding-window view is the source shifted by k, zero where it left the
+    joint band.  A shift reaches at most K modes, and every input and output
+    is multiplied by chi, which is 0 on the separators, so no product
+    crosses from one cutoff's band to the next: each band evolves exactly as
+    it would alone.  So one product of the ``(m, F m (2K+1))`` matrix of
+    every harmonic of those F fields applies the whole generator.  Split by
+    the time terms of the coefficients, that matrix is ``sum_j g_j(t) L_j``:
+    :attr:`term_matrices` holds the L_j, column (f, d, K - k) holding
+    component d of harmonic k of field f, and :meth:`word_table` the
+    products of up to four L_j that :class:`BandPropagator` combines.
     """
 
-    def __init__(self, coeffs: SystemCoefficients, n_x: int, h: float, eps_par: float):
+    def __init__(self, coeffs: SystemCoefficients, n_x: int, cutoffs, eps_par: float):
         self.coeffs = coeffs
         self.n_x = n_x
         self.eps_par = float(eps_par)
-        xi = np.arange(-(n_x // 2), n_x - n_x // 2, dtype=float)
-        chi = smooth_cutoff(float(h) * xi)  # exactly 1 everywhere when h = 0
-        band = chi > 0
-        self.xi = xi[band]
-        self.chi = chi[band]
-        self.index = self.xi.astype(int) % n_x
-        n, k_max = len(self.xi), coeffs.x_band
+        k_max = coeffs.x_band
+        lat = np.arange(-(n_x // 2), n_x - n_x // 2, dtype=float)
+        # each cutoff's band, the modes with chi(h xi) > 0, then K separator
+        # modes; the buffer's padding stands in for the last band's
+        xis, chis, self.segments, lo = [], [], [], 0
+        for h in cutoffs:
+            chi = smooth_cutoff(float(h) * lat)  # exactly 1 everywhere when h = 0
+            xi, chi = lat[chi > 0], chi[chi > 0]
+            xis += [xi, np.zeros(k_max)]
+            chis += [chi, np.zeros(k_max)]
+            self.segments.append((slice(lo, lo + xi.size), xi.astype(int) % n_x))
+            lo += xi.size + k_max
+        self.xi = np.concatenate(xis)[:lo - k_max]
+        self.chi = np.concatenate(chis)[:lo - k_max]
+        n = len(self.xi)
         # each field's input is factor * u, at columns K .. K + n - 1 of its
         # buffer row; the padding stays zero
         fields = [(terms, fac) for terms, fac in ((coeffs.a_terms, 1j * self.xi * self.chi),
@@ -403,8 +426,10 @@ class EnergyTrace:
 @dataclass
 class SolveResult:
     dt: float
-    states: np.ndarray  # (n_samples, m, n_x): u at trace.times, the last at the horizon
-    trace: EnergyTrace
+    # (n_cutoffs, n_samples, m, n_x): states[i] is cutoff i's u at
+    # traces[i].times, the last at the horizon
+    states: np.ndarray
+    traces: list[EnergyTrace]  # one per cutoff
 
 
 # Amplitudes at or below this are rounding residue of the unit-size data and
@@ -454,35 +479,38 @@ def gevrey_radius_fit(sq, s: float):
 def solve_cauchy(
     problem: CauchyProblem,
     params: ParameterSet,
-    h: float,
+    cutoffs,
     eps_par: float = 0.0,
     dt: float | None = None,
     stride: int = 8,
     track_energy: bool = True,
 ) -> SolveResult:
-    """Evolve the truncated (optionally parabolically regularized) problem.
+    """Evolve the truncated (optionally parabolically regularized) problem
+    at each cutoff scale h of ``cutoffs``.
 
-    The trajectory is sampled every ``stride`` steps; at each sample the
-    diagnostic weight ``e^{<D>^rho (T - a t)}`` produces v, the weighted
-    norms, the R-energy (exact multiplier for x-independent coefficients;
-    mollified variant in Hoelder mode) and a Gevrey radius fit.  Aborts with
-    the last healthy time on NaN/overflow.
+    The cutoffs share dt, since the stability scale does not read h, and one
+    time loop advances their bands together.  Each trajectory is sampled
+    every ``stride`` steps; at each sample the diagnostic weight
+    ``e^{<D>^rho (T - a t)}`` produces v, the weighted norms, the R-energy
+    (exact multiplier for x-independent coefficients; mollified variant in
+    Hoelder mode) and a Gevrey radius fit.  Aborts with the last healthy
+    time on NaN/overflow, of the evolution or of its diagnostics.
     """
     coeffs = problem.coeffs
     violations = validate_params(params, c=params.c_spec if params.c_spec is not None else 0.5,
                                  a0=params.a0, eps0=params.eps0)
     if violations:
         raise ConfigError("invalid parameters: " + "; ".join(violations))
-    if h > 1.0 / float(params.ell) + 1e-12:
+    if max(cutoffs) > 1.0 / float(params.ell) + 1e-12:
         raise ConfigError(
-            f"cutoff scale h = {h} above the uniformity range 1/ell = "
+            f"cutoff scale h = {max(cutoffs)} above the uniformity range 1/ell = "
             f"{1.0 / float(params.ell)}"
         )
     if eps_par < 0:
         raise ConfigError(f"eps_par = {eps_par} is negative: an anti-dissipative "
                           "regularization that the stability scale does not bound")
     n_x = problem.g.shape[1]
-    gen = TruncatedGenerator(coeffs, n_x, h, eps_par)
+    gen = TruncatedGenerator(coeffs, n_x, cutoffs, eps_par)
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
     if dt is None:
         dt = min(0.5 / lam, problem.horizon / 8.0)
@@ -497,20 +525,16 @@ def solve_cauchy(
     if dt * lam > 2.5:
         raise ConfigError(f"dt = {dt:.3g} violates the stability budget "
                           f"2.5/Lambda = {2.5 / lam:.3g}")
-    # The samples (a state and a time each) and, when stepping, every step's
-    # three stage matrices are held at once; they must fit in physical memory.
+    # The samples of every cutoff (a state each, and a time) and, when
+    # stepping, every step's three stage matrices are held at once; they must
+    # fit in physical memory.
     stepping = BandPropagator.table_bytes(gen) > _BLOCK_BYTES
-    need = ((math.ceil(n_steps / stride) + 1) * (16 * coeffs.m * n_x + 16)
+    need = ((math.ceil(n_steps / stride) + 1) * (16 * len(gen.segments) * coeffs.m * n_x + 16)
             + (48 * n_steps * gen.term_matrices[0].size if stepping else 0))
     require_memory(need, f"dt = {dt:.3g}: {n_steps} steps")
 
-    big_t = float(params.T)
-    a = float(params.a)
-    rho = float(params.rho)
-    ell = float(params.ell)
-    xi = lattice(n_x)
     # up-front overflow probe for the largest weight in the run
-    gevrey_weight(xi, big_t, rho, ell)
+    gevrey_weight(lattice(n_x), float(params.T), float(params.rho), float(params.ell))
     # A band whose word table fits in _BLOCK_BYTES steps by precomputed
     # propagators; a larger one by step_rk4 on the generator, with step k's
     # three stage matrices sum_j g_j L_j in stages[k], summed term by term.
@@ -521,67 +545,39 @@ def solve_cauchy(
         for j in range(1, len(gen.term_matrices)):
             stages += g[:, :, j] * gen.term_matrices[j]
 
-    # R is solved on the band, where chi > 0; elsewhere M = -a <xi>^rho I, so R = I/2.
-    r_xi, r_chi2 = gen.xi, gen.chi**2
-
-    def r_generator(t):
-        # damped generator of the cutoff problem for x-independent
-        # coefficients, with the running window tau = T - a t in H_N; an
-        # array t of shape (n, 1) gives one row of band generators per time
-        return damped_generator(coeffs, replace(params, tau=big_t - a * t),
-                                t, 0.0, r_xi, r_chi2)
-
     # A sample is taken every stride steps and at the last step: sample k
     # holds the state after sample_steps[k] steps, at time sample_steps[k] dt.
     sample_steps = np.union1d(np.arange(0, n_steps + 1, stride), n_steps)
     times = sample_steps * dt
 
-    x_independent = coeffs.x_band == 0
-    use_molly = coeffs.t_regularity == "holder" and params.delta is not None
-    er_mode = "skipped"
-    molly_values = None
-    if track_energy and x_independent:
-        if use_molly:
-            er_mode = "mollified"
-            delta = float(params.delta)
-            widths = bracket(xi, ell) ** -delta
-            dt_path, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
-            path_ts = np.arange(-pad, problem.horizon + pad + dt_path, dt_path)
-            r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks)
-            # (n_samples, n_active, m, m)
-            molly_values = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta, times)
-        else:
-            er_mode = "multiplier"
-
-    # Off the band the generator is -eps_par xi^2, so sample k holds
-    # u0 e^{-times[k] eps_par xi^2} there, set block by block with the
-    # diagnostics.  With eps_par = 0 that is exactly u0, and the modes are
-    # left alone.  The factor is at most 1, so only u0 can make them non-finite.
+    # Off its band a cutoff's generator is -eps_par xi^2, so sample k holds
+    # u0 e^{-times[k] eps_par xi^2} there, set with the diagnostics.  The
+    # factor is at most 1, so only u0 can make those modes non-finite.
     u0 = problem.g
     if not np.isfinite(u0).all():
         raise NumericAbortError(f"evolution lost finiteness at t = {dt:.6g}", last_time=0.0)
-    off_index = np.setdiff1d(np.arange(n_x), gen.index)
-    band = u0[:, gen.index]
 
-    # The band advances one interval between samples at a time.  Row 0 of the
-    # block holds the interval's first state and row i + 1 the state after its
-    # step i, padded with the propagators' width of zeros on each side (none
-    # when stepping), and the block is checked for finiteness once.  The abort
-    # names the first step that lost it.  Every sample starts as u0, so it
-    # takes only the band.
-    states = np.repeat(u0[None], times.size, axis=0)
-    n_band = band.shape[1]
+    # The joint band advances one interval between samples at a time.  Row 0
+    # of the block holds the interval's first state and row i + 1 the state
+    # after its step i, padded with the propagators' width of zeros on each
+    # side (none when stepping), and the block is checked for finiteness
+    # once.  The abort names the first step that lost it, in any band.  Every
+    # sample starts as u0, so it takes only its cutoff's band, and the
+    # separators stay zero.
+    states = np.tile(u0, (len(gen.segments), times.size, 1, 1))
+    n_band = gen.xi.size
     width = gen.word_width if prop else 0
     longest = int(np.max(np.diff(sample_steps)))
     block = np.zeros((longest + 1, coeffs.m, n_band + 2 * width), dtype=complex)
     rows = block[:, :, width:width + n_band]
-    rows[0] = band
+    for seg, index in gen.segments:
+        rows[0][:, seg] = u0[:, index]
     if prop is None:
-        work = [np.empty_like(band) for _ in range(5)]
+        work = [np.empty((coeffs.m, n_band), dtype=complex) for _ in range(5)]
     else:
         props = prop.steps(n_steps)
         windows = np.lib.stride_tricks.sliding_window_view(block, 2 * width + 1, axis=-1)
-    for sample, start, end in zip(states[1:], sample_steps, sample_steps[1:]):
+    for samples, start, end in zip(states.swapaxes(0, 1)[1:], sample_steps, sample_steps[1:]):
         if prop is None:
             for i in range(end - start):
                 step_rk4(gen.apply, rows[i], stages[start + i], dt, rows[i + 1], work)
@@ -595,12 +591,57 @@ def solve_cauchy(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
             )
         rows[0] = rows[end - start]
-        sample[:, gen.index] = rows[0]
+        for sample, (seg, index) in zip(samples, gen.segments):
+            sample[:, index] = rows[0][:, seg]
 
-    # The diagnostics run over blocks of samples, each block's states read
-    # once for their squared moduli q.  One product of q w^2 against ``table``
-    # gives the squared norms of the five orders sigma (with nu = 0 three of
-    # them coincide) and the off-band R-energy, R = I/2 there.
+    if not (track_energy and coeffs.x_band == 0):
+        er_mode = "skipped"
+    elif coeffs.t_regularity == "holder" and params.delta is not None:
+        er_mode = "mollified"
+    else:
+        er_mode = "multiplier"
+    traces = [_energy_trace(problem, params, gen, seg, index, u, times, er_mode)
+              for u, (seg, index) in zip(states, gen.segments)]
+    return SolveResult(dt=dt, states=states, traces=traces)
+
+
+def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGenerator,
+                  seg: slice, index: np.ndarray, states: np.ndarray, times: np.ndarray,
+                  er_mode: str) -> EnergyTrace:
+    """The diagnostics of one cutoff's samples ``states``, at ``times``, whose
+    band is the segment ``seg`` of ``gen``'s joint band and sits at ``index``
+    of a lattice state; with eps_par > 0 they first set the off-band modes.
+
+    They run over blocks of samples, each block's states read once for their
+    squared moduli q.  One product of q w^2 against ``table`` gives the
+    squared norms of the five orders sigma (with nu = 0 three of them
+    coincide) and the off-band R-energy, R = I/2 there.  A block whose
+    products leave the double range aborts at its first such sample.
+    """
+    coeffs, n_x = problem.coeffs, problem.g.shape[1]
+    big_t, a = float(params.T), float(params.a)
+    rho, ell = float(params.rho), float(params.ell)
+    xi = lattice(n_x)
+    off_index = np.setdiff1d(np.arange(n_x), index)
+    # R is solved on the band, where chi > 0; elsewhere M = -a <xi>^rho I, so R = I/2.
+    r_xi, r_chi2 = gen.xi[seg], gen.chi[seg] ** 2
+
+    def r_generator(t):
+        # damped generator of the cutoff problem for x-independent
+        # coefficients, with the running window tau = T - a t in H_N; an
+        # array t of shape (n, 1) gives one row of band generators per time
+        return damped_generator(coeffs, replace(params, tau=big_t - a * t),
+                                t, 0.0, r_xi, r_chi2)
+
+    if er_mode == "mollified":
+        delta = float(params.delta)
+        widths = bracket(xi, ell) ** -delta
+        dt_path, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
+        path_ts = np.arange(-pad, problem.horizon + pad + dt_path, dt_path)
+        r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks)
+        # (n_samples, n_active, m, m)
+        molly_values = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta, times)
+
     n_samples, nu = times.size, params.nu
     sigmas = (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
     table = np.zeros((n_x, len(sigmas) + 1))
@@ -613,19 +654,25 @@ def solve_cauchy(
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
         if gen.eps_par:
-            states[blk, :, off_index] = u0[:, off_index] * np.exp(
+            states[blk, :, off_index] = problem.g[:, off_index] * np.exp(
                 -gen.eps_par * xi[off_index] ** 2 * times[blk, None, None])
         u = states[blk]
         weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)
         q = squared_moduli(u)
         sums = (q * weight * weight) @ table
+        lost = ~np.isfinite(sums).all(axis=1)
+        if lost.any():
+            k = lo + int(np.argmax(lost))
+            raise NumericAbortError(
+                f"the weighted norms left the double range at t = {times[k]:.6g}",
+                last_time=float(times[max(k - 1, 0)]))
         norms[blk] = np.sqrt(sums[:, :-1])
         if er_mode != "skipped":
             # the band's Re <R v, v> with its solved R, as the dot product of
             # v and R v over their real and imaginary parts
             r_band = (_lyap_solve_batch(*r_generator(times[blk, None]), coeffs.blocks)
                       if er_mode == "multiplier" else molly_values[blk])
-            v_band = (u[:, :, gen.index] * weight[:, None, gen.index]).transpose(0, 2, 1)
+            v_band = (u[:, :, index] * weight[:, None, index]).transpose(0, 2, 1)
             rv = r_band @ v_band[..., None]
             e_r_arr[blk] = np.einsum("bi,bi->b", v_band.reshape(len(u), -1).view(float),
                                      rv.reshape(len(u), -1).view(float)) + sums[:, -1]
@@ -635,10 +682,9 @@ def solve_cauchy(
     base = e_r_arr[0] if np.isfinite(e_r_arr[0]) and e_r_arr[0] > 0 else 1.0
     e_r_norm = e_r_arr / base
     increments = np.diff(e_r_norm, prepend=e_r_norm[0])
-    trace = EnergyTrace(times=times, e_r=e_r_norm, e_r_raw=e_r_arr, norms=norms,
-                        gevrey_c=gevrey_c, increments=increments, er_mode=er_mode,
-                        sigmas=sigmas)
-    return SolveResult(dt=dt, states=states, trace=trace)
+    return EnergyTrace(times=times, e_r=e_r_norm, e_r_raw=e_r_arr, norms=norms,
+                       gevrey_c=gevrey_c, increments=increments, er_mode=er_mode,
+                       sigmas=sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +739,13 @@ def h_uniformity_study(
     """
     cs1, cs2 = [], []
     curves = []
-    for h in h_list:
-        res = solve_cauchy(problem, params, h=h, dt=dt, track_energy=False)
-        rep = energy_residual(res.trace)
+    # one solve evolves every h; they share dt and the sample times, so the
+    # curves stack as they are
+    for trace in solve_cauchy(problem, params, h_list, dt=dt, track_energy=False).traces:
+        rep = energy_residual(trace)
         cs1.append(rep.c_first)
         cs2.append(rep.c_second)
-        curves.append(res.trace.norms[:, 0] / res.trace.norms[0, 3])
-    # lam_bound never reads h, so every h shares dt and the sample times, and
-    # the curves stack as they are
+        curves.append(trace.norms[:, 0] / trace.norms[0, 3])
     stackc = np.stack(curves)
     curve_spread = float(
         np.max(stackc.max(axis=0) - stackc.min(axis=0)) / np.max(stackc)
@@ -762,12 +807,12 @@ def parabolic_study(
     diffs = []
     sups = []
     for eps in eps_list:
-        r1 = solve_cauchy(problem, params, h=h, eps_par=eps, dt=dt,
-                          track_energy=False, stride=16)
-        r2 = solve_cauchy(problem, params, h=h, eps_par=eps / 2.0, dt=dt,
-                          track_energy=False, stride=16)
-        diffs.append(_l2(r1.states[-1] - r2.states[-1]))
-        sups.append(max(_l2(u) for u in r1.states))
+        r1 = solve_cauchy(problem, params, (h,), eps_par=eps, dt=dt,
+                          track_energy=False, stride=16).states[0]
+        r2 = solve_cauchy(problem, params, (h,), eps_par=eps / 2.0, dt=dt,
+                          track_energy=False, stride=16).states[0]
+        diffs.append(_l2(r1[-1] - r2[-1]))
+        sups.append(max(_l2(u) for u in r1))
     eps_arr = np.asarray(list(eps_list), dtype=float)
     rate = float(np.polyfit(np.log(eps_arr), np.log(np.maximum(diffs, 1e-300)), 1)[0])
     spread = (max(sups) - min(sups)) / min(sups)

@@ -1,7 +1,8 @@
 """Test-side fixtures, references and claim probes that no command runs.
 
-Fixtures build small systems, serialize coefficients into config documents
-and move states between Fourier and physical samples.  A field's exact
+Fixtures build small systems, admissible parameters at a chosen ell,
+serialize coefficients into config documents and move states between
+Fourier and physical samples.  A field's exact
 x-derivatives, summed order by order, are the reference of the closed-form
 Taylor symbol.  Faddeev-LeVerrier characteristic polynomials and their
 polished, ordered roots are the reference of the block-wise eigenvalues,
@@ -27,6 +28,8 @@ import numpy as np
 from hypersym.coeffs import MAX_M, CoeffTerm, SystemCoefficients
 from hypersym.errors import HypersymError
 from hypersym.matkernel import taylor_symbol
+from hypersym.planner import rho_required
+from hypersym.presets import get_preset
 from hypersym.rootsplit import _sort_rows, polished_roots
 from hypersym.symmetrizer import (
     _STENCILS,
@@ -147,6 +150,19 @@ def holder_ratio(coeffs: SystemCoefficients, t_lo: float, t_hi: float, n: int = 
             diff = np.linalg.norm(mats[j] - mats[i], 2)
             worst = max(worst, diff / dt**kappa)
     return worst
+
+
+def capped_params(preset_name: str, ell: float) -> ParameterSet:
+    """Admissible parameters for a preset with a chosen ell, so that every
+    cutoff h <= 1/ell is allowed; a0 = 0 keeps the damping-floor constraint
+    satisfiable."""
+    rho = rho_required(get_preset(preset_name).theta, "lipschitz")[0]
+    a = 0.999 * ell ** (1.0 - float(rho))
+    c = 0.5
+    big_t = a / (2 * c)
+    tau = min(0.9 * big_t / c, 0.9 * 0.5 * ell ** (1.0 - float(rho)))
+    return ParameterSet(rho=rho, a=a, ell=ell, tau=tau, T=big_t, c1=c * tau / 2,
+                        theta=get_preset(preset_name).theta, a0=0.0, eps0=0.5, c_spec=c)
 
 
 # ---------------------------------------------------------------------------

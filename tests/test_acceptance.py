@@ -28,6 +28,7 @@ from hypersym.symmetrizer import (
 
 from conftest import ACCEPTANCE_LINES
 from support import (
+    capped_params,
     holder_difference_probe,
     mollifier_lines,
     s0_holder_reference,
@@ -220,8 +221,8 @@ def test_criterion_08_weighted_wellposedness_run():
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=s,
                          gevrey_c0=c0)
     assert prob.check_certificate()
-    res = solve_cauchy(prob, params, h=1.0 / 256.0, stride=1)
-    tr = res.trace
+    res = solve_cauchy(prob, params, (1.0 / 256.0,), stride=1)
+    tr = res.traces[0]
     eta = 1.0 * res.dt**2 + 1e-8
     increments = tr.increments[1:]
     monotone = bool(np.all(increments <= eta))
@@ -240,26 +241,12 @@ def test_criterion_08_weighted_wellposedness_run():
     )
 
 
-def _capped_params(preset_name: str, ell: float) -> ParameterSet:
-    # admissible parameters with ell <= 1/max(h); empirical a0 from the
-    # x-independent margin keeps the damping-floor constraint satisfiable
-    pre = get_preset(preset_name)
-    rho = float(rho_required(pre.theta, "lipschitz")[0])
-    a = 0.999 * ell ** (1.0 - rho)
-    c = 0.5
-    big_t = a / (2 * c)
-    tau = min(0.9 * big_t / c, 0.9 * 0.5 * ell ** (1.0 - rho))
-    return ParameterSet(rho=F(rho_required(pre.theta, "lipschitz")[0]), a=a,
-                        ell=ell, tau=tau, T=big_t, c1=c * tau / 2,
-                        theta=pre.theta, a0=0.0, eps0=0.5, c_spec=c)
-
-
 def test_criterion_09_h_uniformity():
     h_list = [1.0 / 64.0, 1.0 / 128.0, 1.0 / 256.0]
     ok = True
     details = []
     for name, s in (("wave_t2", 8.0 / 7.0), ("xdep", 1.5)):
-        params = _capped_params(name, ell=4.0)
+        params = capped_params(name, ell=4.0)
         pre = get_preset(name)
         g = gevrey_data(256, 2, s, 1.5, seed=11)
         horizon = (float(params.T) - float(params.c1)) / float(params.a)
@@ -279,7 +266,7 @@ def test_criterion_10_parabolic_regularization():
     ok = True
     details = []
     for name in ("xdep", "diag_sym"):
-        params = _capped_params(name, ell=4.0)
+        params = capped_params(name, ell=4.0)
         pre = get_preset(name)
         g = gevrey_data(128, 2, 1.8, 1.5, seed=13)
         horizon = (float(params.T) - float(params.c1)) / float(params.a)
@@ -308,8 +295,8 @@ def test_criterion_11_holder_mode():
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=s,
                          gevrey_c0=c0)
-    res = solve_cauchy(prob, params, h=1.0 / 64.0, stride=4)
-    tr = res.trace
+    res = solve_cauchy(prob, params, (1.0 / 64.0,), stride=4)
+    tr = res.traces[0]
     eta = (res.dt**2 + 1e-8) * 4
     monotone = bool(np.all(tr.increments[1:] <= eta))
     c_t = tr.gevrey_c

@@ -416,6 +416,19 @@ def test_numeric_abort_maps_to_exit_3(tmp_path):
     assert main(["--config", str(path)]) == 3
 
 
+
+def test_diagnostic_overflow_exits_3(tmp_path, capsys):
+    # holder_k's system declared at kappa = 0.24 plans ell 512 and a weight
+    # exponent inside EXP_BUDGET, but the weighted norms square the weight,
+    # and q w^2 leaves the double range at the first sample: a numeric
+    # abort, not a failed criterion with NaN constants
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "solve", "schema_version": "1", "seed": 0,
+                                "coeffs": _holder_coeffs(0.24)}))
+    assert main(["--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric abort: the weighted norms left the double range at t = 0\n"
+
 def test_weight_probe_refuses_before_the_samples_are_allocated(tmp_path):
     # wave_t2 at n_lattice 4096 passes EXP_BUDGET at the lattice edge; the
     # solver's up-front weight probe refuses it before the run allocates its

@@ -108,7 +108,7 @@ def test_term_matrices_sum_to_field():
     from hypersym.solver import TruncatedGenerator
 
     coeffs = get_preset("xdep").coeffs
-    gen = TruncatedGenerator(coeffs, 16, 0.0, 0.0)
+    gen = TruncatedGenerator(coeffs, 16, (0.0,), 0.0)
     assert list(gen.time_terms) == ["1", "t"]
     k_max = coeffs.x_band
     for t, x in ((0.3, 0.7), (1.1, -2.0)):

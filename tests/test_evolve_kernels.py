@@ -65,7 +65,7 @@ def test_apply_matches_per_term_shifts(preset, whole, eps_par):
     # windows reach its edge
     coeffs = _one_sided_system() if preset == "one_sided" else get_preset(preset).coeffs
     n_x, ts = 128, (0.0, 0.37, 1.1)
-    gen = solver.TruncatedGenerator(coeffs, n_x, 0.0 if whole else 1.0 / 16.0, eps_par)
+    gen = solver.TruncatedGenerator(coeffs, n_x, (0.0 if whole else 1.0 / 16.0,), eps_par)
     assert (len(gen.xi) == n_x) == whole
     rng = np.random.default_rng(41)
     u = rng.normal(size=(coeffs.m, len(gen.xi))) + 1j * rng.normal(size=(coeffs.m, len(gen.xi)))
@@ -95,20 +95,21 @@ def _radius_fit_polyfit(coeffs, s, noise_floor=1e-14):
 
 def _per_sample_diagnostics(res, problem, params, h):
     """Norms, raw R-energy and radius fit of each sample, one at a time."""
-    times = res.trace.times
+    times = res.traces[0].times
     coeffs, n_x = problem.coeffs, problem.g.shape[1]
     big_t, a, rho, ell = (float(params.T), float(params.a), float(params.rho),
                           float(params.ell))
     xi = lattice(n_x)
-    gen = solver.TruncatedGenerator(coeffs, n_x, h, 0.0)
-    r_index, r_xi, r_chi2 = gen.index, gen.xi, gen.chi**2
+    gen = solver.TruncatedGenerator(coeffs, n_x, (h,), 0.0)
+    (_, r_index), = gen.segments
+    r_xi, r_chi2 = gen.xi, gen.chi**2
 
     def r_generator(t):
         return damped_generator(coeffs, replace(params, tau=big_t - a * t), t, 0.0,
                                 r_xi, r_chi2)
 
     molly_values = None
-    if res.trace.er_mode == "mollified":
+    if res.traces[0].er_mode == "mollified":
         delta = float(params.delta)
         br = bracket(xi, ell)
         width_max, width_min = float(np.max(br**-delta)), float(np.min(br**-delta))
@@ -120,11 +121,11 @@ def _per_sample_diagnostics(res, problem, params, h):
                                     bracket(r_xi, ell), delta, times)
 
     norms, e_r, c_fit = [], [], []
-    for idx, (t, u) in enumerate(zip(times, res.states)):
+    for idx, (t, u) in enumerate(zip(times, res.states[0])):
         v = u * gevrey_weight(xi, big_t - a * t, rho, ell)[None, :]
         norms.append([np.sqrt(np.sum((np.abs(v) * (bracket(xi, ell) ** s)[None, :]) ** 2))
-                      for s in res.trace.sigmas])
-        if res.trace.er_mode == "skipped":
+                      for s in res.traces[0].sigmas])
+        if res.traces[0].er_mode == "skipped":
             e_r.append(math.nan)
         else:
             r = np.tile(np.eye(coeffs.m, dtype=complex) / 2.0, (n_x, 1, 1))
@@ -178,14 +179,14 @@ def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, cap, h,
     _, params, problem = runner._solve_setup(runner.validate_config(cfg))
     h = 1.0 / float(params.ell) if h is None else h
     monkeypatch.setattr(solver, "_samples_per_block", lambda m, n_x, n_lyap: block)
-    res = solver.solve_cauchy(problem, params, h=h, eps_par=eps_par, stride=4)
-    assert res.trace.er_mode == er_mode
-    assert len(res.states) % block != 0 and len(res.states) > 2 * block
+    res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, stride=4)
+    assert res.traces[0].er_mode == er_mode
+    assert len(res.states[0]) % block != 0 and len(res.states[0]) > 2 * block
     norms, e_r, c_fit = _per_sample_diagnostics(res, problem, params, h)
-    _assert_close(res.trace.norms, norms, 1e-12)
-    _assert_close(res.trace.e_r_raw, e_r, 1e-12)
-    _assert_close(res.trace.gevrey_c, c_fit, 1e-12)
-    assert np.all(np.isfinite(res.trace.norms))
+    _assert_close(res.traces[0].norms, norms, 1e-12)
+    _assert_close(res.traces[0].e_r_raw, e_r, 1e-12)
+    _assert_close(res.traces[0].gevrey_c, c_fit, 1e-12)
+    assert np.all(np.isfinite(res.traces[0].norms))
     assert np.isfinite(e_r).all() == (er_mode != "skipped")
     assert np.isfinite(c_fit).any()
 

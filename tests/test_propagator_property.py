@@ -39,7 +39,7 @@ def band_steps(draw):
     n_x = draw(st.sampled_from(range(1, 25)))
     h = draw(st.sampled_from([0.0, 1.0 / 8.0]))
     eps_par = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
-    gen = TruncatedGenerator(coeffs, n_x, h, eps_par)
+    gen = TruncatedGenerator(coeffs, n_x, (h,), eps_par)
     lam = max(gen.lam_bound(1.0), 1e-12)
     dt = min(draw(st.floats(0.05, 1.0)) * 2.5 / lam, 1.0)
     k = int(draw(st.floats(0.0, 1.0)) / dt)

@@ -38,18 +38,20 @@ def _single_mode(n, m, mode, comp=0, value=1.0):
 def test_rhs_constant_diagonal_no_cutoff():
     cs = constant_system(np.diag([1.0, -2.0]))
     st = _single_mode(32, 2, 5)
-    gen = TruncatedGenerator(cs, st.shape[1], 0.0, 0.0)
-    out = allocating_rhs(gen)(0.0, st[:, gen.index])
+    gen = TruncatedGenerator(cs, st.shape[1], (0.0,), 0.0)
+    (_, index), = gen.segments
+    out = allocating_rhs(gen)(0.0, st[:, index])
     # i A(xi) u_hat per mode: component 0 gets i * 1 * 5
-    np.testing.assert_allclose(out[0], 5j * st[0, gen.index], atol=1e-14)
+    np.testing.assert_allclose(out[0], 5j * st[0, index], atol=1e-14)
 
 
 def test_rhs_pure_heat():
     cs = constant_system(np.zeros((1, 1)))
     st = _single_mode(32, 1, 4)
-    gen = TruncatedGenerator(cs, st.shape[1], 0.0, 0.3)
-    out = allocating_rhs(gen)(0.0, st[:, gen.index])
-    np.testing.assert_allclose(out, -0.3 * 16.0 * st[:, gen.index], atol=1e-14)
+    gen = TruncatedGenerator(cs, st.shape[1], (0.0,), 0.3)
+    (_, index), = gen.segments
+    out = allocating_rhs(gen)(0.0, st[:, index])
+    np.testing.assert_allclose(out, -0.3 * 16.0 * st[:, index], atol=1e-14)
 
 
 def test_rhs_cutoff_annihilates_high_modes():
@@ -57,7 +59,7 @@ def test_rhs_cutoff_annihilates_high_modes():
     st = _single_mode(64, 2, 30)
     # mode 30 is beyond the cutoff support 1/h = 8: outside the active band,
     # which is |xi| < 1/h
-    gen = TruncatedGenerator(cs, st.shape[1], 1.0 / 8.0, 0.0)
+    gen = TruncatedGenerator(cs, st.shape[1], (1.0 / 8.0,), 0.0)
     assert 30 not in gen.xi
     assert np.max(np.abs(gen.xi)) < 8
 
@@ -85,13 +87,14 @@ def test_rk4_matches_matrix_exponential_order():
     a1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     cs = constant_system(a1)
     st = _single_mode(16, 2, 3)
-    gen = TruncatedGenerator(cs, 16, 0.0, 0.0)
+    gen = TruncatedGenerator(cs, 16, (0.0,), 0.0)
+    (_, index), = gen.segments
     idx = int(np.where(gen.xi == 3)[0][0])
     errs = []
     dts = [0.1, 0.05, 0.025]
     for dt in dts:
-        out = rk4_step(allocating_rhs(gen), st[:, gen.index], 0.0, dt)
-        exact = expm_batched(1j * a1 * 3.0 * dt, stack_blocks(a1)) @ st[:, [gen.index[idx]]]
+        out = rk4_step(allocating_rhs(gen), st[:, index], 0.0, dt)
+        exact = expm_batched(1j * a1 * 3.0 * dt, stack_blocks(a1)) @ st[:, [index[idx]]]
         errs.append(np.max(np.abs(out[:, [idx]] - exact)))
     order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert order >= 4.5
@@ -102,9 +105,9 @@ def test_rk4_budget_refused():
     # (inside the budget 2.5) and 4 at dt = 1/8
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 2.0, seed=2), horizon=0.5)
-    solve_cauchy(prob, _quick_params(), h=0.25, dt=1 / 16, track_energy=False)
+    solve_cauchy(prob, _quick_params(), (0.25,), dt=1 / 16, track_energy=False)
     with pytest.raises(ConfigError, match="stability budget"):
-        solve_cauchy(prob, _quick_params(), h=0.25, dt=1 / 8, track_energy=False)
+        solve_cauchy(prob, _quick_params(), (0.25,), dt=1 / 8, track_energy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +123,8 @@ def test_zero_system_constant_state():
     cs = constant_system(np.zeros((2, 2)))
     g = gevrey_data(64, 2, 2.0, 1.5, seed=1)
     prob = CauchyProblem(cs, g, horizon=0.5)
-    res = solve_cauchy(prob, _quick_params(), h=0.25, stride=4)
-    assert np.max(np.abs(res.states[-1] - g)) <= 1e-12
+    res = solve_cauchy(prob, _quick_params(), (0.25,), stride=4)
+    assert np.max(np.abs(res.states[0][-1] - g)) <= 1e-12
 
 
 def test_weighted_norm_examples():
@@ -131,23 +134,23 @@ def test_weighted_norm_examples():
     big_t, a, rho, ell = params.T, params.a, float(params.rho), params.ell
     cs = constant_system(np.zeros((2, 2)))
     g = gevrey_data(64, 2, 2.0, 1.5, seed=1)
-    res = solve_cauchy(CauchyProblem(cs, g, horizon=0.5), params, h=0.0, stride=4,
+    res = solve_cauchy(CauchyProblem(cs, g, horizon=0.5), params, (0.0,), stride=4,
                        track_energy=False)
-    times, sigmas = res.trace.times, np.array(res.trace.sigmas)
+    times, sigmas = res.traces[0].times, np.array(res.traces[0].sigmas)
     # with nu = 0, column 3 is the plain norm of v
     assert sigmas[3] == 0.0
     plain = [np.linalg.norm(g * gevrey_weight(lattice(64), big_t - a * t, rho, ell))
              for t in times]
-    np.testing.assert_allclose(res.trace.norms[:, 3], plain, rtol=1e-13)
+    np.testing.assert_allclose(res.traces[0].norms[:, 3], plain, rtol=1e-13)
     # a single mode of amplitude 2 at xi = 5, at t = 0 and along the run
     single = _single_mode(64, 2, 5, comp=1, value=2.0)
-    res = solve_cauchy(CauchyProblem(cs, single, horizon=0.5), params, h=0.0, stride=4,
+    res = solve_cauchy(CauchyProblem(cs, single, horizon=0.5), params, (0.0,), stride=4,
                        track_energy=False)
     br = bracket(5.0, ell)
-    np.testing.assert_allclose(res.trace.norms[0], 2.0 * br**sigmas * np.exp(big_t * br**rho),
+    np.testing.assert_allclose(res.traces[0].norms[0], 2.0 * br**sigmas * np.exp(big_t * br**rho),
                                rtol=1e-13)
-    np.testing.assert_allclose(res.trace.norms,
-                               res.trace.norms[0] * np.exp(-a * times[:, None] * br**rho),
+    np.testing.assert_allclose(res.traces[0].norms,
+                               res.traces[0].norms[0] * np.exp(-a * times[:, None] * br**rho),
                                rtol=1e-13)
 
 
@@ -156,10 +159,10 @@ def test_skew_system_norm_conserved():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     g = gevrey_data(64, 2, 2.0, 2.0, seed=2)
     prob = CauchyProblem(cs, g, horizon=0.5)
-    res = solve_cauchy(prob, _quick_params(), h=0.25, stride=4,
+    res = solve_cauchy(prob, _quick_params(), (0.25,), stride=4,
                        track_energy=False)
     norm0 = np.linalg.norm(g)
-    assert np.linalg.norm(res.states[-1]) == pytest.approx(norm0, abs=1e-8 * norm0)
+    assert np.linalg.norm(res.states[0][-1]) == pytest.approx(norm0, abs=1e-8 * norm0)
 
 
 def test_linearity():
@@ -169,10 +172,10 @@ def test_linearity():
     g = gevrey_data(64, 2, 8.0 / 7.0, 1.5, seed=3)
     prob1 = CauchyProblem(pre.coeffs, g, horizon=0.4)
     prob2 = CauchyProblem(pre.coeffs, 2.5 * g, horizon=0.4)
-    r1 = solve_cauchy(prob1, params, h=0.25, stride=8, track_energy=False)
-    r2 = solve_cauchy(prob2, params, h=0.25, stride=8, track_energy=False)
-    assert np.max(np.abs(r2.states[-1] - 2.5 * r1.states[-1])) <= 1e-12 * max(
-        1.0, np.max(np.abs(r2.states[-1]))
+    r1 = solve_cauchy(prob1, params, (0.25,), stride=8, track_energy=False)
+    r2 = solve_cauchy(prob2, params, (0.25,), stride=8, track_energy=False)
+    assert np.max(np.abs(r2.states[0][-1] - 2.5 * r1.states[0][-1])) <= 1e-12 * max(
+        1.0, np.max(np.abs(r2.states[0][-1]))
     )
 
 
@@ -181,9 +184,9 @@ def test_reality_preserved():
     g = gevrey_data(64, 2, 2.0, 1.5, seed=4)
     assert is_conjugate_symmetric(g)
     prob = CauchyProblem(pre.coeffs, g, horizon=0.5)
-    res = solve_cauchy(prob, _quick_params(), h=0.25, stride=8,
+    res = solve_cauchy(prob, _quick_params(), (0.25,), stride=8,
                        track_energy=False)
-    assert is_conjugate_symmetric(res.states[-1], tol=1e-12)
+    assert is_conjugate_symmetric(res.states[0][-1], tol=1e-12)
 
 
 def test_truncation_consistency():
@@ -193,12 +196,12 @@ def test_truncation_consistency():
     g = gevrey_data(128, 2, 2.0, 2.5, seed=5)
     prob = CauchyProblem(pre.coeffs, g, horizon=0.4)
     params = _quick_params()
-    r1 = solve_cauchy(prob, params, h=1 / 16, stride=16, track_energy=False)
-    r2 = solve_cauchy(prob, params, h=1 / 32, stride=16, track_energy=False)
+    r1 = solve_cauchy(prob, params, (1 / 16,), stride=16, track_energy=False)
+    r2 = solve_cauchy(prob, params, (1 / 32,), stride=16, track_energy=False)
     xi = lattice(g.shape[1])
     tail_mask = np.abs(xi) >= 8.0  # coarser plateau edge 1/(2h) = 8
     tail_mass = float(np.sqrt(np.sum(np.abs(g[:, tail_mask]) ** 2)))
-    diff = np.linalg.norm(r1.states[-1] - r2.states[-1])
+    diff = np.linalg.norm(r1.states[0][-1] - r2.states[0][-1])
     growth_budget = 10.0  # crude operator-growth allowance over the horizon
     assert diff <= growth_budget * max(tail_mass, 1e-14)
 
@@ -208,7 +211,7 @@ def test_stability_budget_enforced():
     g = gevrey_data(64, 2, 2.0, 1.5, seed=6)
     prob = CauchyProblem(cs, g, horizon=0.5)
     with pytest.raises(ConfigError):
-        solve_cauchy(prob, _quick_params(), h=0.25, dt=1.0)
+        solve_cauchy(prob, _quick_params(), (0.25,), dt=1.0)
 
 
 def test_param_validation_enforced():
@@ -218,7 +221,7 @@ def test_param_validation_enforced():
     bad = ParameterSet(rho=0.5, a=5.0, ell=16.0, tau=0.9, T=1.8, c1=0.225,
                        theta=0, a0=0.5, eps0=0.5, c_spec=0.5)
     with pytest.raises(ConfigError):
-        solve_cauchy(prob, bad, h=1 / 16)
+        solve_cauchy(prob, bad, (1 / 16,))
 
 
 def test_h_range_enforced():
@@ -226,7 +229,7 @@ def test_h_range_enforced():
     g = gevrey_data(64, 2, 2.0, 1.5, seed=8)
     prob = CauchyProblem(cs, g, horizon=0.5)
     with pytest.raises(ConfigError):
-        solve_cauchy(prob, _quick_params(), h=0.5)  # above 1/ell = 0.25
+        solve_cauchy(prob, _quick_params(), (0.5,))  # above 1/ell = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +292,8 @@ def test_energy_monotone_wave_t2_quick():
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=8.0 / 7.0,
                          gevrey_c0=2.2)
-    res = solve_cauchy(prob, params, h=1 / 128, stride=4)
-    tr = res.trace
+    res = solve_cauchy(prob, params, (1 / 128,), stride=4)
+    tr = res.traces[0]
     assert tr.er_mode == "multiplier"
     eta = (res.dt**2 + 1e-8) * 4
     assert np.all(tr.increments[1:] <= eta)
@@ -312,8 +315,8 @@ def test_both_apriori_constants_finite_at_weaker_rho():
     g = gevrey_data(128, 2, 8.0 / 7.0, 2.2, seed=14)
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon)
-    res = solve_cauchy(prob, params, h=1 / 128, stride=8, track_energy=False)
-    rep = energy_residual(res.trace)
+    res = solve_cauchy(prob, params, (1 / 128,), stride=8, track_energy=False)
+    rep = energy_residual(res.traces[0])
     assert np.isfinite(rep.c_first) and rep.c_first > 0
     assert np.isfinite(rep.c_second) and rep.c_second > 0
 
@@ -327,8 +330,8 @@ def test_scalar_transport_empirical_constant_one():
     params = _quick_params()
     g = gevrey_data(64, 1, 2.0, 1.5, seed=15)
     prob = CauchyProblem(cs, g, horizon=0.5)
-    res = solve_cauchy(prob, params, h=1 / 16, stride=8, track_energy=False)
-    rep = energy_residual(res.trace)
+    res = solve_cauchy(prob, params, (1 / 16,), stride=8, track_energy=False)
+    rep = energy_residual(res.traces[0])
     assert rep.c_first == pytest.approx(1.0, abs=1e-10)
 
 
@@ -338,7 +341,7 @@ def test_negative_eps_par_is_a_config_error():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=2.0)
     with pytest.raises(ConfigError, match="eps_par = -20.0"):
-        solve_cauchy(prob, _quick_params(), h=1 / 16, eps_par=-20.0, dt=2.4 / 205.0,
+        solve_cauchy(prob, _quick_params(), (1 / 16,), eps_par=-20.0, dt=2.4 / 205.0,
                      track_energy=False)
 
 
@@ -355,9 +358,9 @@ def test_non_finite_off_band_data_aborts_at_first_step(eps_par, bad):
     g[1, n_x // 2] = bad  # |xi| = n_x/2, off the band |xi| < 1/h
     prob = CauchyProblem(prob.coeffs, g, horizon=prob.horizon)
     with pytest.raises(NumericAbortError) as err:
-        solve_cauchy(prob, params, h=h, eps_par=eps_par, stride=4, track_energy=False)
+        solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4, track_energy=False)
     dt = solve_cauchy(CauchyProblem(prob.coeffs, np.zeros_like(g), horizon=prob.horizon),
-                      params, h=h, eps_par=eps_par, stride=4, track_energy=False).dt
+                      params, (h,), eps_par=eps_par, stride=4, track_energy=False).dt
     assert err.value.last_time == 0.0
     assert str(err.value) == f"evolution lost finiteness at t = {dt:.6g}"
 
@@ -373,7 +376,7 @@ def test_numeric_abort_band_first_between_samples():
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=5.0)
     dt, stride = 2.4 / 232.0, 7  # lam_bound = 32 ||A|| + ||B|| = 232
     with pytest.raises(NumericAbortError) as err:
-        solve_cauchy(prob, _quick_params(), h=1 / 16, dt=dt, stride=stride,
+        solve_cauchy(prob, _quick_params(), (1 / 16,), dt=dt, stride=stride,
                      track_energy=False)
     n_steps = math.ceil(prob.horizon / dt)
     _, last_time = _full_lattice_loop(prob, 1 / 16, 0.0, n_steps)
@@ -394,13 +397,14 @@ def test_off_band_modes_take_their_exact_decay():
     # bound's headroom, u |exact|, covers the second-order terms.
     mp = pytest.importorskip("mpmath")
     prob, params, h, eps_par = _band_case("xdep-eps")
-    res = solve_cauchy(prob, params, h=h, eps_par=eps_par, stride=4, track_energy=False)
+    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4, track_energy=False)
     n_x = prob.g.shape[1]
-    off_index = np.setdiff1d(np.arange(n_x), TruncatedGenerator(prob.coeffs, n_x, h, 0.0).index)
+    (_, index), = TruncatedGenerator(prob.coeffs, n_x, (h,), 0.0).segments
+    off_index = np.setdiff1d(np.arange(n_x), index)
     xi = lattice(n_x)[off_index]
     u = 2.0**-53
     with mp.workdps(40):
-        for t, st in zip(res.trace.times, res.states):
+        for t, st in zip(res.traces[0].times, res.states[0]):
             for x_i, xi_i in enumerate(xi):
                 arg = -mp.mpf(eps_par) * int(xi_i) ** 2 * mp.mpf(t)
                 decay = mp.exp(arg)
@@ -409,8 +413,8 @@ def test_off_band_modes_take_their_exact_decay():
                     bound = (2 * abs(arg) + 5) * u * abs(exact) + 2.0**-1074
                     assert abs(mp.mpc(st[c, off_index[x_i]]) - exact) <= bound
     n_steps = round(prob.horizon / res.dt)
-    assert n_steps % 4 != 0 and res.trace.times[-1] == n_steps * res.dt
-    assert not np.array_equal(res.states[-1][:, off_index], prob.g[:, off_index])
+    assert n_steps % 4 != 0 and res.traces[0].times[-1] == n_steps * res.dt
+    assert not np.array_equal(res.states[0][-1][:, off_index], prob.g[:, off_index])
 
 
 @pytest.mark.parametrize("preset,eps_par", [("xdep", 0.05), ("wave_t2", 0.0)])
@@ -418,7 +422,7 @@ def test_step_rk4_work_buffers_match_allocating_form(preset, eps_par):
     # the buffered step repeats the allocating step's operations in order,
     # so the two agree bit for bit, also when out is u
     coeffs = get_preset(preset).coeffs
-    gen = TruncatedGenerator(coeffs, 128, 1 / 16, eps_par)
+    gen = TruncatedGenerator(coeffs, 128, (1 / 16,), eps_par)
     dt = 0.01
     stages = [generator_matrix(gen, t) for t in (0.0, dt / 2.0, dt)]
     rng = np.random.default_rng(44)
@@ -500,12 +504,12 @@ def _band_case(kind):
 @pytest.mark.parametrize("kind", list(_BAND_CASES))
 def test_band_evolution_matches_full_lattice_loop(kind):
     prob, params, h, eps_par = _band_case(kind)
-    res = solve_cauchy(prob, params, h=h, eps_par=eps_par, track_energy=False)
+    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, track_energy=False)
     ref, last_time = _full_lattice_loop(prob, h, eps_par, round(prob.horizon / res.dt))
     assert last_time is None
-    assert np.max(np.abs(res.states[-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
-    off = np.setdiff1d(np.arange(prob.g.shape[1]),
-                       TruncatedGenerator(prob.coeffs, prob.g.shape[1], h, eps_par).index)
+    assert np.max(np.abs(res.states[0][-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    (_, index), = TruncatedGenerator(prob.coeffs, prob.g.shape[1], (h,), eps_par).segments
+    off = np.setdiff1d(np.arange(prob.g.shape[1]), index)
     if h == 0:
         assert off.size == 0
     elif eps_par:
@@ -513,8 +517,105 @@ def test_band_evolution_matches_full_lattice_loop(kind):
         assert np.max(np.abs(ref[:, off] - prob.g[:, off])) > 1e-6
     else:
         # off the band the generator is zero, so those modes keep u0 exactly
-        assert off.size and np.array_equal(res.states[-1][:, off], prob.g[:, off])
+        assert off.size and np.array_equal(res.states[0][-1][:, off], prob.g[:, off])
 
+
+
+# ---------------------------------------------------------------------------
+# The joint band of several cutoffs against each cutoff's own solve
+
+
+def _x_band_two():
+    """Harmonics up to 2, so that two separator modes follow each band."""
+    from hypersym.coeffs import CoeffTerm, SystemCoefficients, cosine_terms
+
+    return SystemCoefficients(m=2, a_terms=[
+        CoeffTerm(0, "1", np.array([[0.0, 1.0], [0.25, 0.0]], dtype=complex)),
+        *cosine_terms(2, np.array([[0.3, 0.0], [0.0, -0.3]], dtype=complex), "t")])
+
+
+# kind: (system, params preset, n_x, cutoffs, eps_par).  In each case a
+# cutoff's own solve takes the step path of the joint solve: the bands of
+# the x-dependent systems and of wave_t2 are past the size whose word table
+# fits in _BLOCK_BYTES, and jordan_lower's joint table still fits.
+_JOINT = (1 / 32, 0.0, 1 / 64, 1 / 32)
+_JOINT_CASES = {
+    "xdep": ("xdep", "xdep", 128, _JOINT, 0.0),
+    "diag_sym": ("diag_sym", "diag_sym", 128, _JOINT, 0.0),
+    "xdep-eps": ("xdep", "xdep", 128, _JOINT, 1e-3),
+    "wave_t2": ("wave_t2", "wave_t2", 576, (0.0, 1 / 288, 0.0), 0.0),
+    "jordan_lower": ("jordan_lower", "jordan_lower", 128, _JOINT, 0.0),
+    "x_band_two": (None, "xdep", 128, _JOINT, 0.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(_JOINT_CASES))
+def test_joint_band_matches_one_cutoff_solves(kind):
+    from hypersym.solver import BandPropagator
+    from hypersym.symmetrizer import _BLOCK_BYTES
+    from support import capped_params
+
+    system, preset, n_x, cutoffs, eps_par = _JOINT_CASES[kind]
+    coeffs = _x_band_two() if system is None else get_preset(system).coeffs
+    params = capped_params(preset, ell=1.0 / max(cutoffs))
+    s = 1.5
+    prob = CauchyProblem(coeffs, gevrey_data(n_x, coeffs.m, s, 1.5, seed=21),
+                         horizon=0.3, gevrey_s=s, gevrey_c0=1.5)
+
+    def steps(hs):
+        return BandPropagator.table_bytes(TruncatedGenerator(coeffs, n_x, hs, eps_par)) \
+            > _BLOCK_BYTES
+
+    assert len({steps(cutoffs)} | {steps((h,)) for h in cutoffs}) == 1
+    assert steps(cutoffs) == (kind != "jordan_lower")
+    joint = solve_cauchy(prob, params, cutoffs, eps_par=eps_par, stride=4)
+    assert joint.states.shape[:2] == (len(cutoffs), joint.traces[0].times.size)
+    for i, h in enumerate(cutoffs):
+        one = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4)
+        assert joint.dt == one.dt
+        np.testing.assert_array_equal(joint.states[i], one.states[0])
+        np.testing.assert_array_equal(joint.traces[i].norms, one.traces[0].norms)
+        np.testing.assert_array_equal(joint.traces[i].gevrey_c, one.traces[0].gevrey_c)
+        np.testing.assert_array_equal(joint.traces[i].e_r_raw, one.traces[0].e_r_raw)
+    assert np.isfinite(joint.traces[0].gevrey_c).any()
+
+
+def test_separator_modes_stay_zero():
+    # a separator mode has xi = 0 and chi = 0, so the generator maps every
+    # joint state to one that is zero there
+    coeffs = _x_band_two()
+    gen = TruncatedGenerator(coeffs, 64, (1 / 8, 0.0, 1 / 8), 0.05)
+    (first, _), (second, _), (third, _) = gen.segments
+    assert (second.start - first.stop, third.start - second.stop) == (2, 2)
+    gaps = np.r_[first.stop:second.start, second.stop:third.start]
+    assert np.all(gen.chi[gaps] == 0) and np.all(gen.xi[gaps] == 0)
+    rng = np.random.default_rng(45)
+    u = rng.normal(size=(2, gen.xi.size)) + 1j * rng.normal(size=(2, gen.xi.size))
+    assert np.all(allocating_rhs(gen)(0.3, u)[:, gaps] == 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numeric_abort_one_of_two_cutoffs():
+    # an elliptic A grows mode xi like e^{20 |xi| t}: the whole lattice
+    # (h = 0, |xi| up to 32) leaves the double range inside the horizon and
+    # the band |xi| < 4 of h = 1/4 does not.  The joint solve aborts where
+    # the whole lattice's own solve does, inside an interval between samples.
+    from hypersym.errors import NumericAbortError
+
+    cs = constant_system(20.0 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=3.0)
+    dt, stride = 2.4 / 640.0, 7  # lam_bound = 32 ||A|| = 640
+    solve_cauchy(prob, _quick_params(), (0.25,), dt=dt, stride=stride, track_energy=False)
+    with pytest.raises(NumericAbortError) as alone:
+        solve_cauchy(prob, _quick_params(), (0.0,), dt=dt, stride=stride, track_energy=False)
+    with pytest.raises(NumericAbortError) as joint:
+        solve_cauchy(prob, _quick_params(), (0.25, 0.0), dt=dt, stride=stride,
+                     track_energy=False)
+    assert joint.value.last_time == alone.value.last_time
+    assert str(joint.value) == str(alone.value)
+    n_steps = math.ceil(prob.horizon / dt)
+    step = round(joint.value.last_time / (prob.horizon / n_steps)) + 1
+    assert 0 < step < n_steps and step % stride != 0
 
 def test_generator_matches_quantized_symbol():
     # the term-shift application, collapsed per x-harmonic, must equal the
@@ -550,12 +651,13 @@ def test_generator_matches_quantized_symbol():
             chi = smooth_cutoff(h * lattice(st.shape[1]))
             quantized = kn_apply(generator_symbol(coeffs, t), st * chi[None, :])
             expected = quantized * chi[None, :]
-            gen = TruncatedGenerator(coeffs, st.shape[1], h, 0.0)
-            out = allocating_rhs(gen)(t, st[:, gen.index])
-            assert np.max(np.abs(out - expected[:, gen.index])) <= 1e-11 * max(
+            gen = TruncatedGenerator(coeffs, st.shape[1], (h,), 0.0)
+            (_, index), = gen.segments
+            out = allocating_rhs(gen)(t, st[:, index])
+            assert np.max(np.abs(out - expected[:, index])) <= 1e-11 * max(
                 1.0, np.max(np.abs(expected))
             )
-            off = np.setdiff1d(np.arange(st.shape[1]), gen.index)
+            off = np.setdiff1d(np.arange(st.shape[1]), index)
             if h:  # chi = 0 off the band, so nothing is left out there
                 assert off.size and np.all(expected[:, off] == 0)
             else:
