@@ -116,6 +116,15 @@ class SystemCoefficients:
     def x_band(self) -> int:
         return max((abs(t.x_freq) for t in self.a_terms + self.b_terms), default=0)
 
+    def symbol_nodes(self, t_values, x_values) -> tuple[np.ndarray, np.ndarray]:
+        """The t and x values whose nodes hold every distinct A(t, x) of the grid, bit for
+        bit: the first t alone when every A term's time term is ``1`` (``t^0`` counts as
+        time-dependent), the first x alone when no A term has an x-harmonic."""
+        t = np.atleast_1d(np.asarray(t_values, dtype=float))
+        x = np.atleast_1d(np.asarray(x_values, dtype=float))
+        return (t[:1] if all(term.t_term.strip() == "1" for term in self.a_terms) else t,
+                x if any(term.x_freq for term in self.a_terms) else x[:1])
+
     @functools.cached_property
     def blocks(self) -> list[np.ndarray]:
         """Index sets of the decoupled diagonal blocks of every stack built from the system:

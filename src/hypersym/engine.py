@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypersym.errors import ConfigError
+from hypersym.matkernel import line_fit
 from hypersym.weights import EXP_BUDGET, bracket
 
 
@@ -135,7 +136,7 @@ def conjugation_remainder_probe(
             rows.append(ConjugationOrderRow(k, target, None, norms, True))
             continue
         br = bracket(centers[good], ell)
-        slope = float(np.polyfit(np.log(br), np.log(norms[good]), 1)[0])
+        slope = float(line_fit(np.log(br), np.log(norms[good]))[0])
         if two_sided:
             ok = abs(slope - target) <= _ORDER_TOL
         else:

@@ -215,6 +215,52 @@ def block_eigvals(stack, blocks: list[np.ndarray]) -> np.ndarray:
     return vals
 
 
+def _norm_2x2(b11, b12, b21, b22) -> np.ndarray:
+    """The 2-norm of each 2x2 matrix B of the entry arrays b11, b12, b21, b22, in closed form
+    over the entries p, q, r of B*B: ``sqrt((p + r)/2 + hypot((p - r)/2, |q|))``, where no term
+    cancels.  Where the norm passes 2^(+-450), B is redone scaled by a power of two."""
+    def norm(b11, b12, b21, b22):
+        p = np.abs(b11) ** 2 + np.abs(b21) ** 2
+        r = np.abs(b12) ** 2 + np.abs(b22) ** 2
+        q = np.abs(np.conj(b11) * b12 + np.conj(b21) * b22)
+        return np.asarray(np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q)))
+    out = norm(b11, b12, b21, b22)
+    off = ~((out >= 2.0**-450) & (out <= 2.0**450))  # a square may have left the double range
+    if off.any():
+        b = [np.asarray(e)[off] for e in (b11, b12, b21, b22)]
+        w = np.ldexp(1.0, np.minimum(-np.frexp(np.max(np.abs(b), axis=0))[1], 1000))
+        out[off] = norm(*(e * w for e in b)) / w
+    return out
+
+
+def block_norm2(stack, blocks: list[np.ndarray]) -> np.ndarray:
+    """2-norms ``(..., m, m) -> (...)`` of a direct sum over ``blocks``: its largest block
+    norm.  A 1x1 block takes its modulus, a 2x2 one :func:`_norm_2x2` and a larger one
+    its largest singular value."""
+    stack = np.asarray(stack)
+    norms = np.zeros(stack.shape[:-2])
+    for idx in blocks:
+        i, j = idx[0], idx[-1]
+        if len(idx) == 1:
+            nb = np.abs(stack[..., i, i])
+        elif len(idx) == 2:
+            with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows are redone
+                nb = _norm_2x2(*(stack[..., a, b] for a in (i, j) for b in (i, j)))
+        else:
+            nb = np.linalg.svd(stack[..., idx[:, None], idx], compute_uv=False)[..., 0]
+        norms = np.maximum(norms, nb)
+    return norms
+
+
+def line_fit(x, y) -> np.ndarray:
+    """Least-squares line ``[slope, intercept]`` through (x, y), in centered closed form:
+    the coefficients of ``np.polyfit(x, y, 1)``.  Needs two distinct x, as every caller has."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xm, ym = x.mean(), y.mean()
+    slope = np.dot(x - xm, y - ym) / np.dot(x - xm, x - xm)
+    return np.array([slope, ym - slope * xm])
+
+
 def _max_imag(stack: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """Largest |Im eigenvalue| of each matrix in a non-empty stack of ``blocks``."""
     if stack.size == 0:
@@ -247,23 +293,22 @@ def certify_real_spectrum(
     Passes iff ``max |Im eigenvalue| <= tol * (1 + ||A||)`` over the grid;
     the report carries the worst sample (the first in (t, x, xi) order).
     The symbol is A(t, x) xi, so the largest ``||A||`` is the largest 2-norm
-    over the (t, x) grid times the largest |xi|.
+    over the (t, x) grid times the largest |xi|.  The distinct nodes alone are
+    evaluated (``coeffs.symbol_nodes``): they lead the grid, so hold its first maximum.
     """
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
-    field = taylor_symbol(coeffs, t_values[:, None], x_values, 1.0, z=0.0, order=0)
+    t_nodes, x_nodes = coeffs.symbol_nodes(t_values, x_values)
+    field = taylor_symbol(coeffs, t_nodes[:, None], x_nodes, 1.0, z=0.0, order=0)
     im = _max_imag(field[:, :, None] * xi_values[:, None, None], coeffs.blocks)  # (nt, nx, nxi)
-    norm_max = float(np.max(np.linalg.norm(field, 2, axis=(-2, -1)))
-                     * np.max(np.abs(xi_values)))
+    norm_max = float(np.max(block_norm2(field, coeffs.blocks)) * np.max(np.abs(xi_values)))
     i_t, i_x, i_xi = np.unravel_index(np.argmax(im), im.shape)
     tol_eff = tol * (1.0 + norm_max)
     return RealSpectrumReport(
         passed=bool(im[i_t, i_x, i_xi] <= tol_eff),
         max_imag=float(im[i_t, i_x, i_xi]),
         tol_effective=tol_eff,
-        worst_sample=(float(t_values[i_t]), float(x_values[i_x]), float(xi_values[i_xi])),
-        n_samples=im.size,
+        worst_sample=(float(t_nodes[i_t]), float(x_nodes[i_x]), float(xi_values[i_xi])),
+        n_samples=np.size(t_values) * np.size(x_values) * xi_values.size,
     )
 
 
@@ -309,13 +354,12 @@ def spectral_bound_certify(
     s_values = np.sort(np.asarray(s_values, dtype=float))[::-1]
     if np.any(s_values <= 0):
         raise ValueError("s_values must be positive")
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
+    t_nodes, x_nodes = coeffs.symbol_nodes(t_values, x_values)
     # z = i (i s) y for the imaginary step i s; shape (nt, nx, ns, ny, m, m)
-    hs = taylor_symbol(coeffs, t_values[:, None, None, None], x_values[:, None, None], 1.0,
+    hs = taylor_symbol(coeffs, t_nodes[:, None, None, None], x_nodes[:, None, None], 1.0,
                        -s_values[:, None] * y_values, coeffs.m)
-    im = _max_imag(hs, coeffs.blocks)  # (nt, nx, ns, ny)
+    im = _max_imag(hs, coeffs.blocks)  # (nt, nx, ns, ny) at the distinct nodes
     im_sy = np.max(im, axis=(0, 1))
     im_max = np.max(im_sy, axis=1)
     table = [(float(s), float(v)) for s, v in zip(s_values, im_max)]
@@ -333,7 +377,7 @@ def spectral_bound_certify(
         max_ratio=max_ratio,
         table=table,
         passed=passed,
-        n_samples=im.size,
+        n_samples=np.size(t_values) * np.size(x_values) * im_sy.size,
         grid=(s_values, y_values, im_sy),
     )
 
@@ -368,10 +412,10 @@ def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.nd
     A direct sum's norm, over ``blocks`` (the system's), is its largest block
     norm.  A 1x1 block gives ``e^{-s Im h}``.  A 2x2 block with Z = sH has
     ``e^{iZ} = e^{i mu} E`` with ``mu = tr Z / 2`` and E from :func:`_exp_2x2`,
-    the closed form that ``expm_batched`` shares, and norm
-    ``|e^{i mu}| sqrt((p + r)/2 + hypot((p - r)/2, |q|))`` over the entries
-    p, q, r of E*E, where no term cancels.  Larger blocks, irreducible, take
-    ``expm_batched``'s Pade core and an SVD.
+    the closed form that ``expm_batched`` shares, and norm ``|e^{i mu}| ||E||``
+    by :func:`_norm_2x2`.  Z is split at every (s, node), not H once a node:
+    scaled by s afterwards, d^2 underflows at H ~ 1e-221 and turns to NaN at
+    subnormal s.  Larger blocks, irreducible, take the Pade core.
     """
     norms = np.zeros((len(s), len(hs)))
     for idx in blocks:
@@ -380,16 +424,10 @@ def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.nd
             nb = np.exp(-s[:, None] * h[:, 0, 0].imag)
         elif len(idx) == 2:
             z = s[:, None, None, None] * h  # s H: no underflow where s H is O(1)
-            e11, e12, e21, e22 = _exp_2x2(z)
-            p = np.abs(e11) ** 2 + np.abs(e21) ** 2
-            r = np.abs(e12) ** 2 + np.abs(e22) ** 2
-            q = np.abs(np.conj(e11) * e12 + np.conj(e21) * e22)
-            nb = np.exp(-0.5 * (z[..., 0, 0] + z[..., 1, 1]).imag) \
-                * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+            nb = np.exp(-0.5 * (z[..., 0, 0] + z[..., 1, 1]).imag) * _norm_2x2(*_exp_2x2(z))
         else:
             exps = expm_batched(1j * s[:, None, None, None] * h, [np.arange(len(idx))])
-            finite = np.isfinite(exps).all()
-            nb = np.linalg.svd(exps, compute_uv=False)[..., 0] if finite else np.inf
+            nb = block_norm2(exps, [np.arange(len(idx))]) if np.isfinite(exps).all() else np.inf
         norms = np.maximum(norms, nb)
     return norms
 
@@ -405,10 +443,9 @@ def _growth_curves(
 ):
     """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf.
 
-    One eps at a time (peak memory is one (s, node) batch), on the system's partition.
+    One eps at a time (peak memory is one (s, node) batch), on the partition and distinct nodes.
     """
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
+    t_values, x_values = coeffs.symbol_nodes(t_values, x_values)
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
     # H_N(eps) at every node, shape (n_eps, n_nodes, m, m), nodes in (t, x, xi) order
     hs = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
@@ -481,7 +518,7 @@ def estimate_theta(
         g, low = _growth_curves(
             coeffs, n_taylor, eps_values, t_values, x_values, _THETA_XI, c_hat
         )
-        fit = np.polyfit(np.log(eps_values), np.log(g), 1)
+        fit = line_fit(np.log(eps_values), np.log(g))
         theta_raw = -float(fit[0])
         theta_hat = int(np.clip(round(theta_raw), 0, m - 1))
         n_next = taylor_order(theta_hat, m)

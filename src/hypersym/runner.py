@@ -235,12 +235,13 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
         if te.theta_hat == theta and te.residual <= 0.25:
             break
         eps0 /= 2.0
-    # imaginary spread of H_N relative to the damping scale, over a probe set
+    # imaginary spread of H_N relative to the damping scale, over a probe set's distinct nodes
     probe = ParameterSet(rho=0.5, a=2.0, ell=4.0, tau=min(0.5, eps0), T=2.0,
                          c1=0.1, theta=theta, a0=0.0, eps0=eps0, c_spec=c)
     xis = np.array([4.0, 16.0, 64.0])
     mu = bracket(xis, 4.0) ** 0.5
-    h = symmetrizer.hn_over_lattice(coeffs, probe, ts[:, None, None], xs[:, None], xis)
+    t_nodes, x_nodes = coeffs.symbol_nodes(ts, xs)
+    h = symmetrizer.hn_over_lattice(coeffs, probe, t_nodes[:, None, None], x_nodes[:, None], xis)
     if not np.isfinite(h).all():
         raise HypersymError("calibration: H_N is not finite: the symbol leaves the double range")
     spread = matkernel._max_imag(h, coeffs.blocks) / (c * mu)
@@ -441,7 +442,8 @@ def _cmd_symmetrize(config: dict) -> dict:
     field = symmetrizer.build_field(coeffs, params, ts, xs, xis)
     inv = field.check_invariants()
     lyap_ok = inv["max_lyapunov_residual_rel"] <= 1e-8
-    sub = (slice(None), slice(0, 2), slice(None))
+    # the oracle takes every t and the first two x, at their distinct nodes alone
+    sub = tuple(slice(len(v)) for v in coeffs.symbol_nodes(ts, xs[:2])) + (slice(None),)
     quad = symmetrizer.quadrature_R(field.M[sub], np.broadcast_to(
         field.rhs, field.M.shape[:-2])[sub], coeffs.blocks, tol=1e-8)
     agree = float(np.max(

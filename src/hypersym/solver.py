@@ -70,6 +70,7 @@ import numpy as np
 from hypersym.coeffs import SystemCoefficients, time_function
 from hypersym.engine import lattice, squared_moduli
 from hypersym.errors import ConfigError, NumericAbortError, require_memory
+from hypersym.matkernel import line_fit
 from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
     _BLOCK_BYTES,
@@ -813,8 +814,7 @@ def parabolic_study(
                           track_energy=False, stride=16).states[0]
         diffs.append(_l2(r1[-1] - r2[-1]))
         sups.append(max(_l2(u) for u in r1))
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-    rate = float(np.polyfit(np.log(eps_arr), np.log(np.maximum(diffs, 1e-300)), 1)[0])
+    rate = float(line_fit(np.log(eps_list), np.log(np.maximum(diffs, 1e-300)))[0])
     spread = (max(sups) - min(sups)) / min(sups)
     return ParabolicStudyResult(
         eps_values=list(eps_list),

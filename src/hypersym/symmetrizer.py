@@ -18,7 +18,8 @@ import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import SamplingError, StabilityMarginError
-from hypersym.matkernel import block_eigvals, expm_batched, taylor_order, taylor_symbol
+from hypersym.matkernel import (block_eigvals, block_norm2, expm_batched, line_fit, taylor_order,
+                                taylor_symbol)
 from hypersym.weights import bracket, poly_bump
 
 
@@ -368,7 +369,7 @@ def lower_bound_check(field: SymmetrizerField) -> LowerBoundReport:
     br = bracket(field.xi_nodes, float(params.ell))
     win = _fit_window(field.xi_nodes, float(params.ell))
     if np.count_nonzero(win) >= 2 and (br[win].max() / br[win].min()) > 1.001:
-        slope, _ = np.polyfit(np.log(br[win]), np.log(per_xi[win]), 1)
+        slope, _ = line_fit(np.log(br[win]), np.log(per_xi[win]))
     else:
         slope = 0.0
     c_prime = float(np.min(per_xi * br ** (2.0 * nu)))
@@ -483,8 +484,8 @@ def symbol_estimate_probe(
     derivative (one time derivative acts like one space derivative), probed
     at t = ``_PROBE_T0`` and x in ``_X_PROBES``.  The fit passes when it does
     not exceed target + ``_EXPONENT_TOL``; a log-fit residual above 0.3 marks
-    the row inconclusive rather than failed.  Rows whose samples sit at the
-    noise floor pass trivially.
+    the row inconclusive rather than failed, as does a single frequency above
+    the noise floor (no slope).  Rows whose samples sit at the floor pass trivially.
 
     The 7 rows share 13 distinct (t, x, xi) offsets per probe point, one
     :func:`_stencil_derivatives` call: one ``damped_generator`` call and one
@@ -503,24 +504,23 @@ def symbol_estimate_probe(
     sweep = [_stencil_derivatives(coeffs, rescale_for_a(params, a), x_probes[:1],
                                   xi_values[[len(xi_values) // 2]], _PROBE_T0, _ROWS)
              for a in (_A_VALUES if check_a_power else ())]
-    for (alpha, beta, dt_flag), d, *d_a in zip(_ROWS, derivs, *sweep):
+    row_vals = np.max(block_norm2(np.array(derivs), coeffs.blocks), axis=1)  # (row, xi)
+    for (alpha, beta, dt_flag), vals, *d_a in zip(_ROWS, row_vals, *sweep):
         target = 2 * nu + (1 - rho + nu) * beta - (rho - nu) * alpha
         if dt_flag:
             target += 1 - rho + nu
-        vals = np.max(np.linalg.norm(d, 2, axis=(-2, -1)), axis=0)
         floor = 1e-12
-        if np.max(vals) <= floor:
-            rows.append(
-                SymbolEstimateRow(alpha, beta, dt_flag, target, None, 0.0,
-                                  None, True, False)
-            )
-            continue
         good = (vals > floor) & _fit_window(xi_values, ell)
         if np.count_nonzero(good) < 3:
             good = vals > floor
-        fit = np.polyfit(np.log(br[good]), np.log(vals[good]), 1)
+        log_br = np.log(br[good])
+        if len(set(log_br.tolist())) < 2:  # at the floor it passes; one abscissa is no slope
+            rows.append(SymbolEstimateRow(alpha, beta, dt_flag, target, None, 0.0, None,
+                                          not good.any(), bool(good.any())))
+            continue
+        fit = line_fit(log_br, np.log(vals[good]))
         resid = float(np.sqrt(np.mean(
-            (np.log(vals[good]) - np.polyval(fit, np.log(br[good]))) ** 2
+            (np.log(vals[good]) - np.polyval(fit, log_br)) ** 2
         )))
         fitted = float(fit[0])
         inconclusive = resid > 0.3
@@ -529,12 +529,9 @@ def symbol_estimate_probe(
             # The class constant is one-sided: families far below the bound
             # shed a-decay into their bracket slack, so the a-slope is
             # reported and only monotone non-increase in a is asserted.
-            norms = [float(np.linalg.norm(da[0, 0], 2)) for da in d_a]
+            norms = block_norm2(np.array([da[0, 0] for da in d_a]), coeffs.blocks)
             if max(norms) > floor:
-                a_fitted = float(
-                    np.polyfit(np.log(np.asarray(_A_VALUES, float)),
-                               np.log(np.maximum(norms, 1e-300)), 1)[0]
-                )
+                a_fitted = float(line_fit(np.log(_A_VALUES), np.log(np.maximum(norms, 1e-300)))[0])
         passed = bool(fitted <= target + _EXPONENT_TOL)
         if check_a_power and a_fitted is not None:
             passed = passed and (a_fitted <= 0.05)

@@ -15,6 +15,7 @@ from hypersym.matkernel import (
     certify_real_spectrum,
     estimate_theta,
     expm_batched,
+    line_fit,
     spectral_bound_certify,
     taylor_symbol,
 )
@@ -516,6 +517,61 @@ def test_mixed_block_direct_sum_takes_pade_path():
     te_mixed = estimate_theta(mixed, eps, t_values=_TS, x_values=_XS)
     assert te_mixed.theta_hat == te.theta_hat
     np.testing.assert_allclose(te_mixed.g_values, te.g_values, rtol=1e-9)
+
+
+def test_barometer_peak_is_one_eps_batch():
+    # _growth_curves holds one eps's (s, node) batch at a time.  At the theta
+    # command's 9 eps on block_direct_sum, tracemalloc reads about 521 kB, and
+    # 652 kB before _exp_norms took its 2x2 norms from block_norm2's closed
+    # form; the bound is the latter.  One batch of all 9 eps reads 3.2 MB.
+    import tracemalloc
+
+    coeffs = get_preset("block_direct_sum").coeffs
+    eps = np.geomspace(1e-3, 1e-1, 9)
+    estimate_theta(coeffs, eps, t_values=_TS, x_values=_XS)  # loads numpy's lazy modules
+    tracemalloc.start()
+    try:
+        estimate_theta(coeffs, eps, t_values=_TS, x_values=_XS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 652_000
+
+
+# Abscissae of line_fit's callers: log brackets of the symmetrize xi grid (the
+# symbol probe and the lower bound), log eps of the theta fits, log eps_list
+# of the parabolic study, log a of the a-power sweep, and log brackets of the
+# conjugation probe's dyadic band centres.
+_FIT_ABSCISSAE = {
+    "log xi": np.log(np.hypot(np.geomspace(2.0**4, 2.0**12, 9), 4.0)),
+    "log eps, 7": np.log(np.geomspace(1e-3, 1e-1, 7)),
+    "log eps, 9": np.log(np.geomspace(1e-3, 1e-1, 9)),
+    "log eps_list": np.log([1e-2, 1e-3, 1e-4]),
+    "log a": np.log([2.0, 4.0, 8.0]),
+    "log band centre": np.log(np.hypot(np.sqrt(2.0 ** np.arange(1, 7) * 2.0 ** np.arange(2, 8)),
+                                       1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIT_ABSCISSAE))
+def test_line_fit_matches_polyfit_on_callers_abscissae(name):
+    x = _FIT_ABSCISSAE[name]
+    rng = np.random.default_rng(11)
+    for slope, intercept in ((-1.3, 0.7), (0.25, -4.0), (2.0, 3.0), (0.0, 1.0)):
+        y = slope * x + intercept + 0.1 * rng.normal(size=x.size)
+        np.testing.assert_allclose(line_fit(x, y), np.polyfit(x, y, 1), rtol=1e-12, atol=0)
+
+
+def test_line_fit_matches_polyfit_on_random_data():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 5, 9, 40):
+        for _ in range(50):
+            # n points a unit or more apart in all, jittered, off the origin
+            x = rng.uniform(-5.0, 5.0) + np.linspace(0.0, rng.uniform(1.0, 4.0), n) \
+                + 0.1 * rng.uniform(-1.0, 1.0, n)
+            intercept = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 5.0)
+            y = rng.normal() * x + intercept + 0.1 * rng.normal(size=n)
+            np.testing.assert_allclose(line_fit(x, y), np.polyfit(x, y, 1), rtol=1e-12, atol=0)
 
 
 def test_smooth_cutoff_plateau():

@@ -1,6 +1,7 @@
 """Symmetrizer construction, oracles, and estimate probes."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +382,23 @@ def test_symbol_probe_presets_quick():
         for row in rep.rows:
             assert row.inconclusive or row.fitted is None or \
                 row.fitted <= row.target + 0.15
+
+
+def test_symbol_probe_one_frequency_is_inconclusive():
+    # a single distinct abscissa gives no slope: rows with a signal are
+    # inconclusive and unfitted, rows at the noise floor pass as before.
+    # geomspace(64, 64, 9), the symmetrize grid at xi_lo = xi_hi, differs
+    # from 64 by an ulp at some points, which the log takes back to one value
+    pre = get_preset("diag_sym")
+    pr = plan(0, "lipschitz")
+    for xis in (np.full(3, 64.0), np.geomspace(64.0, 64.0, 9)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = symbol_estimate_probe(pre.coeffs, pr.params, xis)
+        assert all(row.fitted is None for row in rep.rows)
+        assert any(row.inconclusive for row in rep.rows)
+        assert all(row.inconclusive != row.passed for row in rep.rows)
+        assert rep.passed
 
 
 def test_symbol_probe_a_sweep_reports():
