@@ -2,7 +2,9 @@
 
 All index formulas are evaluated in rational arithmetic; the constraint
 checks accept rational inputs and compare exactly (fractional powers are
-compared through integer cross-powers, never through floats).
+compared through integer cross-powers, never through floats).  :func:`plan`
+derives every run's parameters, with ``ell`` capped or not, so each plan
+meets :func:`validate_params` by construction.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from hypersym.errors import ConfigError
 from hypersym.symmetrizer import ParameterSet
 
 # The mollifier exponent delta: the vertex of the (delta, rho) region.  The
@@ -129,7 +132,7 @@ class PlanResult:
 
 
 def _pow_ceil_int(a: Fraction, expo: Fraction) -> int:
-    """Smallest integer ell with a <= ell^expo (expo > 0)."""
+    """Smallest power of two ell with a <= ell^expo (expo > 0)."""
     ell = 1
     while not _le_pow(a, Fraction(ell), expo):
         ell *= 2
@@ -143,53 +146,47 @@ def plan(
     c: Fraction | float = Fraction(1, 2),
     a0: Fraction | float = 1,
     eps0: Fraction | float = Fraction(1, 2),
+    ell_max: float | None = None,
 ) -> PlanResult:
     """Compute thresholds and an admissible parameter template.
 
-    The threshold is s0 = 1/rho with rho from :func:`rho_required`.  The
-    template picks ``a = a0 + 1``, the smallest power-of-two ``ell``
-    compatible with the weight window, ``T`` at the damping-window boundary
-    and ``tau`` inside both windows; every choice is re-validated exactly.
+    The threshold is s0 = 1/rho with rho from :func:`rho_required`.  Without
+    ``ell_max`` the template picks ``a = a0 + 1`` and the smallest
+    power-of-two ``ell`` compatible with the weight window.  With it, ``ell``
+    is the cap and ``a`` the rational ``0.999 ell^(1-rho)`` just under the
+    window's top; a cap whose window holds no ``a >= a0 + 1`` raises
+    :class:`ConfigError`.  Either way ``T`` sits at the damping-window
+    boundary and ``tau`` inside both windows, and every choice is
+    re-validated exactly.
     """
     rho, binding = rho_required(theta, mode, kappa)
     s0 = 1 / rho
     kap, delta = (Fraction(kappa), DELTA) if mode == "holder" else (None, None)
     c, a0, eps0 = Fraction(c), Fraction(a0), Fraction(eps0)
 
-    a = a0 + 1
-    ell = _pow_ceil_int(a, 1 - rho)
+    if ell_max is None:
+        a = a0 + 1
+        ell = _pow_ceil_int(a, 1 - rho)
+    else:
+        ell = Fraction(ell_max)
+        a = Fraction(0.999 * float(ell) ** (1.0 - float(rho)))
+        if a < a0 + 1:
+            raise ConfigError(f"cannot satisfy a >= a0+1 = {float(a0 + 1):.3g} "
+                              f"with ell <= {float(ell)}")
     big_t = a / (2 * c)
     # tau must satisfy c*tau <= T and tau <= eps0 * ell^(1-rho); take a
     # dyadic value strictly inside and keep c1 at half the lower edge.
     tau = big_t / c
-    while not _le_pow(tau / eps0, Fraction(ell), 1 - rho):
+    while not _le_pow(tau / eps0, ell, 1 - rho):
         tau = tau / 2
     c1 = c * tau / 2
-    params = ParameterSet(
-        rho=rho,
-        a=a,
-        ell=ell,
-        tau=tau,
-        T=big_t,
-        c1=c1,
-        theta=theta,
-        kappa=kap,
-        s=s0,
-        delta=delta,
-        a0=a0,
-        eps0=eps0,
-        c_spec=c,
-    )
+    # a capped plan reports no s, as the recorded study-h summaries have it;
+    # either way the run picks the data's own index below s0
+    params = ParameterSet(rho=rho, a=a, ell=ell, tau=tau, T=big_t, c1=c1, theta=theta,
+                          kappa=kap, s=s0 if ell_max is None else None, delta=delta,
+                          a0=a0, eps0=eps0, c_spec=c)
     violations = validate_params(params, c, a0, eps0)
     if violations:
         raise AssertionError(f"planner produced invalid template: {violations}")
-    return PlanResult(
-        s0=s0,
-        rho_required=rho,
-        binding=binding,
-        delta=delta,
-        params=params,
-        theta=theta,
-        mode=mode,
-        kappa=kap,
-    )
+    return PlanResult(s0=s0, rho_required=rho, binding=binding, delta=delta, params=params,
+                      theta=theta, mode=mode, kappa=kap)

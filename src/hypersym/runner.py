@@ -255,41 +255,15 @@ def run_params(
     kappa=None,
     ell_max: float | None = None,
 ) -> ParameterSet:
-    """Admissible parameters for an evolution run, from a problem's calibration.
+    """The planner's parameters for a problem's calibration, its constants taken exactly.
 
-    Without an ``ell_max`` cap the planner template is used directly.  A cap
-    (needed when the cutoff range h <= 1/ell must reach coarse h) shrinks a
-    to the weight window ``a <= ell^(1-rho)``, which is only admissible when
-    the calibrated damping floor a0 is small enough.
+    ``ell_max`` caps ``ell`` (see :func:`planner.plan`).  The uncapped
+    template keeps the damping at scale ``a >= 2`` even when the empirical
+    floor is lower, so the weight window stays nontrivial.
     """
-    theta = cal.theta
-    rho_frac, _ = planner.rho_required(theta, mode, kappa)
-    if ell_max is None:
-        # Keep the damping at scale a >= 2 even when the empirical floor
-        # is lower, so the weight window stays nontrivial.
-        a0_eff = max(cal.a0, 1.0)
-        pr = planner.plan(theta, mode, kappa, c=Fraction(cal.c).limit_denominator(10**6),
-                          a0=Fraction(a0_eff).limit_denominator(10**6),
-                          eps0=Fraction(cal.eps0).limit_denominator(10**6))
-        return pr.params
-    rho = float(rho_frac)
-    ell = float(ell_max)
-    a = 0.999 * ell ** (1.0 - rho)
-    if a < cal.a0 + 1.0:
-        raise ConfigError(
-            f"cannot satisfy a >= a0+1 = {cal.a0 + 1:.3g} with ell <= {ell}"
-        )
-    big_t = a / (2.0 * cal.c)
-    tau = min(0.999 * big_t / cal.c, 0.999 * cal.eps0 * ell ** (1.0 - rho))
-    c1 = cal.c * tau / 2.0
-    params = ParameterSet(rho=rho_frac, a=a, ell=ell, tau=tau, T=big_t, c1=c1,
-                          theta=theta, kappa=kappa,
-                          delta=planner.DELTA if mode == "holder" else None,
-                          a0=cal.a0, eps0=cal.eps0, c_spec=cal.c)
-    violations = planner.validate_params(params, cal.c, cal.a0, cal.eps0)
-    if violations:
-        raise ConfigError("calibrated params invalid: " + "; ".join(violations))
-    return params
+    a0 = cal.a0 if ell_max is not None else max(cal.a0, 1.0)
+    return planner.plan(cal.theta, mode, kappa, c=cal.c, a0=a0, eps0=cal.eps0,
+                        ell_max=ell_max).params
 
 
 def _solve_setup(config: dict):
@@ -433,6 +407,9 @@ def _cmd_nuij(config: dict) -> dict:
 
 
 def _cmd_symmetrize(config: dict) -> dict:
+    if config["xi_lo"] == config["xi_hi"]:  # one frequency: every slope fit is empty
+        raise ConfigError(f"xi_lo, xi_hi: both are {config['xi_lo']}, so the symbol "
+                          "probe has one frequency and fits no slope")
     coeffs, theta_decl, name = _resolve_coeffs(config)
     cal = calibrate(coeffs, theta_decl)
     params = run_params(cal)

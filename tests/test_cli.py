@@ -10,6 +10,7 @@ import pytest
 
 from hypersym.cli import main
 from hypersym.errors import ConfigError
+from hypersym.presets import preset_names
 from hypersym.runner import COMMAND_SCHEMAS, _check, run, validate_config
 
 
@@ -128,6 +129,8 @@ def test_wrong_type_rejected(cfg):
     ["solve", "--preset", "xdep", {"seed": -1}],
     ["solve", "--preset", "xdep", "--seed", "0", {"c0": 0}],
     ["symmetrize", "--preset", "diag_sym", {"n_xi": 1}],
+    # one frequency: the symbol probe's slopes have nothing to fit
+    ["symmetrize", "--preset", "diag_sym", {"xi_lo": 64, "xi_hi": 64}],
     ["symmetrize", {"coeffs": _zero_coeffs(9)}],
     ["solve", "--seed", "0", {"coeffs": _zero_coeffs(9)}],
     ["certify", "--preset", "xdep", {"y_values": [0.0]}],
@@ -186,6 +189,24 @@ def test_holder_runs_at_the_declared_kappa(kappa, command):
     if "params" in summary:  # study-parabolic reports no parameters
         assert summary["params"]["kappa"] == kappa
         assert summary["params"]["rho"] == float(1 - Fraction(kappa) / 2)
+
+
+def test_study_h_capped_window_without_room_exits_2_saying_so(capsys, tmp_path):
+    # at kappa 1e-4 the weight window under study-h's cap ell = 64 tops out
+    # below a0 + 1; the refusal keeps its own words, not a kappa range error
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"coeffs": _holder_coeffs(1e-4)}))
+    assert main(["study-h", "--seed", "0", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: cannot satisfy a >= a0+1 = 1 with ell <= 64.0\n"
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_study_h_runs_on_every_preset(name):
+    status, summary = run({"command": "study-h", "schema_version": "1", "seed": 0,
+                           "preset": name})
+    assert status == 0
+    assert summary["params"]["ell"] == 64.0
 
 
 @pytest.mark.parametrize("kappa", [0.001, 1.0])

@@ -1,0 +1,57 @@
+"""Property: every plan a calibration yields is admissible, or refused by name.
+
+Each example draws a calibration (c in [0.5, 3], a0 in [0, 3], eps0 = 2^-k,
+theta in 0..3), a mode (Hoelder at a kappa drawn as a fraction or as a
+float) and an ell cap, or none.  ``run_params`` must either plan parameters
+that meet every constraint exactly against the drawn constants, or refuse
+a cap whose weight window holds no ``a >= a0 + 1``.  Kappa stays at 1/16 or
+more: below it the uncapped template's ell can leave the double range,
+which the solve setup refuses on its own.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from hypersym.errors import ConfigError
+from hypersym.planner import validate_params
+from hypersym.runner import Calibration, run_params
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+_KAPPA_MIN = Fraction(1, 16)
+
+_calibrations = st.builds(
+    Calibration,
+    c=st.floats(0.5, 3.0),
+    a0=st.floats(0.0, 3.0),
+    eps0=st.integers(0, 6).map(lambda k: 2.0**-k),
+    theta=st.integers(0, 3),
+)
+_modes = st.one_of(
+    st.tuples(st.just("lipschitz"), st.none()),
+    st.tuples(st.just("holder"), st.one_of(
+        st.fractions(_KAPPA_MIN, 1, max_denominator=1000).filter(lambda k: k < 1),
+        st.floats(float(_KAPPA_MIN), 1.0, exclude_max=True))),
+)
+_caps = st.one_of(st.none(), st.floats(4.0, 2.0**12))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.example(cal=Calibration(c=1.0500000000000698, a0=0.24902723735406868, eps0=0.5,
+                                    theta=1),
+                    mode_kappa=("lipschitz", None), ell_max=64.0)  # wave_x2 at study-h's cap
+@hypothesis.given(cal=_calibrations, mode_kappa=_modes, ell_max=_caps)
+def test_run_params_is_admissible_or_refused(cal, mode_kappa, ell_max):
+    mode, kappa = mode_kappa
+    try:
+        params = run_params(cal, mode, kappa, ell_max)
+    except ConfigError as exc:
+        assert ell_max is not None
+        assert str(exc).startswith("cannot satisfy a >= a0+1"), exc
+        return
+    a0 = max(cal.a0, 1.0) if ell_max is None else cal.a0
+    assert validate_params(params, cal.c, a0, cal.eps0) == []
+    if ell_max is not None:
+        assert params.ell == ell_max
