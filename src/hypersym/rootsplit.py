@@ -3,9 +3,11 @@
 The splitter applies ``(1 + s d/dzeta)`` repeatedly to a monic real-rooted
 polynomial.  Each application is exact coefficient arithmetic (derivative
 plus scaled add), which amplifies no rounding; only the final root extraction
-is numerical (companion matrix plus one Newton polish step, deterministic
-ordering).  Every routine takes a stack: leading axes index independent
-polynomials, and a single one is a stack with no leading axes.
+is numerical: a vectorized Laguerre iteration whose rows are accepted only
+when an after-the-fact rounding check separates every root, and the companion
+matrix plus one Newton polish step for the rows it does not accept.  Every
+routine takes a stack: leading axes index independent polynomials, and a
+single one is a stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypersym.errors import HypersymError, NotRealRootedError
+
+# Laguerre steps one root may take before its row goes to the companion path
+LAGUERRE_MAX_STEPS = 40
+# a row is accepted when each root's rounding radius is at most this share of
+# the row's smallest gap, so each gap is right to twice this share
+LAGUERRE_GAP_SHARE = 1e-8
 
 
 @dataclass
@@ -77,15 +85,75 @@ def polished_roots(c) -> np.ndarray:
     return _sort_rows(np.where(safe, raw - step, raw))
 
 
+def _laguerre_terms(ct, abs_ct, z) -> np.ndarray:
+    """q''/2, q', q and sum_j |c_j| |z|^j at ``z`` by Horner's rule, ``(4, rows)``,
+    from the coefficient columns ``ct[j]`` and their moduli."""
+    half_ddq, dq, q, size, az = 0.0, 0.0, ct[-1], abs_ct[-1], np.abs(z)
+    for j in range(ct.shape[0] - 2, -1, -1):
+        half_ddq, dq = half_ddq * z + dq, dq * z + q
+        q, size = q * z + ct[j], size * az + abs_ct[j]
+    return np.stack((half_ddq, dq, q, size))
+
+
+def laguerre_roots(c) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of monic ascending rows, and which rows are accepted:
+    ``(..., m+1) -> (..., m), (...)``.  Laguerre's method, smallest root first
+    from under the Laguerre-Samuelson bound, with Maehly's implicit deflation
+    (Stoer & Bulirsch, *Introduction to Numerical Analysis*, sec. 5.5); each
+    root stops once |q(z)| <= e(z) = 2 m u sum_j |c_j| |z|^j, Horner's rounding
+    bound.  A row is accepted when all its roots stopped, strictly increase and
+    have e(y)/|q'(y)| at most ``LAGUERRE_GAP_SHARE`` of its smallest gap; the
+    roots of other rows mean nothing.
+    """
+    c = np.asarray(c, dtype=float)
+    m, lead = c.shape[-1] - 1, c.shape[:-1]
+    if m == 1:
+        return -c[..., :1], np.ones(lead, dtype=bool)
+    ct = c.reshape(-1, m + 1).T.copy()  # coefficient j of every row, contiguous
+    abs_ct, (roots, radius) = np.abs(ct), np.zeros((2, m, ct.shape[1]))
+    ok = np.ones(ct.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):
+        mean = -ct[m - 1] / m
+        half_width = np.sqrt(np.maximum((ct[m - 1] ** 2 - 2 * ct[m - 2]) / m - mean**2, 0.0)
+                             * (m - 1))
+        # lowered so that rounding in the bound cannot start inside the smallest root
+        start = mean - half_width - 1e-6 * (np.abs(mean) + half_width)
+        at_start = _laguerre_terms(ct, abs_ct, start)  # every root starts there
+        for k in range(m):
+            n, rows = m - k, np.flatnonzero(ok)
+            z, terms = start[rows], at_start[:, rows]
+            for _ in range(LAGUERRE_MAX_STEPS):
+                bound = m * np.finfo(float).eps * terms[3]  # 2 m u sum_j |c_j| |z|^j
+                stop = np.abs(terms[2]) <= bound
+                roots[k, rows[stop]] = z[stop]
+                radius[k, rows[stop]] = bound[stop] / np.abs(terms[1, stop])
+                rows, z, (half_ddq, dq, q, _) = rows[~stop], z[~stop], terms[:, ~stop]
+                if not rows.size:
+                    break
+                inv = 1.0 / (z - np.take(roots[:k], rows, axis=1))
+                g = dq / q
+                big_g = g - inv.sum(axis=0)
+                big_h = g * g - 2 * half_ddq / q - (inv * inv).sum(axis=0)
+                root = np.sqrt(np.maximum((n - 1) * (n * big_h - big_g * big_g), 0.0))
+                z = z - n / (big_g + np.copysign(root, big_g))  # the sign follows G
+                terms = _laguerre_terms(np.take(ct, rows, axis=1), np.take(abs_ct, rows, axis=1), z)
+            ok[rows] = False  # a root that did not stop
+        gaps = np.diff(roots, axis=0)
+        ok &= np.all(gaps > 0, axis=0) & np.all(radius <= LAGUERRE_GAP_SHARE * gaps.min(axis=0), axis=0)
+    return roots.T.reshape(lead + (m,)), ok.reshape(lead)
+
+
 def nuij_split(rows, s) -> SplitResult:
     """Apply ``(1 + s d/dzeta)`` m times, m the degree.
 
     ``rows`` are ascending monic coefficients ``(..., m+1)``; ``s``
     broadcasts against their leading axes.
     The split polynomial of a real-rooted input is again real-rooted with
-    consecutive-root gaps at least ``nuij_constant(m) * |s|``.  A complex
-    root beyond tolerance means the input was not real-rooted and is
-    reported as such, since the operator preserves real-rootedness.
+    consecutive-root gaps at least ``nuij_constant(m) * |s|``.  Its roots
+    are :func:`laguerre_roots`', or the sorted :func:`polished_roots` on rows
+    it does not accept.  A complex root beyond tolerance there means the
+    input was not real-rooted and is reported as such, since the operator
+    preserves real-rootedness.
     """
     rows = np.asarray(rows, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -95,15 +163,17 @@ def nuij_split(rows, s) -> SplitResult:
     s_col = s[..., None]
     for _ in range(m):
         c[..., :-1] += s_col * (c[..., 1:] * np.arange(1, m + 1))
-    roots = polished_roots(c)
-    imag = np.max(np.abs(roots.imag), axis=-1, initial=0.0)
-    scale = np.max(np.abs(roots), axis=-1, initial=1.0)
-    if np.any(imag > 1e-8 * scale):
-        raise NotRealRootedError(
-            f"split polynomial has complex roots (max |Im| = "
-            f"{np.max(imag):.3g}); input was not real-rooted"
-        )
-    real_roots = np.sort(roots.real, axis=-1)
+    real_roots, accepted = laguerre_roots(c)
+    if not accepted.all():
+        roots = polished_roots(c[~accepted])
+        imag = np.max(np.abs(roots.imag), axis=-1, initial=0.0)
+        scale = np.max(np.abs(roots), axis=-1, initial=1.0)
+        if np.any(imag > 1e-8 * scale):
+            raise NotRealRootedError(
+                f"split polynomial has complex roots (max |Im| = "
+                f"{np.max(imag):.3g}); input was not real-rooted"
+            )
+        real_roots[~accepted] = np.sort(roots.real, axis=-1)
     min_gap = np.min(np.diff(real_roots, axis=-1), axis=-1, initial=math.inf)
     return SplitResult(coeffs=c, roots=real_roots, min_gap=min_gap)
 

@@ -375,18 +375,23 @@ def _cmd_theta(config: dict) -> dict:
 
 def _cmd_nuij(config: dict) -> dict:
     n_polys, spread, s_values = config["n_polys"], config["spread"], config["s_values"]
+    m_max = config["m_max"]
     if 0 in s_values:
         raise ConfigError("s_values must be nonzero")
     s_arr = np.asarray(s_values, dtype=float)
     # the split's lowest coefficient carries s^m: below the smallest normal
     # double it loses precision, and then underflows to a false double root
-    if np.min(np.abs(s_arr)) < np.finfo(float).tiny ** (1.0 / config["m_max"]):
+    if np.min(np.abs(s_arr)) < np.finfo(float).tiny ** (1.0 / m_max):
         raise ConfigError(f"s_values, m_max: |s|^m_max = {np.min(np.abs(s_arr)):.3g}^"
-                          f"{config['m_max']} is below the smallest normal double")
+                          f"{m_max} is below the smallest normal double")
+    # about 16 (m + 1) + 2 m^2 doubles a split row: rows and Laguerre work arrays,
+    # and companions if all rows fall back (tracemalloc at m = 6: 109 and 116)
+    require_memory(8.0 * n_polys * len(s_values) * (16 * (m_max + 1) + 2 * m_max**2),
+                   f"n_polys = {n_polys}, s_values ({len(s_values)} of them)")
     seed = config["seed"]
     table = []
     worst_margin = math.inf
-    for m in range(1, config["m_max"] + 1):
+    for m in range(1, m_max + 1):
         c_m = rootsplit.nuij_constant(m)
         worst = None  # single root: no gap to measure
         if m > 1:

@@ -6,8 +6,9 @@ Fourier and physical samples.  A field's exact
 x-derivatives, summed order by order, are the reference of the closed-form
 Taylor symbol.  Faddeev-LeVerrier characteristic polynomials and their
 polished, ordered roots are the reference of the block-wise eigenvalues,
-and a stack's own block partition, from its nonzero pattern, is the
-reference of the system's partition that the kernels take.
+and, to within their condition, of the Nuij split's Laguerre roots.  A
+stack's own block partition, from its nonzero pattern, is the reference of
+the system's partition that the kernels take.
 The allocating RK4 step is the reference of the solver's buffered step and
 of its propagators.  The probes measure claims of the
 paper that the acceptance tests check directly: the Hoelder ratio of a
@@ -206,6 +207,19 @@ def spectrum(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise HypersymError("matrix entries are not finite: the symbol leaves the double range")
     return _sort_rows(np.linalg.eigvals(m))
+
+
+def root_tolerance(c, r) -> np.ndarray:
+    """How far another solver's roots may lie from the roots ``r`` ``(..., m)`` of
+    the real ascending rows ``c`` ``(..., m+1)``: 1e-12 relative, or, where a
+    root is conditioned past that, twice the accuracy a polish can reach there,
+    m u (sum_j |c_j| |r|^j) / |p'(r)|."""
+    m = c.shape[-1] - 1
+    r = np.asarray(r)[..., None]
+    size = np.sum(np.abs(c[..., None, :]) * np.abs(r) ** np.arange(m + 1), axis=-1)
+    slope = np.abs(np.sum(c[..., None, 1:] * np.arange(1, m + 1) * r ** np.arange(m), axis=-1))
+    cond = m * np.finfo(float).eps * size / slope
+    return np.maximum(1e-12 * np.abs(r[..., 0]), 2.0 * cond)
 
 
 def stack_blocks(hs: np.ndarray) -> list[np.ndarray]:

@@ -161,6 +161,8 @@ def test_wrong_type_rejected(cfg):
     # coefficient, 6! s^6, underflows and reads as a false double root
     ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-55]}],
     ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-100]}],
+    # the split rows alone would take terabytes
+    ["nuij", "--seed", "0", {"n_polys": 1000000000000}],
     # a Hoelder exponent that no run can plan
     *[[command, "--seed", "0", {"coeffs": _holder_coeffs(kappa)}] for kappa, command in _KAPPA_EXITS_2],
     # the conjugation exponent tau (<xi+1>^rho - <xi>^rho) reaches 543 > EXP_BUDGET

@@ -1,5 +1,6 @@
-"""Randomized properties: Nuij splitting separates roots by at least c(m) |s|, and
-real rows take the real companion path without moving the roots."""
+"""Randomized properties: Nuij splitting separates roots by at least c(m) |s|,
+real rows take the real companion path without moving the roots, and the
+Laguerre roots that the split accepts agree with the companion's."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from hypersym.rootsplit import (  # noqa: E402
+    LAGUERRE_GAP_SHARE,
     expand_roots,
+    laguerre_roots,
     nuij_constant,
     nuij_split,
     polished_roots,
 )
+from support import root_tolerance  # noqa: E402
 
 
 @st.composite
@@ -36,14 +40,19 @@ def test_nuij_split_separates_roots(case):
 
 
 @st.composite
-def split_stacks(draw):
-    """Split rows of degree 2-12: 1-4 rows of roots in [-spread, spread] for a
+def real_rooted_stacks(draw):
+    """1-4 real-rooted rows of degree 2-12, roots in [-spread, spread] for a
     spread in [0, 3] (repeats allowed), and s of either sign."""
     m, n = draw(st.integers(2, 12)), draw(st.integers(1, 4))
     spread = draw(st.floats(0.0, 3.0))
     unit = draw(st.lists(st.floats(-1.0, 1.0), min_size=m * n, max_size=m * n))
     s = draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    return nuij_split(expand_roots(np.sort(spread * np.reshape(unit, (n, m)))), s).coeffs
+    return expand_roots(np.sort(spread * np.reshape(unit, (n, m)))), s
+
+
+def split_stacks():
+    """The split rows of :func:`real_rooted_stacks`."""
+    return real_rooted_stacks().map(lambda case: nuij_split(*case).coeffs)
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -58,3 +67,19 @@ def test_real_companion_matches_complex_cast(rows):
     slope = np.abs(np.sum(rows[:, None, 1:] * np.arange(1, m + 1) * r ** np.arange(m), axis=-1))
     cond = m * np.finfo(float).eps * size / slope
     assert np.all(np.abs(real - ref) <= np.maximum(1e-12 * np.abs(ref), 2.0 * cond))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(real_rooted_stacks())
+def test_laguerre_matches_companion(case):
+    # accepted rows: each root within the companion's condition bound, each gap
+    # within twice the acceptance share; every other row is the companion's
+    res = nuij_split(*case)
+    roots, accepted = laguerre_roots(res.coeffs)
+    ref = np.sort(polished_roots(res.coeffs).real, axis=-1)
+    fast, slow = roots[accepted], ref[accepted]
+    assert np.all(np.abs(fast - slow) <= root_tolerance(res.coeffs[accepted], slow))
+    gaps, ref_gaps = np.diff(fast, axis=-1), np.diff(slow, axis=-1)
+    assert np.all(np.abs(gaps - ref_gaps) <= 2 * LAGUERRE_GAP_SHARE * ref_gaps)
+    assert np.array_equal(res.roots[accepted], fast)
+    assert np.array_equal(res.roots[~accepted], ref[~accepted])

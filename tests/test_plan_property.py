@@ -7,6 +7,10 @@ that meet every constraint exactly against the drawn constants, or refuse
 a cap whose weight window holds no ``a >= a0 + 1``.  Kappa stays at 1/16 or
 more: below it the uncapped template's ell can leave the double range,
 which the solve setup refuses on its own.
+
+The ``plan`` command's threshold is the paper's reciprocal of rho: at any
+theta up to 400 and any kappa = p/q in (0, 1) with q <= 1000, it equals the
+reference s0, or the plan is refused as beyond the double range.
 """
 
 from fractions import Fraction
@@ -15,7 +19,8 @@ import pytest
 
 from hypersym.errors import ConfigError
 from hypersym.planner import validate_params
-from hypersym.runner import Calibration, run_params
+from hypersym.runner import Calibration, run, run_params
+from support import s0_holder_reference, s0_lipschitz_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -55,3 +60,19 @@ def test_run_params_is_admissible_or_refused(cal, mode_kappa, ell_max):
     assert validate_params(params, cal.c, a0, cal.eps0) == []
     if ell_max is not None:
         assert params.ell == ell_max
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(theta=st.integers(0, 400), kappa=st.one_of(
+    st.none(), st.fractions(0, 1, max_denominator=1000).filter(lambda k: 0 < k < 1)))
+def test_plan_threshold_is_the_reference_or_refused(theta, kappa):
+    config = {"command": "plan", "schema_version": "1", "theta": theta}
+    if kappa is not None:
+        config.update(mode="holder", kappa=str(kappa))
+    try:
+        status, doc = run(config)
+    except ConfigError as exc:
+        assert "beyond the double range" in str(exc), exc
+        return
+    want = s0_lipschitz_reference(theta) if kappa is None else s0_holder_reference(theta, kappa)
+    assert status == 0 and Fraction(doc["s0"]) == want

@@ -7,14 +7,22 @@ import pytest
 
 from hypersym.coeffs import CoeffTerm, SystemCoefficients, cosine_terms
 from hypersym.errors import NotRealRootedError
+from hypersym.runner import validate_config
 from hypersym.rootsplit import (
     expand_roots,
+    laguerre_roots,
     nuij_constant,
     nuij_split,
     polished_roots,
     random_real_rooted,
 )
-from support import char_poly, constant_system, q_lower_bound_probe, spectrum
+from support import (
+    char_poly,
+    constant_system,
+    q_lower_bound_probe,
+    root_tolerance,
+    spectrum,
+)
 
 
 def test_split_linear():
@@ -83,9 +91,17 @@ def test_separation_property_sweep():
 
 
 def _apply_once(c, s):
-    """One ``(1 + s d/dzeta)`` on ascending coefficients, as nuij_split applies it."""
+    """One ``(1 + s d/dzeta)`` on ascending coefficients ``(..., m+1)``, as
+    nuij_split applies it."""
     c = np.array(c, dtype=float)
-    c[:-1] += s * (c[1:] * np.arange(1, len(c)))
+    c[..., :-1] += s * (c[..., 1:] * np.arange(1, c.shape[-1]))
+    return c
+
+
+def _split_coeffs(c, s):
+    """All m applications of ``(1 + s d/dzeta)``: nuij_split's coefficients."""
+    for _ in range(c.shape[-1] - 1):
+        c = _apply_once(c, s)
     return c
 
 
@@ -184,9 +200,19 @@ def test_expand_roots_examples():
     np.testing.assert_allclose(expand_roots([0.0, 0.0]), [0, 0, 1], atol=1e-15)
 
 
+def _assert_interlaces(daughters, mothers):
+    """Daughters weakly interlace mothers: new_k <= old_k <= new_{k+1}."""
+    for k in range(len(mothers)):
+        assert daughters[k] <= mothers[k] + 1e-9
+        if k + 1 < len(daughters):
+            assert mothers[k] <= daughters[k + 1] + 1e-9
+
+
 def test_interlacing_every_application():
     # daughters weakly interlace mothers at every one of the m applications,
-    # and the last of them is nuij_split's result
+    # and the last of them has nuij_split's coefficients exactly.  Its roots
+    # come from another solver than the companion reference, so they match
+    # it to within their condition, and they interlace the fourth application's
     for seed in range(8):
         prev = random_real_rooted(5, 2.0, [500 + seed])[0]
         row = expand_roots(prev)
@@ -194,12 +220,11 @@ def test_interlacing_every_application():
         for _ in range(5):
             row = _apply_once(row, 0.25)
             cur = _real_roots(row)
-            for k in range(len(prev)):
-                assert cur[k] <= prev[k] + 1e-9
-                if k + 1 < len(cur):
-                    assert prev[k] <= cur[k + 1] + 1e-9
-            prev = cur
-        assert np.array_equal(row, split.coeffs) and np.array_equal(cur, split.roots)
+            _assert_interlaces(cur, prev)
+            mothers, prev = prev, cur
+        assert np.array_equal(row, split.coeffs)
+        assert np.all(np.abs(split.roots - cur) <= root_tolerance(row, cur))
+        _assert_interlaces(split.roots, mothers)
 
 
 def test_q_probe_on_strictly_hyperbolic_preset():
@@ -227,3 +252,35 @@ def test_nuij_split_stack_matches_per_row_calls():
                 np.testing.assert_array_equal(res.coeffs[i, j], one.coeffs)
                 np.testing.assert_array_equal(res.roots[i, j], one.roots)
                 assert res.min_gap[i, j] == one.min_gap
+
+
+def _nuij_draw(seed, m):
+    """The split rows of ``nuij --seed seed`` at degree m and the default config."""
+    config = validate_config({"command": "nuij", "schema_version": "1", "seed": seed})
+    rows = expand_roots(random_real_rooted(m, config["spread"],
+                                           seed + 1000 * m + np.arange(config["n_polys"])))
+    return np.stack([_split_coeffs(rows, s) for s in config["s_values"]], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_laguerre_accepts_nearly_every_default_nuij_row(seed):
+    # the benchmark's nuij inputs: the fast path must carry the split, so at
+    # most 1% of each degree's rows go to the companion
+    for m in range(2, 7):
+        _, accepted = laguerre_roots(_nuij_draw(seed, m))
+        assert accepted.size == 1400 and np.count_nonzero(~accepted) <= 14, m
+
+
+def test_laguerre_leaves_some_degree_16_rows_to_the_companion():
+    _, accepted = laguerre_roots(_nuij_draw(3, 16))
+    assert not accepted.all()
+
+
+def test_laguerre_rejects_roots_its_rounding_cannot_separate():
+    # (z - 1)(z - 1 - d): each root's rounding radius is about 3.5e-15 / d, so
+    # the row is accepted while that is under 1e-8 of the gap d, and beyond
+    # it the split takes the companion's roots
+    for d, accepted in ((1e-2, True), (3e-5, False)):
+        row = expand_roots([1.0, 1.0 + d])
+        assert laguerre_roots(row)[1] == accepted
+    assert np.array_equal(nuij_split(row, 0.0).roots, np.sort(polished_roots(row).real))
