@@ -126,6 +126,21 @@ class SystemCoefficients:
                 x if any(term.x_freq for term in self.a_terms) else x[:1])
 
     @functools.cached_property
+    def real_valued(self) -> bool:
+        """Whether A and B are real: each field's terms C g(t) e^{ikx}, summed by
+        (k, time term), have partners conj(C) g(t) e^{-ikx}.  Then
+        H_N(t, x, -xi) = -conj H_N(t, x, xi)."""
+        for terms in (self.a_terms, self.b_terms):
+            field = {}
+            for term in terms:
+                key = (term.x_freq, term.t_term.strip())
+                field[key] = field.get(key, 0.0) + term.matrix
+            if any(not np.array_equal(np.conj(mat), field.get((-k, tt), np.zeros_like(mat)))
+                   for (k, tt), mat in field.items()):
+                return False
+        return True
+
+    @functools.cached_property
     def blocks(self) -> list[np.ndarray]:
         """Index sets of the decoupled diagonal blocks of every stack built from the system:
         the components of the A and B terms' nonzero pattern, its transpose and I."""

@@ -469,7 +469,9 @@ def _growth_curves(
 
 # Frequencies of the barometer's nodes.  H_N at frequency xi and scale eps is
 # |xi| times H_N at sign(xi) and scale eps |xi|, so |xi| = 1 loses nothing;
-# the two signs are the two directions.
+# the two signs are the two directions.  A real system has
+# H_N(-xi) = -conj H_N(xi), so e^{isH_N} at -1 is the conjugate of that at +1,
+# of the same norm, and xi = +1 alone serves.
 _THETA_XI = (1.0, -1.0)
 
 
@@ -493,7 +495,8 @@ def estimate_theta(
     iterated starting from N = m until self-consistent (at most m steps; on
     non-convergence theta = m - 1, which is always valid).
 
-    The nodes sit at xi in ``_THETA_XI``.  c_hat is 1.05x the certified
+    The nodes sit at xi in ``_THETA_XI``, its first alone on a real system
+    (``coeffs.real_valued``).  c_hat is 1.05x the certified
     spatial spectral-bound ratio over ``THETA_SCALES`` at y = 1, floored at
     1.0 so that x-independent families (certified ratio exactly 0) still
     damp polynomial transients; it is read from ``cert``, a certificate on
@@ -509,6 +512,7 @@ def estimate_theta(
     cert = cert or spectral_bound_certify(coeffs, t_values, x_values, _THETA_Y, THETA_SCALES)
     c_hat = max(1.05 * cert.max_ratio_over(THETA_SCALES, _THETA_Y), 1.0)
 
+    xis = _THETA_XI[:1] if coeffs.real_valued else _THETA_XI
     n_taylor = taylor_order(0, m)
     seen = set()
     converged = False
@@ -516,7 +520,7 @@ def estimate_theta(
     theta_raw = float(m - 1)
     for _ in range(max(m, 1)):
         g, low = _growth_curves(
-            coeffs, n_taylor, eps_values, t_values, x_values, _THETA_XI, c_hat
+            coeffs, n_taylor, eps_values, t_values, x_values, xis, c_hat
         )
         fit = line_fit(np.log(eps_values), np.log(g))
         theta_raw = -float(fit[0])

@@ -214,11 +214,13 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
     """
     ts = np.linspace(0.0, 1.0, 4)
     xs = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
-    # one certificate over the scales of c and of the theta fits' c_hat
+    # one certificate over the scales of c and of the theta fits' c_hat; on a
+    # real system H(x, -y) = conj H(x, y) at the imaginary steps, and y = 1 serves
+    ys = (1.0,) if coeffs.real_valued else (1.0, -1.0)
     cert = matkernel.spectral_bound_certify(
-        coeffs, ts, xs, (1.0, -1.0), np.union1d(_C_SCALES, matkernel.THETA_SCALES)
+        coeffs, ts, xs, ys, np.union1d(_C_SCALES, matkernel.THETA_SCALES)
     )
-    c = max(1.05 * cert.max_ratio_over(_C_SCALES, (1.0, -1.0)), 0.5)
+    c = max(1.05 * cert.max_ratio_over(_C_SCALES, ys), 0.5)
     if theta is None:
         theta = matkernel.estimate_theta(
             coeffs, np.geomspace(1e-3, 1e-1, 7), t_values=ts, x_values=xs, cert=cert

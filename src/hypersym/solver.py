@@ -16,6 +16,12 @@ otherwise each sample's off-band modes are set from that closed form, in one
 broadcast per block of samples as the diagnostics read them.  With h = 0,
 chi = 1 everywhere and the band is the whole lattice.
 
+An x-independent real system evolves each mode alone, by the conjugate of
+its mirror's generator.  So a solve of data with u0(-xi) = conj u0(xi) bit
+for bit (:func:`pairs_modes`) evolves each band's xi >= 0 and -n_x/2 alone,
+writes each xi < 0 band mode as the conjugate of its mirror, and takes
+R(-xi) = conj R(xi) in the diagnostics.
+
 One solve takes several cutoffs, as the h-uniformity study does: they share
 dt, since the stability scale does not read h, and their bands lie end to
 end in one joint band, separated by ``coeffs.x_band`` modes where xi = 0
@@ -152,7 +158,10 @@ class TruncatedGenerator:
 
     A cutoff's band is the modes with chi(h xi) > 0, the contiguous range
     |xi| < 1/h (chi decreases in |xi|); with h = 0, chi = 1 and the band is
-    the whole lattice.  The bands of ``cutoffs`` lie end to end in one joint
+    the whole lattice.  ``paired`` keeps of each band its xi >= 0 and the
+    modes without a mirror -xi; :attr:`mirrored` holds, per cutoff, the
+    columns of its segment whose mirrors are left out and their FFT positions.
+    The bands of ``cutoffs`` lie end to end in one joint
     band, each but the last followed by K = ``coeffs.x_band`` separator
     modes where xi = 0 and chi = 0.  Band states are (m, n_band) arrays:
     column j holds frequency ``xi[j]``, and :attr:`segments` holds, per
@@ -175,21 +184,27 @@ class TruncatedGenerator:
     products of up to four L_j that :class:`BandPropagator` combines.
     """
 
-    def __init__(self, coeffs: SystemCoefficients, n_x: int, cutoffs, eps_par: float):
+    def __init__(self, coeffs: SystemCoefficients, n_x: int, cutoffs, eps_par: float,
+                 paired: bool = False):
         self.coeffs = coeffs
         self.n_x = n_x
         self.eps_par = float(eps_par)
         k_max = coeffs.x_band
         lat = np.arange(-(n_x // 2), n_x - n_x // 2, dtype=float)
+        # paired, a band keeps its xi >= 0 and the modes without a mirror -xi
+        kept = (lat >= 0) | (-lat > lat[-1]) if paired else True
         # each cutoff's band, the modes with chi(h xi) > 0, then K separator
         # modes; the buffer's padding stands in for the last band's
-        xis, chis, self.segments, lo = [], [], [], 0
+        xis, chis, self.segments, self.mirrored, lo = [], [], [], [], 0
         for h in cutoffs:
             chi = smooth_cutoff(float(h) * lat)  # exactly 1 everywhere when h = 0
-            xi, chi = lat[chi > 0], chi[chi > 0]
+            band = (chi > 0) & kept
+            xi, chi = lat[band], chi[band]
             xis += [xi, np.zeros(k_max)]
             chis += [chi, np.zeros(k_max)]
             self.segments.append((slice(lo, lo + xi.size), xi.astype(int) % n_x))
+            cols = np.flatnonzero(xi > 0) if paired else np.arange(0)
+            self.mirrored.append((cols, (-xi[cols]).astype(int) % n_x))
             lo += xi.size + k_max
         self.xi = np.concatenate(xis)[:lo - k_max]
         self.chi = np.concatenate(chis)[:lo - k_max]
@@ -394,8 +409,9 @@ def _samples_per_block(blocks: list[np.ndarray], n_x: int, n_lyap: int) -> int:
     _BLOCK_BYTES: a sample holds 48 bytes a mode, its squared moduli, weight
     and their products and the radius fit's rows (tracemalloc reads 45 n_x
     on every preset, whatever m), and each of its ``n_lyap`` Lyapunov nodes
-    what the band generator and the kernel of ``_lyap_solve_batch`` hold at
-    once on the system's partition ``blocks`` (``_lyap_node_bytes``)."""
+    (a paired band's kept nodes alone) what the band generator and the
+    kernel of ``_lyap_solve_batch`` hold at once on the system's partition
+    ``blocks`` (``_lyap_node_bytes``, which reads its m too)."""
     return max(1, _BLOCK_BYTES // (48 * n_x + _lyap_node_bytes(blocks) * n_lyap))
 
 
@@ -477,6 +493,15 @@ def gevrey_radius_fit(sq, s: float):
     return np.where(conclusive, slope[..., 0], np.nan), np.where(conclusive, resid[..., 0], np.nan)
 
 
+def pairs_modes(coeffs: SystemCoefficients, u0: np.ndarray) -> bool:
+    """Whether a solve of ``u0`` pairs its modes: the system is x-independent
+    and real, and u0(-xi) = conj u0(xi) bit for bit."""
+    n_x = u0.shape[1]
+    pos = np.arange(1, (n_x + 1) // 2)
+    return (coeffs.x_band == 0 and coeffs.real_valued
+            and np.array_equal(u0[:, n_x - pos], u0[:, pos].conj()))
+
+
 def solve_cauchy(
     problem: CauchyProblem,
     params: ParameterSet,
@@ -510,8 +535,8 @@ def solve_cauchy(
     if eps_par < 0:
         raise ConfigError(f"eps_par = {eps_par} is negative: an anti-dissipative "
                           "regularization that the stability scale does not bound")
-    n_x = problem.g.shape[1]
-    gen = TruncatedGenerator(coeffs, n_x, cutoffs, eps_par)
+    n_x, u0 = problem.g.shape[1], problem.g
+    gen = TruncatedGenerator(coeffs, n_x, cutoffs, eps_par, pairs_modes(coeffs, u0))
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
     if dt is None:
         dt = min(0.5 / lam, problem.horizon / 8.0)
@@ -554,7 +579,6 @@ def solve_cauchy(
     # Off its band a cutoff's generator is -eps_par xi^2, so sample k holds
     # u0 e^{-times[k] eps_par xi^2} there, set with the diagnostics.  The
     # factor is at most 1, so only u0 can make those modes non-finite.
-    u0 = problem.g
     if not np.isfinite(u0).all():
         raise NumericAbortError(f"evolution lost finiteness at t = {dt:.6g}", last_time=0.0)
 
@@ -594,6 +618,8 @@ def solve_cauchy(
         rows[0] = rows[end - start]
         for sample, (seg, index) in zip(samples, gen.segments):
             sample[:, index] = rows[0][:, seg]
+    for u, (_, index), (cols, mirror) in zip(states, gen.segments, gen.mirrored):
+        u[:, :, mirror] = u[:, :, index[cols]].conj()
 
     if not (track_energy and coeffs.x_band == 0):
         er_mode = "skipped"
@@ -601,17 +627,18 @@ def solve_cauchy(
         er_mode = "mollified"
     else:
         er_mode = "multiplier"
-    traces = [_energy_trace(problem, params, gen, seg, index, u, times, er_mode)
-              for u, (seg, index) in zip(states, gen.segments)]
+    traces = [_energy_trace(problem, params, gen, seg, index, mirrored, u, times, er_mode)
+              for u, (seg, index), mirrored in zip(states, gen.segments, gen.mirrored)]
     return SolveResult(dt=dt, states=states, traces=traces)
 
 
 def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGenerator,
-                  seg: slice, index: np.ndarray, states: np.ndarray, times: np.ndarray,
-                  er_mode: str) -> EnergyTrace:
+                  seg: slice, index: np.ndarray, mirrored, states: np.ndarray,
+                  times: np.ndarray, er_mode: str) -> EnergyTrace:
     """The diagnostics of one cutoff's samples ``states``, at ``times``, whose
     band is the segment ``seg`` of ``gen``'s joint band and sits at ``index``
-    of a lattice state; with eps_par > 0 they first set the off-band modes.
+    of a lattice state, and its mirrors ``mirrored`` (an entry of ``gen.mirrored``),
+    whose R is conjugated; with eps_par > 0 they first set the off-band modes.
 
     They run over blocks of samples, each block's states read once for their
     squared moduli q.  One product of q w^2 against ``table`` gives the
@@ -623,8 +650,11 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
     big_t, a = float(params.T), float(params.a)
     rho, ell = float(params.rho), float(params.ell)
     xi = lattice(n_x)
-    off_index = np.setdiff1d(np.arange(n_x), index)
-    # R is solved on the band, where chi > 0; elsewhere M = -a <xi>^rho I, so R = I/2.
+    cols, mirror = mirrored
+    band = np.concatenate((index, mirror))
+    off_index = np.setdiff1d(np.arange(n_x), band)
+    # R is solved on the band, where chi > 0, and conjugated onto the mirrors;
+    # elsewhere M = -a <xi>^rho I, so R = I/2.
     r_xi, r_chi2 = gen.xi[seg], gen.chi[seg] ** 2
 
     def r_generator(t):
@@ -673,7 +703,10 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
             # v and R v over their real and imaginary parts
             r_band = (_lyap_solve_batch(*r_generator(times[blk, None]), coeffs.blocks)
                       if er_mode == "multiplier" else molly_values[blk])
-            v_band = (u[:, :, index] * weight[:, None, index]).transpose(0, 2, 1)
+            r_band = np.concatenate((r_band, r_band[:, cols].conj()), axis=1)
+            # contiguous, so that its real view below exists also when m = 1
+            v_band = np.ascontiguousarray(
+                (u[:, :, band] * weight[:, None, band]).transpose(0, 2, 1))
             rv = r_band @ v_band[..., None]
             e_r_arr[blk] = np.einsum("bi,bi->b", v_band.reshape(len(u), -1).view(float),
                                      rv.reshape(len(u), -1).view(float)) + sums[:, -1]

@@ -136,12 +136,14 @@ _BLOCK_BYTES = 1 << 20
 
 def _lyap_node_bytes(blocks: list[np.ndarray]) -> int:
     """Peak bytes per node of a damped-generator stack and its
-    ``_lyap_solve_batch`` on the partition ``blocks``, set by the largest
-    block k: about 500 for the 2 x 2 closed form (tracemalloc reads 283 for
-    the generator and 499 with the solve, on wave_t2), and four copies of
-    the k^2 x k^2 system for the Kronecker solve."""
-    k = max(len(idx) for idx in blocks)
-    return 512 if k == 2 else 64 * k**4
+    ``_lyap_solve_batch`` on the partition ``blocks`` of the m components:
+    48 m^2 for the stack's own arrays, and the costliest group of equal
+    blocks, solved at once: 400 a 2 x 2 closed form, four copies of the
+    k^2 x k^2 system and 128 more a Kronecker solve.  tracemalloc reads 571
+    (the model: 592) on wave_t2 and 1,515 (1,568) on block_direct_sum."""
+    sizes = [len(idx) for idx in blocks]
+    solve = max(sizes.count(k) * (400 if k == 2 else 64 * k**4 + 128) for k in set(sizes))
+    return 48 * sum(sizes) ** 2 + solve
 
 
 def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale, blocks: list[np.ndarray]) -> np.ndarray:
@@ -151,7 +153,8 @@ def _lyap_solve_batch(m_stack: np.ndarray, rhs_scale, blocks: list[np.ndarray]) 
     2 x 2 blocks take the closed form :func:`_lyap_2x2`, others the
     Kronecker solve :func:`_lyap_kron`, and R is exactly zero off the blocks.
     Nodes go in chunks of ``_BLOCK_BYTES // _lyap_node_bytes(blocks)``
-    (2,048 at largest block 2, 64 at 4), and R is returned as its hermitian part.
+    (1,771 at m = 2, 668 on a 2 + 2, 60 on a 4 x 4), and R is returned as its
+    hermitian part.
     """
     m_stack = np.asarray(m_stack, dtype=complex)
     m = m_stack.shape[-1]

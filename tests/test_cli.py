@@ -473,6 +473,18 @@ def test_weight_probe_refuses_before_the_samples_are_allocated(tmp_path):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("t_term, n_lattice", [("1", None), ("t", 64), ("t", 1024)])
+def test_scalar_x_independent_solve_exits_0(t_term, n_lattice, tmp_path):
+    # a 1 x 1 band state's R-energy reads its modes through a contiguous view
+    config = {"coeffs": {"m": 1, "A": [[[{"x_freq": 0, "t_term": t_term, "re": 1.0}]]]}}
+    if n_lattice is not None:
+        config["n_lattice"] = n_lattice
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--seed", "1", "--config", str(path), "--out",
+                 str(tmp_path / "run")]) == 0
+
+
 def test_solve_xdep_skips_energy_gate(tmp_path):
     cfg = {"command": "solve", "schema_version": "1", "seed": 4,
            "preset": "xdep", "n_lattice": 64, "stride": 8}

@@ -150,11 +150,13 @@ def test_chunks_and_kernel_choice(monkeypatch):
     ref4 = _lyap_kron(m4, s4)
     assert np.array_equal(_lyap_solve_batch(m4, s4, stack_blocks(m4)),
                           (ref4 + ref4.conj().transpose(0, 2, 1)) / 2.0)
-    # the chunks follow the largest block: block_direct_sum's 2 + 2 takes the
-    # 2x2 closed form's chunks, not the 4x4 Kronecker solve's
+    # the chunks follow the stack's m and its costliest group of equal blocks:
+    # block_direct_sum's 2 + 2 takes two 2x2 closed forms, not the 4x4
+    # Kronecker solve
     direct_sum = get_preset("block_direct_sum").coeffs.blocks
-    assert _lyap_node_bytes(direct_sum) == _lyap_node_bytes(blocks2) == 512
-    assert _lyap_node_bytes(stack_blocks(m4)) == 64 * 4**4
+    assert _lyap_node_bytes(blocks2) == 48 * 2**2 + 400
+    assert _lyap_node_bytes(direct_sum) == 48 * 4**2 + 2 * 400
+    assert _lyap_node_bytes(stack_blocks(m4)) == 48 * 4**2 + 64 * 4**4 + 128
 
 
 @pytest.mark.parametrize("parts", [[[0, 1], [2, 3]], [[0], [1, 2, 3]], [[0, 1], [2], [3]],

@@ -520,6 +520,37 @@ def test_band_evolution_matches_full_lattice_loop(kind):
         assert off.size and np.array_equal(res.states[0][-1][:, off], prob.g[:, off])
 
 
+def test_complex_system_evolves_every_mode():
+    # a complex hermitian A has H(-xi) != -conj H(xi), so conjugate-symmetric
+    # data does not stay so and the solve is not paired
+    from hypersym.solver import pairs_modes
+
+    cs = constant_system(np.array([[1.0, 1j], [-1j, -1.0]]))
+    prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=16), horizon=0.5)
+    assert is_conjugate_symmetric(prob.g) and not pairs_modes(cs, prob.g)
+    res = solve_cauchy(prob, _quick_params(), (0.0,), track_energy=False)
+    ref, last_time = _full_lattice_loop(prob, 0.0, 0.0, round(prob.horizon / res.dt))
+    assert last_time is None
+    assert np.max(np.abs(res.states[0][-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("h", [0.0, 1 / 16])
+def test_scalar_r_energy_is_half_the_weighted_norm(h):
+    # a real scalar symbol has M = i chi^2 h - a <xi>^rho, so R = 1/2 on and
+    # off the band, and the R-energy is half the squared weighted norm
+    from support import capped_params
+
+    params = capped_params("wave_t2", 16.0)
+    prob = CauchyProblem(constant_system(np.array([[1.0]])),
+                         gevrey_data(64, 1, 1.5, 1.5, seed=24), horizon=0.3)
+    res = solve_cauchy(prob, params, (h,), stride=4)
+    trace, states = res.traces[0], res.states[0]
+    weight = gevrey_weight(lattice(64), float(params.T) - float(params.a) * trace.times[:, None],
+                           float(params.rho), float(params.ell))
+    expect = 0.5 * np.sum(squared_moduli(states) * weight**2, axis=-1)
+    assert trace.er_mode == "multiplier"
+    assert np.all(np.abs(trace.e_r_raw - expect) <= 1e-13 * expect)
+
 
 # ---------------------------------------------------------------------------
 # The joint band of several cutoffs against each cutoff's own solve
@@ -537,13 +568,14 @@ def _x_band_two():
 # kind: (system, params preset, n_x, cutoffs, eps_par).  In each case a
 # cutoff's own solve takes the step path of the joint solve: the bands of
 # the x-dependent systems and of wave_t2 are past the size whose word table
-# fits in _BLOCK_BYTES, and jordan_lower's joint table still fits.
+# fits in _BLOCK_BYTES, and jordan_lower's joint table still fits.  wave_t2's
+# bands are paired, so each holds its xi >= 0 alone: 577 and 576 modes.
 _JOINT = (1 / 32, 0.0, 1 / 64, 1 / 32)
 _JOINT_CASES = {
     "xdep": ("xdep", "xdep", 128, _JOINT, 0.0),
     "diag_sym": ("diag_sym", "diag_sym", 128, _JOINT, 0.0),
     "xdep-eps": ("xdep", "xdep", 128, _JOINT, 1e-3),
-    "wave_t2": ("wave_t2", "wave_t2", 576, (0.0, 1 / 288, 0.0), 0.0),
+    "wave_t2": ("wave_t2", "wave_t2", 1152, (0.0, 1 / 576, 0.0), 0.0),
     "jordan_lower": ("jordan_lower", "jordan_lower", 128, _JOINT, 0.0),
     "x_band_two": (None, "xdep", 128, _JOINT, 0.0),
 }
@@ -551,20 +583,22 @@ _JOINT_CASES = {
 
 @pytest.mark.parametrize("kind", list(_JOINT_CASES))
 def test_joint_band_matches_one_cutoff_solves(kind):
-    from hypersym.solver import BandPropagator
+    from hypersym.solver import BandPropagator, pairs_modes
     from hypersym.symmetrizer import _BLOCK_BYTES
     from support import capped_params
 
     system, preset, n_x, cutoffs, eps_par = _JOINT_CASES[kind]
     coeffs = _x_band_two() if system is None else get_preset(system).coeffs
-    params = capped_params(preset, ell=1.0 / max(cutoffs))
+    # any ell <= 1/h allows the cutoffs; past 64, wave_t2's weight at n_x 1152
+    # leaves the overflow budget
+    params = capped_params(preset, ell=min(1.0 / max(cutoffs), 64.0))
     s = 1.5
     prob = CauchyProblem(coeffs, gevrey_data(n_x, coeffs.m, s, 1.5, seed=21),
                          horizon=0.3, gevrey_s=s, gevrey_c0=1.5)
 
     def steps(hs):
-        return BandPropagator.table_bytes(TruncatedGenerator(coeffs, n_x, hs, eps_par)) \
-            > _BLOCK_BYTES
+        gen = TruncatedGenerator(coeffs, n_x, hs, eps_par, pairs_modes(coeffs, prob.g))
+        return BandPropagator.table_bytes(gen) > _BLOCK_BYTES
 
     assert len({steps(cutoffs)} | {steps((h,)) for h in cutoffs}) == 1
     assert steps(cutoffs) == (kind != "jordan_lower")

@@ -661,3 +661,26 @@ def test_batched_probes_match_pointwise_solves(name):
                                  2) / abs(t1 - t2) ** kappa
                   for t1, t2 in pairs)
         assert abs(fit.ratios[k] - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("preset", ["wave_t2", "block_direct_sum"])
+def test_one_lyapunov_chunk_peaks_near_the_byte_budget(preset):
+    # one full chunk of damped generators and their solve, as the solver's
+    # diagnostics form them, holds at most 10% over _BLOCK_BYTES
+    import tracemalloc
+
+    from support import capped_params
+
+    coeffs = get_preset(preset).coeffs
+    params = capped_params(preset, 64.0)
+    nodes = symmetrizer._BLOCK_BYTES // symmetrizer._lyap_node_bytes(coeffs.blocks)
+    t = np.linspace(0.0, 0.5, nodes)[:, None]
+    window = replace(params, tau=float(params.T) - float(params.a) * t)
+    tracemalloc.start()
+    try:
+        _lyap_solve_batch(*damped_generator(coeffs, window, t, 0.0, np.array([16.0])),
+                          coeffs.blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * symmetrizer._BLOCK_BYTES
