@@ -39,6 +39,16 @@ def squared_moduli(coeffs) -> np.ndarray:
             + np.einsum("...cn,...cn->...n", coeffs.imag, coeffs.imag))
 
 
+def fold_amplitudes(sq: np.ndarray) -> np.ndarray:
+    """The |xi| profile (..., N_x/2 + 1) of the amplitudes of a stack (..., N_x)
+    of squared moduli in FFT order: at each |xi| the square root of the larger
+    of xi and -xi (-N_x/2 has no mirror)."""
+    half = sq.shape[-1] // 2
+    vals = sq[..., :half + 1].copy()
+    np.maximum(vals[..., 1:half], sq[..., :half:-1], out=vals[..., 1:half])
+    return np.sqrt(vals, out=vals)
+
+
 # ---------------------------------------------------------------------------
 # Exact quantization: one frequency shift per x-harmonic
 

@@ -496,7 +496,8 @@ def _cmd_solve(config: dict) -> dict:
     stride, out_dir, eps_par = config["stride"], config.get("out"), config["eps_par"]
     name, params, problem = _solve_setup(config)
     # without a radius at t = 0 the radius gate has nothing to compare against
-    if np.isnan(solver.gevrey_radius_fit(engine.squared_moduli(problem.g), problem.gevrey_s)[0]):
+    if np.isnan(solver.gevrey_radius_fit(engine.fold_amplitudes(engine.squared_moduli(problem.g)),
+                                       problem.gevrey_s)[0]):
         raise ConfigError(f"c0 = {problem.gevrey_c0}, n_lattice = {problem.g.shape[1]}: "
                           "the data's Gevrey radius fit at t = 0 is inconclusive")
     h = config.get("h", 1.0 / float(params.ell))

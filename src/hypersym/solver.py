@@ -18,9 +18,9 @@ chi = 1 everywhere and the band is the whole lattice.
 
 An x-independent real system evolves each mode alone, by the conjugate of
 its mirror's generator.  So a solve of data with u0(-xi) = conj u0(xi) bit
-for bit (:func:`pairs_modes`) evolves each band's xi >= 0 and -n_x/2 alone,
-writes each xi < 0 band mode as the conjugate of its mirror, and takes
-R(-xi) = conj R(xi) in the diagnostics.
+for bit (:func:`pairs_modes`) evolves each band's xi >= 0 and -n_x/2 alone
+and writes each xi < 0 band mode as the conjugate of its mirror.  Its
+diagnostics read FFT positions 0 .. n_x/2 alone, each xi > 0 counted twice.
 
 One solve takes several cutoffs, as the h-uniformity study does: they share
 dt, since the stability scale does not read h, and their bands lie end to
@@ -39,8 +39,9 @@ per chunk of steps.  A step is then one ``einsum`` against the sliding
 windows of the zero-padded state.  That path is taken when the word table
 fits in ``_BLOCK_BYTES``.  A larger band steps by :func:`step_rk4` on the
 generator, each stage a single product with that stage's matrix
-``sum_j g_j L_j`` (:class:`TruncatedGenerator`).  Both paths take the g_j at
-the stage times from :meth:`TruncatedGenerator.stage_coefficients`.
+``sum_j g_j L_j`` (:class:`TruncatedGenerator`), a real matrix against the
+(re, im) pairs of the state.  Both paths take the g_j at the stage times
+from :meth:`TruncatedGenerator.stage_coefficients`.
 
 A state is a complex (m, n_x) array in FFT order, as in
 :mod:`hypersym.engine`.  The samples, the last of which is the final step,
@@ -52,8 +53,8 @@ The band advances one sample interval at a time, each step writing its state
 into one row of the interval's block.  A buffered :func:`step_rk4` reuses
 five work buffers with the operations of the plain allocating RK4 step (the
 tests' reference) in the same order, so its roundings are that step's.
-Finiteness is checked once per block, and an abort names the first step
-whose state lost it, in any cutoff's band.  On the propagator path that is
+Finiteness is checked on each interval's last state, and an abort names the
+first step whose state lost it, in any cutoff's band.  On the propagator path that is
 the first state that leaves the double range; a stepped band can lose it a
 few steps sooner, when an RK4 stage overflows first.  The loop only records
 the sampled states.  The diagnostics then run over blocks of samples, slices
@@ -62,8 +63,8 @@ q = sum_c |u_c|^2.  A block takes one weight array w and one product of
 q w^2 against a per-solve table: its ``<xi>^(2 sigma)`` columns give the five
 norms, and its column of 1/2 on the off-band modes their R-energy.  The
 band's R-energy is one Lyapunov batch and one batched product R v, and the
-radius fit reads q.  Each cutoff's samples are diagnosed on their own, and a
-block whose weighted norms leave the double range aborts.
+radius fit reads q folded over +-xi.  Each cutoff's samples are diagnosed on
+their own, and a block whose weighted norms leave the double range aborts.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hypersym.coeffs import SystemCoefficients, time_function
-from hypersym.engine import lattice, squared_moduli
+from hypersym.engine import fold_amplitudes, lattice, squared_moduli
 from hypersym.errors import ConfigError, NumericAbortError, require_memory
 from hypersym.matkernel import line_fit
 from hypersym.planner import validate_params
@@ -176,18 +177,21 @@ class TruncatedGenerator:
     joint band.  A shift reaches at most K modes, and every input and output
     is multiplied by chi, which is 0 on the separators, so no product
     crosses from one cutoff's band to the next: each band evolves exactly as
-    it would alone.  So one product of the ``(m, F m (2K+1))`` matrix of
-    every harmonic of those F fields applies the whole generator.  Split by
-    the time terms of the coefficients, that matrix is ``sum_j g_j(t) L_j``:
-    :attr:`term_matrices` holds the L_j, column (f, d, K - k) holding
-    component d of harmonic k of field f, and :meth:`word_table` the
-    products of up to four L_j that :class:`BandPropagator` combines.
+    it would alone.  A field with complex coefficients Cr + i Ci is two, Cr
+    on its input and Ci on i times it, so one product of the real
+    ``(m, F m (2K+1))`` matrix of every harmonic of the F fields applies the
+    whole generator.  Split by the time terms, that matrix is
+    ``sum_j g_j(t) L_j``: :attr:`term_matrices` holds the L_j, column
+    (f, d, K - k) holding component d of harmonic k of field f, and
+    :meth:`word_table` the products of up to four L_j that
+    :class:`BandPropagator` combines.
     """
 
     def __init__(self, coeffs: SystemCoefficients, n_x: int, cutoffs, eps_par: float,
                  paired: bool = False):
         self.coeffs = coeffs
         self.n_x = n_x
+        self.paired = paired
         self.eps_par = float(eps_par)
         k_max = coeffs.x_band
         lat = np.arange(-(n_x // 2), n_x - n_x // 2, dtype=float)
@@ -211,9 +215,11 @@ class TruncatedGenerator:
         n = len(self.xi)
         # each field's input is factor * u, at columns K .. K + n - 1 of its
         # buffer row; the padding stays zero
-        fields = [(terms, fac) for terms, fac in ((coeffs.a_terms, 1j * self.xi * self.chi),
-                                                  (coeffs.b_terms, self.chi + 0j)) if terms]
-        self._factors = np.array([fac for _, fac in fields], dtype=complex).reshape(-1, 1, n)
+        fields = [(terms, part, unit * fac) for terms, fac in
+                  ((coeffs.a_terms, 1j * self.xi * self.chi), (coeffs.b_terms, self.chi + 0j))
+                  for part, unit in ((np.real, 1), (np.imag, 1j))
+                  if terms and (part is np.real or any(np.any(t.matrix.imag) for t in terms))]
+        self._factors = np.array([fac for *_, fac in fields], dtype=complex).reshape(-1, 1, n)
         buf = np.zeros((len(fields), coeffs.m, n + 2 * k_max), dtype=complex)
         self._center = buf[:, :, k_max:k_max + n]
         self._windows = np.lib.stride_tricks.sliding_window_view(buf, n, axis=-1)
@@ -221,22 +227,25 @@ class TruncatedGenerator:
         # else a contiguous copy of them that apply refreshes through _gather
         self._operand = self._windows.reshape(-1, n)
         self._gather = self._operand.reshape(self._windows.shape) if k_max else None
+        # the real product goes into a contiguous buffer that chi writes out,
+        # and that then holds the heat term
+        self._operand_pairs = self._operand.view(float)
+        self._product = np.empty((coeffs.m, n), dtype=complex)
+        self._product_pairs = self._product.view(float)
         # complex, so that no product casts per call
         self._chi = self.chi.astype(complex)
         self._heat = (self.eps_par * self.xi**2).astype(complex)
-        self._heat_term = np.empty((coeffs.m, n), dtype=complex)
         # L(t) = sum_j g_j(t) L_j over the distinct time terms, the heat term
         # in the constant one, which a generator without terms also has; a
         # product of up to four L_j couples modes at most word_width apart
-        self.time_terms = {term.t_term: term.g for terms, _ in fields for term in terms}
+        self.time_terms = {term.t_term: term.g for terms, *_ in fields for term in terms}
         if self.eps_par or not self.time_terms:
             self.time_terms.setdefault("1", time_function("1"))
         names = list(self.time_terms)
-        mats = np.zeros((len(names), coeffs.m, len(fields), coeffs.m, 2 * k_max + 1),
-                        dtype=complex)
-        for f, (terms, _) in enumerate(fields):
+        mats = np.zeros((len(names), coeffs.m, len(fields), coeffs.m, 2 * k_max + 1))
+        for f, (terms, part, _) in enumerate(fields):
             for term in terms:
-                mats[names.index(term.t_term), :, f, :, k_max - term.x_freq] += term.matrix
+                mats[names.index(term.t_term), :, f, :, k_max - term.x_freq] += part(term.matrix)
         self.term_matrices = mats.reshape(len(names), coeffs.m, -1)
         self.word_width = min(4 * k_max, n - 1)
 
@@ -264,16 +273,16 @@ class TruncatedGenerator:
                 + self.eps_par * xi_max**2)
 
     def apply(self, mat: np.ndarray, coeffs_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The generator with matrix ``mat``, ``sum_j g_j(t) L_j`` at its time
-        t, on a band state (m, n_band), written into ``out`` (it must not be
-        ``coeffs_hat``)."""
+        """The generator with real matrix ``mat``, ``sum_j g_j(t) L_j`` at its
+        time t, on a band state (m, n_band), written into ``out`` (it must not
+        be ``coeffs_hat``): one real product on the (re, im) pairs."""
         np.multiply(coeffs_hat, self._factors, self._center)
         if self._gather is not None:
             np.copyto(self._gather, self._windows)
-        out = np.matmul(mat, self._operand, out)
-        out *= self._chi
+        np.matmul(mat, self._operand_pairs, self._product_pairs)
+        np.multiply(self._product, self._chi, out)
         if self.eps_par:
-            out -= np.multiply(self._heat, coeffs_hat, self._heat_term)
+            out -= np.multiply(self._heat, coeffs_hat, self._product)
         return out
 
     def word_table(self) -> np.ndarray:
@@ -404,15 +413,15 @@ class BandPropagator:
 # Traces and the main loop
 
 
-def _samples_per_block(blocks: list[np.ndarray], n_x: int, n_lyap: int) -> int:
+def _samples_per_block(blocks: list[np.ndarray], sample_bytes: int, n_lyap: int) -> int:
     """Samples per block of diagnostics, so that its temporaries stay near
-    _BLOCK_BYTES: a sample holds 48 bytes a mode, its squared moduli, weight
-    and their products and the radius fit's rows (tracemalloc reads 45 n_x
-    on every preset, whatever m), and each of its ``n_lyap`` Lyapunov nodes
-    (a paired band's kept nodes alone) what the band generator and the
-    kernel of ``_lyap_solve_batch`` hold at once on the system's partition
-    ``blocks`` (``_lyap_node_bytes``, which reads its m too)."""
-    return max(1, _BLOCK_BYTES // (48 * n_x + _lyap_node_bytes(blocks) * n_lyap))
+    _BLOCK_BYTES: a sample holds ``sample_bytes`` (48 a mode read, for its
+    squared moduli, weight, their products and the radius fit's rows, and
+    with eps_par > 0 16 m + 8 a mode off the band, for their new values),
+    and each of its ``n_lyap`` Lyapunov nodes (a paired band's kept nodes)
+    what the band generator and the kernel of ``_lyap_solve_batch`` hold at
+    once on the partition ``blocks`` (``_lyap_node_bytes``)."""
+    return max(1, _BLOCK_BYTES // (sample_bytes + _lyap_node_bytes(blocks) * n_lyap))
 
 
 @dataclass
@@ -454,22 +463,16 @@ class SolveResult:
 _NOISE_FLOOR = 1e-14
 
 
-def gevrey_radius_fit(sq, s: float):
+def gevrey_radius_fit(amplitudes, s: float):
     """Least-squares radius of ``|u_hat| ~ e^{-c <xi>^(1/s)}`` over the tail.
 
-    ``sq`` is a stack (..., N_x) of squared moduli ``sum_c |u_hat_c|^2`` in
-    FFT order (:func:`engine.squared_moduli`); returns the fitted c and the
+    ``amplitudes`` is a stack (..., N_x/2 + 1) of ``|u_hat|`` by |xi|, folded
+    over +-xi (:func:`engine.fold_amplitudes`); returns the fitted c and the
     rms residual, each of the stack's leading shape.  A fit needs at least
     five tail points spanning three decades above ``_NOISE_FLOOR``;
     otherwise the measurement is inconclusive and both are NaN.
     """
-    sq = np.asarray(sq, dtype=float)
-    half = sq.shape[-1] // 2
-    # fold +-xi to |xi| taking the max; -N_x/2 has no mirror.  The square root
-    # is monotone, so the fold may come first.
-    vals = sq[..., :half + 1].copy()
-    np.maximum(vals[..., 1:half], sq[..., :half:-1], out=vals[..., 1:half])
-    np.sqrt(vals, out=vals)
+    vals = np.asarray(amplitudes, dtype=float)
     peak = np.max(vals, axis=-1, keepdims=True)
     band = (vals > _NOISE_FLOOR) & (vals < 0.5 * peak)
     band[..., 0] = False
@@ -519,8 +522,9 @@ def solve_cauchy(
     every ``stride`` steps; at each sample the diagnostic weight
     ``e^{<D>^rho (T - a t)}`` produces v, the weighted norms, the R-energy
     (exact multiplier for x-independent coefficients; mollified variant in
-    Hoelder mode) and a Gevrey radius fit.  Aborts with the last healthy
-    time on NaN/overflow, of the evolution or of its diagnostics.
+    Hoelder mode) and a Gevrey radius fit; with ``track_energy`` false, as
+    the studies run, only the norms (``gevrey_c`` stays NaN).  Aborts with the
+    last healthy time on NaN/overflow, of the evolution or of its diagnostics.
     """
     coeffs = problem.coeffs
     violations = validate_params(params, c=params.c_spec if params.c_spec is not None else 0.5,
@@ -552,7 +556,8 @@ def solve_cauchy(
         raise ConfigError(f"dt = {dt:.3g} violates the stability budget "
                           f"2.5/Lambda = {2.5 / lam:.3g}")
     # The samples of every cutoff (a state each, and a time) and, when
-    # stepping, every step's three stage matrices are held at once; they must
+    # stepping, every step's three real stage matrices (24 bytes an entry, and
+    # as much again while a term is summed in) are held at once; they must
     # fit in physical memory.
     stepping = BandPropagator.table_bytes(gen) > _BLOCK_BYTES
     need = ((math.ceil(n_steps / stride) + 1) * (16 * len(gen.segments) * coeffs.m * n_x + 16)
@@ -585,10 +590,14 @@ def solve_cauchy(
     # The joint band advances one interval between samples at a time.  Row 0
     # of the block holds the interval's first state and row i + 1 the state
     # after its step i, padded with the propagators' width of zeros on each
-    # side (none when stepping), and the block is checked for finiteness
-    # once.  The abort names the first step that lost it, in any band.  Every
-    # sample starts as u0, so it takes only its cutoff's band, and the
-    # separators stay zero.
+    # side (none when stepping).  A non-finite entry stays non-finite in
+    # every later state: an RK4 step adds u with coefficient exactly 1, a
+    # propagator row always takes its own mode, and in IEEE arithmetic a
+    # finite number times inf, or inf - inf, is never finite.  So the
+    # interval's last state alone is checked, and only when it lost
+    # finiteness are its rows scanned for the first step that did, in any
+    # band.  Every sample starts as u0, so it takes only its cutoff's band,
+    # and the separators stay zero.
     states = np.tile(u0, (len(gen.segments), times.size, 1, 1))
     n_band = gen.xi.size
     width = gen.word_width if prop else 0
@@ -609,8 +618,8 @@ def solve_cauchy(
         else:
             for i in range(end - start):
                 np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
-        lost = ~np.isfinite(np.abs(rows[1:end - start + 1]).max(axis=(1, 2)))
-        if lost.any():
+        if not np.isfinite(rows[end - start]).all():
+            lost = ~np.isfinite(rows[1:end - start + 1]).all(axis=(1, 2))
             t = (start + int(np.argmax(lost)) + 1) * dt
             raise NumericAbortError(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
@@ -627,34 +636,40 @@ def solve_cauchy(
         er_mode = "mollified"
     else:
         er_mode = "multiplier"
-    traces = [_energy_trace(problem, params, gen, seg, index, mirrored, u, times, er_mode)
-              for u, (seg, index), mirrored in zip(states, gen.segments, gen.mirrored)]
+    traces = [_energy_trace(problem, params, gen, seg, index, mirror, u, times, er_mode,
+                            track_energy)
+              for u, (seg, index), (_, mirror) in zip(states, gen.segments, gen.mirrored)]
     return SolveResult(dt=dt, states=states, traces=traces)
 
 
 def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGenerator,
-                  seg: slice, index: np.ndarray, mirrored, states: np.ndarray,
-                  times: np.ndarray, er_mode: str) -> EnergyTrace:
+                  seg: slice, index: np.ndarray, mirror: np.ndarray, states: np.ndarray,
+                  times: np.ndarray, er_mode: str, fit: bool) -> EnergyTrace:
     """The diagnostics of one cutoff's samples ``states``, at ``times``, whose
     band is the segment ``seg`` of ``gen``'s joint band and sits at ``index``
-    of a lattice state, and its mirrors ``mirrored`` (an entry of ``gen.mirrored``),
-    whose R is conjugated; with eps_par > 0 they first set the off-band modes.
+    of a lattice state, its mirrors, left out of a paired band, at
+    ``mirror``; with eps_par > 0 they first set the off-band modes.  With
+    ``fit`` false ``gevrey_c`` stays NaN.
 
     They run over blocks of samples, each block's states read once for their
     squared moduli q.  One product of q w^2 against ``table`` gives the
     squared norms of the five orders sigma (with nu = 0 three of them
     coincide) and the off-band R-energy, R = I/2 there.  A block whose
-    products leave the double range aborts at its first such sample.
+    products leave the double range aborts at its first such sample.  A
+    paired solve's states are conjugate-symmetric, so they read FFT positions
+    0 .. N_x/2 alone, each xi > 0 twice (its row of ``table`` and its R v
+    doubled), and that half of q is already folded for the radius fit.
     """
     coeffs, n_x = problem.coeffs, problem.g.shape[1]
     big_t, a = float(params.T), float(params.a)
     rho, ell = float(params.rho), float(params.ell)
-    xi = lattice(n_x)
-    cols, mirror = mirrored
-    band = np.concatenate((index, mirror))
-    off_index = np.setdiff1d(np.arange(n_x), band)
-    # R is solved on the band, where chi > 0, and conjugated onto the mirrors;
-    # elsewhere M = -a <xi>^rho I, so R = I/2.
+    n_read = n_x // 2 + 1 if gen.paired else n_x
+    lat = lattice(n_x)
+    xi = lat[:n_read]
+    mult = 1.0 + gen.paired * (xi > 0)
+    off_index = np.setdiff1d(np.arange(n_x), np.concatenate((index, mirror)))
+    # R is solved on the band, where chi > 0, and R(-xi) = conj R(xi) gives
+    # the same energy; elsewhere M = -a <xi>^rho I, so R = I/2.
     r_xi, r_chi2 = gen.xi[seg], gen.chi[seg] ** 2
 
     def r_generator(t):
@@ -675,19 +690,22 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
 
     n_samples, nu = times.size, params.nu
     sigmas = (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
-    table = np.zeros((n_x, len(sigmas) + 1))
+    table = np.zeros((n_read, len(sigmas) + 1))
     table[:, :-1] = bracket(xi[:, None], ell) ** (2.0 * np.asarray(sigmas))
-    table[off_index, -1] = 0.5
+    table[off_index[off_index < n_read], -1] = 0.5
+    table *= mult[:, None]
     norms = np.empty((n_samples, len(sigmas)))
     e_r_arr = np.full(n_samples, np.nan)
     gevrey_c = np.full(n_samples, np.nan)
-    block = _samples_per_block(coeffs.blocks, n_x, r_xi.size if er_mode == "multiplier" else 0)
+    sample_bytes = 48 * n_read + ((16 * coeffs.m + 8) * off_index.size if gen.eps_par else 0)
+    block = _samples_per_block(coeffs.blocks, sample_bytes,
+                               r_xi.size if er_mode == "multiplier" else 0)
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
         if gen.eps_par:
             states[blk, :, off_index] = problem.g[:, off_index] * np.exp(
-                -gen.eps_par * xi[off_index] ** 2 * times[blk, None, None])
-        u = states[blk]
+                -gen.eps_par * lat[off_index] ** 2 * times[blk, None, None])
+        u = states[blk, ..., :n_read]
         weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)
         q = squared_moduli(u)
         sums = (q * weight * weight) @ table
@@ -703,15 +721,16 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
             # v and R v over their real and imaginary parts
             r_band = (_lyap_solve_batch(*r_generator(times[blk, None]), coeffs.blocks)
                       if er_mode == "multiplier" else molly_values[blk])
-            r_band = np.concatenate((r_band, r_band[:, cols].conj()), axis=1)
             # contiguous, so that its real view below exists also when m = 1
             v_band = np.ascontiguousarray(
-                (u[:, :, band] * weight[:, None, band]).transpose(0, 2, 1))
-            rv = r_band @ v_band[..., None]
+                (u[:, :, index] * weight[:, None, index]).transpose(0, 2, 1))
+            rv = np.einsum("bnij,bnj->bni", r_band, v_band)
+            rv *= mult[index, None]
             e_r_arr[blk] = np.einsum("bi,bi->b", v_band.reshape(len(u), -1).view(float),
                                      rv.reshape(len(u), -1).view(float)) + sums[:, -1]
-        if problem.gevrey_s is not None:
-            gevrey_c[blk] = gevrey_radius_fit(q, problem.gevrey_s)[0]
+        if fit and problem.gevrey_s is not None:
+            gevrey_c[blk] = gevrey_radius_fit(np.sqrt(q) if gen.paired else fold_amplitudes(q),
+                                              problem.gevrey_s)[0]
 
     base = e_r_arr[0] if np.isfinite(e_r_arr[0]) and e_r_arr[0] > 0 else 1.0
     e_r_norm = e_r_arr / base

@@ -16,7 +16,7 @@ import pytest
 
 from hypersym import runner, solver
 from hypersym.coeffs import CoeffTerm, SystemCoefficients
-from hypersym.engine import lattice, shift_map, squared_moduli
+from hypersym.engine import fold_amplitudes, lattice, shift_map, squared_moduli
 from hypersym.presets import get_preset, preset_names
 from hypersym.symmetrizer import _lyap_solve_batch, damped_generator, mollify_path
 from hypersym.weights import bracket, gevrey_weight
@@ -156,7 +156,8 @@ def test_radius_fit_stack_matches_polyfit_with_nans():
     stack = np.stack([np.stack([u, 0.5 * np.roll(u, 1)]) for u in states])
     ref = np.array([_radius_fit_polyfit(c, s) for c in stack])
     assert np.isnan(ref).sum() == 3
-    _assert_close(solver.gevrey_radius_fit(squared_moduli(stack), s)[0], ref, 1e-12)
+    _assert_close(solver.gevrey_radius_fit(fold_amplitudes(squared_moduli(stack)), s)[0], ref,
+                  1e-12)
 
 
 @pytest.mark.parametrize("preset,er_mode,n_x,block,cap,h,eps_par", [
@@ -189,6 +190,69 @@ def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, cap, h,
     assert np.all(np.isfinite(res.traces[0].norms))
     assert np.isfinite(e_r).all() == (er_mode != "skipped")
     assert np.isfinite(c_fit).any()
+
+
+@pytest.mark.parametrize("preset,n_x,eps_par", [
+    ("wave_t2", 1024, 0.0), ("holder_k", 256, 1e-3), ("xdep", 1024, 0.0),
+    ("block_direct_sum", 256, 1e-3)])
+def test_one_diagnostics_block_peaks_near_the_byte_budget(preset, n_x, eps_par, monkeypatch):
+    # a block of samples, as _samples_per_block sizes it for the modes read
+    # (half the lattice when paired, as on wave_t2 and holder_k) and the
+    # off-band modes set (eps_par > 0), holds between half of _BLOCK_BYTES
+    # and 10% over it
+    import tracemalloc
+
+    cfg = {"command": "solve", "schema_version": "1", "preset": preset, "seed": 3,
+           "n_lattice": n_x}
+    _, params, problem = runner._solve_setup(runner.validate_config(cfg))
+    paired = solver.pairs_modes(problem.coeffs, problem.g)
+    assert paired == (preset in ("wave_t2", "holder_k"))
+    gen = solver.TruncatedGenerator(problem.coeffs, n_x, (1.0 / float(params.ell),), eps_par,
+                                    paired)
+    (seg, index), = gen.segments
+    (_, mirror), = gen.mirrored
+    times = np.linspace(0.0, 0.2, 400)
+    states = np.tile(problem.g, (times.size, 1, 1))
+    sizes, sized = [], solver._samples_per_block
+    monkeypatch.setattr(solver, "_samples_per_block",
+                        lambda *args: sizes.append(sized(*args)) or sizes[-1])
+    tracemalloc.start()
+    try:
+        solver._energy_trace(problem, params, gen, seg, index, mirror, states, times, "skipped",
+                             True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes[0] < times.size
+    assert 0.5 * solver._BLOCK_BYTES <= peak <= 1.1 * solver._BLOCK_BYTES
+
+
+def test_stage_matrices_fit_the_memory_model(monkeypatch):
+    # a stepped solve forms every step's stage matrices at once; the solve
+    # must hold no more than it asked require_memory for, nor far less
+    import tracemalloc
+
+    from hypersym.coeffs import cosine_terms
+
+    coeffs = SystemCoefficients(m=2, a_terms=[
+        CoeffTerm(0, "1", np.array([[0.0, 1.0], [0.25, 0.0]])),
+        *cosine_terms(2, np.array([[0.3, 0.0], [0.0, -0.3]]), "t")],
+        b_terms=cosine_terms(1, np.array([[0.0, 0.2], [0.2, 0.0]])))
+    problem = solver.CauchyProblem(coeffs, solver.gevrey_data(64, 2, 2.0, 1.5, seed=5),
+                                   horizon=0.5)
+    params = solver.ParameterSet(rho=0.5, a=1.8, ell=4.0, tau=0.9, T=1.8, c1=0.225,
+                                 theta=0, a0=0.5, eps0=0.5, c_spec=0.5)
+    needs = []
+    monkeypatch.setattr(solver, "require_memory", lambda need, what: needs.append(need))
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)  # no word table fits: the band steps
+    tracemalloc.start()
+    try:
+        solver.solve_cauchy(problem, params, (0.0,), dt=0.5 / 2000, track_energy=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need, = needs
+    assert 0.8 * need <= peak <= need
 
 
 # ---------------------------------------------------------------------------

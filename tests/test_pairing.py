@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from hypersym.coeffs import CoeffTerm, SystemCoefficients
-from hypersym.engine import lattice
+from hypersym.engine import fold_amplitudes, lattice, squared_moduli
 from hypersym.matkernel import _THETA_XI, _growth_curves, taylor_order
 from hypersym.presets import get_preset, preset_names
-from hypersym.solver import (CauchyProblem, TruncatedGenerator, gevrey_data, pairs_modes,
-                             solve_cauchy)
-from hypersym.symmetrizer import _lyap_solve_batch, damped_generator
-from hypersym.weights import gevrey_weight
+from hypersym.solver import (CauchyProblem, TruncatedGenerator, gevrey_data,
+                             gevrey_radius_fit, pairs_modes, solve_cauchy)
+from hypersym.symmetrizer import _lyap_solve_batch, damped_generator, mollify_path
+from hypersym.weights import bracket, gevrey_weight
 from support import capped_params, sine_terms
 
 _S = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -27,7 +27,14 @@ _S = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 @pytest.mark.parametrize("name", preset_names())
 def test_every_preset_is_real_valued(name):
-    assert get_preset(name).coeffs.real_valued
+    coeffs = get_preset(name).coeffs
+    assert coeffs.real_valued
+    # its matrices are real too, so the generator holds one real field for A
+    # and one for B, and steps in real arithmetic
+    gen = TruncatedGenerator(coeffs, 64, (0.0,), 0.0)
+    fields = bool(coeffs.a_terms) + bool(coeffs.b_terms)
+    assert gen.term_matrices.dtype == np.float64
+    assert gen.term_matrices.shape[1:] == (coeffs.m, fields * coeffs.m * (2 * coeffs.x_band + 1))
 
 
 def test_sine_pair_is_real_valued():
@@ -105,3 +112,54 @@ def test_paired_solve_matches_unpaired(name, n_x, h, eps_par):
         expect = (np.real(np.einsum("ck,kcd,dk->", v[:, index].conj(), r, v[:, index]))
                   + 0.5 * np.sum(np.abs(v[:, off]) ** 2))
         assert abs(e_r - expect) <= 1e-13 * abs(expect)
+
+
+@pytest.mark.parametrize("name,h,eps_par", [case[0:1] + case[2:] for case in _CASES[:12]])
+def test_paired_diagnostics_match_the_whole_lattice(name, h, eps_par):
+    # a paired solve reads FFT positions 0 .. n_x/2 alone, each xi > 0 twice;
+    # the reference reads the solve's own mirrored states on every mode, with
+    # R solved at every band node of both signs.  Mode -n_x/2, its own mirror,
+    # holds data, so that counting it twice would show at h = 0.
+    n_x, s = 128, 1.5
+    coeffs = get_preset(name).coeffs
+    g = gevrey_data(n_x, coeffs.m, s, 1.5, seed=23)
+    g[:, n_x // 2] = 1e-3
+    prob = CauchyProblem(coeffs, g, horizon=0.3, gevrey_s=s, gevrey_c0=1.5)
+    params = capped_params(name, 16.0)
+    if name == "holder_k":
+        params = replace(params, delta=1.0)
+    assert pairs_modes(coeffs, g)
+    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4)
+    trace, states = res.traces[0], res.states[0]
+    assert trace.er_mode == ("mollified" if name == "holder_k" else "multiplier")
+
+    xi = lattice(n_x)
+    big_t, a, rho, ell = (float(params.T), float(params.a), float(params.rho),
+                          float(params.ell))
+    v = states * gevrey_weight(xi, big_t - a * trace.times[:, None], rho, ell)[:, None, :]
+    sigmas = np.asarray(trace.sigmas)
+    norms = np.sqrt(np.sum(np.abs(v[:, :, :, None]) ** 2 * bracket(xi, ell)[:, None]
+                           ** (2.0 * sigmas), axis=(1, 2)))
+    gen = TruncatedGenerator(coeffs, n_x, (h,), eps_par)  # unpaired: the whole band
+    (_, index), = gen.segments
+    off = np.setdiff1d(np.arange(n_x), index)
+
+    def r_at(t):
+        return _lyap_solve_batch(*damped_generator(coeffs, replace(params, tau=big_t - a * t),
+                                                   t, 0.0, gen.xi, gen.chi**2), coeffs.blocks)
+
+    if trace.er_mode == "mollified":
+        widths = bracket(xi, ell) ** -1.0
+        step, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
+        path_ts = np.arange(-pad, prob.horizon + pad + step, step)
+        r = mollify_path(path_ts, r_at(path_ts[:, None]), bracket(gen.xi, ell), 1.0,
+                         trace.times)
+    else:
+        r = r_at(trace.times[:, None])
+    e_r = (np.real(np.einsum("sck,skcd,sdk->s", v[:, :, index].conj(), r, v[:, :, index]))
+           + 0.5 * np.sum(np.abs(v[:, :, off]) ** 2, axis=(1, 2)))
+    assert np.all(np.abs(trace.norms - norms) <= 1e-14 * norms)
+    assert np.all(np.abs(trace.e_r_raw - e_r) <= 1e-13 * np.abs(e_r))
+    np.testing.assert_array_equal(
+        trace.gevrey_c, gevrey_radius_fit(fold_amplitudes(squared_moduli(states)), s)[0])
+    assert np.isfinite(trace.gevrey_c).any()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.engine import lattice, squared_moduli
+from hypersym.engine import fold_amplitudes, lattice, squared_moduli
 from hypersym.errors import ConfigError
 from hypersym.matkernel import expm_batched
 from hypersym.presets import get_preset
@@ -241,7 +241,7 @@ def test_radius_fit_exact_synthetic():
     xi = lattice(n)
     s = 1.5
     coeffs = np.exp(-2.0 * np.hypot(xi, 1.0) ** (1.0 / s))[None, :].astype(complex)
-    c_fit, resid = gevrey_radius_fit(squared_moduli(coeffs), s)
+    c_fit, resid = gevrey_radius_fit(fold_amplitudes(squared_moduli(coeffs)), s)
     assert c_fit == pytest.approx(2.0, abs=0.05)
     assert resid <= 1e-6
 
@@ -252,7 +252,7 @@ def test_radius_fit_gaussian():
     sigma = 0.25
     u = np.exp(-((x - np.pi) ** 2) / (2 * sigma**2))
     st = from_physical(u[None, :])
-    c_fit, _ = gevrey_radius_fit(squared_moduli(st), 2.0)
+    c_fit, _ = gevrey_radius_fit(fold_amplitudes(squared_moduli(st)), 2.0)
     # gaussian tail: |u_hat| ~ e^{-sigma^2 xi^2 / 2}; in <xi>^(1/2)
     # coordinates the fitted c is finite and positive over the band
     assert c_fit > 0
@@ -271,13 +271,14 @@ def test_radius_fit_folds_by_max_amplitude():
         folded[key] = max(folded.get(key, 0.0), float(amp[i]))
     one_sided = np.zeros(n)
     one_sided[list(folded)] = list(folded.values())  # |xi| = n/2 sits at xi = -n/2
-    assert gevrey_radius_fit(amp**2, 1.5) == gevrey_radius_fit(one_sided**2, 1.5)
+    assert (gevrey_radius_fit(fold_amplitudes(amp**2), 1.5)
+            == gevrey_radius_fit(fold_amplitudes(one_sided**2), 1.5))
 
 
 def test_radius_fit_requires_tail():
     # an inconclusive fit reads NaN
     st = _single_mode(64, 1, 2)
-    assert np.all(np.isnan(gevrey_radius_fit(squared_moduli(st), 1.5)))
+    assert np.all(np.isnan(gevrey_radius_fit(fold_amplitudes(squared_moduli(st)), 1.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +367,37 @@ def test_non_finite_off_band_data_aborts_at_first_step(eps_par, bad):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_numeric_abort_band_first_between_samples():
+def test_numeric_abort_band_first_between_samples(monkeypatch):
     # anti-damping B blows up the band while the off-band modes stay put;
     # the band is checked once per interval between samples, and the abort
-    # must still name the step inside the interval that lost finiteness
+    # must still name the step inside the interval that lost finiteness.  On
+    # the propagator path that is the first state past the double range; with
+    # no word table under the budget the band steps, and an RK4 stage can
+    # overflow a few steps sooner, so there it is the allocating RK4's
+    from hypersym import solver
     from hypersym.errors import NumericAbortError
 
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]), 200.0 * np.eye(2))
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=5.0)
     dt, stride = 2.4 / 232.0, 7  # lam_bound = 32 ||A|| + ||B|| = 232
-    with pytest.raises(NumericAbortError) as err:
-        solve_cauchy(prob, _quick_params(), (1 / 16,), dt=dt, stride=stride,
-                     track_energy=False)
     n_steps = math.ceil(prob.horizon / dt)
-    _, last_time = _full_lattice_loop(prob, 1 / 16, 0.0, n_steps)
-    assert last_time is not None and 0.0 < last_time < prob.horizon
-    assert err.value.last_time == last_time
-    step = round(last_time / (prob.horizon / n_steps)) + 1
-    assert step % stride != 0 and step < n_steps
+    _, overflow = _full_lattice_loop(prob, 1 / 16, 0.0, n_steps)
+    gen = TruncatedGenerator(cs, 64, (1 / 16,), 0.0)
+    (_, index), = gen.segments
+    u, k, step_dt = prob.g[:, index], 0, prob.horizon / n_steps
+    while np.isfinite(u).all():
+        u, k = rk4_step(allocating_rhs(gen), u, k * step_dt, step_dt), k + 1
+    stepped = k * step_dt - step_dt
+    assert stepped <= overflow
+    for budget, last_time in ((solver._BLOCK_BYTES, overflow), (0, stepped)):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", budget)
+        with pytest.raises(NumericAbortError) as err:
+            solve_cauchy(prob, _quick_params(), (1 / 16,), dt=dt, stride=stride,
+                         track_energy=False)
+        assert last_time is not None and 0.0 < last_time < prob.horizon
+        assert err.value.last_time == last_time
+        step = round(last_time / step_dt) + 1
+        assert step % stride != 0 and step < n_steps
 
 
 def test_off_band_modes_take_their_exact_decay():
@@ -520,18 +534,33 @@ def test_band_evolution_matches_full_lattice_loop(kind):
         assert off.size and np.array_equal(res.states[0][-1][:, off], prob.g[:, off])
 
 
+def _complex_x_system():
+    """A sine harmonic in A and an imaginary entry in B: complex term matrices
+    on both fields, so the generator holds each field's Ci beside its Cr."""
+    from hypersym.coeffs import CoeffTerm, SystemCoefficients
+    from support import sine_terms
+
+    return SystemCoefficients(
+        m=2,
+        a_terms=[CoeffTerm(0, "1", np.array([[0.0, 1.0], [1.0, 0.0]])),
+                 *sine_terms(1, np.array([[0.4, 0.0], [0.0, -0.4]]), "t")],
+        b_terms=[CoeffTerm(0, "1", np.array([[0.0, 0.3j], [0.1, 0.0]])),
+                 CoeffTerm(2, "1", np.array([[0.2, 0.0], [0.1j, 0.0]]))])
+
+
 def test_complex_system_evolves_every_mode():
     # a complex hermitian A has H(-xi) != -conj H(xi), so conjugate-symmetric
-    # data does not stay so and the solve is not paired
+    # data does not stay so and the solve is not paired; an x-dependent
+    # complex system evolves every mode anyway
     from hypersym.solver import pairs_modes
 
-    cs = constant_system(np.array([[1.0, 1j], [-1j, -1.0]]))
-    prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=16), horizon=0.5)
-    assert is_conjugate_symmetric(prob.g) and not pairs_modes(cs, prob.g)
-    res = solve_cauchy(prob, _quick_params(), (0.0,), track_energy=False)
-    ref, last_time = _full_lattice_loop(prob, 0.0, 0.0, round(prob.horizon / res.dt))
-    assert last_time is None
-    assert np.max(np.abs(res.states[0][-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for cs in (constant_system(np.array([[1.0, 1j], [-1j, -1.0]])), _complex_x_system()):
+        prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=16), horizon=0.5)
+        assert is_conjugate_symmetric(prob.g) and not pairs_modes(cs, prob.g)
+        res = solve_cauchy(prob, _quick_params(), (0.0,), track_energy=False)
+        ref, last_time = _full_lattice_loop(prob, 0.0, 0.0, round(prob.horizon / res.dt))
+        assert last_time is None
+        assert np.max(np.abs(res.states[0][-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("h", [0.0, 1 / 16])
@@ -678,7 +707,7 @@ def test_generator_matches_quantized_symbol():
     )
     rng = np.random.default_rng(23)
     st = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    for coeffs, t in ((cs, 0.0), (two_t, 0.37)):
+    for coeffs, t in ((cs, 0.0), (two_t, 0.37), (_complex_x_system(), 0.61)):
         # on the active band, and with h = 0 (chi = 1) on the whole lattice in
         # centered order, where the shifts reach the lattice edge
         for h in (1.0 / 8.0, 0.0):
