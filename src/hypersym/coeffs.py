@@ -29,12 +29,21 @@ _ABS_RE = re.compile(r"^\|t\|\^([0-9.]+)$")
 _LAC_RE = re.compile(r"^lacunary\(\s*([0-9.]+)\s*,\s*(\d+)\s*\)$")
 
 
-def time_function(term: str):
-    """Compile one time-grammar expression to a vectorized function of t.
+@dataclass(frozen=True)
+class TimeTerm:
+    """A compiled time-grammar expression: called on t (a scalar or an array)
+    it returns g(t) in t's shape.  ``omega_max`` is the top angular frequency
+    of its cosines, 2^(n-1) for ``lacunary(kappa, n)`` and 0 for the rest."""
 
-    The returned callable takes t as a scalar or an array and returns an
-    array of the same shape; the string is parsed here, once.
-    """
+    g: object
+    omega_max: float = 0.0
+
+    def __call__(self, t):
+        return self.g(np.asarray(t, dtype=float))
+
+
+def time_function(term: str) -> TimeTerm:
+    """Compile one time-grammar expression; the string is parsed here, once."""
     term = term.strip()
     if term == "1":
         g = np.ones_like
@@ -61,9 +70,10 @@ def time_function(term: str):
             for j in range(levels):
                 out += 2.0 ** (-kappa * j) * np.cos((2.0**j) * t)
             return out
+        return TimeTerm(g, 2.0 ** (levels - 1) if levels else 0.0)
     else:
         raise ConfigError(f"unrecognized time term {term!r}")
-    return lambda t: g(np.asarray(t, dtype=float))
+    return TimeTerm(g)
 
 
 @dataclass(frozen=True)

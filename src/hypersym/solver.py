@@ -22,20 +22,25 @@ for bit (:func:`pairs_modes`) evolves each band's xi >= 0 and -n_x/2 alone
 and writes each xi < 0 band mode as the conjugate of its mirror.  Its
 diagnostics read FFT positions 0 .. n_x/2 alone, each xi > 0 counted twice.
 
+The lattice's stability scale sets the grid step dt, and a sample is taken
+every ``stride`` grid steps.  The band crosses each sample interval in the
+sub-steps of :func:`_substeps`, set by its own scale and the time terms' top
+frequency, and never more of them than grid steps.
+
 One solve takes several cutoffs, as the h-uniformity study does: they share
-dt, since the stability scale does not read h, and their bands lie end to
-end in one joint band, separated by ``coeffs.x_band`` modes where xi = 0
-and chi = 0.  No product of the generator crosses a separator, so one time
-loop evolves every cutoff exactly as its own solve would, in one sequence
-of steps instead of one per cutoff.
+the grid and the sub-steps, which the widest band sets, and their bands lie
+end to end in one joint band, separated by ``coeffs.x_band`` modes where
+xi = 0 and chi = 0.  No product of the generator crosses a separator, so one
+time loop evolves every cutoff as its own solve would (bit for bit where the
+sub-steps are the same), in one sequence of steps instead of one per cutoff.
 
 The (joint) band takes one of two step paths, chosen by its size alone.  The
 generator is linear, so an RK4 step is a fixed polynomial in it, and on a
 small band :class:`BandPropagator` precomputes each step as one banded
 matrix: the products of the generator's per-time-term parts (words of length
 1 to 4) are applied once per solve to coloured unit vectors, and each step's
-matrix is their combination with that step's coefficients, one real product
-per chunk of steps.  A step is then one ``einsum`` against the sliding
+matrix is their combination with that step's coefficients and size, one real
+product per chunk of steps.  A step is then one ``einsum`` against the sliding
 windows of the zero-padded state.  That path is taken when the word table
 fits in ``_BLOCK_BYTES``.  A larger band steps by :func:`step_rk4` on the
 generator, each stage a single product with that stage's matrix
@@ -49,22 +54,23 @@ fill one (n_cutoffs, n_samples, m, n_x) array that starts as copies of u0,
 so a sample takes only its cutoff's band, and the off-band modes when
 eps_par > 0.
 
-The band advances one sample interval at a time, each step writing its state
-into one row of the interval's block.  A buffered :func:`step_rk4` reuses
-five work buffers with the operations of the plain allocating RK4 step (the
-tests' reference) in the same order, so its roundings are that step's.
-Finiteness is checked on each interval's last state, and an abort names the
-first step whose state lost it, in any cutoff's band.  On the propagator path that is
-the first state that leaves the double range; a stepped band can lose it a
-few steps sooner, when an RK4 stage overflows first.  The loop only records
-the sampled states.  The diagnostics then run over blocks of samples, slices
-of the sample array, and read each state once, for its squared moduli
-q = sum_c |u_c|^2.  A block takes one weight array w and one product of
-q w^2 against a per-solve table: its ``<xi>^(2 sigma)`` columns give the five
-norms, and its column of 1/2 on the off-band modes their R-energy.  The
-band's R-energy is one Lyapunov batch and one batched product R v, and the
-radius fit reads q folded over +-xi.  Each cutoff's samples are diagnosed on
-their own, and a block whose weighted norms leave the double range aborts.
+The band advances one sample interval at a time (:func:`_evolve`), each
+sub-step writing its state into one row of the interval's block.  A buffered
+:func:`step_rk4` reuses five work buffers with the operations of the plain
+allocating RK4 step (the tests' reference) in the same order, so its
+roundings are that step's.  Finiteness is checked on each interval's last
+state, and an abort names the first sub-step whose state lost it, in any
+cutoff's band.  On the propagator path that is the first state that leaves
+the double range; a stepped band can lose it a few steps sooner, when an
+RK4 stage overflows first.  The loop only records the sampled states.  The
+diagnostics then run over blocks of samples, slices of the sample array, and
+read each state once, for its squared moduli q = sum_c |u_c|^2.  A block
+takes one weight array w and one product of q w^2 against a per-solve table:
+its ``<xi>^(2 sigma)`` columns give the five norms, and its column of 1/2 on
+the off-band modes their R-energy.  The band's R-energy is one Lyapunov batch
+and one batched product R v, and the radius fit reads q folded over +-xi.
+Each cutoff's samples are diagnosed on their own, and a block whose weighted
+norms leave the double range aborts.
 """
 
 from __future__ import annotations
@@ -249,28 +255,27 @@ class TruncatedGenerator:
         self.term_matrices = mats.reshape(len(names), coeffs.m, -1)
         self.word_width = min(4 * k_max, n - 1)
 
-    def stage_coefficients(self, ks, dt: float) -> np.ndarray:
-        """The g_j of :attr:`time_terms` at the RK4 stage times of steps
-        ``ks``, k dt, k dt + dt/2 and k dt + dt: (3, len(ks), J)."""
-        t = np.asarray(ks) * dt
+    def stage_coefficients(self, t, h) -> np.ndarray:
+        """The g_j of :attr:`time_terms` at the RK4 stage times t, t + h/2 and
+        t + h of steps from the times ``t`` of the sizes ``h``: (3, len(t), J)."""
+        t = np.asarray(t, dtype=float)
         return np.stack([np.stack([g(s) for g in self.time_terms.values()], axis=-1)
-                         for s in (t, t + dt / 2.0, t + dt)])
+                         for s in (t, t + h / 2.0, t + h)])
 
     def lam_bound(self, t_hi: float) -> float:
-        """Stability scale: sup over modes of ||iA(xi)|| + eps |xi|^2."""
-        ts = np.linspace(0.0, max(t_hi, 1e-9), 33)
-        m = self.coeffs.m
-
-        def sup(terms):
-            # per-term triangle bound, so that it holds at every x
-            norms = np.linalg.norm(np.reshape([term.matrix for term in terms], (-1, m, m)),
-                                   2, axis=(-2, -1))
-            return float(np.max(sum((norm * np.abs(term.g(ts))
-                                     for norm, term in zip(norms, terms)), np.zeros(ts.size))))
-
-        xi_max = self.n_x / 2.0
-        return (sup(self.coeffs.a_terms) * xi_max + sup(self.coeffs.b_terms)
-                + self.eps_par * xi_max**2)
+        """Stability scale over t in [0, t_hi]: sup ||A|| |xi|max + sup ||B|| +
+        eps_par |xi|max^2, each sup a per-term triangle bound, so that it holds
+        at every x, and |xi|max the lattice's n_x/2.  :attr:`lam_band` is the
+        same scale over the joint band, the norm bound of its generator."""
+        ts, m = np.linspace(0.0, max(t_hi, 1e-9), 33), self.coeffs.m
+        fields = (self.coeffs.a_terms, self.coeffs.b_terms)
+        norms = iter(np.linalg.norm(np.reshape([term.matrix for term in sum(fields, [])],
+                                               (-1, m, m)), 2, axis=(-2, -1)))
+        sup_a, sup_b = (float(np.max(sum((next(norms) * np.abs(term.g(ts)) for term in terms),
+                                         np.zeros(ts.size)))) for terms in fields)
+        self.lam_band, lam = (sup_a * xi + sup_b + self.eps_par * xi**2 for xi in
+                              (float(np.max(np.abs(self.xi), initial=0.0)), self.n_x / 2.0))
+        return lam
 
     def apply(self, mat: np.ndarray, coeffs_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The generator with real matrix ``mat``, ``sum_j g_j(t) L_j`` at its
@@ -327,11 +332,11 @@ class TruncatedGenerator:
         return table.transpose(0, 4, 1, 3, 2)
 
 
-def step_rk4(rhs, u: np.ndarray, stages, dt: float, out: np.ndarray, work) -> np.ndarray:
-    """Classical four-stage explicit step for ``du/dt = rhs(t, u)``.
+def step_rk4(rhs, u: np.ndarray, stages, h: float, out: np.ndarray, work) -> np.ndarray:
+    """Classical four-stage explicit step of size ``h`` for ``du/dt = rhs(t, u)``.
 
-    ``stages`` holds what ``rhs`` takes for the times t, t + dt/2 and
-    t + dt, the step's start, middle and end.  ``work`` is five arrays
+    ``stages`` holds what ``rhs`` takes for the times t, t + h/2 and
+    t + h, the step's start, middle and end.  ``work`` is five arrays
     shaped like u: the stages go into them by ``rhs(stages[i], v, k)`` and
     the new state into ``out``, which may be u.
     """
@@ -339,8 +344,8 @@ def step_rk4(rhs, u: np.ndarray, stages, dt: float, out: np.ndarray, work) -> np
     # 0-d arrays of u's type stand in for the Python floats, and the outputs
     # go by position: on small bands either costs more than the arithmetic
     d = u.dtype
-    half, whole, two, sixth = (np.array(dt / 2.0, d), np.array(dt, d), np.array(2.0, d),
-                               np.array(dt / 6.0, d))
+    half, whole, two, sixth = (np.array(h / 2.0, d), np.array(h, d), np.array(2.0, d),
+                               np.array(h / 6.0, d))
     start, middle, end = stages
     rhs(start, u, k1)
     rhs(middle, np.add(u, np.multiply(half, k1, v), v), k2)
@@ -355,12 +360,12 @@ def step_rk4(rhs, u: np.ndarray, stages, dt: float, out: np.ndarray, work) -> np
 class BandPropagator:
     """One RK4 step of the band as a precomputed banded matrix.
 
-    The generator is linear, ``L(t) = sum_j g_j(t) L_j``, so the step from t
-    is a fixed polynomial in L1, L2 and L3, the generator at t, t + dt/2 and
-    t + dt::
+    The generator is linear, ``L(t) = sum_j g_j(t) L_j``, so the step of size
+    h from t is a fixed polynomial in L1, L2 and L3, the generator at t,
+    t + h/2 and t + h::
 
-        P = I + dt/6 (L1 + 4 L2 + L3) + dt^2/6 (L2 L1 + L2 L2 + L3 L2)
-              + dt^3/12 (L2 L2 L1 + L3 L2 L2) + dt^4/24 L3 L2 L2 L1
+        P = I + h/6 (L1 + 4 L2 + L3) + h^2/6 (L2 L1 + L2 L2 + L3 L2)
+              + h^3/12 (L2 L2 L1 + L3 L2 L2) + h^4/24 L3 L2 L2 L1
 
     That is the sum of c_w L_w over the words w of
     :meth:`TruncatedGenerator.word_table`, where each c_w is a product of
@@ -371,8 +376,7 @@ class BandPropagator:
     side.
     """
 
-    def __init__(self, gen: TruncatedGenerator, dt: float):
-        self._dt = dt
+    def __init__(self, gen: TruncatedGenerator):
         self._coefficients = gen.stage_coefficients
         table = np.ascontiguousarray(gen.word_table())
         self._shape = table.shape[1:]
@@ -386,31 +390,56 @@ class BandPropagator:
         j, m, n = len(gen.time_terms), gen.coeffs.m, gen.xi.size
         return 16 * (1 + j + j**2 + j**3 + j**4) * m * n * m * (2 * gen.word_width + 1)
 
-    def matrices(self, ks) -> np.ndarray:
-        """The propagators of steps ``ks``, step k going from k dt to
-        (k + 1) dt: (len(ks), m, n_band, m, 2W + 1)."""
-        dt = self._dt
-        g1, g2, g3 = self._coefficients(ks, dt)  # each [k, j]
-        rows = [np.ones((len(g1), 1)),
-                dt / 6.0 * (g1 + 4.0 * g2 + g3),
-                dt**2 / 6.0 * (np.einsum("ka,kb->kab", g2, g1 + g2)
-                               + np.einsum("ka,kb->kab", g3, g2)),
-                dt**3 / 12.0 * np.einsum("kb,kac->kabc", g2, np.einsum("ka,kc->kac", g2, g1)
-                                         + np.einsum("ka,kc->kac", g3, g2)),
-                dt**4 / 24.0 * np.einsum("ka,kb,kc,kd->kabcd", g3, g2, g2, g1)]
-        rows = np.concatenate([r.reshape(len(g1), -1) for r in rows], axis=1)
-        return (rows @ self._table).view(complex).reshape((len(g1),) + self._shape)
+    def matrices(self, t, h) -> np.ndarray:
+        """The propagators of steps from the times ``t`` of the sizes ``h``:
+        (len(t), m, n_band, m, 2W + 1)."""
+        h = np.asarray(h, dtype=float)[:, None]
+        g1, g2, g3 = self._coefficients(t, h[:, 0])  # each [k, j]
+        words = [g1 + 4.0 * g2 + g3,
+                 np.einsum("ka,kb->kab", g2, g1 + g2) + np.einsum("ka,kb->kab", g3, g2),
+                 np.einsum("kb,kac->kabc", g2, np.einsum("ka,kc->kac", g2, g1)
+                           + np.einsum("ka,kc->kac", g3, g2)),
+                 np.einsum("ka,kb,kc,kd->kabcd", g3, g2, g2, g1)]
+        rows = np.concatenate([np.ones((len(h), 1))]
+                              + [c * w.reshape(len(h), -1) for c, w in
+                                 zip((h / 6.0, h**2 / 6.0, h**3 / 12.0, h**4 / 24.0), words)],
+                              axis=1)
+        return (rows @ self._table).view(complex).reshape((len(h),) + self._shape)
 
-    def steps(self, n_steps: int):
-        """The propagators of steps 0 to n_steps - 1 in turn, formed in
-        chunks of about ``_BLOCK_BYTES``."""
+    def steps(self, t, h):
+        """The propagators of the steps from the times ``t`` of the sizes
+        ``h`` in turn, formed in chunks of about ``_BLOCK_BYTES``."""
         chunk = max(1, _BLOCK_BYTES // (16 * math.prod(self._shape)))
-        for lo in range(0, n_steps, chunk):
-            yield from self.matrices(np.arange(lo, min(lo + chunk, n_steps)))
+        for lo in range(0, len(t), chunk):
+            yield from self.matrices(t[lo:lo + chunk], h[lo:lo + chunk])
 
 
 # ---------------------------------------------------------------------------
 # Traces and the main loop
+
+
+# A sub-step h has h Lambda_band <= C_ACC and h omega_max <= C_ACC: RK4 then
+# errs by at most C_ACC^4/120 (5.2e-8) per radian the fastest band mode turns,
+# and loses at most C_ACC^5/144 (2.2e-9) of its amplitude on the imaginary axis.
+C_ACC = 0.05
+
+
+def _substeps(length, dt: float, scale: float):
+    """The fewest equal sub-steps, at least one, with h ``scale`` <= C_ACC
+    that cross ``length`` grid steps of size dt, but never more than length."""
+    return np.minimum(length, np.maximum(1, np.ceil(length * dt * scale / C_ACC))).astype(int)
+
+
+def _step_schedule(sample_steps: np.ndarray, dt: float, scale: float):
+    """Per interval between the samples its count of sub-steps, and per
+    sub-step its start and size in grid steps: k and 1.0 exactly where an
+    interval keeps its grid steps."""
+    lengths = np.diff(sample_steps)
+    counts = _substeps(lengths, dt, scale)
+    size = np.repeat(lengths / counts, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    start = np.repeat(sample_steps[:-1], counts) + (np.arange(size.size) - first) * size
+    return counts, start, size
 
 
 def _samples_per_block(blocks: list[np.ndarray], sample_bytes: int, n_lyap: int) -> int:
@@ -456,6 +485,7 @@ class SolveResult:
     # traces[i].times, the last at the horizon
     states: np.ndarray
     traces: list[EnergyTrace]  # one per cutoff
+    steps: int  # RK4 steps taken, each a sub-step of a sample interval
 
 
 # Amplitudes at or below this are rounding residue of the unit-size data and
@@ -496,6 +526,61 @@ def gevrey_radius_fit(amplitudes, s: float):
     return np.where(conclusive, slope[..., 0], np.nan), np.where(conclusive, resid[..., 0], np.nan)
 
 
+def _evolve(gen: TruncatedGenerator, u0: np.ndarray, n_samples: int, counts: np.ndarray,
+            start: np.ndarray, size: np.ndarray, dt: float, prop: BandPropagator | None):
+    """The samples (n_cutoffs, n_samples, m, n_x) of ``gen``'s joint band
+    evolved from ``u0`` through the schedule of :func:`_step_schedule` by the
+    propagators of ``prop``, or by :func:`step_rk4` when it is None.
+
+    Row 0 of the interval's block holds its first state and row i + 1 the
+    state after its sub-step i, padded with the propagators' width of zeros
+    on each side.  A non-finite entry stays non-finite in every later state:
+    an RK4 step adds u with coefficient exactly 1, a propagator row always
+    takes its own mode, and in IEEE arithmetic a finite number times inf, or
+    inf - inf, is never finite.  So the interval's last state alone is
+    checked, and only when it lost finiteness are its rows scanned for the
+    first sub-step that did, in any band; the abort names its end, and its
+    start as the last healthy time.  Every sample starts as u0, so it takes
+    only its cutoff's band, and the separators stay zero.
+    """
+    t_start, h_step = start * dt, size * dt
+    if prop is None:
+        g = gen.stage_coefficients(t_start, h_step).transpose(1, 0, 2)[..., None, None]
+        stages = g[:, :, 0] * gen.term_matrices[0]
+        for j in range(1, len(gen.term_matrices)):
+            stages += g[:, :, j] * gen.term_matrices[j]
+        work = [np.empty((gen.coeffs.m, gen.xi.size), dtype=complex) for _ in range(5)]
+    else:
+        props = prop.steps(t_start, h_step)
+    states = np.tile(u0, (len(gen.segments), n_samples, 1, 1))
+    n_band, width = gen.xi.size, 0 if prop is None else gen.word_width
+    block = np.zeros((np.max(counts) + 1, gen.coeffs.m, n_band + 2 * width), dtype=complex)
+    rows = block[:, :, width:width + n_band]
+    windows = np.lib.stride_tricks.sliding_window_view(block, 2 * width + 1, axis=-1)
+    for seg, index in gen.segments:
+        rows[0][:, seg] = u0[:, index]
+    first = 0  # the interval's first sub-step
+    for samples, n in zip(states.swapaxes(0, 1)[1:], counts):
+        if prop is None:
+            h = float(h_step[first])
+            for i in range(n):
+                step_rk4(gen.apply, rows[i], stages[first + i], h, rows[i + 1], work)
+        else:
+            for i in range(n):
+                np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
+        if not np.isfinite(rows[n]).all():
+            k = first + int(np.argmax(~np.isfinite(rows[1:n + 1]).all(axis=(1, 2))))
+            t = (start[k] + size[k]) * dt
+            raise NumericAbortError(
+                f"evolution lost finiteness at t = {t:.6g}", last_time=t - h_step[k]
+            )
+        rows[0] = rows[n]
+        first += n
+        for sample, (seg, index) in zip(samples, gen.segments):
+            sample[:, index] = rows[0][:, seg]
+    return states
+
+
 def pairs_modes(coeffs: SystemCoefficients, u0: np.ndarray) -> bool:
     """Whether a solve of ``u0`` pairs its modes: the system is x-independent
     and real, and u0(-xi) = conj u0(xi) bit for bit."""
@@ -517,9 +602,10 @@ def solve_cauchy(
     """Evolve the truncated (optionally parabolically regularized) problem
     at each cutoff scale h of ``cutoffs``.
 
-    The cutoffs share dt, since the stability scale does not read h, and one
-    time loop advances their bands together.  Each trajectory is sampled
-    every ``stride`` steps; at each sample the diagnostic weight
+    The cutoffs share the grid step dt, set by the lattice's stability scale,
+    and the sub-steps between samples, set by the widest band, and one time
+    loop advances their bands together.  Each trajectory is sampled every
+    ``stride`` grid steps; at each sample the diagnostic weight
     ``e^{<D>^rho (T - a t)}`` produces v, the weighted norms, the R-energy
     (exact multiplier for x-independent coefficients; mollified variant in
     Hoelder mode) and a Gevrey radius fit; with ``track_energy`` false, as
@@ -555,78 +641,37 @@ def solve_cauchy(
     if dt * lam > 2.5:
         raise ConfigError(f"dt = {dt:.3g} violates the stability budget "
                           f"2.5/Lambda = {2.5 / lam:.3g}")
-    # The samples of every cutoff (a state each, and a time) and, when
-    # stepping, every step's three real stage matrices (24 bytes an entry, and
-    # as much again while a term is summed in) are held at once; they must
-    # fit in physical memory.
+    # The sub-steps between samples; the longest interval takes the most.
+    scale = max(gen.lam_band, *(g.omega_max for g in gen.time_terms.values()))
+    longest = min(stride, n_steps)
+    most, last = (int(_substeps(n, dt, scale)) for n in (longest, n_steps % longest))
+    total = n_steps // longest * most + last
+    # The samples of every cutoff (a state each, and a time), the interval's
+    # block of band states, the schedule (48 bytes a sub-step as it is formed)
+    # and, when stepping, five work states and each sub-step's stage
+    # coefficients (24 bytes a time term) and three real stage matrices (24
+    # bytes an entry, and as much again while a term is summed in) are held
+    # at once; they must fit in physical memory.
     stepping = BandPropagator.table_bytes(gen) > _BLOCK_BYTES
     need = ((math.ceil(n_steps / stride) + 1) * (16 * len(gen.segments) * coeffs.m * n_x + 16)
-            + (48 * n_steps * gen.term_matrices[0].size if stepping else 0))
+            + (most + 1 + 5 * stepping) * 16 * coeffs.m
+            * (gen.xi.size + (0 if stepping else 2 * gen.word_width))
+            + total * (48 + stepping * (24 * len(gen.time_terms) + 48 * gen.term_matrices[0].size)))
     require_memory(need, f"dt = {dt:.3g}: {n_steps} steps")
 
     # up-front overflow probe for the largest weight in the run
     gevrey_weight(lattice(n_x), float(params.T), float(params.rho), float(params.ell))
-    # A band whose word table fits in _BLOCK_BYTES steps by precomputed
-    # propagators; a larger one by step_rk4 on the generator, with step k's
-    # three stage matrices sum_j g_j L_j in stages[k], summed term by term.
-    prop = None if stepping else BandPropagator(gen, dt)
-    if prop is None:
-        g = gen.stage_coefficients(np.arange(n_steps), dt).transpose(1, 0, 2)[..., None, None]
-        stages = g[:, :, 0] * gen.term_matrices[0]
-        for j in range(1, len(gen.term_matrices)):
-            stages += g[:, :, j] * gen.term_matrices[j]
-
-    # A sample is taken every stride steps and at the last step: sample k
-    # holds the state after sample_steps[k] steps, at time sample_steps[k] dt.
-    sample_steps = np.union1d(np.arange(0, n_steps + 1, stride), n_steps)
-    times = sample_steps * dt
-
     # Off its band a cutoff's generator is -eps_par xi^2, so sample k holds
     # u0 e^{-times[k] eps_par xi^2} there, set with the diagnostics.  The
     # factor is at most 1, so only u0 can make those modes non-finite.
     if not np.isfinite(u0).all():
         raise NumericAbortError(f"evolution lost finiteness at t = {dt:.6g}", last_time=0.0)
-
-    # The joint band advances one interval between samples at a time.  Row 0
-    # of the block holds the interval's first state and row i + 1 the state
-    # after its step i, padded with the propagators' width of zeros on each
-    # side (none when stepping).  A non-finite entry stays non-finite in
-    # every later state: an RK4 step adds u with coefficient exactly 1, a
-    # propagator row always takes its own mode, and in IEEE arithmetic a
-    # finite number times inf, or inf - inf, is never finite.  So the
-    # interval's last state alone is checked, and only when it lost
-    # finiteness are its rows scanned for the first step that did, in any
-    # band.  Every sample starts as u0, so it takes only its cutoff's band,
-    # and the separators stay zero.
-    states = np.tile(u0, (len(gen.segments), times.size, 1, 1))
-    n_band = gen.xi.size
-    width = gen.word_width if prop else 0
-    longest = int(np.max(np.diff(sample_steps)))
-    block = np.zeros((longest + 1, coeffs.m, n_band + 2 * width), dtype=complex)
-    rows = block[:, :, width:width + n_band]
-    for seg, index in gen.segments:
-        rows[0][:, seg] = u0[:, index]
-    if prop is None:
-        work = [np.empty((coeffs.m, n_band), dtype=complex) for _ in range(5)]
-    else:
-        props = prop.steps(n_steps)
-        windows = np.lib.stride_tricks.sliding_window_view(block, 2 * width + 1, axis=-1)
-    for samples, start, end in zip(states.swapaxes(0, 1)[1:], sample_steps, sample_steps[1:]):
-        if prop is None:
-            for i in range(end - start):
-                step_rk4(gen.apply, rows[i], stages[start + i], dt, rows[i + 1], work)
-        else:
-            for i in range(end - start):
-                np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
-        if not np.isfinite(rows[end - start]).all():
-            lost = ~np.isfinite(rows[1:end - start + 1]).all(axis=(1, 2))
-            t = (start + int(np.argmax(lost)) + 1) * dt
-            raise NumericAbortError(
-                f"evolution lost finiteness at t = {t:.6g}", last_time=t - dt
-            )
-        rows[0] = rows[end - start]
-        for sample, (seg, index) in zip(samples, gen.segments):
-            sample[:, index] = rows[0][:, seg]
+    # A sample is taken every stride steps and at the last step: sample k
+    # holds the state after sample_steps[k] steps, at time sample_steps[k] dt.
+    sample_steps = np.append(np.arange(0, n_steps, stride), n_steps)
+    times = sample_steps * dt
+    states = _evolve(gen, u0, times.size, *_step_schedule(sample_steps, dt, scale), dt,
+                     None if stepping else BandPropagator(gen))
     for u, (_, index), (cols, mirror) in zip(states, gen.segments, gen.mirrored):
         u[:, :, mirror] = u[:, :, index[cols]].conj()
 
@@ -639,7 +684,7 @@ def solve_cauchy(
     traces = [_energy_trace(problem, params, gen, seg, index, mirror, u, times, er_mode,
                             track_energy)
               for u, (seg, index), (_, mirror) in zip(states, gen.segments, gen.mirrored)]
-    return SolveResult(dt=dt, states=states, traces=traces)
+    return SolveResult(dt=dt, states=states, traces=traces, steps=total)
 
 
 def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGenerator,
@@ -790,33 +835,18 @@ def h_uniformity_study(
     curves ``t -> LHS(t) / RHS(0)`` are compared across h so that
     h-dependence hiding below the maximum is still caught.
     """
-    cs1, cs2 = [], []
-    curves = []
-    # one solve evolves every h; they share dt and the sample times, so the
-    # curves stack as they are
-    for trace in solve_cauchy(problem, params, h_list, dt=dt, track_energy=False).traces:
-        rep = energy_residual(trace)
-        cs1.append(rep.c_first)
-        cs2.append(rep.c_second)
-        curves.append(trace.norms[:, 0] / trace.norms[0, 3])
-    stackc = np.stack(curves)
-    curve_spread = float(
-        np.max(stackc.max(axis=0) - stackc.min(axis=0)) / np.max(stackc)
-    )
-    spread1 = (max(cs1) - min(cs1)) / min(cs1)
-    spread2 = (max(cs2) - min(cs2)) / min(cs2)
+    # one solve evolves every h; they share the grid and the sample times, so
+    # the curves stack as they are
+    traces = solve_cauchy(problem, params, h_list, dt=dt, track_energy=False).traces
+    reps = [energy_residual(trace) for trace in traces]
+    cs1, cs2 = [rep.c_first for rep in reps], [rep.c_second for rep in reps]
+    stackc = np.stack([trace.norms[:, 0] / trace.norms[0, 3] for trace in traces])
+    curve_spread = float(np.max(stackc.max(axis=0) - stackc.min(axis=0)) / np.max(stackc))
+    spread1, spread2 = ((max(cs) - min(cs)) / min(cs) for cs in (cs1, cs2))
     return HStudyResult(
-        h_values=list(h_list),
-        constants_first=cs1,
-        constants_second=cs2,
-        spread_first=float(spread1),
-        spread_second=float(spread2),
-        curve_spread=curve_spread,
-        passed=bool(
-            spread1 <= _SPREAD_TOL
-            and spread2 <= _SPREAD_TOL
-            and curve_spread <= _SPREAD_TOL
-        ),
+        h_values=list(h_list), constants_first=cs1, constants_second=cs2,
+        spread_first=float(spread1), spread_second=float(spread2), curve_spread=curve_spread,
+        passed=all(spread <= _SPREAD_TOL for spread in (spread1, spread2, curve_spread)),
     )
 
 

@@ -13,14 +13,18 @@ message and the summary, with keys sorted.  Running it on two checkouts and
 comparing the files with ``--diff`` shows which outputs a change moved: it
 prints how many configs are byte-identical and then, for each config that
 moved, every moved leaf with its old value, new value and relative move,
-the changes that are not float moves first.  Nothing under ``perfbench/`` is
-written; each run's artifacts go to a temporary directory that is removed.
+the changes that are not float moves first, and then, per field pattern
+(list indices as ``[*]``), the largest relative move and its config.  A
+reader that closes the pipe early (``| head``) ends it quietly.  Nothing
+under ``perfbench/`` is written; each run's artifacts go to a temporary
+directory that is removed.
 """
 
 import importlib.util
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -88,6 +92,19 @@ def compare(old_rows: list, new_rows: list) -> tuple[int, int, list]:
     return len(configs) - len(moved), len(configs), moved
 
 
+def largest_moves(moved: list) -> dict:
+    """``{pattern: (relative move, config)}``: per field pattern (a leaf path
+    with its list indices as ``[*]``), the largest float move and the config
+    where it sits, patterns in sorted order."""
+    largest = {}
+    for config, leaves in moved:
+        for path, _, _, rel in leaves:
+            pattern = re.sub(r"\[\d+\]", "[*]", path)
+            if rel is not None and rel > largest.get(pattern, (-1.0,))[0]:
+                largest[pattern] = (rel, config)
+    return dict(sorted(largest.items()))
+
+
 def diff(old_path: str, new_path: str) -> int:
     with open(old_path) as fh:
         old_rows = json.load(fh)
@@ -100,6 +117,8 @@ def diff(old_path: str, new_path: str) -> int:
         for path, a, b, rel in leaves:
             tail = "" if rel is None else f"  ({rel:.2g})"
             print(f"  {path}: {a!r} -> {b!r}{tail}")
+    for pattern, (rel, config) in largest_moves(moved).items():
+        print(f"largest {pattern}: {rel:.2g} at {config}")
     return 0
 
 
@@ -120,7 +139,15 @@ def main(path: str) -> int:
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--diff":
-        sys.exit(diff(sys.argv[2], sys.argv[3]))
+        try:
+            status = diff(sys.argv[2], sys.argv[3])
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (``--diff ... | head``): stop quietly,
+            # with stdout on devnull so that the exit's flush writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            status = 0
+        sys.exit(status)
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     sys.exit(main(sys.argv[1]))

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
-from dump_summaries import MISSING, compare, diff
+from dump_summaries import MISSING, compare, diff, largest_moves
 
 
 def _row(command, **summary):
@@ -46,4 +49,34 @@ def test_diff_prints_the_report(tmp_path, capsys):
     assert diff(str(old), str(new)) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["1 of 2 configs are byte-identical", '{"command": "b"}',
-                     "  summary.k: 's' -> 't'", "  summary.x: 4.0 -> 5.0  (0.25)"]
+                     "  summary.k: 's' -> 't'", "  summary.x: 4.0 -> 5.0  (0.25)",
+                     'largest summary.x: 0.25 at {"command": "b"}']
+
+
+def test_largest_moves_per_field_pattern():
+    # list indices fold into one pattern; each pattern keeps its largest
+    # float move and the config where it sits; non-float changes have none
+    old = [_row("a", rows=[{"v": 1.0}, {"v": 1.0}], y=2.0), _row("b", rows=[{"v": 1.0}], k="s")]
+    new = [_row("a", rows=[{"v": 1.5}, {"v": 3.0}], y=2.0), _row("b", rows=[{"v": 2.5}], k="t")]
+    largest = largest_moves(compare(old, new)[2])
+    assert list(largest) == ["summary.rows[*].v"]
+    rel, config = largest["summary.rows[*].v"]
+    assert rel == 2.0 and json.loads(config) == {"command": "a"}
+
+
+def test_diff_exits_quietly_on_a_closed_pipe(tmp_path):
+    # ``--diff ... | head``: the reader closes the pipe before the report is
+    # written, and the script stops without a traceback
+    old = [_row(f"c{i}", x=1.0) for i in range(3000)]
+    new = [_row(f"c{i}", x=2.0) for i in range(3000)]
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, rows in zip(paths, (old, new)):
+        path.write_text(json.dumps(rows))
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "dump_summaries.py")
+    proc = subprocess.Popen([sys.executable, script, "--diff", *map(str, paths)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""

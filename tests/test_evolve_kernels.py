@@ -229,7 +229,9 @@ def test_one_diagnostics_block_peaks_near_the_byte_budget(preset, n_x, eps_par, 
 
 def test_stage_matrices_fit_the_memory_model(monkeypatch):
     # a stepped solve forms every step's stage matrices at once; the solve
-    # must hold no more than it asked require_memory for, nor far less
+    # must hold no more than it asked require_memory for, nor far less.  Each
+    # grid step is one sub-step here (C_ACC near 0), so that the 2,000 steps'
+    # stage matrices are what the solve holds
     import tracemalloc
 
     from hypersym.coeffs import cosine_terms
@@ -245,9 +247,11 @@ def test_stage_matrices_fit_the_memory_model(monkeypatch):
     needs = []
     monkeypatch.setattr(solver, "require_memory", lambda need, what: needs.append(need))
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)  # no word table fits: the band steps
+    monkeypatch.setattr(solver, "C_ACC", 1e-12)
     tracemalloc.start()
     try:
-        solver.solve_cauchy(problem, params, (0.0,), dt=0.5 / 2000, track_energy=False)
+        assert solver.solve_cauchy(problem, params, (0.0,), dt=0.5 / 2000,
+                                   track_energy=False).steps == 2000
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
