@@ -160,7 +160,8 @@ class SystemCoefficients:
         reach = link | link.T
         for _ in range(self.m.bit_length()):  # paths of length up to 2^k after k squarings
             reach = (reach.astype(int) @ reach.astype(int)) > 0
-        return [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+        # the distinct rows in ascending order, False before True
+        return [np.flatnonzero(row) for row in sorted(set(map(tuple, reach.tolist())))]
 
 
 def _field_from_json(m: int, entries: list) -> list[CoeffTerm]:

@@ -218,7 +218,7 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
     # real system H(x, -y) = conj H(x, y) at the imaginary steps, and y = 1 serves
     ys = (1.0,) if coeffs.real_valued else (1.0, -1.0)
     cert = matkernel.spectral_bound_certify(
-        coeffs, ts, xs, ys, np.union1d(_C_SCALES, matkernel.THETA_SCALES)
+        coeffs, ts, xs, ys, np.array(sorted({*_C_SCALES, *matkernel.THETA_SCALES}))
     )
     c = max(1.05 * cert.max_ratio_over(_C_SCALES, ys), 0.5)
     if theta is None:
@@ -503,7 +503,7 @@ def _cmd_solve(config: dict) -> dict:
     h = config.get("h", 1.0 / float(params.ell))
     res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, dt=config.get("dt"),
                               stride=stride)
-    tr, states = res.traces[0], res.states[0]
+    tr = res.traces[0]
     eta = res.dt**2 + 1e-8
     stride_eta = eta * stride
     increments = tr.increments[1:]
@@ -524,9 +524,14 @@ def _cmd_solve(config: dict) -> dict:
     rep = solver.energy_residual(tr)
     if out_dir:
         tr.to_csv(os.path.join(out_dir, "energy_trace.csv"))
-        states.tofile(os.path.join(out_dir, "trajectory.bin"))
+        # the lattice states, assembled a block of at most _BLOCK_BYTES at a time
+        shape = (tr.times.size,) + problem.g.shape
+        block = max(1, symmetrizer._BLOCK_BYTES // (16 * problem.g.size))
+        with open(os.path.join(out_dir, "trajectory.bin"), "wb") as fh:
+            for lo in range(0, shape[0], block):
+                res.lattice_states(0, slice(lo, lo + block)).tofile(fh)
         with open(os.path.join(out_dir, "trajectory_meta.json"), "w") as fh:
-            json.dump({"shape": list(states.shape), "dtype": "complex128",
+            json.dump({"shape": list(shape), "dtype": "complex128",
                        "order": "C", "times": [float(t) for t in tr.times]},
                       fh, sort_keys=True, indent=2)
     return {

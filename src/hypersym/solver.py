@@ -11,9 +11,8 @@ Only the active band, the modes with chi(h xi) > 0, goes through RK4.  Off
 it chi = 0 and the generator is ``-eps_par xi^2``, so a mode there at time t
 is exactly ``u0 e^{-t eps_par xi^2}``; likewise ``M = -a <xi>^rho I`` there,
 so ``R = I/2`` exactly and Lyapunov solves run on band nodes only.  When
-eps_par = 0 the off-band modes are u0's and are not touched at all;
-otherwise each sample's off-band modes are set from that closed form, in one
-broadcast per block of samples as the diagnostics read them.  With h = 0,
+eps_par = 0 the off-band modes are u0's; otherwise they are that closed form
+(:func:`_off_band`), evaluated only where a state is read.  With h = 0,
 chi = 1 everywhere and the band is the whole lattice.
 
 An x-independent real system evolves each mode alone, by the conjugate of
@@ -49,10 +48,11 @@ generator, each stage a single product with that stage's matrix
 from :meth:`TruncatedGenerator.stage_coefficients`.
 
 A state is a complex (m, n_x) array in FFT order, as in
-:mod:`hypersym.engine`.  The samples, the last of which is the final step,
-fill one (n_cutoffs, n_samples, m, n_x) array that starts as copies of u0,
-so a sample takes only its cutoff's band, and the off-band modes when
-eps_par > 0.
+:mod:`hypersym.engine`.  A solve keeps only its joint band's samples, one
+(n_samples, m, n_band) array whose last row is the final step, and
+:meth:`SolveResult.lattice_states` assembles a block of a cutoff's lattice
+states from them where one is read: u0 off the band (the closed form when
+eps_par > 0), the band, and in a paired solve the mirrors' conjugates.
 
 The band advances one sample interval at a time (:func:`_evolve`), each
 sub-step writing its state into one row of the interval's block.  A buffered
@@ -62,9 +62,10 @@ roundings are that step's.  Finiteness is checked on each interval's last
 state, and an abort names the first sub-step whose state lost it, in any
 cutoff's band.  On the propagator path that is the first state that leaves
 the double range; a stepped band can lose it a few steps sooner, when an
-RK4 stage overflows first.  The loop only records the sampled states.  The
-diagnostics then run over blocks of samples, slices of the sample array, and
-read each state once, for its squared moduli q = sum_c |u_c|^2.  A block
+RK4 stage overflows first.  The loop only records the sampled band states.
+The diagnostics run over blocks of samples and form no lattice state: a
+block's squared moduli q = sum_c |u_c|^2 are u0's with the band's, and the
+off-band closed form's when eps_par > 0, written over them.  A block
 takes one weight array w and one product of q w^2 against a per-solve table:
 its ``<xi>^(2 sigma)`` columns give the five norms, and its column of 1/2 on
 the off-band modes their R-energy.  The band's R-energy is one Lyapunov batch
@@ -446,7 +447,7 @@ def _samples_per_block(blocks: list[np.ndarray], sample_bytes: int, n_lyap: int)
     """Samples per block of diagnostics, so that its temporaries stay near
     _BLOCK_BYTES: a sample holds ``sample_bytes`` (48 a mode read, for its
     squared moduli, weight, their products and the radius fit's rows, and
-    with eps_par > 0 16 m + 8 a mode off the band, for their new values),
+    with eps_par > 0 16 m + 8 a mode read off the band, for its closed form),
     and each of its ``n_lyap`` Lyapunov nodes (a paired band's kept nodes)
     what the band generator and the kernel of ``_lyap_solve_batch`` hold at
     once on the partition ``blocks`` (``_lyap_node_bytes``)."""
@@ -481,11 +482,33 @@ class EnergyTrace:
 @dataclass
 class SolveResult:
     dt: float
-    # (n_cutoffs, n_samples, m, n_x): states[i] is cutoff i's u at
-    # traces[i].times, the last at the horizon
-    states: np.ndarray
+    # (n_samples, m, n_band): the joint band of gen at traces[i].times, the
+    # last at the horizon
+    band: np.ndarray
     traces: list[EnergyTrace]  # one per cutoff
     steps: int  # RK4 steps taken, each a sub-step of a sample interval
+    gen: TruncatedGenerator
+    u0: np.ndarray
+
+    def lattice_states(self, i: int, samples=slice(None)) -> np.ndarray:
+        """Cutoff i's lattice states (b, m, n_x) at ``traces[i].times[samples]``:
+        u0 off its band, or the closed form :func:`_off_band` when eps_par > 0,
+        its segment of the band samples at its FFT positions and, paired, the
+        conjugates of those at their mirrors."""
+        (seg, index), (cols, mirror) = self.gen.segments[i], self.gen.mirrored[i]
+        band, times = self.band[samples], self.traces[i].times[samples]
+        states = (_off_band(self.u0, self.gen.eps_par, times, slice(None)) if self.gen.eps_par
+                  else np.repeat(self.u0[None], len(times), axis=0))
+        states[..., index] = band[..., seg]
+        states[..., mirror] = states[..., index[cols]].conj()
+        return states
+
+
+def _off_band(u0: np.ndarray, eps_par: float, times: np.ndarray, modes) -> np.ndarray:
+    """The FFT positions ``modes`` of u0 at ``times`` under the off-band
+    generator -eps_par xi^2, ``u0 e^{-t eps_par xi^2}``: (len(times), m, ...)."""
+    return u0[:, modes] * np.exp(-eps_par * lattice(u0.shape[1])[modes] ** 2
+                                 * times[:, None, None])
 
 
 # Amplitudes at or below this are rounding residue of the unit-size data and
@@ -528,8 +551,8 @@ def gevrey_radius_fit(amplitudes, s: float):
 
 def _evolve(gen: TruncatedGenerator, u0: np.ndarray, n_samples: int, counts: np.ndarray,
             start: np.ndarray, size: np.ndarray, dt: float, prop: BandPropagator | None):
-    """The samples (n_cutoffs, n_samples, m, n_x) of ``gen``'s joint band
-    evolved from ``u0`` through the schedule of :func:`_step_schedule` by the
+    """The samples (n_samples, m, n_band) of ``gen``'s joint band, u0's
+    first, evolved through the schedule of :func:`_step_schedule` by the
     propagators of ``prop``, or by :func:`step_rk4` when it is None.
 
     Row 0 of the interval's block holds its first state and row i + 1 the
@@ -540,8 +563,7 @@ def _evolve(gen: TruncatedGenerator, u0: np.ndarray, n_samples: int, counts: np.
     inf - inf, is never finite.  So the interval's last state alone is
     checked, and only when it lost finiteness are its rows scanned for the
     first sub-step that did, in any band; the abort names its end, and its
-    start as the last healthy time.  Every sample starts as u0, so it takes
-    only its cutoff's band, and the separators stay zero.
+    start as the last healthy time.  The separators stay zero.
     """
     t_start, h_step = start * dt, size * dt
     if prop is None:
@@ -552,15 +574,16 @@ def _evolve(gen: TruncatedGenerator, u0: np.ndarray, n_samples: int, counts: np.
         work = [np.empty((gen.coeffs.m, gen.xi.size), dtype=complex) for _ in range(5)]
     else:
         props = prop.steps(t_start, h_step)
-    states = np.tile(u0, (len(gen.segments), n_samples, 1, 1))
     n_band, width = gen.xi.size, 0 if prop is None else gen.word_width
     block = np.zeros((np.max(counts) + 1, gen.coeffs.m, n_band + 2 * width), dtype=complex)
     rows = block[:, :, width:width + n_band]
     windows = np.lib.stride_tricks.sliding_window_view(block, 2 * width + 1, axis=-1)
     for seg, index in gen.segments:
         rows[0][:, seg] = u0[:, index]
+    samples = np.empty((n_samples, gen.coeffs.m, n_band), dtype=complex)
+    samples[0] = rows[0]
     first = 0  # the interval's first sub-step
-    for samples, n in zip(states.swapaxes(0, 1)[1:], counts):
+    for sample, n in zip(samples[1:], counts):
         if prop is None:
             h = float(h_step[first])
             for i in range(n):
@@ -574,11 +597,9 @@ def _evolve(gen: TruncatedGenerator, u0: np.ndarray, n_samples: int, counts: np.
             raise NumericAbortError(
                 f"evolution lost finiteness at t = {t:.6g}", last_time=t - h_step[k]
             )
-        rows[0] = rows[n]
+        rows[0] = sample[...] = rows[n]
         first += n
-        for sample, (seg, index) in zip(samples, gen.segments):
-            sample[:, index] = rows[0][:, seg]
-    return states
+    return samples
 
 
 def pairs_modes(coeffs: SystemCoefficients, u0: np.ndarray) -> bool:
@@ -646,17 +667,24 @@ def solve_cauchy(
     longest = min(stride, n_steps)
     most, last = (int(_substeps(n, dt, scale)) for n in (longest, n_steps % longest))
     total = n_steps // longest * most + last
-    # The samples of every cutoff (a state each, and a time), the interval's
-    # block of band states, the schedule (48 bytes a sub-step as it is formed)
-    # and, when stepping, five work states and each sub-step's stage
-    # coefficients (24 bytes a time term) and three real stage matrices (24
-    # bytes an entry, and as much again while a term is summed in) are held
-    # at once; they must fit in physical memory.
-    stepping = BandPropagator.table_bytes(gen) > _BLOCK_BYTES
-    need = ((math.ceil(n_steps / stride) + 1) * (16 * len(gen.segments) * coeffs.m * n_x + 16)
+    # The joint band's samples (a band state, a time and each cutoff's 80
+    # bytes of diagnostics rows each), the interval's block of band states,
+    # the schedule (48 bytes a sub-step as it is formed) and, when stepping,
+    # five work states and each sub-step's stage coefficients (24 bytes a time
+    # term) and three real stage matrices (24 bytes an entry, and as much
+    # again while a term is summed in), with the generator's buffers, a block
+    # of diagnostics and their rows (128 bytes a mode) and, on the propagator
+    # path, the word table (4 times it while built) and a chunk of
+    # propagators, must fit in physical memory.
+    table = BandPropagator.table_bytes(gen)
+    stepping, n_band = table > _BLOCK_BYTES, gen.xi.size
+    need = ((math.ceil(n_steps / stride) + 1) * (16 * coeffs.m * n_band + 16
+                                                 + 80 * len(gen.segments))
             + (most + 1 + 5 * stepping) * 16 * coeffs.m
-            * (gen.xi.size + (0 if stepping else 2 * gen.word_width))
-            + total * (48 + stepping * (24 * len(gen.time_terms) + 48 * gen.term_matrices[0].size)))
+            * (n_band + (0 if stepping else 2 * gen.word_width))
+            + total * (48 + stepping * (24 * len(gen.time_terms) + 48 * gen.term_matrices[0].size))
+            + 64 * gen._operand.size + _BLOCK_BYTES + 128 * n_x
+            + (0 if stepping else 4 * table + _BLOCK_BYTES))
     require_memory(need, f"dt = {dt:.3g}: {n_steps} steps")
 
     # up-front overflow probe for the largest weight in the run
@@ -670,10 +698,8 @@ def solve_cauchy(
     # holds the state after sample_steps[k] steps, at time sample_steps[k] dt.
     sample_steps = np.append(np.arange(0, n_steps, stride), n_steps)
     times = sample_steps * dt
-    states = _evolve(gen, u0, times.size, *_step_schedule(sample_steps, dt, scale), dt,
-                     None if stepping else BandPropagator(gen))
-    for u, (_, index), (cols, mirror) in zip(states, gen.segments, gen.mirrored):
-        u[:, :, mirror] = u[:, :, index[cols]].conj()
+    band = _evolve(gen, u0, times.size, *_step_schedule(sample_steps, dt, scale), dt,
+                   None if stepping else BandPropagator(gen))
 
     if not (track_energy and coeffs.x_band == 0):
         er_mode = "skipped"
@@ -681,38 +707,39 @@ def solve_cauchy(
         er_mode = "mollified"
     else:
         er_mode = "multiplier"
-    traces = [_energy_trace(problem, params, gen, seg, index, mirror, u, times, er_mode,
-                            track_energy)
-              for u, (seg, index), (_, mirror) in zip(states, gen.segments, gen.mirrored)]
-    return SolveResult(dt=dt, states=states, traces=traces, steps=total)
+    traces = [_energy_trace(problem, params, gen, seg, index, band, times, er_mode,
+                            track_energy) for seg, index in gen.segments]
+    return SolveResult(dt=dt, band=band, traces=traces, steps=total, gen=gen, u0=u0)
 
 
 def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGenerator,
-                  seg: slice, index: np.ndarray, mirror: np.ndarray, states: np.ndarray,
-                  times: np.ndarray, er_mode: str, fit: bool) -> EnergyTrace:
-    """The diagnostics of one cutoff's samples ``states``, at ``times``, whose
-    band is the segment ``seg`` of ``gen``'s joint band and sits at ``index``
-    of a lattice state, its mirrors, left out of a paired band, at
-    ``mirror``; with eps_par > 0 they first set the off-band modes.  With
-    ``fit`` false ``gevrey_c`` stays NaN.
+                  seg: slice, index: np.ndarray, band: np.ndarray, times: np.ndarray,
+                  er_mode: str, fit: bool) -> EnergyTrace:
+    """The diagnostics of one cutoff's samples at ``times``, whose band is the
+    segment ``seg`` of the joint band samples ``band`` of ``gen`` and sits at
+    ``index`` of a lattice state.  With ``fit`` false ``gevrey_c`` stays NaN.
 
-    They run over blocks of samples, each block's states read once for their
-    squared moduli q.  One product of q w^2 against ``table`` gives the
+    They run over blocks of samples and form no lattice state.  A block's
+    squared moduli q are u0's, found once, with its band's written over them
+    at ``index`` and, when eps_par > 0, those of :func:`_off_band` at the
+    other modes read.  One product of q w^2 against ``table`` gives the
     squared norms of the five orders sigma (with nu = 0 three of them
     coincide) and the off-band R-energy, R = I/2 there.  A block whose
     products leave the double range aborts at its first such sample.  A
     paired solve's states are conjugate-symmetric, so they read FFT positions
     0 .. N_x/2 alone, each xi > 0 twice (its row of ``table`` and its R v
-    doubled), and that half of q is already folded for the radius fit.
+    doubled), and that half of q is already folded for the radius fit; its
+    band lies there whole, and the mirrors beyond.
     """
     coeffs, n_x = problem.coeffs, problem.g.shape[1]
     big_t, a = float(params.T), float(params.a)
     rho, ell = float(params.rho), float(params.ell)
     n_read = n_x // 2 + 1 if gen.paired else n_x
-    lat = lattice(n_x)
-    xi = lat[:n_read]
+    xi = lattice(n_x)[:n_read]
     mult = 1.0 + gen.paired * (xi > 0)
-    off_index = np.setdiff1d(np.arange(n_x), np.concatenate((index, mirror)))
+    off = np.ones(n_read, dtype=bool)
+    off[index] = False
+    off_index, q0 = np.flatnonzero(off), squared_moduli(problem.g[:, :n_read])
     # R is solved on the band, where chi > 0, and R(-xi) = conj R(xi) gives
     # the same energy; elsewhere M = -a <xi>^rho I, so R = I/2.
     r_xi, r_chi2 = gen.xi[seg], gen.chi[seg] ** 2
@@ -737,7 +764,7 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
     sigmas = (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
     table = np.zeros((n_read, len(sigmas) + 1))
     table[:, :-1] = bracket(xi[:, None], ell) ** (2.0 * np.asarray(sigmas))
-    table[off_index[off_index < n_read], -1] = 0.5
+    table[off_index, -1] = 0.5
     table *= mult[:, None]
     norms = np.empty((n_samples, len(sigmas)))
     e_r_arr = np.full(n_samples, np.nan)
@@ -747,12 +774,13 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
                                r_xi.size if er_mode == "multiplier" else 0)
     for lo in range(0, n_samples, block):
         blk = slice(lo, lo + block)
+        u = band[blk, :, seg]
+        q = np.repeat(q0[None], len(u), axis=0)
+        q[:, index] = squared_moduli(u)
         if gen.eps_par:
-            states[blk, :, off_index] = problem.g[:, off_index] * np.exp(
-                -gen.eps_par * lat[off_index] ** 2 * times[blk, None, None])
-        u = states[blk, ..., :n_read]
+            q[:, off_index] = squared_moduli(_off_band(problem.g, gen.eps_par, times[blk],
+                                                       off_index))
         weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)
-        q = squared_moduli(u)
         sums = (q * weight * weight) @ table
         lost = ~np.isfinite(sums).all(axis=1)
         if lost.any():
@@ -767,8 +795,7 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
             r_band = (_lyap_solve_batch(*r_generator(times[blk, None]), coeffs.blocks)
                       if er_mode == "multiplier" else molly_values[blk])
             # contiguous, so that its real view below exists also when m = 1
-            v_band = np.ascontiguousarray(
-                (u[:, :, index] * weight[:, None, index]).transpose(0, 2, 1))
+            v_band = np.ascontiguousarray((u * weight[:, None, index]).transpose(0, 2, 1))
             rv = np.einsum("bnij,bnj->bni", r_band, v_band)
             rv *= mult[index, None]
             e_r_arr[blk] = np.einsum("bi,bi->b", v_band.reshape(len(u), -1).view(float),
@@ -891,9 +918,9 @@ def parabolic_study(
     sups = []
     for eps in eps_list:
         r1 = solve_cauchy(problem, params, (h,), eps_par=eps, dt=dt,
-                          track_energy=False, stride=16).states[0]
+                          track_energy=False, stride=16).lattice_states(0)
         r2 = solve_cauchy(problem, params, (h,), eps_par=eps / 2.0, dt=dt,
-                          track_energy=False, stride=16).states[0]
+                          track_energy=False, stride=16).lattice_states(0, slice(-1, None))
         diffs.append(_l2(r1[-1] - r2[-1]))
         sups.append(max(_l2(u) for u in r1))
     rate = float(line_fit(np.log(eps_list), np.log(np.maximum(diffs, 1e-300)))[0])

@@ -9,22 +9,28 @@ Usage (from a checkout's root)::
 It runs each distinct timed and defect task of ``perfbench/tasks.py``
 (every workload, input seeds 0 to SEED_POOL_SIZE - 1) through the benchmark's
 own ``run_task`` and writes, for each, the config, the exit status, the
-message and the summary, with keys sorted.  Running it on two checkouts and
+message and the summary, with keys sorted.  A ``solve`` config also records
+the sha256 of each artifact it writes (``trajectory.bin``,
+``energy_trace.csv``, ``trajectory_meta.json``), from a second run into a
+directory of its own, since ``run_task`` removes its run directory.  Running it on two checkouts and
 comparing the files with ``--diff`` shows which outputs a change moved: it
 prints how many configs are byte-identical and then, for each config that
 moved, every moved leaf with its old value, new value and relative move,
-the changes that are not float moves first, and then, per field pattern
+the changes that are not float moves first (a moved artifact as its old
+and new hash), and then, per field pattern
 (list indices as ``[*]``), the largest relative move and its config.  A
 reader that closes the pipe early (``| head``) ends it quietly.  Nothing
 under ``perfbench/`` is written; each run's artifacts go to a temporary
 directory that is removed.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 
@@ -48,6 +54,28 @@ def distinct_configs(tasks) -> list[dict]:
                 if config not in configs:
                     configs.append(config)
     return configs
+
+
+ARTIFACTS = ("trajectory.bin", "energy_trace.csv", "trajectory_meta.json")
+
+
+def artifact_hashes(config: dict, work_root: str) -> dict:
+    """``{name: sha256}`` of each of ``ARTIFACTS`` that ``runner.run`` writes
+    for ``config``; a run that raises writes none of them."""
+    from hypersym import errors, runner
+
+    out_dir = tempfile.mkdtemp(dir=work_root)
+    try:
+        runner.run(dict(config, schema_version="1"), out_dir)
+    except errors.HypersymError:
+        pass
+    hashes = {}
+    for name in ARTIFACTS:
+        if os.path.exists(os.path.join(out_dir, name)):
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                hashes[name] = hashlib.file_digest(fh, "sha256").hexdigest()
+    shutil.rmtree(out_dir)
+    return hashes
 
 
 MISSING = "<missing>"
@@ -112,6 +140,11 @@ def diff(old_path: str, new_path: str) -> int:
         new_rows = json.load(fh)
     same, total, moved = compare(old_rows, new_rows)
     print(f"{same} of {total} configs are byte-identical")
+    hashes = sum(len(row.get("artifacts", {})) for row in new_rows)
+    if hashes:
+        kept = hashes - sum(path.startswith("artifacts.") for _, leaves in moved
+                            for path, *_ in leaves)
+        print(f"{kept} of {hashes} solve artifacts are byte-identical")
     for config, leaves in moved:
         print(config)
         for path, a, b, rel in leaves:
@@ -128,8 +161,11 @@ def main(path: str) -> int:
     with tempfile.TemporaryDirectory() as work_root:
         for config in distinct_configs(tasks):
             result = tasks.run_task(config, work_root)
-            rows.append({"config": config, "status": result["status"],
-                         "message": result["message"], "summary": result["summary"]})
+            row = {"config": config, "status": result["status"],
+                   "message": result["message"], "summary": result["summary"]}
+            if config["command"] == "solve":
+                row["artifacts"] = artifact_hashes(config, work_root)
+            rows.append(row)
     with open(path, "w") as fh:
         json.dump(rows, fh, sort_keys=True, indent=1, default=str)
         fh.write("\n")

@@ -97,10 +97,10 @@ def test_final_state_within_rk4_error_bound(preset, h):
              for k, v in enumerate(traj[:-1])]
     growth = max(np.linalg.norm(v) for v in traj) / np.linalg.norm(u0)
     tol = 2.0 * growth * sum(local) / np.linalg.norm(ref)
-    err = np.linalg.norm(res.states[0][-1].reshape(-1)[rows] - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(res.lattice_states(0)[-1].reshape(-1)[rows] - ref) / np.linalg.norm(ref)
     assert tol < 1e-2  # a bound that could not catch a wrong generator is no test
     assert err <= tol, (err, tol)
     # eps_par = 0: the modes off the band are the data, exactly
     off = np.setdiff1d(np.arange(n_x * problem.coeffs.m), rows)
-    np.testing.assert_array_equal(res.states[0][-1].reshape(-1)[off],
+    np.testing.assert_array_equal(res.lattice_states(0)[-1].reshape(-1)[off],
                                   problem.g.reshape(-1)[off])

@@ -1,0 +1,139 @@
+"""What a solve keeps: the joint band's samples, and lattice states on demand.
+
+A solve stores one (n_samples, m, n_band) array of band states.
+``SolveResult.lattice_states`` assembles a cutoff's lattice states from it:
+u0 off the band, or u0 e^{-t eps_par xi^2} when eps_par > 0, the band's
+samples at their FFT positions and, in a paired solve, the conjugates of
+those at their mirrors.  These tests hold the assembly to a reference built
+here on the whole lattice, the trajectory file to the assembled states, the
+memory a solve holds to its band, and ``need`` to what a solve allocates.
+No process that calibrates or solves imports ``numpy.ma``.
+"""
+
+import json
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hypersym import runner, solver, symmetrizer
+from hypersym.engine import lattice
+
+
+def _setup(preset, n_x, seed=3):
+    cfg = runner.validate_config({"command": "solve", "schema_version": "1", "preset": preset,
+                                  "seed": seed, "n_lattice": n_x})
+    return runner._solve_setup(cfg)[1:]
+
+
+def _reference(res, problem, i):
+    """Cutoff i's lattice states built on the whole lattice: u0 tiled (moved
+    by the off-band generator when eps_par > 0), the band scattered to its
+    FFT positions, the mirrors filled with its conjugates."""
+    gen, times = res.gen, res.traces[i].times
+    (seg, index), (cols, mirror) = gen.segments[i], gen.mirrored[i]
+    states = np.tile(problem.g, (times.size, 1, 1))
+    if gen.eps_par:
+        xi = lattice(problem.g.shape[1])
+        states = states * np.exp(-gen.eps_par * xi**2 * times[:, None, None])
+    states[:, :, index] = res.band[:, :, seg]
+    states[:, :, mirror] = states[:, :, index[cols]].conj()
+    return states
+
+
+@pytest.mark.parametrize("preset,n_x,h,eps_par", [
+    ("wave_t2", 1024, None, 0.0),
+    ("xdep", 256, 0.25, 0.0),
+    ("xdep", 256, 0.25, 1e-3),
+    ("xdep", 256, 0.0, 0.0),
+    ("block_direct_sum", 256, None, 0.0),
+], ids=["wave_t2-1024-paired", "xdep-256", "xdep-256-eps", "xdep-256-h0", "block_direct_sum-256"])
+def test_lattice_states_equal_the_full_lattice_reference(preset, n_x, h, eps_par):
+    params, problem = _setup(preset, n_x)
+    h = 1.0 / float(params.ell) if h is None else h
+    res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par)
+    assert res.gen.paired == (preset == "wave_t2")
+    assert res.band.shape == (res.traces[0].times.size, problem.coeffs.m, res.gen.xi.size)
+    states = res.lattice_states(0)
+    np.testing.assert_array_equal(states, _reference(res, problem, 0))
+    # a block of samples is the same slice of the whole
+    np.testing.assert_array_equal(res.lattice_states(0, slice(3, 7)), states[3:7])
+    if eps_par:  # the off-band modes move
+        (_, index), = res.gen.segments
+        off = np.setdiff1d(np.arange(n_x), index)
+        assert not np.array_equal(states[-1][:, off], problem.g[:, off])
+
+
+def test_trajectory_file_is_the_assembled_states_in_blocks(tmp_path, monkeypatch):
+    # blocks of two samples: the file is every sample, in order, as the
+    # accessor assembles them, and its meta names their shape
+    monkeypatch.setattr(symmetrizer, "_BLOCK_BYTES", 2 * 16 * 2 * 128)
+    cfg = {"command": "solve", "schema_version": "1", "preset": "xdep", "seed": 3,
+           "n_lattice": 128, "eps_par": 1e-3}
+    runner.run(dict(cfg), out_dir=str(tmp_path))
+    meta = json.loads((tmp_path / "trajectory_meta.json").read_text())
+    traj = np.fromfile(tmp_path / "trajectory.bin", dtype=complex)
+    params, problem = _setup("xdep", 128)
+    res = solver.solve_cauchy(problem, params, (1.0 / float(params.ell),), eps_par=1e-3)
+    states = res.lattice_states(0)
+    assert meta["shape"] == list(states.shape) and states.shape[0] % 2 == 1
+    np.testing.assert_array_equal(traj.reshape(meta["shape"]), states)
+
+
+def _traced_solve(monkeypatch, problem, params, cutoffs, **kwargs):
+    """(result, need, bytes held at the memory check, traced peak) of a solve."""
+    needs = []
+    monkeypatch.setattr(solver, "require_memory", lambda need, what: needs.append(
+        (need, tracemalloc.get_traced_memory()[0])))
+    tracemalloc.start()
+    try:
+        res = solver.solve_cauchy(problem, params, cutoffs, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (need, held), = needs
+    return res, need, held, peak
+
+
+def test_a_wide_lattice_solve_holds_its_band_not_its_lattice(monkeypatch):
+    # xdep at n_lattice 4096 evolves 7 modes over 791 samples; a lattice
+    # state a sample would hold 99 MiB
+    params, problem = _setup("xdep", 4096)
+    res, need, _, peak = _traced_solve(monkeypatch, problem, params,
+                                       (1.0 / float(params.ell),))
+    assert res.band.shape == (791, 2, 7)
+    assert peak < 8 * 2**20 and need < 8 * 2**20
+
+
+def test_memory_check_counts_the_fixed_costs(monkeypatch):
+    # at stride 1 on a band of 7 modes the samples are small, and what the
+    # solve allocates after its check is mostly the fixed costs: the word
+    # table as it is built, a chunk of propagators and a diagnostics block.
+    # need covers it, and is not pessimistic by more than 3x
+    params, problem = _setup("xdep", 1024)
+    res, need, held, peak = _traced_solve(monkeypatch, problem, params, (0.25,), stride=1)
+    assert res.band.shape == (1581, 2, 7)
+    assert peak - held <= need <= 3 * (peak - held)
+
+
+def test_no_command_imports_numpy_ma():
+    # numpy.ma costs every process that loads it about 10 ms and 1 MiB; it
+    # comes in through np.unique and the set routines built on it
+    script = """
+import sys, tempfile
+from hypersym import runner
+for cfg in [{"command": "certify", "preset": "block_direct_sum"},
+            {"command": "theta", "preset": "wave_t2"}, {"command": "nuij", "seed": 0},
+            {"command": "symmetrize", "preset": "block_direct_sum"},
+            {"command": "solve", "preset": "xdep", "seed": 0, "n_lattice": 64, "eps_par": 1e-3},
+            {"command": "study-h", "preset": "xdep", "seed": 0},
+            {"command": "study-parabolic", "preset": "xdep", "seed": 0}]:
+    with tempfile.TemporaryDirectory() as out:
+        runner.run(dict(cfg, schema_version="1"), out)
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"

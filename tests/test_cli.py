@@ -155,7 +155,7 @@ def test_wrong_type_rejected(cfg):
     ["solve", "--preset", "xdep", "--seed", "0", {"dt": 1e-300}],
     ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e300}],
     ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e305}],
-    # 8.75e8 steps: their samples alone would take about 900 GB
+    # 8.75e8 steps: their band samples and schedule would take about 40 GB
     ["solve", "--preset", "xdep", "--seed", "0", {"dt": 1e-9}],
     # s^6 below the smallest normal double: the coincident-root split's lowest
     # coefficient, 6! s^6, underflows and reads as a false double root
@@ -454,9 +454,8 @@ def test_diagnostic_overflow_exits_3(tmp_path, capsys):
 
 def test_weight_probe_refuses_before_the_samples_are_allocated(tmp_path):
     # wave_t2 at n_lattice 4096 passes EXP_BUDGET at the lattice edge; the
-    # solver's up-front weight probe refuses it before the run allocates its
-    # samples, 792 states of 2 x 4096 complex (99 MiB), so the traced peak
-    # stays at a few MiB
+    # solver's up-front weight probe refuses it before the run evolves or
+    # diagnoses anything, so the traced peak stays at a few MiB
     import tracemalloc
 
     from hypersym.errors import WeightOverflowError

@@ -137,3 +137,24 @@ def test_dx_broadcasts_like_scalar_calls(order):
                 assert np.array_equal(grid[it, ix], field_dx(terms, m, float(t), float(x), order))
         assert np.array_equal(field_dx(terms, m, ts[:, 0], 0.7, order)[2],
                               field_dx(terms, m, 0.37, 0.7, order))
+
+
+def test_blocks_are_the_distinct_reach_rows_in_ascending_order():
+    # the components that the terms' nonzero pattern links, one block per
+    # distinct row of the reach matrix, ordered as np.unique(reach, axis=0)
+    # orders the boolean rows: block_direct_sum's [2, 3] before [0, 1]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        m = int(rng.integers(1, 7))
+        pattern = (rng.random((m, m)) < 0.2) * rng.standard_normal((m, m))
+        coeffs = SystemCoefficients(m=m, a_terms=[CoeffTerm(0, "1", pattern + 0j)], b_terms=[])
+        link = np.eye(m, dtype=bool) | (pattern != 0) | (pattern != 0).T
+        reach = np.linalg.matrix_power(link.astype(int), m) > 0
+        expect = [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+        assert len(coeffs.blocks) == len(expect)
+        for got, want in zip(coeffs.blocks, expect):
+            np.testing.assert_array_equal(got, want)
+    direct_sum = np.kron(np.eye(2), np.ones((2, 2)))
+    blocks = SystemCoefficients(m=4, a_terms=[CoeffTerm(0, "1", direct_sum + 0j)],
+                                b_terms=[]).blocks
+    assert [list(b) for b in blocks] == [[2, 3], [0, 1]]

@@ -1,12 +1,14 @@
-"""The ``--diff`` report of tests/dump_summaries.py on small synthetic dumps."""
+"""The ``--diff`` report of tests/dump_summaries.py on small synthetic dumps,
+and the hashes of a solve's artifacts."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 
-from dump_summaries import MISSING, compare, diff, largest_moves
+from dump_summaries import ARTIFACTS, MISSING, artifact_hashes, compare, diff, largest_moves
 
 
 def _row(command, **summary):
@@ -80,3 +82,31 @@ def test_diff_exits_quietly_on_a_closed_pipe(tmp_path):
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+def test_artifact_hashes_are_the_sha256_of_each_solve_artifact(tmp_path):
+    from hypersym import runner
+
+    config = {"command": "solve", "preset": "xdep", "seed": 3, "n_lattice": 64}
+    (tmp_path / "work").mkdir()
+    hashes = artifact_hashes(config, str(tmp_path / "work"))
+    assert list(hashes) == list(ARTIFACTS)
+    assert list((tmp_path / "work").iterdir()) == []  # its run directory is removed
+    runner.run(dict(config, schema_version="1"), str(tmp_path / "run"))
+    for name, digest in hashes.items():
+        assert digest == hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+    # a run that raises writes none
+    assert artifact_hashes(dict(config, c0=800), str(tmp_path / "work")) == {}
+
+
+def test_diff_reports_a_moved_artifact(tmp_path, capsys):
+    old = [dict(_row("solve"), artifacts={"trajectory.bin": "aa", "energy_trace.csv": "bb"})]
+    new = [dict(_row("solve"), artifacts={"trajectory.bin": "ac", "energy_trace.csv": "bb"})]
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, rows in zip(paths, (old, new)):
+        path.write_text(json.dumps(rows))
+    assert diff(*map(str, paths)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["0 of 1 configs are byte-identical",
+                     "1 of 2 solve artifacts are byte-identical",
+                     '{"command": "solve"}', "  artifacts.trajectory.bin: 'aa' -> 'ac'"]

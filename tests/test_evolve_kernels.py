@@ -121,7 +121,7 @@ def _per_sample_diagnostics(res, problem, params, h):
                                     bracket(r_xi, ell), delta, times)
 
     norms, e_r, c_fit = [], [], []
-    for idx, (t, u) in enumerate(zip(times, res.states[0])):
+    for idx, (t, u) in enumerate(zip(times, res.lattice_states(0))):
         v = u * gevrey_weight(xi, big_t - a * t, rho, ell)[None, :]
         norms.append([np.sqrt(np.sum((np.abs(v) * (bracket(xi, ell) ** s)[None, :]) ** 2))
                       for s in res.traces[0].sigmas])
@@ -182,7 +182,8 @@ def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, cap, h,
     monkeypatch.setattr(solver, "_samples_per_block", lambda m, n_x, n_lyap: block)
     res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, stride=4)
     assert res.traces[0].er_mode == er_mode
-    assert len(res.states[0]) % block != 0 and len(res.states[0]) > 2 * block
+    n_samples = res.traces[0].times.size
+    assert n_samples % block != 0 and n_samples > 2 * block
     norms, e_r, c_fit = _per_sample_diagnostics(res, problem, params, h)
     _assert_close(res.traces[0].norms, norms, 1e-12)
     _assert_close(res.traces[0].e_r_raw, e_r, 1e-12)
@@ -198,8 +199,8 @@ def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, cap, h,
 def test_one_diagnostics_block_peaks_near_the_byte_budget(preset, n_x, eps_par, monkeypatch):
     # a block of samples, as _samples_per_block sizes it for the modes read
     # (half the lattice when paired, as on wave_t2 and holder_k) and the
-    # off-band modes set (eps_par > 0), holds between half of _BLOCK_BYTES
-    # and 10% over it
+    # off-band modes read (eps_par > 0), holds between half of _BLOCK_BYTES
+    # and 10% over it.  It takes the band samples a solve keeps
     import tracemalloc
 
     cfg = {"command": "solve", "schema_version": "1", "preset": preset, "seed": 3,
@@ -210,16 +211,14 @@ def test_one_diagnostics_block_peaks_near_the_byte_budget(preset, n_x, eps_par, 
     gen = solver.TruncatedGenerator(problem.coeffs, n_x, (1.0 / float(params.ell),), eps_par,
                                     paired)
     (seg, index), = gen.segments
-    (_, mirror), = gen.mirrored
     times = np.linspace(0.0, 0.2, 400)
-    states = np.tile(problem.g, (times.size, 1, 1))
+    band = np.tile(problem.g[:, index], (times.size, 1, 1))
     sizes, sized = [], solver._samples_per_block
     monkeypatch.setattr(solver, "_samples_per_block",
                         lambda *args: sizes.append(sized(*args)) or sizes[-1])
     tracemalloc.start()
     try:
-        solver._energy_trace(problem, params, gen, seg, index, mirror, states, times, "skipped",
-                             True)
+        solver._energy_trace(problem, params, gen, seg, index, band, times, "skipped", True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

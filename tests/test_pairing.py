@@ -82,7 +82,7 @@ def test_paired_solve_matches_unpaired(name, n_x, h, eps_par):
     params = capped_params(name, 16.0)
     assert pairs_modes(coeffs, prob.g)
     res = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4)
-    states, trace = res.states[0], res.traces[0]
+    states, trace = res.lattice_states(0), res.traces[0]
     # the xi < 0 states are exact conjugates of their mirrors; -n_x/2 has none
     pos = np.arange(1, n_x // 2)
     np.testing.assert_array_equal(states[:, :, n_x - pos], states[:, :, pos].conj())
@@ -94,9 +94,9 @@ def test_paired_solve_matches_unpaired(name, n_x, h, eps_par):
     assert not pairs_modes(coeffs, g)
     other = solve_cauchy(replace(prob, g=g), params, (h,), eps_par=eps_par, stride=4)
     kept = np.arange(n_x) != n_x - 3
-    np.testing.assert_array_equal(other.states[0][:, :, kept], states[:, :, kept])
+    np.testing.assert_array_equal(other.lattice_states(0)[:, :, kept], states[:, :, kept])
     # mode -3 evolves alone and linearly, from its own scaled data
-    np.testing.assert_allclose(other.states[0][:, :, n_x - 3],
+    np.testing.assert_allclose(other.lattice_states(0)[:, :, n_x - 3],
                                (1.0 + 1e-3) * states[:, :, 3].conj(), rtol=1e-12, atol=0.0)
 
     # the R-energy: R solved at every band node, and I/2 off the band
@@ -130,7 +130,7 @@ def test_paired_diagnostics_match_the_whole_lattice(name, h, eps_par):
         params = replace(params, delta=1.0)
     assert pairs_modes(coeffs, g)
     res = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4)
-    trace, states = res.traces[0], res.states[0]
+    trace, states = res.traces[0], res.lattice_states(0)
     assert trace.er_mode == ("mollified" if name == "holder_k" else "multiplier")
 
     xi = lattice(n_x)

@@ -50,9 +50,11 @@ def test_linearity(case):
     scaled = CauchyProblem(prob.coeffs, 2.5 * prob.g, horizon=prob.horizon)
     r1 = solve_cauchy(prob, _PARAMS, cutoffs, stride=8, track_energy=False)
     r2 = solve_cauchy(scaled, _PARAMS, cutoffs, stride=8, track_energy=False)
-    assert r2.states.shape == (len(cutoffs),) + r1.states.shape[1:]
-    assert np.max(np.abs(r2.states - 2.5 * r1.states)) <= 1e-12 * max(
-        1.0, np.max(np.abs(r2.states)))
+    assert len(r2.traces) == len(r1.traces) == len(cutoffs)
+    for i in range(len(cutoffs)):
+        u1, u2 = r1.lattice_states(i), r2.lattice_states(i)
+        assert u2.shape == u1.shape
+        assert np.max(np.abs(u2 - 2.5 * u1)) <= 1e-12 * max(1.0, np.max(np.abs(u2)))
 
 
 @_SETTINGS
@@ -61,5 +63,5 @@ def test_reality_preserved(case):
     prob, cutoffs = case
     assert is_conjugate_symmetric(prob.g)
     res = solve_cauchy(prob, _PARAMS, cutoffs, stride=8, track_energy=False)
-    for states in res.states:
-        assert is_conjugate_symmetric(states[-1], tol=1e-12)
+    for i in range(len(cutoffs)):
+        assert is_conjugate_symmetric(res.lattice_states(i)[-1], tol=1e-12)

@@ -124,7 +124,7 @@ def test_zero_system_constant_state():
     g = gevrey_data(64, 2, 2.0, 1.5, seed=1)
     prob = CauchyProblem(cs, g, horizon=0.5)
     res = solve_cauchy(prob, _quick_params(), (0.25,), stride=4)
-    assert np.max(np.abs(res.states[0][-1] - g)) <= 1e-12
+    assert np.max(np.abs(res.lattice_states(0)[-1] - g)) <= 1e-12
 
 
 def test_weighted_norm_examples():
@@ -162,7 +162,7 @@ def test_skew_system_norm_conserved():
     res = solve_cauchy(prob, _quick_params(), (0.25,), stride=4,
                        track_energy=False)
     norm0 = np.linalg.norm(g)
-    assert np.linalg.norm(res.states[0][-1]) == pytest.approx(norm0, abs=1e-8 * norm0)
+    assert np.linalg.norm(res.lattice_states(0)[-1]) == pytest.approx(norm0, abs=1e-8 * norm0)
 
 
 def test_linearity():
@@ -174,8 +174,9 @@ def test_linearity():
     prob2 = CauchyProblem(pre.coeffs, 2.5 * g, horizon=0.4)
     r1 = solve_cauchy(prob1, params, (0.25,), stride=8, track_energy=False)
     r2 = solve_cauchy(prob2, params, (0.25,), stride=8, track_energy=False)
-    assert np.max(np.abs(r2.states[0][-1] - 2.5 * r1.states[0][-1])) <= 1e-12 * max(
-        1.0, np.max(np.abs(r2.states[0][-1]))
+    u1, u2 = r1.lattice_states(0)[-1], r2.lattice_states(0)[-1]
+    assert np.max(np.abs(u2 - 2.5 * u1)) <= 1e-12 * max(
+        1.0, np.max(np.abs(u2))
     )
 
 
@@ -186,7 +187,7 @@ def test_reality_preserved():
     prob = CauchyProblem(pre.coeffs, g, horizon=0.5)
     res = solve_cauchy(prob, _quick_params(), (0.25,), stride=8,
                        track_energy=False)
-    assert is_conjugate_symmetric(res.states[0][-1], tol=1e-12)
+    assert is_conjugate_symmetric(res.lattice_states(0)[-1], tol=1e-12)
 
 
 def test_truncation_consistency():
@@ -201,7 +202,7 @@ def test_truncation_consistency():
     xi = lattice(g.shape[1])
     tail_mask = np.abs(xi) >= 8.0  # coarser plateau edge 1/(2h) = 8
     tail_mass = float(np.sqrt(np.sum(np.abs(g[:, tail_mask]) ** 2)))
-    diff = np.linalg.norm(r1.states[0][-1] - r2.states[0][-1])
+    diff = np.linalg.norm(r1.lattice_states(0)[-1] - r2.lattice_states(0)[-1])
     growth_budget = 10.0  # crude operator-growth allowance over the horizon
     assert diff <= growth_budget * max(tail_mass, 1e-14)
 
@@ -418,7 +419,7 @@ def test_off_band_modes_take_their_exact_decay():
     xi = lattice(n_x)[off_index]
     u = 2.0**-53
     with mp.workdps(40):
-        for t, st in zip(res.traces[0].times, res.states[0]):
+        for t, st in zip(res.traces[0].times, res.lattice_states(0)):
             for x_i, xi_i in enumerate(xi):
                 arg = -mp.mpf(eps_par) * int(xi_i) ** 2 * mp.mpf(t)
                 decay = mp.exp(arg)
@@ -428,7 +429,7 @@ def test_off_band_modes_take_their_exact_decay():
                     assert abs(mp.mpc(st[c, off_index[x_i]]) - exact) <= bound
     n_steps = round(prob.horizon / res.dt)
     assert n_steps % 4 != 0 and res.traces[0].times[-1] == n_steps * res.dt
-    assert not np.array_equal(res.states[0][-1][:, off_index], prob.g[:, off_index])
+    assert not np.array_equal(res.lattice_states(0)[-1][:, off_index], prob.g[:, off_index])
 
 
 @pytest.mark.parametrize("preset,eps_par", [("xdep", 0.05), ("wave_t2", 0.0)])
@@ -521,7 +522,7 @@ def test_band_evolution_matches_full_lattice_loop(kind):
     res = solve_cauchy(prob, params, (h,), eps_par=eps_par, track_energy=False)
     ref, last_time = _full_lattice_loop(prob, h, eps_par, round(prob.horizon / res.dt))
     assert last_time is None
-    assert np.max(np.abs(res.states[0][-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(res.lattice_states(0)[-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
     (_, index), = TruncatedGenerator(prob.coeffs, prob.g.shape[1], (h,), eps_par).segments
     off = np.setdiff1d(np.arange(prob.g.shape[1]), index)
     if h == 0:
@@ -531,7 +532,7 @@ def test_band_evolution_matches_full_lattice_loop(kind):
         assert np.max(np.abs(ref[:, off] - prob.g[:, off])) > 1e-6
     else:
         # off the band the generator is zero, so those modes keep u0 exactly
-        assert off.size and np.array_equal(res.states[0][-1][:, off], prob.g[:, off])
+        assert off.size and np.array_equal(res.lattice_states(0)[-1][:, off], prob.g[:, off])
 
 
 def _complex_x_system():
@@ -560,7 +561,7 @@ def test_complex_system_evolves_every_mode():
         res = solve_cauchy(prob, _quick_params(), (0.0,), track_energy=False)
         ref, last_time = _full_lattice_loop(prob, 0.0, 0.0, round(prob.horizon / res.dt))
         assert last_time is None
-        assert np.max(np.abs(res.states[0][-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(res.lattice_states(0)[-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("h", [0.0, 1 / 16])
@@ -573,7 +574,7 @@ def test_scalar_r_energy_is_half_the_weighted_norm(h):
     prob = CauchyProblem(constant_system(np.array([[1.0]])),
                          gevrey_data(64, 1, 1.5, 1.5, seed=24), horizon=0.3)
     res = solve_cauchy(prob, params, (h,), stride=4)
-    trace, states = res.traces[0], res.states[0]
+    trace, states = res.traces[0], res.lattice_states(0)
     weight = gevrey_weight(lattice(64), float(params.T) - float(params.a) * trace.times[:, None],
                            float(params.rho), float(params.ell))
     expect = 0.5 * np.sum(squared_moduli(states) * weight**2, axis=-1)
@@ -632,11 +633,11 @@ def test_joint_band_matches_one_cutoff_solves(kind):
     assert len({steps(cutoffs)} | {steps((h,)) for h in cutoffs}) == 1
     assert steps(cutoffs) == (kind != "jordan_lower")
     joint = solve_cauchy(prob, params, cutoffs, eps_par=eps_par, stride=4)
-    assert joint.states.shape[:2] == (len(cutoffs), joint.traces[0].times.size)
+    assert joint.band.shape[0] == joint.traces[0].times.size
     for i, h in enumerate(cutoffs):
         one = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4)
         assert joint.dt == one.dt
-        np.testing.assert_array_equal(joint.states[i], one.states[0])
+        np.testing.assert_array_equal(joint.lattice_states(i), one.lattice_states(0))
         np.testing.assert_array_equal(joint.traces[i].norms, one.traces[0].norms)
         np.testing.assert_array_equal(joint.traces[i].gevrey_c, one.traces[0].gevrey_c)
         np.testing.assert_array_equal(joint.traces[i].e_r_raw, one.traces[0].e_r_raw)

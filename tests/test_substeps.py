@@ -124,7 +124,8 @@ def test_grid_bound_solves_match_one_sub_step_per_grid_step(config, monkeypatch)
     for (args, kwargs, res), (_, _, ref) in zip(runs, forced, strict=True):
         assert res.steps == ref.steps == _grid(args[0], args[2], kwargs.get("eps_par", 0.0),
                                                 kwargs.get("dt"))[1]
-        np.testing.assert_array_equal(res.states, ref.states)
+        for i in range(len(res.traces)):
+            np.testing.assert_array_equal(res.lattice_states(i), ref.lattice_states(i))
 
 
 def test_a_joint_band_takes_the_sub_steps_of_its_widest_cutoff(monkeypatch):
@@ -143,7 +144,7 @@ def test_a_joint_band_takes_the_sub_steps_of_its_widest_cutoff(monkeypatch):
     monkeypatch.setattr(solver, "C_ACC", 1e-12)
     for i, h in enumerate((0.25, 0.0)):
         one = solver.solve_cauchy(prob, params, (h,), track_energy=False)
-        np.testing.assert_array_equal(joint.states[i], one.states[0])
+        np.testing.assert_array_equal(joint.lattice_states(i), one.lattice_states(0))
 
 
 @pytest.mark.parametrize("preset", ["xdep", "diag_sym", "block_direct_sum", "wave_x2"])
@@ -166,8 +167,9 @@ def test_band_sub_steps_meet_the_accuracy_target(preset, n_x, eps_par, monkeypat
     gen = solver.TruncatedGenerator(coeffs, n_x, (0.25,), eps_par)
     gen.lam_bound(prob.horizon)
     times = res.traces[0].times
-    err = np.linalg.norm((res.states[0] - fine.states[0]).reshape(times.size, -1), axis=1)
-    largest = np.max(np.linalg.norm(fine.states[0].reshape(times.size, -1), axis=1))
+    states, ref = res.lattice_states(0), fine.lattice_states(0)
+    err = np.linalg.norm((states - ref).reshape(times.size, -1), axis=1)
+    largest = np.max(np.linalg.norm(ref.reshape(times.size, -1), axis=1))
     assert np.all(err <= gen.lam_band * times * solver.C_ACC**4 / 120.0 * largest)
 
 
