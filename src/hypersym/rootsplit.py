@@ -8,6 +8,12 @@ when an after-the-fact rounding check separates every root, and the companion
 matrix plus one Newton polish step for the rows it does not accept.  Every
 routine takes a stack: leading axes index independent polynomials, and a
 single one is a stack with no leading axes.
+
+The random bank draws row i from ``np.random.default_rng(seeds[i])``: numpy's
+SeedSequence and PCG64 streams (O'Neill, HMC-CS-2014-0905), for every
+non-negative integer seed.  One generator per row costs about 12 us, so
+:func:`random_real_rooted` runs the seeding, the generator and the uniform
+draw of every row at once in integer array arithmetic, bit for bit the same.
 """
 
 from __future__ import annotations
@@ -199,10 +205,105 @@ def nuij_constant(m: int) -> float:
     return c
 
 
+# SeedSequence's hash and mix constants and pool size, and PCG64's multiplier
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The hash constant before each of n hashmix calls and after the last,
+    ``init mult^k mod 2^32``, as a column ``(n + 1, 1)``."""
+    return np.cumprod([init] + [mult] * n, dtype=np.uint32)[:, None]
+
+
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Consecutive hashmix calls on the rows of ``v``: row k xors with
+    ``consts[k]`` and multiplies by ``consts[k + 1]``."""
+    v = (v ^ consts[:-1]) * consts[1:]
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> 16
+
+
+def _seed_state(words: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``generate_state(4, np.uint64)`` of each column of
+    ``words``, an entropy's little-endian uint32 words padded with zeros to at
+    least the pool size: ``(w, n) -> (4, n)``.  A missing word within the pool
+    hashes like a zero word; a later one mixes in only where a row has it."""
+    w = words.shape[0]
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * w)
+    pool = _hashmix(words[:_POOL], consts[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):  # every ordered pair, src outer, in hashmix order
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL]))
+        k += _POOL - 1
+    for src in range(_POOL, w):
+        mixed = _mix(pool, _hashmix(words[src], consts[k:k + _POOL + 1]))
+        pool = np.where(words[src:].any(axis=0), mixed, pool)
+        k += _POOL
+    state = _hashmix(np.tile(pool, (2, 1)), _HASH_B).astype(np.uint64)
+    return state[0::2] | state[1::2] << 32
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a b, from 32-bit halves."""
+    low = 0xFFFFFFFF
+    a0, a1, b0, b1 = a & low, a >> 32, b & low, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & low) + (p10 & low)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
 def random_real_rooted(m: int, spread: float, seeds) -> np.ndarray:
     """Sorted roots ``(len(seeds), m)``, uniform in [-spread, spread]: row i
-    is drawn by ``np.random.default_rng(seeds[i])``."""
-    roots = np.empty((len(seeds), m))
-    for row, seed in zip(roots, seeds):
-        row[:] = np.random.default_rng(seed).uniform(-spread, spread, size=m)
-    return np.sort(roots, axis=-1)
+    is ``np.random.default_rng(seeds[i]).uniform(-spread, spread, size=m)``,
+    bit for bit, for any non-negative integer seeds and any spread whose
+    range ``2 spread`` is finite.
+
+    One generator per row would cost about 12 us, so every row is drawn at
+    once.  SeedSequence's pool and ``generate_state`` run on uint32 arrays.
+    PCG64 seeds its 128-bit state, in (high, low) uint64 limbs, from the
+    state's two words (seed, seq) as ``pcg_setseq_128_srandom_r`` does: the
+    increment is ``inc = 2 seq + 1``, and two LCG steps from 0 with seed
+    added between them give ``S = (inc + seed) M + inc``.  Its k-th output is the
+    XSL-RR of ``M^k S + (M^{k-1} + ... + 1) inc``, with the powers and sums
+    of the multiplier M formed once in Python integers, and ``uniform``
+    turns it into ``low + (high - low) (out >> 11) 2^-53``.
+    """
+    seeds = [int(s) for s in seeds]
+    w = max(_POOL, -(-max(seeds, default=0).bit_length() // 32))
+    words = np.frombuffer(b"".join(s.to_bytes(4 * w, "little") for s in seeds),
+                          dtype="<u4").reshape(len(seeds), w).T
+    s_hi, s_lo, i_hi, i_lo = _seed_state(words)
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    y_lo = s_lo + inc_lo  # inc + seed, the state after the first step
+    y_hi = s_hi + inc_hi + (y_lo < s_lo)
+    # M^(k+1) and M^k + ... + 1 for k = 1 .. m, one step past each output's
+    # count for the second seeding step
+    mod, powers, sums, power, total = 1 << 128, [], [], _PCG_MULT, 1
+    for _ in range(m):
+        power, total = power * _PCG_MULT % mod, (total * _PCG_MULT + 1) % mod
+        powers.append(power)
+        sums.append(total)
+    consts = powers + sums
+    c_hi, c_lo = np.array([[c >> 64 for c in consts], [c & (1 << 64) - 1 for c in consts]],
+                          dtype=np.uint64).reshape(2, 2, 1, m)
+    # both products at once, mod 2^128: (inc + seed) M^(k+1) and inc's sum
+    x_hi, x_lo = np.stack((y_hi, inc_hi))[:, :, None], np.stack((y_lo, inc_lo))[:, :, None]
+    hi, lo = _mulhi64(x_lo, c_lo) + x_hi * c_lo + x_lo * c_hi, x_lo * c_lo
+    state_lo = lo[0] + lo[1]
+    state_hi = hi[0] + hi[1] + (state_lo < lo[0])
+    folded, rot = state_hi ^ state_lo, state_hi >> 58
+    out = folded >> rot | folded << ((64 - rot) & 63)
+    low, high = -float(spread), float(spread)
+    return np.sort(low + (high - low) * ((out >> 11) * 2.0**-53), axis=-1)

@@ -119,9 +119,13 @@ def _is_type(value, kind: str) -> bool:
     # bool subclasses int in Python, but a JSON boolean is not a number
     if isinstance(value, bool):
         return kind == "boolean"
-    if kind == "number" and isinstance(value, float):
-        # Python's json reads NaN and Infinity, which JSON numbers exclude
-        return math.isfinite(value)
+    if kind == "number" and isinstance(value, (int, float)):
+        # Python's json reads NaN, Infinity and integers past the double
+        # range, which JSON numbers, as doubles, exclude
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
     return isinstance(value, _JSON_TYPES[kind])
 
 
@@ -386,19 +390,26 @@ def _cmd_nuij(config: dict) -> dict:
     if np.min(np.abs(s_arr)) < np.finfo(float).tiny ** (1.0 / m_max):
         raise ConfigError(f"s_values, m_max: |s|^m_max = {np.min(np.abs(s_arr)):.3g}^"
                           f"{m_max} is below the smallest normal double")
+    # the draw's range high - low, which numpy's uniform takes as a double
+    if not math.isfinite(2.0 * spread):
+        raise ConfigError(f"spread = {spread:.3g}: the draws' range 2 spread is "
+                          "past the double range")
     # about 16 (m + 1) + 2 m^2 doubles a split row: rows and Laguerre work arrays,
-    # and companions if all rows fall back (tracemalloc at m = 6: 109 and 116)
-    require_memory(8.0 * n_polys * len(s_values) * (16 * (m_max + 1) + 2 * m_max**2),
-                   f"n_polys = {n_polys}, s_values ({len(s_values)} of them)")
+    # and companions if all rows fall back (tracemalloc at m = 6: 109 and 116);
+    # the draw holds under one s value's share, and 16 bytes a seed word
     seed = config["seed"]
+    require_memory(8.0 * n_polys * (len(s_values) * (16 * (m_max + 1) + 2 * m_max**2)
+                                    + 2 * (seed.bit_length() // 32 + 1)),
+                   f"n_polys = {n_polys}, s_values ({len(s_values)} of them)")
     table = []
     worst_margin = math.inf
     for m in range(1, m_max + 1):
         c_m = rootsplit.nuij_constant(m)
         worst = None  # single root: no gap to measure
         if m > 1:
+            first = seed + 1000 * m
             rows = rootsplit.expand_roots(rootsplit.random_real_rooted(
-                m, spread, seed + 1000 * m + np.arange(n_polys)))[:, None, :]
+                m, spread, range(first, first + n_polys)))[:, None, :]
             # the separation bound is gap >= c(m) |s|, for either sign of s
             try:
                 res = rootsplit.nuij_split(rows, s_arr)

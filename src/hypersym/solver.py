@@ -667,6 +667,12 @@ def solve_cauchy(
     longest = min(stride, n_steps)
     most, last = (int(_substeps(n, dt, scale)) for n in (longest, n_steps % longest))
     total = n_steps // longest * most + last
+    if not (track_energy and coeffs.x_band == 0):
+        er_mode = "skipped"
+    elif coeffs.t_regularity == "holder" and params.delta is not None:
+        er_mode = "mollified"
+    else:
+        er_mode = "multiplier"
     # The joint band's samples (a band state, a time and each cutoff's 80
     # bytes of diagnostics rows each), the interval's block of band states,
     # the schedule (48 bytes a sub-step as it is formed) and, when stepping,
@@ -675,16 +681,23 @@ def solve_cauchy(
     # again while a term is summed in), with the generator's buffers, a block
     # of diagnostics and their rows (128 bytes a mode) and, on the propagator
     # path, the word table (4 times it while built) and a chunk of
-    # propagators, must fit in physical memory.
+    # propagators, must fit in physical memory.  A mollified energy adds the
+    # R path of its widest band: 64 m^2 + 8 bytes a node while its Lyapunov
+    # batch symmetrizes R beside its generators, and 16 m^2 a sample and
+    # mode for the mollified R.
     table = BandPropagator.table_bytes(gen)
     stepping, n_band = table > _BLOCK_BYTES, gen.xi.size
-    need = ((math.ceil(n_steps / stride) + 1) * (16 * coeffs.m * n_band + 16
-                                                 + 80 * len(gen.segments))
+    n_samples = math.ceil(n_steps / stride) + 1
+    need = (n_samples * (16 * coeffs.m * n_band + 16 + 80 * len(gen.segments))
             + (most + 1 + 5 * stepping) * 16 * coeffs.m
             * (n_band + (0 if stepping else 2 * gen.word_width))
             + total * (48 + stepping * (24 * len(gen.time_terms) + 48 * gen.term_matrices[0].size))
             + 64 * gen._operand.size + _BLOCK_BYTES + 128 * n_x
             + (0 if stepping else 4 * table + _BLOCK_BYTES))
+    if er_mode == "mollified":
+        n_path = _mollifier_path(lattice(n_x), params, problem.horizon).size
+        need += (max(seg.stop - seg.start for seg, _ in gen.segments)
+                 * (n_path * (64 * coeffs.m**2 + 8) + n_samples * 16 * coeffs.m**2))
     require_memory(need, f"dt = {dt:.3g}: {n_steps} steps")
 
     # up-front overflow probe for the largest weight in the run
@@ -700,16 +713,18 @@ def solve_cauchy(
     times = sample_steps * dt
     band = _evolve(gen, u0, times.size, *_step_schedule(sample_steps, dt, scale), dt,
                    None if stepping else BandPropagator(gen))
-
-    if not (track_energy and coeffs.x_band == 0):
-        er_mode = "skipped"
-    elif coeffs.t_regularity == "holder" and params.delta is not None:
-        er_mode = "mollified"
-    else:
-        er_mode = "multiplier"
     traces = [_energy_trace(problem, params, gen, seg, index, band, times, er_mode,
                             track_energy) for seg, index in gen.segments]
     return SolveResult(dt=dt, band=band, traces=traces, steps=total, gen=gen, u0=u0)
+
+
+def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.ndarray:
+    """The times at which a mollified energy solves R: steps of a fifth of
+    the narrowest kernel width <xi>^-delta over ``xi``, from the widest
+    width (and 5%) before 0 to as far past ``horizon``."""
+    widths = bracket(xi, float(params.ell)) ** -float(params.delta)
+    dt_path, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
+    return np.arange(-pad, horizon + pad + dt_path, dt_path)
 
 
 def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGenerator,
@@ -753,9 +768,7 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
 
     if er_mode == "mollified":
         delta = float(params.delta)
-        widths = bracket(xi, ell) ** -delta
-        dt_path, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
-        path_ts = np.arange(-pad, problem.horizon + pad + dt_path, dt_path)
+        path_ts = _mollifier_path(xi, params, problem.horizon)
         r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks)
         # (n_samples, n_active, m, m)
         molly_values = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta, times)

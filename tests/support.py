@@ -6,7 +6,8 @@ Fourier and physical samples.  A field's exact
 x-derivatives, summed order by order, are the reference of the closed-form
 Taylor symbol.  Faddeev-LeVerrier characteristic polynomials and their
 polished, ordered roots are the reference of the block-wise eigenvalues,
-and, to within their condition, of the Nuij split's Laguerre roots.  A
+and, to within their condition, of the Nuij split's Laguerre roots.  One
+``default_rng`` per row is the reference of the bank's vectorized draw.  A
 stack's own block partition, from its nonzero pattern, is the reference of
 the system's partition that the kernels take.
 The allocating RK4 step is the reference of the solver's buffered step and
@@ -220,6 +221,15 @@ def root_tolerance(c, r) -> np.ndarray:
     slope = np.abs(np.sum(c[..., None, 1:] * np.arange(1, m + 1) * r ** np.arange(m), axis=-1))
     cond = m * np.finfo(float).eps * size / slope
     return np.maximum(1e-12 * np.abs(r[..., 0]), 2.0 * cond)
+
+
+def random_real_rooted_reference(m: int, spread: float, seeds) -> np.ndarray:
+    """``rootsplit.random_real_rooted`` one generator per row: sorted roots
+    ``(len(seeds), m)``, row i drawn by ``np.random.default_rng(seeds[i])``."""
+    roots = np.empty((len(seeds), m))
+    for row, seed in zip(roots, seeds):
+        row[:] = np.random.default_rng(seed).uniform(-spread, spread, size=m)
+    return np.sort(roots, axis=-1)
 
 
 def stack_blocks(hs: np.ndarray) -> list[np.ndarray]:

@@ -6,7 +6,8 @@ u0 off the band, or u0 e^{-t eps_par xi^2} when eps_par > 0, the band's
 samples at their FFT positions and, in a paired solve, the conjugates of
 those at their mirrors.  These tests hold the assembly to a reference built
 here on the whole lattice, the trajectory file to the assembled states, the
-memory a solve holds to its band, and ``need`` to what a solve allocates.
+memory a solve holds to its band, and ``need`` to what a solve allocates,
+the mollified energy's R path included.
 No process that calibrates or solves imports ``numpy.ma``.
 """
 
@@ -115,6 +116,19 @@ def test_memory_check_counts_the_fixed_costs(monkeypatch):
     params, problem = _setup("xdep", 1024)
     res, need, held, peak = _traced_solve(monkeypatch, problem, params, (0.25,), stride=1)
     assert res.band.shape == (1581, 2, 7)
+    assert peak - held <= need <= 3 * (peak - held)
+
+
+@pytest.mark.parametrize("n_x", [256, 1024])
+def test_memory_check_counts_the_mollified_path(monkeypatch, n_x):
+    # in Hoelder mode the diagnostics solve R at every time of the mollifier's
+    # path, whose step follows the lattice's narrowest kernel width, over the
+    # band: 651 times 16 nodes at n_lattice 256, and that batch is most of
+    # what the solve allocates after its check
+    params, problem = _setup("holder_k", n_x)
+    res, need, held, peak = _traced_solve(monkeypatch, problem, params,
+                                          (1.0 / float(params.ell),))
+    assert res.traces[0].er_mode == "mollified"
     assert peak - held <= need <= 3 * (peak - held)
 
 

@@ -167,6 +167,10 @@ def test_wrong_type_rejected(cfg):
     *[[command, "--seed", "0", {"coeffs": _holder_coeffs(kappa)}] for kappa, command in _KAPPA_EXITS_2],
     # the conjugation exponent tau (<xi+1>^rho - <xi>^rho) reaches 543 > EXP_BUDGET
     ["conjtest", {"tau": 1000}],
+    # the draws' range 2 spread is infinite; an integer past the double range
+    # is no JSON number
+    ["nuij", "--seed", "0", {"spread": 1e308}],
+    ["nuij", "--seed", "0", {"spread": 10**400}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -292,6 +296,15 @@ def test_nuij_coincident_roots_spread_zero():
     status, doc = run({"command": "nuij", "schema_version": "1", "seed": 1,
                        "m_max": 3, "n_polys": 5, "spread": 0.0})
     assert status == 0 and doc["passed"]
+
+
+@pytest.mark.parametrize("seed", [2**63 + 5, 2**200])
+def test_nuij_seed_past_int64_runs(seed, capsys):
+    # the row seeds seed + 1000 m + i stay Python integers, and every
+    # non-negative seed draws default_rng's rows (tests/test_rootsplit.py)
+    assert main(["nuij", "--seed", str(seed)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] and doc["worst_margin"] >= 1.0
 
 
 def test_nuij_unresolved_degree_exits_3_naming_it(capsys, tmp_path):

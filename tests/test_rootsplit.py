@@ -20,9 +20,13 @@ from support import (
     char_poly,
     constant_system,
     q_lower_bound_probe,
+    random_real_rooted_reference,
     root_tolerance,
     spectrum,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def test_split_linear():
@@ -179,6 +183,35 @@ def test_random_real_rooted_deterministic():
     r2 = random_real_rooted(3, 2.0, [11])
     np.testing.assert_array_equal(r1, r2)
     assert np.all(np.abs(r1) <= 2.0)
+
+
+# seeds in [0, 2^128), half of them within 2 of a word boundary 2^(32 k)
+_SEEDS = st.one_of(
+    st.builds(lambda k, d: min(max(2 ** (32 * k) + d, 0), 2**128 - 1),
+              st.integers(0, 4), st.integers(-2, 2)),
+    st.integers(0, 2**128 - 1))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.lists(_SEEDS, min_size=1, max_size=12), st.integers(1, 8),
+                  st.one_of(st.just(0.0), st.floats(0.0, 1e300)))
+def test_draw_is_default_rng_row_by_row(seeds, m, spread):
+    np.testing.assert_array_equal(random_real_rooted(m, spread, seeds),
+                                  random_real_rooted_reference(m, spread, seeds))
+
+
+def test_draw_is_default_rng_at_word_boundaries():
+    # the pool's word count changes at 2^32, 2^64, 2^96 and 2^128, and past
+    # the pool's four words the later ones mix in one at a time
+    seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**200]
+    seeds += list(range(2**32 - 3, 2**32 + 3))
+    for m in (1, 6):
+        np.testing.assert_array_equal(random_real_rooted(m, 3.0, seeds),
+                                      random_real_rooted_reference(m, 3.0, seeds))
+    # a range of Python integers, as nuij passes them
+    run = range(2**64 - 5, 2**64 + 5)
+    np.testing.assert_array_equal(random_real_rooted(4, 1.5, run),
+                                  random_real_rooted_reference(4, 1.5, run))
 
 
 def test_stacked_draw_and_expansion_match_one_polynomial_at_a_time():
