@@ -219,9 +219,6 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     return np.cumprod([init] + [mult] * n, dtype=np.uint32)[:, None]
 
 
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-
 def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
     """Consecutive hashmix calls on the rows of ``v``: row k xors with
     ``consts[k]`` and multiplies by ``consts[k + 1]``."""
@@ -251,7 +248,8 @@ def _seed_state(words: np.ndarray) -> np.ndarray:
         mixed = _mix(pool, _hashmix(words[src], consts[k:k + _POOL + 1]))
         pool = np.where(words[src:].any(axis=0), mixed, pool)
         k += _POOL
-    state = _hashmix(np.tile(pool, (2, 1)), _HASH_B).astype(np.uint64)
+    state = _hashmix(np.tile(pool, (2, 1)),
+                     _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)).astype(np.uint64)
     return state[0::2] | state[1::2] << 32
 
 

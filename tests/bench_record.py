@@ -2,18 +2,18 @@
 
 Usage (from a checkout's root, with its code committed)::
 
-    python tests/bench_record.py [--runs 5] [--perf-runs 5] [--seed 3]
+    python tests/bench_record.py
 
 The file holds, for the commit at HEAD (``sha``, with ``parent`` its first
 parent and ``dirty`` whether the working tree differed from it):
 
 - ``commands``: every CLI command at its defaults on each preset (``solve``
   at n_lattice 256, 1024 and 4096), run in this process through
-  ``perfbench/tasks.run_task`` in ``--runs`` rounds after one warm-up round,
+  ``perfbench/tasks.run_task`` in ``RUNS`` rounds after one warm-up round,
   each config once a round.  Each entry gives the median and IQR of its wall
   times in seconds and its exit status.  ``report`` aggregates a ``solve``
   run directory written beforehand;
-- ``perfbench``: the median and IQR of ``wall_s`` over ``--perf-runs`` runs of
+- ``perfbench``: the median and IQR of ``wall_s`` over ``PERF_RUNS`` runs of
   ``perfbench/run.py --seconds 30 --trace 0`` per workload, each a fresh
   process, and whether every run was correct;
 - ``tier1``: the wall time of one tier-1 pytest run and its summary line;
@@ -21,11 +21,12 @@ parent and ``dirty`` whether the working tree differed from it):
   BLAS and the BLAS thread variables, which are pinned to 1 here as
   perfbench pins them.
 
+The rounds, the perfbench runs and the seed (of ``nuij``, the solves, the
+studies and perfbench) are fixed, so every file is comparable with the last.
 pytest does not collect this file.  Nothing under ``perfbench/`` is written
 but its own ``.out`` scratch directory.
 """
 
-import argparse
 import importlib.util
 import json
 import os
@@ -41,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SOLVE_LATTICES = (256, 1024, 4096)
+RUNS, PERF_RUNS, SEED = 5, 5, 3
 
 
 def _load_tasks():
@@ -79,17 +81,17 @@ def command_configs(presets, seed: int, report_dir: str) -> list[dict]:
     ]
 
 
-def time_commands(tasks, runs: int, seed: int) -> list[dict]:
+def time_commands(tasks) -> list[dict]:
     from hypersym import runner
 
     work = tempfile.mkdtemp()
     report_dir = os.path.join(work, "report_run")
-    runner.run({"command": "solve", "schema_version": "1", "preset": "wave_t2", "seed": seed,
+    runner.run({"command": "solve", "schema_version": "1", "preset": "wave_t2", "seed": SEED,
                 "n_lattice": 256}, report_dir)
-    configs = command_configs(tasks.PRESETS, seed, report_dir)
+    configs = command_configs(tasks.PRESETS, SEED, report_dir)
     times = [[] for _ in configs]
     status = [None] * len(configs)
-    for round_ in range(runs + 1):  # round 0 warms imports and caches
+    for round_ in range(RUNS + 1):  # round 0 warms imports and caches
         for i, config in enumerate(configs):
             res = tasks.run_task(config, work)
             status[i] = res["status"]
@@ -101,19 +103,19 @@ def time_commands(tasks, runs: int, seed: int) -> list[dict]:
             for config, st, ts in zip(configs, status, times)]
 
 
-def time_perfbench(tasks, runs: int, seed: int) -> dict:
+def time_perfbench(tasks) -> dict:
     out = {}
     for workload in tasks.WORKLOADS:
         walls, correct = [], True
-        for _ in range(runs):
+        for _ in range(PERF_RUNS):
             proc = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
                  "--seconds", "30", "--trace", "0"],
                 cwd=ROOT, capture_output=True, text=True, check=True)
             doc = json.loads(proc.stdout.strip().splitlines()[-1])
             walls.append(doc["metrics"]["wall_s"]["value"])
             correct &= doc["correct"]
-        out[workload] = {"wall_s": _stats(walls), "correct": correct, "seconds": 30, "seed": seed}
+        out[workload] = {"wall_s": _stats(walls), "correct": correct, "seconds": 30, "seed": SEED}
     return out
 
 
@@ -145,12 +147,7 @@ def host_facts() -> dict:
             "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS}}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=5, help="timed rounds of the commands")
-    parser.add_argument("--perf-runs", type=int, default=5, help="perfbench runs a workload")
-    parser.add_argument("--seed", type=int, default=3, help="seed of nuij, solves and studies")
-    args = parser.parse_args(argv)
+def main() -> int:
     for var in BLAS_VARS:  # before numpy is first imported
         os.environ[var] = "1"
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -159,8 +156,7 @@ def main(argv=None) -> int:
     doc = {"sha": sha, "parent": _git("rev-parse", "HEAD^"),
            "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
            "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "host": host_facts(),
-           "commands": time_commands(tasks, args.runs, args.seed),
-           "perfbench": time_perfbench(tasks, args.perf_runs, args.seed),
+           "commands": time_commands(tasks), "perfbench": time_perfbench(tasks),
            "tier1": time_tier1()}
     path = os.path.join(ROOT, f"BENCH_{sha[:7]}.json")
     with open(path, "w") as fh:

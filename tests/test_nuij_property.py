@@ -1,6 +1,7 @@
 """Randomized properties: Nuij splitting separates roots by at least c(m) |s|,
-real rows take the real companion path without moving the roots, and the
-Laguerre roots that the split accepts agree with the companion's."""
+real rows take the real companion path without moving the roots, the
+Laguerre roots that the split accepts agree with the companion's, and the
+vectorized draw of random real-rooted rows is ``default_rng``'s row by row."""
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from hypersym.rootsplit import (  # noqa: E402
     nuij_constant,
     nuij_split,
     polished_roots,
+    random_real_rooted,
 )
-from support import root_tolerance  # noqa: E402
+from support import random_real_rooted_reference, root_tolerance  # noqa: E402
 
 
 @st.composite
@@ -83,3 +85,18 @@ def test_laguerre_matches_companion(case):
     assert np.all(np.abs(gaps - ref_gaps) <= 2 * LAGUERRE_GAP_SHARE * ref_gaps)
     assert np.array_equal(res.roots[accepted], fast)
     assert np.array_equal(res.roots[~accepted], ref[~accepted])
+
+
+# seeds in [0, 2^128), half of them within 2 of a word boundary 2^(32 k)
+_SEEDS = st.one_of(
+    st.builds(lambda k, d: min(max(2 ** (32 * k) + d, 0), 2**128 - 1),
+              st.integers(0, 4), st.integers(-2, 2)),
+    st.integers(0, 2**128 - 1))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.lists(_SEEDS, min_size=1, max_size=12), st.integers(1, 8),
+                  st.one_of(st.just(0.0), st.floats(0.0, 1e300)))
+def test_draw_is_default_rng_row_by_row(seeds, m, spread):
+    np.testing.assert_array_equal(random_real_rooted(m, spread, seeds),
+                                  random_real_rooted_reference(m, spread, seeds))

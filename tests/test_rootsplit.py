@@ -25,9 +25,6 @@ from support import (
     spectrum,
 )
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-
 
 def test_split_linear():
     res = nuij_split([0.0, 1.0], 0.4)
@@ -183,21 +180,6 @@ def test_random_real_rooted_deterministic():
     r2 = random_real_rooted(3, 2.0, [11])
     np.testing.assert_array_equal(r1, r2)
     assert np.all(np.abs(r1) <= 2.0)
-
-
-# seeds in [0, 2^128), half of them within 2 of a word boundary 2^(32 k)
-_SEEDS = st.one_of(
-    st.builds(lambda k, d: min(max(2 ** (32 * k) + d, 0), 2**128 - 1),
-              st.integers(0, 4), st.integers(-2, 2)),
-    st.integers(0, 2**128 - 1))
-
-
-@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@hypothesis.given(st.lists(_SEEDS, min_size=1, max_size=12), st.integers(1, 8),
-                  st.one_of(st.just(0.0), st.floats(0.0, 1e300)))
-def test_draw_is_default_rng_row_by_row(seeds, m, spread):
-    np.testing.assert_array_equal(random_real_rooted(m, spread, seeds),
-                                  random_real_rooted_reference(m, spread, seeds))
 
 
 def test_draw_is_default_rng_at_word_boundaries():
