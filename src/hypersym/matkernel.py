@@ -407,7 +407,9 @@ class ThetaEstimate:
 
 
 def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """``||e^{isH}||_2`` for H in (n_nodes, m, m) and s in (n_s,), shape (n_s, n_nodes).
+    """``||e^{isH}||_2`` for H in (..., n_nodes, m, m) and s in (..., n_s), shape
+    (..., n_s, n_nodes): a leading axis (a batch of eps) pairs each stack of
+    nodes with its own s values.
 
     A direct sum's norm, over ``blocks`` (the system's), is its largest block
     norm.  A 1x1 block gives ``e^{-s Im h}``.  A 2x2 block with Z = sH has
@@ -415,21 +417,29 @@ def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.nd
     the closed form that ``expm_batched`` shares, and norm ``|e^{i mu}| ||E||``
     by :func:`_norm_2x2`.  Z is split at every (s, node), not H once a node:
     scaled by s afterwards, d^2 underflows at H ~ 1e-221 and turns to NaN at
-    subnormal s.  Larger blocks, irreducible, take the Pade core.
+    subnormal s.  Larger blocks, irreducible, take the Pade core; a non-finite
+    exponential there makes the whole result infinite.
     """
-    norms = np.zeros((len(s), len(hs)))
+    norms = np.zeros(s.shape + hs.shape[-3:-2])
     for idx in blocks:
-        h = hs[:, idx[:, None], idx]
+        h = hs[..., None, :, idx[:, None], idx]  # (..., 1, n_nodes, k, k)
         if len(idx) == 1:
-            nb = np.exp(-s[:, None] * h[:, 0, 0].imag)
+            nb = np.exp(-s[..., None] * h[..., 0, 0].imag)
         elif len(idx) == 2:
-            z = s[:, None, None, None] * h  # s H: no underflow where s H is O(1)
+            z = s[..., None, None, None] * h  # s H: no underflow where s H is O(1)
             nb = np.exp(-0.5 * (z[..., 0, 0] + z[..., 1, 1]).imag) * _norm_2x2(*_exp_2x2(z))
         else:
-            exps = expm_batched(1j * s[:, None, None, None] * h, [np.arange(len(idx))])
+            exps = expm_batched(1j * s[..., None, None, None] * h, [np.arange(len(idx))])
             nb = block_norm2(exps, [np.arange(len(idx))]) if np.isfinite(exps).all() else np.inf
         norms = np.maximum(norms, nb)
     return norms
+
+
+# (s, node, block) triples that one batch of the growth curves' eps may hold:
+# at the theta command's 9 eps, 2 eps a batch on block_direct_sum (a 474 kB
+# peak, 266 kB at one eps), 4 on xdep and diag_sym, and all of them on the
+# x-independent presets, which then take one pass where they took nine
+_GROWTH_BATCH = 3000
 
 
 def _growth_curves(
@@ -443,7 +453,11 @@ def _growth_curves(
 ):
     """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf.
 
-    One eps at a time (peak memory is one (s, node) batch), on the partition and distinct nodes.
+    The eps go in batches of at most ``_GROWTH_BATCH`` (s, node, block)
+    triples, at least one eps each, on the partition and distinct nodes; the
+    formulas are elementwise, so G and the inf do not depend on the batching.
+    A block of size 3 or more (the Pade core) takes one eps a batch: it holds
+    k^2 entries a triple, and its finiteness check reads the whole batch.
     """
     t_values, x_values = coeffs.symbol_nodes(t_values, x_values)
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
@@ -456,14 +470,20 @@ def _growth_curves(
     s = np.concatenate((np.zeros((len(eps_values), 1)),
                         np.geomspace(1e-2, 30.0, 36) / eps_values[:, None]), axis=1)
     damp = np.exp(-c_hat * s * eps_values[:, None])[:, :, None]
+    triples = s.shape[1] * hs.shape[1] * len(coeffs.blocks)
+    batch = max(_GROWTH_BATCH // triples, 1) if max(map(len, coeffs.blocks)) <= 2 else 1
     g, low = np.empty(len(eps_values)), np.empty(len(eps_values))
-    for i, eps in enumerate(eps_values):
+    for lo in range(0, len(eps_values), batch):
+        at = slice(lo, lo + batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = _exp_norms(hs[i], s[i], coeffs.blocks)
-        if not np.isfinite(norms).all():
+            norms = _exp_norms(hs[at], s[at], coeffs.blocks)  # (batch, n_s, n_nodes)
+        finite = np.isfinite(norms).all(axis=(1, 2))
+        if not finite.all():
             raise HypersymError(f"theta barometer: ||e^(is H_N)|| is not finite at "
-                                f"eps = {eps:.6g}; the symbol is not hyperbolic")
-        g[i], low[i] = np.max(damp[i] * norms), np.min(norms / damp[i])
+                                f"eps = {eps_values[lo + np.argmin(finite)]:.6g}; the "
+                                "symbol is not hyperbolic")
+        g[at] = np.max(damp[at] * norms, axis=(1, 2))
+        low[at] = np.min(norms / damp[at], axis=(1, 2))
     return g, low
 
 

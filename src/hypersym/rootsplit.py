@@ -91,14 +91,20 @@ def polished_roots(c) -> np.ndarray:
     return _sort_rows(np.where(safe, raw - step, raw))
 
 
-def _laguerre_terms(ct, abs_ct, z) -> np.ndarray:
+def _laguerre_terms(cols, z) -> np.ndarray:
     """q''/2, q', q and sum_j |c_j| |z|^j at ``z`` by Horner's rule, ``(4, rows)``,
-    from the coefficient columns ``ct[j]`` and their moduli."""
-    half_ddq, dq, q, size, az = 0.0, 0.0, ct[-1], abs_ct[-1], np.abs(z)
-    for j in range(ct.shape[0] - 2, -1, -1):
-        half_ddq, dq = half_ddq * z + dq, dq * z + q
-        q, size = q * z + ct[j], size * az + abs_ct[j]
-    return np.stack((half_ddq, dq, q, size))
+    from the coefficient columns and their moduli, ``cols[j] = (c_j, |c_j|)``.
+    The four recurrences run as one stack, so that each coefficient costs one
+    multiply and two adds, every element rounded as in its own recurrence."""
+    zs = np.stack((z, z, z, np.abs(z)))
+    terms = np.zeros(zs.shape)
+    terms[2:] = cols[-1]
+    for j in range(cols.shape[0] - 2, -1, -1):
+        nxt = terms * zs
+        nxt[:2] += terms[1:3]
+        nxt[2:] += cols[j]
+        terms = nxt
+    return terms
 
 
 def laguerre_roots(c) -> tuple[np.ndarray, np.ndarray]:
@@ -109,41 +115,48 @@ def laguerre_roots(c) -> tuple[np.ndarray, np.ndarray]:
     root stops once |q(z)| <= e(z) = 2 m u sum_j |c_j| |z|^j, Horner's rounding
     bound.  A row is accepted when all its roots stopped, strictly increase and
     have e(y)/|q'(y)| at most ``LAGUERRE_GAP_SHARE`` of its smallest gap; the
-    roots of other rows mean nothing.
+    roots of other rows mean nothing.  Each root iterates over the whole stack,
+    a row's z frozen once it stops, so a row's roots and acceptance do not
+    depend on the rows beside it.
     """
     c = np.asarray(c, dtype=float)
     m, lead = c.shape[-1] - 1, c.shape[:-1]
     if m == 1:
         return -c[..., :1], np.ones(lead, dtype=bool)
-    ct = c.reshape(-1, m + 1).T.copy()  # coefficient j of every row, contiguous
-    abs_ct, (roots, radius) = np.abs(ct), np.zeros((2, m, ct.shape[1]))
+    ct = c.reshape(-1, m + 1).T  # coefficient j of every row
+    cols = np.stack((ct, np.abs(ct)), axis=1)  # (m + 1, 2, rows)
+    roots, radius = np.zeros((2, m, ct.shape[1]))
     ok = np.ones(ct.shape[1], dtype=bool)
+    rel = m * np.finfo(float).eps  # 2 m u, for the bound 2 m u sum_j |c_j| |z|^j
     with np.errstate(all="ignore"):
         mean = -ct[m - 1] / m
         half_width = np.sqrt(np.maximum((ct[m - 1] ** 2 - 2 * ct[m - 2]) / m - mean**2, 0.0)
                              * (m - 1))
         # lowered so that rounding in the bound cannot start inside the smallest root
         start = mean - half_width - 1e-6 * (np.abs(mean) + half_width)
-        at_start = _laguerre_terms(ct, abs_ct, start)  # every root starts there
+        at_start = _laguerre_terms(cols, start)  # every root starts there
         for k in range(m):
-            n, rows = m - k, np.flatnonzero(ok)
-            z, terms = start[rows], at_start[:, rows]
+            n, active, z, terms = m - k, ok.copy(), start, at_start
             for _ in range(LAGUERRE_MAX_STEPS):
-                bound = m * np.finfo(float).eps * terms[3]  # 2 m u sum_j |c_j| |z|^j
-                stop = np.abs(terms[2]) <= bound
-                roots[k, rows[stop]] = z[stop]
-                radius[k, rows[stop]] = bound[stop] / np.abs(terms[1, stop])
-                rows, z, (half_ddq, dq, q, _) = rows[~stop], z[~stop], terms[:, ~stop]
-                if not rows.size:
+                active &= ~(np.abs(terms[2]) <= rel * terms[3])
+                if not active.any():
                     break
-                inv = 1.0 / (z - np.take(roots[:k], rows, axis=1))
+                half_ddq, dq, q, _ = terms
                 g = dq / q
-                big_g = g - inv.sum(axis=0)
-                big_h = g * g - 2 * half_ddq / q - (inv * inv).sum(axis=0)
+                big_g, big_h = g, g * g - 2 * half_ddq / q
+                if k:  # deflation by the roots found
+                    inv = 1.0 / (z - roots[:k])
+                    sq = inv * inv
+                    # summed in order: np.sum pairs 8 or more terms of a one-row
+                    # stack, which would give a row alone other roots
+                    big_g, big_h = big_g - sum(inv[1:], inv[0]), big_h - sum(sq[1:], sq[0])
                 root = np.sqrt(np.maximum((n - 1) * (n * big_h - big_g * big_g), 0.0))
-                z = z - n / (big_g + np.copysign(root, big_g))  # the sign follows G
-                terms = _laguerre_terms(np.take(ct, rows, axis=1), np.take(abs_ct, rows, axis=1), z)
-            ok[rows] = False  # a root that did not stop
+                # the sign follows G
+                z = np.where(active, z - n / (big_g + np.copysign(root, big_g)), z)
+                terms = _laguerre_terms(cols, z)
+            ok &= ~active  # a root that did not stop
+            # a stopped row's z, and so its terms, stayed as they were at its stop
+            roots[k], radius[k] = np.where(ok, z, 0.0), rel * terms[3] / np.abs(terms[1])
         gaps = np.diff(roots, axis=0)
         ok &= np.all(gaps > 0, axis=0) & np.all(radius <= LAGUERRE_GAP_SHARE * gaps.min(axis=0), axis=0)
     return roots.T.reshape(lead + (m,)), ok.reshape(lead)

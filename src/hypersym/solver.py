@@ -769,9 +769,10 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
     if er_mode == "mollified":
         delta = float(params.delta)
         path_ts = _mollifier_path(xi, params, problem.horizon)
-        r_path = _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks)
-        # (n_samples, n_active, m, m)
-        molly_values = mollify_path(path_ts, r_path, bracket(r_xi, ell), delta, times)
+        # (n_samples, n_active, m, m); R on the path is freed once it returns
+        molly_values = mollify_path(
+            path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks),
+            bracket(r_xi, ell), delta, times)
 
     n_samples, nu = times.size, params.nu
     sigmas = (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)

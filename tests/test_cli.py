@@ -171,6 +171,11 @@ def test_wrong_type_rejected(cfg):
     # is no JSON number
     ["nuij", "--seed", "0", {"spread": 1e308}],
     ["nuij", "--seed", "0", {"spread": 10**400}],
+    # sample grids past memory, and one past numpy's largest array
+    *[[command, "--preset", "xdep", config] for command in ("certify", "theta", "symmetrize")
+      for config in ({"n_t": 10**12}, {"n_x": 10**20}, {"n_t": 10**5, "n_x": 10**5})],
+    ["theta", "--preset", "xdep", {"n_eps": 10**12}],
+    ["symmetrize", "--preset", "xdep", {"n_xi": 10**12}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -540,3 +545,26 @@ def test_conjtest_lattice_past_memory_exits_2(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: n_lattice = 1099511627776")
     assert len(err.splitlines()) == 1 and "bytes of memory" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "theta", "symmetrize"])
+@pytest.mark.parametrize("preset", ["xdep", "block_direct_sum"])
+def test_sample_grid_memory_check_covers_the_peak(command, preset, monkeypatch):
+    # at 2,000 distinct (t, x) nodes the stacks over the sample grids are
+    # most of what a command allocates: need covers the traced peak, and is
+    # not pessimistic by more than 5x
+    import tracemalloc
+
+    from hypersym import runner
+
+    needs = []
+    monkeypatch.setattr(runner, "require_memory", lambda need, what: needs.append(need))
+    cfg = {"command": command, "schema_version": "1", "preset": preset, "n_x": 500}
+    run(dict(cfg))  # loads numpy's lazy modules
+    tracemalloc.start()
+    try:
+        assert run(dict(cfg))[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= needs[-1] <= 5 * peak

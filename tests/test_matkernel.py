@@ -501,13 +501,77 @@ def test_growth_curves_one_partition_matches_per_eps(name, monkeypatch):
         assert np.array_equal(g, g_ref) and np.array_equal(low, low_ref)
 
 
-def test_mixed_block_direct_sum_takes_pade_path():
-    cs = get_preset("block_direct_sum").coeffs
+def _growth_curves_per_eps(coeffs, n_taylor, eps_values, t_values, x_values, xi_values, c_hat):
+    """The growth curves by one _exp_norms call an eps, with the same formulas."""
+    t_values, x_values = coeffs.symbol_nodes(t_values, x_values)
+    xi_values = np.asarray(xi_values, dtype=float)
+    hs = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
+                       eps_values[:, None, None, None] * xi_values, n_taylor
+                       ).reshape(len(eps_values), -1, coeffs.m, coeffs.m)
+    g, low = np.empty(len(eps_values)), np.empty(len(eps_values))
+    for i, eps in enumerate(eps_values):
+        s = np.concatenate(([0.0], np.geomspace(1e-2, 30.0, 36) / eps))
+        damp = np.exp(-c_hat * s * eps)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = _exp_norms(hs[i], s, coeffs.blocks)
+        if not np.isfinite(norms).all():
+            raise HypersymError(f"not finite at eps = {eps:.6g};")
+        g[i], low[i] = np.max(damp * norms), np.min(norms / damp)
+    return g, low
+
+
+# the theta command's eps grid, and calibration's first and eps0 = 0.5 grids
+_EPS_GRIDS = {"theta 9": np.geomspace(1e-3, 1e-1, 9),
+              "calibration 7": np.geomspace(1e-3, 1e-1, 7),
+              "eps0 7": np.geomspace(0.5e-2, 0.5, 7)}
+
+
+@pytest.mark.parametrize("grid", sorted(_EPS_GRIDS))
+@pytest.mark.parametrize("name", preset_names())
+def test_growth_curves_in_eps_batches_match_one_eps_at_a_time(name, grid):
+    # at one xi the batches hold 2 eps on block_direct_sum and 4 on xdep and
+    # diag_sym, the last one partial, and every eps on the other presets
+    coeffs = get_preset(name).coeffs
+    for n_taylor in (coeffs.m, 2 * coeffs.m):
+        for xis in ((1.0,), _XIS):
+            args = (coeffs, n_taylor, _EPS_GRIDS[grid], _TS, _XS, xis, 1.05)
+            g, low = _growth_curves(*args)
+            g_ref, low_ref = _growth_curves_per_eps(*args)
+            assert np.array_equal(g, g_ref) and np.array_equal(low, low_ref)
+
+
+def _rotated_block_direct_sum() -> SystemCoefficients:
+    """block_direct_sum turned by a fixed unitary: one irreducible 4x4 block."""
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    mixed = SystemCoefficients(
+    return SystemCoefficients(
         m=4, a_terms=[CoeffTerm(t.x_freq, t.t_term, u @ t.matrix @ u.conj().T)
-                      for t in cs.a_terms])
+                      for t in get_preset("block_direct_sum").coeffs.a_terms])
+
+
+@pytest.mark.parametrize("name, xis, n_eps, first", [("xdep", _XIS, 16, 13),
+                                                     ("wave_x2", _XIS, 16, 15),
+                                                     ("rotated", (1.0,), 13, 10)],
+                         ids=["xdep", "wave_x2", "rotated"])
+def test_growth_curves_name_the_first_non_finite_eps_of_a_batch(name, xis, n_eps, first):
+    # at N = 2m the norms overflow from eps[first] on.  xdep takes 2 eps a
+    # batch and wave_x2 8, so eps[first] sits after a finite eps in its batch:
+    # second in xdep's, last in wave_x2's.  The rotated system's Pade block
+    # takes one eps a batch; at 4 its batch would start at a finite eps[8]
+    coeffs = _rotated_block_direct_sum() if name == "rotated" else get_preset(name).coeffs
+    eps = np.geomspace(1e-3, 100.0, n_eps)
+    args = (coeffs, 2 * coeffs.m, eps, _TS, _XS, xis, 1.0)
+    with pytest.raises(HypersymError, match=f"eps = {eps[first]:.6g};"):
+        _growth_curves_per_eps(*args)
+    with pytest.raises(HypersymError, match=f"eps = {eps[first]:.6g};"):
+        _growth_curves(*args)
+    g, low = _growth_curves(coeffs, 2 * coeffs.m, eps[:first], _TS, _XS, xis, 1.0)
+    assert np.isfinite(g).all() and np.isfinite(low).all()
+
+
+def test_mixed_block_direct_sum_takes_pade_path():
+    cs = get_preset("block_direct_sum").coeffs
+    mixed = _rotated_block_direct_sum()
     assert [len(b) for b in stack_blocks(taylor_symbol(cs, _TS[:, None], 0.0, 1.0, 0.1, 4))] \
         == [len(b) for b in cs.blocks] == [2, 2]
     assert [len(b) for b in stack_blocks(taylor_symbol(mixed, _TS[:, None], 0.0, 1.0, 0.1, 4))] \
@@ -520,10 +584,11 @@ def test_mixed_block_direct_sum_takes_pade_path():
 
 
 def test_barometer_peak_is_one_eps_batch():
-    # _growth_curves holds one eps's (s, node) batch at a time.  At the theta
-    # command's 9 eps on block_direct_sum, tracemalloc reads about 521 kB, and
-    # 652 kB before _exp_norms took its 2x2 norms from block_norm2's closed
-    # form; the bound is the latter.  One batch of all 9 eps reads 3.2 MB.
+    # _growth_curves holds one batch of eps at a time, at most _GROWTH_BATCH
+    # (s, node, block) triples: 2 of the theta command's 9 eps on
+    # block_direct_sum, where tracemalloc reads about 474 kB (266 kB at one
+    # eps a batch, 1.6 MB at all 9).  The bound is what one eps read before
+    # _exp_norms took its 2x2 norms from block_norm2's closed form.
     import tracemalloc
 
     coeffs = get_preset("block_direct_sum").coeffs

@@ -291,6 +291,24 @@ def test_laguerre_leaves_some_degree_16_rows_to_the_companion():
     assert not accepted.all()
 
 
+@pytest.mark.parametrize("m", [3, 6, 16])
+def test_laguerre_row_alone_matches_its_row_in_a_stack(m):
+    # each row iterates beside the others until its roots stop, so its roots
+    # and acceptance must not depend on them: the stack mixes rows of the nuij
+    # draw, which stop within a few steps (at degree 16 the check rejects some),
+    # and monic rows of normal coefficients, which have complex roots
+    drawn = _nuij_draw(3, m).reshape(-1, m + 1)[::23]
+    normal = np.random.default_rng(m).normal(size=(20, m + 1))
+    normal[:, -1] = 1.0
+    c = np.concatenate((drawn, normal))
+    roots, accepted = laguerre_roots(c)
+    assert accepted.any() and not accepted.all()
+    for i in range(len(c)):
+        one_roots, one_accepted = laguerre_roots(c[i:i + 1])
+        assert np.array_equal(one_roots, roots[i:i + 1], equal_nan=True), i
+        assert np.array_equal(one_accepted, accepted[i:i + 1]), i
+
+
 def test_laguerre_rejects_roots_its_rounding_cannot_separate():
     # (z - 1)(z - 1 - d): each root's rounding radius is about 3.5e-15 / d, so
     # the row is accepted while that is under 1e-8 of the gap d, and beyond
