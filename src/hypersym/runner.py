@@ -93,7 +93,6 @@ COMMAND_SCHEMAS = {
     # a negative eps_par is anti-dissipative, and lam_bound's stability scale
     # would no longer bound the step
     "solve": _schema({**_SOLVE, "h": _CUTOFF, "eps_par": _prop("number", 0.0, minimum=0),
-                      "stride": _prop("integer", 8, minimum=1),
                       "horizon": _prop("number", **_POS), "ell": _prop("number", **_POS)},
                      ["seed"]),
     "study-h": _schema({**_SOLVE, "h_list": _list("number", [1 / 64, 1 / 128, 1 / 256],
@@ -529,7 +528,7 @@ def _cmd_plan(config: dict) -> dict:
 
 
 def _cmd_solve(config: dict) -> dict:
-    stride, out_dir, eps_par = config["stride"], config.get("out"), config["eps_par"]
+    out_dir, eps_par = config.get("out"), config["eps_par"]
     name, params, problem = _solve_setup(config)
     # without a radius at t = 0 the radius gate has nothing to compare against
     if np.isnan(solver.gevrey_radius_fit(engine.fold_amplitudes(engine.squared_moduli(problem.g)),
@@ -537,18 +536,18 @@ def _cmd_solve(config: dict) -> dict:
         raise ConfigError(f"c0 = {problem.gevrey_c0}, n_lattice = {problem.g.shape[1]}: "
                           "the data's Gevrey radius fit at t = 0 is inconclusive")
     h = config.get("h", 1.0 / float(params.ell))
-    res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, dt=config.get("dt"),
-                              stride=stride)
+    res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, dt=config.get("dt"))
     tr = res.traces[0]
+    # eta per grid step, over the grid steps between two samples
     eta = res.dt**2 + 1e-8
-    stride_eta = eta * stride
+    sample_eta = eta * res.per
     increments = tr.increments[1:]
     if tr.er_mode == "skipped":
         # x-dependent coefficients: the monotone-energy gate only applies
         # where Op(R) is an exact multiplier
         monotone = None
     else:
-        monotone = bool(np.all(increments <= stride_eta))
+        monotone = bool(np.all(increments <= sample_eta))
     a = float(params.a)
     c_t = tr.gevrey_c
     have_radius = np.all(np.isfinite(c_t))

@@ -21,9 +21,11 @@ for bit (:func:`pairs_modes`) evolves each band's xi >= 0 and -n_x/2 alone
 and writes each xi < 0 band mode as the conjugate of its mirror.  Its
 diagnostics read FFT positions 0 .. n_x/2 alone, each xi > 0 counted twice.
 
-The lattice's stability scale sets the grid step dt, and a sample is taken
-every ``stride`` grid steps.  The band crosses each sample interval in the
-sub-steps of :func:`_substeps`, set by its own scale and the time terms' top
+Every solve is sampled at the ``N_SAMPLES + 1`` times k horizon / N_SAMPLES.
+The lattice's stability scale sets the grid step dt, the step count is
+rounded up to a multiple of N_SAMPLES, so that each sample interval holds
+the same ``per`` grid steps, and the band crosses every interval in the same
+sub-steps (:func:`_substeps`), set by its own scale and the time terms' top
 frequency, and never more of them than grid steps.
 
 One solve takes several cutoffs, as the h-uniformity study does: they share
@@ -407,12 +409,13 @@ class BandPropagator:
                               axis=1)
         return (rows @ self._table).view(complex).reshape((len(h),) + self._shape)
 
-    def steps(self, t, h):
-        """The propagators of the steps from the times ``t`` of the sizes
-        ``h`` in turn, formed in chunks of about ``_BLOCK_BYTES``."""
+    def steps(self, t, h: float):
+        """The propagators of the steps of size ``h`` from the times ``t`` in
+        turn, formed in chunks of about ``_BLOCK_BYTES``."""
         chunk = max(1, _BLOCK_BYTES // (16 * math.prod(self._shape)))
         for lo in range(0, len(t), chunk):
-            yield from self.matrices(t[lo:lo + chunk], h[lo:lo + chunk])
+            part = t[lo:lo + chunk]
+            yield from self.matrices(part, np.full(part.size, h))
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +428,15 @@ class BandPropagator:
 C_ACC = 0.05
 
 
-def _substeps(length, dt: float, scale: float):
+# Every solve is sampled at the N_SAMPLES + 1 times k horizon / N_SAMPLES:
+# at the default n_lattice 256 that is about 8 grid steps an interval.
+N_SAMPLES = 48
+
+
+def _substeps(per: int, dt: float, scale: float) -> int:
     """The fewest equal sub-steps, at least one, with h ``scale`` <= C_ACC
-    that cross ``length`` grid steps of size dt, but never more than length."""
-    return np.minimum(length, np.maximum(1, np.ceil(length * dt * scale / C_ACC))).astype(int)
-
-
-def _step_schedule(sample_steps: np.ndarray, dt: float, scale: float):
-    """Per interval between the samples its count of sub-steps, and per
-    sub-step its start and size in grid steps: k and 1.0 exactly where an
-    interval keeps its grid steps."""
-    lengths = np.diff(sample_steps)
-    counts = _substeps(lengths, dt, scale)
-    size = np.repeat(lengths / counts, counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    start = np.repeat(sample_steps[:-1], counts) + (np.arange(size.size) - first) * size
-    return counts, start, size
+    that cross ``per`` grid steps of size dt, but never more than per."""
+    return min(per, max(1, math.ceil(per * dt * scale / C_ACC)))
 
 
 def _samples_per_block(blocks: list[np.ndarray], sample_bytes: int, n_lyap: int) -> int:
@@ -482,6 +478,7 @@ class EnergyTrace:
 @dataclass
 class SolveResult:
     dt: float
+    per: int  # grid steps of dt between two samples
     # (n_samples, m, n_band): the joint band of gen at traces[i].times, the
     # last at the horizon
     band: np.ndarray
@@ -549,11 +546,14 @@ def gevrey_radius_fit(amplitudes, s: float):
     return np.where(conclusive, slope[..., 0], np.nan), np.where(conclusive, resid[..., 0], np.nan)
 
 
-def _evolve(gen: TruncatedGenerator, u0: np.ndarray, n_samples: int, counts: np.ndarray,
-            start: np.ndarray, size: np.ndarray, dt: float, prop: BandPropagator | None):
-    """The samples (n_samples, m, n_band) of ``gen``'s joint band, u0's
-    first, evolved through the schedule of :func:`_step_schedule` by the
-    propagators of ``prop``, or by :func:`step_rk4` when it is None.
+def _evolve(gen: TruncatedGenerator, u0: np.ndarray, per: int, count: int, dt: float,
+            prop: BandPropagator | None):
+    """The N_SAMPLES + 1 samples (n, m, n_band) of ``gen``'s joint band, u0's
+    first, each interval of ``per`` grid steps of size dt crossed in
+    ``count`` equal sub-steps by the propagators of ``prop``, or by
+    :func:`step_rk4` when it is None.  Sub-step i of interval k starts
+    k per + i per / count grid steps in: exactly k per + i where the
+    interval keeps its grid steps.
 
     Row 0 of the interval's block holds its first state and row i + 1 the
     state after its sub-step i, padded with the propagators' width of zeros
@@ -565,40 +565,38 @@ def _evolve(gen: TruncatedGenerator, u0: np.ndarray, n_samples: int, counts: np.
     first sub-step that did, in any band; the abort names its end, and its
     start as the last healthy time.  The separators stay zero.
     """
-    t_start, h_step = start * dt, size * dt
+    size = per / count
+    start = (np.arange(N_SAMPLES, dtype=float)[:, None] * per + np.arange(count) * size).ravel()
+    t_start, h = start * dt, size * dt
     if prop is None:
-        g = gen.stage_coefficients(t_start, h_step).transpose(1, 0, 2)[..., None, None]
+        g = gen.stage_coefficients(t_start, h).transpose(1, 0, 2)[..., None, None]
         stages = g[:, :, 0] * gen.term_matrices[0]
         for j in range(1, len(gen.term_matrices)):
             stages += g[:, :, j] * gen.term_matrices[j]
         work = [np.empty((gen.coeffs.m, gen.xi.size), dtype=complex) for _ in range(5)]
     else:
-        props = prop.steps(t_start, h_step)
+        props = prop.steps(t_start, h)
     n_band, width = gen.xi.size, 0 if prop is None else gen.word_width
-    block = np.zeros((np.max(counts) + 1, gen.coeffs.m, n_band + 2 * width), dtype=complex)
+    block = np.zeros((count + 1, gen.coeffs.m, n_band + 2 * width), dtype=complex)
     rows = block[:, :, width:width + n_band]
     windows = np.lib.stride_tricks.sliding_window_view(block, 2 * width + 1, axis=-1)
     for seg, index in gen.segments:
         rows[0][:, seg] = u0[:, index]
-    samples = np.empty((n_samples, gen.coeffs.m, n_band), dtype=complex)
+    samples = np.empty((N_SAMPLES + 1, gen.coeffs.m, n_band), dtype=complex)
     samples[0] = rows[0]
-    first = 0  # the interval's first sub-step
-    for sample, n in zip(samples[1:], counts):
+    for first, sample in zip(range(0, start.size, count), samples[1:]):
         if prop is None:
-            h = float(h_step[first])
-            for i in range(n):
+            for i in range(count):
                 step_rk4(gen.apply, rows[i], stages[first + i], h, rows[i + 1], work)
         else:
-            for i in range(n):
+            for i in range(count):
                 np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
-        if not np.isfinite(rows[n]).all():
-            k = first + int(np.argmax(~np.isfinite(rows[1:n + 1]).all(axis=(1, 2))))
-            t = (start[k] + size[k]) * dt
-            raise NumericAbortError(
-                f"evolution lost finiteness at t = {t:.6g}", last_time=t - h_step[k]
-            )
-        rows[0] = sample[...] = rows[n]
-        first += n
+        if not np.isfinite(rows[count]).all():
+            k = first + int(np.argmax(~np.isfinite(rows[1:]).all(axis=(1, 2))))
+            t = (start[k] + size) * dt
+            raise NumericAbortError(f"evolution lost finiteness at t = {t:.6g}",
+                                    last_time=t - h)
+        rows[0] = sample[...] = rows[count]
     return samples
 
 
@@ -617,7 +615,6 @@ def solve_cauchy(
     cutoffs,
     eps_par: float = 0.0,
     dt: float | None = None,
-    stride: int = 8,
     track_energy: bool = True,
 ) -> SolveResult:
     """Evolve the truncated (optionally parabolically regularized) problem
@@ -625,13 +622,14 @@ def solve_cauchy(
 
     The cutoffs share the grid step dt, set by the lattice's stability scale,
     and the sub-steps between samples, set by the widest band, and one time
-    loop advances their bands together.  Each trajectory is sampled every
-    ``stride`` grid steps; at each sample the diagnostic weight
-    ``e^{<D>^rho (T - a t)}`` produces v, the weighted norms, the R-energy
-    (exact multiplier for x-independent coefficients; mollified variant in
-    Hoelder mode) and a Gevrey radius fit; with ``track_energy`` false, as
-    the studies run, only the norms (``gevrey_c`` stays NaN).  Aborts with the
-    last healthy time on NaN/overflow, of the evolution or of its diagnostics.
+    loop advances their bands together.  Each trajectory is sampled at the
+    N_SAMPLES + 1 times k horizon / N_SAMPLES; at each sample the diagnostic
+    weight ``e^{<D>^rho (T - a t)}`` produces v, the weighted norms, the
+    R-energy (exact multiplier for x-independent coefficients; mollified
+    variant in Hoelder mode) and a Gevrey radius fit; with ``track_energy``
+    false, as the studies run, only the norms (``gevrey_c`` stays NaN).
+    Aborts with the last healthy time on NaN/overflow, of the evolution or of
+    its diagnostics.
     """
     coeffs = problem.coeffs
     violations = validate_params(params, c=params.c_spec if params.c_spec is not None else 0.5,
@@ -662,11 +660,12 @@ def solve_cauchy(
     if dt * lam > 2.5:
         raise ConfigError(f"dt = {dt:.3g} violates the stability budget "
                           f"2.5/Lambda = {2.5 / lam:.3g}")
-    # The sub-steps between samples; the longest interval takes the most.
+    # The grid steps of a sample interval, and the sub-steps that cross it.
+    per = math.ceil(n_steps / N_SAMPLES)
+    dt = problem.horizon / (per * N_SAMPLES)
     scale = max(gen.lam_band, *(g.omega_max for g in gen.time_terms.values()))
-    longest = min(stride, n_steps)
-    most, last = (int(_substeps(n, dt, scale)) for n in (longest, n_steps % longest))
-    total = n_steps // longest * most + last
+    count = _substeps(per, dt, scale)
+    total = N_SAMPLES * count
     if not (track_energy and coeffs.x_band == 0):
         er_mode = "skipped"
     elif coeffs.t_regularity == "holder" and params.delta is not None:
@@ -675,30 +674,31 @@ def solve_cauchy(
         er_mode = "multiplier"
     # The joint band's samples (a band state, a time and each cutoff's 80
     # bytes of diagnostics rows each), the interval's block of band states,
-    # the schedule (48 bytes a sub-step as it is formed) and, when stepping,
-    # five work states and each sub-step's stage coefficients (24 bytes a time
-    # term) and three real stage matrices (24 bytes an entry, and as much
-    # again while a term is summed in), with the generator's buffers, a block
-    # of diagnostics and their rows (128 bytes a mode) and, on the propagator
-    # path, the word table (4 times it while built) and a chunk of
-    # propagators, must fit in physical memory.  A mollified energy adds the
-    # R path of its widest band: 64 m^2 + 8 bytes a node while its Lyapunov
-    # batch symmetrizes R beside its generators, and 16 m^2 a sample and
-    # mode for the mollified R.
+    # the sub-steps' start times (48 bytes a sub-step as they are formed)
+    # and, when stepping, five work states and each sub-step's stage
+    # coefficients (24 bytes a time term) and three real stage matrices (24
+    # bytes an entry, and as much again while a term is summed in), with the
+    # generator's buffers, a block of diagnostics and their rows (128 bytes a
+    # mode) and, on the propagator path, the word table (4 times it while
+    # built) and a chunk of propagators (at most every sub-step's), must fit
+    # in physical memory.  A mollified energy adds the R path of its widest
+    # band: 64 m^2 + 8 bytes a node while its Lyapunov batch symmetrizes R
+    # beside its generators, and 16 m^2 a sample and mode for the mollified R.
     table = BandPropagator.table_bytes(gen)
     stepping, n_band = table > _BLOCK_BYTES, gen.xi.size
-    n_samples = math.ceil(n_steps / stride) + 1
+    n_samples = N_SAMPLES + 1
     need = (n_samples * (16 * coeffs.m * n_band + 16 + 80 * len(gen.segments))
-            + (most + 1 + 5 * stepping) * 16 * coeffs.m
+            + (count + 1 + 5 * stepping) * 16 * coeffs.m
             * (n_band + (0 if stepping else 2 * gen.word_width))
             + total * (48 + stepping * (24 * len(gen.time_terms) + 48 * gen.term_matrices[0].size))
             + 64 * gen._operand.size + _BLOCK_BYTES + 128 * n_x
-            + (0 if stepping else 4 * table + _BLOCK_BYTES))
+            + (0 if stepping else 4 * table + min(_BLOCK_BYTES, total * 16 * coeffs.m**2
+                                                   * n_band * (2 * gen.word_width + 1))))
     if er_mode == "mollified":
         n_path = _mollifier_path(lattice(n_x), params, problem.horizon).size
         need += (max(seg.stop - seg.start for seg, _ in gen.segments)
                  * (n_path * (64 * coeffs.m**2 + 8) + n_samples * 16 * coeffs.m**2))
-    require_memory(need, f"dt = {dt:.3g}: {n_steps} steps")
+    require_memory(need, f"dt = {dt:.3g}: {total} steps")
 
     # up-front overflow probe for the largest weight in the run
     gevrey_weight(lattice(n_x), float(params.T), float(params.rho), float(params.ell))
@@ -707,15 +707,12 @@ def solve_cauchy(
     # factor is at most 1, so only u0 can make those modes non-finite.
     if not np.isfinite(u0).all():
         raise NumericAbortError(f"evolution lost finiteness at t = {dt:.6g}", last_time=0.0)
-    # A sample is taken every stride steps and at the last step: sample k
-    # holds the state after sample_steps[k] steps, at time sample_steps[k] dt.
-    sample_steps = np.append(np.arange(0, n_steps, stride), n_steps)
-    times = sample_steps * dt
-    band = _evolve(gen, u0, times.size, *_step_schedule(sample_steps, dt, scale), dt,
-                   None if stepping else BandPropagator(gen))
+    # sample k holds the state after k per grid steps, at time k per dt
+    times = np.arange(n_samples, dtype=float) * per * dt
+    band = _evolve(gen, u0, per, count, dt, None if stepping else BandPropagator(gen))
     traces = [_energy_trace(problem, params, gen, seg, index, band, times, er_mode,
                             track_energy) for seg, index in gen.segments]
-    return SolveResult(dt=dt, band=band, traces=traces, steps=total, gen=gen, u0=u0)
+    return SolveResult(dt=dt, per=per, band=band, traces=traces, steps=total, gen=gen, u0=u0)
 
 
 def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.ndarray:
@@ -932,9 +929,9 @@ def parabolic_study(
     sups = []
     for eps in eps_list:
         r1 = solve_cauchy(problem, params, (h,), eps_par=eps, dt=dt,
-                          track_energy=False, stride=16).lattice_states(0)
+                          track_energy=False).lattice_states(0)
         r2 = solve_cauchy(problem, params, (h,), eps_par=eps / 2.0, dt=dt,
-                          track_energy=False, stride=16).lattice_states(0, slice(-1, None))
+                          track_energy=False).lattice_states(0, slice(-1, None))
         diffs.append(_l2(r1[-1] - r2[-1]))
         sups.append(max(_l2(u) for u in r1))
     rate = float(line_fit(np.log(eps_list), np.log(np.maximum(diffs, 1e-300)))[0])

@@ -11,8 +11,15 @@ parent and ``dirty`` whether the working tree differed from it):
   at n_lattice 256, 1024 and 4096), run in this process through
   ``perfbench/tasks.run_task`` in ``RUNS`` rounds after one warm-up round,
   each config once a round.  Each entry gives the median and IQR of its wall
-  times in seconds and its exit status.  ``report`` aggregates a ``solve``
-  run directory written beforehand;
+  times in seconds (``elapsed_s``), the same of those times scaled by
+  perfbench's reference clock (``elapsed_ref_s``), and its exit status.
+  ``report`` aggregates a ``solve`` run directory written beforehand;
+- ``refclock``: the reference clock's nominal kernel time and the median and
+  IQR of its kernel readings.  ``refclock.RefClock`` times a fixed NumPy and
+  interpreter kernel before the first run and after each one, and a run's
+  scaled time is its wall time times ``NOMINAL_S`` over the mean of the two
+  readings on either side of it, so that files recorded while the host ran
+  at different speeds compare by ``elapsed_ref_s``;
 - ``perfbench``: the median and IQR of ``wall_s`` over ``PERF_RUNS`` runs of
   ``perfbench/run.py --seconds 30 --trace 0`` per workload, each a fresh
   process, and whether every run was correct;
@@ -45,9 +52,10 @@ SOLVE_LATTICES = (256, 1024, 4096)
 RUNS, PERF_RUNS, SEED = 5, 5, 3
 
 
-def _load_tasks():
+def _load_perfbench(name: str):
+    """perfbench's module ``name``, imported from its file and left as it is."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tasks", os.path.join(PERFBENCH, "tasks.py"))
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -81,7 +89,7 @@ def command_configs(presets, seed: int, report_dir: str) -> list[dict]:
     ]
 
 
-def time_commands(tasks) -> list[dict]:
+def time_commands(tasks, clock) -> list[dict]:
     from hypersym import runner
 
     work = tempfile.mkdtemp()
@@ -89,18 +97,22 @@ def time_commands(tasks) -> list[dict]:
     runner.run({"command": "solve", "schema_version": "1", "preset": "wave_t2", "seed": SEED,
                 "n_lattice": 256}, report_dir)
     configs = command_configs(tasks.PRESETS, SEED, report_dir)
-    times = [[] for _ in configs]
+    times, scaled = [[] for _ in configs], [[] for _ in configs]
     status = [None] * len(configs)
+    clock.lap()  # a reading right before the first run
     for round_ in range(RUNS + 1):  # round 0 warms imports and caches
         for i, config in enumerate(configs):
             res = tasks.run_task(config, work)
+            scale = clock.lap()
             status[i] = res["status"]
             if round_:
                 times[i].append(res["elapsed"])
+                scaled[i].append(res["elapsed"] * scale)
     shutil.rmtree(work)
     configs[-1]["run_dir"] = "a solve of wave_t2 at n_lattice 256"
-    return [{"config": config, "status": st, "elapsed_s": _stats(ts)}
-            for config, st, ts in zip(configs, status, times)]
+    return [{"config": config, "status": st, "elapsed_s": _stats(ts),
+             "elapsed_ref_s": _stats(ref)}
+            for config, st, ts, ref in zip(configs, status, times, scaled)]
 
 
 def time_perfbench(tasks) -> dict:
@@ -151,13 +163,15 @@ def main() -> int:
     for var in BLAS_VARS:  # before numpy is first imported
         os.environ[var] = "1"
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    tasks = _load_tasks()
+    tasks, refclock = _load_perfbench("tasks"), _load_perfbench("refclock")
+    clock = refclock.RefClock()
     sha = _git("rev-parse", "HEAD")
     doc = {"sha": sha, "parent": _git("rev-parse", "HEAD^"),
            "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
            "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "host": host_facts(),
-           "commands": time_commands(tasks), "perfbench": time_perfbench(tasks),
-           "tier1": time_tier1()}
+           "commands": time_commands(tasks, clock),
+           "refclock": {"nominal_s": refclock.NOMINAL_S, "kernel_s": _stats(clock.readings)},
+           "perfbench": time_perfbench(tasks), "tier1": time_tier1()}
     path = os.path.join(ROOT, f"BENCH_{sha[:7]}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -221,9 +221,10 @@ def test_criterion_08_weighted_wellposedness_run():
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=s,
                          gevrey_c0=c0)
     assert prob.check_certificate()
-    res = solve_cauchy(prob, params, (1.0 / 256.0,), stride=1)
+    res = solve_cauchy(prob, params, (1.0 / 256.0,))
     tr = res.traces[0]
-    eta = 1.0 * res.dt**2 + 1e-8
+    # eta per grid step, over the grid steps between two samples
+    eta = (res.dt**2 + 1e-8) * res.per
     increments = tr.increments[1:]
     monotone = bool(np.all(increments <= eta))
     c_t = tr.gevrey_c
@@ -295,9 +296,9 @@ def test_criterion_11_holder_mode():
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=s,
                          gevrey_c0=c0)
-    res = solve_cauchy(prob, params, (1.0 / 64.0,), stride=4)
+    res = solve_cauchy(prob, params, (1.0 / 64.0,))
     tr = res.traces[0]
-    eta = (res.dt**2 + 1e-8) * 4
+    eta = (res.dt**2 + 1e-8) * res.per
     monotone = bool(np.all(tr.increments[1:] <= eta))
     c_t = tr.gevrey_c
     radius = bool(np.all(np.isfinite(c_t)) and np.all(c_t > 0)

@@ -99,23 +99,39 @@ def _traced_solve(monkeypatch, problem, params, cutoffs, **kwargs):
 
 
 def test_a_wide_lattice_solve_holds_its_band_not_its_lattice(monkeypatch):
-    # xdep at n_lattice 4096 evolves 7 modes over 791 samples; a lattice
-    # state a sample would hold 99 MiB
+    # xdep at n_lattice 4096 evolves 7 modes over N_SAMPLES + 1 samples; a
+    # lattice state a sample would hold 6 MiB
     params, problem = _setup("xdep", 4096)
     res, need, _, peak = _traced_solve(monkeypatch, problem, params,
                                        (1.0 / float(params.ell),))
-    assert res.band.shape == (791, 2, 7)
+    assert res.band.shape == (solver.N_SAMPLES + 1, 2, 7)
     assert peak < 8 * 2**20 and need < 8 * 2**20
 
 
+@pytest.mark.parametrize("n_x", [256, 1024, 4096])
+def test_every_lattice_takes_the_same_sample_times(n_x, tmp_path):
+    # the samples are the N_SAMPLES + 1 times k horizon / N_SAMPLES whatever
+    # the lattice, and the trajectory file holds one lattice state each
+    cfg = {"command": "solve", "schema_version": "1", "preset": "xdep", "seed": 3,
+           "n_lattice": n_x}
+    status, summary = runner.run(dict(cfg), out_dir=str(tmp_path))
+    assert status == 0
+    meta = json.loads((tmp_path / "trajectory_meta.json").read_text())
+    assert meta["shape"] == [solver.N_SAMPLES + 1, 2, n_x]
+    times = np.asarray(meta["times"])
+    np.testing.assert_allclose(times, np.linspace(0.0, summary["horizon"], solver.N_SAMPLES + 1),
+                               rtol=1e-14, atol=0.0)
+    assert (tmp_path / "trajectory.bin").stat().st_size == 16 * (solver.N_SAMPLES + 1) * 2 * n_x
+
+
 def test_memory_check_counts_the_fixed_costs(monkeypatch):
-    # at stride 1 on a band of 7 modes the samples are small, and what the
-    # solve allocates after its check is mostly the fixed costs: the word
-    # table as it is built, a chunk of propagators and a diagnostics block.
-    # need covers it, and is not pessimistic by more than 3x
+    # on a band of 7 modes the samples are small, and what the solve
+    # allocates after its check is mostly the fixed costs: the word table as
+    # it is built, a chunk of propagators and a diagnostics block.  need
+    # covers it, and is not pessimistic by more than 3x
     params, problem = _setup("xdep", 1024)
-    res, need, held, peak = _traced_solve(monkeypatch, problem, params, (0.25,), stride=1)
-    assert res.band.shape == (1581, 2, 7)
+    res, need, held, peak = _traced_solve(monkeypatch, problem, params, (0.25,))
+    assert res.band.shape == (solver.N_SAMPLES + 1, 2, 7)
     assert peak - held <= need <= 3 * (peak - held)
 
 

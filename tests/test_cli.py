@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypersym import solver
 from hypersym.cli import main
 from hypersym.errors import ConfigError
 from hypersym.presets import preset_names
@@ -155,8 +156,8 @@ def test_wrong_type_rejected(cfg):
     ["solve", "--preset", "xdep", "--seed", "0", {"dt": 1e-300}],
     ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e300}],
     ["solve", "--preset", "xdep", "--seed", "0", {"eps_par": 1e305}],
-    # 8.75e8 steps: their band samples and schedule would take about 40 GB
-    ["solve", "--preset", "xdep", "--seed", "0", {"dt": 1e-9}],
+    # stride is no field: every solve takes the same sample times
+    ["solve", "--preset", "xdep", "--seed", "0", {"stride": 8}],
     # s^6 below the smallest normal double: the coincident-root split's lowest
     # coefficient, 6! s^6, underflows and reads as a false double root
     ["nuij", "--seed", "0", {"spread": 0, "s_values": [1e-55]}],
@@ -190,6 +191,30 @@ def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     assert "Traceback" not in err
     if fields:  # the message names the offending field
         assert re.search(r"\b(%s)\b" % "|".join(fields), err), err
+
+
+def test_a_tiny_dt_takes_the_band_s_sub_steps(tmp_path, monkeypatch):
+    # dt = 1e-9 asks for 8.75e8 grid steps.  The run keeps the N_SAMPLES + 1
+    # sample times, and the band crosses each interval in the sub-steps its
+    # own scale sets, as many as at the default dt, so it exits 0 in the
+    # default run's memory and time
+    results, solve = [], solver.solve_cauchy
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "solve_cauchy", recording)
+    for name, config in (("default", {}), ("tiny", {"dt": 1e-9})):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(config))
+        assert main(["solve", "--preset", "xdep", "--seed", "0", "--config", str(path),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "trajectory_meta.json").read_text())
+        assert meta["shape"][0] == solver.N_SAMPLES + 1
+    default, tiny = results
+    assert tiny.per * solver.N_SAMPLES >= 8.75e8 and tiny.dt <= 1e-9
+    assert tiny.steps == default.steps < default.per * solver.N_SAMPLES
 
 
 @pytest.mark.parametrize("kappa, command", _KAPPA_RUNS)
@@ -359,7 +384,7 @@ def test_nuij_runner_and_determinism(tmp_path):
 
 def test_solve_artifacts_and_report(tmp_path):
     cfg = {"command": "solve", "schema_version": "1", "seed": 3,
-           "preset": "wave_t2", "n_lattice": 64, "stride": 8}
+           "preset": "wave_t2", "n_lattice": 64}
     out = tmp_path / "run"
     status, summary = run(cfg, out_dir=str(out))
     assert status == 0
@@ -451,7 +476,7 @@ def test_numeric_abort_maps_to_exit_3(tmp_path):
     one = [[[{"x_freq": 0, "t_term": "1", "re": 1.0}]]]
     amplify = [[[{"x_freq": 0, "t_term": "1", "re": 1000.0}]]]
     cfg = {"command": "solve", "schema_version": "1", "seed": 3,
-           "coeffs": {"m": 1, "A": one, "B": amplify}, "n_lattice": 64, "stride": 4}
+           "coeffs": {"m": 1, "A": one, "B": amplify}, "n_lattice": 64}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path)]) == 3
@@ -504,7 +529,7 @@ def test_scalar_x_independent_solve_exits_0(t_term, n_lattice, tmp_path):
 
 def test_solve_xdep_skips_energy_gate(tmp_path):
     cfg = {"command": "solve", "schema_version": "1", "seed": 4,
-           "preset": "xdep", "n_lattice": 64, "stride": 8}
+           "preset": "xdep", "n_lattice": 64}
     status, summary = run(cfg, out_dir=str(tmp_path / "x"))
     assert summary["er_mode"] == "skipped"
     assert summary["energy_monotone"] is None

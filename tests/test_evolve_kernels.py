@@ -180,7 +180,8 @@ def test_block_diagnostics_match_per_sample(preset, er_mode, n_x, block, cap, h,
     _, params, problem = runner._solve_setup(runner.validate_config(cfg))
     h = 1.0 / float(params.ell) if h is None else h
     monkeypatch.setattr(solver, "_samples_per_block", lambda m, n_x, n_lyap: block)
-    res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, stride=4)
+    monkeypatch.setattr(solver, "N_SAMPLES", 50)  # 51 samples, a last block part full
+    res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par)
     assert res.traces[0].er_mode == er_mode
     n_samples = res.traces[0].times.size
     assert n_samples % block != 0 and n_samples > 2 * block
@@ -229,7 +230,7 @@ def test_one_diagnostics_block_peaks_near_the_byte_budget(preset, n_x, eps_par, 
 def test_stage_matrices_fit_the_memory_model(monkeypatch):
     # a stepped solve forms every step's stage matrices at once; the solve
     # must hold no more than it asked require_memory for, nor far less.  Each
-    # grid step is one sub-step here (C_ACC near 0), so that the 2,000 steps'
+    # grid step is one sub-step here (C_ACC near 0), so that the 2,016 steps'
     # stage matrices are what the solve holds
     import tracemalloc
 
@@ -249,8 +250,8 @@ def test_stage_matrices_fit_the_memory_model(monkeypatch):
     monkeypatch.setattr(solver, "C_ACC", 1e-12)
     tracemalloc.start()
     try:
-        assert solver.solve_cauchy(problem, params, (0.0,), dt=0.5 / 2000,
-                                   track_energy=False).steps == 2000
+        assert solver.solve_cauchy(problem, params, (0.0,), dt=0.5 / 2016,
+                                   track_energy=False).steps == 2016
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,7 +1,8 @@
 """Golden results of the h-uniformity study, which evolves its cutoffs together.
 
 ``golden/study_h.json`` holds two studies, recorded when each cutoff had a
-solve of its own.  One is the benchmark's ``study-h`` on xdep (seed 0, the
+solve of its own, and re-recorded when the samples moved to the fixed grid
+of N_SAMPLES + 1 times.  One is the benchmark's ``study-h`` on xdep (seed 0, the
 defaults), with its bands of 127, 255 and 256 modes.  The other is criterion
 09's wave_t2 study, whose constants and curves are read directly from
 ``h_uniformity_study``.  Floats must agree to 1e-10 relative, and everything

@@ -81,7 +81,7 @@ def test_paired_solve_matches_unpaired(name, n_x, h, eps_par):
     prob = CauchyProblem(coeffs, gevrey_data(n_x, coeffs.m, 1.5, 1.5, seed=23), horizon=0.3)
     params = capped_params(name, 16.0)
     assert pairs_modes(coeffs, prob.g)
-    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4)
+    res = solve_cauchy(prob, params, (h,), eps_par=eps_par)
     states, trace = res.lattice_states(0), res.traces[0]
     # the xi < 0 states are exact conjugates of their mirrors; -n_x/2 has none
     pos = np.arange(1, n_x // 2)
@@ -92,7 +92,7 @@ def test_paired_solve_matches_unpaired(name, n_x, h, eps_par):
     g = prob.g.copy()
     g[:, n_x - 3] *= 1.0 + 1e-3
     assert not pairs_modes(coeffs, g)
-    other = solve_cauchy(replace(prob, g=g), params, (h,), eps_par=eps_par, stride=4)
+    other = solve_cauchy(replace(prob, g=g), params, (h,), eps_par=eps_par)
     kept = np.arange(n_x) != n_x - 3
     np.testing.assert_array_equal(other.lattice_states(0)[:, :, kept], states[:, :, kept])
     # mode -3 evolves alone and linearly, from its own scaled data
@@ -129,7 +129,7 @@ def test_paired_diagnostics_match_the_whole_lattice(name, h, eps_par):
     if name == "holder_k":
         params = replace(params, delta=1.0)
     assert pairs_modes(coeffs, g)
-    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4)
+    res = solve_cauchy(prob, params, (h,), eps_par=eps_par)
     trace, states = res.traces[0], res.lattice_states(0)
     assert trace.er_mode == ("mollified" if name == "holder_k" else "multiplier")
 

@@ -102,11 +102,12 @@ def test_rk4_matches_matrix_exponential_order():
 
 def test_rk4_budget_refused():
     # lam_bound = |xi|max ||A|| = 32 on 64 modes: dt lam is 2 at dt = 1/16
-    # (inside the budget 2.5) and 4 at dt = 1/8
+    # (inside the budget 2.5) and 4 at dt = 1/8.  The budget holds the step
+    # asked for, before the grid rounds its 4 steps up to N_SAMPLES
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 2.0, seed=2), horizon=0.5)
     solve_cauchy(prob, _quick_params(), (0.25,), dt=1 / 16, track_energy=False)
-    with pytest.raises(ConfigError, match="stability budget"):
+    with pytest.raises(ConfigError, match="dt = 0.125 violates the stability budget"):
         solve_cauchy(prob, _quick_params(), (0.25,), dt=1 / 8, track_energy=False)
 
 
@@ -123,7 +124,7 @@ def test_zero_system_constant_state():
     cs = constant_system(np.zeros((2, 2)))
     g = gevrey_data(64, 2, 2.0, 1.5, seed=1)
     prob = CauchyProblem(cs, g, horizon=0.5)
-    res = solve_cauchy(prob, _quick_params(), (0.25,), stride=4)
+    res = solve_cauchy(prob, _quick_params(), (0.25,))
     assert np.max(np.abs(res.lattice_states(0)[-1] - g)) <= 1e-12
 
 
@@ -134,7 +135,7 @@ def test_weighted_norm_examples():
     big_t, a, rho, ell = params.T, params.a, float(params.rho), params.ell
     cs = constant_system(np.zeros((2, 2)))
     g = gevrey_data(64, 2, 2.0, 1.5, seed=1)
-    res = solve_cauchy(CauchyProblem(cs, g, horizon=0.5), params, (0.0,), stride=4,
+    res = solve_cauchy(CauchyProblem(cs, g, horizon=0.5), params, (0.0,),
                        track_energy=False)
     times, sigmas = res.traces[0].times, np.array(res.traces[0].sigmas)
     # with nu = 0, column 3 is the plain norm of v
@@ -144,7 +145,7 @@ def test_weighted_norm_examples():
     np.testing.assert_allclose(res.traces[0].norms[:, 3], plain, rtol=1e-13)
     # a single mode of amplitude 2 at xi = 5, at t = 0 and along the run
     single = _single_mode(64, 2, 5, comp=1, value=2.0)
-    res = solve_cauchy(CauchyProblem(cs, single, horizon=0.5), params, (0.0,), stride=4,
+    res = solve_cauchy(CauchyProblem(cs, single, horizon=0.5), params, (0.0,),
                        track_energy=False)
     br = bracket(5.0, ell)
     np.testing.assert_allclose(res.traces[0].norms[0], 2.0 * br**sigmas * np.exp(big_t * br**rho),
@@ -159,7 +160,7 @@ def test_skew_system_norm_conserved():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     g = gevrey_data(64, 2, 2.0, 2.0, seed=2)
     prob = CauchyProblem(cs, g, horizon=0.5)
-    res = solve_cauchy(prob, _quick_params(), (0.25,), stride=4,
+    res = solve_cauchy(prob, _quick_params(), (0.25,),
                        track_energy=False)
     norm0 = np.linalg.norm(g)
     assert np.linalg.norm(res.lattice_states(0)[-1]) == pytest.approx(norm0, abs=1e-8 * norm0)
@@ -172,8 +173,8 @@ def test_linearity():
     g = gevrey_data(64, 2, 8.0 / 7.0, 1.5, seed=3)
     prob1 = CauchyProblem(pre.coeffs, g, horizon=0.4)
     prob2 = CauchyProblem(pre.coeffs, 2.5 * g, horizon=0.4)
-    r1 = solve_cauchy(prob1, params, (0.25,), stride=8, track_energy=False)
-    r2 = solve_cauchy(prob2, params, (0.25,), stride=8, track_energy=False)
+    r1 = solve_cauchy(prob1, params, (0.25,), track_energy=False)
+    r2 = solve_cauchy(prob2, params, (0.25,), track_energy=False)
     u1, u2 = r1.lattice_states(0)[-1], r2.lattice_states(0)[-1]
     assert np.max(np.abs(u2 - 2.5 * u1)) <= 1e-12 * max(
         1.0, np.max(np.abs(u2))
@@ -185,7 +186,7 @@ def test_reality_preserved():
     g = gevrey_data(64, 2, 2.0, 1.5, seed=4)
     assert is_conjugate_symmetric(g)
     prob = CauchyProblem(pre.coeffs, g, horizon=0.5)
-    res = solve_cauchy(prob, _quick_params(), (0.25,), stride=8,
+    res = solve_cauchy(prob, _quick_params(), (0.25,),
                        track_energy=False)
     assert is_conjugate_symmetric(res.lattice_states(0)[-1], tol=1e-12)
 
@@ -197,8 +198,8 @@ def test_truncation_consistency():
     g = gevrey_data(128, 2, 2.0, 2.5, seed=5)
     prob = CauchyProblem(pre.coeffs, g, horizon=0.4)
     params = _quick_params()
-    r1 = solve_cauchy(prob, params, (1 / 16,), stride=16, track_energy=False)
-    r2 = solve_cauchy(prob, params, (1 / 32,), stride=16, track_energy=False)
+    r1 = solve_cauchy(prob, params, (1 / 16,), track_energy=False)
+    r2 = solve_cauchy(prob, params, (1 / 32,), track_energy=False)
     xi = lattice(g.shape[1])
     tail_mask = np.abs(xi) >= 8.0  # coarser plateau edge 1/(2h) = 8
     tail_mass = float(np.sqrt(np.sum(np.abs(g[:, tail_mask]) ** 2)))
@@ -294,7 +295,7 @@ def test_energy_monotone_wave_t2_quick():
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=8.0 / 7.0,
                          gevrey_c0=2.2)
-    res = solve_cauchy(prob, params, (1 / 128,), stride=4)
+    res = solve_cauchy(prob, params, (1 / 128,))
     tr = res.traces[0]
     assert tr.er_mode == "multiplier"
     eta = (res.dt**2 + 1e-8) * 4
@@ -317,7 +318,7 @@ def test_both_apriori_constants_finite_at_weaker_rho():
     g = gevrey_data(128, 2, 8.0 / 7.0, 2.2, seed=14)
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon)
-    res = solve_cauchy(prob, params, (1 / 128,), stride=8, track_energy=False)
+    res = solve_cauchy(prob, params, (1 / 128,), track_energy=False)
     rep = energy_residual(res.traces[0])
     assert np.isfinite(rep.c_first) and rep.c_first > 0
     assert np.isfinite(rep.c_second) and rep.c_second > 0
@@ -332,7 +333,7 @@ def test_scalar_transport_empirical_constant_one():
     params = _quick_params()
     g = gevrey_data(64, 1, 2.0, 1.5, seed=15)
     prob = CauchyProblem(cs, g, horizon=0.5)
-    res = solve_cauchy(prob, params, (1 / 16,), stride=8, track_energy=False)
+    res = solve_cauchy(prob, params, (1 / 16,), track_energy=False)
     rep = energy_residual(res.traces[0])
     assert rep.c_first == pytest.approx(1.0, abs=1e-10)
 
@@ -360,9 +361,9 @@ def test_non_finite_off_band_data_aborts_at_first_step(eps_par, bad):
     g[1, n_x // 2] = bad  # |xi| = n_x/2, off the band |xi| < 1/h
     prob = CauchyProblem(prob.coeffs, g, horizon=prob.horizon)
     with pytest.raises(NumericAbortError) as err:
-        solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4, track_energy=False)
+        solve_cauchy(prob, params, (h,), eps_par=eps_par, track_energy=False)
     dt = solve_cauchy(CauchyProblem(prob.coeffs, np.zeros_like(g), horizon=prob.horizon),
-                      params, (h,), eps_par=eps_par, stride=4, track_energy=False).dt
+                      params, (h,), eps_par=eps_par, track_energy=False).dt
     assert err.value.last_time == 0.0
     assert str(err.value) == f"evolution lost finiteness at t = {dt:.6g}"
 
@@ -380,8 +381,10 @@ def test_numeric_abort_band_first_between_samples(monkeypatch):
 
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]), 200.0 * np.eye(2))
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=5.0)
-    dt, stride = 2.4 / 232.0, 7  # lam_bound = 32 ||A|| + ||B|| = 232
-    n_steps = math.ceil(prob.horizon / dt)
+    # lam_bound = 32 ||A|| + ||B|| = 232: dt asks for 484 grid steps, which
+    # 40 sample intervals round up to 520, 13 an interval
+    monkeypatch.setattr(solver, "N_SAMPLES", 40)
+    dt, per, n_steps = 2.4 / 232.0, 13, 520
     _, overflow = _full_lattice_loop(prob, 1 / 16, 0.0, n_steps)
     gen = TruncatedGenerator(cs, 64, (1 / 16,), 0.0)
     (_, index), = gen.segments
@@ -393,12 +396,11 @@ def test_numeric_abort_band_first_between_samples(monkeypatch):
     for budget, last_time in ((solver._BLOCK_BYTES, overflow), (0, stepped)):
         monkeypatch.setattr(solver, "_BLOCK_BYTES", budget)
         with pytest.raises(NumericAbortError) as err:
-            solve_cauchy(prob, _quick_params(), (1 / 16,), dt=dt, stride=stride,
-                         track_energy=False)
+            solve_cauchy(prob, _quick_params(), (1 / 16,), dt=dt, track_energy=False)
         assert last_time is not None and 0.0 < last_time < prob.horizon
         assert err.value.last_time == last_time
         step = round(last_time / step_dt) + 1
-        assert step % stride != 0 and step < n_steps
+        assert step % per != 0 and step < n_steps
 
 
 def test_off_band_modes_take_their_exact_decay():
@@ -412,7 +414,7 @@ def test_off_band_modes_take_their_exact_decay():
     # bound's headroom, u |exact|, covers the second-order terms.
     mp = pytest.importorskip("mpmath")
     prob, params, h, eps_par = _band_case("xdep-eps")
-    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4, track_energy=False)
+    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, track_energy=False)
     n_x = prob.g.shape[1]
     (_, index), = TruncatedGenerator(prob.coeffs, n_x, (h,), 0.0).segments
     off_index = np.setdiff1d(np.arange(n_x), index)
@@ -428,7 +430,7 @@ def test_off_band_modes_take_their_exact_decay():
                     bound = (2 * abs(arg) + 5) * u * abs(exact) + 2.0**-1074
                     assert abs(mp.mpc(st[c, off_index[x_i]]) - exact) <= bound
     n_steps = round(prob.horizon / res.dt)
-    assert n_steps % 4 != 0 and res.traces[0].times[-1] == n_steps * res.dt
+    assert res.traces[0].times[-1] == n_steps * res.dt
     assert not np.array_equal(res.lattice_states(0)[-1][:, off_index], prob.g[:, off_index])
 
 
@@ -573,7 +575,7 @@ def test_scalar_r_energy_is_half_the_weighted_norm(h):
     params = capped_params("wave_t2", 16.0)
     prob = CauchyProblem(constant_system(np.array([[1.0]])),
                          gevrey_data(64, 1, 1.5, 1.5, seed=24), horizon=0.3)
-    res = solve_cauchy(prob, params, (h,), stride=4)
+    res = solve_cauchy(prob, params, (h,))
     trace, states = res.traces[0], res.lattice_states(0)
     weight = gevrey_weight(lattice(64), float(params.T) - float(params.a) * trace.times[:, None],
                            float(params.rho), float(params.ell))
@@ -632,10 +634,10 @@ def test_joint_band_matches_one_cutoff_solves(kind):
 
     assert len({steps(cutoffs)} | {steps((h,)) for h in cutoffs}) == 1
     assert steps(cutoffs) == (kind != "jordan_lower")
-    joint = solve_cauchy(prob, params, cutoffs, eps_par=eps_par, stride=4)
+    joint = solve_cauchy(prob, params, cutoffs, eps_par=eps_par)
     assert joint.band.shape[0] == joint.traces[0].times.size
     for i, h in enumerate(cutoffs):
-        one = solve_cauchy(prob, params, (h,), eps_par=eps_par, stride=4)
+        one = solve_cauchy(prob, params, (h,), eps_par=eps_par)
         assert joint.dt == one.dt
         np.testing.assert_array_equal(joint.lattice_states(i), one.lattice_states(0))
         np.testing.assert_array_equal(joint.traces[i].norms, one.traces[0].norms)
@@ -659,27 +661,28 @@ def test_separator_modes_stay_zero():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_numeric_abort_one_of_two_cutoffs():
+def test_numeric_abort_one_of_two_cutoffs(monkeypatch):
     # an elliptic A grows mode xi like e^{20 |xi| t}: the whole lattice
     # (h = 0, |xi| up to 32) leaves the double range inside the horizon and
     # the band |xi| < 4 of h = 1/4 does not.  The joint solve aborts where
     # the whole lattice's own solve does, inside an interval between samples.
+    from hypersym import solver
     from hypersym.errors import NumericAbortError
 
     cs = constant_system(20.0 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=3.0)
-    dt, stride = 2.4 / 640.0, 7  # lam_bound = 32 ||A|| = 640
-    solve_cauchy(prob, _quick_params(), (0.25,), dt=dt, stride=stride, track_energy=False)
+    dt = 2.4 / 640.0  # lam_bound = 32 ||A|| = 640: 800 grid steps
+    monkeypatch.setattr(solver, "N_SAMPLES", 100)  # of 8 grid steps each
+    solve_cauchy(prob, _quick_params(), (0.25,), dt=dt, track_energy=False)
     with pytest.raises(NumericAbortError) as alone:
-        solve_cauchy(prob, _quick_params(), (0.0,), dt=dt, stride=stride, track_energy=False)
+        solve_cauchy(prob, _quick_params(), (0.0,), dt=dt, track_energy=False)
     with pytest.raises(NumericAbortError) as joint:
-        solve_cauchy(prob, _quick_params(), (0.25, 0.0), dt=dt, stride=stride,
-                     track_energy=False)
+        solve_cauchy(prob, _quick_params(), (0.25, 0.0), dt=dt, track_energy=False)
     assert joint.value.last_time == alone.value.last_time
     assert str(joint.value) == str(alone.value)
     n_steps = math.ceil(prob.horizon / dt)
     step = round(joint.value.last_time / (prob.horizon / n_steps)) + 1
-    assert 0 < step < n_steps and step % stride != 0
+    assert 0 < step < n_steps and step % 8 != 0
 
 def test_generator_matches_quantized_symbol():
     # the term-shift application, collapsed per x-harmonic, must equal the
@@ -742,7 +745,7 @@ def test_solve_artifacts_deterministic(tmp_path):
     from hypersym.runner import run
 
     cfg = {"command": "solve", "schema_version": "1", "seed": 3,
-           "preset": "wave_t2", "n_lattice": 64, "stride": 8}
+           "preset": "wave_t2", "n_lattice": 64}
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run(dict(cfg), out_dir=str(d1))
     run(dict(cfg), out_dir=str(d2))

@@ -1,9 +1,10 @@
 """The band's sub-steps inside each sample interval.
 
-The time grid (dt, the samples every ``stride`` grid steps) comes from the
-whole lattice's stability scale; the band crosses each interval in the
-fewest equal sub-steps with h Lambda_band <= C_ACC and h omega_max <= C_ACC,
-but never in more than the interval's grid steps.  These tests hold the grid
+The time grid comes from the whole lattice's stability scale: dt, its
+step count rounded up to a multiple of N_SAMPLES, and a sample every ``per``
+grid steps.  The band crosses each interval in the fewest equal sub-steps
+with h Lambda_band <= C_ACC and h omega_max <= C_ACC, but never in more than
+the interval's grid steps.  These tests hold the grid
 to the lattice's formula, the rule to its bounds, the runs that keep their
 grid steps to a run forced to one sub-step per grid step, bit for bit, and
 the runs that take longer sub-steps to a run at 1/16 of the sub-step, within
@@ -47,27 +48,28 @@ def _solves(config, monkeypatch):
     return calls
 
 
-def _grid(problem, cutoffs, eps_par=0.0, dt=None, stride=8):
+def _grid(problem, cutoffs, eps_par=0.0, dt=None):
     """(dt, grid steps, sample times) from the lattice's stability scale."""
     gen = solver.TruncatedGenerator(problem.coeffs, problem.g.shape[1], cutoffs, eps_par,
                                     solver.pairs_modes(problem.coeffs, problem.g))
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
     if dt is None:
         dt = min(0.5 / lam, problem.horizon / 8.0)
-    n_steps = max(1, math.ceil(problem.horizon / dt))
+    per = math.ceil(max(1, math.ceil(problem.horizon / dt)) / solver.N_SAMPLES)
+    n_steps = per * solver.N_SAMPLES
     dt = problem.horizon / n_steps
-    return dt, n_steps, np.union1d(np.arange(0, n_steps + 1, stride), n_steps) * dt
+    return dt, n_steps, np.arange(0, n_steps + 1, per) * dt
 
 
 def test_evolve_tasks_keep_the_lattice_grid_and_take_fewer_steps(monkeypatch):
     # every sample time is the lattice grid's, bit for bit; no solve takes
-    # more steps than grid steps, and a seed-3 pass at most 3,300 of the
-    # 7,102 grid steps; wave_t2 1024, holder_k 256 and study-h keep theirs
+    # more steps than grid steps, and a seed-3 pass at most 3,200 of the
+    # 7,392 grid steps; wave_t2 1024, holder_k 256 and study-h keep theirs
     total = 0
     for config in EVOLVE:
         for args, kwargs, res in _solves(config, monkeypatch):
             dt, n_steps, times = _grid(args[0], args[2], kwargs.get("eps_par", 0.0),
-                                       kwargs.get("dt"), kwargs.get("stride", 8))
+                                       kwargs.get("dt"))
             assert res.dt == dt
             for trace in res.traces:
                 np.testing.assert_array_equal(trace.times, times)
@@ -75,37 +77,26 @@ def test_evolve_tasks_keep_the_lattice_grid_and_take_fewer_steps(monkeypatch):
             keeps = config["preset"] != "xdep" or config["command"] == "study-h"
             assert (res.steps == n_steps) == keeps
             total += res.steps
-    assert total <= 3300
+    assert total <= 3200
 
 
 def test_an_interval_never_takes_more_sub_steps_than_grid_steps():
-    # the schedule tiles each interval from its sample step to the next in
-    # equal sub-steps: as many as grid steps where h scale <= C_ACC would ask
-    # for more (each then exactly a grid step), else the fewest that meet it
+    # an interval of per grid steps takes equal sub-steps: as many as grid
+    # steps where h scale <= C_ACC would ask for more (each then exactly a
+    # grid step), else the fewest that meet it
     rng = np.random.default_rng(11)
     coarsened = 0
-    for _ in range(300):
-        lengths = rng.integers(1, 40, size=6)
-        sample_steps = np.concatenate(([0], np.cumsum(lengths)))
+    for _ in range(2000):
+        per = int(rng.integers(1, 40))
         dt, scale = 10.0 ** rng.uniform(-5, -1), 10.0 ** rng.uniform(-1, 4)
-        counts, start, size = solver._step_schedule(sample_steps, dt, scale)
-        assert np.all((counts >= 1) & (counts <= lengths))
-        first = np.concatenate(([0], np.cumsum(counts)))
-        for k, length in enumerate(lengths):
-            lo, hi = first[k], first[k + 1]
-            assert start[lo] == sample_steps[k]
-            np.testing.assert_allclose(start[lo + 1:hi], start[lo:hi - 1] + size[lo:hi - 1],
-                                       rtol=1e-15)
-            assert start[hi - 1] + size[hi - 1] == pytest.approx(sample_steps[k + 1], rel=1e-15)
-            if counts[k] == length:
-                np.testing.assert_array_equal(start[lo:hi], sample_steps[k] + np.arange(length))
-                assert np.all(size[lo:hi] == 1.0)
-            else:
-                coarsened += 1
-                assert size[lo] * dt * scale <= solver.C_ACC * (1 + 1e-12)
-            # one sub-step fewer would break h scale <= C_ACC
-            assert counts[k] == 1 or length * dt * scale / (counts[k] - 1) > solver.C_ACC
-    assert coarsened > 100
+        count = solver._substeps(per, dt, scale)
+        assert isinstance(count, int) and 1 <= count <= per
+        if count < per:
+            coarsened += 1
+            assert per / count * dt * scale <= solver.C_ACC * (1 + 1e-12)
+        # one sub-step fewer would break h scale <= C_ACC
+        assert count == 1 or per * dt * scale / (count - 1) > solver.C_ACC
+    assert coarsened > 300
 
 
 _XDEP_H0 = {"command": "solve", "preset": "xdep", "seed": 3, "n_lattice": 256, "h": 0.0}
@@ -182,15 +173,15 @@ def test_a_lacunary_term_on_a_narrow_band_sets_the_sub_step(monkeypatch):
         CoeffTerm(0, "lacunary(0.5,6)", np.array([[0.0, 0.1], [0.0, 0.0]]))])
     prob = solver.CauchyProblem(coeffs, solver.gevrey_data(1024, 2, 1.5, 1.5, seed=9),
                                 horizon=0.2)
-    schedules, schedule = [], solver._step_schedule
-    monkeypatch.setattr(solver, "_step_schedule",
-                        lambda *args: schedules.append(schedule(*args)) or schedules[-1])
+    counts, substeps = [], solver._substeps
+    monkeypatch.setattr(solver, "_substeps",
+                        lambda *args: counts.append(substeps(*args)) or counts[-1])
     res = solver.solve_cauchy(prob, capped_params("holder_k", 4.0), (0.25,),
                               track_energy=False)
-    (counts, _, size), = schedules
-    h = size * res.dt
-    assert counts[0] > 1 and res.steps < _grid(prob, (0.25,))[1]
-    assert np.all(h * 32.0 <= solver.C_ACC * (1 + 1e-12))
+    count, = counts
+    h = res.per / count * res.dt
+    assert count > 1 and res.steps < _grid(prob, (0.25,))[1]
+    assert h * 32.0 <= solver.C_ACC * (1 + 1e-12)
 
 
 def test_band_scale_is_the_widest_cutoffs_and_bounds_the_band_generator():
@@ -217,19 +208,21 @@ def test_band_scale_is_the_widest_cutoffs_and_bounds_the_band_generator():
 
 
 def test_memory_check_covers_the_interval_block(monkeypatch):
-    # one interval of 212 grid steps on the whole 256-mode lattice: the block
-    # of 213 band states is most of what the solve holds.  What it allocates
-    # after its check (the generator, built first to find Lambda, is held
-    # already) stays within the bytes it asked require_memory for.
+    # one interval (N_SAMPLES = 1) of 212 grid steps on the whole 256-mode
+    # lattice: the block of 213 band states is most of what the solve holds.
+    # What it allocates after its check (the generator, built first to find
+    # Lambda, is held already) stays within the bytes it asked
+    # require_memory for.
     cfg = runner.validate_config({"command": "solve", "schema_version": "1", "preset": "xdep",
                                   "seed": 3, "n_lattice": 256, "horizon": 0.5})
     _, params, problem = runner._solve_setup(cfg)
     needs = []
+    monkeypatch.setattr(solver, "N_SAMPLES", 1)
     monkeypatch.setattr(solver, "require_memory",
                         lambda need, what: needs.append((need, tracemalloc.get_traced_memory()[0])))
     tracemalloc.start()
     try:
-        res = solver.solve_cauchy(problem, params, (0.0,), stride=10**6, track_energy=False)
+        res = solver.solve_cauchy(problem, params, (0.0,), track_energy=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,24 +240,27 @@ def test_numeric_abort_names_the_sub_step_that_lost_finiteness(monkeypatch):
     cs = constant_system(40.0 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
     prob = solver.CauchyProblem(cs, 1e290 * solver.gevrey_data(256, 2, 2.0, 1.5, seed=18),
                                 horizon=1.0)
-    schedules, schedule = [], solver._step_schedule
-    monkeypatch.setattr(solver, "_step_schedule",
-                        lambda *args: schedules.append(schedule(*args)) or schedules[-1])
+    counts, substeps = [], solver._substeps
+    monkeypatch.setattr(solver, "_substeps",
+                        lambda *args: counts.append(substeps(*args)) or counts[-1])
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)  # the band steps, as the reference does
     with pytest.raises(NumericAbortError) as err:
-        solver.solve_cauchy(prob, capped_params("xdep", 4.0), (0.25,), stride=64,
-                            track_energy=False)
-    (counts, start, size), = schedules
-    dt = _grid(prob, (0.25,))[0]
+        solver.solve_cauchy(prob, capped_params("xdep", 4.0), (0.25,), track_energy=False)
+    count, = counts
+    dt, n_steps, _ = _grid(prob, (0.25,))
+    per = n_steps // solver.N_SAMPLES
+    # sub-step i of interval j starts j per + i size grid steps in
+    size = per / count
+    start = (np.arange(solver.N_SAMPLES, dtype=float)[:, None] * per
+             + np.arange(count) * size).ravel()
     gen = solver.TruncatedGenerator(cs, 256, (0.25,), 0.0)
     (_, index), = gen.segments
     u, k = prob.g[:, index], -1
     while np.isfinite(u).all():
         k += 1
-        u = rk4_step(allocating_rhs(gen), u, start[k] * dt, size[k] * dt)
-    t = (start[k] + size[k]) * dt
-    assert err.value.last_time == t - size[k] * dt
+        u = rk4_step(allocating_rhs(gen), u, start[k] * dt, size * dt)
+    t = (start[k] + size) * dt
+    assert err.value.last_time == t - size * dt
     assert str(err.value) == f"evolution lost finiteness at t = {t:.6g}"
     # inside an interval of long sub-steps, not at its end
-    interval = np.searchsorted(np.cumsum(counts), k, side="right")
-    assert counts[interval] > 1 and size[k] > 1.0 and k + 1 != np.cumsum(counts)[interval]
+    assert count > 1 and size > 1.0 and (k + 1) % count != 0
