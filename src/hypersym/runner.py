@@ -538,9 +538,11 @@ def _cmd_solve(config: dict) -> dict:
     h = config.get("h", 1.0 / float(params.ell))
     res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, dt=config.get("dt"))
     tr = res.traces[0]
-    # eta per grid step, over the grid steps between two samples
+    # eta per grid step; a sample's allowance is the eta of each RK4 step
+    # taken between two samples
     eta = res.dt**2 + 1e-8
-    sample_eta = eta * res.per
+    sub = problem.horizon / res.steps
+    sample_eta = (sub**2 + 1e-8) * (res.steps // solver.N_SAMPLES)
     increments = tr.increments[1:]
     if tr.er_mode == "skipped":
         # x-dependent coefficients: the monotone-energy gate only applies

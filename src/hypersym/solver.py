@@ -258,9 +258,9 @@ class TruncatedGenerator:
         self.term_matrices = mats.reshape(len(names), coeffs.m, -1)
         self.word_width = min(4 * k_max, n - 1)
 
-    def stage_coefficients(self, t, h) -> np.ndarray:
+    def stage_coefficients(self, t, h: float) -> np.ndarray:
         """The g_j of :attr:`time_terms` at the RK4 stage times t, t + h/2 and
-        t + h of steps from the times ``t`` of the sizes ``h``: (3, len(t), J)."""
+        t + h of the steps of size ``h`` from the times ``t``: (3, len(t), J)."""
         t = np.asarray(t, dtype=float)
         return np.stack([np.stack([g(s) for g in self.time_terms.values()], axis=-1)
                          for s in (t, t + h / 2.0, t + h)])
@@ -393,29 +393,27 @@ class BandPropagator:
         j, m, n = len(gen.time_terms), gen.coeffs.m, gen.xi.size
         return 16 * (1 + j + j**2 + j**3 + j**4) * m * n * m * (2 * gen.word_width + 1)
 
-    def matrices(self, t, h) -> np.ndarray:
-        """The propagators of steps from the times ``t`` of the sizes ``h``:
+    def matrices(self, t, h: float) -> np.ndarray:
+        """The propagators of the steps of size ``h`` from the times ``t``:
         (len(t), m, n_band, m, 2W + 1)."""
-        h = np.asarray(h, dtype=float)[:, None]
-        g1, g2, g3 = self._coefficients(t, h[:, 0])  # each [k, j]
+        g1, g2, g3 = self._coefficients(t, h)  # each [k, j]
         words = [g1 + 4.0 * g2 + g3,
                  np.einsum("ka,kb->kab", g2, g1 + g2) + np.einsum("ka,kb->kab", g3, g2),
                  np.einsum("kb,kac->kabc", g2, np.einsum("ka,kc->kac", g2, g1)
                            + np.einsum("ka,kc->kac", g3, g2)),
                  np.einsum("ka,kb,kc,kd->kabcd", g3, g2, g2, g1)]
-        rows = np.concatenate([np.ones((len(h), 1))]
-                              + [c * w.reshape(len(h), -1) for c, w in
+        rows = np.concatenate([np.ones((len(t), 1))]
+                              + [c * w.reshape(len(t), -1) for c, w in
                                  zip((h / 6.0, h**2 / 6.0, h**3 / 12.0, h**4 / 24.0), words)],
                               axis=1)
-        return (rows @ self._table).view(complex).reshape((len(h),) + self._shape)
+        return (rows @ self._table).view(complex).reshape((len(t),) + self._shape)
 
     def steps(self, t, h: float):
         """The propagators of the steps of size ``h`` from the times ``t`` in
         turn, formed in chunks of about ``_BLOCK_BYTES``."""
         chunk = max(1, _BLOCK_BYTES // (16 * math.prod(self._shape)))
         for lo in range(0, len(t), chunk):
-            part = t[lo:lo + chunk]
-            yield from self.matrices(part, np.full(part.size, h))
+            yield from self.matrices(t[lo:lo + chunk], h)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from hypersym import solver
 from hypersym.engine import conjugation_remainder_probe
 from hypersym.matkernel import estimate_theta, spectral_bound_certify
 from hypersym.planner import plan, rho_required
@@ -54,6 +55,18 @@ def _params_for(preset_name: str) -> ParameterSet:
     if pre.coeffs.t_regularity == "holder":
         return plan(pre.theta, "holder", F(1, 2)).params
     return plan(pre.theta, "lipschitz").params
+
+
+def _solve_every(monkeypatch, prob, params, cutoffs, grid_steps: int):
+    """``solve_cauchy`` sampled every ``grid_steps`` steps of the default grid:
+    a first solve with a single sample interval reads the grid's step count,
+    and N_SAMPLES is set so that an interval holds ``grid_steps`` of them."""
+    monkeypatch.setattr(solver, "N_SAMPLES", 1)
+    n_steps = solve_cauchy(prob, params, cutoffs, track_energy=False).per
+    monkeypatch.setattr(solver, "N_SAMPLES", math.ceil(n_steps / grid_steps))
+    res = solve_cauchy(prob, params, cutoffs)
+    assert res.per == grid_steps
+    return res
 
 
 def test_criterion_01_lyapunov_identity():
@@ -209,7 +222,7 @@ def test_criterion_07_planner_exactness():
             f"{sum(bool(c) for c in checks)}/{len(checks)} identities")
 
 
-def test_criterion_08_weighted_wellposedness_run():
+def test_criterion_08_weighted_wellposedness_run(monkeypatch):
     pre = get_preset("wave_t2")
     params = plan(1, "lipschitz").params  # rho = 6/7, a = 2, ell = 128, T = 2
     assert float(params.rho) == pytest.approx(6.0 / 7.0)
@@ -221,10 +234,10 @@ def test_criterion_08_weighted_wellposedness_run():
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=s,
                          gevrey_c0=c0)
     assert prob.check_certificate()
-    res = solve_cauchy(prob, params, (1.0 / 256.0,))
+    # sampled at every grid step, each increment held to one step's eta
+    res = _solve_every(monkeypatch, prob, params, (1.0 / 256.0,), 1)
     tr = res.traces[0]
-    # eta per grid step, over the grid steps between two samples
-    eta = (res.dt**2 + 1e-8) * res.per
+    eta = res.dt**2 + 1e-8
     increments = tr.increments[1:]
     monotone = bool(np.all(increments <= eta))
     c_t = tr.gevrey_c
@@ -279,7 +292,7 @@ def test_criterion_10_parabolic_regularization():
                 "self-convergence", ok, "; ".join(details))
 
 
-def test_criterion_11_holder_mode():
+def test_criterion_11_holder_mode(monkeypatch):
     pre = get_preset("holder_k")
     pr = plan(0, "holder", F(1, 2))
     params = pr.params
@@ -296,9 +309,10 @@ def test_criterion_11_holder_mode():
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=s,
                          gevrey_c0=c0)
-    res = solve_cauchy(prob, params, (1.0 / 64.0,))
+    # sampled every 4 grid steps, each increment held to 4 steps' eta
+    res = _solve_every(monkeypatch, prob, params, (1.0 / 64.0,), 4)
     tr = res.traces[0]
-    eta = (res.dt**2 + 1e-8) * res.per
+    eta = (res.dt**2 + 1e-8) * 4
     monotone = bool(np.all(tr.increments[1:] <= eta))
     c_t = tr.gevrey_c
     radius = bool(np.all(np.isfinite(c_t)) and np.all(c_t > 0)

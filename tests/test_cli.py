@@ -217,6 +217,28 @@ def test_a_tiny_dt_takes_the_band_s_sub_steps(tmp_path, monkeypatch):
     assert tiny.steps == default.steps < default.per * solver.N_SAMPLES
 
 
+@pytest.mark.parametrize("increment, monotone", [(0.0, True), (1e-3, False)])
+def test_a_tiny_dt_keeps_the_energy_gate(monkeypatch, increment, monotone):
+    # The gate allows eta for each RK4 step taken between two samples, not
+    # for each grid step asked for: at dt = 1e-9, eta's 1e-8 floor times
+    # wave_t2's 18,229,167 grid steps an interval would allow 0.18 a sample
+    # (3.7e-5 at the default dt).  Every sample's increment is set to
+    # ``increment`` after the solve.
+    solve = solver.solve_cauchy
+
+    def forced(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.traces[0].increments[1:] = increment
+        return res
+
+    monkeypatch.setattr(solver, "solve_cauchy", forced)
+    for config in ({}, {"dt": 1e-9}):
+        status, summary = run({"command": "solve", "schema_version": "1", "preset": "wave_t2",
+                               "seed": 0, **config})
+        assert summary["energy_monotone"] is monotone
+        assert status == (0 if monotone else 1)
+
+
 @pytest.mark.parametrize("kappa, command", _KAPPA_RUNS)
 def test_holder_runs_at_the_declared_kappa(kappa, command):
     status, summary = run({"command": command, "schema_version": "1", "seed": 0,

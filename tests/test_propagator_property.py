@@ -25,7 +25,7 @@ _T_TERMS = ("1", "t", "t^2", "|t|^0.5", "lacunary(0.5,6)")
 
 @st.composite
 def band_steps(draw):
-    """(generator, step start times, step sizes, band state), the
+    """(generator, step start times, step size, band state), the
     generator's band being its whole lattice (h = 0) or a cutoff band."""
     m = draw(st.sampled_from([1, 2, 3]))
     k_max = draw(st.sampled_from([0, 1, 2]))
@@ -42,8 +42,7 @@ def band_steps(draw):
     eps_par = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
     gen = TruncatedGenerator(coeffs, n_x, (h,), eps_par)
     lam = max(gen.lam_bound(1.0), 1e-12)
-    h = np.array([min(draw(st.floats(0.05, 1.0)) * 2.5 / lam, 1.0) for _ in range(2)])
-    hypothesis.assume(h[0] != h[1])
+    h = min(draw(st.floats(0.05, 1.0)) * 2.5 / lam, 1.0)
     t = np.array([draw(st.floats(0.0, 1.0)) for _ in range(2)])
     u = rng.normal(size=(m, gen.xi.size)) + 1j * rng.normal(size=(m, gen.xi.size))
     return gen, t, h, u
@@ -57,6 +56,6 @@ def test_propagator_step_matches_reference_rk4(case):
     windows = np.lib.stride_tricks.sliding_window_view(
         np.pad(u, ((0, 0), (width, width))), 2 * width + 1, axis=-1)
     for k, mat in enumerate(BandPropagator(gen).matrices(t, h)):
-        ref = rk4_step(allocating_rhs(gen), u, t[k], h[k])
+        ref = rk4_step(allocating_rhs(gen), u, t[k], h)
         out = np.einsum("dqcs,cqs->dq", mat, windows)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
