@@ -28,12 +28,14 @@ the same ``per`` grid steps, and the band crosses every interval in the same
 sub-steps (:func:`_substeps`), set by its own scale and the time terms' top
 frequency, and never more of them than grid steps.
 
-One solve takes several cutoffs, as the h-uniformity study does: they share
-the grid and the sub-steps, which the widest band sets, and their bands lie
-end to end in one joint band, separated by ``coeffs.x_band`` modes where
-xi = 0 and chi = 0.  No product of the generator crosses a separator, so one
-time loop evolves every cutoff as its own solve would (bit for bit where the
-sub-steps are the same), in one sequence of steps instead of one per cutoff.
+One solve takes several cases, each a cutoff h with its own eps_par, as the
+h-uniformity study (several h) and the parabolic study (several eps_par) do.
+They share the grid and the sub-steps, the finest that any case needs, and
+their bands lie end to end in one joint band, separated by ``coeffs.x_band``
+modes where xi = 0, chi = 0 and the heat term is 0.  No product of the
+generator crosses a separator, so one time loop evolves every case, on and
+off its band, as its own solve would (bit for bit where the grid and the
+sub-steps are the same), in one sequence of steps instead of one per case.
 
 The (joint) band takes one of two step paths, chosen by its size alone.  The
 generator is linear, so an RK4 step is a fixed polynomial in it, and on a
@@ -164,16 +166,16 @@ class CauchyProblem:
 
 class TruncatedGenerator:
     """Applies ``chi(hD) (i A(t,x,D) + B(t,x)) chi(hD) - eps_par |D|^2`` on
-    the bands of several cutoffs h at once.
+    the bands of several cutoffs h at once, each with its own :attr:`eps_par`.
 
     A cutoff's band is the modes with chi(h xi) > 0, the contiguous range
     |xi| < 1/h (chi decreases in |xi|); with h = 0, chi = 1 and the band is
     the whole lattice.  ``paired`` keeps of each band its xi >= 0 and the
     modes without a mirror -xi; :attr:`mirrored` holds, per cutoff, the
     columns of its segment whose mirrors are left out and their FFT positions.
-    The bands of ``cutoffs`` lie end to end in one joint
-    band, each but the last followed by K = ``coeffs.x_band`` separator
-    modes where xi = 0 and chi = 0.  Band states are (m, n_band) arrays:
+    The bands of ``cutoffs`` lie end to end in one joint band, each but the
+    last followed by K = ``coeffs.x_band`` separator modes where xi = 0,
+    chi = 0 and the heat term is 0.  Band states are (m, n_band) arrays:
     column j holds frequency ``xi[j]``, and :attr:`segments` holds, per
     cutoff, the slice of its band, in centered order, and the FFT positions
     of those modes in a lattice state.  Trig-polynomial coefficients act by
@@ -196,25 +198,27 @@ class TruncatedGenerator:
     :class:`BandPropagator` combines.
     """
 
-    def __init__(self, coeffs: SystemCoefficients, n_x: int, cutoffs, eps_par: float,
+    def __init__(self, coeffs: SystemCoefficients, n_x: int, cutoffs, eps_par,
                  paired: bool = False):
         self.coeffs = coeffs
         self.n_x = n_x
         self.paired = paired
-        self.eps_par = float(eps_par)
+        self.eps_par = np.broadcast_to(np.asarray(eps_par, dtype=float), (len(cutoffs),))
+        self.eps_max = float(np.max(self.eps_par))
         k_max = coeffs.x_band
         lat = np.arange(-(n_x // 2), n_x - n_x // 2, dtype=float)
         # paired, a band keeps its xi >= 0 and the modes without a mirror -xi
         kept = (lat >= 0) | (-lat > lat[-1]) if paired else True
         # each cutoff's band, the modes with chi(h xi) > 0, then K separator
         # modes; the buffer's padding stands in for the last band's
-        xis, chis, self.segments, self.mirrored, lo = [], [], [], [], 0
-        for h in cutoffs:
+        xis, chis, heats, self.segments, self.mirrored, lo = [], [], [], [], [], 0
+        for h, eps in zip(cutoffs, self.eps_par):
             chi = smooth_cutoff(float(h) * lat)  # exactly 1 everywhere when h = 0
             band = (chi > 0) & kept
             xi, chi = lat[band], chi[band]
             xis += [xi, np.zeros(k_max)]
             chis += [chi, np.zeros(k_max)]
+            heats += [eps * xi**2, np.zeros(k_max)]
             self.segments.append((slice(lo, lo + xi.size), xi.astype(int) % n_x))
             cols = np.flatnonzero(xi > 0) if paired else np.arange(0)
             self.mirrored.append((cols, (-xi[cols]).astype(int) % n_x))
@@ -243,12 +247,12 @@ class TruncatedGenerator:
         self._product_pairs = self._product.view(float)
         # complex, so that no product casts per call
         self._chi = self.chi.astype(complex)
-        self._heat = (self.eps_par * self.xi**2).astype(complex)
+        self._heat = np.concatenate(heats)[:lo - k_max].astype(complex)
         # L(t) = sum_j g_j(t) L_j over the distinct time terms, the heat term
         # in the constant one, which a generator without terms also has; a
         # product of up to four L_j couples modes at most word_width apart
         self.time_terms = {term.t_term: term.g for terms, *_ in fields for term in terms}
-        if self.eps_par or not self.time_terms:
+        if self.eps_max or not self.time_terms:
             self.time_terms.setdefault("1", time_function("1"))
         names = list(self.time_terms)
         mats = np.zeros((len(names), coeffs.m, len(fields), coeffs.m, 2 * k_max + 1))
@@ -267,16 +271,16 @@ class TruncatedGenerator:
 
     def lam_bound(self, t_hi: float) -> float:
         """Stability scale over t in [0, t_hi]: sup ||A|| |xi|max + sup ||B|| +
-        eps_par |xi|max^2, each sup a per-term triangle bound, so that it holds
-        at every x, and |xi|max the lattice's n_x/2.  :attr:`lam_band` is the
-        same scale over the joint band, the norm bound of its generator."""
+        max eps_par |xi|max^2, each sup a per-term triangle bound, so that it
+        holds at every x, and |xi|max the lattice's n_x/2.  :attr:`lam_band`
+        is the same scale over the joint band, a norm bound of its generator."""
         ts, m = np.linspace(0.0, max(t_hi, 1e-9), 33), self.coeffs.m
         fields = (self.coeffs.a_terms, self.coeffs.b_terms)
         norms = iter(np.linalg.norm(np.reshape([term.matrix for term in sum(fields, [])],
                                                (-1, m, m)), 2, axis=(-2, -1)))
         sup_a, sup_b = (float(np.max(sum((next(norms) * np.abs(term.g(ts)) for term in terms),
                                          np.zeros(ts.size)))) for terms in fields)
-        self.lam_band, lam = (sup_a * xi + sup_b + self.eps_par * xi**2 for xi in
+        self.lam_band, lam = (sup_a * xi + sup_b + self.eps_max * xi**2 for xi in
                               (float(np.max(np.abs(self.xi), initial=0.0)), self.n_x / 2.0))
         return lam
 
@@ -289,7 +293,7 @@ class TruncatedGenerator:
             np.copyto(self._gather, self._windows)
         np.matmul(mat, self._operand_pairs, self._product_pairs)
         np.multiply(self._product, self._chi, out)
-        if self.eps_par:
+        if self.eps_max:
             out -= np.multiply(self._heat, coeffs_hat, self._product)
         return out
 
@@ -487,12 +491,12 @@ class SolveResult:
 
     def lattice_states(self, i: int, samples=slice(None)) -> np.ndarray:
         """Cutoff i's lattice states (b, m, n_x) at ``traces[i].times[samples]``:
-        u0 off its band, or the closed form :func:`_off_band` when eps_par > 0,
-        its segment of the band samples at its FFT positions and, paired, the
-        conjugates of those at their mirrors."""
+        u0 off its band, or the closed form :func:`_off_band` when its eps_par
+        is > 0, its segment of the band samples at its FFT positions and,
+        paired, the conjugates of those at their mirrors."""
         (seg, index), (cols, mirror) = self.gen.segments[i], self.gen.mirrored[i]
-        band, times = self.band[samples], self.traces[i].times[samples]
-        states = (_off_band(self.u0, self.gen.eps_par, times, slice(None)) if self.gen.eps_par
+        band, times, eps = self.band[samples], self.traces[i].times[samples], self.gen.eps_par[i]
+        states = (_off_band(self.u0, eps, times, slice(None)) if eps
                   else np.repeat(self.u0[None], len(times), axis=0))
         states[..., index] = band[..., seg]
         states[..., mirror] = states[..., index[cols]].conj()
@@ -611,17 +615,18 @@ def solve_cauchy(
     problem: CauchyProblem,
     params: ParameterSet,
     cutoffs,
-    eps_par: float = 0.0,
+    eps_par=0.0,
     dt: float | None = None,
     track_energy: bool = True,
 ) -> SolveResult:
-    """Evolve the truncated (optionally parabolically regularized) problem
-    at each cutoff scale h of ``cutoffs``.
+    """Evolve the truncated problem at each cutoff scale h of ``cutoffs``,
+    parabolically regularized by ``eps_par``, one for all or one per cutoff.
 
-    The cutoffs share the grid step dt, set by the lattice's stability scale,
-    and the sub-steps between samples, set by the widest band, and one time
-    loop advances their bands together.  Each trajectory is sampled at the
-    N_SAMPLES + 1 times k horizon / N_SAMPLES; at each sample the diagnostic
+    The cutoffs share the grid step dt, set by the lattice's stability scale
+    at the largest eps_par, and the sub-steps between samples, set by the
+    widest band at it, and one time loop advances their bands together.
+    Each trajectory is sampled at the N_SAMPLES + 1 times
+    k horizon / N_SAMPLES; at each sample the diagnostic
     weight ``e^{<D>^rho (T - a t)}`` produces v, the weighted norms, the
     R-energy (exact multiplier for x-independent coefficients; mollified
     variant in Hoelder mode) and a Gevrey radius fit; with ``track_energy``
@@ -639,11 +644,11 @@ def solve_cauchy(
             f"cutoff scale h = {max(cutoffs)} above the uniformity range 1/ell = "
             f"{1.0 / float(params.ell)}"
         )
-    if eps_par < 0:
-        raise ConfigError(f"eps_par = {eps_par} is negative: an anti-dissipative "
-                          "regularization that the stability scale does not bound")
     n_x, u0 = problem.g.shape[1], problem.g
     gen = TruncatedGenerator(coeffs, n_x, cutoffs, eps_par, pairs_modes(coeffs, u0))
+    if min(gen.eps_par) < 0:
+        raise ConfigError(f"eps_par = {min(gen.eps_par)} is negative: an anti-dissipative "
+                          "regularization that the stability scale does not bound")
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
     if dt is None:
         dt = min(0.5 / lam, problem.horizon / 8.0)
@@ -651,8 +656,8 @@ def solve_cauchy(
     # index reaches
     steps = problem.horizon / dt if dt > 0 else math.inf
     if not (math.isfinite(lam) and steps <= np.iinfo(np.intp).max):
-        raise ConfigError(f"dt = {dt:.3g}, Lambda = {lam:.3g} (eps_par = {eps_par:.3g}): "
-                          f"{steps:.3g} steps are past the index range")
+        raise ConfigError(f"dt = {dt:.3g}, Lambda = {lam:.3g} (eps_par = "
+                          f"{gen.eps_max:.3g}): {steps:.3g} steps are past the index range")
     n_steps = max(1, math.ceil(steps))
     dt = problem.horizon / n_steps
     if dt * lam > 2.5:
@@ -708,8 +713,8 @@ def solve_cauchy(
     # sample k holds the state after k per grid steps, at time k per dt
     times = np.arange(n_samples, dtype=float) * per * dt
     band = _evolve(gen, u0, per, count, dt, None if stepping else BandPropagator(gen))
-    traces = [_energy_trace(problem, params, gen, seg, index, band, times, er_mode,
-                            track_energy) for seg, index in gen.segments]
+    traces = [_energy_trace(problem, params, gen, seg, index, eps, band, times, er_mode,
+                            track_energy) for (seg, index), eps in zip(gen.segments, gen.eps_par)]
     return SolveResult(dt=dt, per=per, band=band, traces=traces, steps=total, gen=gen, u0=u0)
 
 
@@ -723,15 +728,16 @@ def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.
 
 
 def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGenerator,
-                  seg: slice, index: np.ndarray, band: np.ndarray, times: np.ndarray,
-                  er_mode: str, fit: bool) -> EnergyTrace:
+                  seg: slice, index: np.ndarray, eps: float, band: np.ndarray,
+                  times: np.ndarray, er_mode: str, fit: bool) -> EnergyTrace:
     """The diagnostics of one cutoff's samples at ``times``, whose band is the
-    segment ``seg`` of the joint band samples ``band`` of ``gen`` and sits at
-    ``index`` of a lattice state.  With ``fit`` false ``gevrey_c`` stays NaN.
+    segment ``seg`` of the joint band samples ``band`` of ``gen``, sits at
+    ``index`` of a lattice state and is regularized by ``eps``.  With ``fit``
+    false ``gevrey_c`` stays NaN.
 
     They run over blocks of samples and form no lattice state.  A block's
     squared moduli q are u0's, found once, with its band's written over them
-    at ``index`` and, when eps_par > 0, those of :func:`_off_band` at the
+    at ``index`` and, when eps > 0, those of :func:`_off_band` at the
     other modes read.  One product of q w^2 against ``table`` gives the
     squared norms of the five orders sigma (with nu = 0 three of them
     coincide) and the off-band R-energy, R = I/2 there.  A block whose
@@ -778,7 +784,7 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
     norms = np.empty((n_samples, len(sigmas)))
     e_r_arr = np.full(n_samples, np.nan)
     gevrey_c = np.full(n_samples, np.nan)
-    sample_bytes = 48 * n_read + ((16 * coeffs.m + 8) * off_index.size if gen.eps_par else 0)
+    sample_bytes = 48 * n_read + ((16 * coeffs.m + 8) * off_index.size if eps else 0)
     block = _samples_per_block(coeffs.blocks, sample_bytes,
                                r_xi.size if er_mode == "multiplier" else 0)
     for lo in range(0, n_samples, block):
@@ -786,9 +792,8 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
         u = band[blk, :, seg]
         q = np.repeat(q0[None], len(u), axis=0)
         q[:, index] = squared_moduli(u)
-        if gen.eps_par:
-            q[:, off_index] = squared_moduli(_off_band(problem.g, gen.eps_par, times[blk],
-                                                       off_index))
+        if eps:
+            q[:, off_index] = squared_moduli(_off_band(problem.g, eps, times[blk], off_index))
         weight = gevrey_weight(xi, big_t - a * times[blk, None], rho, ell)
         sums = (q * weight * weight) @ table
         lost = ~np.isfinite(sums).all(axis=1)
@@ -902,9 +907,9 @@ class ParabolicStudyResult:
     passed_uniform: bool
 
 
-def _l2(u) -> float:
-    """Plain l2 norm of a state over all its components and modes."""
-    return float(np.sqrt(np.sum(np.abs(u) ** 2)))
+def _l2(u) -> np.ndarray:
+    """Plain l2 norms (...) of a stack (..., m, n_x) of states."""
+    return np.sqrt(np.sum(squared_moduli(u), axis=-1))
 
 
 def parabolic_study(
@@ -916,22 +921,23 @@ def parabolic_study(
 ) -> ParabolicStudyResult:
     """Self-convergence in the parabolic regularization strength.
 
-    Runs each eps and eps/2, reports ``||u_eps - u_{eps/2}||`` at the final
-    time, the fitted convergence rate, and the spread of the sup-in-time
-    plain norms (uniform-in-eps energy boundedness).  The rate passes inside
+    One solve evolves the 2n cases (h, eps) and (h, eps/2) over the n values
+    of ``eps_list`` on one grid, the finest that any of them needs.  Reports
+    ``||u_eps - u_{eps/2}||`` at the final time, the fitted convergence rate,
+    and the spread of the sup-in-time plain norms of the eps cases
+    (uniform-in-eps energy boundedness).  The rate passes inside
     ``_RATE_WINDOW`` and the spread at most ``_SPREAD_TOL``.
     """
     if h is None:
         h = 1.0 / float(params.ell)
-    diffs = []
-    sups = []
-    for eps in eps_list:
-        r1 = solve_cauchy(problem, params, (h,), eps_par=eps, dt=dt,
-                          track_energy=False).lattice_states(0)
-        r2 = solve_cauchy(problem, params, (h,), eps_par=eps / 2.0, dt=dt,
-                          track_energy=False).lattice_states(0, slice(-1, None))
-        diffs.append(_l2(r1[-1] - r2[-1]))
-        sups.append(max(_l2(u) for u in r1))
+    # case i is eps_list[i] and case n + i its half
+    n = len(eps_list)
+    res = solve_cauchy(problem, params, (h,) * (2 * n),
+                       eps_par=[*eps_list, *(eps / 2.0 for eps in eps_list)], dt=dt,
+                       track_energy=False)
+    finals = np.concatenate([res.lattice_states(i, slice(-1, None)) for i in range(2 * n)])
+    diffs = _l2(finals[:n] - finals[n:])
+    sups = [np.max(_l2(res.lattice_states(i))) for i in range(n)]
     rate = float(line_fit(np.log(eps_list), np.log(np.maximum(diffs, 1e-300)))[0])
     spread = (max(sups) - min(sups)) / min(sups)
     return ParabolicStudyResult(

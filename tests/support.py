@@ -11,7 +11,8 @@ and, to within their condition, of the Nuij split's Laguerre roots.  One
 stack's own block partition, from its nonzero pattern, is the reference of
 the system's partition that the kernels take.
 The allocating RK4 step is the reference of the solver's buffered step and
-of its propagators.  The probes measure claims of the
+of its propagators.  The parabolic study's loop of two solves per eps is the
+reference of its one joint solve.  The probes measure claims of the
 paper that the acceptance tests check directly: the Hoelder ratio of a
 coefficient path, the lower bound of the characteristic polynomial near a
 multiple eigenvalue, and the Hoelder difference estimate of the symmetrizer.
@@ -291,6 +292,35 @@ def rk4_step(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     k3 = rhs(t + dt / 2.0, u + dt / 2.0 * k2)
     k4 = rhs(t + dt, u + dt * k3)
     return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def parabolic_study_reference(problem, params, eps_list, dt=None, h=None):
+    """``solver.parabolic_study`` as two one-case solves per eps, each on its
+    own grid, and a Python-level norm per sample: its result type, with the
+    same rate fit and gates."""
+    from hypersym import solver
+    from hypersym.matkernel import line_fit
+
+    def l2(u):
+        return float(np.sqrt(np.sum(np.abs(u) ** 2)))
+
+    if h is None:
+        h = 1.0 / float(params.ell)
+    diffs, sups = [], []
+    for eps in eps_list:
+        r1 = solver.solve_cauchy(problem, params, (h,), eps_par=eps, dt=dt,
+                                 track_energy=False).lattice_states(0)
+        r2 = solver.solve_cauchy(problem, params, (h,), eps_par=eps / 2.0, dt=dt,
+                                 track_energy=False).lattice_states(0, slice(-1, None))
+        diffs.append(l2(r1[-1] - r2[-1]))
+        sups.append(max(l2(u) for u in r1))
+    rate = float(line_fit(np.log(eps_list), np.log(np.maximum(diffs, 1e-300)))[0])
+    spread = (max(sups) - min(sups)) / min(sups)
+    low, high = solver._RATE_WINDOW
+    return solver.ParabolicStudyResult(
+        eps_values=list(eps_list), self_differences=diffs, rate=rate, sup_norms=sups,
+        energy_spread=spread, passed_rate=low <= rate <= high,
+        passed_uniform=spread <= solver._SPREAD_TOL)
 
 
 # ---------------------------------------------------------------------------

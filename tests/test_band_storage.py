@@ -31,14 +31,14 @@ def _setup(preset, n_x, seed=3):
 
 def _reference(res, problem, i):
     """Cutoff i's lattice states built on the whole lattice: u0 tiled (moved
-    by the off-band generator when eps_par > 0), the band scattered to its
-    FFT positions, the mirrors filled with its conjugates."""
-    gen, times = res.gen, res.traces[i].times
+    by the off-band generator when its eps_par > 0), the band scattered to
+    its FFT positions, the mirrors filled with its conjugates."""
+    gen, times, eps = res.gen, res.traces[i].times, res.gen.eps_par[i]
     (seg, index), (cols, mirror) = gen.segments[i], gen.mirrored[i]
     states = np.tile(problem.g, (times.size, 1, 1))
-    if gen.eps_par:
+    if eps:
         xi = lattice(problem.g.shape[1])
-        states = states * np.exp(-gen.eps_par * xi**2 * times[:, None, None])
+        states = states * np.exp(-eps * xi**2 * times[:, None, None])
     states[:, :, index] = res.band[:, :, seg]
     states[:, :, mirror] = states[:, :, index[cols]].conj()
     return states
@@ -50,21 +50,34 @@ def _reference(res, problem, i):
     ("xdep", 256, 0.25, 1e-3),
     ("xdep", 256, 0.0, 0.0),
     ("block_direct_sum", 256, None, 0.0),
-], ids=["wave_t2-1024-paired", "xdep-256", "xdep-256-eps", "xdep-256-h0", "block_direct_sum-256"])
+    ("xdep", 256, (0.25, 0.25), (1e-2, 0.0)),
+], ids=["wave_t2-1024-paired", "xdep-256", "xdep-256-eps", "xdep-256-h0", "block_direct_sum-256",
+        "xdep-256-joint-eps"])
 def test_lattice_states_equal_the_full_lattice_reference(preset, n_x, h, eps_par):
+    # h a tuple: the cases of one joint solve, each cutoff with its own eps_par
     params, problem = _setup(preset, n_x)
     h = 1.0 / float(params.ell) if h is None else h
-    res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par)
+    cutoffs = h if isinstance(h, tuple) else (h,)
+    res = solver.solve_cauchy(problem, params, cutoffs, eps_par=eps_par)
     assert res.gen.paired == (preset == "wave_t2")
     assert res.band.shape == (res.traces[0].times.size, problem.coeffs.m, res.gen.xi.size)
-    states = res.lattice_states(0)
-    np.testing.assert_array_equal(states, _reference(res, problem, 0))
-    # a block of samples is the same slice of the whole
-    np.testing.assert_array_equal(res.lattice_states(0, slice(3, 7)), states[3:7])
-    if eps_par:  # the off-band modes move
-        (_, index), = res.gen.segments
-        off = np.setdiff1d(np.arange(n_x), index)
-        assert not np.array_equal(states[-1][:, off], problem.g[:, off])
+    for i, eps in enumerate(res.gen.eps_par):
+        states = res.lattice_states(i)
+        np.testing.assert_array_equal(states, _reference(res, problem, i))
+        # a block of samples is the same slice of the whole
+        np.testing.assert_array_equal(res.lattice_states(i, slice(3, 7)), states[3:7])
+        if eps:  # the off-band modes move
+            off = np.setdiff1d(np.arange(n_x), res.gen.segments[i][1])
+            assert not np.array_equal(states[-1][:, off], problem.g[:, off])
+        if len(cutoffs) > 1:
+            # each case's band evolves as its own solve's on the same grid and
+            # sub-steps, bit for bit: its heat term and no other case's
+            one = solver.solve_cauchy(problem, params, (cutoffs[i],), eps_par=eps, dt=res.dt)
+            assert (one.dt, one.steps) == (res.dt, res.steps)
+            np.testing.assert_array_equal(states, one.lattice_states(0))
+            for field in ("norms", "gevrey_c", "e_r_raw"):
+                np.testing.assert_array_equal(getattr(res.traces[i], field),
+                                              getattr(one.traces[0], field))
 
 
 def test_trajectory_file_is_the_assembled_states_in_blocks(tmp_path, monkeypatch):
@@ -133,6 +146,18 @@ def test_memory_check_counts_the_fixed_costs(monkeypatch):
     res, need, held, peak = _traced_solve(monkeypatch, problem, params, (0.25,))
     assert res.band.shape == (solver.N_SAMPLES + 1, 2, 7)
     assert peak - held <= need <= 3 * (peak - held)
+
+
+def test_memory_check_charges_every_case_of_a_joint_solve(monkeypatch):
+    # study-parabolic's one solve: six cases of one h, each eps of the default
+    # list and its half, whose bands of 7 modes make one of 47.  need charges
+    # the joint band, its word table and every case's diagnostics at once
+    params, problem = _setup("xdep", 1024)
+    h, eps = 1.0 / float(params.ell), [1e-2, 1e-3, 1e-4, 5e-3, 5e-4, 5e-5]
+    _, alone, _, _ = _traced_solve(monkeypatch, problem, params, (h,), eps_par=eps[0])
+    res, need, held, peak = _traced_solve(monkeypatch, problem, params, (h,) * 6, eps_par=eps)
+    assert res.band.shape == (solver.N_SAMPLES + 1, 2, 47)
+    assert alone < need and peak - held <= need <= 3 * (peak - held)
 
 
 @pytest.mark.parametrize("n_x", [256, 1024])

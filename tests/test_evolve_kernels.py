@@ -219,7 +219,8 @@ def test_one_diagnostics_block_peaks_near_the_byte_budget(preset, n_x, eps_par, 
                         lambda *args: sizes.append(sized(*args)) or sizes[-1])
     tracemalloc.start()
     try:
-        solver._energy_trace(problem, params, gen, seg, index, band, times, "skipped", True)
+        solver._energy_trace(problem, params, gen, seg, index, eps_par, band, times, "skipped",
+                             True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

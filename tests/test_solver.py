@@ -684,6 +684,65 @@ def test_numeric_abort_one_of_two_cutoffs(monkeypatch):
     step = round(joint.value.last_time / (prob.horizon / n_steps)) + 1
     assert 0 < step < n_steps and step % 8 != 0
 
+# ---------------------------------------------------------------------------
+# The parabolic study's one joint solve against its per-eps loop
+
+
+def _parabolic_case(preset, seed):
+    """study-parabolic's problem, parameters and eps list at its defaults."""
+    from hypersym import runner
+
+    cfg = runner.validate_config({"command": "study-parabolic", "schema_version": "1",
+                                  "preset": preset, "seed": seed})
+    return (*runner._solve_setup(cfg)[1:], cfg["eps_list"])
+
+
+def _criterion_10_case(preset):
+    """Criterion 10's problem, parameters and eps list on ``preset``."""
+    from support import capped_params
+
+    params = capped_params(preset, ell=4.0)
+    horizon = (float(params.T) - float(params.c1)) / float(params.a)
+    prob = CauchyProblem(get_preset(preset).coeffs, gevrey_data(128, 2, 1.8, 1.5, seed=13),
+                         horizon=horizon)
+    return params, prob, [1e-2, 1e-3, 1e-4]
+
+
+def _assert_parabolic_study_matches_the_loop(params, prob, eps_list, rtol, monkeypatch):
+    from hypersym import solver
+    from support import parabolic_study_reference
+
+    want = parabolic_study_reference(prob, params, eps_list)
+    calls, solve = [], solver.solve_cauchy
+    monkeypatch.setattr(solver, "solve_cauchy",
+                        lambda *args, **kw: calls.append(args[2]) or solve(*args, **kw))
+    got = solver.parabolic_study(prob, params, eps_list)
+    assert len(calls) == 1 and len(calls[0]) == 2 * len(eps_list)
+    for field in ("self_differences", "sup_norms", "rate", "energy_spread"):
+        np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=rtol, atol=0,
+                                   err_msg=field)
+    assert (got.passed_rate, got.passed_uniform) == (want.passed_rate, want.passed_uniform)
+    assert got.eps_values == want.eps_values
+
+
+@pytest.mark.parametrize("preset,seed", [("xdep", 3), ("xdep", 6), ("xdep", None),
+                                         ("diag_sym", None)],
+                         ids=["xdep-3", "xdep-6", "criterion-10-xdep", "criterion-10-diag_sym"])
+def test_parabolic_study_matches_the_per_eps_loop(preset, seed, monkeypatch):
+    # one solve of the 2n cases (h, eps) and (h, eps/2): at these setups every
+    # case takes the same sub-steps alone, so the study is the loop's
+    case = _criterion_10_case(preset) if seed is None else _parabolic_case(preset, seed)
+    _assert_parabolic_study_matches_the_loop(*case, 1e-12, monkeypatch)
+
+
+@pytest.mark.parametrize("preset", ["holder_k", "jordan_lower", "wave_t2", "block_direct_sum"])
+def test_parabolic_study_matches_the_per_eps_loop_on_other_presets(preset, monkeypatch):
+    # here an eps/2 case took fewer grid steps alone than the joint solve's
+    # finest case; it now takes the finer step, which moves it by at most
+    # 2.2e-6 relative (holder_k over seeds 0-7)
+    _assert_parabolic_study_matches_the_loop(*_parabolic_case(preset, 3), 5e-6, monkeypatch)
+
+
 def test_generator_matches_quantized_symbol():
     # the term-shift application, collapsed per x-harmonic, must equal the
     # oversampled-grid Kohn-Nirenberg quantization of i A + B projected to
