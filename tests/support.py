@@ -28,9 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from hypersym import solver
 from hypersym.coeffs import MAX_M, CoeffTerm, SystemCoefficients
 from hypersym.errors import HypersymError
-from hypersym.matkernel import taylor_symbol
+from hypersym.matkernel import line_fit, taylor_symbol
 from hypersym.planner import rho_required
 from hypersym.presets import get_preset
 from hypersym.rootsplit import _sort_rows, polished_roots
@@ -298,8 +299,6 @@ def parabolic_study_reference(problem, params, eps_list, dt=None, h=None):
     """``solver.parabolic_study`` as two one-case solves per eps, each on its
     own grid, and a Python-level norm per sample: its result type, with the
     same rate fit and gates."""
-    from hypersym import solver
-    from hypersym.matkernel import line_fit
 
     def l2(u):
         return float(np.sqrt(np.sum(np.abs(u) ** 2)))
