@@ -78,8 +78,7 @@ COMMAND_SCHEMAS = {
                            "xi_hi": _prop("number", 2.0**12, **_POS),
                            "n_xi": _prop("integer", 9, minimum=2),
                            "n_t": _prop("integer", 4, minimum=1),
-                           "n_x": _prop("integer", 5, minimum=1),
-                           "check_a_power": _prop("boolean", False)}, []),
+                           "n_x": _prop("integer", 5, minimum=1)}, []),
     # the Gevrey weight e^{tau <xi>^rho} needs tau > 0 and 0 < rho < 1
     "conjtest": _schema({"tau": _prop("number", 1.5, **_POS),
                          "rho": _prop("number", 0.75, exclusiveMaximum=1, **_POS),
@@ -470,9 +469,7 @@ def _cmd_symmetrize(config: dict) -> dict:
         / np.linalg.norm(field.R[sub], axis=(-2, -1))
     ))
     lb = symmetrizer.lower_bound_check(field)
-    probe = symmetrizer.symbol_estimate_probe(
-        coeffs, params, xis, check_a_power=config["check_a_power"]
-    )
+    probe = symmetrizer.symbol_estimate_probe(coeffs, params, xis)
     return {
         "preset": name,
         "params": params.to_json(),
@@ -481,7 +478,8 @@ def _cmd_symmetrize(config: dict) -> dict:
         "quadrature_agreement": agree,
         "quadrature_ok": bool(agree <= 1e-6),
         "lower_bound": asdict(lb),
-        "symbol_rows": [asdict(r) for r in probe.rows],
+        # no a-sweep runs; the key stays for the summaries already recorded
+        "symbol_rows": [{**asdict(r), "a_power_fitted": None} for r in probe.rows],
         "passed": bool(lyap_ok and agree <= 1e-6 and lb.passed and probe.passed),
     }
 

@@ -74,13 +74,15 @@ takes one weight array w and one product of q w^2 against a per-solve table:
 its ``<xi>^(2 sigma)`` columns give the five norms, and its column of 1/2 on
 the off-band modes their R-energy.  The band's R-energy is one Lyapunov batch
 and one batched product R v, and the radius fit reads q folded over +-xi.
-Each cutoff's samples are diagnosed on their own, and a block whose weighted
-norms leave the double range aborts.
+Each cutoff's samples are diagnosed on their own, when the result's traces
+are first read, and a block whose weighted norms leave the double range aborts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -479,23 +481,27 @@ class EnergyTrace:
 
 @dataclass
 class SolveResult:
+    """A solve's band samples; its traces are diagnosed when first read."""
     dt: float
     per: int  # grid steps of dt between two samples
-    # (n_samples, m, n_band): the joint band of gen at traces[i].times, the
-    # last at the horizon
-    band: np.ndarray
-    traces: list[EnergyTrace]  # one per cutoff
+    times: np.ndarray  # the sample times, the last the horizon
+    band: np.ndarray  # (n_samples, m, n_band): the joint band of gen at times
     steps: int  # RK4 steps taken, each a sub-step of a sample interval
     gen: TruncatedGenerator
     u0: np.ndarray
+    diagnose: Callable[[], list[EnergyTrace]]  # the traces, one per cutoff
+
+    @functools.cached_property
+    def traces(self) -> list[EnergyTrace]:
+        return self.diagnose()
 
     def lattice_states(self, i: int, samples=slice(None)) -> np.ndarray:
-        """Cutoff i's lattice states (b, m, n_x) at ``traces[i].times[samples]``:
+        """Cutoff i's lattice states (b, m, n_x) at ``times[samples]``:
         u0 off its band, or the closed form :func:`_off_band` when its eps_par
         is > 0, its segment of the band samples at its FFT positions and,
         paired, the conjugates of those at their mirrors."""
         (seg, index), (cols, mirror) = self.gen.segments[i], self.gen.mirrored[i]
-        band, times, eps = self.band[samples], self.traces[i].times[samples], self.gen.eps_par[i]
+        band, times, eps = self.band[samples], self.times[samples], self.gen.eps_par[i]
         states = (_off_band(self.u0, eps, times, slice(None)) if eps
                   else np.repeat(self.u0[None], len(times), axis=0))
         states[..., index] = band[..., seg]
@@ -626,13 +632,13 @@ def solve_cauchy(
     at the largest eps_par, and the sub-steps between samples, set by the
     widest band at it, and one time loop advances their bands together.
     Each trajectory is sampled at the N_SAMPLES + 1 times
-    k horizon / N_SAMPLES; at each sample the diagnostic
-    weight ``e^{<D>^rho (T - a t)}`` produces v, the weighted norms, the
-    R-energy (exact multiplier for x-independent coefficients; mollified
-    variant in Hoelder mode) and a Gevrey radius fit; with ``track_energy``
-    false, as the studies run, only the norms (``gevrey_c`` stays NaN).
-    Aborts with the last healthy time on NaN/overflow, of the evolution or of
-    its diagnostics.
+    k horizon / N_SAMPLES.  The result's ``traces`` are diagnosed when first
+    read: at each sample the weight ``e^{<D>^rho (T - a t)}`` produces v, the
+    weighted norms, the R-energy (exact multiplier for x-independent
+    coefficients; mollified variant in Hoelder mode) and a Gevrey radius fit;
+    with ``track_energy`` false only the norms (``gevrey_c`` stays NaN).
+    Aborts with the last healthy time on NaN/overflow of the evolution; the
+    first read of ``traces`` does so on NaN/overflow of the diagnostics.
     """
     coeffs = problem.coeffs
     violations = validate_params(params, c=params.c_spec if params.c_spec is not None else 0.5,
@@ -713,9 +719,10 @@ def solve_cauchy(
     # sample k holds the state after k per grid steps, at time k per dt
     times = np.arange(n_samples, dtype=float) * per * dt
     band = _evolve(gen, u0, per, count, dt, None if stepping else BandPropagator(gen))
-    traces = [_energy_trace(problem, params, gen, seg, index, eps, band, times, er_mode,
-                            track_energy) for (seg, index), eps in zip(gen.segments, gen.eps_par)]
-    return SolveResult(dt=dt, per=per, band=band, traces=traces, steps=total, gen=gen, u0=u0)
+    return SolveResult(dt=dt, per=per, times=times, band=band, steps=total, gen=gen, u0=u0,
+                       diagnose=lambda: [_energy_trace(problem, params, gen, seg, index, eps,
+                                                       band, times, er_mode, track_energy)
+                                         for (seg, index), eps in zip(gen.segments, gen.eps_par)])
 
 
 def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.ndarray:

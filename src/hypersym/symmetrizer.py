@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,20 +56,6 @@ class ParameterSet:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         doc = {k: None if v is None else float(v) for k, v in values.items()}
         return {**doc, "theta": self.theta, "nu": self.nu}  # theta stays an int
-
-
-def rescale_for_a(params: ParameterSet, a: float) -> ParameterSet:
-    """Admissible variant of ``params`` with a different damping strength.
-
-    Grows ell to the smallest power of two keeping ``a <= ell^(1-rho)`` and
-    shrinks tau back inside the Taylor-scale window.
-    """
-    rho = float(params.rho)
-    ell = max(float(params.ell), 2.0 ** math.ceil(math.log2(a) / (1.0 - rho)))
-    eps0 = float(params.eps0)
-    tau = min(float(params.tau), 0.999 * eps0 * ell ** (1.0 - rho))
-    c1 = min(float(params.c1), tau * max(float(params.c_spec or 0.5), 1e-9))
-    return replace(params, a=a, ell=ell, tau=tau, c1=c1)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +383,6 @@ class SymbolEstimateRow:
     target: float
     fitted: float | None
     residual: float
-    a_power_fitted: float | None
     passed: bool
     inconclusive: bool
 
@@ -421,9 +406,6 @@ _ROWS = ((0, 0, False), (0, 1, False), (0, 2, False), (1, 0, False), (1, 1, Fals
 # The probe's fixed time: off t = 0, where wave_t2 degenerates and |t|^q
 # terms lose smoothness, by a hundred steps of the 1e-3 t-stencil.
 _PROBE_T0 = 0.1
-# Damping strengths of the a-sweep: an octave apart, so the log-log fit of
-# the a-slope has two octaves of leverage.
-_A_VALUES = (2.0, 4.0, 8.0)
 # Spatial points of the probe: x = 0, where the sine harmonics vanish and the
 # cosine ones are stationary, and two points off every symmetry point of the
 # harmonics, so that no x-derivative of R vanishes at all of them.
@@ -442,19 +424,20 @@ def _central(f: np.ndarray, order: int, h) -> np.ndarray:
     return (f[2] - 2 * f[1] + f[0]) / h**2
 
 
-def _stencil_derivatives(coeffs, params, x_values, xi_values, t0, rows) -> list[np.ndarray]:
-    """Central finite differences of R in xi (alpha), x (beta) and t at (x, xi) nodes.
+def _stencil_derivatives(coeffs, params, x_values, xi_values) -> list[np.ndarray]:
+    """Central finite differences of R in xi (alpha), x (beta) and t at (x, xi)
+    nodes and t = ``_PROBE_T0``, one per row ``(alpha, beta, dt)`` of ``_ROWS``.
 
-    ``rows`` lists ``(alpha, beta, dt)``.  The offsets (t, x, xi) that the
-    rows' stencils use form one deduplicated set, whose nodes go through one
-    ``damped_generator`` call and one batched Lyapunov solve.  Steps are
-    ``hxi = 1e-3 <xi>_ell``, ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and
-    ``ht = 1e-3``.  Returns one (n_x, n_xi, m, m) array per row.
+    The offsets (t, x, xi) that the rows' stencils use form one deduplicated
+    set, whose nodes go through one ``damped_generator`` call and one batched
+    Lyapunov solve.  Steps are ``hxi = 1e-3 <xi>_ell``,
+    ``hx = 2 pi / (8 band max(beta, 1) + 64)`` and ``ht = 1e-3``.  Returns
+    one (n_x, n_xi, m, m) array per row.
     """
     ht = 1e-3
     offsets: dict = {}  # (t step, x offset, xi step) -> node index
     stencils = []  # per row: its offsets' indices, (t, x, xi) axes, and hx
-    for alpha, beta, dt_flag in rows:
+    for alpha, beta, dt_flag in _ROWS:
         hx = 2.0 * math.pi / (8.0 * max(coeffs.x_band, 1) * max(beta, 1) + 64.0)
         stencils.append((np.array([[[offsets.setdefault((k, j * hx, i), len(offsets))
                                      for i in _STENCILS[alpha]] for j in _STENCILS[beta]]
@@ -463,10 +446,11 @@ def _stencil_derivatives(coeffs, params, x_values, xi_values, t0, rows) -> list[
     hxi = 1e-3 * bracket(xi_values, float(params.ell))
     # nodes (offset, x, xi)
     r_all = _lyap_solve_batch(*damped_generator(
-        coeffs, params, (t0 + k_off * ht)[:, None, None], (x_values + x_off[:, None])[:, :, None],
-        (xi_values + i_off[:, None] * hxi)[:, None, :]), coeffs.blocks)
+        coeffs, params, (_PROBE_T0 + k_off * ht)[:, None, None],
+        (x_values + x_off[:, None])[:, :, None], (xi_values + i_off[:, None] * hxi)[:, None, :]),
+        coeffs.blocks)
     out = []
-    for (alpha, beta, dt_flag), (idx, hx) in zip(rows, stencils):
+    for (alpha, beta, dt_flag), (idx, hx) in zip(_ROWS, stencils):
         r = np.moveaxis(r_all[idx], 3, 1)  # (t offset, x, x offset, xi offset, xi)
         d = _central(np.moveaxis(r, 3, 0), alpha, hxi[:, None, None])
         d = _central(np.moveaxis(d, 2, 0), beta, hx)
@@ -478,7 +462,6 @@ def symbol_estimate_probe(
     coeffs: SystemCoefficients,
     params: ParameterSet,
     xi_values,
-    check_a_power: bool = False,
 ) -> SymbolEstimateReport:
     """Measure ``d_x^beta d_xi^alpha R`` decay against the class targets.
 
@@ -492,9 +475,7 @@ def symbol_estimate_probe(
 
     The 7 rows share 13 distinct (t, x, xi) offsets per probe point, one
     :func:`_stencil_derivatives` call: one ``damped_generator`` call and one
-    Lyapunov solve.  ``check_a_power`` adds one such call per damping
-    strength in ``_A_VALUES``, each with its own :func:`rescale_for_a`
-    parameter set, at the first probe point and the middle frequency.
+    Lyapunov solve.
     """
     xi_values = np.asarray(xi_values, dtype=float)
     x_probes = np.asarray(_X_PROBES, dtype=float)
@@ -503,12 +484,9 @@ def symbol_estimate_probe(
     ell = float(params.ell)
     rows: list[SymbolEstimateRow] = []
     br = bracket(xi_values, ell)
-    derivs = _stencil_derivatives(coeffs, params, x_probes, xi_values, _PROBE_T0, _ROWS)
-    sweep = [_stencil_derivatives(coeffs, rescale_for_a(params, a), x_probes[:1],
-                                  xi_values[[len(xi_values) // 2]], _PROBE_T0, _ROWS)
-             for a in (_A_VALUES if check_a_power else ())]
+    derivs = _stencil_derivatives(coeffs, params, x_probes, xi_values)
     row_vals = np.max(block_norm2(np.array(derivs), coeffs.blocks), axis=1)  # (row, xi)
-    for (alpha, beta, dt_flag), vals, *d_a in zip(_ROWS, row_vals, *sweep):
+    for (alpha, beta, dt_flag), vals in zip(_ROWS, row_vals):
         target = 2 * nu + (1 - rho + nu) * beta - (rho - nu) * alpha
         if dt_flag:
             target += 1 - rho + nu
@@ -518,7 +496,7 @@ def symbol_estimate_probe(
             good = vals > floor
         log_br = np.log(br[good])
         if len(set(log_br.tolist())) < 2:  # at the floor it passes; one abscissa is no slope
-            rows.append(SymbolEstimateRow(alpha, beta, dt_flag, target, None, 0.0, None,
+            rows.append(SymbolEstimateRow(alpha, beta, dt_flag, target, None, 0.0,
                                           not good.any(), bool(good.any())))
             continue
         fit = line_fit(log_br, np.log(vals[good]))
@@ -526,22 +504,8 @@ def symbol_estimate_probe(
             (np.log(vals[good]) - np.polyval(fit, log_br)) ** 2
         )))
         fitted = float(fit[0])
-        inconclusive = resid > 0.3
-        a_fitted = None
-        if check_a_power:
-            # The class constant is one-sided: families far below the bound
-            # shed a-decay into their bracket slack, so the a-slope is
-            # reported and only monotone non-increase in a is asserted.
-            norms = block_norm2(np.array([da[0, 0] for da in d_a]), coeffs.blocks)
-            if max(norms) > floor:
-                a_fitted = float(line_fit(np.log(_A_VALUES), np.log(np.maximum(norms, 1e-300)))[0])
-        passed = bool(fitted <= target + _EXPONENT_TOL)
-        if check_a_power and a_fitted is not None:
-            passed = passed and (a_fitted <= 0.05)
-        rows.append(
-            SymbolEstimateRow(alpha, beta, dt_flag, target, fitted, resid,
-                              a_fitted, passed, inconclusive)
-        )
+        rows.append(SymbolEstimateRow(alpha, beta, dt_flag, target, fitted, resid,
+                                      bool(fitted <= target + _EXPONENT_TOL), resid > 0.3))
     return SymbolEstimateReport(rows=rows)
 
 

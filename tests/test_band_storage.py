@@ -97,13 +97,15 @@ def test_trajectory_file_is_the_assembled_states_in_blocks(tmp_path, monkeypatch
 
 
 def _traced_solve(monkeypatch, problem, params, cutoffs, **kwargs):
-    """(result, need, bytes held at the memory check, traced peak) of a solve."""
+    """(result, need, bytes held at the memory check, traced peak) of a solve
+    and of its traces, which ``need`` charges and which are diagnosed when read."""
     needs = []
     monkeypatch.setattr(solver, "require_memory", lambda need, what: needs.append(
         (need, tracemalloc.get_traced_memory()[0])))
     tracemalloc.start()
     try:
         res = solver.solve_cauchy(problem, params, cutoffs, **kwargs)
+        res.traces  # diagnosed here, inside the traced region
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

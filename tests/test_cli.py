@@ -177,6 +177,8 @@ def test_wrong_type_rejected(cfg):
       for config in ({"n_t": 10**12}, {"n_x": 10**20}, {"n_t": 10**5, "n_x": 10**5})],
     ["theta", "--preset", "xdep", {"n_eps": 10**12}],
     ["symmetrize", "--preset", "xdep", {"n_xi": 10**12}],
+    # check_a_power is no field: the symbol probe runs the run's one parameter set
+    ["symmetrize", "--preset", "xdep", {"check_a_power": True}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []

@@ -605,8 +605,9 @@ def test_barometer_peak_is_one_eps_batch():
 
 # Abscissae of line_fit's callers: log brackets of the symmetrize xi grid (the
 # symbol probe and the lower bound), log eps of the theta fits, log eps_list
-# of the parabolic study, log a of the a-power sweep, and log brackets of the
-# conjugation probe's dyadic band centres.
+# of the parabolic study, and log brackets of the conjugation probe's dyadic
+# band centres.  "log a" is no caller's grid: it stays as a second grid of
+# three points, an octave apart where log eps_list's are a decade apart.
 _FIT_ABSCISSAE = {
     "log xi": np.log(np.hypot(np.geomspace(2.0**4, 2.0**12, 9), 4.0)),
     "log eps, 7": np.log(np.geomspace(1e-3, 1e-1, 7)),

@@ -743,6 +743,21 @@ def test_parabolic_study_matches_the_per_eps_loop_on_other_presets(preset, monke
     _assert_parabolic_study_matches_the_loop(*_parabolic_case(preset, 3), 5e-6, monkeypatch)
 
 
+@pytest.mark.parametrize("command,calls", [("solve", 1), ("study-h", 3), ("study-parabolic", 0)])
+def test_only_the_traces_read_are_diagnosed(command, calls, monkeypatch, tmp_path):
+    # a solve's traces are diagnosed when first read: solve reads its one
+    # cutoff's and study-h each of its three h's, while study-parabolic reads
+    # lattice states alone and diagnoses none of its 2n cases
+    from hypersym import runner, solver
+
+    seen, energy_trace = [], solver._energy_trace
+    monkeypatch.setattr(solver, "_energy_trace",
+                        lambda *args: seen.append(args) or energy_trace(*args))
+    status, _ = runner.run({"command": command, "schema_version": "1", "preset": "xdep",
+                            "seed": 3}, out_dir=str(tmp_path))
+    assert status == 0 and len(seen) == calls
+
+
 def test_generator_matches_quantized_symbol():
     # the term-shift application, collapsed per x-harmonic, must equal the
     # oversampled-grid Kohn-Nirenberg quantization of i A + B projected to

@@ -14,6 +14,8 @@ from hypersym.presets import get_preset, preset_names
 from hypersym.planner import plan
 from hypersym.runner import calibrate, run_params
 from hypersym.symmetrizer import (
+    _PROBE_T0,
+    _ROWS,
     ParameterSet,
     _lyap_solve_batch,
     _stencil_derivatives,
@@ -23,7 +25,6 @@ from hypersym.symmetrizer import (
     mollify_path,
     quadrature_R,
     hn_over_lattice,
-    rescale_for_a,
     symbol_estimate_probe,
 )
 from hypersym.weights import bracket, poly_bump
@@ -401,53 +402,25 @@ def test_symbol_probe_one_frequency_is_inconclusive():
         assert rep.passed
 
 
-def test_symbol_probe_a_sweep_reports():
-    pre = get_preset("diag_sym")
-    pr = plan(0, "lipschitz")
-    rep = symbol_estimate_probe(pre.coeffs, pr.params,
-                                np.geomspace(2.0**4, 2.0**9, 5),
-                                check_a_power=True)
-    saw_fit = False
-    for row in rep.rows:
-        if row.a_power_fitted is not None:
-            saw_fit = True
-            assert row.a_power_fitted <= 0.05  # non-increasing in a
-    assert saw_fit
-
-
-@pytest.mark.parametrize("check_a_power", [False, True])
 @pytest.mark.parametrize("name", preset_names())
-def test_probe_batch_matches_per_row_stencils(name, check_a_power, monkeypatch):
-    # each parameter set's one batch over every row reads the same node
-    # values, bit for bit, as one generator call and solve per row
+def test_probe_batch_matches_per_row_stencils(name, monkeypatch):
+    # the probe's one batch over every row reads the same node values, bit
+    # for bit, as one generator call and solve per row
     pre = get_preset(name)
     params = run_params(calibrate(pre.coeffs, pre.theta))
     seen = []
 
-    def spy(coeffs, params, x_values, xi_values, t0, rows):
-        derivs = _stencil_derivatives(coeffs, params, x_values, xi_values, t0, rows)
-        seen.append((params, x_values, xi_values, t0, rows, derivs))
+    def spy(coeffs, params, x_values, xi_values):
+        derivs = _stencil_derivatives(coeffs, params, x_values, xi_values)
+        seen.append((params, x_values, xi_values, derivs))
         return derivs
 
     monkeypatch.setattr(symmetrizer, "_stencil_derivatives", spy)
-    symbol_estimate_probe(pre.coeffs, params, np.geomspace(16.0, 2.0**12, 9),
-                          check_a_power=check_a_power)
-    assert len(seen) == (4 if check_a_power else 1)
-    for p, x_values, xi_values, t0, rows, derivs in seen:
-        assert len(rows) == 7
-        for row, batch in zip(rows, derivs, strict=True):
-            ref = per_row_stencil_derivatives(pre.coeffs, p, x_values, xi_values, t0, *row)
-            assert np.array_equal(batch, ref)
-
-
-def test_rescale_for_a_stays_admissible():
-    from hypersym.planner import validate_params
-
-    pre = get_preset("diag_sym")
-    pr = plan(0, "lipschitz")
-    for a in (2.0, 4.0, 8.0):
-        pa = rescale_for_a(pr.params, a)
-        assert validate_params(pa, c=0.5, a0=1.0, eps0=0.5) == []
+    symbol_estimate_probe(pre.coeffs, params, np.geomspace(16.0, 2.0**12, 9))
+    (p, x_values, xi_values, derivs), = seen
+    for row, batch in zip(_ROWS, derivs, strict=True):
+        ref = per_row_stencil_derivatives(pre.coeffs, p, x_values, xi_values, _PROBE_T0, *row)
+        assert np.array_equal(batch, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +614,13 @@ def test_batched_probes_match_pointwise_solves(name):
     pr = plan(0, "holder", Fraction(1, 2)) if name == "holder_k" else plan(0, "lipschitz")
     xis = np.geomspace(16.0, 1024.0, 4)
     x_probes = np.array([0.0, 0.9, 2.1])
-    rows = [(0, 0, False), (1, 0, False), (2, 0, False), (0, 1, False),
-            (0, 2, False), (1, 1, False), (0, 0, True)]
-    # the probe's parameter set, and a rescaled-a one as check_a_power takes it
-    for params, xps, xs in [(pr.params, x_probes, xis),
-                            (rescale_for_a(pr.params, 4.0), x_probes[:1], xis[[2]])]:
-        derivs = _stencil_derivatives(pre.coeffs, params, xps, xs, 0.1, rows)
-        for (alpha, beta, dt_flag), d in zip(rows, derivs, strict=True):
-            for i, xp in enumerate(xps):
-                for k, xi in enumerate(xs):
-                    ref = _fd_reference(pre.coeffs, params, 0.1, xp, xi, alpha, beta, dt_flag)
-                    assert np.linalg.norm(d[i, k] - ref) <= 1e-12 * np.linalg.norm(ref) + 1e-300
+    derivs = _stencil_derivatives(pre.coeffs, pr.params, x_probes, xis)
+    for (alpha, beta, dt_flag), d in zip(_ROWS, derivs, strict=True):
+        for i, xp in enumerate(x_probes):
+            for k, xi in enumerate(xis):
+                ref = _fd_reference(pre.coeffs, pr.params, _PROBE_T0, xp, xi, alpha, beta,
+                                    dt_flag)
+                assert np.linalg.norm(d[i, k] - ref) <= 1e-12 * np.linalg.norm(ref) + 1e-300
     pairs = [(0.1, 0.1 + 4.0**-k) for k in range(1, 4)]
     kappa = 0.5 if name == "holder_k" else 1.0
     fit = holder_difference_probe(pre.coeffs, pr.params, pairs, xis)
