@@ -402,7 +402,7 @@ class ThetaEstimate:
     residual: float
     warning: bool
     converged: bool
-    n_used: int
+    n_taylor: int
     g_values: np.ndarray  # G(eps) at the eps_values in ascending order
 
 
@@ -563,4 +563,4 @@ def estimate_theta(
     return ThetaEstimate(theta_hat=theta_hat, theta_raw=theta_raw,
                          upper_fit=(upper_c, float(c_hat)), lower_fit=(lower_c, float(c_hat)),
                          residual=residual, warning=warning, converged=converged,
-                         n_used=n_taylor, g_values=g)
+                         n_taylor=n_taylor, g_values=g)

@@ -2,8 +2,8 @@
 
 Every command is a pure function of (config, seed): outputs are
 byte-identical across runs on the same build.  Summaries carry per-criterion
-pass/fail plus every fitted constant; the report command only aggregates,
-never recomputes.
+pass/fail plus every fitted constant, a report's fields under their own names
+(``dataclasses.asdict``); the report command only aggregates, never recomputes.
 """
 
 from __future__ import annotations
@@ -354,20 +354,8 @@ def _cmd_certify(config: dict) -> dict:
     sb = matkernel.spectral_bound_certify(coeffs, ts, xs, config["y_values"],
                                           config["s_values"])
     return {
-        "preset": name,
-        "real_spectrum": {
-            "passed": rep.passed,
-            "max_imag": rep.max_imag,
-            "tol_effective": rep.tol_effective,
-            "worst_sample": list(rep.worst_sample),
-            "n_samples": rep.n_samples,
-        },
-        "spectral_bound": {
-            "passed": sb.passed,
-            "max_ratio": sb.max_ratio,
-            "table": [[s, v] for s, v in sb.table],
-            "n_samples": sb.n_samples,
-        },
+        "preset": name, "real_spectrum": asdict(rep),
+        "spectral_bound": {k: v for k, v in asdict(sb).items() if k != "grid"},
         "passed": bool(rep.passed and sb.passed),
     }
 
@@ -386,16 +374,8 @@ def _cmd_theta(config: dict) -> dict:
     te = matkernel.estimate_theta(coeffs, eps, t_values=ts, x_values=xs)
     matches = theta_decl is None or te.theta_hat == theta_decl
     return {
-        "preset": name,
-        "theta_hat": te.theta_hat,
-        "theta_declared": theta_decl,
-        "theta_raw": te.theta_raw,
-        "residual": te.residual,
-        "upper_fit": list(te.upper_fit),
-        "lower_fit": list(te.lower_fit),
-        "warning": te.warning,
-        "converged": te.converged,
-        "n_taylor": te.n_used,
+        "preset": name, "theta_declared": theta_decl,
+        **{k: v for k, v in asdict(te).items() if k != "g_values"},
         "passed": bool(matches and not te.warning),
     }
 
@@ -505,8 +485,7 @@ def _cmd_conjtest(config: dict) -> dict:
         # the engine quantizes by the Kohn-Nirenberg rule; the probe compares
         # operators, so the quantization choice only shifts lower-order terms
         "quantization": "kohn-nirenberg",
-        "rows": [{"k": r.k, "target": r.target, "fitted": r.fitted,
-                  "passed": r.passed} for r in rep.rows],
+        "rows": [{k: v for k, v in asdict(r).items() if k != "band_norms"} for r in rep.rows],
         "monotone": bool(monotone),
         "passed": bool(rep.passed and monotone),
     }
@@ -594,17 +573,7 @@ def _cmd_study_h(config: dict) -> dict:
     config.setdefault("ell", 1.0 / max(h_list))
     name, params, problem = _solve_setup(config)
     st = solver.h_uniformity_study(problem, params, h_list, dt=config.get("dt"))
-    return {
-        "preset": name,
-        "params": params.to_json(),
-        "h_values": st.h_values,
-        "constants_first": st.constants_first,
-        "constants_second": st.constants_second,
-        "spread_first": st.spread_first,
-        "spread_second": st.spread_second,
-        "curve_spread": st.curve_spread,
-        "passed": st.passed,
-    }
+    return {"preset": name, "params": params.to_json(), **asdict(st)}
 
 
 def _cmd_study_parabolic(config: dict) -> dict:
@@ -613,15 +582,7 @@ def _cmd_study_parabolic(config: dict) -> dict:
     name, params, problem = _solve_setup(config)
     st = solver.parabolic_study(problem, params, config["eps_list"], dt=config.get("dt"),
                                 h=config.get("h"))
-    return {
-        "preset": name,
-        "eps_values": st.eps_values,
-        "self_differences": st.self_differences,
-        "rate": st.rate,
-        "sup_norms": st.sup_norms,
-        "energy_spread": st.energy_spread,
-        "passed": bool(st.passed_rate and st.passed_uniform),
-    }
+    return {"preset": name, **asdict(st)}
 
 
 def _cmd_report(config: dict) -> dict:

@@ -8,7 +8,8 @@ The file holds, for the commit at HEAD (``sha``, with ``parent`` its first
 parent and ``dirty`` whether the working tree differed from it):
 
 - ``commands``: every CLI command at its defaults on each preset (``solve``
-  at n_lattice 256, 1024 and 4096), run in this process through
+  at n_lattice 256, 1024 and 4096), and after those ``study-parabolic`` at
+  n_lattice 4096 on each preset, run in this process through
   ``perfbench/tasks.run_task`` in ``RUNS`` rounds after one warm-up round,
   each config once a round.  Each entry gives the median and IQR of its wall
   times in seconds (``elapsed_s``), the same of those times scaled by
@@ -49,6 +50,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SOLVE_LATTICES = (256, 1024, 4096)
+STUDY_LATTICE = 4096  # where a solve's Gevrey weight passes EXP_BUDGET on four presets
 RUNS, PERF_RUNS, SEED = 5, 5, 3
 
 
@@ -86,7 +88,8 @@ def command_configs(presets, seed: int, report_dir: str) -> list[dict]:
         {"command": "plan", "theta": 1},
         {"command": "plan", "theta": 0, "mode": "holder", "kappa": "1/2"},
         {"command": "report", "run_dir": report_dir},
-    ]
+    ] + [{"command": "study-parabolic", "preset": preset, "seed": seed,
+          "n_lattice": STUDY_LATTICE} for preset in presets]
 
 
 def time_commands(tasks, clock) -> list[dict]:
@@ -109,7 +112,8 @@ def time_commands(tasks, clock) -> list[dict]:
                 times[i].append(res["elapsed"])
                 scaled[i].append(res["elapsed"] * scale)
     shutil.rmtree(work)
-    configs[-1]["run_dir"] = "a solve of wave_t2 at n_lattice 256"
+    next(c for c in configs if c["command"] == "report")["run_dir"] = \
+        "a solve of wave_t2 at n_lattice 256"
     return [{"config": config, "status": st, "elapsed_s": _stats(ts),
              "elapsed_ref_s": _stats(ref)}
             for config, st, ts, ref in zip(configs, status, times, scaled)]

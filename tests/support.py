@@ -318,8 +318,7 @@ def parabolic_study_reference(problem, params, eps_list, dt=None, h=None):
     low, high = solver._RATE_WINDOW
     return solver.ParabolicStudyResult(
         eps_values=list(eps_list), self_differences=diffs, rate=rate, sup_norms=sups,
-        energy_spread=spread, passed_rate=low <= rate <= high,
-        passed_uniform=spread <= solver._SPREAD_TOL)
+        energy_spread=spread, passed=low <= rate <= high and spread <= solver._SPREAD_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -519,10 +519,11 @@ def test_diagnostic_overflow_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "numeric abort: the weighted norms left the double range at t = 0\n"
 
-def test_weight_probe_refuses_before_the_samples_are_allocated(tmp_path):
+def test_weight_overflow_is_raised_at_the_first_weight_formed(tmp_path):
     # wave_t2 at n_lattice 4096 passes EXP_BUDGET at the lattice edge; the
-    # solver's up-front weight probe refuses it before the run evolves or
-    # diagnoses anything, so the traced peak stays at a few MiB
+    # run evolves its band, and the diagnostics refuse the first block's
+    # weight at t = 0 before any later block is formed, so the traced peak
+    # stays at a few MiB
     import tracemalloc
 
     from hypersym.errors import WeightOverflowError
@@ -537,6 +538,21 @@ def test_weight_probe_refuses_before_the_samples_are_allocated(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("preset", ["wave_t2", "holder_k"])
+def test_study_parabolic_forms_no_weight_at_n_lattice_4096(preset, tmp_path, capsys):
+    # at n_lattice 4096 a Gevrey weight passes EXP_BUDGET at the lattice edge
+    # on a multiplier (wave_t2) and a mollified (holder_k) preset; the study
+    # reads no weighted norm, so it forms none and passes, while solve, which
+    # forms them, still exits 3 naming the overflow
+    path = tmp_path / "n4096.json"
+    path.write_text(json.dumps({"n_lattice": 4096}))
+    argv = ["--preset", preset, "--seed", "3", "--config", str(path)]
+    assert main(["study-parabolic", *argv]) == 0
+    capsys.readouterr()
+    assert main(["solve", *argv]) == 3
+    assert "gevrey weight overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_term, n_lattice", [("1", None), ("t", 64), ("t", 1024)])

@@ -721,7 +721,7 @@ def _assert_parabolic_study_matches_the_loop(params, prob, eps_list, rtol, monke
     for field in ("self_differences", "sup_norms", "rate", "energy_spread"):
         np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=rtol, atol=0,
                                    err_msg=field)
-    assert (got.passed_rate, got.passed_uniform) == (want.passed_rate, want.passed_uniform)
+    assert got.passed == want.passed
     assert got.eps_values == want.eps_values
 
 
