@@ -50,18 +50,12 @@ def main(argv=None) -> int:
     if args.command:
         config["command"] = args.command
     config.setdefault("schema_version", runner.SCHEMA_VERSION)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.preset:
-        config["preset"] = args.preset
-    if args.out:
-        config["out"] = args.out
-    if args.theta is not None:
-        config["theta"] = args.theta
-    if args.mode:
-        config["mode"] = args.mode
-    if args.kappa:
-        config["kappa"] = args.kappa
+    # a flag given overrides the config: an integer one even at 0, a string
+    # one when it is not empty
+    for flag in ("seed", "preset", "out", "theta", "mode", "kappa"):
+        value = getattr(args, flag)
+        if value is not None and value != "":
+            config[flag] = value
 
     # a run that fails prints one line, its cause; one that completes also
     # shows the warnings raised on the way

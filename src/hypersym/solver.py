@@ -75,7 +75,8 @@ its ``<xi>^(2 sigma)`` columns give the five norms, and its column of 1/2 on
 the off-band modes their R-energy.  The band's R-energy is one Lyapunov batch
 and one batched product R v, and the radius fit reads q folded over +-xi.
 Each cutoff's samples are diagnosed on their own, when the result's traces
-are first read.  A block's weight is the one checked against ``EXP_BUDGET``,
+are first read; the h-uniformity study reads each cutoff's weighted norms
+alone, with no R-energy and no radius fit.  A block's weight is the one checked against ``EXP_BUDGET``,
 and a block whose weighted norms leave the double range aborts.
 """
 
@@ -83,7 +84,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,14 +126,13 @@ def gevrey_data(
     amp = np.exp(-c0 * bracket(xi, 1.0) ** (1.0 / s))
     coeffs = np.zeros((m, n_x), dtype=complex)
     half = n_x // 2
-    for c in range(m):
-        phases = np.exp(2j * math.pi * rng.random(half - 1))
-        coeffs[c, 0] = amp[0]
-        coeffs[c, 1:half] = amp[1:half] * phases
-        # negative frequencies mirror with conjugate phases
-        neg = np.arange(half + 1, n_x)
-        coeffs[c, neg] = np.conj(coeffs[c, n_x - neg])
-        coeffs[c, half] = 0.0
+    # row c holds the phases that the c-th draw of half - 1 numbers gives
+    phases = np.exp(2j * math.pi * rng.random((m, half - 1)))
+    coeffs[:, 0] = amp[0]
+    coeffs[:, 1:half] = amp[1:half] * phases
+    # negative frequencies mirror with conjugate phases; the top mode stays 0
+    neg = np.arange(half + 1, n_x)
+    coeffs[:, neg] = np.conj(coeffs[:, n_x - neg])
     return coeffs
 
 
@@ -483,18 +482,19 @@ class EnergyTrace:
 @dataclass
 class SolveResult:
     """A solve's band samples; its traces are diagnosed when first read."""
+    problem: CauchyProblem
+    params: ParameterSet
     dt: float
     per: int  # grid steps of dt between two samples
     times: np.ndarray  # the sample times, the last the horizon
     band: np.ndarray  # (n_samples, m, n_band): the joint band of gen at times
     steps: int  # RK4 steps taken, each a sub-step of a sample interval
     gen: TruncatedGenerator
-    u0: np.ndarray
-    diagnose: Callable[[], list[EnergyTrace]]  # the traces, one per cutoff
 
     @functools.cached_property
     def traces(self) -> list[EnergyTrace]:
-        return self.diagnose()
+        """Every cutoff's diagnostics in full, in the order of the cutoffs."""
+        return [_energy_trace(self, i, True) for i in range(len(self.gen.segments))]
 
     def lattice_states(self, i: int, samples=slice(None)) -> np.ndarray:
         """Cutoff i's lattice states (b, m, n_x) at ``times[samples]``:
@@ -503,8 +503,9 @@ class SolveResult:
         paired, the conjugates of those at their mirrors."""
         (seg, index), (cols, mirror) = self.gen.segments[i], self.gen.mirrored[i]
         band, times, eps = self.band[samples], self.times[samples], self.gen.eps_par[i]
-        states = (_off_band(self.u0, eps, times, slice(None)) if eps
-                  else np.repeat(self.u0[None], len(times), axis=0))
+        u0 = self.problem.g
+        states = (_off_band(u0, eps, times, slice(None)) if eps
+                  else np.repeat(u0[None], len(times), axis=0))
         states[..., index] = band[..., seg]
         states[..., mirror] = states[..., index[cols]].conj()
         return states
@@ -624,7 +625,6 @@ def solve_cauchy(
     cutoffs,
     eps_par=0.0,
     dt: float | None = None,
-    track_energy: bool = True,
 ) -> SolveResult:
     """Evolve the truncated problem at each cutoff scale h of ``cutoffs``,
     parabolically regularized by ``eps_par``, one for all or one per cutoff.
@@ -634,14 +634,13 @@ def solve_cauchy(
     widest band at it, and one time loop advances their bands together.
     Each trajectory is sampled at the N_SAMPLES + 1 times
     k horizon / N_SAMPLES.  The result's ``traces`` are diagnosed when first
-    read: at each sample the weight ``e^{<D>^rho (T - a t)}`` produces v, the
-    weighted norms, the R-energy (exact multiplier for x-independent
-    coefficients; mollified variant in Hoelder mode) and a Gevrey radius fit;
-    with ``track_energy`` false only the norms (``gevrey_c`` stays NaN).
-    Aborts with the last healthy time on NaN/overflow of the evolution; the
-    first read of ``traces`` does so on NaN/overflow of the diagnostics, and
-    raises :class:`WeightOverflowError` at the first weight they form past
-    ``EXP_BUDGET``.  A caller that reads no trace forms no weight.
+    read (:func:`_energy_trace`): at each sample the weight
+    ``e^{<D>^rho (T - a t)}`` produces v, the weighted norms, the R-energy
+    and a Gevrey radius fit.  Aborts with the last healthy time on
+    NaN/overflow of the evolution; the first read of ``traces`` does so on
+    NaN/overflow of the diagnostics, and raises :class:`WeightOverflowError`
+    at the first weight they form past ``EXP_BUDGET``.  A caller that reads
+    no trace forms no weight.
     """
     coeffs = problem.coeffs
     violations = validate_params(params, c=params.c_spec if params.c_spec is not None else 0.5,
@@ -678,12 +677,6 @@ def solve_cauchy(
     scale = max(gen.lam_band, *(g.omega_max for g in gen.time_terms.values()))
     count = _substeps(per, dt, scale)
     total = N_SAMPLES * count
-    if not (track_energy and coeffs.x_band == 0):
-        er_mode = "skipped"
-    elif coeffs.t_regularity == "holder" and params.delta is not None:
-        er_mode = "mollified"
-    else:
-        er_mode = "multiplier"
     # The joint band's samples (a band state, a time and each cutoff's 80
     # bytes of diagnostics rows each), the interval's block of band states,
     # the sub-steps' start times (48 bytes a sub-step as they are formed)
@@ -693,9 +686,7 @@ def solve_cauchy(
     # generator's buffers, a block of diagnostics and their rows (128 bytes a
     # mode) and, on the propagator path, the word table (4 times it while
     # built) and a chunk of propagators (at most every sub-step's), must fit
-    # in physical memory.  A mollified energy adds the R path of its widest
-    # band: 64 m^2 + 8 bytes a node while its Lyapunov batch symmetrizes R
-    # beside its generators, and 16 m^2 a sample and mode for the mollified R.
+    # in physical memory; the diagnostics charge a mollified energy's R path.
     table = BandPropagator.table_bytes(gen)
     stepping, n_band = table > _BLOCK_BYTES, gen.xi.size
     n_samples = N_SAMPLES + 1
@@ -706,10 +697,6 @@ def solve_cauchy(
             + 64 * gen._operand.size + _BLOCK_BYTES + 128 * n_x
             + (0 if stepping else 4 * table + min(_BLOCK_BYTES, total * 16 * coeffs.m**2
                                                    * n_band * (2 * gen.word_width + 1))))
-    if er_mode == "mollified":
-        n_path = _mollifier_path(lattice(n_x), params, problem.horizon).size
-        need += (max(seg.stop - seg.start for seg, _ in gen.segments)
-                 * (n_path * (64 * coeffs.m**2 + 8) + n_samples * 16 * coeffs.m**2))
     require_memory(need, f"dt = {dt:.3g}: {total} steps")
 
     # Off its band a cutoff's generator is -eps_par xi^2, so sample k holds
@@ -720,10 +707,8 @@ def solve_cauchy(
     # sample k holds the state after k per grid steps, at time k per dt
     times = np.arange(n_samples, dtype=float) * per * dt
     band = _evolve(gen, u0, per, count, dt, None if stepping else BandPropagator(gen))
-    return SolveResult(dt=dt, per=per, times=times, band=band, steps=total, gen=gen, u0=u0,
-                       diagnose=lambda: [_energy_trace(problem, params, gen, seg, index, eps,
-                                                       band, times, er_mode, track_energy)
-                                         for (seg, index), eps in zip(gen.segments, gen.eps_par)])
+    return SolveResult(problem=problem, params=params, dt=dt, per=per, times=times, band=band,
+                       steps=total, gen=gen)
 
 
 def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.ndarray:
@@ -735,27 +720,34 @@ def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.
     return np.arange(-pad, horizon + pad + dt_path, dt_path)
 
 
-def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGenerator,
-                  seg: slice, index: np.ndarray, eps: float, band: np.ndarray,
-                  times: np.ndarray, er_mode: str, fit: bool) -> EnergyTrace:
-    """The diagnostics of one cutoff's samples at ``times``, whose band is the
-    segment ``seg`` of the joint band samples ``band`` of ``gen``, sits at
-    ``index`` of a lattice state and is regularized by ``eps``.  With ``fit``
-    false ``gevrey_c`` stays NaN.
+def _energy_trace(res: SolveResult, i: int, energies: bool) -> EnergyTrace:
+    """The diagnostics of cutoff i of ``res`` at its sample times: the
+    weighted norms and, when ``energies`` is true, the R-energy and the
+    radius fit; otherwise ``er_mode`` is "skipped" and ``gevrey_c`` NaN.
 
-    They run over blocks of samples and form no lattice state.  A block's
-    squared moduli q are u0's, found once, with its band's written over them
-    at ``index`` and, when eps > 0, those of :func:`_off_band` at the
-    other modes read.  One product of q w^2 against ``table`` gives the
-    squared norms of the five orders sigma (with nu = 0 three of them
-    coincide) and the off-band R-energy, R = I/2 there.  A block whose
-    products leave the double range aborts at its first such sample.  A
-    paired solve's states are conjugate-symmetric, so they read FFT positions
-    0 .. N_x/2 alone, each xi > 0 twice (its row of ``table`` and its R v
-    doubled), and that half of q is already folded for the radius fit; its
-    band lies there whole, and the mirrors beyond.
+    The R-energy is skipped on x-dependent coefficients, mollified in
+    Hoelder mode with a delta, and the exact multiplier otherwise.  The
+    diagnostics run over blocks of samples and form no lattice state.  A
+    block's squared moduli q are u0's, found once, with its band's written
+    over them at the band's FFT positions and, when eps_par > 0, those of
+    :func:`_off_band` at the other modes read.  One product of q w^2 against
+    ``table`` gives the squared norms of the five orders sigma (with nu = 0
+    three of them coincide) and the off-band R-energy, R = I/2 there.  A
+    block whose products leave the double range aborts at its first such
+    sample.  A paired solve's states are conjugate-symmetric, so they read
+    FFT positions 0 .. N_x/2 alone, each xi > 0 twice (its row of ``table``
+    and its R v doubled), and that half of q is already folded for the
+    radius fit; its band lies there whole, and the mirrors beyond.
     """
+    problem, params, gen, band, times = res.problem, res.params, res.gen, res.band, res.times
+    (seg, index), eps = gen.segments[i], gen.eps_par[i]
     coeffs, n_x = problem.coeffs, problem.g.shape[1]
+    if not energies or coeffs.x_band:
+        er_mode = "skipped"
+    elif coeffs.t_regularity == "holder" and params.delta is not None:
+        er_mode = "mollified"
+    else:
+        er_mode = "multiplier"
     big_t, a = float(params.T), float(params.a)
     rho, ell = float(params.rho), float(params.ell)
     n_read = n_x // 2 + 1 if gen.paired else n_x
@@ -778,6 +770,13 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
     if er_mode == "mollified":
         delta = float(params.delta)
         path_ts = _mollifier_path(xi, params, problem.horizon)
+        # the band's R path must fit in physical memory: 64 m^2 + 8 bytes a
+        # node while its Lyapunov batch symmetrizes R beside its generators,
+        # a chunk of the batch's temporaries, and 16 m^2 a sample and mode
+        # for the mollified R
+        require_memory(r_xi.size * (path_ts.size * (64 * coeffs.m**2 + 8)
+                                    + times.size * 16 * coeffs.m**2) + _BLOCK_BYTES,
+                       f"{path_ts.size} mollifier path times")
         # (n_samples, n_active, m, m); R on the path is freed once it returns
         molly_values = mollify_path(
             path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks),
@@ -822,7 +821,7 @@ def _energy_trace(problem: CauchyProblem, params: ParameterSet, gen: TruncatedGe
             rv *= mult[index, None]
             e_r_arr[blk] = np.einsum("bi,bi->b", v_band.reshape(len(u), -1).view(float),
                                      rv.reshape(len(u), -1).view(float)) + sums[:, -1]
-        if fit and problem.gevrey_s is not None:
+        if energies and problem.gevrey_s is not None:
             gevrey_c[blk] = gevrey_radius_fit(np.sqrt(q) if gen.paired else fold_amplitudes(q),
                                               problem.gevrey_s)[0]
 
@@ -885,8 +884,9 @@ def h_uniformity_study(
     h-dependence hiding below the maximum is still caught.
     """
     # one solve evolves every h; they share the grid and the sample times, so
-    # the curves stack as they are
-    traces = solve_cauchy(problem, params, h_list, dt=dt, track_energy=False).traces
+    # the curves stack as they are.  Each h's weighted norms alone are read
+    res = solve_cauchy(problem, params, h_list, dt=dt)
+    traces = [_energy_trace(res, i, False) for i in range(len(h_list))]
     reps = [energy_residual(trace) for trace in traces]
     cs1, cs2 = [rep.c_first for rep in reps], [rep.c_second for rep in reps]
     stackc = np.stack([trace.norms[:, 0] / trace.norms[0, 3] for trace in traces])
@@ -940,8 +940,7 @@ def parabolic_study(
     # case i is eps_list[i] and case n + i its half
     n = len(eps_list)
     res = solve_cauchy(problem, params, (h,) * (2 * n),
-                       eps_par=[*eps_list, *(eps / 2.0 for eps in eps_list)], dt=dt,
-                       track_energy=False)
+                       eps_par=[*eps_list, *(eps / 2.0 for eps in eps_list)], dt=dt)
     finals = np.concatenate([res.lattice_states(i, slice(-1, None)) for i in range(2 * n)])
     diffs = _l2(finals[:n] - finals[n:])
     sups = [np.max(_l2(res.lattice_states(i))) for i in range(n)]

@@ -18,7 +18,8 @@ prints how many configs are byte-identical and then, for each config that
 moved, every moved leaf with its old value, new value and relative move,
 the changes that are not float moves first (a moved artifact as its old
 and new hash), and then, per field pattern
-(list indices as ``[*]``), the largest relative move and its config.  A
+(list indices as ``[*]``), the largest relative move and its config.  It
+exits 1 when any config, leaf or artifact hash moved and 0 when none did.  A
 reader that closes the pipe early (``| head``) ends it quietly.  Nothing
 under ``perfbench/`` is written; each run's artifacts go to a temporary
 directory that is removed.
@@ -134,6 +135,7 @@ def largest_moves(moved: list) -> dict:
 
 
 def diff(old_path: str, new_path: str) -> int:
+    """Print the report of two dumps; 1 when anything moved, else 0."""
     with open(old_path) as fh:
         old_rows = json.load(fh)
     with open(new_path) as fh:
@@ -152,7 +154,7 @@ def diff(old_path: str, new_path: str) -> int:
             print(f"  {path}: {a!r} -> {b!r}{tail}")
     for pattern, (rel, config) in largest_moves(moved).items():
         print(f"largest {pattern}: {rel:.2g} at {config}")
-    return 0
+    return 1 if moved else 0
 
 
 def main(path: str) -> int:

@@ -307,10 +307,9 @@ def parabolic_study_reference(problem, params, eps_list, dt=None, h=None):
         h = 1.0 / float(params.ell)
     diffs, sups = [], []
     for eps in eps_list:
-        r1 = solver.solve_cauchy(problem, params, (h,), eps_par=eps, dt=dt,
-                                 track_energy=False).lattice_states(0)
-        r2 = solver.solve_cauchy(problem, params, (h,), eps_par=eps / 2.0, dt=dt,
-                                 track_energy=False).lattice_states(0, slice(-1, None))
+        r1 = solver.solve_cauchy(problem, params, (h,), eps_par=eps, dt=dt).lattice_states(0)
+        r2 = solver.solve_cauchy(problem, params, (h,), eps_par=eps / 2.0,
+                                 dt=dt).lattice_states(0, slice(-1, None))
         diffs.append(l2(r1[-1] - r2[-1]))
         sups.append(max(l2(u) for u in r1))
     rate = float(line_fit(np.log(eps_list), np.log(np.maximum(diffs, 1e-300)))[0])

@@ -62,7 +62,7 @@ def _solve_every(monkeypatch, prob, params, cutoffs, grid_steps: int):
     a first solve with a single sample interval reads the grid's step count,
     and N_SAMPLES is set so that an interval holds ``grid_steps`` of them."""
     monkeypatch.setattr(solver, "N_SAMPLES", 1)
-    n_steps = solve_cauchy(prob, params, cutoffs, track_energy=False).per
+    n_steps = solve_cauchy(prob, params, cutoffs).per
     monkeypatch.setattr(solver, "N_SAMPLES", math.ceil(n_steps / grid_steps))
     res = solve_cauchy(prob, params, cutoffs)
     assert res.per == grid_steps

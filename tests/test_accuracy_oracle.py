@@ -25,7 +25,9 @@ enough that a generator off by one part in a thousand still passes there
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
+from closed_form import wave_t2_operator
 from hypersym import runner, solver
 from hypersym.engine import lattice
 from hypersym.weights import smooth_cutoff
@@ -68,7 +70,7 @@ def test_final_state_within_rk4_error_bound(preset, h):
            "n_lattice": n_x}
     _, params, problem = runner._solve_setup(runner.validate_config(cfg))
     h = h or 1.0 / float(params.ell)
-    res = solver.solve_cauchy(problem, params, (h,), track_energy=False)
+    res = solver.solve_cauchy(problem, params, (h,))
     rows, terms = _band_operator(problem.coeffs, n_x, h)
     t_independent = all(np.ptp(g(np.linspace(0.0, 1.0, 5))) == 0 for g, _ in terms)
     assert t_independent == (preset in ("wave_x2", "jordan_lower"))
@@ -118,7 +120,7 @@ def test_jordan_lower_matches_its_exact_solution_operator(n_x, h_ell):
     cfg = {"command": "solve", "schema_version": "1", "preset": "jordan_lower", "seed": 3,
            "n_lattice": n_x}
     _, params, problem = runner._solve_setup(runner.validate_config(cfg))
-    res = solver.solve_cauchy(problem, params, (h_ell / float(params.ell),), track_energy=False)
+    res = solver.solve_cauchy(problem, params, (h_ell / float(params.ell),))
     xi = lattice(n_x)
     chi2 = smooth_cutoff(h_ell / float(params.ell) * xi) ** 2
     lam, t = chi2 * np.sqrt(1j * xi), res.times[:, None]
@@ -131,3 +133,44 @@ def test_jordan_lower_matches_its_exact_solution_operator(n_x, h_ell):
     err = np.linalg.norm(res.lattice_states(0) - exact, axis=1)
     assert normal.sum() > n_x * t.size // 2
     assert np.max(err[normal] / amp[normal]) <= 1e-6
+
+
+def test_wave_t2_closed_form_matches_solve_ivp():
+    # the Bessel operator against DOP853 at rtol 1e-12, on both unit data, at
+    # the solve's sample times and frequencies up to the 256 lattice's top;
+    # the worst relative error reads 3.5e-12 (kappa = 127).  Past that the
+    # integrator's own error grows: 1.4e-11 at kappa = 512, 1.6e-12 there at
+    # rtol 1e-13
+    ts = np.linspace(0.0, 0.875, solver.N_SAMPLES + 1)
+    for kappa in (0.3, 1.0, -1.0, 25.0, -65.0, 127.0):
+        u = wave_t2_operator(kappa, ts)
+        for j, e in enumerate(np.eye(2, dtype=complex)):
+            ode = solve_ivp(lambda t, v: 1j * kappa * np.array([t**2 * v[1], v[0]]),
+                            (0.0, ts[-1]), e, method="DOP853", rtol=1e-12, atol=1e-14,
+                            t_eval=ts).y.T
+            err = np.linalg.norm(u[:, :, j] - ode, axis=1) / np.linalg.norm(ode, axis=1)
+            assert np.max(err) <= 1e-11, (kappa, np.max(err))
+
+
+@pytest.mark.parametrize("n_x", [256, 1024])
+@pytest.mark.parametrize("h_ell", [0.0, 1.0], ids=["h=0", "h=1/ell"])
+def test_wave_t2_matches_its_bessel_solution_operator(n_x, h_ell):
+    # wave_t2 is x-independent, so mode xi evolves by closed_form's Bessel
+    # operator at kappa = chi^2(h xi) xi.  Every sample is held to it, mode by
+    # mode, on the modes whose exact amplitude is a normal double.  The grid
+    # caps the sub-step near dt Lambda = 0.5, so the top modes err most: the
+    # worst relative error reads 3.5e-4 at h = 0 (|xi| 127 at n_lattice 256,
+    # 351 at 1024), 2.6e-5 at 256 and 1.4e-7 at 1024 with h = 1/ell
+    cfg = {"command": "solve", "schema_version": "1", "preset": "wave_t2", "seed": 3,
+           "n_lattice": n_x}
+    _, params, problem = runner._solve_setup(runner.validate_config(cfg))
+    h = h_ell / float(params.ell)
+    res = solver.solve_cauchy(problem, params, (h,))
+    xi = lattice(n_x)
+    u = wave_t2_operator(smooth_cutoff(h * xi) ** 2 * xi, res.times[:, None])
+    exact = np.einsum("bnij,jn->bin", u, problem.g)
+    amp = np.linalg.norm(exact, axis=1)
+    normal = amp >= np.finfo(float).tiny
+    err = np.linalg.norm(res.lattice_states(0) - exact, axis=1)
+    assert normal.sum() > n_x * res.times.size // 2
+    assert np.max(err[normal] / amp[normal]) <= 1e-3

@@ -48,11 +48,22 @@ def test_diff_prints_the_report(tmp_path, capsys):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps([_row("a", x=1.0), _row("b", x=4.0, k="s")]))
     new.write_text(json.dumps([_row("a", x=1.0), _row("b", x=5.0, k="t")]))
-    assert diff(str(old), str(new)) == 0
+    assert diff(str(old), str(new)) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["1 of 2 configs are byte-identical", '{"command": "b"}',
                      "  summary.k: 's' -> 't'", "  summary.x: 4.0 -> 5.0  (0.25)",
                      'largest summary.x: 0.25 at {"command": "b"}']
+
+
+def test_diff_of_identical_dumps_returns_0(tmp_path, capsys):
+    # nothing moved: every config and artifact hash is byte-identical
+    rows = [_row("a", x=1.0), dict(_row("solve"), artifacts={"trajectory.bin": "aa"})]
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path in paths:
+        path.write_text(json.dumps(rows))
+    assert diff(*map(str, paths)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2 of 2 configs are byte-identical", "1 of 1 solve artifacts are byte-identical"]
 
 
 def test_largest_moves_per_field_pattern():
@@ -105,7 +116,7 @@ def test_diff_reports_a_moved_artifact(tmp_path, capsys):
     paths = [tmp_path / "old.json", tmp_path / "new.json"]
     for path, rows in zip(paths, (old, new)):
         path.write_text(json.dumps(rows))
-    assert diff(*map(str, paths)) == 0
+    assert diff(*map(str, paths)) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["0 of 1 configs are byte-identical",
                      "1 of 2 solve artifacts are byte-identical",

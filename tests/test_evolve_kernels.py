@@ -211,16 +211,17 @@ def test_one_diagnostics_block_peaks_near_the_byte_budget(preset, n_x, eps_par, 
     assert paired == (preset in ("wave_t2", "holder_k"))
     gen = solver.TruncatedGenerator(problem.coeffs, n_x, (1.0 / float(params.ell),), eps_par,
                                     paired)
-    (seg, index), = gen.segments
+    (_, index), = gen.segments
     times = np.linspace(0.0, 0.2, 400)
-    band = np.tile(problem.g[:, index], (times.size, 1, 1))
+    res = solver.SolveResult(problem=problem, params=params, dt=0.0, per=0, times=times,
+                             band=np.tile(problem.g[:, index], (times.size, 1, 1)), steps=0,
+                             gen=gen)
     sizes, sized = [], solver._samples_per_block
     monkeypatch.setattr(solver, "_samples_per_block",
                         lambda *args: sizes.append(sized(*args)) or sizes[-1])
     tracemalloc.start()
     try:
-        solver._energy_trace(problem, params, gen, seg, index, eps_par, band, times, "skipped",
-                             True)
+        solver._energy_trace(res, 0, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -251,8 +252,7 @@ def test_stage_matrices_fit_the_memory_model(monkeypatch):
     monkeypatch.setattr(solver, "C_ACC", 1e-12)
     tracemalloc.start()
     try:
-        assert solver.solve_cauchy(problem, params, (0.0,), dt=0.5 / 2016,
-                                   track_energy=False).steps == 2016
+        assert solver.solve_cauchy(problem, params, (0.0,), dt=0.5 / 2016).steps == 2016
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

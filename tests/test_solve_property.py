@@ -48,8 +48,8 @@ _SETTINGS = hypothesis.settings(max_examples=25, deadline=None, derandomize=True
 def test_linearity(case):
     prob, cutoffs = case
     scaled = CauchyProblem(prob.coeffs, 2.5 * prob.g, horizon=prob.horizon)
-    r1 = solve_cauchy(prob, _PARAMS, cutoffs, track_energy=False)
-    r2 = solve_cauchy(scaled, _PARAMS, cutoffs, track_energy=False)
+    r1 = solve_cauchy(prob, _PARAMS, cutoffs)
+    r2 = solve_cauchy(scaled, _PARAMS, cutoffs)
     assert len(r2.traces) == len(r1.traces) == len(cutoffs)
     for i in range(len(cutoffs)):
         u1, u2 = r1.lattice_states(i), r2.lattice_states(i)
@@ -62,6 +62,6 @@ def test_linearity(case):
 def test_reality_preserved(case):
     prob, cutoffs = case
     assert is_conjugate_symmetric(prob.g)
-    res = solve_cauchy(prob, _PARAMS, cutoffs, track_energy=False)
+    res = solve_cauchy(prob, _PARAMS, cutoffs)
     for i in range(len(cutoffs)):
         assert is_conjugate_symmetric(res.lattice_states(i)[-1], tol=1e-12)

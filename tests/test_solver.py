@@ -106,9 +106,9 @@ def test_rk4_budget_refused():
     # asked for, before the grid rounds its 4 steps up to N_SAMPLES
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 2.0, seed=2), horizon=0.5)
-    solve_cauchy(prob, _quick_params(), (0.25,), dt=1 / 16, track_energy=False)
+    solve_cauchy(prob, _quick_params(), (0.25,), dt=1 / 16)
     with pytest.raises(ConfigError, match="dt = 0.125 violates the stability budget"):
-        solve_cauchy(prob, _quick_params(), (0.25,), dt=1 / 8, track_energy=False)
+        solve_cauchy(prob, _quick_params(), (0.25,), dt=1 / 8)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +135,7 @@ def test_weighted_norm_examples():
     big_t, a, rho, ell = params.T, params.a, float(params.rho), params.ell
     cs = constant_system(np.zeros((2, 2)))
     g = gevrey_data(64, 2, 2.0, 1.5, seed=1)
-    res = solve_cauchy(CauchyProblem(cs, g, horizon=0.5), params, (0.0,),
-                       track_energy=False)
+    res = solve_cauchy(CauchyProblem(cs, g, horizon=0.5), params, (0.0,))
     times, sigmas = res.traces[0].times, np.array(res.traces[0].sigmas)
     # with nu = 0, column 3 is the plain norm of v
     assert sigmas[3] == 0.0
@@ -145,8 +144,7 @@ def test_weighted_norm_examples():
     np.testing.assert_allclose(res.traces[0].norms[:, 3], plain, rtol=1e-13)
     # a single mode of amplitude 2 at xi = 5, at t = 0 and along the run
     single = _single_mode(64, 2, 5, comp=1, value=2.0)
-    res = solve_cauchy(CauchyProblem(cs, single, horizon=0.5), params, (0.0,),
-                       track_energy=False)
+    res = solve_cauchy(CauchyProblem(cs, single, horizon=0.5), params, (0.0,))
     br = bracket(5.0, ell)
     np.testing.assert_allclose(res.traces[0].norms[0], 2.0 * br**sigmas * np.exp(big_t * br**rho),
                                rtol=1e-13)
@@ -160,8 +158,7 @@ def test_skew_system_norm_conserved():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     g = gevrey_data(64, 2, 2.0, 2.0, seed=2)
     prob = CauchyProblem(cs, g, horizon=0.5)
-    res = solve_cauchy(prob, _quick_params(), (0.25,),
-                       track_energy=False)
+    res = solve_cauchy(prob, _quick_params(), (0.25,))
     norm0 = np.linalg.norm(g)
     assert np.linalg.norm(res.lattice_states(0)[-1]) == pytest.approx(norm0, abs=1e-8 * norm0)
 
@@ -173,8 +170,8 @@ def test_linearity():
     g = gevrey_data(64, 2, 8.0 / 7.0, 1.5, seed=3)
     prob1 = CauchyProblem(pre.coeffs, g, horizon=0.4)
     prob2 = CauchyProblem(pre.coeffs, 2.5 * g, horizon=0.4)
-    r1 = solve_cauchy(prob1, params, (0.25,), track_energy=False)
-    r2 = solve_cauchy(prob2, params, (0.25,), track_energy=False)
+    r1 = solve_cauchy(prob1, params, (0.25,))
+    r2 = solve_cauchy(prob2, params, (0.25,))
     u1, u2 = r1.lattice_states(0)[-1], r2.lattice_states(0)[-1]
     assert np.max(np.abs(u2 - 2.5 * u1)) <= 1e-12 * max(
         1.0, np.max(np.abs(u2))
@@ -186,8 +183,7 @@ def test_reality_preserved():
     g = gevrey_data(64, 2, 2.0, 1.5, seed=4)
     assert is_conjugate_symmetric(g)
     prob = CauchyProblem(pre.coeffs, g, horizon=0.5)
-    res = solve_cauchy(prob, _quick_params(), (0.25,),
-                       track_energy=False)
+    res = solve_cauchy(prob, _quick_params(), (0.25,))
     assert is_conjugate_symmetric(res.lattice_states(0)[-1], tol=1e-12)
 
 
@@ -198,8 +194,8 @@ def test_truncation_consistency():
     g = gevrey_data(128, 2, 2.0, 2.5, seed=5)
     prob = CauchyProblem(pre.coeffs, g, horizon=0.4)
     params = _quick_params()
-    r1 = solve_cauchy(prob, params, (1 / 16,), track_energy=False)
-    r2 = solve_cauchy(prob, params, (1 / 32,), track_energy=False)
+    r1 = solve_cauchy(prob, params, (1 / 16,))
+    r2 = solve_cauchy(prob, params, (1 / 32,))
     xi = lattice(g.shape[1])
     tail_mask = np.abs(xi) >= 8.0  # coarser plateau edge 1/(2h) = 8
     tail_mass = float(np.sqrt(np.sum(np.abs(g[:, tail_mask]) ** 2)))
@@ -318,7 +314,7 @@ def test_both_apriori_constants_finite_at_weaker_rho():
     g = gevrey_data(128, 2, 8.0 / 7.0, 2.2, seed=14)
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon)
-    res = solve_cauchy(prob, params, (1 / 128,), track_energy=False)
+    res = solve_cauchy(prob, params, (1 / 128,))
     rep = energy_residual(res.traces[0])
     assert np.isfinite(rep.c_first) and rep.c_first > 0
     assert np.isfinite(rep.c_second) and rep.c_second > 0
@@ -333,7 +329,7 @@ def test_scalar_transport_empirical_constant_one():
     params = _quick_params()
     g = gevrey_data(64, 1, 2.0, 1.5, seed=15)
     prob = CauchyProblem(cs, g, horizon=0.5)
-    res = solve_cauchy(prob, params, (1 / 16,), track_energy=False)
+    res = solve_cauchy(prob, params, (1 / 16,))
     rep = energy_residual(res.traces[0])
     assert rep.c_first == pytest.approx(1.0, abs=1e-10)
 
@@ -344,8 +340,7 @@ def test_negative_eps_par_is_a_config_error():
     cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=2.0)
     with pytest.raises(ConfigError, match="eps_par = -20.0"):
-        solve_cauchy(prob, _quick_params(), (1 / 16,), eps_par=-20.0, dt=2.4 / 205.0,
-                     track_energy=False)
+        solve_cauchy(prob, _quick_params(), (1 / 16,), eps_par=-20.0, dt=2.4 / 205.0)
 
 
 @pytest.mark.parametrize("eps_par", [0.0, 1e-2])
@@ -361,9 +356,9 @@ def test_non_finite_off_band_data_aborts_at_first_step(eps_par, bad):
     g[1, n_x // 2] = bad  # |xi| = n_x/2, off the band |xi| < 1/h
     prob = CauchyProblem(prob.coeffs, g, horizon=prob.horizon)
     with pytest.raises(NumericAbortError) as err:
-        solve_cauchy(prob, params, (h,), eps_par=eps_par, track_energy=False)
+        solve_cauchy(prob, params, (h,), eps_par=eps_par)
     dt = solve_cauchy(CauchyProblem(prob.coeffs, np.zeros_like(g), horizon=prob.horizon),
-                      params, (h,), eps_par=eps_par, track_energy=False).dt
+                      params, (h,), eps_par=eps_par).dt
     assert err.value.last_time == 0.0
     assert str(err.value) == f"evolution lost finiteness at t = {dt:.6g}"
 
@@ -396,7 +391,7 @@ def test_numeric_abort_band_first_between_samples(monkeypatch):
     for budget, last_time in ((solver._BLOCK_BYTES, overflow), (0, stepped)):
         monkeypatch.setattr(solver, "_BLOCK_BYTES", budget)
         with pytest.raises(NumericAbortError) as err:
-            solve_cauchy(prob, _quick_params(), (1 / 16,), dt=dt, track_energy=False)
+            solve_cauchy(prob, _quick_params(), (1 / 16,), dt=dt)
         assert last_time is not None and 0.0 < last_time < prob.horizon
         assert err.value.last_time == last_time
         step = round(last_time / step_dt) + 1
@@ -414,7 +409,7 @@ def test_off_band_modes_take_their_exact_decay():
     # bound's headroom, u |exact|, covers the second-order terms.
     mp = pytest.importorskip("mpmath")
     prob, params, h, eps_par = _band_case("xdep-eps")
-    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, track_energy=False)
+    res = solve_cauchy(prob, params, (h,), eps_par=eps_par)
     n_x = prob.g.shape[1]
     (_, index), = TruncatedGenerator(prob.coeffs, n_x, (h,), 0.0).segments
     off_index = np.setdiff1d(np.arange(n_x), index)
@@ -521,7 +516,7 @@ def _band_case(kind):
 @pytest.mark.parametrize("kind", list(_BAND_CASES))
 def test_band_evolution_matches_full_lattice_loop(kind):
     prob, params, h, eps_par = _band_case(kind)
-    res = solve_cauchy(prob, params, (h,), eps_par=eps_par, track_energy=False)
+    res = solve_cauchy(prob, params, (h,), eps_par=eps_par)
     ref, last_time = _full_lattice_loop(prob, h, eps_par, round(prob.horizon / res.dt))
     assert last_time is None
     assert np.max(np.abs(res.lattice_states(0)[-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -560,7 +555,7 @@ def test_complex_system_evolves_every_mode():
     for cs in (constant_system(np.array([[1.0, 1j], [-1j, -1.0]])), _complex_x_system()):
         prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=16), horizon=0.5)
         assert is_conjugate_symmetric(prob.g) and not pairs_modes(cs, prob.g)
-        res = solve_cauchy(prob, _quick_params(), (0.0,), track_energy=False)
+        res = solve_cauchy(prob, _quick_params(), (0.0,))
         ref, last_time = _full_lattice_loop(prob, 0.0, 0.0, round(prob.horizon / res.dt))
         assert last_time is None
         assert np.max(np.abs(res.lattice_states(0)[-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -673,11 +668,11 @@ def test_numeric_abort_one_of_two_cutoffs(monkeypatch):
     prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=3.0)
     dt = 2.4 / 640.0  # lam_bound = 32 ||A|| = 640: 800 grid steps
     monkeypatch.setattr(solver, "N_SAMPLES", 100)  # of 8 grid steps each
-    solve_cauchy(prob, _quick_params(), (0.25,), dt=dt, track_energy=False)
+    solve_cauchy(prob, _quick_params(), (0.25,), dt=dt)
     with pytest.raises(NumericAbortError) as alone:
-        solve_cauchy(prob, _quick_params(), (0.0,), dt=dt, track_energy=False)
+        solve_cauchy(prob, _quick_params(), (0.0,), dt=dt)
     with pytest.raises(NumericAbortError) as joint:
-        solve_cauchy(prob, _quick_params(), (0.25, 0.0), dt=dt, track_energy=False)
+        solve_cauchy(prob, _quick_params(), (0.25, 0.0), dt=dt)
     assert joint.value.last_time == alone.value.last_time
     assert str(joint.value) == str(alone.value)
     n_steps = math.ceil(prob.horizon / dt)
@@ -756,6 +751,25 @@ def test_only_the_traces_read_are_diagnosed(command, calls, monkeypatch, tmp_pat
     status, _ = runner.run({"command": command, "schema_version": "1", "preset": "xdep",
                             "seed": 3}, out_dir=str(tmp_path))
     assert status == 0 and len(seen) == calls
+
+
+@pytest.mark.parametrize("command,reads", [("solve", True), ("study-h", False)])
+def test_study_h_solves_no_mollifier_path_and_fits_no_radius(command, reads, monkeypatch,
+                                                              tmp_path):
+    # holder_k's traces take the mollified R-energy and the radius fit; study-h
+    # reads each h's weighted norms alone, so it forms neither, while solve,
+    # which reads its trace in full, forms both
+    from hypersym import runner, solver
+
+    seen = []
+    for name in ("mollify_path", "gevrey_radius_fit"):
+        spied = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *args, _name=name, _spied=spied:
+                            seen.append(_name) or _spied(*args))
+    status, _ = runner.run({"command": command, "schema_version": "1", "preset": "holder_k",
+                            "seed": 3}, out_dir=str(tmp_path))
+    assert status == 0
+    assert ("mollify_path" in seen, "gevrey_radius_fit" in seen) == (reads, reads)
 
 
 def test_generator_matches_quantized_symbol():

@@ -128,13 +128,13 @@ def test_a_joint_band_takes_the_sub_steps_of_its_widest_cutoff(monkeypatch):
     coeffs = get_preset("xdep").coeffs
     prob = solver.CauchyProblem(coeffs, solver.gevrey_data(256, 2, 1.5, 1.5, seed=9),
                                 horizon=0.4)
-    alone = solver.solve_cauchy(prob, params, (0.25,), track_energy=False)
-    joint = solver.solve_cauchy(prob, params, (0.25, 0.0), track_energy=False)
+    alone = solver.solve_cauchy(prob, params, (0.25,))
+    joint = solver.solve_cauchy(prob, params, (0.25, 0.0))
     n_steps = _grid(prob, (0.25,))[1]
     assert alone.steps < n_steps == joint.steps
     monkeypatch.setattr(solver, "C_ACC", 1e-12)
     for i, h in enumerate((0.25, 0.0)):
-        one = solver.solve_cauchy(prob, params, (h,), track_energy=False)
+        one = solver.solve_cauchy(prob, params, (h,))
         np.testing.assert_array_equal(joint.lattice_states(i), one.lattice_states(0))
 
 
@@ -150,10 +150,10 @@ def test_band_sub_steps_meet_the_accuracy_target(preset, n_x, eps_par, monkeypat
     prob = solver.CauchyProblem(coeffs, solver.gevrey_data(n_x, coeffs.m, 1.5, 1.5, seed=9),
                                 horizon=0.4)
     params = capped_params(preset, 4.0)
-    res = solver.solve_cauchy(prob, params, (0.25,), eps_par=eps_par, track_energy=False)
+    res = solver.solve_cauchy(prob, params, (0.25,), eps_par=eps_par)
     substeps = solver._substeps
     monkeypatch.setattr(solver, "_substeps", lambda *args: 16 * substeps(*args))
-    fine = solver.solve_cauchy(prob, params, (0.25,), eps_par=eps_par, track_energy=False)
+    fine = solver.solve_cauchy(prob, params, (0.25,), eps_par=eps_par)
     assert fine.steps == 16 * res.steps < 16 * _grid(prob, (0.25,), eps_par)[1]
     gen = solver.TruncatedGenerator(coeffs, n_x, (0.25,), eps_par)
     gen.lam_bound(prob.horizon)
@@ -176,8 +176,7 @@ def test_a_lacunary_term_on_a_narrow_band_sets_the_sub_step(monkeypatch):
     counts, substeps = [], solver._substeps
     monkeypatch.setattr(solver, "_substeps",
                         lambda *args: counts.append(substeps(*args)) or counts[-1])
-    res = solver.solve_cauchy(prob, capped_params("holder_k", 4.0), (0.25,),
-                              track_energy=False)
+    res = solver.solve_cauchy(prob, capped_params("holder_k", 4.0), (0.25,))
     count, = counts
     h = res.per / count * res.dt
     assert count > 1 and res.steps < _grid(prob, (0.25,))[1]
@@ -222,7 +221,7 @@ def test_memory_check_covers_the_interval_block(monkeypatch):
                         lambda need, what: needs.append((need, tracemalloc.get_traced_memory()[0])))
     tracemalloc.start()
     try:
-        res = solver.solve_cauchy(problem, params, (0.0,), track_energy=False)
+        res = solver.solve_cauchy(problem, params, (0.0,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,7 +244,7 @@ def test_numeric_abort_names_the_sub_step_that_lost_finiteness(monkeypatch):
                         lambda *args: counts.append(substeps(*args)) or counts[-1])
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)  # the band steps, as the reference does
     with pytest.raises(NumericAbortError) as err:
-        solver.solve_cauchy(prob, capped_params("xdep", 4.0), (0.25,), track_energy=False)
+        solver.solve_cauchy(prob, capped_params("xdep", 4.0), (0.25,))
     count, = counts
     dt, n_steps, _ = _grid(prob, (0.25,))
     per = n_steps // solver.N_SAMPLES
