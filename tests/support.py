@@ -2,7 +2,8 @@
 
 Fixtures build small systems, admissible parameters at a chosen ell,
 serialize coefficients into config documents and move states between
-Fourier and physical samples.  A field's exact
+Fourier and physical samples.  The Gevrey certificate bound is the oracle
+of the synthesized data.  A field's exact
 x-derivatives, summed order by order, are the reference of the closed-form
 Taylor symbol.  Faddeev-LeVerrier characteristic polynomials and their
 polished, ordered roots are the reference of the block-wise eigenvalues,
@@ -264,6 +265,21 @@ def is_conjugate_symmetric(c: np.ndarray, tol: float = 1e-12) -> bool:
     mirrored = np.roll(c[:, ::-1], 1, axis=1)  # index of -xi
     scale = max(1.0, float(np.max(np.abs(c))))
     return bool(np.max(np.abs(c - mirrored.conj())) <= tol * scale)
+
+
+# Relative slack of the certificate, on c0 and on the bound: enough for the
+# rounding of gevrey_data's phases and exponentials, far below the factor a
+# wrong c0 or s moves the tail by.
+CERT_SLACK = 1.05
+
+
+def gevrey_certificate_holds(g: np.ndarray, s: float, c0: float) -> bool:
+    """Whether the state g (m, n_x) has ``|g_hat| <= e^{-c0 <xi>^(1/s)}``,
+    the amplitude ``solver.gevrey_data`` synthesizes, on the lattice up to
+    ``CERT_SLACK``; amplitudes below 1e-300 pass."""
+    xi = np.fft.fftfreq(g.shape[1], d=1.0 / g.shape[1])
+    bound = np.exp(-c0 / CERT_SLACK * bracket(xi, 1.0) ** (1.0 / s))
+    return bool(np.all(np.abs(g) <= bound[None, :] * CERT_SLACK + 1e-300))
 
 
 # ---------------------------------------------------------------------------

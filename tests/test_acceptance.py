@@ -30,6 +30,7 @@ from hypersym.symmetrizer import (
 from conftest import ACCEPTANCE_LINES
 from support import (
     capped_params,
+    gevrey_certificate_holds,
     holder_difference_probe,
     mollifier_lines,
     s0_holder_reference,
@@ -233,7 +234,7 @@ def test_criterion_08_weighted_wellposedness_run(monkeypatch):
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon, gevrey_s=s,
                          gevrey_c0=c0)
-    assert prob.check_certificate()
+    assert gevrey_certificate_holds(prob.g, prob.gevrey_s, prob.gevrey_c0)
     # sampled at every grid step, each increment held to one step's eta
     res = _solve_every(monkeypatch, prob, params, (1.0 / 256.0,), 1)
     tr = res.traces[0]

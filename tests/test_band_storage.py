@@ -7,7 +7,8 @@ samples at their FFT positions and, in a paired solve, the conjugates of
 those at their mirrors.  These tests hold the assembly to a reference built
 here on the whole lattice, the trajectory file to the assembled states, the
 memory a solve holds to its band, and ``need`` to what a solve allocates,
-the mollified energy's R path included.
+the mollified energy's R path and the parabolic study's blocked reads of
+its lattice states included.
 No process that calibrates or solves imports ``numpy.ma``.
 """
 
@@ -19,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypersym import runner, solver, symmetrizer
+from hypersym import runner, solver
 from hypersym.engine import lattice
 
 
@@ -83,7 +84,7 @@ def test_lattice_states_equal_the_full_lattice_reference(preset, n_x, h, eps_par
 def test_trajectory_file_is_the_assembled_states_in_blocks(tmp_path, monkeypatch):
     # blocks of two samples: the file is every sample, in order, as the
     # accessor assembles them, and its meta names their shape
-    monkeypatch.setattr(symmetrizer, "_BLOCK_BYTES", 2 * 16 * 2 * 128)
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 2 * 16 * 2 * 128)
     cfg = {"command": "solve", "schema_version": "1", "preset": "xdep", "seed": 3,
            "n_lattice": 128, "eps_par": 1e-3}
     runner.run(dict(cfg), out_dir=str(tmp_path))
@@ -96,11 +97,10 @@ def test_trajectory_file_is_the_assembled_states_in_blocks(tmp_path, monkeypatch
     np.testing.assert_array_equal(traj.reshape(meta["shape"]), states)
 
 
-def _traced_solve(monkeypatch, problem, params, cutoffs, **kwargs):
-    """(result, traced peak, checks) of a solve and of its traces, which are
-    diagnosed when read: the peak over both, and per memory check the bytes
-    it asked for, the bytes held at it and the traced peak from it to the
-    next check or the end."""
+def _traced(monkeypatch, run):
+    """(result, traced peak, checks) of ``run()``: the peak over it, and per
+    memory check of the solver the bytes it asked for, the bytes held at it
+    and the traced peak from it to the next check or the end."""
     checks, peaks = [], []
 
     def check(need, what):
@@ -111,12 +111,23 @@ def _traced_solve(monkeypatch, problem, params, cutoffs, **kwargs):
     monkeypatch.setattr(solver, "require_memory", check)
     tracemalloc.start()
     try:
-        res = solver.solve_cauchy(problem, params, cutoffs, **kwargs)
-        res.traces  # diagnosed here, inside the traced region
+        res = run()
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     return res, max(peaks), [(need, held, peak) for (need, held), peak in zip(checks, peaks[1:])]
+
+
+def _traced_solve(monkeypatch, problem, params, cutoffs, **kwargs):
+    """:func:`_traced` of a solve and of its traces, which are diagnosed when
+    read."""
+
+    def run():
+        res = solver.solve_cauchy(problem, params, cutoffs, **kwargs)
+        res.traces  # diagnosed here, inside the traced region
+        return res
+
+    return _traced(monkeypatch, run)
 
 
 def test_a_wide_lattice_solve_holds_its_band_not_its_lattice(monkeypatch):
@@ -182,6 +193,18 @@ def test_memory_check_counts_the_mollified_path(monkeypatch, n_x):
     assert len(checks) == 2
     for need, held, peak in checks:
         assert peak - held <= need <= 3 * (peak - held)
+
+
+def test_study_parabolic_reads_its_lattice_states_in_blocks(monkeypatch):
+    # at n_lattice 2^16 a lattice state takes 2 MiB, and a case's samples 98
+    # MiB.  The study holds one pair's final states, or one block of a case's
+    # states, at a time, so what it allocates from the solve's memory check
+    # on stays within that check's need
+    params, problem = _setup("xdep", 2**16)
+    study, _, [(need, held, peak)] = _traced(
+        monkeypatch, lambda: solver.parabolic_study(problem, params, [1e-2, 1e-3, 1e-4]))
+    assert len(study.sup_norms) == 3
+    assert peak - held <= need
 
 
 def test_no_command_imports_numpy_ma():

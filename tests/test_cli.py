@@ -179,6 +179,11 @@ def test_wrong_type_rejected(cfg):
     ["symmetrize", "--preset", "xdep", {"n_xi": 10**12}],
     # check_a_power is no field: the symbol probe runs the run's one parameter set
     ["symmetrize", "--preset", "xdep", {"check_a_power": True}],
+    # data past memory, refused before calibration, and past numpy's largest array
+    *[[command, "--preset", "xdep", "--seed", "0", {"n_lattice": n_x}]
+      for command in _HOLDER_COMMANDS for n_x in (2**40, 2**62)],
+    # 171! is past the double range that the probe's Taylor sum divides in
+    ["conjtest", {"k_list": [171]}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -574,6 +579,45 @@ def test_solve_xdep_skips_energy_gate(tmp_path):
     assert summary["er_mode"] == "skipped"
     assert summary["energy_monotone"] is None
     assert status == 0
+
+
+def test_conjtest_runs_at_the_highest_taylor_order():
+    # 170! is the largest factorial in the double range
+    status, summary = run({"command": "conjtest", "schema_version": "1", "k_list": [170]})
+    assert status == 0
+    assert [row["k"] for row in summary["rows"]] == [170]
+
+
+def _integer_fields(schema: dict):
+    """(field, whether its items are the integers) of each integer field and
+    integer array field of a command's schema."""
+    for key, field in schema["properties"].items():
+        if field["type"] == "integer":
+            yield key, False
+        elif field["type"] == "array" and field["items"]["type"] == "integer":
+            yield key, True
+
+
+_HUGE_CASES = [(command, key, item) for command, schema in COMMAND_SCHEMAS.items()
+               for key, item in _integer_fields(schema)]
+
+
+@pytest.mark.parametrize("command, key, item", _HUGE_CASES,
+                         ids=[f"{c}-{k}" for c, k, _ in _HUGE_CASES])
+def test_every_integer_at_2_62_keeps_the_exit_contract(command, key, item, capsys, tmp_path):
+    # every integer field, or integer array item, of every command at 2^62,
+    # beside the command's other required fields and a preset: the run exits
+    # with a status of the contract and at most one line of cause
+    schema = COMMAND_SCHEMAS[command]
+    fill = {"integer": 0, "string": str(tmp_path)}
+    config = {k: fill[schema["properties"][k]["type"]] for k in schema["required"]
+              if k not in ("command", "schema_version")}
+    config.update(preset="xdep", **{key: [2**62] if item else 2**62})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) in (0, 1, 2, 3)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, err
 
 
 def test_conjtest_runs_past_the_old_dense_limit():

@@ -21,7 +21,7 @@ from hypersym.solver import (
 from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
 from support import (allocating_rhs, constant_system, from_physical, generator_matrix,
-                     is_conjugate_symmetric, rk4_step, stack_blocks)
+                     gevrey_certificate_holds, is_conjugate_symmetric, rk4_step, stack_blocks)
 
 
 def _single_mode(n, m, mode, comp=0, value=1.0):
@@ -306,7 +306,6 @@ def test_both_apriori_constants_finite_at_weaker_rho():
     from fractions import Fraction as F
 
     from hypersym.planner import rho_required
-    from hypersym.solver import energy_residual
 
     assert rho_required(1, "lipschitz")[0] == F(6, 7) < F(7, 8)
     pre = get_preset("wave_t2")
@@ -315,23 +314,21 @@ def test_both_apriori_constants_finite_at_weaker_rho():
     horizon = (float(params.T) - float(params.c1)) / float(params.a)
     prob = CauchyProblem(pre.coeffs, g, horizon=horizon)
     res = solve_cauchy(prob, params, (1 / 128,))
-    rep = energy_residual(res.traces[0])
-    assert np.isfinite(rep.c_first) and rep.c_first > 0
-    assert np.isfinite(rep.c_second) and rep.c_second > 0
+    curves = res.traces[0].estimate_curves
+    assert curves.shape == (res.times.size, 2)
+    for c in curves.max(axis=0):  # the constants of the sigma = -nu and (rho-1)/2 forms
+        assert np.isfinite(c) and c > 0
 
 
 def test_scalar_transport_empirical_constant_one():
     # scalar transport: |u_hat| is conserved mode by mode, so the weighted
     # estimate is saturated at t = 0 with constant exactly 1 (theta = 0)
-    from hypersym.solver import energy_residual
-
     cs = constant_system(np.array([[1.0]]))
     params = _quick_params()
     g = gevrey_data(64, 1, 2.0, 1.5, seed=15)
     prob = CauchyProblem(cs, g, horizon=0.5)
     res = solve_cauchy(prob, params, (1 / 16,))
-    rep = energy_residual(res.traces[0])
-    assert rep.c_first == pytest.approx(1.0, abs=1e-10)
+    assert np.max(res.traces[0].estimate_curves[:, 0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_negative_eps_par_is_a_config_error():
@@ -820,13 +817,10 @@ def test_generator_matches_quantized_symbol():
 
 
 def test_certificate_rejects_fat_tails():
+    # data of rate c0 = 0.5 breaks the certificate of c0 = 5 and keeps its own
     g = gevrey_data(64, 1, 2.0, 0.5, seed=30)
-    bad = CauchyProblem(constant_system(np.zeros((1, 1))), g, horizon=0.1,
-                        gevrey_s=2.0, gevrey_c0=5.0)
-    assert not bad.check_certificate()
-    good = CauchyProblem(constant_system(np.zeros((1, 1))), g, horizon=0.1,
-                         gevrey_s=2.0, gevrey_c0=0.5)
-    assert good.check_certificate()
+    assert not gevrey_certificate_holds(g, 2.0, 5.0)
+    assert gevrey_certificate_holds(g, 2.0, 0.5)
 
 
 def test_solve_artifacts_deterministic(tmp_path):
