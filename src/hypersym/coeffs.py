@@ -166,11 +166,9 @@ class SystemCoefficients:
 
 def _field_from_json(m: int, entries: list) -> list[CoeffTerm]:
     collected: dict[tuple[int, str], np.ndarray] = {}
-    if len(entries) != m:
-        raise ConfigError("entry grid does not match matrix size")
+    if len(entries) != m or any(len(row) != m for row in entries):
+        raise ConfigError(f"entry grid does not match matrix size m = {m}")
     for i in range(m):
-        if len(entries[i]) != m:
-            raise ConfigError("entry grid does not match matrix size")
         for j in range(m):
             for item in entries[i][j]:
                 key = (int(item["x_freq"]), item["t_term"].strip())
@@ -187,7 +185,7 @@ def coeffs_from_json(doc: dict) -> SystemCoefficients:
     try:
         m = int(doc["m"])
         if not 1 <= m <= MAX_M:
-            raise ConfigError(f"bad coefficient document: m = {m} not in 1..{MAX_M}")
+            raise ConfigError(f"bad coeffs document: m = {m} not in 1..{MAX_M}")
         return SystemCoefficients(
             m=m,
             a_terms=_field_from_json(m, doc["A"]),
@@ -196,12 +194,10 @@ def coeffs_from_json(doc: dict) -> SystemCoefficients:
             kappa=doc.get("kappa"),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad coefficient document: {exc}") from exc
+        raise ConfigError(f"bad coeffs document: {exc}") from exc
 
 
 def cosine_terms(k: int, matrix: np.ndarray, t_term: str = "1") -> list[CoeffTerm]:
-    """Terms realizing ``matrix * g(t) * cos(k x)`` as e^{ikx}/2 + e^{-ikx}/2."""
+    """Terms realizing ``matrix * g(t) * cos(k x)`` as e^{ikx}/2 + e^{-ikx}/2, k != 0."""
     matrix = np.asarray(matrix, dtype=complex)
-    if k == 0:
-        return [CoeffTerm(0, t_term, matrix)]
     return [CoeffTerm(k, t_term, matrix / 2.0), CoeffTerm(-k, t_term, matrix / 2.0)]

@@ -23,10 +23,6 @@ class NotRealRootedError(HypersymError):
     """Polynomial claimed real-rooted has roots off the real axis."""
 
 
-class SamplingError(HypersymError):
-    """Time path sampled too coarsely for the requested mollifier width."""
-
-
 class NumericAbortError(HypersymError):
     """Evolution produced NaN/overflow; carries the last healthy time."""
 

@@ -198,7 +198,7 @@ def nuij_split(rows, s) -> SplitResult:
 
 
 def nuij_constant(m: int) -> float:
-    """Separation constant c(m) for degree-m polynomials.
+    """Separation constant c(m) for degree-m polynomials, m >= 1.
 
     Seeded with c_2 = 1 and advanced through
     ``c_{l+1} = min_{2<=k<=l} (k + c_l - sqrt((k + c_l)^2 - 4 c_l)) / 2``
@@ -207,8 +207,6 @@ def nuij_constant(m: int) -> float:
     one, ``2 c_l / (k + c_l + sqrt((k + c_l)^2 - 4 c_l))``: the difference
     form cancels as c_l shrinks (7.5% off at m = 17, exactly 0 from m = 18).
     """
-    if m < 1:
-        raise ValueError("degree must be >= 1")
     c = 1.0  # c_2
     for ell in range(2, m + 1):
         c = min(

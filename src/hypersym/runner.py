@@ -279,8 +279,8 @@ def _solve_setup(config: dict):
     n_x = config["n_lattice"]
     coeffs, theta_decl, name = _resolve_coeffs(config)
     # the data and its lattice-sized temporaries, before anything is calibrated: tracemalloc
-    # reads 40 m + 20 bytes a mode (16 m of them held), the radius fit at t = 0 less
-    require_memory(48 * (coeffs.m + 1) * n_x, f"n_lattice = {n_x}: the data's lattice arrays")
+    # reads max(20 m + 17, 24 m) bytes a mode (16 m of them held), 16 m + 24 with the t = 0 fit
+    require_memory(24 * (coeffs.m + 1) * n_x, f"n_lattice = {n_x}: the data's lattice arrays")
     mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
     kappa = Fraction(coeffs.kappa) if coeffs.kappa else None
     cal = calibrate(coeffs, theta_decl)

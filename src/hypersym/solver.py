@@ -127,13 +127,15 @@ def gevrey_data(
     amp = np.exp(-c0 * bracket(xi, 1.0) ** (1.0 / s))
     coeffs = np.zeros((m, n_x), dtype=complex)
     half = n_x // 2
-    # row c holds the phases that the c-th draw of half - 1 numbers gives
-    phases = np.exp(2j * math.pi * rng.random((m, half - 1)))
+    # row c holds the phases that the c-th draw of half - 1 numbers gives,
+    # formed in place: the output is the only complex array
+    view = coeffs[:, 1:half]
+    np.multiply(2j * math.pi, rng.random((m, half - 1)), out=view)
+    np.exp(view, out=view)
+    np.multiply(amp[1:half], view, out=view)
     coeffs[:, 0] = amp[0]
-    coeffs[:, 1:half] = amp[1:half] * phases
     # negative frequencies mirror with conjugate phases; the top mode stays 0
-    neg = np.arange(half + 1, n_x)
-    coeffs[:, neg] = np.conj(coeffs[:, n_x - neg])
+    np.conjugate(coeffs[:, n_x - half - 1:0:-1], out=coeffs[:, half + 1:])
     return coeffs
 
 
@@ -629,7 +631,7 @@ def solve_cauchy(
     dt: float | None = None,
 ) -> SolveResult:
     """Evolve the truncated problem at each cutoff scale h of ``cutoffs``,
-    parabolically regularized by ``eps_par``, one for all or one per cutoff.
+    parabolically regularized by ``eps_par`` >= 0, one for all or per cutoff.
 
     The cutoffs share the grid step dt, set by the lattice's stability scale
     at the largest eps_par, and the sub-steps between samples, set by the
@@ -656,12 +658,9 @@ def solve_cauchy(
         )
     n_x, u0 = problem.g.shape[1], problem.g
     gen = TruncatedGenerator(coeffs, n_x, cutoffs, eps_par, pairs_modes(coeffs, u0))
-    if min(gen.eps_par) < 0:
-        raise ConfigError(f"eps_par = {min(gen.eps_par)} is negative: an anti-dissipative "
-                          "regularization that the stability scale does not bound")
     lam = max(gen.lam_bound(problem.horizon), 1e-12)
     if dt is None:
-        dt = min(0.5 / lam, problem.horizon / 8.0)
+        dt = 0.5 / lam
     # an infinite Lambda leaves dt = 0, and a tiny dt a step count that no
     # index reaches
     steps = problem.horizon / dt if dt > 0 else math.inf

@@ -12,7 +12,7 @@ and, to within their condition, of the Nuij split's Laguerre roots.  One
 stack's own block partition, from its nonzero pattern, is the reference of
 the system's partition that the kernels take.
 The allocating RK4 step is the reference of the solver's buffered step and
-of its propagators.  The parabolic study's loop of two solves per eps is the
+of its propagators; a test picks the step path by the word table's size.  The parabolic study's loop of two solves per eps is the
 reference of its one joint solve.  The probes measure claims of the
 paper that the acceptance tests check directly: the Hoelder ratio of a
 coefficient path, the lower bound of the characteristic polynomial near a
@@ -299,6 +299,14 @@ def generator_matrix(gen, t: float) -> np.ndarray:
 def allocating_rhs(gen):
     """``gen.apply`` as ``rhs(t, u)``, each call into a new array."""
     return lambda t, u: gen.apply(generator_matrix(gen, t), u, np.empty_like(u))
+
+
+def force_step_path(monkeypatch, stepping: bool) -> None:
+    """Make every solve step its band (``stepping``) or build propagators,
+    whatever its word table's size, and keep ``solver._BLOCK_BYTES``, which
+    also sizes the diagnostics' and the lattice reads' blocks."""
+    monkeypatch.setattr(solver.BandPropagator, "table_bytes",
+                        staticmethod(lambda gen: math.inf if stepping else 0))
 
 
 def rk4_step(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:

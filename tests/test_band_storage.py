@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from hypersym import runner, solver
-from hypersym.engine import lattice
+from hypersym.engine import fold_amplitudes, lattice, squared_moduli
+from support import force_step_path
 
 
 def _setup(preset, n_x, seed=3):
@@ -83,18 +84,29 @@ def test_lattice_states_equal_the_full_lattice_reference(preset, n_x, h, eps_par
 
 def test_trajectory_file_is_the_assembled_states_in_blocks(tmp_path, monkeypatch):
     # blocks of two samples: the file is every sample, in order, as the
-    # accessor assembles them, and its meta names their shape
+    # accessor assembles them, and its meta names their shape.  The 8 KiB
+    # budget leaves xdep's band no word table, so it steps; the second case
+    # forces the propagators, and only it builds them
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 2 * 16 * 2 * 128)
+    built, init = [], solver.BandPropagator.__init__
+    monkeypatch.setattr(solver.BandPropagator, "__init__",
+                        lambda self, gen: built.append(gen) or init(self, gen))
     cfg = {"command": "solve", "schema_version": "1", "preset": "xdep", "seed": 3,
            "n_lattice": 128, "eps_par": 1e-3}
-    runner.run(dict(cfg), out_dir=str(tmp_path))
-    meta = json.loads((tmp_path / "trajectory_meta.json").read_text())
-    traj = np.fromfile(tmp_path / "trajectory.bin", dtype=complex)
     params, problem = _setup("xdep", 128)
-    res = solver.solve_cauchy(problem, params, (1.0 / float(params.ell),), eps_par=1e-3)
-    states = res.lattice_states(0)
-    assert meta["shape"] == list(states.shape) and states.shape[0] % 2 == 1
-    np.testing.assert_array_equal(traj.reshape(meta["shape"]), states)
+    for propagators in (False, True):
+        with monkeypatch.context() as patch:
+            if propagators:
+                force_step_path(patch, False)
+            out = tmp_path / str(propagators)
+            runner.run(dict(cfg), out_dir=str(out))
+            res = solver.solve_cauchy(problem, params, (1.0 / float(params.ell),), eps_par=1e-3)
+        meta = json.loads((out / "trajectory_meta.json").read_text())
+        traj = np.fromfile(out / "trajectory.bin", dtype=complex)
+        states = res.lattice_states(0)
+        assert meta["shape"] == list(states.shape) and states.shape[0] % 2 == 1
+        np.testing.assert_array_equal(traj.reshape(meta["shape"]), states)
+        assert bool(built) == propagators
 
 
 def _traced(monkeypatch, run):
@@ -205,6 +217,31 @@ def test_study_parabolic_reads_its_lattice_states_in_blocks(monkeypatch):
         monkeypatch, lambda: solver.parabolic_study(problem, params, [1e-2, 1e-3, 1e-4]))
     assert len(study.sup_norms) == 3
     assert peak - held <= need
+
+
+@pytest.mark.parametrize("preset", ["xdep", "block_direct_sum"])
+def test_setup_memory_check_counts_the_data_and_its_radius_fit(monkeypatch, preset):
+    # before anything is calibrated a setup charges 24 (m + 1) bytes a lattice
+    # mode.  gevrey_data forms its phases and mirror in its output, so the
+    # setup peaks near 20 m + 17 (24 m on the |g|^2 check from m = 4), and the
+    # data with the t = 0 radius fit over them near 16 m + 16: the charge
+    # covers both and is at most 1.3 times the larger (1.44 at 40 m + 20)
+    n_x, needs = 2**16, []
+    cfg = runner.validate_config({"command": "solve", "schema_version": "1", "preset": preset,
+                                  "seed": 3, "n_lattice": n_x})
+    monkeypatch.setattr(runner, "require_memory", lambda need, what: needs.append(need))
+    runner._solve_setup(cfg)  # a first setup's fixed allocations stay out of the count
+    tracemalloc.start()
+    try:
+        problem = runner._solve_setup(cfg)[2]
+        setup = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solver.gevrey_radius_fit(fold_amplitudes(squared_moduli(problem.g)), problem.gevrey_s)
+        peak = max(setup, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert needs[-1] == 24 * (problem.coeffs.m + 1) * n_x
+    assert peak <= needs[-1] <= 1.3 * peak
 
 
 def test_no_command_imports_numpy_ma():

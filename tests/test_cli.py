@@ -63,6 +63,12 @@ def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("config", [[], "plan", None, 1])
+def test_config_that_is_no_object_rejected(config):
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        validate_config(config)
+
+
 def test_unknown_field_rejected():
     with pytest.raises(ConfigError):
         validate_config({"command": "plan", "schema_version": "1", "theta": 0,
@@ -184,6 +190,15 @@ def test_wrong_type_rejected(cfg):
       for command in _HOLDER_COMMANDS for n_x in (2**40, 2**62)],
     # 171! is past the double range that the probe's Taylor sum divides in
     ["conjtest", {"k_list": [171]}],
+    # the data index at xdep's s0 = 2; no problem at all; inline documents
+    # with an unknown time regularity, a ragged entry grid, and no m
+    ["solve", "--preset", "xdep", "--seed", "0", {"s": 2.0}],
+    ["certify"],
+    ["certify", {"coeffs": {**_zero_coeffs(2), "t_regularity": "smooth"}}],
+    ["certify", {"coeffs": {"m": 2, "A": [[[], []], [[]]]}}],
+    ["certify", {"coeffs": {"A": [[[]]]}}],
+    # Hoelder mode plans at a declared kappa alone
+    ["plan", "--theta", "0", "--mode", "holder"],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []

@@ -392,6 +392,43 @@ def test_theta_at_most_m_minus_one():
         assert 0 <= te.theta_hat <= build().m - 1
 
 
+def _spy_growth_curves(monkeypatch, slopes=None):
+    """The Taylor orders that estimate_theta's passes take; with ``slopes``,
+    pass k's upper curve is eps^-slopes[k] and its lower one 1."""
+    orders, curves = [], matkernel._growth_curves
+
+    def spy(coeffs, n_taylor, eps_values, *args):
+        orders.append(n_taylor)
+        if slopes is None:
+            return curves(coeffs, n_taylor, eps_values, *args)
+        return eps_values ** -float(slopes[len(orders) - 1]), np.ones_like(eps_values)
+
+    monkeypatch.setattr(matkernel, "_growth_curves", spy)
+    return orders
+
+
+def test_theta_iterates_the_taylor_order_to_a_fixed_point(monkeypatch):
+    # the 3x3 Jordan block with E_31 below it: the fit at N = m = 3 reads
+    # theta 2, so a second pass takes N = 2 theta = 4, and agrees
+    e31 = np.zeros((3, 3))
+    e31[2, 0] = 1.0
+    orders = _spy_growth_curves(monkeypatch)
+    te = estimate_theta(constant_system(np.diag([1.0, 1.0], 1), e31), np.geomspace(1e-3, 1e-1, 7))
+    assert orders == [3, 4] and te.n_taylor == 4
+    assert te.theta_hat == 2 and te.converged and not te.warning
+    assert te.theta_raw == pytest.approx(2.0, abs=0.01)
+
+
+def test_theta_order_cycle_falls_back_to_m_minus_one(monkeypatch):
+    # fits reading theta 2 at N = 3 and then 1 at N = 4 send the order back
+    # to 3: a cycle, so theta is m - 1, unconverged and flagged
+    orders = _spy_growth_curves(monkeypatch, slopes=(2, 1))
+    te = estimate_theta(constant_system(np.diag([1.0, 1.0], 1)), np.geomspace(1e-3, 1e-1, 7))
+    assert orders == [3, 4]
+    assert te.theta_hat == 2 and not te.converged and te.warning
+    assert te.theta_raw == pytest.approx(1.0, abs=1e-12)
+
+
 def test_theta_unitary_invariance():
     cs = _x2_like_system()
     phi = 0.7
@@ -404,12 +441,6 @@ def test_theta_unitary_invariance():
     te1 = estimate_theta(cs, np.geomspace(1e-3, 1e-1, 7))
     te2 = estimate_theta(cs_rot, np.geomspace(1e-3, 1e-1, 7))
     assert te1.theta_hat == te2.theta_hat
-
-
-def test_theta_requires_two_decades():
-    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        estimate_theta(cs, np.geomspace(1e-2, 1e-1, 5))
 
 
 # ---------------------------------------------------------------------------

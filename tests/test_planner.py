@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hypersym.planner import DELTA, plan, rho_required, validate_params
+from hypersym.planner import DELTA, _le_pow, plan, rho_required, validate_params
 from hypersym.symmetrizer import ParameterSet
 from support import mollifier_lines, s0_holder_reference, s0_lipschitz_reference
 
@@ -79,6 +79,21 @@ def test_holder_kappa_outside_open_unit_interval_is_refused(kappa):
         plan(0, "holder", kappa)
 
 
+def test_rho_required_refuses_holder_without_kappa_and_negative_theta():
+    with pytest.raises(ValueError, match="holder mode requires kappa"):
+        rho_required(0, "holder")
+    with pytest.raises(ValueError, match="theta must be a nonnegative integer"):
+        rho_required(-1, "lipschitz")
+
+
+def test_le_pow_on_nonpositive_sides():
+    # a nonpositive lhs is below every power; a nonpositive base has no
+    # power at or above a positive lhs
+    assert _le_pow(F(-1), F(2), F(1, 2)) and _le_pow(F(0), F(0), F(1, 2))
+    assert not _le_pow(F(1, 1000), F(0), F(1, 2))
+    assert not _le_pow(F(1, 1000), F(-4), F(1, 2))
+
+
 def _pset(rho, a, ell, tau=F(1, 2), big_t=F(2), c1=F(1, 8)):
     return ParameterSet(rho=rho, a=a, ell=ell, tau=tau, T=big_t, c1=c1,
                         theta=0)
@@ -99,6 +114,18 @@ def test_validate_damping_window_violation():
     p = _pset(F(1, 2), 4, 16, tau=F(5), big_t=F(2))
     out = validate_params(p, c=F(1, 2), a0=1, eps0=F(4))
     assert any("rangetau" in v for v in out)
+
+
+def test_validate_rho_range_violation():
+    for rho in (F(0), F(1), F(3, 2)):
+        out = validate_params(_pset(rho, 4, 16), c=F(1, 2), a0=1, eps0=F(1, 2))
+        assert "rho must lie in (0, 1)" in out
+
+
+def test_validate_damping_slope_violation():
+    # T = 5 past a / (2 c) = 4
+    out = validate_params(_pset(F(1, 2), 4, 16, big_t=F(5)), c=F(1, 2), a0=1, eps0=F(1, 2))
+    assert out == ["rangetau: need 2*c*T <= a"]
 
 
 def test_validate_taylor_scale_violation():

@@ -61,6 +61,13 @@ def test_calibration_certifies_once(name):
     assert (shared.theta_hat, shared.theta_raw) == (alone.theta_hat, alone.theta_raw)
 
 
+def test_calibration_halves_eps0_until_the_declared_theta_fits():
+    # xdep's fits read theta 0; declared theta 1, none of the three fits
+    # agrees, and eps0 is halved after each, from 0.5 to 0.0625
+    cal = runner.calibrate(get_preset("xdep").coeffs, theta=1)
+    assert cal.theta == 1 and cal.eps0 == 0.0625
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(KeyError):
         get_preset("nope")

@@ -8,14 +8,20 @@ conjugate-symmetric state) stays real.  The lattice's mode -n_x/2 has no
 mirror, and on a band that reaches it an x-harmonic moves the modes next to
 it there; so the data decays (c0 = 4, s = 1.5) to below 1e-17 at
 |xi| = 31, and what reaches that mode stays far below the tolerance.
+
+The time path of a mollified energy is sampled finely enough, and far enough
+past the sample times, for ``mollify_path``, which trusts it: over lattices,
+ell, delta, horizons and every subset of the modes that a band may take.
 """
 
 import numpy as np
 import pytest
 
+from hypersym.engine import lattice
 from hypersym.presets import get_preset, preset_names
-from hypersym.solver import CauchyProblem, gevrey_data, solve_cauchy
+from hypersym.solver import CauchyProblem, _mollifier_path, gevrey_data, solve_cauchy
 from hypersym.symmetrizer import ParameterSet
+from hypersym.weights import bracket
 from support import is_conjugate_symmetric
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,3 +71,26 @@ def test_reality_preserved(case):
     res = solve_cauchy(prob, _PARAMS, cutoffs)
     for i in range(len(cutoffs)):
         assert is_conjugate_symmetric(res.lattice_states(i)[-1], tol=1e-12)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(n_x=st.sampled_from([2**k for k in range(1, 15)]), paired=st.booleans(),
+                  ell=st.floats(1.0, 4096.0), delta=st.floats(0.05, 1.0),
+                  horizon=st.floats(1e-3, 10.0), seed=st.integers(0, 2**16))
+def test_mollifier_path_steps_finely_and_covers_the_support(n_x, paired, ell, delta, horizon,
+                                                            seed):
+    # the path is built on the modes a trace reads (xi >= 0 alone when
+    # paired), and R is mollified on the band, any non-empty subset of them:
+    # its step is at most a quarter of the band's narrowest kernel width
+    # <xi>^-delta, and it reaches the widest width before 0 and past horizon,
+    # where the sample times start and end
+    xi = lattice(n_x)[:n_x // 2 + 1] if paired else lattice(n_x)
+    rng = np.random.default_rng(seed)
+    band = rng.random(xi.size) < rng.random()
+    band[rng.integers(xi.size)] = True
+    params = ParameterSet(rho=0.5, a=1.8, ell=ell, tau=0.9, T=1.8, c1=0.225, theta=0,
+                          delta=delta)
+    ts = _mollifier_path(xi, params, horizon)
+    widths = bracket(xi[band], ell) ** -delta
+    assert np.max(np.diff(ts)) <= np.min(widths) / 4.0
+    assert ts[0] <= -np.max(widths) and ts[-1] >= horizon + np.max(widths)

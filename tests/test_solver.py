@@ -20,8 +20,9 @@ from hypersym.solver import (
 )
 from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
-from support import (allocating_rhs, constant_system, from_physical, generator_matrix,
-                     gevrey_certificate_holds, is_conjugate_symmetric, rk4_step, stack_blocks)
+from support import (allocating_rhs, constant_system, force_step_path, from_physical,
+                     generator_matrix, gevrey_certificate_holds, is_conjugate_symmetric, rk4_step,
+                     stack_blocks)
 
 
 def _single_mode(n, m, mode, comp=0, value=1.0):
@@ -331,15 +332,6 @@ def test_scalar_transport_empirical_constant_one():
     assert np.max(res.traces[0].estimate_curves[:, 0]) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_negative_eps_par_is_a_config_error():
-    # an anti-dissipative regularization makes the off-band modes grow past
-    # what the stability scale bounds; the solver refuses it, as the CLI does
-    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    prob = CauchyProblem(cs, gevrey_data(64, 2, 2.0, 1.5, seed=18), horizon=2.0)
-    with pytest.raises(ConfigError, match="eps_par = -20.0"):
-        solve_cauchy(prob, _quick_params(), (1 / 16,), eps_par=-20.0, dt=2.4 / 205.0)
-
-
 @pytest.mark.parametrize("eps_par", [0.0, 1e-2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_off_band_data_aborts_at_first_step(eps_par, bad):
@@ -365,9 +357,9 @@ def test_numeric_abort_band_first_between_samples(monkeypatch):
     # anti-damping B blows up the band while the off-band modes stay put;
     # the band is checked once per interval between samples, and the abort
     # must still name the step inside the interval that lost finiteness.  On
-    # the propagator path that is the first state past the double range; with
-    # no word table under the budget the band steps, and an RK4 stage can
-    # overflow a few steps sooner, so there it is the allocating RK4's
+    # the propagator path that is the first state past the double range; a
+    # band forced to step can overflow in an RK4 stage a few steps sooner, so
+    # there it is the allocating RK4's
     from hypersym import solver
     from hypersym.errors import NumericAbortError
 
@@ -385,8 +377,8 @@ def test_numeric_abort_band_first_between_samples(monkeypatch):
         u, k = rk4_step(allocating_rhs(gen), u, k * step_dt, step_dt), k + 1
     stepped = k * step_dt - step_dt
     assert stepped <= overflow
-    for budget, last_time in ((solver._BLOCK_BYTES, overflow), (0, stepped)):
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", budget)
+    for stepping, last_time in ((False, overflow), (True, stepped)):
+        force_step_path(monkeypatch, stepping)
         with pytest.raises(NumericAbortError) as err:
             solve_cauchy(prob, _quick_params(), (1 / 16,), dt=dt)
         assert last_time is not None and 0.0 < last_time < prob.horizon

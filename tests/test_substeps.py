@@ -23,7 +23,7 @@ from hypersym import runner, solver
 from hypersym.coeffs import CoeffTerm, SystemCoefficients
 from hypersym.errors import NumericAbortError
 from hypersym.presets import get_preset
-from support import allocating_rhs, capped_params, constant_system, rk4_step
+from support import allocating_rhs, capped_params, constant_system, force_step_path, rk4_step
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tasks", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -123,7 +123,7 @@ def test_a_joint_band_takes_the_sub_steps_of_its_widest_cutoff(monkeypatch):
     # h = 1/4 alone takes long sub-steps at n_x 256; beside h = 0 it takes
     # the grid steps that h = 0 needs, and both bands match their own runs
     # forced to one sub-step per grid step (all stepping, as the joint band)
-    monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)
+    force_step_path(monkeypatch, True)
     params = capped_params("xdep", 4.0)
     coeffs = get_preset("xdep").coeffs
     prob = solver.CauchyProblem(coeffs, solver.gevrey_data(256, 2, 1.5, 1.5, seed=9),
@@ -242,7 +242,7 @@ def test_numeric_abort_names_the_sub_step_that_lost_finiteness(monkeypatch):
     counts, substeps = [], solver._substeps
     monkeypatch.setattr(solver, "_substeps",
                         lambda *args: counts.append(substeps(*args)) or counts[-1])
-    monkeypatch.setattr(solver, "_BLOCK_BYTES", 0)  # the band steps, as the reference does
+    force_step_path(monkeypatch, True)  # the band steps, as the reference does
     with pytest.raises(NumericAbortError) as err:
         solver.solve_cauchy(prob, capped_params("xdep", 4.0), (0.25,))
     count, = counts

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypersym.errors import SamplingError, StabilityMarginError
+from hypersym.errors import StabilityMarginError
 from hypersym.matkernel import expm_batched, taylor_order, taylor_symbol
 from hypersym import symmetrizer
 from hypersym.presets import get_preset, preset_names
@@ -17,6 +17,7 @@ from hypersym.symmetrizer import (
     _PROBE_T0,
     _ROWS,
     ParameterSet,
+    _fit_window,
     _lyap_solve_batch,
     _stencil_derivatives,
     build_field,
@@ -346,6 +347,18 @@ def test_lower_bound_scalar():
     assert rep.c_prime == pytest.approx(0.5, rel=1e-10)
 
 
+def test_lower_bound_below_the_fit_window_fits_no_slope():
+    # below xi = ell the fit window falls back to every node; one frequency,
+    # or brackets within 0.1% of each other, leave no slope to fit
+    cs = constant_system(np.array([[0.0]]))
+    p = _params()  # ell = 4
+    assert _fit_window(np.array([1.0, 8.0]), 4.0).all()
+    for xis in ([2.0], [0.0, 0.01]):
+        rep = lower_bound_check(build_field(cs, p, [0.0], [0.0], np.array(xis)))
+        assert rep.exponent == 0.0 and rep.passed
+        assert rep.c_prime == pytest.approx(0.5, rel=1e-10)
+
+
 def test_lower_bound_jordan_theta_one():
     pre = get_preset("jordan_lower")
     pr = plan(1, "lipschitz")
@@ -452,20 +465,6 @@ def test_mollify_matches_full_kernel_sum():
         w = poly_bump((t - ts)[:, None] / widths[None, :])
         expected = np.einsum("tn,tnij->nij", w / w.sum(axis=0), path)
         assert np.max(np.abs(mol[i] - expected)) <= 1e-14
-
-
-def test_mollify_rejects_coarse_path():
-    ts = np.linspace(-1.0, 2.0, 12)
-    path = np.broadcast_to(np.eye(2), (len(ts), 1, 2, 2)).copy()
-    with pytest.raises(SamplingError):
-        mollify_path(ts, path, np.array([64.0]), delta=1.0, eval_ts=[0.5])
-
-
-def test_mollify_requires_margin():
-    ts = np.linspace(0.0, 1.0, 4000)
-    path = np.broadcast_to(np.eye(2), (len(ts), 1, 2, 2)).copy()
-    with pytest.raises(SamplingError):
-        mollify_path(ts, path, np.array([4.0]), delta=1.0, eval_ts=[0.0])
 
 
 # ---------------------------------------------------------------------------
