@@ -43,8 +43,7 @@ class TimeTerm:
 
 
 def time_function(term: str) -> TimeTerm:
-    """Compile one time-grammar expression; the string is parsed here, once."""
-    term = term.strip()
+    """Compile one time-grammar expression, as :class:`CoeffTerm` names it."""
     if term == "1":
         g = np.ones_like
     elif term == "t":
@@ -78,7 +77,8 @@ def time_function(term: str) -> TimeTerm:
 
 @dataclass(frozen=True)
 class CoeffTerm:
-    """One additive term ``C * g(t) * exp(i k x)`` of a matrix field."""
+    """One additive term ``C * g(t) * exp(i k x)`` of a matrix field; its
+    ``t_term`` names g once, without surrounding whitespace."""
 
     x_freq: int
     t_term: str
@@ -89,6 +89,7 @@ class CoeffTerm:
         mat = np.array(self.matrix, dtype=complex)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "t_term", self.t_term.strip())
         object.__setattr__(self, "g", time_function(self.t_term))
 
 
@@ -132,7 +133,7 @@ class SystemCoefficients:
         time-dependent), the first x alone when no A term has an x-harmonic."""
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
         x = np.atleast_1d(np.asarray(x_values, dtype=float))
-        return (t[:1] if all(term.t_term.strip() == "1" for term in self.a_terms) else t,
+        return (t[:1] if all(term.t_term == "1" for term in self.a_terms) else t,
                 x if any(term.x_freq for term in self.a_terms) else x[:1])
 
     @functools.cached_property
@@ -143,7 +144,7 @@ class SystemCoefficients:
         for terms in (self.a_terms, self.b_terms):
             field = {}
             for term in terms:
-                key = (term.x_freq, term.t_term.strip())
+                key = (term.x_freq, term.t_term)
                 field[key] = field.get(key, 0.0) + term.matrix
             if any(not np.array_equal(np.conj(mat), field.get((-k, tt), np.zeros_like(mat)))
                    for (k, tt), mat in field.items()):
@@ -171,10 +172,10 @@ def _field_from_json(m: int, entries: list) -> list[CoeffTerm]:
     for i in range(m):
         for j in range(m):
             for item in entries[i][j]:
-                key = (int(item["x_freq"]), item["t_term"].strip())
-                if key not in collected:
-                    collected[key] = np.zeros((m, m), dtype=complex)
-                collected[key][i, j] += item["re"] + 1j * item.get("im", 0.0)
+                # a CoeffTerm names the entry's term; the entries of one term sum
+                term = CoeffTerm(int(item["x_freq"]), item["t_term"], np.zeros((m, m)))
+                entry = collected.setdefault((term.x_freq, term.t_term), term.matrix.copy())
+                entry[i, j] += item["re"] + 1j * item.get("im", 0.0)
     return [
         CoeffTerm(x_freq=k, t_term=tt, matrix=mat)
         for (k, tt), mat in sorted(collected.items(), key=lambda kv: kv[0])

@@ -3,8 +3,8 @@
 All index formulas are evaluated in rational arithmetic; the constraint
 checks accept rational inputs and compare exactly (fractional powers are
 compared through integer cross-powers, never through floats).  :func:`plan`
-derives every run's parameters, with ``ell`` capped or not, so each plan
-meets :func:`validate_params` by construction.
+derives every run's parameters, with ``ell`` capped or not, and is their one
+admissibility check: each plan meets :func:`validate_params`, exactly.
 """
 
 from __future__ import annotations

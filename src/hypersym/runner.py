@@ -279,13 +279,11 @@ def _solve_setup(config: dict):
     n_x = config["n_lattice"]
     coeffs, theta_decl, name = _resolve_coeffs(config)
     # the data and its lattice-sized temporaries, before anything is calibrated: tracemalloc
-    # reads max(20 m + 17, 24 m) bytes a mode (16 m of them held), 16 m + 24 with the t = 0 fit
-    require_memory(24 * (coeffs.m + 1) * n_x, f"n_lattice = {n_x}: the data's lattice arrays")
-    mode = "holder" if coeffs.t_regularity == "holder" else "lipschitz"
-    kappa = Fraction(coeffs.kappa) if coeffs.kappa else None
+    # reads 20 m + 18 bytes a mode at m = 1 to 8 (16 m of them held), 16 m + 16 with the t = 0 fit
+    require_memory((20 * coeffs.m + 24) * n_x, f"n_lattice = {n_x}: the data's lattice arrays")
     cal = calibrate(coeffs, theta_decl)
     try:
-        params = run_params(cal, mode, kappa, ell_max=config.get("ell"))
+        params = run_params(cal, coeffs.t_regularity, coeffs.kappa, ell_max=config.get("ell"))
     except ValueError as exc:  # the planner's kappa range, (0, 1)
         raise ConfigError(f"kappa = {coeffs.kappa}: {exc}") from None
     except OverflowError:  # ell >= a^(1/(1 - rho)) leaves the double range as rho nears 1
@@ -310,7 +308,7 @@ def _solve_setup(config: dict):
     c0 = config.get("c0", max(1.5, c0_min))
     g = solver.gevrey_data(n_x, coeffs.m, s, c0, seed=config["seed"])
     # the norms square the amplitudes, and the largest is e^(-c0), at xi = 0
-    if not np.sum(np.abs(g) ** 2) >= np.finfo(float).tiny:
+    if not np.vdot(g, g).real >= np.finfo(float).tiny:
         raise ConfigError(f"c0 = {c0}: the data's squared amplitudes, at most e^(-2 c0), "
                           "fall below the normal double range")
     # past (T - c1)/a the running window tau = T - a t of the weight falls
@@ -519,15 +517,10 @@ def _cmd_solve(config: dict) -> dict:
     h = config.get("h", 1.0 / float(params.ell))
     res = solver.solve_cauchy(problem, params, (h,), eps_par=eps_par, dt=config.get("dt"))
     tr = res.traces[0]
-    # eta per grid step; a sample's allowance is the eta of each RK4 step
-    # taken between two samples
-    eta = res.dt**2 + 1e-8
-    sub = problem.horizon / res.steps
-    sample_eta = (sub**2 + 1e-8) * (res.steps // solver.N_SAMPLES)
     increments = tr.increments[1:]
     # x-dependent coefficients: the monotone-energy gate only applies where
     # Op(R) is an exact multiplier
-    monotone = None if tr.er_mode == "skipped" else bool(np.all(increments <= sample_eta))
+    monotone = None if tr.er_mode == "skipped" else bool(np.all(increments <= res.sample_eta))
     c_t = tr.gevrey_c
     have_radius = np.all(np.isfinite(c_t))
     radius_ok = bool(have_radius and np.all(c_t > 0)
@@ -549,7 +542,7 @@ def _cmd_solve(config: dict) -> dict:
         "h": h, "eps_par": eps_par, "dt": res.dt,
         "horizon": problem.horizon,
         "er_mode": tr.er_mode,
-        "eta_per_step": eta,
+        "eta_per_step": res.eta,
         "max_increment": float(np.max(increments)) if monotone is not None else None,
         "energy_monotone": monotone,
         "gevrey_c0_fit": float(c_t[0]) if have_radius else None,

@@ -4,8 +4,10 @@ The truncated system is evolved in the original variables by classical RK4;
 the time-dependent Gevrey weight ``e^{<D>^rho (T - a t)}`` is applied only to
 snapshots (mathematically identical for diagnostics, and it keeps symbol
 quantization out of the time loop).  The symmetrizer energy is rebuilt at
-every sample time with the running window ``tau = T - a t``; in Hoelder mode
-the mollified symmetrizer takes its place.
+every sample time with the running window ``tau = T - a t``; when the plan
+has a mollifier exponent delta (Hoelder mode) the mollified symmetrizer takes
+its place.  The parameters are the planner's, admissible as planned
+(:func:`planner.plan` is the one check), and a solve does not re-check them.
 
 Only the active band, the modes with chi(h xi) > 0, goes through RK4.  Off
 it chi = 0 and the generator is ``-eps_par xi^2``, so a mode there at time t
@@ -59,26 +61,17 @@ states from them where one is read: u0 off the band (the closed form when
 eps_par > 0), the band, and in a paired solve the mirrors' conjugates;
 :meth:`SolveResult.lattice_blocks` reads every sample's, ``_BLOCK_BYTES`` at a time.
 
-The band advances one sample interval at a time (:func:`_evolve`), each
-sub-step writing its state into one row of the interval's block.  A buffered
-:func:`step_rk4` reuses five work buffers with the operations of the plain
-allocating RK4 step (the tests' reference) in the same order, so its
-roundings are that step's.  Finiteness is checked on each interval's last
-state, and an abort names the first sub-step whose state lost it, in any
-cutoff's band.  On the propagator path that is the first state that leaves
-the double range; a stepped band can lose it a few steps sooner, when an
-RK4 stage overflows first.  The loop only records the sampled band states.
-The diagnostics run over blocks of samples and form no lattice state: a
-block's squared moduli q = sum_c |u_c|^2 are u0's with the band's, and the
-off-band closed form's when eps_par > 0, written over them.  A block
-takes one weight array w and one product of q w^2 against a per-solve table:
-its ``<xi>^(2 sigma)`` columns give the five norms, and its column of 1/2 on
-the off-band modes their R-energy.  The band's R-energy is one Lyapunov batch
-and one batched product R v, and the radius fit reads q folded over +-xi.
-Each cutoff's samples are diagnosed on their own, when the result's traces
-are first read; the h-uniformity study reads each cutoff's weighted norms
-alone, with no R-energy and no radius fit.  A block's weight is the one checked against ``EXP_BUDGET``,
-and a block whose weighted norms leave the double range aborts.
+The band advances one sample interval at a time (:func:`_evolve`), and
+records only the sampled band states.  A buffered :func:`step_rk4` repeats
+the operations of the plain allocating RK4 step (the tests' reference) in
+order, so its roundings are that step's.  On the propagator path an abort
+names the first state that leaves the double range; a stepped band can lose
+finiteness a few steps sooner, when an RK4 stage overflows first.  Each
+cutoff's samples are diagnosed on their own (:func:`_energy_trace`), when the
+result's traces are first read, over blocks of samples that form no lattice
+state; the h-uniformity study reads each cutoff's weighted norms alone.  The
+result owns the energy's allowances, per grid step and per sample, that the
+monotone-energy gate holds the increments to.
 """
 
 from __future__ import annotations
@@ -93,12 +86,12 @@ from hypersym.coeffs import SystemCoefficients, time_function
 from hypersym.engine import fold_amplitudes, lattice, squared_moduli
 from hypersym.errors import ConfigError, NumericAbortError, require_memory
 from hypersym.matkernel import line_fit
-from hypersym.planner import validate_params
 from hypersym.symmetrizer import (
     _BLOCK_BYTES,
     ParameterSet,
     _lyap_node_bytes,
     _lyap_solve_batch,
+    _mollifier_path,
     damped_generator,
     mollify_path,
 )
@@ -445,13 +438,22 @@ def _samples_per_block(blocks: list[np.ndarray], sample_bytes: int, n_lyap: int)
 @dataclass
 class EnergyTrace:
     times: np.ndarray
-    e_r: np.ndarray  # R-weighted energy of v, normalized by its initial value
-    e_r_raw: np.ndarray
+    e_r_raw: np.ndarray  # R-weighted energy of v, NaN where skipped
     norms: np.ndarray  # (n_samples, 5): ||<D>^sigma v(t)||, column j for sigmas[j]
     gevrey_c: np.ndarray
-    increments: np.ndarray  # per-sample increments of normalized e_r
     er_mode: str  # multiplier | mollified | skipped
     sigmas: tuple
+
+    @property
+    def e_r(self) -> np.ndarray:
+        """:attr:`e_r_raw` over its initial value where that is finite and > 0."""
+        base = self.e_r_raw[0]
+        return self.e_r_raw / (base if np.isfinite(base) and base > 0 else 1.0)
+
+    @property
+    def increments(self) -> np.ndarray:
+        """The per-sample increments of :attr:`e_r`, the first 0."""
+        return np.diff(self.e_r, prepend=self.e_r[0])
 
     @property
     def estimate_curves(self) -> np.ndarray:
@@ -471,8 +473,8 @@ class EnergyTrace:
 
 @dataclass
 class SolveResult:
-    """A solve's band samples; its traces are diagnosed when first read, and
-    its lattice states assembled a block of samples at a time where read."""
+    """A solve's band samples and energy allowances; its traces are diagnosed
+    when first read, its lattice states a block of samples at a time where read."""
     problem: CauchyProblem
     params: ParameterSet
     dt: float
@@ -481,6 +483,18 @@ class SolveResult:
     band: np.ndarray  # (n_samples, m, n_band): the joint band of gen at times
     steps: int  # RK4 steps taken, each a sub-step of a sample interval
     gen: TruncatedGenerator
+
+    @property
+    def eta(self) -> float:
+        """The energy's allowance per grid step: dt^2 + 1e-8."""
+        return self.dt**2 + 1e-8
+
+    @property
+    def sample_eta(self) -> float:
+        """The energy's allowance per sample: eta at the sub-step size, for
+        each RK4 sub-step between two samples."""
+        sub = self.problem.horizon / self.steps
+        return (sub**2 + 1e-8) * (self.steps // (len(self.times) - 1))
 
     @functools.cached_property
     def traces(self) -> list[EnergyTrace]:
@@ -632,6 +646,8 @@ def solve_cauchy(
 ) -> SolveResult:
     """Evolve the truncated problem at each cutoff scale h of ``cutoffs``,
     parabolically regularized by ``eps_par`` >= 0, one for all or per cutoff.
+    ``params`` are admissible, as :func:`planner.plan` makes them, and are not
+    re-checked; the cutoffs must lie in the uniformity range h <= 1/ell.
 
     The cutoffs share the grid step dt, set by the lattice's stability scale
     at the largest eps_par, and the sub-steps between samples, set by the
@@ -647,10 +663,6 @@ def solve_cauchy(
     no trace forms no weight.
     """
     coeffs = problem.coeffs
-    violations = validate_params(params, c=params.c_spec if params.c_spec is not None else 0.5,
-                                 a0=params.a0, eps0=params.eps0)
-    if violations:
-        raise ConfigError("invalid parameters: " + "; ".join(violations))
     if max(cutoffs) > 1.0 / float(params.ell) + 1e-12:
         raise ConfigError(
             f"cutoff scale h = {max(cutoffs)} above the uniformity range 1/ell = "
@@ -712,22 +724,13 @@ def solve_cauchy(
                        steps=total, gen=gen)
 
 
-def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.ndarray:
-    """The times at which a mollified energy solves R: steps of a fifth of
-    the narrowest kernel width <xi>^-delta over ``xi``, from the widest
-    width (and 5%) before 0 to as far past ``horizon``."""
-    widths = bracket(xi, float(params.ell)) ** -float(params.delta)
-    dt_path, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
-    return np.arange(-pad, horizon + pad + dt_path, dt_path)
-
-
 def _energy_trace(res: SolveResult, i: int, energies: bool) -> EnergyTrace:
     """The diagnostics of cutoff i of ``res`` at its sample times: the
     weighted norms and, when ``energies`` is true, the R-energy and the
     radius fit; otherwise ``er_mode`` is "skipped" and ``gevrey_c`` NaN.
 
-    The R-energy is skipped on x-dependent coefficients, mollified in
-    Hoelder mode with a delta, and the exact multiplier otherwise.  The
+    The R-energy is skipped on x-dependent coefficients, mollified when the
+    plan has a delta (Hoelder mode), and the exact multiplier otherwise.  The
     diagnostics run over blocks of samples and form no lattice state.  A
     block's squared moduli q are u0's, found once, with its band's written
     over them at the band's FFT positions and, when eps_par > 0, those of
@@ -743,12 +746,8 @@ def _energy_trace(res: SolveResult, i: int, energies: bool) -> EnergyTrace:
     problem, params, gen, band, times = res.problem, res.params, res.gen, res.band, res.times
     (seg, index), eps = gen.segments[i], gen.eps_par[i]
     coeffs, n_x = problem.coeffs, problem.g.shape[1]
-    if not energies or coeffs.x_band:
-        er_mode = "skipped"
-    elif coeffs.t_regularity == "holder" and params.delta is not None:
-        er_mode = "mollified"
-    else:
-        er_mode = "multiplier"
+    er_mode = ("skipped" if not energies or coeffs.x_band
+               else "multiplier" if params.delta is None else "mollified")
     big_t, a = float(params.T), float(params.a)
     rho, ell = float(params.rho), float(params.ell)
     n_read = n_x // 2 + 1 if gen.paired else n_x
@@ -769,7 +768,6 @@ def _energy_trace(res: SolveResult, i: int, energies: bool) -> EnergyTrace:
                                 t, 0.0, r_xi, r_chi2)
 
     if er_mode == "mollified":
-        delta = float(params.delta)
         path_ts = _mollifier_path(xi, params, problem.horizon)
         # the band's R path must fit in physical memory: 64 m^2 + 8 bytes a
         # node while its Lyapunov batch symmetrizes R beside its generators,
@@ -781,7 +779,7 @@ def _energy_trace(res: SolveResult, i: int, energies: bool) -> EnergyTrace:
         # (n_samples, n_active, m, m); R on the path is freed once it returns
         molly_values = mollify_path(
             path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks),
-            bracket(r_xi, ell), delta, times)
+            bracket(r_xi, ell), float(params.delta), times)
 
     n_samples, nu = times.size, params.nu
     sigmas = (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)
@@ -826,12 +824,8 @@ def _energy_trace(res: SolveResult, i: int, energies: bool) -> EnergyTrace:
             gevrey_c[blk] = gevrey_radius_fit(np.sqrt(q) if gen.paired else fold_amplitudes(q),
                                               problem.gevrey_s)[0]
 
-    base = e_r_arr[0] if np.isfinite(e_r_arr[0]) and e_r_arr[0] > 0 else 1.0
-    e_r_norm = e_r_arr / base
-    increments = np.diff(e_r_norm, prepend=e_r_norm[0])
-    return EnergyTrace(times=times, e_r=e_r_norm, e_r_raw=e_r_arr, norms=norms,
-                       gevrey_c=gevrey_c, increments=increments, er_mode=er_mode,
-                       sigmas=sigmas)
+    return EnergyTrace(times=times, e_r_raw=e_r_arr, norms=norms, gevrey_c=gevrey_c,
+                       er_mode=er_mode, sigmas=sigmas)
 
 
 # ---------------------------------------------------------------------------

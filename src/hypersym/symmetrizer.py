@@ -513,6 +513,15 @@ def symbol_estimate_probe(
 # Mollified symmetrizer (Hoelder mode)
 
 
+def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.ndarray:
+    """The times at which a mollified energy solves R: steps of a fifth of
+    the narrowest kernel width <xi>^-delta over ``xi``, from the widest
+    width (and 5%) before 0 to as far past ``horizon``."""
+    widths = bracket(xi, float(params.ell)) ** -float(params.delta)
+    dt_path, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
+    return np.arange(-pad, horizon + pad + dt_path, dt_path)
+
+
 def mollify_path(
     ts: np.ndarray,
     r_path: np.ndarray,
@@ -527,8 +536,9 @@ def mollify_path(
     (len(eval_ts),) + node_shape + (m, m).  Weights are renormalized to unit
     mass so a time-constant path is reproduced exactly.  The step of ``ts``
     must be at most a quarter of the narrowest kernel width, and ``ts`` must
-    reach the widest width past both ends of ``eval_ts``, as the solver's
-    ``_mollifier_path`` makes it.
+    reach the widest width past both ends of ``eval_ts``, as
+    :func:`_mollifier_path` makes it: then every kernel holds nodes inside
+    its support, and its mass is positive.
     """
     ts = np.asarray(ts, dtype=float)
     eval_ts = np.atleast_1d(np.asarray(eval_ts, dtype=float))
@@ -544,7 +554,6 @@ def mollify_path(
         near = slice(lo[ie], hi[ie])
         u = (t - ts[near]).reshape((-1,) + (1,) * len(node_shape)) / widths[None]
         w = poly_bump(np.broadcast_to(u, u.shape[:1] + node_shape))
-        norm = np.sum(w, axis=0)
-        w = w / np.where(norm == 0, 1.0, norm)
+        w = w / np.sum(w, axis=0)
         out[ie] = np.einsum("t...,t...ij->...ij", w, r_path[near])
     return out

@@ -22,7 +22,7 @@ import pytest
 
 from hypersym import runner, solver
 from hypersym.engine import fold_amplitudes, lattice, squared_moduli
-from support import force_step_path
+from support import coeffs_to_json, constant_system, force_step_path
 
 
 def _setup(preset, n_x, seed=3):
@@ -219,15 +219,19 @@ def test_study_parabolic_reads_its_lattice_states_in_blocks(monkeypatch):
     assert peak - held <= need
 
 
-@pytest.mark.parametrize("preset", ["xdep", "block_direct_sum"])
-def test_setup_memory_check_counts_the_data_and_its_radius_fit(monkeypatch, preset):
-    # before anything is calibrated a setup charges 24 (m + 1) bytes a lattice
-    # mode.  gevrey_data forms its phases and mirror in its output, so the
-    # setup peaks near 20 m + 17 (24 m on the |g|^2 check from m = 4), and the
-    # data with the t = 0 radius fit over them near 16 m + 16: the charge
-    # covers both and is at most 1.3 times the larger (1.44 at 40 m + 20)
+@pytest.mark.parametrize("system", [{"preset": "xdep"}, {"preset": "block_direct_sum"},
+                                    {"coeffs": coeffs_to_json(constant_system(
+                                        np.diag(np.arange(8) - 4.25)))}],
+                         ids=["xdep", "block_direct_sum", "inline_m8"])
+def test_setup_memory_check_counts_the_data_and_its_radius_fit(monkeypatch, system):
+    # before anything is calibrated a setup charges 20 m + 24 bytes a lattice
+    # mode.  gevrey_data forms its phases and mirror in its output, and the
+    # squared amplitudes are summed without a temporary, so the setup peaks
+    # near 20 m + 18 at every m, and the data with the t = 0 radius fit over
+    # them near 16 m + 16: the charge covers both and is at most 1.3 times
+    # the larger (1.16 at m = 1, 1.03 at m = 8, on eight constant speeds)
     n_x, needs = 2**16, []
-    cfg = runner.validate_config({"command": "solve", "schema_version": "1", "preset": preset,
+    cfg = runner.validate_config({"command": "solve", "schema_version": "1", **system,
                                   "seed": 3, "n_lattice": n_x})
     monkeypatch.setattr(runner, "require_memory", lambda need, what: needs.append(need))
     runner._solve_setup(cfg)  # a first setup's fixed allocations stay out of the count
@@ -240,7 +244,7 @@ def test_setup_memory_check_counts_the_data_and_its_radius_fit(monkeypatch, pres
         peak = max(setup, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert needs[-1] == 24 * (problem.coeffs.m + 1) * n_x
+    assert needs[-1] == (20 * problem.coeffs.m + 24) * n_x
     assert peak <= needs[-1] <= 1.3 * peak
 
 

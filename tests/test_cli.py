@@ -4,11 +4,13 @@ import copy
 import json
 import os
 import re
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hypersym import solver
+from hypersym import runner, solver
 from hypersym.cli import main
 from hypersym.errors import ConfigError
 from hypersym.presets import preset_names
@@ -61,6 +63,34 @@ def test_plan_holder_via_cli(capsys):
 
 def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_a_completed_run_shows_its_warnings_and_a_failed_one_its_cause_alone(monkeypatch,
+                                                                            capsys):
+    # the plan command's handler is replaced by one that warns and then
+    # completes, or warns and then refuses its config.  The CLI replays a
+    # completed run's warnings through warnings.showwarning, which prints to
+    # stderr and, under the log the test holds here, appends to that log
+    def completes(config):
+        warnings.warn("raised on the way", RuntimeWarning)
+        return {"passed": True}
+
+    def refuses(config):
+        warnings.warn("raised on the way", RuntimeWarning)
+        raise ConfigError("the cause")
+
+    for handler, status, shown in ((completes, 0, 1), (refuses, 2, 0)):
+        monkeypatch.setitem(runner._DISPATCH, "plan", handler)
+        with warnings.catch_warnings(record=True) as replayed:
+            warnings.simplefilter("always")
+            assert main(["plan", "--theta", "1"]) == status
+        assert [(w.category, str(w.message)) for w in replayed] == \
+            [(RuntimeWarning, "raised on the way")] * shown
+        out, err = capsys.readouterr()
+        if status == 0:
+            assert json.loads(out) == {"command": "plan", "passed": True}
+        else:
+            assert (out, err) == ("", "config error: the cause\n")
 
 
 @pytest.mark.parametrize("config", [[], "plan", None, 1])
@@ -245,12 +275,13 @@ def test_a_tiny_dt_keeps_the_energy_gate(monkeypatch, increment, monotone):
     # for each grid step asked for: at dt = 1e-9, eta's 1e-8 floor times
     # wave_t2's 18,229,167 grid steps an interval would allow 0.18 a sample
     # (3.7e-5 at the default dt).  Every sample's increment is set to
-    # ``increment`` after the solve.
+    # ``increment`` after the solve, through the raw energy it is read from.
     solve = solver.solve_cauchy
 
     def forced(*args, **kwargs):
         res = solve(*args, **kwargs)
-        res.traces[0].increments[1:] = increment
+        e_r_raw = res.traces[0].e_r_raw
+        e_r_raw[:] = e_r_raw[0] * (1.0 + increment * np.arange(e_r_raw.size))
         return res
 
     monkeypatch.setattr(solver, "solve_cauchy", forced)

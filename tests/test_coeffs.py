@@ -27,8 +27,9 @@ def test_time_grammar():
 
 def test_time_function_vectorized_matches_scalar_calls():
     ts = np.array([-1.3, 0.0, 0.37, 2.5])
+    # a term's surrounding whitespace is dropped where CoeffTerm names it
     for term in ("1", "t", " t^3 ", "|t|^0.5", "lacunary(0.5, 12)"):
-        g = time_function(term)
+        g = CoeffTerm(0, term, np.eye(1)).g
         np.testing.assert_array_equal(g(ts), [float(g(float(t))) for t in ts])
 
 

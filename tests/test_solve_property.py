@@ -19,8 +19,8 @@ import pytest
 
 from hypersym.engine import lattice
 from hypersym.presets import get_preset, preset_names
-from hypersym.solver import CauchyProblem, _mollifier_path, gevrey_data, solve_cauchy
-from hypersym.symmetrizer import ParameterSet
+from hypersym.solver import CauchyProblem, gevrey_data, solve_cauchy
+from hypersym.symmetrizer import ParameterSet, _mollifier_path
 from hypersym.weights import bracket
 from support import is_conjugate_symmetric
 

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from hypersym.coeffs import CoeffTerm, SystemCoefficients
 from hypersym.engine import fold_amplitudes, lattice, squared_moduli
 from hypersym.errors import ConfigError
 from hypersym.matkernel import expm_batched
 from hypersym.presets import get_preset
 from hypersym.planner import plan
 from hypersym.solver import (
+    BandPropagator,
     CauchyProblem,
     TruncatedGenerator,
     gevrey_data,
@@ -63,6 +65,20 @@ def test_rhs_cutoff_annihilates_high_modes():
     gen = TruncatedGenerator(cs, st.shape[1], (1.0 / 8.0,), 0.0)
     assert 30 not in gen.xi
     assert np.max(np.abs(gen.xi)) < 8
+
+
+def test_a_padded_time_term_is_the_same_time_term():
+    # " t" names the time function t, so a system with terms at "t" and
+    # " t" has one L_j: its word table holds the 5 words of one time term,
+    # 20,480 bytes at n_lattice 64, and not the 31 of two, 126,976 bytes
+    upper, lower = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    gens = [TruncatedGenerator(SystemCoefficients(m=2, a_terms=[CoeffTerm(0, "t", upper),
+                                                                CoeffTerm(0, name, lower)]),
+                               64, (0.0,), 0.0) for name in ("t", " t")]
+    for gen in gens:
+        assert list(gen.time_terms) == ["t"]
+        assert BandPropagator.table_bytes(gen) == 20480
+    np.testing.assert_array_equal(gens[1].term_matrices, gens[0].term_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +227,6 @@ def test_stability_budget_enforced():
     prob = CauchyProblem(cs, g, horizon=0.5)
     with pytest.raises(ConfigError):
         solve_cauchy(prob, _quick_params(), (0.25,), dt=1.0)
-
-
-def test_param_validation_enforced():
-    cs = constant_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    g = gevrey_data(64, 2, 2.0, 1.5, seed=7)
-    prob = CauchyProblem(cs, g, horizon=0.5)
-    bad = ParameterSet(rho=0.5, a=5.0, ell=16.0, tau=0.9, T=1.8, c1=0.225,
-                       theta=0, a0=0.5, eps0=0.5, c_spec=0.5)
-    with pytest.raises(ConfigError):
-        solve_cauchy(prob, bad, (1 / 16,))
 
 
 def test_h_range_enforced():

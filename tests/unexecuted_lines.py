@@ -1,8 +1,10 @@
-"""List the lines of ``src/hypersym`` that no tier-1 test executes.
+"""List the lines of ``src/hypersym`` that no tier-1 test, or no benchmark
+task, executes.
 
 Usage, from the repository root:
 
     python tests/unexecuted_lines.py [pytest arguments]
+    python tests/unexecuted_lines.py --tasks
 
 Runs the suite (``tests/`` with ``-q --continue-on-collection-errors``
 unless other pytest arguments are given) in this process under
@@ -12,12 +14,20 @@ then their count.  ``PYTHONPATH`` gains ``src`` for the tests that start a
 subprocess; what runs there is not traced, so a line reached only in a
 child process (``cli.py``'s ``__main__`` call, say) is listed.  Exits with
 pytest's status: a list from a failing run undercounts.
+
+With ``--tasks`` it runs, in place of the suite, every distinct timed and
+defect task config of ``perfbench/tasks.py`` (the configs that
+``dump_summaries.py`` dumps) through the benchmark's ``run_task``, and lists
+the lines that no task reached: the benchmark's traffic.  Tasks go through
+the runner, never the CLI, so all of ``cli.py`` is listed.  Exits 1 when a
+task raised an exception that is not a hypersym error.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import threading
 import types
 
@@ -28,15 +38,29 @@ PACKAGE = os.path.join(SRC, "hypersym")
 
 def executable_lines(path: str) -> set[int]:
     """The lines of the module at ``path`` that carry bytecode, nested
-    functions, classes and comprehensions included."""
+    functions, classes and comprehensions included; not line 0, the
+    module's preamble, which holds no source."""
     with open(path) as fh:
         stack = [compile(fh.read(), path, "exec")]
     lines = set()
     while stack:
         code = stack.pop()
-        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        lines.update(line for _, _, line in code.co_lines() if line)
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
+
+
+def run_tasks() -> int:
+    """Run every distinct benchmark task config through ``run_task``; 1 when
+    a task ended in an exception outside hypersym's, else 0."""
+    import dump_summaries
+
+    tasks = dump_summaries._load_tasks()
+    configs = dump_summaries.distinct_configs(tasks)
+    with tempfile.TemporaryDirectory() as work_root:
+        statuses = [tasks.run_task(config, work_root)["status"] for config in configs]
+    print(f"{len(configs)} task configs run")
+    return int(None in statuses)
 
 
 def main(argv: list[str]) -> int:
@@ -62,13 +86,17 @@ def main(argv: list[str]) -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
     sys.path.insert(0, SRC)
-    import pytest
+    if argv == ["--tasks"]:
+        run, args = run_tasks, ()
+    else:
+        import pytest
 
-    args = argv or [os.path.join(ROOT, "tests"), "-q", "--continue-on-collection-errors"]
+        run, args = pytest.main, (argv or [os.path.join(ROOT, "tests"), "-q",
+                                           "--continue-on-collection-errors"],)
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(args)
+        status = run(*args)
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -80,7 +108,8 @@ def main(argv: list[str]) -> int:
         for line in sorted(executable_lines(path) - hits[path]):
             print(f"{os.path.relpath(path, ROOT)}:{line}: {source[line - 1].strip()}")
             count += 1
-    print(f"{count} lines of src/hypersym that no test executed")
+    print(f"{count} lines of src/hypersym that no {'task' if run is run_tasks else 'test'} "
+          "executed")
     return int(status)
 
 
