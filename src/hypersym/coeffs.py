@@ -9,7 +9,8 @@ with C a complex m-by-m matrix, integer x-frequency k, and g drawn from a
 small grammar: ``1``, ``t``, ``t^p``, ``|t|^p``, and lacunary cosine sums
 ``lacunary(kappa, levels)`` producing kappa-Hoelder paths.  Since
 ``D_x = -i d/dx`` sends a term to k times itself, its x-derivatives are
-exact and never formed numerically.
+exact and never formed numerically.  :func:`coeffs_from_json` owns every rule
+of an inline document; the records it returns are plain data.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hypersym.errors import ConfigError
+from hypersym.errors import ConfigError, is_json
 
 MAX_M = 8  # the largest system size
 
@@ -96,12 +97,11 @@ class CoeffTerm:
 @dataclass
 class SystemCoefficients:
     """Coefficients A1(t, x) and B(t, x) of an m-by-m first-order system,
-    each the sum of its list of terms (``b_terms`` is empty when B = 0).
+    each the sum of its list of m-by-m terms (``b_terms`` is empty when B = 0).
 
-    ``t_regularity`` is "lipschitz" or "holder"; in Hoelder mode ``kappa``
-    gives the declared exponent, testable by sampling the path.
-    Hyperbolicity is a claimed property checked by certification, never
-    assumed by construction.
+    ``t_regularity`` is "lipschitz" or "holder"; in Hoelder mode ``kappa`` in
+    (0, 1] gives the declared exponent, testable by sampling the path.  Plain
+    data: hyperbolicity is a claimed property checked by certification.
     """
 
     m: int
@@ -109,19 +109,6 @@ class SystemCoefficients:
     b_terms: list[CoeffTerm] = field(default_factory=list)
     t_regularity: str = "lipschitz"
     kappa: float | None = None
-
-    def __post_init__(self):
-        for term in self.a_terms + self.b_terms:
-            if term.matrix.shape != (self.m, self.m):
-                raise ConfigError(
-                    f"term matrix shape {term.matrix.shape} != ({self.m}, {self.m})"
-                )
-        if self.t_regularity not in ("lipschitz", "holder"):
-            raise ConfigError(f"bad t_regularity {self.t_regularity!r}")
-        if self.t_regularity == "holder" and not (
-            self.kappa is not None and 0.0 < self.kappa <= 1.0
-        ):
-            raise ConfigError("holder mode requires kappa in (0, 1]")
 
     @property
     def x_band(self) -> int:
@@ -165,6 +152,14 @@ class SystemCoefficients:
         return [np.flatnonzero(row) for row in sorted(set(map(tuple, reach.tolist())))]
 
 
+def _typed(item: dict, key: str, kind: str, default=None):
+    """``item[key]`` (or a given ``default``), refused unless of the JSON type ``kind``."""
+    value = item[key] if default is None else item.get(key, default)
+    if not is_json(value, kind):
+        raise ConfigError(f"bad coeffs document: {key}: {value!r} is not of type {kind!r}")
+    return value
+
+
 def _field_from_json(m: int, entries: list) -> list[CoeffTerm]:
     collected: dict[tuple[int, str], np.ndarray] = {}
     if len(entries) != m or any(len(row) != m for row in entries):
@@ -173,27 +168,32 @@ def _field_from_json(m: int, entries: list) -> list[CoeffTerm]:
         for j in range(m):
             for item in entries[i][j]:
                 # a CoeffTerm names the entry's term; the entries of one term sum
-                term = CoeffTerm(int(item["x_freq"]), item["t_term"], np.zeros((m, m)))
+                term = CoeffTerm(_typed(item, "x_freq", "integer"),
+                                 _typed(item, "t_term", "string"), np.zeros((m, m)))
                 entry = collected.setdefault((term.x_freq, term.t_term), term.matrix.copy())
-                entry[i, j] += item["re"] + 1j * item.get("im", 0.0)
-    return [
-        CoeffTerm(x_freq=k, t_term=tt, matrix=mat)
-        for (k, tt), mat in sorted(collected.items(), key=lambda kv: kv[0])
-    ]
+                entry[i, j] += _typed(item, "re", "number") + 1j * _typed(item, "im", "number", 0.0)
+    # the keys differ, so sorting the items never compares two matrices
+    return [CoeffTerm(k, tt, mat) for (k, tt), mat in sorted(collected.items())]
 
 
 def coeffs_from_json(doc: dict) -> SystemCoefficients:
+    """The system of an inline document, or :class:`ConfigError` for a broken rule:
+    ``m`` in 1..MAX_M; ``A`` and ``B`` (0 when absent) m-by-m grids of entry lists,
+    each entry ``{"x_freq": integer, "t_term": string of the time grammar, "re":
+    number, "im": number (0 when absent)}``; ``t_regularity`` "lipschitz" (the
+    default) or "holder", which needs ``kappa`` in (0, 1]."""
     try:
         m = int(doc["m"])
         if not 1 <= m <= MAX_M:
             raise ConfigError(f"bad coeffs document: m = {m} not in 1..{MAX_M}")
-        return SystemCoefficients(
-            m=m,
-            a_terms=_field_from_json(m, doc["A"]),
-            b_terms=_field_from_json(m, doc.get("B", [[[] for _ in range(m)] for _ in range(m)])),
-            t_regularity=doc.get("t_regularity", "lipschitz"),
-            kappa=doc.get("kappa"),
-        )
+        a_terms = _field_from_json(m, doc["A"])
+        b_terms = _field_from_json(m, doc.get("B", [[[] for _ in range(m)] for _ in range(m)]))
+        t_regularity, kappa = doc.get("t_regularity", "lipschitz"), doc.get("kappa")
+        if t_regularity not in ("lipschitz", "holder"):
+            raise ConfigError(f"bad t_regularity {t_regularity!r}")
+        if t_regularity == "holder" and not (kappa is not None and 0.0 < kappa <= 1.0):
+            raise ConfigError("holder mode requires kappa in (0, 1]")
+        return SystemCoefficients(m, a_terms, b_terms, t_regularity, kappa)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad coeffs document: {exc}") from exc
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from hypersym import engine, matkernel, planner, rootsplit, solver, symmetrizer
 from hypersym.coeffs import SystemCoefficients, coeffs_from_json
-from hypersym.errors import ConfigError, HypersymError, NotRealRootedError, require_memory
+from hypersym.errors import ConfigError, HypersymError, NotRealRootedError, is_json, require_memory
 from hypersym.presets import get_preset
-from hypersym.symmetrizer import ParameterSet
 from hypersym.weights import EXP_BUDGET, bracket
 
 SCHEMA_VERSION = "1"
@@ -107,9 +106,6 @@ COMMAND_SCHEMAS = {
 }
 
 
-_JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool,
-               "object": dict, "array": list}
-
 _BOUNDS = {
     "minimum": (lambda v, b: v >= b, "is less than the minimum of"),
     "exclusiveMinimum": (lambda v, b: v > b, "is less than or equal to the minimum of"),
@@ -118,23 +114,9 @@ _BOUNDS = {
 }
 
 
-def _is_type(value, kind: str) -> bool:
-    # bool subclasses int in Python, but a JSON boolean is not a number
-    if isinstance(value, bool):
-        return kind == "boolean"
-    if kind == "number" and isinstance(value, (int, float)):
-        # Python's json reads NaN, Infinity and integers past the double
-        # range, which JSON numbers, as doubles, exclude
-        try:
-            return math.isfinite(value)
-        except OverflowError:
-            return False
-    return isinstance(value, _JSON_TYPES[kind])
-
-
 def _violation(value, prop: dict) -> str | None:
     """How ``value`` breaks its field's type or bounds, or None."""
-    if not _is_type(value, prop["type"]):
+    if not is_json(value, prop["type"]):
         return f"is not of type {prop['type']!r}"
     for bound, (holds, words) in _BOUNDS.items():
         if bound in prop and not holds(value, prop[bound]):
@@ -245,8 +227,8 @@ def calibrate(coeffs: SystemCoefficients, theta: int | None = None) -> Calibrati
             break
         eps0 /= 2.0
     # imaginary spread of H_N relative to the damping scale, over a probe set's distinct nodes
-    probe = ParameterSet(rho=0.5, a=2.0, ell=4.0, tau=min(0.5, eps0), T=2.0,
-                         c1=0.1, theta=theta, a0=0.0, eps0=eps0, c_spec=c)
+    probe = planner.ParameterSet(rho=0.5, a=2.0, ell=4.0, tau=min(0.5, eps0), T=2.0,
+                                 c1=0.1, theta=theta, a0=0.0, eps0=eps0, c_spec=c)
     xis = np.array([4.0, 16.0, 64.0])
     mu = bracket(xis, 4.0) ** 0.5
     t_nodes, x_nodes = coeffs.symbol_nodes(ts, xs)
@@ -262,7 +244,7 @@ def run_params(
     mode: str = "lipschitz",
     kappa=None,
     ell_max: float | None = None,
-) -> ParameterSet:
+) -> planner.ParameterSet:
     """The planner's parameters for a problem's calibration, its constants taken exactly.
 
     ``ell_max`` caps ``ell`` (see :func:`planner.plan`).  The uncapped
@@ -282,13 +264,7 @@ def _solve_setup(config: dict):
     # reads 20 m + 18 bytes a mode at m = 1 to 8 (16 m of them held), 16 m + 16 with the t = 0 fit
     require_memory((20 * coeffs.m + 24) * n_x, f"n_lattice = {n_x}: the data's lattice arrays")
     cal = calibrate(coeffs, theta_decl)
-    try:
-        params = run_params(cal, coeffs.t_regularity, coeffs.kappa, ell_max=config.get("ell"))
-    except ValueError as exc:  # the planner's kappa range, (0, 1)
-        raise ConfigError(f"kappa = {coeffs.kappa}: {exc}") from None
-    except OverflowError:  # ell >= a^(1/(1 - rho)) leaves the double range as rho nears 1
-        raise ConfigError(f"theta = {cal.theta}, kappa = {coeffs.kappa}: the planned "
-                          "parameters are beyond the double range") from None
+    params = run_params(cal, coeffs.t_regularity, coeffs.kappa, ell_max=config.get("ell"))
     big_t = float(params.T)
     # the weight e^(T <xi>_ell^rho) is smallest at xi = 0, where <0>_ell = ell
     least = big_t * float(params.ell) ** float(params.rho)
@@ -496,12 +472,9 @@ def _cmd_conjtest(config: dict) -> dict:
 def _cmd_plan(config: dict) -> dict:
     try:
         kappa = Fraction(config["kappa"]) if "kappa" in config else None
-        doc = planner.plan(config["theta"], config["mode"], kappa).to_json()
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from None
-    except OverflowError:
-        raise ConfigError(f"theta = {config['theta']}, kappa = {config.get('kappa')}: the "
-                          "planned parameters are beyond the double range") from None
+    doc = planner.plan(config["theta"], config["mode"], kappa).to_json()
     doc["passed"] = True
     return doc
 

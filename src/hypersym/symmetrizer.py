@@ -5,14 +5,16 @@ R is computed by solving the stationary Lyapunov identity
 size); the defining integral ``R = a int <xi>^rho (e^{sM})* e^{sM} ds`` is
 kept as an independent quadrature oracle anchoring the solve.  Probes verify
 the lower bound and the symbol-class estimates; the mollified variant serves
-the Hoelder-mode energy of the solver.
+the Hoelder-mode energy of the solver.  Every function reads its weight and
+damping parameters from a :class:`planner.ParameterSet`, which the planner
+plans and checks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,42 +22,8 @@ from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import StabilityMarginError
 from hypersym.matkernel import (block_eigvals, block_norm2, expm_batched, line_fit, taylor_order,
                                 taylor_symbol)
+from hypersym.planner import ParameterSet
 from hypersym.weights import bracket, poly_bump
-
-
-@dataclass
-class ParameterSet:
-    """Weight/damping parameters with the admissibility constraints attached.
-
-    Values may be exact rationals (from the planner) or floats; numeric
-    consumers coerce to float.  ``nu = theta (1 - rho)`` is derived, and so
-    is the Taylor order ``taylor_order(theta, m)``.  ``a0`` and ``eps0`` are
-    empirical floor constants with no canonical closed form, calibrated per
-    problem; ``c_spec`` is the certified spectral-bound constant.
-    """
-
-    rho: object
-    a: object
-    ell: object
-    tau: object
-    T: object
-    c1: object
-    theta: int
-    kappa: object | None = None
-    s: object | None = None
-    delta: object | None = None
-    a0: object = 1.0
-    eps0: object = 0.5
-    c_spec: object | None = None
-
-    @property
-    def nu(self) -> float:
-        return self.theta * (1.0 - float(self.rho))
-
-    def to_json(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc = {k: None if v is None else float(v) for k, v in values.items()}
-        return {**doc, "theta": self.theta, "nu": self.nu}  # theta stays an int
 
 
 # ---------------------------------------------------------------------------

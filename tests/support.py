@@ -33,12 +33,11 @@ from hypersym import solver
 from hypersym.coeffs import MAX_M, CoeffTerm, SystemCoefficients
 from hypersym.errors import HypersymError
 from hypersym.matkernel import line_fit, taylor_symbol
-from hypersym.planner import rho_required
+from hypersym.planner import ParameterSet, rho_required
 from hypersym.presets import get_preset
 from hypersym.rootsplit import _sort_rows, polished_roots
 from hypersym.symmetrizer import (
     _STENCILS,
-    ParameterSet,
     _central,
     _fit_window,
     _lyap_solve_batch,
@@ -101,6 +100,19 @@ def coeffs_to_json(coeffs: SystemCoefficients) -> dict:
     if coeffs.kappa is not None:
         doc["kappa"] = coeffs.kappa
     return doc
+
+
+# (field, value) of an entry that breaks its JSON type: t_term is a string,
+# x_freq an integer, and re and im are numbers (a boolean is none, and an
+# integer past the double range is no JSON number)
+BAD_ENTRY_FIELDS = ([("t_term", v) for v in (1, 1.5, True, None, [1], {})]
+                    + [("x_freq", v) for v in (1.5, "1", True)]
+                    + [("re", True), ("re", 10**400), ("im", True)])
+
+
+def one_entry_document(key: str, value) -> dict:
+    """The 1-by-1 coefficient document A = 1 with its entry's ``key`` set to ``value``."""
+    return {"m": 1, "A": [[[{"x_freq": 0, "t_term": "1", "re": 1.0, key: value}]]]}
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ import pytest
 from hypersym import solver
 from hypersym.engine import conjugation_remainder_probe
 from hypersym.matkernel import estimate_theta, spectral_bound_certify
-from hypersym.planner import plan, rho_required
+from hypersym.planner import ParameterSet, plan, rho_required
 from hypersym.presets import get_preset
 from hypersym.rootsplit import expand_roots, nuij_constant, nuij_split, random_real_rooted
 from hypersym.solver import CauchyProblem, gevrey_data, h_uniformity_study, \
     parabolic_study, solve_cauchy
 from hypersym.symmetrizer import (
-    ParameterSet,
     _lyap_solve_batch,
     build_field,
     lower_bound_check,

@@ -178,27 +178,66 @@ def test_wave_t2_matches_its_bessel_solution_operator(n_x, h_ell):
     assert np.max(err[normal] / amp[normal]) <= 1e-3
 
 
-def test_diagonal_x_dependent_system_matches_its_characteristics(monkeypatch):
-    # c1 = (1 + 0.5 cos x)(1 + 0.25 t) and c2 = -0.8 + 0.3 cos x, B = 0: each
-    # component is transported along its own characteristics, so closed_form
-    # solves it exactly.  At h = 0 and n_lattice 256 the solve is held to it
-    # at samples 16, 32 and 48 on both step paths, to a relative l2 error of
-    # 1e-9: it reads 1.4e-10, 3.3e-10 and 5.6e-10, the two paths within 6e-15
-    terms = [CoeffTerm(0, "1", np.diag([1.0, -0.8])), *cosine_terms(1, np.diag([0.5, 0.3])),
-             CoeffTerm(0, "t", np.diag([0.25, 0.0])),
-             *cosine_terms(1, np.diag([0.125, 0.0]), "t")]
-    cfg = {"command": "solve", "schema_version": "1", "seed": 3, "n_lattice": 256,
+# The speeds c1 = (1 + 0.5 cos x)(1 + 0.25 t) and c2 = -0.8 + 0.3 cos x of a
+# system A = P diag(c1, c2) P^-1, B = 0, solved exactly by characteristics
+_SPEEDS = [lambda t, x: (1.0 + 0.5 * np.cos(x)) * (1.0 + 0.25 * t),
+           lambda t, x: -0.8 + 0.3 * np.cos(x)]
+_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])  # P, so that A = [[c1, c2 - c1], [0, c2]]
+
+
+def _transport_case(p, n_x, samples):
+    """The solve setup of A = P diag(c1, c2) P^-1 at seed 3 and ``n_x``, the
+    times of ``samples`` and the exact states there: w = P^-1 u splits into
+    the transports of c1 and c2, so u = P w."""
+    def conj(d):
+        return p @ np.diag(d) @ np.linalg.inv(p)
+
+    terms = [CoeffTerm(0, "1", conj([1.0, -0.8])), *cosine_terms(1, conj([0.5, 0.3])),
+             CoeffTerm(0, "t", conj([0.25, 0.0])), *cosine_terms(1, conj([0.125, 0.0]), "t")]
+    cfg = {"command": "solve", "schema_version": "1", "seed": 3, "n_lattice": n_x,
            "coeffs": coeffs_to_json(SystemCoefficients(m=2, a_terms=terms))}
     _, params, problem = runner._solve_setup(runner.validate_config(cfg))
-    samples = [16, 32, 48]
     times = problem.horizon * np.array(samples) / solver.N_SAMPLES
-    exact = diagonal_transport([lambda t, x: (1.0 + 0.5 * np.cos(x)) * (1.0 + 0.25 * t),
-                                lambda t, x: -0.8 + 0.3 * np.cos(x)], problem.g, times)
+    w = diagonal_transport(_SPEEDS, np.linalg.solve(p, problem.g), times)
+    return params, problem, times, np.einsum("ij,sjn->sin", p, w)
+
+
+def _relative_errors(res, samples, exact):
+    states = res.lattice_states(0, samples)
+    return np.linalg.norm(states - exact, axis=(1, 2)) / np.linalg.norm(exact, axis=(1, 2))
+
+
+def _check_samples(monkeypatch, p):
+    """Hold the solve at h = 0 and n_lattice 256 to the exact states at samples
+    16, 32 and 48 on both step paths, to a relative l2 error of 1e-9."""
+    samples = [16, 32, 48]
+    params, problem, times, exact = _transport_case(p, 256, samples)
     for stepping in (True, False):
         force_step_path(monkeypatch, stepping)
         res = solver.solve_cauchy(problem, params, (0.0,))
         np.testing.assert_allclose(res.times[samples], times, rtol=1e-15)
-        states = res.lattice_states(0, samples)
-        err = (np.linalg.norm(states - exact, axis=(1, 2))
-               / np.linalg.norm(exact, axis=(1, 2)))
+        err = _relative_errors(res, samples, exact)
         assert np.max(err) <= 1e-9, (stepping, err)
+
+
+def test_diagonal_x_dependent_system_matches_its_characteristics(monkeypatch):
+    # P = I: it reads 1.4e-10, 3.3e-10 and 5.6e-10, the two paths within 6e-15
+    _check_samples(monkeypatch, np.eye(2))
+
+
+def test_non_symmetric_x_dependent_system_matches_its_characteristics(monkeypatch):
+    # P = [[1, 1], [0, 1]]: A is not symmetric and forms one 2x2 block.  It
+    # reads 1.8e-11, 3.7e-11 and 5.8e-11, the two paths within 3e-14
+    _check_samples(monkeypatch, _SHEAR)
+
+
+def test_non_symmetric_x_dependent_system_converges_spectrally_in_the_lattice():
+    # At sample 48 each doubling of n_lattice, 64 -> 128 -> 256, cuts the
+    # relative l2 error by a factor of 50 or more (it reads 1.4e-5, 7.5e-9 and
+    # 5.8e-11): past the factor 16 that a fourth-order error would give
+    errors = []
+    for n_x in (64, 128, 256):
+        params, problem, _, exact = _transport_case(_SHEAR, n_x, [48])
+        res = solver.solve_cauchy(problem, params, (0.0,))
+        errors.append(_relative_errors(res, [48], exact)[0])
+    assert errors[0] >= 50 * errors[1] >= 2500 * errors[2], errors

@@ -15,6 +15,7 @@ from hypersym.cli import main
 from hypersym.errors import ConfigError
 from hypersym.presets import preset_names
 from hypersym.runner import COMMAND_SCHEMAS, _check, run, validate_config
+from support import BAD_ENTRY_FIELDS, one_entry_document
 
 
 def _zero_coeffs(m):
@@ -229,6 +230,8 @@ def test_wrong_type_rejected(cfg):
     ["certify", {"coeffs": {"A": [[[]]]}}],
     # Hoelder mode plans at a declared kappa alone
     ["plan", "--theta", "0", "--mode", "holder"],
+    # an entry field of the wrong JSON type
+    *[["certify", {"coeffs": one_entry_document(key, value)}] for key, value in BAD_ENTRY_FIELDS],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []

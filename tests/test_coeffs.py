@@ -13,7 +13,11 @@ from hypersym.coeffs import (
     time_function,
 )
 from hypersym.errors import ConfigError
-from support import coeffs_to_json, constant_system, field_dx, holder_ratio, sine_terms
+from support import (BAD_ENTRY_FIELDS, coeffs_to_json, constant_system, field_dx, holder_ratio,
+                     one_entry_document, sine_terms)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def test_time_grammar():
@@ -77,11 +81,64 @@ def test_json_round_trip():
 def test_bad_documents_rejected():
     with pytest.raises(ConfigError):
         coeffs_from_json({"m": 2, "A": []})
-    with pytest.raises(ConfigError):
-        SystemCoefficients(m=1, a_terms=[], t_regularity="holder")
-    # a term's matrix must be m-by-m
-    with pytest.raises(ConfigError, match=r"\(2, 2\) != \(1, 1\)"):
-        SystemCoefficients(m=1, a_terms=[], b_terms=[CoeffTerm(0, "1", np.eye(2))])
+    with pytest.raises(ConfigError, match=r"holder mode requires kappa in \(0, 1\]"):
+        coeffs_from_json({"m": 1, "A": [[[]]], "t_regularity": "holder"})
+
+
+@pytest.mark.parametrize("key, value", BAD_ENTRY_FIELDS)
+def test_an_entry_field_of_the_wrong_type_is_refused_by_name(key, value):
+    with pytest.raises(ConfigError, match=rf"^bad coeffs document: {key}: "):
+        coeffs_from_json(one_entry_document(key, value))
+
+
+# Strings of the time grammar, and near misses: a level count past 1024, and
+# an exponent that the grammar's pattern reads but float() does not
+_GRAMMAR = ("1", "t", " t^3 ", "|t|^0.5", "lacunary(0.5, 4)", "lacunary(0.5,2000)", "|t|^1.2.3")
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+              st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_GRAMMAR),
+              st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+# The slots of a document; each document draws one that may hold any JSON value
+_SLOTS = ("m", "A", "B", "entries", "entry", "x_freq", "t_term", "re", "im", "t_regularity",
+          "kappa")
+
+
+@st.composite
+def _documents(draw):
+    n, junk = draw(st.integers(1, 3)), draw(st.sampled_from(_SLOTS))
+
+    def slot(name, valid):
+        return valid | _JSON if name == junk else valid
+
+    entry = slot("entry", st.fixed_dictionaries(
+        {"x_freq": slot("x_freq", st.integers(-2, 2)),
+         "t_term": slot("t_term", st.sampled_from(_GRAMMAR)),
+         "re": slot("re", st.floats(-2.0, 2.0))},
+        optional={"im": slot("im", st.floats(-2.0, 2.0))}))
+    cell = slot("entries", st.lists(entry, max_size=2))
+    row = st.lists(cell, min_size=n, max_size=n)
+    return draw(st.fixed_dictionaries(
+        {"m": slot("m", st.just(n)), "A": slot("A", st.lists(row, min_size=n, max_size=n))},
+        optional={"B": slot("B", st.lists(row, min_size=n, max_size=n)),
+                  "t_regularity": slot("t_regularity", st.sampled_from(["lipschitz", "holder"])),
+                  "kappa": slot("kappa", st.floats(0.0, 1.0))}))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(doc=_documents())
+def test_an_inline_document_is_parsed_or_refused(doc):
+    # every slot of the document holds a JSON value, valid for it or not: the
+    # parser returns a system or refuses the document, and nothing else
+    try:
+        coeffs = coeffs_from_json(doc)
+    except ConfigError:
+        return
+    assert isinstance(coeffs, SystemCoefficients)
 
 
 def test_holder_ratio_bounded():

@@ -83,6 +83,9 @@ def test_golden_plans_meet_their_calibration_exactly(name):
     cal = _calibration(name)
     template = run_params(cal)
     assert template.to_json() == TEMPLATES[name]
-    assert validate_params(template, cal.c, max(cal.a0, 1.0), cal.eps0) == []
+    assert (template.c_spec, template.a0, template.eps0) == (cal.c, max(cal.a0, 1.0), cal.eps0)
+    assert validate_params(template) == []
     for record in (r for r in CAPPED if r["preset"] == name):
-        assert validate_params(_capped(record), cal.c, cal.a0, cal.eps0) == [], record["ell_max"]
+        capped = _capped(record)
+        assert (capped.c_spec, capped.a0, capped.eps0) == (cal.c, cal.a0, cal.eps0)
+        assert validate_params(capped) == [], record["ell_max"]

@@ -1,12 +1,11 @@
 """Property: every plan a calibration yields is admissible, or refused by name.
 
 Each example draws a calibration (c in [0.5, 3], a0 in [0, 3], eps0 = 2^-k,
-theta in 0..3), a mode (Hoelder at a kappa drawn as a fraction or as a
-float) and an ell cap, or none.  ``run_params`` must either plan parameters
-that meet every constraint exactly against the drawn constants, or refuse
-a cap whose weight window holds no ``a >= a0 + 1``.  Kappa stays at 1/16 or
-more: below it the uncapped template's ell can leave the double range,
-which the solve setup refuses on its own.
+theta in 0..3), a mode (Hoelder at a kappa in (0, 1) drawn as a fraction or
+as a float) and an ell cap, or none.  ``run_params`` must either plan
+parameters that meet every constraint exactly against the drawn constants,
+or refuse, by name, a cap whose weight window holds no ``a >= a0 + 1`` or an
+uncapped template whose ell leaves the double range (kappa near 0).
 
 The ``plan`` command's threshold is the paper's reciprocal of rho: at any
 theta up to 400 and any kappa = p/q in (0, 1) with q <= 1000, it equals the
@@ -25,8 +24,6 @@ from support import s0_holder_reference, s0_lipschitz_reference
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-_KAPPA_MIN = Fraction(1, 16)
-
 _calibrations = st.builds(
     Calibration,
     c=st.floats(0.5, 3.0),
@@ -37,8 +34,8 @@ _calibrations = st.builds(
 _modes = st.one_of(
     st.tuples(st.just("lipschitz"), st.none()),
     st.tuples(st.just("holder"), st.one_of(
-        st.fractions(_KAPPA_MIN, 1, max_denominator=1000).filter(lambda k: k < 1),
-        st.floats(float(_KAPPA_MIN), 1.0, exclude_max=True))),
+        st.fractions(0, 1, max_denominator=1000).filter(lambda k: 0 < k < 1),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
 )
 _caps = st.one_of(st.none(), st.floats(4.0, 2.0**12))
 
@@ -53,11 +50,14 @@ def test_run_params_is_admissible_or_refused(cal, mode_kappa, ell_max):
     try:
         params = run_params(cal, mode, kappa, ell_max)
     except ConfigError as exc:
-        assert ell_max is not None
-        assert str(exc).startswith("cannot satisfy a >= a0+1"), exc
+        if ell_max is None:
+            assert str(exc).endswith("the planned parameters are beyond the double range"), exc
+        else:
+            assert str(exc).startswith("cannot satisfy a >= a0+1"), exc
         return
     a0 = max(cal.a0, 1.0) if ell_max is None else cal.a0
-    assert validate_params(params, cal.c, a0, cal.eps0) == []
+    assert (params.c_spec, params.a0, params.eps0) == (cal.c, a0, cal.eps0)
+    assert validate_params(params) == []
     if ell_max is not None:
         assert params.ell == ell_max
 

@@ -5,12 +5,13 @@ paper's s0 formulas and the mollifier's constraint lines in ``support`` are
 its independent references.
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from hypersym.planner import DELTA, _le_pow, plan, rho_required, validate_params
-from hypersym.symmetrizer import ParameterSet
+from hypersym.errors import ConfigError
+from hypersym.planner import DELTA, ParameterSet, _le_pow, plan, rho_required, validate_params
 from support import mollifier_lines, s0_holder_reference, s0_lipschitz_reference
 
 
@@ -72,17 +73,18 @@ def test_feasible_region_vertex():
 
 @pytest.mark.parametrize("kappa", [F(0), F(1), F(-1, 2), F(3, 2), 1.0])
 def test_holder_kappa_outside_open_unit_interval_is_refused(kappa):
-    # the planner's one kappa check, behind plan and run_params alike
-    with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\)"):
+    # the planner's one kappa check, behind plan and run_params alike, names the value
+    refusal = re.escape(f"kappa = {kappa}: kappa must lie in (0, 1)")
+    with pytest.raises(ConfigError, match=refusal):
         rho_required(0, "holder", kappa)
-    with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\)"):
+    with pytest.raises(ConfigError, match=refusal):
         plan(0, "holder", kappa)
 
 
 def test_rho_required_refuses_holder_without_kappa_and_negative_theta():
-    with pytest.raises(ValueError, match="holder mode requires kappa"):
+    with pytest.raises(ConfigError, match="holder mode requires kappa"):
         rho_required(0, "holder")
-    with pytest.raises(ValueError, match="theta must be a nonnegative integer"):
+    with pytest.raises(ConfigError, match="theta must be a nonnegative integer"):
         rho_required(-1, "lipschitz")
 
 
@@ -94,49 +96,44 @@ def test_le_pow_on_nonpositive_sides():
     assert not _le_pow(F(1, 1000), F(-4), F(1, 2))
 
 
-def _pset(rho, a, ell, tau=F(1, 2), big_t=F(2), c1=F(1, 8)):
+def _pset(rho, a, ell, tau=F(1, 2), big_t=F(2), c1=F(1, 8), a0=1, eps0=F(1, 2)):
     return ParameterSet(rho=rho, a=a, ell=ell, tau=tau, T=big_t, c1=c1,
-                        theta=0)
+                        theta=0, a0=a0, eps0=eps0, c_spec=F(1, 2))
 
 
 def test_validate_boundary_case_passes():
-    p = _pset(F(1, 2), 4, 16)
-    assert validate_params(p, c=F(1, 2), a0=1, eps0=F(1, 2)) == []
+    assert validate_params(_pset(F(1, 2), 4, 16)) == []
 
 
 def test_validate_weight_window_violation():
-    p = _pset(F(1, 2), 5, 16)
-    out = validate_params(p, c=F(1, 2), a0=1, eps0=F(1, 2))
+    out = validate_params(_pset(F(1, 2), 5, 16))
     assert any("aellconstraint" in v for v in out)
 
 
 def test_validate_damping_window_violation():
-    p = _pset(F(1, 2), 4, 16, tau=F(5), big_t=F(2))
-    out = validate_params(p, c=F(1, 2), a0=1, eps0=F(4))
+    out = validate_params(_pset(F(1, 2), 4, 16, tau=F(5), big_t=F(2), eps0=F(4)))
     assert any("rangetau" in v for v in out)
 
 
 def test_validate_rho_range_violation():
     for rho in (F(0), F(1), F(3, 2)):
-        out = validate_params(_pset(rho, 4, 16), c=F(1, 2), a0=1, eps0=F(1, 2))
+        out = validate_params(_pset(rho, 4, 16))
         assert "rho must lie in (0, 1)" in out
 
 
 def test_validate_damping_slope_violation():
     # T = 5 past a / (2 c) = 4
-    out = validate_params(_pset(F(1, 2), 4, 16, big_t=F(5)), c=F(1, 2), a0=1, eps0=F(1, 2))
+    out = validate_params(_pset(F(1, 2), 4, 16, big_t=F(5)))
     assert out == ["rangetau: need 2*c*T <= a"]
 
 
 def test_validate_taylor_scale_violation():
-    p = _pset(F(1, 2), 4, 16, tau=F(3, 2), big_t=F(2))
-    out = validate_params(p, c=F(1, 2), a0=1, eps0=F(1, 4))
+    out = validate_params(_pset(F(1, 2), 4, 16, tau=F(3, 2), big_t=F(2), eps0=F(1, 4)))
     assert any("constraint6" in v for v in out)
 
 
 def test_validate_damping_floor_violation():
-    p = _pset(F(1, 2), 4, 16)
-    out = validate_params(p, c=F(1, 2), a0=4, eps0=F(1, 2))
+    out = validate_params(_pset(F(1, 2), 4, 16, a0=4))
     assert any("constraint8" in v for v in out)
 
 
@@ -145,7 +142,8 @@ def test_plan_emits_admissible_template():
         pr = plan(theta, "lipschitz")
         assert pr.s0 * pr.rho_required == 1
         assert pr.s0 == s0_lipschitz_reference(theta)
-        assert validate_params(pr.params, c=F(1, 2), a0=1, eps0=F(1, 2)) == []
+        assert (pr.params.c_spec, pr.params.a0, pr.params.eps0) == (F(1, 2), 1, F(1, 2))
+        assert validate_params(pr.params) == []
     pr = plan(1, "holder", F(1, 2))
     assert pr.rho_required == F(9, 10)
     assert pr.delta == 1
@@ -159,5 +157,4 @@ def test_plan_json_round_trip_fields():
     assert doc["binding"] == "second-estimate"
     p = ParameterSet(**{k: v for k, v in doc["params"].items() if k != "nu"})  # nu is derived
     assert p.nu == doc["params"]["nu"]
-    assert validate_params(p, c=doc["params"]["c_spec"], a0=doc["params"]["a0"],
-                           eps0=doc["params"]["eps0"]) == []
+    assert validate_params(p) == []

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from hypersym.engine import lattice
+from hypersym.planner import ParameterSet
 from hypersym.presets import get_preset, preset_names
 from hypersym.solver import CauchyProblem, gevrey_data, solve_cauchy
-from hypersym.symmetrizer import ParameterSet, _mollifier_path
+from hypersym.symmetrizer import _mollifier_path
 from hypersym.weights import bracket
 from support import is_conjugate_symmetric
 

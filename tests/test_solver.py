@@ -20,7 +20,7 @@ from hypersym.solver import (
     solve_cauchy,
     step_rk4,
 )
-from hypersym.symmetrizer import ParameterSet
+from hypersym.planner import ParameterSet
 from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
 from support import (allocating_rhs, constant_system, force_step_path, from_physical,
                      generator_matrix, gevrey_certificate_holds, is_conjugate_symmetric, rk4_step,

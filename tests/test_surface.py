@@ -278,3 +278,18 @@ def test_dense_eigensolver_only_behind_block_eigvals():
                     callers.add((path.stem, owner))
     assert callers <= _EIGVALS_CALLERS, "eigvals called outside block_eigvals: " \
         + ", ".join(f"{module}.{owner}" for module, owner in sorted(callers - _EIGVALS_CALLERS))
+
+
+def test_planner_imports_nothing_of_hypersym_but_errors():
+    # the exact-arithmetic planner owns ParameterSet and its own refusals, and
+    # leans on none of the numerics
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "planner.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "hypersym":
+            imported |= {f"hypersym.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert {name for name in imported if name.split(".")[0] == "hypersym"} <= {"hypersym.errors"}, \
+        imported

@@ -11,12 +11,11 @@ from hypersym.errors import StabilityMarginError
 from hypersym.matkernel import expm_batched, taylor_order, taylor_symbol
 from hypersym import symmetrizer
 from hypersym.presets import get_preset, preset_names
-from hypersym.planner import plan
+from hypersym.planner import ParameterSet, plan
 from hypersym.runner import calibrate, run_params
 from hypersym.symmetrizer import (
     _PROBE_T0,
     _ROWS,
-    ParameterSet,
     _fit_window,
     _lyap_solve_batch,
     _stencil_derivatives,

@@ -26,7 +26,8 @@ import pytest
 
 from hypersym.coeffs import CoeffTerm, SystemCoefficients, coeffs_from_json
 from hypersym.matkernel import taylor_symbol
-from hypersym.symmetrizer import ParameterSet, damped_generator, hn_over_lattice
+from hypersym.planner import ParameterSet
+from hypersym.symmetrizer import damped_generator, hn_over_lattice
 from support import field_dx, stack_blocks, taylor_reference
 
 hypothesis = pytest.importorskip("hypothesis")
