@@ -181,14 +181,16 @@ def coeffs_from_json(doc: dict) -> SystemCoefficients:
     ``m`` in 1..MAX_M; ``A`` and ``B`` (0 when absent) m-by-m grids of entry lists,
     each entry ``{"x_freq": integer, "t_term": string of the time grammar, "re":
     number, "im": number (0 when absent)}``; ``t_regularity`` "lipschitz" (the
-    default) or "holder", which needs ``kappa`` in (0, 1]."""
+    default) or "holder", which needs ``kappa`` in (0, 1]; ``m`` an integer and a
+    declared ``kappa`` a number."""
     try:
-        m = int(doc["m"])
+        m = _typed(doc, "m", "integer")
         if not 1 <= m <= MAX_M:
             raise ConfigError(f"bad coeffs document: m = {m} not in 1..{MAX_M}")
         a_terms = _field_from_json(m, doc["A"])
         b_terms = _field_from_json(m, doc.get("B", [[[] for _ in range(m)] for _ in range(m)]))
-        t_regularity, kappa = doc.get("t_regularity", "lipschitz"), doc.get("kappa")
+        t_regularity = doc.get("t_regularity", "lipschitz")
+        kappa = _typed(doc, "kappa", "number") if "kappa" in doc else None
         if t_regularity not in ("lipschitz", "holder"):
             raise ConfigError(f"bad t_regularity {t_regularity!r}")
         if t_regularity == "holder" and not (kappa is not None and 0.0 < kappa <= 1.0):

@@ -473,7 +473,7 @@ def _cmd_plan(config: dict) -> dict:
     try:
         kappa = Fraction(config["kappa"]) if "kappa" in config else None
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"kappa = {config['kappa']}: {exc}") from None
     doc = planner.plan(config["theta"], config["mode"], kappa).to_json()
     doc["passed"] = True
     return doc

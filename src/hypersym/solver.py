@@ -69,7 +69,9 @@ names the first state that leaves the double range; a stepped band can lose
 finiteness a few steps sooner, when an RK4 stage overflows first.  Each
 cutoff's samples are diagnosed on their own (:func:`_energy_trace`), when the
 result's traces are first read, over blocks of samples that form no lattice
-state; the h-uniformity study reads each cutoff's weighted norms alone.  The
+state, and a mollified energy solves its R path a chunk at a time into
+:func:`mollify_path`'s ring; the h-uniformity study reads each cutoff's
+weighted norms alone.  The
 result owns the energy's allowances, per grid step and per sample, that the
 monotone-energy gate holds the increments to.
 """
@@ -730,7 +732,9 @@ def _energy_trace(res: SolveResult, i: int, energies: bool) -> EnergyTrace:
     radius fit; otherwise ``er_mode`` is "skipped" and ``gevrey_c`` NaN.
 
     The R-energy is skipped on x-dependent coefficients, mollified when the
-    plan has a delta (Hoelder mode), and the exact multiplier otherwise.  The
+    plan has a delta (Hoelder mode), and the exact multiplier otherwise.  A
+    mollified energy hands :func:`mollify_path` R on a range of path times,
+    solved on demand, each time once, never the whole path.  The
     diagnostics run over blocks of samples and form no lattice state.  A
     block's squared moduli q are u0's, found once, with its band's written
     over them at the band's FFT positions and, when eps_par > 0, those of
@@ -769,17 +773,23 @@ def _energy_trace(res: SolveResult, i: int, energies: bool) -> EnergyTrace:
 
     if er_mode == "mollified":
         path_ts = _mollifier_path(xi, params, problem.horizon)
-        # the band's R path must fit in physical memory: 64 m^2 + 8 bytes a
-        # node while its Lyapunov batch symmetrizes R beside its generators,
-        # a chunk of the batch's temporaries, and 16 m^2 a sample and mode
-        # for the mollified R
-        require_memory(r_xi.size * (path_ts.size * (64 * coeffs.m**2 + 8)
-                                    + times.size * 16 * coeffs.m**2) + _BLOCK_BYTES,
+        # R is solved a chunk of path times at a time: their Lyapunov nodes,
+        # with their rows of R (16 m^2 bytes a node), take _BLOCK_BYTES
+        chunk = max(1, _BLOCK_BYTES // ((_lyap_node_bytes(coeffs.blocks) + 16 * coeffs.m**2)
+                                        * r_xi.size))
+        # the mollified R and the ring of R, a chunk and a window of path
+        # times (the path starts half a window before 0), must fit in
+        # physical memory beside a chunk's solve or a block of samples
+        rows = times.size + chunk + 2 * math.ceil(-path_ts[0] / (path_ts[1] - path_ts[0])) + 1
+        require_memory(16 * coeffs.m**2 * r_xi.size * rows + _BLOCK_BYTES,
                        f"{path_ts.size} mollifier path times")
-        # (n_samples, n_active, m, m); R on the path is freed once it returns
-        molly_values = mollify_path(
-            path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks),
-            bracket(r_xi, ell), float(params.delta), times)
+
+        def r_rows(lo, hi):
+            return _lyap_solve_batch(*r_generator(path_ts[lo:hi, None]), coeffs.blocks)
+
+        # (n_samples, n_active, m, m)
+        molly_values = mollify_path(path_ts, r_rows, bracket(r_xi, ell), float(params.delta),
+                                    times, chunk)
 
     n_samples, nu = times.size, params.nu
     sigmas = (-nu, (rho - 1.0) / 2.0, rho / 2.0, nu, 3.0 * nu)

@@ -490,38 +490,69 @@ def _mollifier_path(xi: np.ndarray, params: ParameterSet, horizon: float) -> np.
     return np.arange(-pad, horizon + pad + dt_path, dt_path)
 
 
+def _unit_kernels(u: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """:func:`poly_bump` at the offsets ``u`` (samples, window, nodes), zero
+    where ``pad`` (samples, window), scaled to unit mass over each window."""
+    w = poly_bump(u)
+    w[pad] = 0.0
+    w /= np.sum(w, axis=1, keepdims=True)
+    return w
+
+
 def mollify_path(
     ts: np.ndarray,
-    r_path: np.ndarray,
+    r_rows,
     bracket_vals: np.ndarray,
     delta: float,
-    eval_ts,
+    eval_ts: np.ndarray,
+    chunk: int,
 ) -> np.ndarray:
     """Discrete time-mollification ``<xi>^delta int R(s) chi((t-s)<xi>^delta) ds``.
 
-    ``ts`` is ascending, ``r_path`` has shape (nt,) + node_shape + (m, m)
-    and ``bracket_vals`` broadcasts over node_shape; the result has shape
-    (len(eval_ts),) + node_shape + (m, m).  Weights are renormalized to unit
-    mass so a time-constant path is reproduced exactly.  The step of ``ts``
-    must be at most a quarter of the narrowest kernel width, and ``ts`` must
-    reach the widest width past both ends of ``eval_ts``, as
+    ``ts`` is ascending, ``r_rows(lo, hi)`` gives R at ``ts[lo:hi]``, shape
+    (hi - lo, n, m, m), and ``bracket_vals`` has shape (n,); the result has
+    shape (len(eval_ts), n, m, m).  Weights are renormalized to unit mass so
+    a time-constant path is reproduced exactly.  The step of ``ts`` must be
+    at most a quarter of the narrowest kernel width, and ``ts`` must reach
+    the widest width past both ends of the ascending ``eval_ts``, as
     :func:`_mollifier_path` makes it: then every kernel holds nodes inside
     its support, and its mass is positive.
+
+    R is asked for ``chunk`` path times at a time, each time once and in
+    order, into a ring of a window and a chunk of path times, whose oldest
+    rows no later window needs.  The samples whose windows are solved are
+    mollified in blocks: over each sample's window (the path times within
+    the widest width), padded to the widest window with zero weights, a
+    block's kernels are formed at once and contracted on R's (re, im) pairs.
     """
-    ts = np.asarray(ts, dtype=float)
-    eval_ts = np.atleast_1d(np.asarray(eval_ts, dtype=float))
-    br = np.asarray(bracket_vals, dtype=float)
-    widths = br ** (-float(delta))
-    node_shape = r_path.shape[1:-2]
-    m = r_path.shape[-1]
-    out = np.empty((len(eval_ts),) + node_shape + (m, m), dtype=complex)
+    widths = np.asarray(bracket_vals, dtype=float) ** -float(delta)
+    n_eval, n = len(eval_ts), widths.size
     # the kernel vanishes beyond the widest width, so only that slice of ts counts
     lo = np.searchsorted(ts, eval_ts - np.max(widths), side="left")
     hi = np.searchsorted(ts, eval_ts + np.max(widths), side="right")
-    for ie, t in enumerate(eval_ts):
-        near = slice(lo[ie], hi[ie])
-        u = (t - ts[near]).reshape((-1,) + (1,) * len(node_shape)) / widths[None]
-        w = poly_bump(np.broadcast_to(u, u.shape[:1] + node_shape))
-        w = w / np.sum(w, axis=0)
-        out[ie] = np.einsum("t...,t...ij->...ij", w, r_path[near])
+    span = int(np.max(hi - lo))
+    pad = np.arange(span) >= (hi - lo)[:, None]
+    first = np.asarray(r_rows(0, min(chunk, len(ts))))
+    # R at path index i is in ring[i % (span + chunk)]: a window and a chunk
+    ring = np.empty((span + chunk,) + first.shape[1:], dtype=complex)
+    ring[:len(first)] = first
+    out = np.empty((n_eval,) + first.shape[1:], dtype=complex)
+    del first
+    pairs, ring_pairs = (a.reshape(len(a), n, -1).view(float) for a in (out, ring))
+    # a block of samples, with a window of R (16 m^2 bytes a node), its
+    # kernels (16) and their offsets (32 bytes a path time), and the ring
+    # stay near _BLOCK_BYTES
+    block = max(1, (_BLOCK_BYTES - ring.nbytes) // (span * (pairs[0].nbytes + 16 * n + 32)))
+    done = 0
+    for c0 in range(0, len(ts), chunk):
+        c1 = min(c0 + chunk, len(ts))
+        if c0:
+            ring[np.arange(c0, c1) % len(ring)] = r_rows(c0, c1)
+        ready = int(np.searchsorted(hi, c1, side="right"))
+        for b0 in range(done, ready, block):
+            k = slice(b0, min(b0 + block, ready))
+            near = np.minimum(lo[k, None] + np.arange(span), hi[k, None] - 1)
+            w = _unit_kernels((eval_ts[k, None] - ts[near])[:, :, None] / widths, pad[k])
+            np.einsum("btn,btnk->bnk", w, ring_pairs[near % len(ring)], out=pairs[k])
+        done = ready
     return out

@@ -13,7 +13,9 @@ stack's own block partition, from its nonzero pattern, is the reference of
 the system's partition that the kernels take.
 The allocating RK4 step is the reference of the solver's buffered step and
 of its propagators; a test picks the step path by the word table's size.  The parabolic study's loop of two solves per eps is the
-reference of its one joint solve.  The probes measure claims of the
+reference of its one joint solve.  The mollifier's loop over samples, each
+kernel summed against the whole path of R, is the reference of its blocks
+of samples over a rolling buffer of R.  The probes measure claims of the
 paper that the acceptance tests check directly: the Hoelder ratio of a
 coefficient path, the lower bound of the characteristic polynomial near a
 multiple eigenvalue, and the Hoelder difference estimate of the symmetrizer.
@@ -43,7 +45,7 @@ from hypersym.symmetrizer import (
     _lyap_solve_batch,
     damped_generator,
 )
-from hypersym.weights import bracket
+from hypersym.weights import bracket, poly_bump
 
 # ---------------------------------------------------------------------------
 # Systems and coefficient documents
@@ -354,6 +356,28 @@ def parabolic_study_reference(problem, params, eps_list, dt=None, h=None):
     return solver.ParabolicStudyResult(
         eps_values=list(eps_list), self_differences=diffs, rate=rate, sup_norms=sups,
         energy_spread=spread, passed=low <= rate <= high and spread <= solver._SPREAD_TOL)
+
+
+# ---------------------------------------------------------------------------
+# The reference mollifier
+
+
+def mollify_path_reference(ts, r_path, bracket_vals, delta: float, eval_ts) -> np.ndarray:
+    """``symmetrizer.mollify_path`` one sample at a time, on the whole path
+    ``r_path`` (len(ts), n, m, m): each sample's kernel over the path times
+    within the widest width, scaled to unit mass and summed against R as
+    complex matrices."""
+    ts, eval_ts = np.asarray(ts, dtype=float), np.atleast_1d(np.asarray(eval_ts, dtype=float))
+    widths = np.asarray(bracket_vals, dtype=float) ** -float(delta)
+    out = np.empty((len(eval_ts),) + r_path.shape[1:], dtype=complex)
+    lo = np.searchsorted(ts, eval_ts - np.max(widths), side="left")
+    hi = np.searchsorted(ts, eval_ts + np.max(widths), side="right")
+    for ie, t in enumerate(eval_ts):
+        near = slice(lo[ie], hi[ie])
+        w = poly_bump((t - ts[near])[:, None] / widths[None])
+        w = w / np.sum(w, axis=0)
+        out[ie] = np.einsum("tn,tnij->nij", w, r_path[near])
+    return out
 
 
 # ---------------------------------------------------------------------------

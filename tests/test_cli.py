@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import re
 import warnings
@@ -60,6 +61,14 @@ def test_plan_holder_via_cli(capsys):
     assert status == 0
     assert doc["s0"] == "4/3"
     assert doc["rho"] == "3/4"
+
+
+@pytest.mark.parametrize("kappa,cause", [("abc", "Invalid literal for Fraction: 'abc'"),
+                                         ("1/0", "Fraction(1, 0)")])
+def test_plan_names_a_kappa_it_cannot_parse(kappa, cause, capsys):
+    status = main(["plan", "--theta", "0", "--mode", "holder", "--kappa", kappa])
+    assert status == 2
+    assert capsys.readouterr().err == f"config error: kappa = {kappa}: {cause}\n"
 
 
 def test_unknown_command_exit_2(capsys):
@@ -232,6 +241,10 @@ def test_wrong_type_rejected(cfg):
     ["plan", "--theta", "0", "--mode", "holder"],
     # an entry field of the wrong JSON type
     *[["certify", {"coeffs": one_entry_document(key, value)}] for key, value in BAD_ENTRY_FIELDS],
+    # m is a JSON integer, and a declared kappa a JSON number, in either mode
+    *[["certify", {"coeffs": {**_zero_coeffs(1), "m": m}}] for m in (1.5, 1.0, "1", True, math.inf)],
+    *[["certify", {"coeffs": {**_zero_coeffs(1), **regularity, "kappa": kappa}}]
+      for regularity in ({"t_regularity": "holder"}, {}) for kappa in (True, "1/2", None)],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []

@@ -18,9 +18,9 @@ from hypersym import runner, solver
 from hypersym.coeffs import CoeffTerm, SystemCoefficients
 from hypersym.engine import fold_amplitudes, lattice, shift_map, squared_moduli
 from hypersym.presets import get_preset, preset_names
-from hypersym.symmetrizer import _lyap_solve_batch, damped_generator, mollify_path
+from hypersym.symmetrizer import _lyap_solve_batch, damped_generator
 from hypersym.weights import bracket, gevrey_weight
-from support import allocating_rhs, sine_terms
+from support import allocating_rhs, mollify_path_reference, sine_terms
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +116,9 @@ def _per_sample_diagnostics(res, problem, params, h):
         dt_path = width_min / 5.0
         path_ts = np.arange(-width_max * 1.05, problem.horizon + width_max * 1.05 + dt_path,
                             dt_path)
-        molly_values = mollify_path(path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None]),
-                                                               coeffs.blocks),
-                                    bracket(r_xi, ell), delta, times)
+        molly_values = mollify_path_reference(
+            path_ts, _lyap_solve_batch(*r_generator(path_ts[:, None]), coeffs.blocks),
+            bracket(r_xi, ell), delta, times)
 
     norms, e_r, c_fit = [], [], []
     for idx, (t, u) in enumerate(zip(times, res.lattice_states(0))):

@@ -18,9 +18,9 @@ from hypersym.matkernel import _THETA_XI, _growth_curves, taylor_order
 from hypersym.presets import get_preset, preset_names
 from hypersym.solver import (CauchyProblem, TruncatedGenerator, gevrey_data,
                              gevrey_radius_fit, pairs_modes, solve_cauchy)
-from hypersym.symmetrizer import _lyap_solve_batch, damped_generator, mollify_path
+from hypersym.symmetrizer import _lyap_solve_batch, damped_generator
 from hypersym.weights import bracket, gevrey_weight
-from support import capped_params, sine_terms
+from support import capped_params, mollify_path_reference, sine_terms
 
 _S = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -152,8 +152,8 @@ def test_paired_diagnostics_match_the_whole_lattice(name, h, eps_par):
         widths = bracket(xi, ell) ** -1.0
         step, pad = float(np.min(widths)) / 5.0, float(np.max(widths)) * 1.05
         path_ts = np.arange(-pad, prob.horizon + pad + step, step)
-        r = mollify_path(path_ts, r_at(path_ts[:, None]), bracket(gen.xi, ell), 1.0,
-                         trace.times)
+        r = mollify_path_reference(path_ts, r_at(path_ts[:, None]), bracket(gen.xi, ell), 1.0,
+                                   trace.times)
     else:
         r = r_at(trace.times[:, None])
     e_r = (np.real(np.einsum("sck,skcd,sdk->s", v[:, :, index].conj(), r, v[:, :, index]))

@@ -9,6 +9,7 @@ from hypersym.coeffs import CoeffTerm, SystemCoefficients
 from hypersym.engine import fold_amplitudes, lattice, squared_moduli
 from hypersym.errors import ConfigError
 from hypersym.matkernel import expm_batched
+from hypersym import symmetrizer
 from hypersym.presets import get_preset
 from hypersym.planner import plan
 from hypersym.solver import (
@@ -23,8 +24,8 @@ from hypersym.solver import (
 from hypersym.planner import ParameterSet
 from hypersym.weights import bracket, gevrey_weight, smooth_cutoff
 from support import (allocating_rhs, constant_system, force_step_path, from_physical,
-                     generator_matrix, gevrey_certificate_holds, is_conjugate_symmetric, rk4_step,
-                     stack_blocks)
+                     generator_matrix, gevrey_certificate_holds, is_conjugate_symmetric,
+                     mollify_path_reference, rk4_step, stack_blocks)
 
 
 def _single_mode(n, m, mode, comp=0, value=1.0):
@@ -765,6 +766,73 @@ def test_study_h_solves_no_mollifier_path_and_fits_no_radius(command, reads, mon
                             "seed": 3}, out_dir=str(tmp_path))
     assert status == 0
     assert ("mollify_path" in seen, "gevrey_radius_fit" in seen) == (reads, reads)
+
+
+def _spy_mollifier(monkeypatch, preset, n_x, chunk=None):
+    """Solve ``preset`` at ``n_x`` in Hoelder mode (delta = 1 where its plan
+    has none) and diagnose it with ``mollify_path`` spied on: its arguments,
+    the chunk it took (``chunk`` in place of the solver's when given), the
+    ranges of path times it asked R for, in order, with their rows, and its
+    result."""
+    from dataclasses import replace
+
+    from hypersym import runner, solver
+
+    cfg = runner.validate_config({"command": "solve", "schema_version": "1", "preset": preset,
+                                  "seed": 3, "n_lattice": n_x})
+    params, problem = runner._solve_setup(cfg)[1:]
+    params = replace(params, delta=params.delta or 1.0)
+    res = solve_cauchy(problem, params, (1.0 / float(params.ell),))
+    seen, mollify = {}, solver.mollify_path
+
+    def spy(ts, r_rows, br, delta, eval_ts, own):
+        calls = seen["calls"] = []
+        seen["args"], seen["chunk"] = (ts, r_rows, br, delta, eval_ts), chunk or own
+        seen["out"] = mollify(ts, lambda lo, hi: calls.append((lo, hi, r_rows(lo, hi)))
+                              or calls[-1][2], br, delta, eval_ts, chunk or own)
+        return seen["out"]
+
+    monkeypatch.setattr(solver, "mollify_path", spy)
+    assert res.traces[0].er_mode == "mollified"
+    return seen
+
+
+def _assert_matches_reference(got, ref):
+    # every sample's and node's matrix within 4e-15 of the reference's largest entry
+    scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - ref) <= 4e-15 * scale)
+
+
+@pytest.mark.parametrize("chunk", [1, 37, None, 10**6], ids=["one", "middle", "solver", "whole"])
+def test_mollifier_solves_each_path_time_once_and_bit_for_bit(monkeypatch, chunk):
+    # R on the mollifier's path is solved a chunk of path times at a time,
+    # each time once and in order, into a rolling buffer: the rows are the
+    # one-batch solve's bit for bit, and R_delta is the per-sample reference's
+    seen = _spy_mollifier(monkeypatch, "holder_k", 256, chunk)
+    ts, r_rows, br, delta, eval_ts = seen["args"]
+    los, his, parts = zip(*seen["calls"])
+    assert los == tuple(range(0, len(ts), seen["chunk"])) and his == los[1:] + (len(ts),)
+    assert len(los) == (1 if chunk == 10**6 else -(-len(ts) // seen["chunk"]))
+    path = r_rows(0, len(ts))
+    np.testing.assert_array_equal(np.concatenate(parts), path)
+    _assert_matches_reference(seen["out"], mollify_path_reference(ts, path, br, delta, eval_ts))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("preset,n_x", [("holder_k", 64), ("holder_k", 1024), ("wave_t2", 256),
+                                        ("jordan_lower", 64)])
+def test_mollified_symmetrizer_matches_the_per_sample_reference(monkeypatch, preset, n_x, real):
+    # the blocks of samples, their windows padded with zero weights and
+    # contracted on (re, im) pairs, give each sample's kernel sum over the
+    # whole path, on the solver's path of R and on its real part
+    seen = _spy_mollifier(monkeypatch, preset, n_x)
+    ts, r_rows, br, delta, eval_ts = seen["args"]
+    path = r_rows(0, len(ts))
+    path = np.ascontiguousarray(path.real) if real else path
+    assert np.abs(path.imag).max() > 0.0 or real
+    got = symmetrizer.mollify_path(ts, lambda lo, hi: path[lo:hi], br, delta, eval_ts,
+                                   seen["chunk"])
+    _assert_matches_reference(got, mollify_path_reference(ts, path, br, delta, eval_ts))
 
 
 def test_generator_matches_quantized_symbol():

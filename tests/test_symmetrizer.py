@@ -439,12 +439,17 @@ def test_probe_batch_matches_per_row_stencils(name, monkeypatch):
 # Mollified symmetrizer
 
 
+def _rows(path):
+    """``mollify_path``'s view of a whole path: R at ``ts[lo:hi]``."""
+    return lambda lo, hi: path[lo:hi]
+
+
 def test_mollify_constant_path_identity():
     ts = np.linspace(-1.0, 2.0, 1600)
     r0 = np.array([[1.0, 0.2j], [-0.2j, 2.0]])
     path = np.broadcast_to(r0, (len(ts), 3, 2, 2)).copy()
     br = np.array([4.0, 16.0, 64.0])
-    mol = mollify_path(ts, path, br, delta=1.0, eval_ts=[0.0, 0.5, 1.0])
+    mol = mollify_path(ts, _rows(path), br, 1.0, np.array([0.0, 0.5, 1.0]), 100)
     for i in range(3):
         assert np.max(np.abs(mol[i] - r0[None])) <= 1e-8
 
@@ -459,7 +464,7 @@ def test_mollify_matches_full_kernel_sum():
     br = np.array([4.0, 16.0, 64.0])
     widths = br ** -1.0
     eval_ts = [0.0, 0.37, 1.0]
-    mol = mollify_path(ts, path, br, delta=1.0, eval_ts=eval_ts)
+    mol = mollify_path(ts, _rows(path), br, 1.0, np.array(eval_ts), 100)
     for i, t in enumerate(eval_ts):
         w = poly_bump((t - ts)[:, None] / widths[None, :])
         expected = np.einsum("tn,tnij->nij", w / w.sum(axis=0), path)
@@ -530,7 +535,7 @@ def test_mollified_dt_exponent_within_target():
     path = np.stack([_r_multiplier(pre.coeffs, params, float(t), xis, float(params.tau))
                      for t in ts])
     h = 5e-4
-    mol = mollify_path(ts, path, br, delta, [0.15 - h, 0.15 + h])
+    mol = mollify_path(ts, _rows(path), br, delta, np.array([0.15 - h, 0.15 + h]), len(ts))
     dt_r = (mol[1] - mol[0]) / (2 * h)
     vals = np.linalg.norm(dt_r, axis=(-2, -1))
     target = 3 * nu + 1 - rho + delta - kappa * delta
@@ -558,7 +563,7 @@ def test_mollified_minus_plain_lipschitz_scaling():
     margin = float(np.max(widths)) * 1.1
     ts = np.arange(-margin, 0.4 + margin + dt_path, dt_path)
     path = np.stack([_r_multiplier(cs, params, float(t), xis, 0.5) for t in ts])
-    mol = mollify_path(ts, path, br, delta, [0.2])
+    mol = mollify_path(ts, _rows(path), br, delta, np.array([0.2]), len(ts))
     plain = _r_multiplier(cs, params, 0.2, xis, 0.5)
     vals = np.linalg.norm(mol[0] - plain, axis=(-2, -1))
     target = 3 * nu + 1 - rho - kappa * delta
