@@ -9,8 +9,9 @@ with C a complex m-by-m matrix, integer x-frequency k, and g drawn from a
 small grammar: ``1``, ``t``, ``t^p``, ``|t|^p``, and lacunary cosine sums
 ``lacunary(kappa, levels)`` producing kappa-Hoelder paths.  Since
 ``D_x = -i d/dx`` sends a term to k times itself, its x-derivatives are
-exact and never formed numerically.  :func:`coeffs_from_json` owns every rule
-of an inline document; the records it returns are plain data.
+exact and never formed numerically.  :func:`coeffs_from_json` reads an inline
+document that the config schema accepted and owns the rules that the schema
+cannot state; the records it returns are plain data.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hypersym.errors import ConfigError, is_json
+from hypersym.errors import ConfigError
 
 MAX_M = 8  # the largest system size
 
-_POW_RE = re.compile(r"^t\^(\d+)$")
-_ABS_RE = re.compile(r"^\|t\|\^([0-9.]+)$")
-_LAC_RE = re.compile(r"^lacunary\(\s*([0-9.]+)\s*,\s*(\d+)\s*\)$")
+# a decimal number, and an integer of no more digits than int() converts
+_DEC, _INT = r"(\d+\.?\d*|\.\d+)", r"(\d{1,4300})"
+_POW_RE = re.compile(rf"^t\^{_INT}$")
+_ABS_RE = re.compile(rf"^\|t\|\^{_DEC}$")
+_LAC_RE = re.compile(rf"^lacunary\(\s*{_DEC}\s*,\s*{_INT}\s*\)$")
 
 
 @dataclass(frozen=True)
@@ -152,14 +155,6 @@ class SystemCoefficients:
         return [np.flatnonzero(row) for row in sorted(set(map(tuple, reach.tolist())))]
 
 
-def _typed(item: dict, key: str, kind: str, default=None):
-    """``item[key]`` (or a given ``default``), refused unless of the JSON type ``kind``."""
-    value = item[key] if default is None else item.get(key, default)
-    if not is_json(value, kind):
-        raise ConfigError(f"bad coeffs document: {key}: {value!r} is not of type {kind!r}")
-    return value
-
-
 def _field_from_json(m: int, entries: list) -> list[CoeffTerm]:
     collected: dict[tuple[int, str], np.ndarray] = {}
     if len(entries) != m or any(len(row) != m for row in entries):
@@ -168,36 +163,25 @@ def _field_from_json(m: int, entries: list) -> list[CoeffTerm]:
         for j in range(m):
             for item in entries[i][j]:
                 # a CoeffTerm names the entry's term; the entries of one term sum
-                term = CoeffTerm(_typed(item, "x_freq", "integer"),
-                                 _typed(item, "t_term", "string"), np.zeros((m, m)))
+                term = CoeffTerm(item["x_freq"], item["t_term"], np.zeros((m, m)))
                 entry = collected.setdefault((term.x_freq, term.t_term), term.matrix.copy())
-                entry[i, j] += _typed(item, "re", "number") + 1j * _typed(item, "im", "number", 0.0)
+                entry[i, j] += item["re"] + 1j * item["im"]
     # the keys differ, so sorting the items never compares two matrices
     return [CoeffTerm(k, tt, mat) for (k, tt), mat in sorted(collected.items())]
 
 
 def coeffs_from_json(doc: dict) -> SystemCoefficients:
-    """The system of an inline document, or :class:`ConfigError` for a broken rule:
-    ``m`` in 1..MAX_M; ``A`` and ``B`` (0 when absent) m-by-m grids of entry lists,
-    each entry ``{"x_freq": integer, "t_term": string of the time grammar, "re":
-    number, "im": number (0 when absent)}``; ``t_regularity`` "lipschitz" (the
-    default) or "holder", which needs ``kappa`` in (0, 1]; ``m`` an integer and a
-    declared ``kappa`` a number."""
-    try:
-        m = _typed(doc, "m", "integer")
-        if not 1 <= m <= MAX_M:
-            raise ConfigError(f"bad coeffs document: m = {m} not in 1..{MAX_M}")
-        a_terms = _field_from_json(m, doc["A"])
-        b_terms = _field_from_json(m, doc.get("B", [[[] for _ in range(m)] for _ in range(m)]))
-        t_regularity = doc.get("t_regularity", "lipschitz")
-        kappa = _typed(doc, "kappa", "number") if "kappa" in doc else None
-        if t_regularity not in ("lipschitz", "holder"):
-            raise ConfigError(f"bad t_regularity {t_regularity!r}")
-        if t_regularity == "holder" and not (kappa is not None and 0.0 < kappa <= 1.0):
-            raise ConfigError("holder mode requires kappa in (0, 1]")
-        return SystemCoefficients(m, a_terms, b_terms, t_regularity, kappa)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad coeffs document: {exc}") from exc
+    """The system of an inline document that the ``coeffs`` schema of
+    ``runner.COMMAND_SCHEMAS`` accepted, its defaults filled in, or
+    :class:`ConfigError` for a rule that the schema cannot state: ``A`` and ``B``
+    (0 when absent) are m by m, each ``t_term`` is in the time grammar, and
+    "holder" mode declares ``kappa``."""
+    m = doc["m"]
+    a_terms = _field_from_json(m, doc["A"])
+    b_terms = _field_from_json(m, doc["B"]) if "B" in doc else []
+    if doc["t_regularity"] == "holder" and "kappa" not in doc:
+        raise ConfigError("holder mode requires kappa in (0, 1]")
+    return SystemCoefficients(m, a_terms, b_terms, doc["t_regularity"], doc.get("kappa"))
 
 
 def cosine_terms(k: int, matrix: np.ndarray, t_term: str = "1") -> list[CoeffTerm]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from hypersym import engine, matkernel, planner, rootsplit, solver, symmetrizer
-from hypersym.coeffs import SystemCoefficients, coeffs_from_json
+from hypersym.coeffs import MAX_M, SystemCoefficients, coeffs_from_json
 from hypersym.errors import ConfigError, HypersymError, NotRealRootedError, is_json, require_memory
 from hypersym.presets import get_preset
 from hypersym.weights import EXP_BUDGET, bracket
@@ -29,7 +29,8 @@ SCHEMA_VERSION = "1"
 
 
 def _prop(kind: str, default=None, **bounds) -> dict:
-    """One field: its JSON type, its literal default if it has one, and its bounds."""
+    """One field: its JSON type, its literal default if it has one, and its bounds: an
+    array's ``items`` schema, an object's ``properties`` and ``required`` keys."""
     prop = {"type": kind, **bounds}
     if default is not None:
         prop["default"] = default
@@ -42,9 +43,8 @@ def _list(kind: str, default, **item_bounds) -> dict:
 
 def _schema(extra: dict, required: list[str]) -> dict:
     props = {"command": _prop("string"), "schema_version": _prop("string"),
-             "seed": _prop("integer", minimum=0), "out": _prop("string"),
-             "preset": _prop("string"), "coeffs": _prop("object"), **extra}
-    return {"properties": props, "required": ["command", "schema_version"] + required}
+             "out": _prop("string"), **extra}
+    return _prop("object", properties=props, required=["command", "schema_version"] + required)
 
 
 # A field without a default is required, or its default is derived from other
@@ -52,30 +52,43 @@ def _schema(extra: dict, required: list[str]) -> dict:
 _POS = {"exclusiveMinimum": 0}
 _CUTOFF = _prop("number", minimum=0)  # h = 0 means no cutoff
 _LATTICE = _prop("integer", 256, minimum=2, powerOfTwo=True)
-_SOLVE = {"n_lattice": _LATTICE, "s": _prop("number", **_POS), "c0": _prop("number", **_POS),
-          "dt": _prop("number", **_POS)}
+
+# An inline document, in place of a preset; its entries sum to the coefficients
+# (coeffs_from_json), and a cell of a grid may hold none
+_ENTRY = _prop("object", properties={"x_freq": _prop("integer"), "t_term": _prop("string"),
+                                     "re": _prop("number"), "im": _prop("number", 0.0)},
+               required=["x_freq", "t_term", "re"])
+_GRID = _prop("array", items=_prop("array", items=_prop("array", items=_ENTRY)))
+_SYSTEM = {"preset": _prop("string"), "coeffs": _prop("object", properties={
+    "m": _prop("integer", minimum=1, maximum=MAX_M), "A": _GRID, "B": _GRID,
+    "t_regularity": _prop("string", "lipschitz", enum=["lipschitz", "holder"]),
+    "kappa": _prop("number", maximum=1, **_POS)}, required=["m", "A"])}
+_SEED = {"seed": _prop("integer", minimum=0)}
+
+_SOLVE = {**_SYSTEM, **_SEED, "n_lattice": _LATTICE, "s": _prop("number", **_POS),
+          "c0": _prop("number", **_POS), "dt": _prop("number", **_POS)}
 
 COMMAND_SCHEMAS = {
-    "certify": _schema({"tol": _prop("number", 1e-9, minimum=0),
+    "certify": _schema({**_SYSTEM, "tol": _prop("number", 1e-9, minimum=0),
                         "n_t": _prop("integer", 4, minimum=1),
                         "n_x": _prop("integer", 6, minimum=1),
                         "xi_values": _list("number", [1.0, -1.0, 2.0]),
                         "s_values": _list("number", list(np.geomspace(1e-4, 1e-1, 7)),
                                           **_POS),
                         "y_values": _list("number", [1.0, 0.5, -1.0])}, []),
-    "theta": _schema({"eps_lo": _prop("number", 1e-3, **_POS),
+    "theta": _schema({**_SYSTEM, "eps_lo": _prop("number", 1e-3, **_POS),
                       "eps_hi": _prop("number", 1e-1, **_POS),
                       "n_eps": _prop("integer", 9, minimum=2),
                       "n_t": _prop("integer", 4, minimum=1),
                       "n_x": _prop("integer", 5, minimum=1)}, []),
     # degree 1 has no root gap, so m_max < 2 would check nothing; spread 0
     # draws coincident roots, which the split handles
-    "nuij": _schema({"m_max": _prop("integer", 6, minimum=2),
+    "nuij": _schema({**_SEED, "m_max": _prop("integer", 6, minimum=2),
                      "n_polys": _prop("integer", 200, minimum=1),
                      "spread": _prop("number", 3.0, minimum=0),
                      "s_values": _list("number", list(np.geomspace(1e-3, 1.0, 7)))},
                     ["seed"]),
-    "symmetrize": _schema({"xi_lo": _prop("number", 2.0**4, **_POS),
+    "symmetrize": _schema({**_SYSTEM, "xi_lo": _prop("number", 2.0**4, **_POS),
                            "xi_hi": _prop("number", 2.0**12, **_POS),
                            "n_xi": _prop("integer", 9, minimum=2),
                            "n_t": _prop("integer", 4, minimum=1),
@@ -118,30 +131,47 @@ def _violation(value, prop: dict) -> str | None:
     """How ``value`` breaks its field's type or bounds, or None."""
     if not is_json(value, prop["type"]):
         return f"is not of type {prop['type']!r}"
+    if "enum" in prop and value not in prop["enum"]:
+        return f"is not one of {prop['enum']!r}"
     for bound, (holds, words) in _BOUNDS.items():
         if bound in prop and not holds(value, prop[bound]):
             return f"{words} {prop[bound]!r}"
     if prop.get("powerOfTwo") and value & (value - 1):
         return "is not a power of two"
-    if prop["type"] == "array" and len(value) < prop["minItems"]:
+    if "minItems" in prop and len(value) < prop["minItems"]:
         return f"has fewer than the minItems of {prop['minItems']}"
     return None
 
 
-def _check(key: str, value, prop: dict) -> None:
+def _check(path: str, value, prop: dict):
+    """A copy of ``value`` with each object's defaults filled in, or ConfigError
+    naming by its ``path`` the first value that breaks ``prop``."""
     why = _violation(value, prop)
     if why:
-        raise ConfigError(f"config rejected: {key}: {value!r} {why}")
-    for v in value if prop["type"] == "array" else ():
-        _check(key, v, prop["items"])
+        raise ConfigError(f"config rejected: {path}: {value!r} {why}")
+    if prop["type"] == "array":
+        return [_check(f"{path}[{i}]", v, prop["items"]) for i, v in enumerate(value)]
+    if prop["type"] != "object":
+        return value
+    where = f"{path}: " if path else ""
+    for key in prop["required"]:
+        if key not in value:
+            raise ConfigError(f"config rejected: {where}{key!r} is a required property")
+    checked = {}
+    for key, v in value.items():
+        if key not in prop["properties"]:
+            raise ConfigError(f"config rejected: {where}unknown field {key!r}")
+        checked[key] = _check(f"{path}.{key}" if path else key, v, prop["properties"][key])
+    return {**{key: copy.deepcopy(p["default"]) for key, p in prop["properties"].items()
+               if "default" in p}, **checked}
 
 
 def validate_config(config: dict) -> dict:
-    """Check a config against its command's schema; return it with defaults filled in.
+    """Check a config against its command's schema; return a copy with defaults filled in.
 
     Unknown fields and commands are rejected, and so is any value of the
-    wrong JSON type or outside its field's bounds.  A boolean is neither an
-    integer nor a number.  The given dict is not changed.
+    wrong JSON type or outside its field's bounds, at any depth of an inline
+    document.  A boolean is neither an integer nor a number.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -150,30 +180,19 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"unknown command {command!r}; have {sorted(COMMAND_SCHEMAS)}")
     if config.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION!r}")
-    schema = COMMAND_SCHEMAS[command]
-    for key in schema["required"]:
-        if key not in config:
-            raise ConfigError(f"config rejected: {key!r} is a required property")
-    for key, value in config.items():
-        prop = schema["properties"].get(key)
-        if prop is None:
-            raise ConfigError(f"config rejected: unknown field {key!r}")
-        _check(key, value, prop)
-    defaults = {key: prop["default"] for key, prop in schema["properties"].items()
-                if "default" in prop}
-    return copy.deepcopy({**defaults, **config})
+    return _check("", config, COMMAND_SCHEMAS[command])
 
 
 def _resolve_coeffs(config: dict) -> tuple[SystemCoefficients, int | None, str]:
-    if "preset" in config:
-        try:
-            p = get_preset(config["preset"])
-        except KeyError as exc:
-            raise ConfigError(exc.args[0]) from None
-        return p.coeffs, p.theta, config["preset"]
+    if ("preset" in config) == ("coeffs" in config):
+        raise ConfigError("config needs exactly one of a preset and inline coeffs")
     if "coeffs" in config:
         return coeffs_from_json(config["coeffs"]), None, "inline"
-    raise ConfigError("config needs a preset or inline coeffs")
+    try:
+        p = get_preset(config["preset"])
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
+    return p.coeffs, p.theta, config["preset"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Test-side fixtures, references and claim probes that no command runs.
 
 Fixtures build small systems, admissible parameters at a chosen ell,
-serialize coefficients into config documents and move states between
+serialize coefficients into config documents, read them back as a run
+does (through the config schema) and move states between
 Fourier and physical samples.  The Gevrey certificate bound is the oracle
 of the synthesized data.  A field's exact
 x-derivatives, summed order by order, are the reference of the closed-form
@@ -32,12 +33,13 @@ from fractions import Fraction
 import numpy as np
 
 from hypersym import solver
-from hypersym.coeffs import MAX_M, CoeffTerm, SystemCoefficients
+from hypersym.coeffs import MAX_M, CoeffTerm, SystemCoefficients, coeffs_from_json
 from hypersym.errors import HypersymError
 from hypersym.matkernel import line_fit, taylor_symbol
 from hypersym.planner import ParameterSet, rho_required
 from hypersym.presets import get_preset
 from hypersym.rootsplit import _sort_rows, polished_roots
+from hypersym.runner import validate_config
 from hypersym.symmetrizer import (
     _STENCILS,
     _central,
@@ -90,12 +92,18 @@ def _field_to_json(terms: list[CoeffTerm], m: int) -> list:
     return entries
 
 
+def parse_document(doc: dict) -> SystemCoefficients:
+    """The system of an inline document, read as a config's ``coeffs`` is: checked,
+    and its defaults filled in, by the config schema, then parsed."""
+    config = validate_config({"command": "certify", "schema_version": "1", "coeffs": doc})
+    return coeffs_from_json(config["coeffs"])
+
+
 def coeffs_to_json(coeffs: SystemCoefficients) -> dict:
     """The coefficient document ``coeffs_from_json`` reads back."""
     doc = {
         "m": coeffs.m,
         "t_regularity": coeffs.t_regularity,
-        "x_band": coeffs.x_band,
         "A": _field_to_json(coeffs.a_terms, coeffs.m),
         "B": _field_to_json(coeffs.b_terms, coeffs.m),
     }
@@ -112,9 +120,10 @@ BAD_ENTRY_FIELDS = ([("t_term", v) for v in (1, 1.5, True, None, [1], {})]
                     + [("re", True), ("re", 10**400), ("im", True)])
 
 
-def one_entry_document(key: str, value) -> dict:
-    """The 1-by-1 coefficient document A = 1 with its entry's ``key`` set to ``value``."""
-    return {"m": 1, "A": [[[{"x_freq": 0, "t_term": "1", "re": 1.0, key: value}]]]}
+def one_entry_document(entry: dict | None = None, **fields) -> dict:
+    """The 1-by-1 coefficient document A = 1, its entry updated with ``entry``
+    and the document with ``fields``."""
+    return {"m": 1, "A": [[[{"x_freq": 0, "t_term": "1", "re": 1.0, **(entry or {})}]]], **fields}
 
 
 # ---------------------------------------------------------------------------

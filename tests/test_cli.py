@@ -240,11 +240,21 @@ def test_wrong_type_rejected(cfg):
     # Hoelder mode plans at a declared kappa alone
     ["plan", "--theta", "0", "--mode", "holder"],
     # an entry field of the wrong JSON type
-    *[["certify", {"coeffs": one_entry_document(key, value)}] for key, value in BAD_ENTRY_FIELDS],
+    *[["certify", {"coeffs": one_entry_document({key: value})}] for key, value in BAD_ENTRY_FIELDS],
     # m is a JSON integer, and a declared kappa a JSON number, in either mode
     *[["certify", {"coeffs": {**_zero_coeffs(1), "m": m}}] for m in (1.5, 1.0, "1", True, math.inf)],
     *[["certify", {"coeffs": {**_zero_coeffs(1), **regularity, "kappa": kappa}}]
       for regularity in ({"t_regularity": "holder"}, {}) for kappa in (True, "1/2", None)],
+    # a misspelled t_regularity, an unknown entry key, and a Lipschitz kappa
+    # outside (0, 1]
+    ["solve", "--seed", "0", {"coeffs": one_entry_document(t_regularty="holder", kappa=0.25)}],
+    ["certify", {"coeffs": one_entry_document({"typo": 5})}],
+    ["certify", {"coeffs": one_entry_document(kappa=7.5)}],
+    # a field that the command does not read, and a preset beside a document
+    ["nuij", "--seed", "0", "--preset", "nonexistent_preset"],
+    ["plan", "--theta", "0", "--preset", "nonexistent"],
+    ["certify", "--preset", "xdep", "--seed", "5"],
+    ["certify", "--preset", "xdep", {"coeffs": one_entry_document()}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []
@@ -259,6 +269,44 @@ def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     assert "Traceback" not in err
     if fields:  # the message names the offending field
         assert re.search(r"\b(%s)\b" % "|".join(fields), err), err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["solve", "--seed", "0", {"coeffs": one_entry_document(t_regularty="holder", kappa=0.25)}],
+     "coeffs: unknown field 't_regularty'"),
+    (["certify", {"coeffs": one_entry_document({"typo": 5})}],
+     "coeffs.A[0][0][0]: unknown field 'typo'"),
+    (["certify", {"coeffs": one_entry_document(kappa=7.5)}],
+     "coeffs.kappa: 7.5 is greater than the maximum of 1"),
+    (["certify", {"coeffs": {**_zero_coeffs(2), "t_regularity": "smooth"}}],
+     "coeffs.t_regularity: 'smooth' is not one of ['lipschitz', 'holder']"),
+    (["certify", {"coeffs": {"A": [[[]]]}}], "coeffs: 'm' is a required property"),
+])
+def test_an_inline_document_is_refused_by_the_path_of_its_key(argv, line, capsys, tmp_path):
+    # each ran, or was refused in other words, before the schema held the document
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(argv[-1]))
+    assert main(argv[:-1] + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: config rejected: {line}\n"
+
+
+# (command, its required fields, a field that it does not read): a system where
+# none is resolved, a seed where nothing is drawn
+_UNREAD = ([(command, required, field) for command, required in
+            (("nuij", {"seed": 0}), ("conjtest", {}), ("plan", {"theta": 0}),
+             ("report", {"run_dir": "run"})) for field in ("preset", "coeffs")]
+           + [(command, required, "seed") for command, required in
+              (("certify", {"preset": "xdep"}), ("theta", {"preset": "xdep"}),
+               ("symmetrize", {"preset": "xdep"}), ("conjtest", {}), ("plan", {"theta": 0}),
+               ("report", {"run_dir": "run"}))])
+
+
+@pytest.mark.parametrize("command, required, field", _UNREAD,
+                         ids=[f"{c}-{f}" for c, _, f in _UNREAD])
+def test_a_field_the_command_does_not_read_is_refused_by_name(command, required, field):
+    value = {"preset": "xdep", "coeffs": one_entry_document(), "seed": 5}[field]
+    with pytest.raises(ConfigError, match=rf"^config rejected: unknown field '{field}'$"):
+        validate_config({"command": command, "schema_version": "1", **required, field: value})
 
 
 def test_a_tiny_dt_takes_the_band_s_sub_steps(tmp_path, monkeypatch):
@@ -389,11 +437,30 @@ def test_non_object_json_exits_2_without_traceback(command, config_text, summary
     assert "Traceback" not in err
 
 
+def _defaults(path: str, prop: dict):
+    """(path, field) of each field with a literal default in ``prop``, at any depth."""
+    if "default" in prop:
+        yield path, prop
+    for key, field in prop.get("properties", {}).items():
+        yield from _defaults(f"{path}.{key}" if path else key, field)
+    if "items" in prop:
+        yield from _defaults(f"{path}[]", prop["items"])
+
+
 def test_schema_table_self_check():
+    walked = set()
     for schema in COMMAND_SCHEMAS.values():
-        for key, prop in schema["properties"].items():
-            if "default" in prop:  # every literal default satisfies its own bound
-                _check(key, prop["default"], prop)
+        for path, prop in _defaults("", schema):
+            _check(path, prop["default"], prop)  # every literal default meets its own bounds
+            walked.add(path)
+    assert {"coeffs.t_regularity", "coeffs.A[][][].im", "coeffs.B[][][].im"} <= walked
+    # a document's defaults are filled in, and the given one is not changed
+    doc = one_entry_document()
+    given = copy.deepcopy(doc)
+    resolved = validate_config({"command": "certify", "schema_version": "1", "coeffs": doc})
+    assert resolved["coeffs"] == {**given, "t_regularity": "lipschitz",
+                                  "A": [[[{**given["A"][0][0][0], "im": 0.0}]]]}
+    assert doc == given
     cfg = {"command": "nuij", "schema_version": "1", "seed": 0, "m_max": 2, "n_polys": 3}
     given = copy.deepcopy(cfg)
     resolved = validate_config(cfg)
@@ -660,21 +727,24 @@ def _integer_fields(schema: dict):
             yield key, True
 
 
+# every integer field of every command, and the CLI's --seed on every command:
+# where seed is no field it is refused
 _HUGE_CASES = [(command, key, item) for command, schema in COMMAND_SCHEMAS.items()
-               for key, item in _integer_fields(schema)]
+               for key, item in dict(_integer_fields(schema), seed=False).items()]
 
 
 @pytest.mark.parametrize("command, key, item", _HUGE_CASES,
                          ids=[f"{c}-{k}" for c, k, _ in _HUGE_CASES])
 def test_every_integer_at_2_62_keeps_the_exit_contract(command, key, item, capsys, tmp_path):
     # every integer field, or integer array item, of every command at 2^62,
-    # beside the command's other required fields and a preset: the run exits
-    # with a status of the contract and at most one line of cause
+    # beside the command's other required fields and a preset where it takes
+    # one: the run exits with a status of the contract and at most one line of cause
     schema = COMMAND_SCHEMAS[command]
     fill = {"integer": 0, "string": str(tmp_path)}
     config = {k: fill[schema["properties"][k]["type"]] for k in schema["required"]
               if k not in ("command", "schema_version")}
-    config.update(preset="xdep", **{key: [2**62] if item else 2**62})
+    config.update({"preset": "xdep"} if "preset" in schema["properties"] else {})
+    config[key] = [2**62] if item else 2**62
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path)]) in (0, 1, 2, 3)

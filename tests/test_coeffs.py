@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.coeffs import (
-    CoeffTerm,
-    SystemCoefficients,
-    coeffs_from_json,
-    cosine_terms,
-    time_function,
-)
+from hypersym.coeffs import CoeffTerm, SystemCoefficients, cosine_terms, time_function
 from hypersym.errors import ConfigError
 from support import (BAD_ENTRY_FIELDS, coeffs_to_json, constant_system, field_dx, holder_ratio,
-                     one_entry_document, sine_terms)
+                     one_entry_document, parse_document, sine_terms)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -38,10 +32,12 @@ def test_time_function_vectorized_matches_scalar_calls():
 
 
 def test_time_grammar_rejects_unknown():
-    with pytest.raises(ConfigError):
-        time_function("exp(t)")
-    with pytest.raises(ConfigError):
-        CoeffTerm(0, "exp(t)", np.eye(1))
+    # a malformed decimal, or an integer past int()'s 4300 digits, is no term either
+    for term in ("exp(t)", "|t|^1.2.3", "|t|^.", "lacunary(1.2.3, 4)", "t^" + "9" * 4301):
+        with pytest.raises(ConfigError, match=r"^unrecognized time term '"):
+            time_function(term)
+        with pytest.raises(ConfigError, match=r"^unrecognized time term '"):
+            CoeffTerm(0, term, np.eye(1))
 
 
 def test_trig_evaluation_and_derivatives():
@@ -70,8 +66,7 @@ def test_json_round_trip():
     terms = [CoeffTerm(0, "t^2", np.array([[0, 1], [0, 0]], dtype=complex)),
              CoeffTerm(1, "1", np.array([[0.5j, 0], [0, -0.25]], dtype=complex))]
     coeffs = SystemCoefficients(m=2, a_terms=terms)
-    doc = coeffs_to_json(coeffs)
-    back = coeffs_from_json(doc)
+    back = parse_document(coeffs_to_json(coeffs))
     for t, x in ((0.0, 0.0), (0.5, 1.1), (2.0, 4.0)):
         np.testing.assert_allclose(field_dx(back.a_terms, 2, t, x),
                                    field_dx(coeffs.a_terms, 2, t, x), atol=1e-15)
@@ -79,20 +74,20 @@ def test_json_round_trip():
 
 
 def test_bad_documents_rejected():
-    with pytest.raises(ConfigError):
-        coeffs_from_json({"m": 2, "A": []})
+    with pytest.raises(ConfigError, match="entry grid does not match matrix size m = 2"):
+        parse_document({"m": 2, "A": []})
     with pytest.raises(ConfigError, match=r"holder mode requires kappa in \(0, 1\]"):
-        coeffs_from_json({"m": 1, "A": [[[]]], "t_regularity": "holder"})
+        parse_document({"m": 1, "A": [[[]]], "t_regularity": "holder"})
 
 
 @pytest.mark.parametrize("key, value", BAD_ENTRY_FIELDS)
 def test_an_entry_field_of_the_wrong_type_is_refused_by_name(key, value):
-    with pytest.raises(ConfigError, match=rf"^bad coeffs document: {key}: "):
-        coeffs_from_json(one_entry_document(key, value))
+    with pytest.raises(ConfigError, match=rf"^config rejected: coeffs\.A\[0\]\[0\]\[0\]\.{key}: "):
+        parse_document(one_entry_document({key: value}))
 
 
 # Strings of the time grammar, and near misses: a level count past 1024, and
-# an exponent that the grammar's pattern reads but float() does not
+# a malformed decimal
 _GRAMMAR = ("1", "t", " t^3 ", "|t|^0.5", "lacunary(0.5, 4)", "lacunary(0.5,2000)", "|t|^1.2.3")
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
@@ -101,43 +96,62 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=3),
     max_leaves=5)
+# A key that neither a document nor an entry has, with any JSON value
+_UNKNOWN = st.tuples(st.text(max_size=6).filter(
+    lambda key: key not in {"m", "A", "B", "t_regularity", "kappa", "x_freq", "t_term", "re", "im"}),
+    _JSON)
 
 
-# The slots of a document; each document draws one that may hold any JSON value
+# The slots of a document; each document draws one that may hold any JSON value,
+# or, for "key" and "entry key", one that adds an unknown key to the document or
+# to each entry
 _SLOTS = ("m", "A", "B", "entries", "entry", "x_freq", "t_term", "re", "im", "t_regularity",
-          "kappa")
+          "kappa", "key", "entry key")
 
 
 @st.composite
 def _documents(draw):
+    """(document, whether the document or one of its entries has an unknown key)."""
     n, junk = draw(st.integers(1, 3)), draw(st.sampled_from(_SLOTS))
 
     def slot(name, valid):
         return valid | _JSON if name == junk else valid
 
-    entry = slot("entry", st.fixed_dictionaries(
+    def keyed(name, dicts):
+        return st.tuples(dicts, _UNKNOWN).map(lambda d: {**d[0], d[1][0]: d[1][1]}) \
+            if name == junk else dicts
+
+    entry = slot("entry", keyed("entry key", st.fixed_dictionaries(
         {"x_freq": slot("x_freq", st.integers(-2, 2)),
          "t_term": slot("t_term", st.sampled_from(_GRAMMAR)),
          "re": slot("re", st.floats(-2.0, 2.0))},
-        optional={"im": slot("im", st.floats(-2.0, 2.0))}))
+        optional={"im": slot("im", st.floats(-2.0, 2.0))})))
     cell = slot("entries", st.lists(entry, max_size=2))
     row = st.lists(cell, min_size=n, max_size=n)
-    return draw(st.fixed_dictionaries(
+    doc = draw(keyed("key", st.fixed_dictionaries(
         {"m": slot("m", st.just(n)), "A": slot("A", st.lists(row, min_size=n, max_size=n))},
         optional={"B": slot("B", st.lists(row, min_size=n, max_size=n)),
                   "t_regularity": slot("t_regularity", st.sampled_from(["lipschitz", "holder"])),
-                  "kappa": slot("kappa", st.floats(0.0, 1.0))}))
+                  "kappa": slot("kappa", st.floats(0.0, 1.0))})))
+    if junk != "entry key":
+        return doc, junk == "key"
+    # every other slot is valid, so the grids are lists of lists of entry lists
+    return doc, any(cell for grid in ("A", "B") for row in doc.get(grid, []) for cell in row)
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@hypothesis.given(doc=_documents())
-def test_an_inline_document_is_parsed_or_refused(doc):
+@hypothesis.given(case=_documents())
+def test_an_inline_document_is_parsed_or_refused(case):
     # every slot of the document holds a JSON value, valid for it or not: the
-    # parser returns a system or refuses the document, and nothing else
+    # schema and the parser return a system or refuse the document, and nothing
+    # else; an unknown key, in the document or in an entry, is refused by name
+    doc, unknown = case
     try:
-        coeffs = coeffs_from_json(doc)
-    except ConfigError:
+        coeffs = parse_document(doc)
+    except ConfigError as exc:
+        assert not unknown or "unknown field" in str(exc), exc
         return
+    assert not unknown, doc
     assert isinstance(coeffs, SystemCoefficients)
 
 

@@ -21,7 +21,8 @@ carries nothing.  The argument of ``asdict`` or ``fields`` is resolved to
 its class the same way.  Every defaulted parameter must be
 passed by some call in ``src/hypersym`` or ``tests/``; a default that no
 caller overrides is a constant.  The dense eigensolver is called only behind
-``matkernel.block_eigvals`` and in ``rootsplit.polished_roots``.
+``matkernel.block_eigvals`` and in ``rootsplit.polished_roots``, and the JSON
+type rule ``errors.is_json`` only in the config walker, ``runner._violation``.
 """
 
 import ast
@@ -267,17 +268,29 @@ def test_every_defaulted_parameter_is_passed():
 _EIGVALS_CALLERS = {("matkernel", "block_eigvals"), ("rootsplit", "polished_roots")}
 
 
-def test_dense_eigensolver_only_behind_block_eigvals():
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module, top-level definition) of each call of ``name`` in ``src/hypersym``."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = getattr(top, "name", "<module>")
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) \
-                        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eigvals":
+                        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name:
                     callers.add((path.stem, owner))
+    return callers
+
+
+def test_dense_eigensolver_only_behind_block_eigvals():
+    callers = _callers("eigvals")
     assert callers <= _EIGVALS_CALLERS, "eigvals called outside block_eigvals: " \
         + ", ".join(f"{module}.{owner}" for module, owner in sorted(callers - _EIGVALS_CALLERS))
+
+
+def test_json_types_are_checked_only_by_the_config_walker():
+    # one type rule behind one checker: the schema walker checks every outside
+    # document, inline coefficients among them, and the parsers behind it trust it
+    assert _callers("is_json") == {("runner", "_violation")}
 
 
 def test_planner_imports_nothing_of_hypersym_but_errors():

@@ -24,11 +24,11 @@ import math
 import numpy as np
 import pytest
 
-from hypersym.coeffs import CoeffTerm, SystemCoefficients, coeffs_from_json
+from hypersym.coeffs import CoeffTerm, SystemCoefficients
 from hypersym.matkernel import taylor_symbol
 from hypersym.planner import ParameterSet
 from hypersym.symmetrizer import damped_generator, hn_over_lattice
-from support import field_dx, stack_blocks, taylor_reference
+from support import field_dx, parse_document, stack_blocks, taylor_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -124,7 +124,7 @@ def planted_systems(draw):
 @hypothesis.given(planted_systems(), st.integers(0, 2**32 - 1))
 def test_system_partition_is_planted_and_coarser_than_each_stack(case, seed):
     doc, planted = case
-    coeffs = coeffs_from_json(doc)
+    coeffs = parse_document(doc)
     assert sorted(map(list, coeffs.blocks)) == sorted(planted)
     coupled = np.zeros((coeffs.m, coeffs.m), dtype=bool)
     owner = np.empty(coeffs.m, dtype=int)
