@@ -29,10 +29,9 @@ def rho_required(theta: int, mode: str, kappa: Fraction | float | None = None):
     thresholds (the smaller rho admits the larger Gevrey index s = 1/rho);
     Hoelder mode additionally enforces the mollifier constraint at the
     region's vertex delta = 1, combined by max since every hypothesis must
-    hold simultaneously.  The Gevrey threshold is s0 = 1/rho.
+    hold simultaneously.  The Gevrey threshold is s0 = 1/rho.  ``mode`` is
+    "lipschitz" or "holder", as the config schema admits them.
     """
-    if mode not in ("lipschitz", "holder"):
-        raise ConfigError(f"unknown mode {mode!r}")
     if mode == "holder":
         if kappa is None:
             raise ConfigError("holder mode requires kappa")

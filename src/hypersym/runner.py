@@ -102,8 +102,8 @@ COMMAND_SCHEMAS = {
                          # 171! is past the double range
                          "k_list": _list("integer", [0, 1, 2], minimum=0, maximum=170),
                          "order_one": _prop("boolean", True)}, []),
-    "plan": _schema({"theta": _prop("integer", minimum=0),
-                     "mode": _prop("string", "lipschitz"), "kappa": _prop("string")},
+    "plan": _schema({"theta": _prop("integer", minimum=0), "kappa": _prop("string"),
+                     "mode": _prop("string", "lipschitz", enum=["lipschitz", "holder"])},
                     ["theta"]),
     # a negative eps_par is anti-dissipative, and lam_bound's stability scale
     # would no longer bound the step
@@ -489,6 +489,9 @@ def _cmd_conjtest(config: dict) -> dict:
 
 
 def _cmd_plan(config: dict) -> dict:
+    # a Lipschitz plan reads no kappa, and would drop one given
+    if "kappa" in config and config["mode"] != "holder":
+        raise ConfigError(f"kappa = {config['kappa']}: kappa is read in holder mode only")
     try:
         kappa = Fraction(config["kappa"]) if "kappa" in config else None
     except (ValueError, ZeroDivisionError) as exc:

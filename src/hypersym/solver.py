@@ -39,19 +39,24 @@ generator crosses a separator, so one time loop evolves every case, on and
 off its band, as its own solve would (bit for bit where the grid and the
 sub-steps are the same), in one sequence of steps instead of one per case.
 
-The (joint) band takes one of two step paths, chosen by its size alone.  The
-generator is linear, so an RK4 step is a fixed polynomial in it, and on a
-small band :class:`BandPropagator` precomputes each step as one banded
-matrix: the products of the generator's per-time-term parts (words of length
-1 to 4) are applied once per solve to coloured unit vectors, and each step's
-matrix is their combination with that step's coefficients and size, one real
-product per chunk of steps.  A step is then one ``einsum`` against the sliding
-windows of the zero-padded state.  That path is taken when the word table
-fits in ``_BLOCK_BYTES``.  A larger band steps by :func:`step_rk4` on the
-generator, each stage a single product with that stage's matrix
-``sum_j g_j L_j`` (:class:`TruncatedGenerator`), a real matrix against the
-(re, im) pairs of the state.  Both paths take the g_j at the stage times
-from :meth:`TruncatedGenerator.stage_coefficients`.
+The (joint) band takes one of two step paths, which :func:`step_path`
+chooses by the band's size alone.  The generator is linear, so an RK4 step
+is a fixed polynomial in it, and on a small band :class:`BandPropagator`
+precomputes each step as one banded matrix: the products of the generator's
+per-time-term parts (words of length 1 to 4) are applied once per solve to
+coloured unit vectors, and each step's matrix is their combination with that
+step's coefficients and size, one real product per chunk of steps.  A step
+is then one ``einsum`` against the sliding windows of the zero-padded state.
+That path is taken when the word table fits in ``_BLOCK_BYTES``.  A larger
+band takes :class:`RK4Stepping`: :func:`step_rk4` on the generator, each
+stage a single product with that stage's matrix ``sum_j g_j L_j``
+(:class:`TruncatedGenerator`), a real matrix against the (re, im) pairs of
+the state.  Both paths take the g_j at the stage times from
+:meth:`TruncatedGenerator.stage_coefficients`, and both have the same three
+members: ``width``, the zero padding of the state; ``need(total)``, the
+bytes the path adds for ``total`` sub-steps; and ``start(t, h)``, which
+returns the ``advance`` that crosses one sample interval.  So neither the
+time loop nor the solve's memory check asks which path it holds.
 
 A state is a complex (m, n_x) array in FFT order, as in
 :mod:`hypersym.engine`.  A solve keeps only its joint band's samples, one
@@ -178,9 +183,7 @@ class TruncatedGenerator:
     ``(m, F m (2K+1))`` matrix of every harmonic of the F fields applies the
     whole generator.  Split by the time terms, that matrix is
     ``sum_j g_j(t) L_j``: :attr:`term_matrices` holds the L_j, column
-    (f, d, K - k) holding component d of harmonic k of field f, and
-    :meth:`word_table` the products of up to four L_j that
-    :class:`BandPropagator` combines.
+    (f, d, K - k) holding component d of harmonic k of field f.
     """
 
     def __init__(self, coeffs: SystemCoefficients, n_x: int, cutoffs, eps_par,
@@ -234,8 +237,7 @@ class TruncatedGenerator:
         self._chi = self.chi.astype(complex)
         self._heat = np.concatenate(heats)[:lo - k_max].astype(complex)
         # L(t) = sum_j g_j(t) L_j over the distinct time terms, the heat term
-        # in the constant one, which a generator without terms also has; a
-        # product of up to four L_j couples modes at most word_width apart
+        # in the constant one, which a generator without terms also has
         self.time_terms = {term.t_term: term.g for terms, *_ in fields for term in terms}
         if self.eps_max or not self.time_terms:
             self.time_terms.setdefault("1", time_function("1"))
@@ -245,7 +247,6 @@ class TruncatedGenerator:
             for term in terms:
                 mats[names.index(term.t_term), :, f, :, k_max - term.x_freq] += part(term.matrix)
         self.term_matrices = mats.reshape(len(names), coeffs.m, -1)
-        self.word_width = min(4 * k_max, n - 1)
 
     def stage_coefficients(self, t, h: float) -> np.ndarray:
         """The g_j of :attr:`time_terms` at the RK4 stage times t, t + h/2 and
@@ -282,47 +283,6 @@ class TruncatedGenerator:
             out -= np.multiply(self._heat, coeffs_hat, self._product)
         return out
 
-    def word_table(self) -> np.ndarray:
-        """Every word of length 0 to 4 in the L_j of :attr:`time_terms`, banded.
-
-        Word (a, b, ...) is the product L_a L_b ..., its last factor applied
-        first.  The words come by length, each length in lexicographic order
-        of the time terms, and the empty word is the identity.  Entry
-        [w, d, q, c, s] takes component c of mode q + s - W to component d of
-        mode q, W = :attr:`word_width`, and is zero where that mode is off
-        the band.  Each word is applied once, to the C m probes that each sum
-        the unit vectors of one component over the modes of one colour
-        p mod C, C = min(2W + 1, n_band) (Curtis, Powell & Reid, J. Inst.
-        Math. Appl. 13, 1974): a mode's row of a word meets at most one mode
-        of each colour, so every entry can be read off the images.
-        """
-        m, n, k_max = self.coeffs.m, self.xi.size, self.coeffs.x_band
-        width, mats = self.word_width, self.term_matrices
-        names = list(self.time_terms)
-        heat = [self._heat if name == "1" else 0.0 for name in names]
-
-        def apply_term(j, x):
-            # L_j on a stack (B, m, n) of band vectors, the products of apply
-            buf = np.zeros((len(x), len(self._factors), m, n + 2 * k_max), dtype=complex)
-            np.multiply(x[:, None], self._factors, buf[..., k_max:k_max + n])
-            windows = np.lib.stride_tricks.sliding_window_view(buf, n, axis=-1)
-            return mats[j] @ windows.reshape(len(x), -1, n) * self._chi - heat[j] * x
-
-        colors = min(2 * width + 1, n)
-        probes = np.zeros((colors, m, m, n), dtype=complex)
-        for c in range(m):
-            probes[:, c, c] = np.arange(n) % colors == np.arange(colors)[:, None]
-        words = [probes.reshape(1, colors * m, m, n)]
-        for _ in range(4):
-            images = [apply_term(j, words[-1].reshape(-1, m, n)) for j in range(len(names))]
-            words.append(np.stack(images).reshape((-1,) + words[0].shape[1:]))
-        images = np.concatenate(words).reshape(-1, colors, m, m, n)  # [w, colour, c, d, q]
-        q = np.arange(n)[:, None]
-        p = q + np.arange(2 * width + 1) - width  # [q, s]: the source mode
-        table = images.transpose(0, 4, 1, 2, 3)[:, q, p % colors]  # [w, q, s, c, d]
-        table[:, (p < 0) | (p >= n)] = 0.0
-        return table.transpose(0, 4, 1, 3, 2)
-
 
 def step_rk4(rhs, u: np.ndarray, stages, h: float, out: np.ndarray, work) -> np.ndarray:
     """Classical four-stage explicit step of size ``h`` for ``du/dt = rhs(t, u)``.
@@ -349,6 +309,44 @@ def step_rk4(rhs, u: np.ndarray, stages, h: float, out: np.ndarray, work) -> np.
     return np.add(u, np.multiply(sixth, k1, k1), out)
 
 
+class RK4Stepping:
+    """The band stepped by :func:`step_rk4` on the generator, each stage a
+    single product with that stage's matrix ``sum_j g_j L_j``
+    (:meth:`TruncatedGenerator.apply`).  Every sub-step's stage matrices are
+    formed at the start, and the band needs no zero padding."""
+
+    width = 0
+
+    def __init__(self, gen: TruncatedGenerator):
+        self.gen = gen
+
+    def need(self, total: int) -> int:
+        """Bytes the path adds for ``total`` sub-steps: five work states and
+        each sub-step's stage coefficients (24 bytes a time term) and three
+        real stage matrices (24 bytes an entry, and as much again while a
+        term is summed in)."""
+        return (5 * 16 * self.gen.coeffs.m * self.gen.xi.size + total
+                * (24 * len(self.gen.time_terms) + 48 * self.gen.term_matrices[0].size))
+
+    def start(self, t, h: float):
+        """``advance(rows, windows, first)`` for the sub-steps of size ``h``
+        from the times ``t``: it steps ``rows[i]`` into ``rows[i + 1]`` by
+        sub-step ``first + i``, for every row but the last (the band has no
+        padding, and ``windows`` goes unread)."""
+        gen = self.gen
+        g = gen.stage_coefficients(t, h).transpose(1, 0, 2)[..., None, None]
+        stages = g[:, :, 0] * gen.term_matrices[0]
+        for j in range(1, len(gen.term_matrices)):
+            stages += g[:, :, j] * gen.term_matrices[j]
+        work = [np.empty((gen.coeffs.m, gen.xi.size), dtype=complex) for _ in range(5)]
+
+        def advance(rows, windows, first):
+            for i in range(len(rows) - 1):
+                step_rk4(gen.apply, rows[i], stages[first + i], h, rows[i + 1], work)
+
+        return advance
+
+
 class BandPropagator:
     """One RK4 step of the band as a precomputed banded matrix.
 
@@ -359,33 +357,83 @@ class BandPropagator:
         P = I + h/6 (L1 + 4 L2 + L3) + h^2/6 (L2 L1 + L2 L2 + L3 L2)
               + h^3/12 (L2 L2 L1 + L3 L2 L2) + h^4/24 L3 L2 L2 L1
 
-    That is the sum of c_w L_w over the words w of
-    :meth:`TruncatedGenerator.word_table`, where each c_w is a product of
-    the g_j at the three stage times and 1 for the empty word.  P couples
-    modes at most W = ``gen.word_width`` apart, and it has the table's
-    layout: a step is ``einsum("dqcs,cqs->dq", P, windows)`` over the
-    windows of 2W + 1 modes of the state zero-padded by W modes on each
-    side.
+    That is the sum of c_w L_w over the words w of :meth:`word_table`, where
+    each c_w is a product of the g_j at the three stage times and 1 for the
+    empty word.  P couples modes at most W = :attr:`width` apart, and it has
+    the table's layout: a step is ``einsum("dqcs,cqs->dq", P, windows)`` over
+    the windows of 2W + 1 modes of the state zero-padded by W modes on each
+    side.  The table is built when first used, by :meth:`start` in a solve.
     """
 
     def __init__(self, gen: TruncatedGenerator):
-        self._coefficients = gen.stage_coefficients
-        table = np.ascontiguousarray(gen.word_table())
-        self._shape = table.shape[1:]
-        # complex entries as (re, im) pairs, for real coefficient rows
-        self._table = table.reshape(len(table), -1).view(float)
+        self.gen = gen
+        # a product of up to four L_j couples modes at most 4K apart
+        self.width = min(4 * gen.coeffs.x_band, gen.xi.size - 1)
+        self._shape = (gen.coeffs.m, gen.xi.size, gen.coeffs.m, 2 * self.width + 1)
 
-    @staticmethod
-    def table_bytes(gen: TruncatedGenerator) -> int:
-        """Bytes of the word table of ``gen``: 1 + J + J^2 + J^3 + J^4 words
-        over J time terms, each (m, n_band, m, 2W + 1) complex."""
-        j, m, n = len(gen.time_terms), gen.coeffs.m, gen.xi.size
-        return 16 * (1 + j + j**2 + j**3 + j**4) * m * n * m * (2 * gen.word_width + 1)
+    def table_bytes(self) -> int:
+        """Bytes of the word table: 1 + J + J^2 + J^3 + J^4 words over the J
+        time terms, each (m, n_band, m, 2W + 1) complex."""
+        return 16 * sum(len(self.gen.time_terms) ** k for k in range(5)) * math.prod(self._shape)
+
+    def need(self, total: int) -> int:
+        """Bytes the path adds for ``total`` sub-steps: the word table, 4 times
+        it while built, and a chunk of propagators (at most every sub-step's)."""
+        return 4 * self.table_bytes() + min(_BLOCK_BYTES, total * 16 * math.prod(self._shape))
+
+    def word_table(self) -> np.ndarray:
+        """Every word of length 0 to 4 in the L_j of the generator's
+        :attr:`~TruncatedGenerator.time_terms`, banded.
+
+        Word (a, b, ...) is the product L_a L_b ..., its last factor applied
+        first.  The words come by length, each length in lexicographic order
+        of the time terms, and the empty word is the identity.  Entry
+        [w, d, q, c, s] takes component c of mode q + s - W to component d of
+        mode q, W = :attr:`width`, and is zero where that mode is off
+        the band.  Each word is applied once, to the C m probes that each sum
+        the unit vectors of one component over the modes of one colour
+        p mod C, C = min(2W + 1, n_band) (Curtis, Powell & Reid, J. Inst.
+        Math. Appl. 13, 1974): a mode's row of a word meets at most one mode
+        of each colour, so every entry can be read off the images.
+        """
+        gen = self.gen
+        m, n, k_max = gen.coeffs.m, gen.xi.size, gen.coeffs.x_band
+        width, mats = self.width, gen.term_matrices
+        heat = [gen._heat if name == "1" else 0.0 for name in gen.time_terms]
+
+        def apply_term(j, x):
+            # L_j on a stack (B, m, n) of band vectors, the products of apply
+            buf = np.zeros((len(x), len(gen._factors), m, n + 2 * k_max), dtype=complex)
+            np.multiply(x[:, None], gen._factors, buf[..., k_max:k_max + n])
+            windows = np.lib.stride_tricks.sliding_window_view(buf, n, axis=-1)
+            return mats[j] @ windows.reshape(len(x), -1, n) * gen._chi - heat[j] * x
+
+        colors = min(2 * width + 1, n)
+        probes = np.zeros((colors, m, m, n), dtype=complex)
+        for c in range(m):
+            probes[:, c, c] = np.arange(n) % colors == np.arange(colors)[:, None]
+        words = [probes.reshape(1, colors * m, m, n)]
+        for _ in range(4):
+            images = [apply_term(j, words[-1].reshape(-1, m, n)) for j in range(len(heat))]
+            words.append(np.stack(images).reshape((-1,) + words[0].shape[1:]))
+        images = np.concatenate(words).reshape(-1, colors, m, m, n)  # [w, colour, c, d, q]
+        q = np.arange(n)[:, None]
+        p = q + np.arange(2 * width + 1) - width  # [q, s]: the source mode
+        table = images.transpose(0, 4, 1, 2, 3)[:, q, p % colors]  # [w, q, s, c, d]
+        table[:, (p < 0) | (p >= n)] = 0.0
+        return table.transpose(0, 4, 1, 3, 2)
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """:meth:`word_table`, a row of (re, im) pairs a word, for real
+        coefficient rows."""
+        table = np.ascontiguousarray(self.word_table())
+        return table.reshape(len(table), -1).view(float)
 
     def matrices(self, t, h: float) -> np.ndarray:
         """The propagators of the steps of size ``h`` from the times ``t``:
         (len(t), m, n_band, m, 2W + 1)."""
-        g1, g2, g3 = self._coefficients(t, h)  # each [k, j]
+        g1, g2, g3 = self.gen.stage_coefficients(t, h)  # each [k, j]
         words = [g1 + 4.0 * g2 + g3,
                  np.einsum("ka,kb->kab", g2, g1 + g2) + np.einsum("ka,kb->kab", g3, g2),
                  np.einsum("kb,kac->kabc", g2, np.einsum("ka,kc->kac", g2, g1)
@@ -397,12 +445,37 @@ class BandPropagator:
                               axis=1)
         return (rows @ self._table).view(complex).reshape((len(t),) + self._shape)
 
-    def steps(self, t, h: float):
-        """The propagators of the steps of size ``h`` from the times ``t`` in
-        turn, formed in chunks of about ``_BLOCK_BYTES``."""
-        chunk = max(1, _BLOCK_BYTES // (16 * math.prod(self._shape)))
-        for lo in range(0, len(t), chunk):
-            yield from self.matrices(t[lo:lo + chunk], h)
+    def start(self, t, h: float):
+        """``advance(rows, windows, first)`` for the sub-steps of size ``h``
+        from the times ``t``: it steps ``rows[i]`` into ``rows[i + 1]`` by the
+        next sub-step's propagator on ``windows[i]``, the windows of the
+        padded block that holds the rows, for every row but the last.  The
+        word table is built here, and the propagators formed in chunks of
+        about ``_BLOCK_BYTES``."""
+        # a propagator holds the bytes of a row of the table, which this
+        # first read of it builds
+        chunk = max(1, _BLOCK_BYTES // self._table[0].nbytes)
+
+        def steps():
+            # no reference to a chunk outlives its last step, so that no two
+            # chunks are held at once
+            for lo in range(0, len(t), chunk):
+                yield from self.matrices(t[lo:lo + chunk], h)
+
+        props = steps()
+
+        def advance(rows, windows, first):
+            for i in range(len(rows) - 1):
+                np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
+
+        return advance
+
+
+def step_path(gen: TruncatedGenerator) -> RK4Stepping | BandPropagator:
+    """The step path of ``gen``'s band: its propagators when their word table
+    fits in ``_BLOCK_BYTES``, else RK4 steps on the generator."""
+    prop = BandPropagator(gen)
+    return prop if prop.table_bytes() <= _BLOCK_BYTES else RK4Stepping(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +650,16 @@ def gevrey_radius_fit(amplitudes, s: float):
 
 
 def _evolve(gen: TruncatedGenerator, u0: np.ndarray, per: int, count: int, dt: float,
-            prop: BandPropagator | None):
+            path: RK4Stepping | BandPropagator):
     """The N_SAMPLES + 1 samples (n, m, n_band) of ``gen``'s joint band, u0's
     first, each interval of ``per`` grid steps of size dt crossed in
-    ``count`` equal sub-steps by the propagators of ``prop``, or by
-    :func:`step_rk4` when it is None.  Sub-step i of interval k starts
-    k per + i per / count grid steps in: exactly k per + i where the
-    interval keeps its grid steps.
+    ``count`` equal sub-steps by the step path ``path`` (:func:`step_path`).
+    Sub-step i of interval k starts k per + i per / count grid steps in:
+    exactly k per + i where the interval keeps its grid steps.
 
     Row 0 of the interval's block holds its first state and row i + 1 the
-    state after its sub-step i, padded with the propagators' width of zeros
-    on each side.  A non-finite entry stays non-finite in every later state:
+    state after its sub-step i, padded with the path's width of zeros on
+    each side.  A non-finite entry stays non-finite in every later state:
     an RK4 step adds u with coefficient exactly 1, a propagator row always
     takes its own mode, and in IEEE arithmetic a finite number times inf, or
     inf - inf, is never finite.  So the interval's last state alone is
@@ -597,16 +669,8 @@ def _evolve(gen: TruncatedGenerator, u0: np.ndarray, per: int, count: int, dt: f
     """
     size = per / count
     start = (np.arange(N_SAMPLES, dtype=float)[:, None] * per + np.arange(count) * size).ravel()
-    t_start, h = start * dt, size * dt
-    if prop is None:
-        g = gen.stage_coefficients(t_start, h).transpose(1, 0, 2)[..., None, None]
-        stages = g[:, :, 0] * gen.term_matrices[0]
-        for j in range(1, len(gen.term_matrices)):
-            stages += g[:, :, j] * gen.term_matrices[j]
-        work = [np.empty((gen.coeffs.m, gen.xi.size), dtype=complex) for _ in range(5)]
-    else:
-        props = prop.steps(t_start, h)
-    n_band, width = gen.xi.size, 0 if prop is None else gen.word_width
+    advance = path.start(start * dt, size * dt)
+    n_band, width = gen.xi.size, path.width
     block = np.zeros((count + 1, gen.coeffs.m, n_band + 2 * width), dtype=complex)
     rows = block[:, :, width:width + n_band]
     windows = np.lib.stride_tricks.sliding_window_view(block, 2 * width + 1, axis=-1)
@@ -615,17 +679,12 @@ def _evolve(gen: TruncatedGenerator, u0: np.ndarray, per: int, count: int, dt: f
     samples = np.empty((N_SAMPLES + 1, gen.coeffs.m, n_band), dtype=complex)
     samples[0] = rows[0]
     for first, sample in zip(range(0, start.size, count), samples[1:]):
-        if prop is None:
-            for i in range(count):
-                step_rk4(gen.apply, rows[i], stages[first + i], h, rows[i + 1], work)
-        else:
-            for i in range(count):
-                np.einsum("dqcs,cqs->dq", next(props), windows[i], out=rows[i + 1])
+        advance(rows, windows, first)
         if not np.isfinite(rows[count]).all():
             k = first + int(np.argmax(~np.isfinite(rows[1:]).all(axis=(1, 2))))
             t = (start[k] + size) * dt
             raise NumericAbortError(f"evolution lost finiteness at t = {t:.6g}",
-                                    last_time=t - h)
+                                    last_time=t - size * dt)
         rows[0] = sample[...] = rows[count]
     return samples
 
@@ -694,24 +753,15 @@ def solve_cauchy(
     total = N_SAMPLES * count
     # The joint band's samples (a band state, a time and each cutoff's 80
     # bytes of diagnostics rows each), the interval's block of band states,
-    # the sub-steps' start times (48 bytes a sub-step as they are formed)
-    # and, when stepping, five work states and each sub-step's stage
-    # coefficients (24 bytes a time term) and three real stage matrices (24
-    # bytes an entry, and as much again while a term is summed in), with the
-    # generator's buffers, a block of diagnostics and their rows (128 bytes a
-    # mode) and, on the propagator path, the word table (4 times it while
-    # built) and a chunk of propagators (at most every sub-step's), must fit
-    # in physical memory; the diagnostics charge a mollified energy's R path.
-    table = BandPropagator.table_bytes(gen)
-    stepping, n_band = table > _BLOCK_BYTES, gen.xi.size
-    n_samples = N_SAMPLES + 1
+    # padded by the path's width, the sub-steps' start times (48 bytes a
+    # sub-step as they are formed), the generator's buffers, a block of
+    # diagnostics and their rows (128 bytes a mode) and what the step path
+    # adds must fit in physical memory; the diagnostics charge a mollified
+    # energy's R path.
+    path, n_band, n_samples = step_path(gen), gen.xi.size, N_SAMPLES + 1
     need = (n_samples * (16 * coeffs.m * n_band + 16 + 80 * len(gen.segments))
-            + (count + 1 + 5 * stepping) * 16 * coeffs.m
-            * (n_band + (0 if stepping else 2 * gen.word_width))
-            + total * (48 + stepping * (24 * len(gen.time_terms) + 48 * gen.term_matrices[0].size))
-            + 64 * gen._operand.size + _BLOCK_BYTES + 128 * n_x
-            + (0 if stepping else 4 * table + min(_BLOCK_BYTES, total * 16 * coeffs.m**2
-                                                   * n_band * (2 * gen.word_width + 1))))
+            + (count + 1) * 16 * coeffs.m * (n_band + 2 * path.width) + 48 * total
+            + 64 * gen._operand.size + _BLOCK_BYTES + 128 * n_x + path.need(total))
     require_memory(need, f"dt = {dt:.3g}: {total} steps")
 
     # Off its band a cutoff's generator is -eps_par xi^2, so sample k holds
@@ -721,7 +771,7 @@ def solve_cauchy(
         raise NumericAbortError(f"evolution lost finiteness at t = {dt:.6g}", last_time=0.0)
     # sample k holds the state after k per grid steps, at time k per dt
     times = np.arange(n_samples, dtype=float) * per * dt
-    band = _evolve(gen, u0, per, count, dt, None if stepping else BandPropagator(gen))
+    band = _evolve(gen, u0, per, count, dt, path)
     return SolveResult(problem=problem, params=params, dt=dt, per=per, times=times, band=band,
                        steps=total, gen=gen)
 

@@ -328,8 +328,8 @@ def force_step_path(monkeypatch, stepping: bool) -> None:
     """Make every solve step its band (``stepping``) or build propagators,
     whatever its word table's size, and keep ``solver._BLOCK_BYTES``, which
     also sizes the diagnostics' and the lattice reads' blocks."""
-    monkeypatch.setattr(solver.BandPropagator, "table_bytes",
-                        staticmethod(lambda gen: math.inf if stepping else 0))
+    monkeypatch.setattr(solver, "step_path",
+                        solver.RK4Stepping if stepping else solver.BandPropagator)
 
 
 def rk4_step(rhs, u: np.ndarray, t: float, dt: float) -> np.ndarray:

@@ -88,9 +88,9 @@ def test_trajectory_file_is_the_assembled_states_in_blocks(tmp_path, monkeypatch
     # budget leaves xdep's band no word table, so it steps; the second case
     # forces the propagators, and only it builds them
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 2 * 16 * 2 * 128)
-    built, init = [], solver.BandPropagator.__init__
-    monkeypatch.setattr(solver.BandPropagator, "__init__",
-                        lambda self, gen: built.append(gen) or init(self, gen))
+    built, start = [], solver.BandPropagator.start
+    monkeypatch.setattr(solver.BandPropagator, "start",
+                        lambda self, t, h: built.append(self) or start(self, t, h))
     cfg = {"command": "solve", "schema_version": "1", "preset": "xdep", "seed": 3,
            "n_lattice": 128, "eps_par": 1e-3}
     params, problem = _setup("xdep", 128)

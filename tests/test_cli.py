@@ -255,6 +255,9 @@ def test_wrong_type_rejected(cfg):
     ["plan", "--theta", "0", "--preset", "nonexistent"],
     ["certify", "--preset", "xdep", "--seed", "5"],
     ["certify", "--preset", "xdep", {"coeffs": one_entry_document()}],
+    # a kappa that a Lipschitz plan would drop
+    ["plan", "--theta", "1", {"kappa": "7"}],
+    ["plan", "--theta", "0", "--mode", "lipschitz", {"kappa": "1/2"}],
 ])
 def test_bad_input_exits_2_without_traceback(argv, capsys, tmp_path):
     fields = []

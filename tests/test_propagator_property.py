@@ -52,10 +52,11 @@ def band_steps(draw):
 @hypothesis.given(band_steps())
 def test_propagator_step_matches_reference_rk4(case):
     gen, t, h, u = case
-    width = gen.word_width
+    prop = BandPropagator(gen)
+    width = prop.width
     windows = np.lib.stride_tricks.sliding_window_view(
         np.pad(u, ((0, 0), (width, width))), 2 * width + 1, axis=-1)
-    for k, mat in enumerate(BandPropagator(gen).matrices(t, h)):
+    for k, mat in enumerate(prop.matrices(t, h)):
         ref = rk4_step(allocating_rhs(gen), u, t[k], h)
         out = np.einsum("dqcs,cqs->dq", mat, windows)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -78,7 +78,7 @@ def test_a_padded_time_term_is_the_same_time_term():
                                64, (0.0,), 0.0) for name in ("t", " t")]
     for gen in gens:
         assert list(gen.time_terms) == ["t"]
-        assert BandPropagator.table_bytes(gen) == 20480
+        assert BandPropagator(gen).table_bytes() == 20480
     np.testing.assert_array_equal(gens[1].term_matrices, gens[0].term_matrices)
 
 
@@ -606,8 +606,7 @@ _JOINT_CASES = {
 
 @pytest.mark.parametrize("kind", list(_JOINT_CASES))
 def test_joint_band_matches_one_cutoff_solves(kind):
-    from hypersym.solver import BandPropagator, pairs_modes
-    from hypersym.symmetrizer import _BLOCK_BYTES
+    from hypersym.solver import RK4Stepping, pairs_modes, step_path
     from support import capped_params
 
     system, preset, n_x, cutoffs, eps_par = _JOINT_CASES[kind]
@@ -621,7 +620,7 @@ def test_joint_band_matches_one_cutoff_solves(kind):
 
     def steps(hs):
         gen = TruncatedGenerator(coeffs, n_x, hs, eps_par, pairs_modes(coeffs, prob.g))
-        return BandPropagator.table_bytes(gen) > _BLOCK_BYTES
+        return isinstance(step_path(gen), RK4Stepping)
 
     assert len({steps(cutoffs)} | {steps((h,)) for h in cutoffs}) == 1
     assert steps(cutoffs) == (kind != "jordan_lower")

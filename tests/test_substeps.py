@@ -61,22 +61,30 @@ def _grid(problem, cutoffs, eps_par=0.0, dt=None):
     return dt, n_steps, np.arange(0, n_steps + 1, per) * dt
 
 
+# The step path and band modes of each seed-3 evolve task's one solve, in
+# the order of EVOLVE: the propagators on every band but study-h's joint one
+_EVOLVE_PATHS = [(solver.BandPropagator, 7), (solver.BandPropagator, 7),
+                 (solver.BandPropagator, 128), (solver.BandPropagator, 16),
+                 (solver.BandPropagator, 47), (solver.RK4Stepping, 640)]
+
+
 def test_evolve_tasks_keep_the_lattice_grid_and_take_fewer_steps(monkeypatch):
     # every sample time is the lattice grid's, bit for bit; no solve takes
     # more steps than grid steps, and a seed-3 pass at most 3,200 of the
-    # 7,392 grid steps; wave_t2 1024, holder_k 256 and study-h keep theirs
+    # 7,392 grid steps; wave_t2 1024, holder_k 256 and study-h keep theirs.
+    # Each task takes the step path of _EVOLVE_PATHS
     total = 0
-    for config in EVOLVE:
-        for args, kwargs, res in _solves(config, monkeypatch):
-            dt, n_steps, times = _grid(args[0], args[2], kwargs.get("eps_par", 0.0),
-                                       kwargs.get("dt"))
-            assert res.dt == dt
-            for trace in res.traces:
-                np.testing.assert_array_equal(trace.times, times)
-            assert res.steps <= n_steps
-            keeps = config["preset"] != "xdep" or config["command"] == "study-h"
-            assert (res.steps == n_steps) == keeps
-            total += res.steps
+    for config, (path, n_band) in zip(EVOLVE, _EVOLVE_PATHS, strict=True):
+        (args, kwargs, res), = _solves(config, monkeypatch)
+        assert type(solver.step_path(res.gen)) is path and res.gen.xi.size == n_band
+        dt, n_steps, times = _grid(args[0], args[2], kwargs.get("eps_par", 0.0), kwargs.get("dt"))
+        assert res.dt == dt
+        for trace in res.traces:
+            np.testing.assert_array_equal(trace.times, times)
+        assert res.steps <= n_steps
+        keeps = config["preset"] != "xdep" or config["command"] == "study-h"
+        assert (res.steps == n_steps) == keeps
+        total += res.steps
     assert total <= 3200
 
 
@@ -207,27 +215,33 @@ def test_band_scale_is_the_widest_cutoffs_and_bounds_the_band_generator():
 
 
 def test_memory_check_covers_the_interval_block(monkeypatch):
-    # one interval (N_SAMPLES = 1) of 212 grid steps on the whole 256-mode
-    # lattice: the block of 213 band states is most of what the solve holds.
-    # What it allocates after its check (the generator, built first to find
-    # Lambda, is held already) stays within the bytes it asked
-    # require_memory for.
-    cfg = runner.validate_config({"command": "solve", "schema_version": "1", "preset": "xdep",
-                                  "seed": 3, "n_lattice": 256, "horizon": 0.5})
-    _, params, problem = runner._solve_setup(cfg)
-    needs = []
-    monkeypatch.setattr(solver, "N_SAMPLES", 1)
-    monkeypatch.setattr(solver, "require_memory",
-                        lambda need, what: needs.append((need, tracemalloc.get_traced_memory()[0])))
-    tracemalloc.start()
-    try:
-        res = solver.solve_cauchy(problem, params, (0.0,))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    (need, held), = needs
-    assert res.steps == 212 and res.traces[0].times.size == 2
-    assert peak - held <= need
+    # two stepped bands, each the whole lattice (h = 0): one interval
+    # (N_SAMPLES = 1) of 212 grid steps at 256 modes, where the block of 213
+    # band states is most of what the solve holds, and 48 intervals of 33
+    # sub-steps at 1024 modes, where the 1,584 sub-steps' stage matrices
+    # are.  What each allocates after its check (the generator, built first
+    # to find Lambda, is held already) stays within the bytes it asked
+    # require_memory for, and that is not pessimistic by more than 3x
+    for n_x, n_samples, horizon, steps in ((256, 1, {"horizon": 0.5}, 212),
+                                           (1024, solver.N_SAMPLES, {}, 1584)):
+        cfg = runner.validate_config({"command": "solve", "schema_version": "1",
+                                      "preset": "xdep", "seed": 3, "n_lattice": n_x, **horizon})
+        _, params, problem = runner._solve_setup(cfg)
+        needs = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "N_SAMPLES", n_samples)
+            patch.setattr(solver, "require_memory", lambda need, what: needs.append(
+                (need, tracemalloc.get_traced_memory()[0])))
+            tracemalloc.start()
+            try:
+                res = solver.solve_cauchy(problem, params, (0.0,))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.steps == steps and res.traces[0].times.size == n_samples + 1
+        (need, held), = needs
+        assert isinstance(solver.step_path(res.gen), solver.RK4Stepping)
+        assert peak - held <= need <= 3 * (peak - held)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
