@@ -20,6 +20,13 @@ import numpy as np
 from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import HypersymError
 
+# Temporaries of one batch of the theta growth curves, of one chunk of the
+# symmetrizer's Lyapunov solves and of one block of the solver's sample
+# diagnostics, and the most that the solver's precomputed RK4 propagators hold
+# at once, in bytes.
+_BLOCK_BYTES = 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # Symbols
 
@@ -402,40 +409,97 @@ class ThetaEstimate:
     g_values: np.ndarray  # G(eps) at the eps_values in ascending order
 
 
+def _norm_invariants(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The invariants of :func:`_exp_norm_2x2` for 2x2 blocks H in (..., 2, 2): the
+    exponent e of the power of two that brings H's largest entry into [1/2, 1), and
+    ``Im mu``, d and nu of the scaled H.  So ``|d|^2`` and ``||[K*, K]||_F^2``, a fourth
+    power of the entries, cannot underflow where H is tiny (the latter would below
+    about 1e-77)."""
+    e = np.clip(-np.frexp(np.max(np.abs(h), axis=(-2, -1)))[1], -1000, 1000)
+    h = h * np.ldexp(1.0, e)[..., None, None]
+    half, d = _split_2x2(h)
+    k12, k21 = h[..., 0, 1], h[..., 1, 0]
+    # ||[K*, K]||_F^2 / 2 of K = [[half, k12], [k21, -half]], a sum of squares
+    comm = (np.abs(k21) ** 2 - np.abs(k12) ** 2) ** 2 \
+        + 4.0 * np.abs(np.conj(half) * k12 - half * np.conj(k21)) ** 2
+    dd = np.abs(d) ** 2
+    nu = np.divide(comm, 2.0 * dd + np.sqrt(4.0 * dd**2 + comm), out=np.zeros_like(comm),
+                   where=comm > 0)  # K = 0 has comm = dd = 0
+    return e, (0.5 * h[..., 0, 0] + 0.5 * h[..., 1, 1]).imag, d, nu
+
+
+def _exp_norm_2x2(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``||e^{isH}||_2`` for 2x2 blocks H in (..., n_nodes, 2, 2) and s in (..., n_s), shape
+    (..., n_s, n_nodes), from three invariants a node that every s shares.
+
+    With ``mu = tr H / 2``, ``K = H - mu I`` and ``d^2 = -det K`` (the discriminant of
+    :func:`_split_2x2`), ``e^{isK} = cos(sd) I + i s sinc(sd) K`` has determinant 1, so its
+    two singular values multiply to 1, and their squares add to ``||e^{isK}||_F^2 = 2 + g``
+    with ``g = s^2 nu |sinc(sd)|^2 + 4 sinh^2(s Im d)`` and ``nu = ||K||_F^2 - 2|d|^2``.  So
+    ``||e^{isH}|| = e^{-s Im mu} (r + hypot(r, 1))`` with ``r = sqrt(g) / 2``, where
+    ``|sin(sd)| = hypot(sin(s Re d), sinh(s Im d))`` and ``r + hypot(r, 1) = e^{asinh r}``:
+    one real sine, sinh, asinh and exp an (s, node) pair.  nu is formed without
+    subtraction, as the root of ``nu (nu + 4|d|^2) = ||[K*, K]||_F^2 / 2``, so rounding
+    enters it squared and a normal block has nu = 0 exactly: a hermitian one has norm 1.
+    The invariants are those of H scaled by a power of two (:func:`_norm_invariants`), and
+    s takes the inverse scale.
+    """
+    # the invariants against the (s, node) axes
+    e, mu_im, d, nu = (a[..., None, :] for a in _norm_invariants(h))
+    zero = d == 0
+    # s sqrt(nu) |sinc(sd)| / 2 is |sin(sd)| sqrt(nu) / (2 |d|), and s sqrt(nu) / 2 at d = 0
+    ratio = np.divide(0.5 * np.sqrt(nu), np.abs(d), out=np.zeros_like(nu), where=~zero)
+    slope = np.where(zero, 0.5 * np.sqrt(nu), 0.0)
+    sw = s[..., None] * np.ldexp(1.0, -e)  # s at the scaled H
+    sinh = np.sinh(sw * d.imag)
+    r = np.hypot(np.sin(sw * d.real), sinh)  # |sin(sd)|
+    r *= ratio
+    r += sw * slope
+    np.hypot(r, sinh, out=r)  # sqrt(g) / 2
+    np.arcsinh(r, out=r)  # e^{-s Im mu} (r + hypot(r, 1)) is e^{asinh r - s Im mu}
+    r -= sw * mu_im
+    return np.exp(r, out=r)
+
+
 def _exp_norms(hs: np.ndarray, s: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """``||e^{isH}||_2`` for H in (..., n_nodes, m, m) and s in (..., n_s), shape
     (..., n_s, n_nodes): a leading axis (a batch of eps) pairs each stack of
     nodes with its own s values.
 
     A direct sum's norm, over ``blocks`` (the system's), is its largest block
-    norm.  A 1x1 block gives ``e^{-s Im h}``.  A 2x2 block with Z = sH has
-    ``e^{iZ} = e^{i mu} E`` with ``mu = tr Z / 2`` and E from :func:`_exp_2x2`,
-    the closed form that ``expm_batched`` shares, and norm ``|e^{i mu}| ||E||``
-    by :func:`_norm_2x2`.  Z is split at every (s, node), not H once a node:
-    scaled by s afterwards, d^2 underflows at H ~ 1e-221 and turns to NaN at
-    subnormal s.  Larger blocks, irreducible, take the Pade core; a non-finite
+    norm.  A 1x1 block gives ``e^{-s Im h}``, a 2x2 block the closed form of
+    :func:`_exp_norm_2x2`, from three invariants a node that every s shares.
+    Larger blocks, irreducible, take the Pade core; a non-finite
     exponential there makes the whole result infinite.
     """
     norms = np.zeros(s.shape + hs.shape[-3:-2])
     for idx in blocks:
-        h = hs[..., None, :, idx[:, None], idx]  # (..., 1, n_nodes, k, k)
+        h = hs[..., idx[:, None], idx]  # (..., n_nodes, k, k)
         if len(idx) == 1:
-            nb = np.exp(-s[..., None] * h[..., 0, 0].imag)
+            nb = np.exp(-s[..., None] * h[..., None, :, 0, 0].imag)
         elif len(idx) == 2:
-            z = s[..., None, None, None] * h  # s H: no underflow where s H is O(1)
-            nb = np.exp(-0.5 * (z[..., 0, 0] + z[..., 1, 1]).imag) * _norm_2x2(*_exp_2x2(z))
+            nb = _exp_norm_2x2(h, s)
         else:
-            exps = expm_batched(1j * s[..., None, None, None] * h, [np.arange(len(idx))])
+            exps = expm_batched(1j * s[..., None, None, None] * h[..., None, :, :, :],
+                                [np.arange(len(idx))])
             nb = block_norm2(exps, [np.arange(len(idx))]) if np.isfinite(exps).all() else np.inf
-        norms = np.maximum(norms, nb)
+        np.maximum(norms, nb, out=norms)
     return norms
 
 
-# (s, node, block) triples that one batch of the growth curves' eps may hold:
-# at the theta command's 9 eps, 2 eps a batch on block_direct_sum (a 474 kB
-# peak, 266 kB at one eps), 4 on xdep and diag_sym, and all of them on the
-# x-independent presets, which then take one pass where they took nine
-_GROWTH_BATCH = 3000
+def _exp_norm_bytes(blocks: list[np.ndarray]) -> int:
+    """Peak bytes of :func:`_exp_norms` per (s, node) pair on the partition ``blocks``,
+    its result included: 64 where every block is 1x1 or 2x2 (tracemalloc reads 44 on xdep
+    and 52 on block_direct_sum, which holds one block's norms while it forms the next's),
+    and 192 k^2 with a Pade block of size k (178 k^2 for k = 3 to 6)."""
+    k = max(map(len, blocks))
+    return 64 if k <= 2 else 192 * k**2
+
+
+# The growth curves' scales s eps: 0 and 36 points up to 30.  They target the
+# hump at s eps = O(1); beyond 30 the decay term dominates any admissible
+# polynomial transient.
+_GROWTH_SCALES = np.concatenate(([0.0], np.geomspace(1e-2, 30.0, 36)))
 
 
 def _growth_curves(
@@ -449,11 +513,12 @@ def _growth_curves(
 ):
     """G(eps) = sup_s e^{-c s eps} ||e^{is H_N(eps)}|| and the matching inf.
 
-    The eps go in batches of at most ``_GROWTH_BATCH`` (s, node, block)
-    triples, at least one eps each, on the partition and distinct nodes; the
-    formulas are elementwise, so G and the inf do not depend on the batching.
-    A block of size 3 or more (the Pade core) takes one eps a batch: it holds
-    k^2 entries a triple, and its finiteness check reads the whole batch.
+    The eps go in batches of as many as :func:`_exp_norms` holds in
+    ``_BLOCK_BYTES`` (:func:`_exp_norm_bytes` a pair of an s and a node), at
+    least one eps each, on the partition and distinct nodes; the formulas are
+    elementwise, so G and the inf do not depend on the batching.  A block of
+    size 3 or more (the Pade core) takes one eps a batch: its finiteness check
+    reads the whole batch.
     """
     t_values, x_values = coeffs.symbol_nodes(t_values, x_values)
     xi_values = np.atleast_1d(np.asarray(xi_values, dtype=float))
@@ -461,13 +526,11 @@ def _growth_curves(
     hs = taylor_symbol(coeffs, t_values[:, None, None], x_values[:, None], xi_values,
                        eps_values[:, None, None, None] * xi_values, n_taylor
                        ).reshape(len(eps_values), -1, coeffs.m, coeffs.m)
-    # Target the hump at s*eps = O(1); beyond u ~ 30 the decay term
-    # dominates any admissible polynomial transient.
-    s = np.concatenate((np.zeros((len(eps_values), 1)),
-                        np.geomspace(1e-2, 30.0, 36) / eps_values[:, None]), axis=1)
+    s = _GROWTH_SCALES / eps_values[:, None]
     damp = np.exp(-c_hat * s * eps_values[:, None])[:, :, None]
-    triples = s.shape[1] * hs.shape[1] * len(coeffs.blocks)
-    batch = max(_GROWTH_BATCH // triples, 1) if max(map(len, coeffs.blocks)) <= 2 else 1
+    pairs = s.shape[1] * hs.shape[1]  # (s, node) pairs an eps
+    batch = max(_BLOCK_BYTES // (_exp_norm_bytes(coeffs.blocks) * pairs), 1) \
+        if max(map(len, coeffs.blocks)) <= 2 else 1
     g, low = np.empty(len(eps_values)), np.empty(len(eps_values))
     for lo in range(0, len(eps_values), batch):
         at = slice(lo, lo + batch)

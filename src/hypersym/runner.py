@@ -359,11 +359,14 @@ def _cmd_certify(config: dict) -> dict:
 
 def _cmd_theta(config: dict) -> dict:
     coeffs, theta_decl, name = _resolve_coeffs(config)
-    # a node at each barometer frequency holds H_N at every eps and one eps
-    # batch's 37 s values: tracemalloc reads 16 m^2 bytes an eps and 8.7 kB
-    # a node besides on xdep, and 41 m^2 and 5.3 kB on block_direct_sum
+    # a node at each barometer frequency holds H_N at every eps, formed with
+    # its temporaries at 64 m^2 bytes an eps, and, where a batch holds one
+    # eps, the norms at its 37 s values (matkernel._exp_norm_bytes a value):
+    # tracemalloc reads 2.5 kB a node on xdep and 7.5 kB on block_direct_sum
+    # at the 9 eps, against 4.7 and 11.6 charged
     n_eps, n_xis = config["n_eps"], 1 if coeffs.real_valued else 2
-    ts, xs = _sample_grids(config, coeffs, 64 * coeffs.m**2 * n_xis * (n_eps + 40),
+    norm_bytes = len(matkernel._GROWTH_SCALES) * matkernel._exp_norm_bytes(coeffs.blocks)
+    ts, xs = _sample_grids(config, coeffs, n_xis * (64 * coeffs.m**2 * n_eps + norm_bytes),
                            f"n_eps = {n_eps}")
     eps = np.geomspace(config["eps_lo"], config["eps_hi"], n_eps)
     if eps.max() / eps.min() < matkernel.EPS_SPAN:

@@ -92,10 +92,9 @@ import numpy as np
 from hypersym.coeffs import SystemCoefficients, time_function
 from hypersym.engine import fold_amplitudes, lattice, squared_moduli
 from hypersym.errors import ConfigError, NumericAbortError, require_memory
-from hypersym.matkernel import line_fit
+from hypersym.matkernel import _BLOCK_BYTES, line_fit
 from hypersym.planner import ParameterSet
 from hypersym.symmetrizer import (
-    _BLOCK_BYTES,
     _lyap_node_bytes,
     _lyap_solve_batch,
     _mollifier_path,

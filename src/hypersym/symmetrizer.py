@@ -20,8 +20,8 @@ import numpy as np
 
 from hypersym.coeffs import SystemCoefficients
 from hypersym.errors import StabilityMarginError
-from hypersym.matkernel import (block_eigvals, block_norm2, expm_batched, line_fit, taylor_order,
-                                taylor_symbol)
+from hypersym.matkernel import (_BLOCK_BYTES, block_eigvals, block_norm2, expm_batched, line_fit,
+                                taylor_order, taylor_symbol)
 from hypersym.planner import ParameterSet
 from hypersym.weights import bracket, poly_bump
 
@@ -80,12 +80,6 @@ def damped_generator(
 
 # ---------------------------------------------------------------------------
 # Lyapunov solve and quadrature oracle
-
-
-# Temporaries of one chunk of _lyap_solve_batch and of one block of the
-# solver's sample diagnostics, and the most that the solver's precomputed RK4
-# propagators hold at once, in bytes.  Lyapunov chunks follow the system's largest block.
-_BLOCK_BYTES = 1 << 20
 
 
 def _lyap_node_bytes(blocks: list[np.ndarray]) -> int:

@@ -551,8 +551,10 @@ def _growth_curves_per_eps(coeffs, n_taylor, eps_values, t_values, x_values, xi_
     return g, low
 
 
-# the theta command's eps grid, and calibration's first and eps0 = 0.5 grids
+# the theta command's eps grid at its default n_eps and at 25, and
+# calibration's first and eps0 = 0.5 grids
 _EPS_GRIDS = {"theta 9": np.geomspace(1e-3, 1e-1, 9),
+              "theta 25": np.geomspace(1e-3, 1e-1, 25),
               "calibration 7": np.geomspace(1e-3, 1e-1, 7),
               "eps0 7": np.geomspace(0.5e-2, 0.5, 7)}
 
@@ -560,8 +562,10 @@ _EPS_GRIDS = {"theta 9": np.geomspace(1e-3, 1e-1, 9),
 @pytest.mark.parametrize("grid", sorted(_EPS_GRIDS))
 @pytest.mark.parametrize("name", preset_names())
 def test_growth_curves_in_eps_batches_match_one_eps_at_a_time(name, grid):
-    # at one xi the batches hold 2 eps on block_direct_sum and 4 on xdep and
-    # diag_sym, the last one partial, and every eps on the other presets
+    # a batch holds 22 eps on block_direct_sum, xdep and diag_sym at one xi
+    # (20 nodes) and 11 at two, and 44 or more on the other presets: 25 eps
+    # take two batches there at one xi and three at two, the last one
+    # partial, and every other grid takes one
     coeffs = get_preset(name).coeffs
     for n_taylor in (coeffs.m, 2 * coeffs.m):
         for xis in ((1.0,), _XIS):
@@ -585,10 +589,11 @@ def _rotated_block_direct_sum() -> SystemCoefficients:
                                                      ("rotated", (1.0,), 13, 10)],
                          ids=["xdep", "wave_x2", "rotated"])
 def test_growth_curves_name_the_first_non_finite_eps_of_a_batch(name, xis, n_eps, first):
-    # at N = 2m the norms overflow from eps[first] on.  xdep takes 2 eps a
-    # batch and wave_x2 8, so eps[first] sits after a finite eps in its batch:
-    # second in xdep's, last in wave_x2's.  The rotated system's Pade block
-    # takes one eps a batch; at 4 its batch would start at a finite eps[8]
+    # at N = 2m the norms overflow from eps[first] on.  xdep takes 11 eps a
+    # batch and wave_x2 all 16, so eps[first] sits after a finite eps in its
+    # batch: third in xdep's second, last in wave_x2's.  The rotated system's
+    # Pade block takes one eps a batch; at 4 its batch would start at a
+    # finite eps[8]
     coeffs = _rotated_block_direct_sum() if name == "rotated" else get_preset(name).coeffs
     eps = np.geomspace(1e-3, 100.0, n_eps)
     args = (coeffs, 2 * coeffs.m, eps, _TS, _XS, xis, 1.0)
@@ -615,11 +620,11 @@ def test_mixed_block_direct_sum_takes_pade_path():
 
 
 def test_barometer_peak_is_one_eps_batch():
-    # _growth_curves holds one batch of eps at a time, at most _GROWTH_BATCH
-    # (s, node, block) triples: 2 of the theta command's 9 eps on
-    # block_direct_sum, where tracemalloc reads about 474 kB (266 kB at one
-    # eps a batch, 1.6 MB at all 9).  The bound is what one eps read before
-    # _exp_norms took its 2x2 norms from block_norm2's closed form.
+    # _growth_curves holds one batch of eps at a time, as many as fit in
+    # _BLOCK_BYTES at _exp_norm_bytes an (s, node) pair: all of the theta
+    # command's 9 eps on block_direct_sum, where tracemalloc reads about
+    # 454 kB.  The bound is what one eps read before _exp_norms took its 2x2
+    # norms from block_norm2's closed form.
     import tracemalloc
 
     coeffs = get_preset("block_direct_sum").coeffs
